@@ -69,10 +69,10 @@ main(int argc, char **argv)
             // --store keeps one feature trace per (size,
             // threshold) cell for post-hoc inspection.
             if (!store.path.empty()) {
-                opt.storePath = store.path + ".s" +
-                                std::to_string(size) + "t" +
-                                AsciiTable::fmt(pct, 2);
-                opt.storeAsync = store.async;
+                opt.store = store;
+                opt.store.path = store.path + ".s" +
+                                 std::to_string(size) + "t" +
+                                 AsciiTable::fmt(pct, 2);
             }
             Timer rt;
             const blast::RunResult r =

@@ -73,10 +73,7 @@ instrumentedOptions(long total_iters, const StoreCliOptions &store)
     o.analysis.ar.order = 3;
     o.analysis.ar.lag = 2;
     o.analysis.ar.batchSize = 16;
-    o.storeAsync = store.async;
-    o.storeDurability = store.durability;
-    o.storeMergePolicy = store.mergePolicy;
-    o.storeLive = store.live;
+    o.store = store; // empty path: store disabled
     return o;
 }
 
@@ -120,7 +117,7 @@ main(int argc, char **argv)
     // Reference: uninterrupted instrumented run.
     RunOptions ref_opts = instrumentedOptions(total, storeCli);
     if (!storeCli.path.empty())
-        ref_opts.storePath = storeCli.path + ".reference";
+        ref_opts.store.path += ".reference";
     const RunResult ref = runBlast(config, nullptr, ref_opts);
     std::printf("uninterrupted: %ld iterations, radius %.0f\n",
                 ref.iterations, ref.featureValue);
@@ -133,12 +130,7 @@ main(int argc, char **argv)
     // fall back to the previous good one — at the cost of replaying
     // a few more iterations, never of correctness.
     RunOptions res_opts = instrumentedOptions(total, storeCli);
-    res_opts.storePath = storeCli.path; // empty: store disabled
-    res_opts.ckptPath = ckptCli.path;
-    res_opts.ckptEvery = ckptCli.every;
-    res_opts.ckptKeep = static_cast<int>(ckptCli.keep);
-    res_opts.ckptDurability = ckptCli.durability;
-    res_opts.resumeAuto = ckptCli.resumeAuto; // forced on by retries
+    res_opts.ckpt = ckptCli; // resumeAuto is forced on by retries
     res_opts.metricsEvery = obsCli.metricsEvery;
     res_opts.haltAfterIterations = total / 2;
     const std::uint64_t torn_gen = static_cast<std::uint64_t>(

@@ -20,6 +20,7 @@
 #include "base/cli.hh"
 #include "clover2d/app.hh"
 #include "core/region.hh"
+#include "harness/run_harness.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
 #include "par/store_merge.hh"
@@ -88,13 +89,8 @@ main(int argc, char **argv)
     // --store-durability picks when sealed blocks hit the disk.
     std::unique_ptr<FeatureStoreWriter> store;
     if (!storeCli.path.empty()) {
-        StoreOptions storeOptions;
-        storeOptions.async = storeCli.async;
-        storeOptions.live = storeCli.live;
-        storeOptions.durability =
-            store::parseDurabilityPolicy(storeCli.durability);
         store = attachRankStore(region, storeCli.path, order + 1,
-                                storeOptions, nullptr);
+                                storeOptionsFrom(storeCli), nullptr);
     }
 
     // The instrumented run; probe peaks double as ground truth.

@@ -61,21 +61,12 @@ main(int argc, char **argv)
     // --store <path> persists the per-iteration features of the
     // instrumented run (--store-async flushes on the pool,
     // --store-durability picks when sealed blocks hit the disk).
-    stop.storePath = store.path;
-    stop.storeAsync = store.async;
-    stop.storeDurability = store.durability;
-    stop.storeMergePolicy = store.mergePolicy;
-    stop.storeKeepParts = store.keepParts;
-    stop.storeLive = store.live;
+    stop.store = store;
     // --ckpt <prefix> writes crash-safe checkpoint generations every
     // --ckpt-every iterations; --resume-auto restores the newest
     // valid one at startup (kill the run mid-flight and rerun with
     // the same flags to see it pick up where it left off).
-    stop.ckptPath = ckpt.path;
-    stop.ckptEvery = ckpt.every;
-    stop.ckptKeep = static_cast<int>(ckpt.keep);
-    stop.ckptDurability = ckpt.durability;
-    stop.resumeAuto = ckpt.resumeAuto;
+    stop.ckpt = ckpt;
     // --metrics-every prints a counter heartbeat from the run loop;
     // --metrics-out / --trace-out dump the full telemetry at exit.
     stop.metricsEvery = obsCli.metricsEvery;

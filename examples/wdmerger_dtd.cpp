@@ -36,20 +36,11 @@ main(int argc, char **argv)
     WdRunOptions options;
     options.instrument = true;
     options.trainFraction = 0.25;
-    options.storePath = store.path;
-    options.storeAsync = store.async;
-    options.storeDurability = store.durability;
-    options.storeMergePolicy = store.mergePolicy;
-    options.storeKeepParts = store.keepParts;
-    options.storeLive = store.live;
+    options.store = store;
     // --ckpt <prefix> routes the instrumented run through the
     // resilient supervisor: crash-safe generations every
     // --ckpt-every dumps, auto-resume from the newest valid one.
-    options.ckptPath = ckpt.path;
-    options.ckptEvery = ckpt.every;
-    options.ckptKeep = static_cast<int>(ckpt.keep);
-    options.ckptDurability = ckpt.durability;
-    options.resumeAuto = ckpt.resumeAuto;
+    options.ckpt = ckpt;
     options.metricsEvery = obsCli.metricsEvery;
 
     std::printf("running wdmerger at resolution %d...\n",

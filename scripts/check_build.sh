@@ -18,7 +18,11 @@
 # TSan battery rebuilds the concurrency tests with -fsanitize=thread
 # (TIER1_TSAN) in their own tree and runs the tsan_smoke label —
 # skipped with a notice when the toolchain cannot produce TSan
-# binaries, or when SKIP_TSAN=1.
+# binaries, or when SKIP_TSAN=1. The ASan battery then does the same
+# with -fsanitize=address,undefined (TIER1_ASAN) for the store,
+# checkpoint, and run-harness tests under the asan_smoke label —
+# skipped with a notice when the toolchain cannot produce ASan
+# binaries, or when SKIP_ASAN=1.
 # This is the command CI and the roadmap's "tier-1 verify" refer to.
 set -euo pipefail
 
@@ -184,4 +188,24 @@ if [[ "${SKIP_TSAN:-0}" != 1 ]] &&
 else
   rm -f "$tsan_probe"
   echo "-- tsan battery skipped (no -fsanitize=thread or SKIP_TSAN=1)"
+fi
+cd "$root"
+asan_probe=$(mktemp /tmp/asan_probe.XXXXXX)
+if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
+   echo 'int main(){return 0;}' |
+       c++ -fsanitize=address,undefined -x c++ - -o "$asan_probe" \
+           2>/dev/null &&
+   "$asan_probe"; then
+  rm -f "$asan_probe"
+  cmake -B build-asan -S . -DTIER1_ASAN=ON
+  cmake --build build-asan -j"$(nproc)" --target \
+      test_store_query_asan test_store_live_asan \
+      test_feature_store_asan test_store_sink_asan \
+      test_checkpoint_asan test_ckpt_resilience_asan \
+      test_run_harness_asan
+  cd build-asan
+  ctest --output-on-failure -L asan_smoke
+else
+  rm -f "$asan_probe"
+  echo "-- asan battery skipped (no -fsanitize=address or SKIP_ASAN=1)"
 fi

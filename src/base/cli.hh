@@ -120,12 +120,12 @@ struct StoreCliOptions
     bool async = false;
     /** Durability policy name (--store-durability): "none",
      *  "flush", or "fsync". Kept as a string here — src/base does
-     *  not depend on src/store; the app boundary parses it with
-     *  store::parseDurabilityPolicy (fatal on typos). */
+     *  not depend on src/store; storeOptionsFrom (src/harness)
+     *  parses it, fatal on typos. */
     std::string durability = "none";
     /** Rank-merge policy name (--store-merge-policy): "fail" or
      *  "skip". String for the same layering reason (parsed with
-     *  parseMergePolicy at the app boundary). */
+     *  parseMergePolicy by the run harness). */
     std::string mergePolicy = "fail";
     /** Keep per-rank part files after the merge
      *  (--store-keep-parts). */
@@ -161,8 +161,7 @@ StoreCliOptions applyStoreFlags(int &argc, char **argv);
 
 /**
  * Crash-safe-checkpoint request parsed from the command line (the
- * resilient-harness knobs; see src/ckpt and the runners'
- * RunOptions).
+ * run harness's HarnessOptions::ckpt; see src/ckpt).
  */
 struct CkptCliOptions
 {

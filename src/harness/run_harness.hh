@@ -1,0 +1,240 @@
+/**
+ * @file
+ * One run harness for the paper applications: the instrumented loop
+ * (solver span, Region begin/end/shouldStop, heartbeat), crash-safe
+ * checkpoints with auto-resume, the per-rank feature store, and the
+ * crash-resume supervisor — written once against a small app
+ * interface, so blast::runBlast and wd::runWdMerger only set up their
+ * region, adapt their simulation, and extract their results.
+ *
+ * **App contract** (HarnessApp). finished() ends the loop; step()
+ * advances one loop iteration and is timed as the `solver.step` span
+ * (and counted in `solver.steps_total`); afterStep() runs outside
+ * that span, before Region::end (blast gathers its probe line there);
+ * cycle() is the iteration number after the step — the heartbeat
+ * tick, the checkpoint cadence, and the generation number all use it;
+ * save()/load() write and restore the simulation state bit-exactly.
+ *
+ * **Resume payload** (inside the ckpt envelope, which adds the CRCs):
+ * tag "TDRESUME", u64 version 1, bool "has region", the app's save()
+ * bytes, then — when instrumented — Region::saveCheckpoint's bytes.
+ * A CRC-valid payload that does not fit the run (other version, or a
+ * region saved by a differently instrumented run) is skipped with a
+ * warning and the run starts from scratch.
+ *
+ * **Supervisor** (superviseRuns). Attempts run until one is not an
+ * injected crash (HarnessOptions::haltAfterIterations); each retry
+ * arms resumeAuto and drops the halt. With a store, attempt k writes
+ * "<store>.seg<k>" and the segments are stitched into the store path
+ * at the end: each segment contributes its records up to the first
+ * iteration the next segment re-records (the post-checkpoint overlap
+ * a resumed attempt replays), so the stitched store is
+ * record-identical to an uninterrupted run. Stitching assumes one
+ * rank — a multi-rank supervised run with a store is refused.
+ */
+
+#ifndef TDFE_HARNESS_RUN_HARNESS_HH
+#define TDFE_HARNESS_RUN_HARNESS_HH
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "base/cli.hh"
+#include "ckpt/checkpoint.hh"
+#include "obs/report.hh"
+#include "store/writer.hh"
+
+namespace tdfe
+{
+
+class BinaryReader;
+class BinaryWriter;
+class Communicator;
+class Region;
+
+/** Harness behaviour shared by every harnessed app. */
+struct HarnessOptions
+{
+    /** Attach a td region (the app registers its analyses). */
+    bool instrument = false;
+    /** Honour the region's early-termination request. */
+    bool honorStop = false;
+    /** Pipeline the analysis ingest: snapshot at end(), digest on
+     *  the pool (results stay bitwise identical; see
+     *  Region::setAsyncAnalyses). The digest overlaps the next step
+     *  in non-stop runs; with honorStop the harness polls
+     *  shouldStop() every iteration, which drains the epoch there —
+     *  the stop fires on the identical iteration, but nothing is
+     *  hidden under the solver. */
+    bool asyncAnalyses = false;
+    /** Relaxed stop query (Region::setRelaxedStopQuery): the
+     *  per-iteration poll returns the last published decision
+     *  without draining, so the digest keeps overlapping the solver
+     *  even with honorStop; the stop may fire one iteration late. */
+    bool relaxedStop = false;
+    /** Reference mode: blocking collectives inside end() (the
+     *  pre-pipelined protocol; bench/rank_pipeline measures the
+     *  overlapped protocol against it). */
+    bool blockingSync = false;
+    /** Iterations between collective stop syncs. */
+    long syncInterval = 10;
+    /** Feature store (empty path: disabled; requires instrument).
+     *  Under a multi-rank communicator every rank writes
+     *  "<path>.rk<rank>" and rank 0 merges them into the path in
+     *  rank order after the run. With `live`, the per-rank parts
+     *  publish a manifest a tail can follow. */
+    StoreCliOptions store;
+    /** Crash-safe checkpoints (empty path: disabled). Generations
+     *  land at "<path>.NNNNNN.tdck" (per rank "<path>.rk<rank>")
+     *  every `every` iterations (0: only on SIGINT/SIGTERM); keep
+     *  >= 2 so a torn newest generation has a previous-good
+     *  fallback; resumeAuto restores the newest valid one first. */
+    CkptCliOptions ckpt;
+    /** Restart attempts superviseRuns may consume. */
+    int maxRestarts = 8;
+    /** Comm watchdog deadline for the region's stop protocol
+     *  (seconds; 0 disables). See Region::setCommDeadline. */
+    double commDeadlineSeconds = 0.0;
+    /** Iterations between metrics heartbeat lines (0 disables;
+     *  counters stay zero unless telemetry is enabled). */
+    long metricsEvery = 0;
+    /** Test seam: crash the attempt (leave the loop without a
+     *  final checkpoint, as a kill would) after this many loop
+     *  iterations of this attempt (0: disabled). */
+    long haltAfterIterations = 0;
+    /** Test seam: per-generation fault injection on checkpoint
+     *  writes (see CheckpointSet::setWriteHook). */
+    std::function<void(std::uint64_t, ckpt::WriteOptions &)>
+        ckptWriteHook;
+};
+
+/** Measurements every harnessed run reports. */
+struct HarnessResult
+{
+    /** Wall-clock seconds of the whole loop. */
+    double seconds = 0.0;
+    /** Seconds the region spent inside the library. */
+    double overheadSeconds = 0.0;
+    /** True when the run terminated early on convergence. */
+    bool stoppedEarly = false;
+    /** Bytes of this rank's feature store (0: none written). */
+    std::size_t storeBytes = 0;
+    /** True when the feature sink degraded mid-run and was
+     *  detached (the physics are still exact). */
+    bool storeDegraded = false;
+    /** True when a SIGINT/SIGTERM stopped the loop (after an
+     *  orderly final checkpoint + store seal). */
+    bool interrupted = false;
+    /** True when the test seam crashed this attempt (no final
+     *  checkpoint — simulating a kill). */
+    bool halted = false;
+    /** True when this run restored state from a checkpoint. */
+    bool resumed = false;
+    /** Iteration the restored checkpoint was taken at (-1: none). */
+    long resumedFromIteration = -1;
+    /** Checkpoint generations written during the run. */
+    long checkpointsWritten = 0;
+    /** True when a checkpoint write failed (sticky; the run
+     *  continued — checkpoint I/O never fatals). */
+    bool ckptDegraded = false;
+    /** First checkpoint failure's message. */
+    std::string ckptError;
+    /** True when the comm watchdog fired and the region fell back
+     *  to its last published decision (results unchanged —
+     *  analyses are replicated). */
+    bool commDegraded = false;
+    /** Restart attempts the supervisor consumed (0: the first
+     *  attempt completed). */
+    int restarts = 0;
+    /** End-of-run telemetry (empty unless metrics were enabled). */
+    obs::RunReport report;
+};
+
+/** The simulation side of the loop (see the file comment). */
+class HarnessApp
+{
+  public:
+    virtual bool finished() const = 0;
+    virtual void step() = 0;
+    virtual void afterStep() {}
+    virtual long cycle() const = 0;
+    virtual void save(BinaryWriter &w) const = 0;
+    virtual void load(BinaryReader &r) = 0;
+
+  protected:
+    /** Adapters live on the caller's stack, never deleted through
+     *  this base. */
+    ~HarnessApp() = default;
+};
+
+/** Writer knobs from a --store* request: the per-rank parts, the
+ *  rank-0 merge, and the crash-resume stitch all use this one
+ *  builder (durability parsed here, fatal on typos). */
+StoreOptions storeOptionsFrom(const StoreCliOptions &store);
+
+/**
+ * A region named @p name over @p domain with the protocol knobs of
+ * @p options applied, or null when options.instrument is false. The
+ * caller registers its analyses before runHarness.
+ */
+std::unique_ptr<Region> makeRegion(const std::string &name,
+                                   void *domain, Communicator *comm,
+                                   const HarnessOptions &options);
+
+/**
+ * Run @p app to completion (or stop/halt/interrupt) under
+ * @p options: resume, attach the store, loop, then drain the region
+ * and finish the store. Fills every HarnessResult field except
+ * restarts. @p region may be null (bare run); @p comm may be null
+ * (single rank) and is used collectively otherwise.
+ */
+void runHarness(HarnessApp &app, Region *region, Communicator *comm,
+                const HarnessOptions &options, HarnessResult &result);
+
+/** Attempt bookkeeping behind superviseRuns. */
+class Supervisor
+{
+  public:
+    Supervisor(const HarnessOptions &options, Communicator *comm);
+
+    /** Point @p attempt at its store segment. */
+    void prepare(HarnessOptions &attempt);
+
+    /** @return true when @p result was an injected crash to retry
+     *  (@p attempt then resumes); otherwise stitch the segments into
+     *  the store and return false. */
+    bool retry(HarnessOptions &attempt, HarnessResult &result);
+
+  private:
+    const HarnessOptions &options;
+    std::vector<std::string> segments;
+    int restarts = 0;
+};
+
+/**
+ * Auto-resume supervisor: call @p run(attempt) until an attempt is
+ * not an injected crash (requires options.ckpt.path; see the file
+ * comment for the segment-stitch rule). @p Options derives from
+ * HarnessOptions and @p run returns a HarnessResult-derived result;
+ * @p comm is the runs' communicator (null: single rank).
+ */
+template <class Options, class Run>
+auto
+superviseRuns(const Options &options, Communicator *comm, Run run)
+{
+    Supervisor supervisor(options, comm);
+    Options attempt = options;
+    for (;;) {
+        supervisor.prepare(attempt);
+        auto result = run(attempt);
+        if (!supervisor.retry(attempt, result))
+            return result;
+    }
+}
+
+} // namespace tdfe
+
+#endif // TDFE_HARNESS_RUN_HARNESS_HH

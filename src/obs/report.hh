@@ -1,7 +1,7 @@
 /**
  * @file
- * Run-level telemetry surface: the RunReport carried in the
- * runners' RunResult structs and the periodic heartbeat line.
+ * Run-level telemetry surface: the RunReport carried in the run
+ * harness's HarnessResult and the periodic heartbeat line.
  *
  * A RunReport is just a captured MetricsSnapshot plus a one-line
  * human summary; runners fill it at the end of a run (when
@@ -24,7 +24,7 @@ namespace tdfe
 namespace obs
 {
 
-/** End-of-run telemetry section of a runner's RunResult. */
+/** End-of-run telemetry section of a HarnessResult. */
 struct RunReport
 {
     /** False when telemetry was off — metrics is then empty. */

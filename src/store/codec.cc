@@ -261,11 +261,15 @@ void
 encodeIntColumn(const std::int64_t *vals, std::size_t n,
                 std::vector<std::uint8_t> &out)
 {
-    std::int64_t prev = 0;
+    // Difference in unsigned, as the decoder accumulates: a signed
+    // vals[i] - prev overflows (UB) on e.g. INT64_MIN -> INT64_MAX,
+    // and the wrapped two's-complement bytes are the same.
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
         // First value deltas against 0, so one code path covers all.
-        putVarint(out, zigzagEncode(vals[i] - prev));
-        prev = vals[i];
+        const auto v = static_cast<std::uint64_t>(vals[i]);
+        putVarint(out, zigzagEncode(static_cast<std::int64_t>(v - prev)));
+        prev = v;
     }
 }
 
@@ -297,15 +301,14 @@ encodeIntColumnDict(const std::int64_t *vals, std::size_t n,
     dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
 
     putVarint(out, dict.size());
-    std::int64_t prev = 0;
+    std::uint64_t prev = 0;
     for (std::size_t i = 0; i < dict.size(); ++i) {
         // First entry zigzags against 0; later ones store the
-        // (positive, sorted) gap to the previous entry.
-        putVarint(out, i == 0
-                           ? zigzagEncode(dict[0])
-                           : static_cast<std::uint64_t>(
-                                 dict[i] - prev));
-        prev = dict[i];
+        // (positive, sorted) gap to the previous entry, taken in
+        // unsigned — a signed gap overflows across the full range.
+        const auto v = static_cast<std::uint64_t>(dict[i]);
+        putVarint(out, i == 0 ? zigzagEncode(dict[0]) : v - prev);
+        prev = v;
     }
 
     unsigned bits = 0;

@@ -1,18 +1,10 @@
 #include "wdmerger/runner.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <sstream>
 
-#include "base/logging.hh"
-#include "base/serial.hh"
-#include "base/timer.hh"
 #include "core/predictor.hh"
 #include "core/region.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
-#include "par/store_merge.hh"
 #include "stats/metrics.hh"
 
 namespace tdfe
@@ -24,87 +16,22 @@ namespace wd
 namespace
 {
 
-// As in the blast harness: one builder so the per-rank parts, the
-// rank-0 merge, and the crash-resume stitch all honor the same
-// --store-async / --store-durability settings.
-StoreOptions
-storeOptionsFrom(const WdRunOptions &options)
+/** The merger app behind the harness's app interface: one loop
+ *  iteration is one dump interval. */
+class WdHarnessApp : public HarnessApp
 {
-    StoreOptions store_options;
-    store_options.async = options.storeAsync;
-    store_options.live = options.storeLive;
-    store_options.durability =
-        store::parseDurabilityPolicy(options.storeDurability);
-    return store_options;
-}
+  public:
+    explicit WdHarnessApp(WdMergerApp &app) : app(app) {}
 
-// Same payload framing as the blast harness (see there): domain
-// state plus, when instrumented, the region's checkpoint, behind a
-// tag/version.
-std::string
-buildResumePayload(const WdMergerApp &app, const Region *region)
-{
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
-    w.writeTag("TDRESUME");
-    w.writeU64(1); // payload format version
-    w.writeBool(region != nullptr);
-    app.save(w);
-    if (region)
-        region->saveCheckpoint(os);
-    return os.str();
-}
+    bool finished() const override { return app.finished(); }
+    void step() override { app.advanceDump(); }
+    long cycle() const override { return app.dumpIndex(); }
+    void save(BinaryWriter &w) const override { app.save(w); }
+    void load(BinaryReader &r) override { app.load(r); }
 
-bool
-restoreResumePayload(const std::string &payload, WdMergerApp &app,
-                     Region *region, std::string *error)
-{
-    std::istringstream is(payload, std::ios::binary);
-    BinaryReader r(is);
-    r.expectTag("TDRESUME");
-    const std::uint64_t version = r.readU64();
-    if (r.ok() && version != 1) {
-        r.fail("unsupported resume payload version " +
-               std::to_string(version));
-    }
-    const bool has_region = r.readBool();
-    if (!r.ok()) {
-        *error = r.error();
-        return false;
-    }
-    if (has_region != (region != nullptr)) {
-        *error = "checkpoint instrumentation mismatch (saved "
-                 "with/without a region)";
-        return false;
-    }
-    app.load(r);
-    if (!r.ok()) {
-        *error = r.error();
-        return false;
-    }
-    if (region && !region->loadCheckpoint(is)) {
-        *error = region->checkpointError();
-        return false;
-    }
-    return true;
-}
-
-void
-writeCheckpoint(ckpt::CheckpointSet &set, const WdMergerApp &app,
-                const Region *region, WdRunResult &result)
-{
-    const std::string payload = buildResumePayload(app, region);
-    if (set.save(static_cast<std::uint64_t>(app.dumpIndex()),
-                 payload)) {
-        ++result.checkpointsWritten;
-    }
-    // CheckpointSet::save warns (once) on the first failure; here we
-    // only latch the result bookkeeping.
-    if (set.degraded() && !result.ckptDegraded) {
-        result.ckptDegraded = true;
-        result.ckptError = set.status().message;
-    }
-}
+  private:
+    WdMergerApp &app;
+};
 
 } // namespace
 
@@ -118,15 +45,9 @@ runWdMerger(const WdMergerConfig &config, Communicator *comm,
     const long total_dumps = static_cast<long>(
         config.tEnd / config.dumpInterval + 0.5);
 
-    std::unique_ptr<Region> region;
-    if (options.instrument) {
-        region = std::make_unique<Region>("wdmerger", &app, comm);
-        region->setSyncInterval(options.syncInterval);
-        region->setBlockingSync(options.blockingSync);
-        region->setAsyncAnalyses(options.asyncAnalyses);
-        region->setRelaxedStopQuery(options.relaxedStop);
-        region->setCommDeadline(options.commDeadlineSeconds);
-
+    std::unique_ptr<Region> region =
+        makeRegion("wdmerger", &app, comm, options);
+    if (region) {
         const long span =
             static_cast<long>(options.ar.order) * options.ar.lag;
         long train_end = static_cast<long>(
@@ -152,87 +73,8 @@ runWdMerger(const WdMergerConfig &config, Communicator *comm,
         }
     }
 
-    std::unique_ptr<ckpt::CheckpointSet> ckpt_set;
-    if (!options.ckptPath.empty()) {
-        ckpt_set = std::make_unique<ckpt::CheckpointSet>(
-            rankStorePath(options.ckptPath, comm ? comm->rank() : 0,
-                          comm ? comm->size() : 1),
-            options.ckptKeep,
-            store::parseDurabilityPolicy(options.ckptDurability));
-        if (options.ckptWriteHook)
-            ckpt_set->setWriteHook(options.ckptWriteHook);
-    }
-
-    if (options.resumeAuto && ckpt_set) {
-        std::string payload, from_path;
-        std::uint64_t at_iter = 0;
-        if (ckpt_set->openNewestValid(&payload, &at_iter,
-                                      &from_path)) {
-            std::string error;
-            if (restoreResumePayload(payload, app, region.get(),
-                                     &error)) {
-                result.resumed = true;
-                result.resumedFromIteration =
-                    static_cast<long>(at_iter);
-                TDFE_INFORM("wdmerger run: resumed from '",
-                            from_path, "' (dump ", at_iter, ")");
-            } else {
-                TDFE_WARN("wdmerger run: checkpoint '", from_path,
-                          "' not usable (", error,
-                          "); starting from scratch");
-            }
-        }
-    }
-
-    std::unique_ptr<FeatureStoreWriter> store;
-    if (region && !options.storePath.empty()) {
-        store = attachRankStore(*region, options.storePath,
-                                options.ar.order + 1,
-                                storeOptionsFrom(options), comm);
-    }
-
-    long attempt_dumps = 0;
-    obs::Heartbeat heartbeat(
-        static_cast<std::uint64_t>(std::max(options.metricsEvery,
-                                            0L)));
-    Timer timer;
-    while (!app.finished()) {
-        if (region)
-            region->begin();
-        {
-            static obs::Counter steps("solver.steps_total");
-            obs::SpanTimer step("solver.step", "solver");
-            app.advanceDump();
-            steps.add();
-        }
-        if (region) {
-            region->end();
-            if (options.honorStop && region->shouldStop()) {
-                result.stoppedEarly = true;
-                break;
-            }
-        }
-
-        ++attempt_dumps;
-        heartbeat.tick(static_cast<std::uint64_t>(app.dumpIndex()));
-        if (ckpt_set && options.ckptEvery > 0 &&
-            app.dumpIndex() % options.ckptEvery == 0) {
-            writeCheckpoint(*ckpt_set, app, region.get(), result);
-        }
-        if (options.haltAfterIterations > 0 &&
-            attempt_dumps >= options.haltAfterIterations) {
-            result.halted = true;
-            break;
-        }
-        if (ckpt::interruptRequested()) {
-            if (ckpt_set)
-                writeCheckpoint(*ckpt_set, app, region.get(),
-                                result);
-            result.interrupted = true;
-            break;
-        }
-    }
-    result.seconds = timer.elapsed();
+    WdHarnessApp harness_app(app);
+    runHarness(harness_app, region.get(), comm, options, result);
 
     result.dumps = app.dumpIndex();
     result.sphSteps = app.sphSteps();
@@ -242,8 +84,6 @@ runWdMerger(const WdMergerConfig &config, Communicator *comm,
         result.history[v] = app.history(static_cast<DiagVar>(v));
 
     if (region) {
-        result.commDegraded = region->commDegraded();
-        result.overheadSeconds = region->overheadSeconds();
         for (int v = 0; v < numDiagVars; ++v) {
             const CurveFitAnalysis &a =
                 region->analysis(static_cast<std::size_t>(v));
@@ -269,24 +109,6 @@ runWdMerger(const WdMergerConfig &config, Communicator *comm,
             }
         }
     }
-
-    if (ckpt_set && !result.ckptDegraded && ckpt_set->degraded()) {
-        result.ckptDegraded = true;
-        result.ckptError = ckpt_set->status().message;
-    }
-
-    if (store) {
-        result.storeDegraded =
-            region->featureStoreDegraded() || !store->ok();
-        RankMergeOptions merge;
-        merge.policy = parseMergePolicy(options.storeMergePolicy);
-        merge.keepParts = options.storeKeepParts;
-        merge.storeOptions = storeOptionsFrom(options);
-        result.storeBytes = finishRankStore(
-            *region, std::move(store), options.storePath, comm,
-            merge);
-    }
-    result.report = obs::captureRunReport();
     return result;
 }
 
@@ -294,47 +116,9 @@ WdRunResult
 runWdMergerResilient(const WdMergerConfig &config, Communicator *comm,
                      const WdRunOptions &options)
 {
-    TDFE_ASSERT(!options.ckptPath.empty(),
-                "resilient runs need a checkpoint path");
-    const bool segmented = !options.storePath.empty();
-    TDFE_ASSERT(!segmented || !comm || comm->size() <= 1,
-                "segmented store stitching supports single-rank "
-                "runs only");
-
-    WdRunOptions attempt = options;
-    std::vector<std::string> segments;
-    int restarts = 0;
-    for (;;) {
-        if (segmented) {
-            attempt.storePath = options.storePath + ".seg" +
-                                std::to_string(segments.size());
-            segments.push_back(attempt.storePath);
-        }
-        WdRunResult result = runWdMerger(config, comm, attempt);
-        result.restarts = restarts;
-
-        if (result.halted && !ckpt::interruptRequested() &&
-            restarts < options.maxRestarts) {
-            ++restarts;
-            attempt.haltAfterIterations = 0;
-            attempt.resumeAuto = true;
-            TDFE_INFORM("wdmerger supervisor: attempt crashed at "
-                        "dump ", result.dumps, "; restarting ",
-                        "(attempt ", restarts + 1, ")");
-            continue;
-        }
-
-        if (segmented) {
-            result.storeBytes = stitchSegmentStores(
-                segments, options.storePath,
-                storeOptionsFrom(options));
-            if (!options.storeKeepParts) {
-                for (const std::string &seg : segments)
-                    std::remove(seg.c_str());
-            }
-        }
-        return result;
-    }
+    return superviseRuns(options, comm, [&](const WdRunOptions &attempt) {
+        return runWdMerger(config, comm, attempt);
+    });
 }
 
 } // namespace wd

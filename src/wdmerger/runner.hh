@@ -10,14 +10,10 @@
 #define TDFE_WDMERGER_RUNNER_HH
 
 #include <array>
-#include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
-#include "ckpt/checkpoint.hh"
 #include "core/ar_model.hh"
-#include "obs/report.hh"
+#include "harness/run_harness.hh"
 #include "wdmerger/app.hh"
 
 namespace tdfe
@@ -26,83 +22,20 @@ namespace tdfe
 namespace wd
 {
 
-/** Harness behaviour. */
-struct WdRunOptions
+/** Harness behaviour (the shared loop/store/checkpoint knobs are
+ *  in HarnessOptions; the loop iteration here is one dump). */
+struct WdRunOptions : HarnessOptions
 {
-    /** Attach a td region with one analysis per diagnostic. */
-    bool instrument = false;
-    /** Honour early termination. */
-    bool honorStop = false;
-    /** Pipeline the four analyses' ingest: snapshot at end(),
-     *  digest on the pool (results stay bitwise identical; see
-     *  Region::setAsyncAnalyses). The digest overlaps the next
-     *  dump interval in non-stop runs; with honorStop the
-     *  per-iteration shouldStop() poll drains the epoch, so the
-     *  four digests still fan out across workers but nothing is
-     *  hidden under the solver. */
-    bool asyncAnalyses = false;
-    /** Relaxed stop query (Region::setRelaxedStopQuery): the
-     *  per-dump shouldStop() poll reports the last published
-     *  decision without draining the in-flight digest, keeping the
-     *  four analyses overlapped with the next dump interval even
-     *  under honorStop; the stop may fire one dump late. */
-    bool relaxedStop = false;
-    /** Reference mode: blocking collectives inside end(). */
-    bool blockingSync = false;
     /** Training window ends at this fraction of the full run. */
     double trainFraction = 0.25;
     /** AR model settings shared by the four analyses. */
     ArConfig ar;
-    /** Iterations between collective stop syncs. */
-    long syncInterval = 5;
     /** Smoothing window for the delay-time detector. */
     std::size_t smoothWindow = 5;
-    /** Write the four analyses' features to a trace store at this
-     *  path (empty: disabled; requires instrument). Multi-rank
-     *  worlds write per-rank parts merged by rank 0, as in the
-     *  blast harness. */
-    std::string storePath;
-    /** Flush store blocks on the thread pool. */
-    bool storeAsync = false;
-    /** Store durability policy: "none", "flush", or "fsync". */
-    std::string storeDurability = "none";
-    /** Rank-merge policy for unreadable parts: "fail" or "skip". */
-    std::string storeMergePolicy = "fail";
-    /** Keep per-rank store parts after the merge. */
-    bool storeKeepParts = false;
-    /** Publish a live manifest after sealed blocks (tail readers;
-     *  see store/live.hh). */
-    bool storeLive = false;
-
-    /** Crash-safe checkpointing + auto-resume; the knobs mirror
-     *  blast::RunOptions (see there and src/ckpt). @{ */
-    /** Checkpoint path prefix (empty: disabled). */
-    std::string ckptPath;
-    /** Dumps between checkpoints (0: only on interrupt). */
-    long ckptEvery = 0;
-    /** Generations kept (>= 2 for a previous-good fallback). */
-    int ckptKeep = 3;
-    /** Checkpoint durability: "none", "flush", or "fsync". */
-    std::string ckptDurability = "fsync";
-    /** Restore from the newest valid checkpoint before the loop. */
-    bool resumeAuto = false;
-    /** Restart budget of runWdMergerResilient. */
-    int maxRestarts = 8;
-    /** Comm watchdog deadline (seconds; 0 disables). */
-    double commDeadlineSeconds = 0.0;
-    /** Dumps between metrics heartbeat lines (--metrics-every;
-     *  0 disables; see blast::RunOptions::metricsEvery). */
-    long metricsEvery = 0;
-    /** Test seam: crash the attempt after this many dumps (0:
-     *  disabled). */
-    long haltAfterIterations = 0;
-    /** Test seam: per-generation checkpoint fault injection. */
-    std::function<void(std::uint64_t, ckpt::WriteOptions &)>
-        ckptWriteHook;
-    /** @} */
 
     WdRunOptions()
     {
+        syncInterval = 5;
         // Each analysis sees one sample per dump, so mini-batches
         // must stay small for several training rounds to fit into
         // the paper's 10-50% training windows, and each round works
@@ -122,13 +55,10 @@ struct WdRunOptions
 };
 
 /** Everything measured in one run. */
-struct WdRunResult
+struct WdRunResult : HarnessResult
 {
     long dumps = 0;
     long sphSteps = 0;
-    double seconds = 0.0;
-    double overheadSeconds = 0.0;
-    bool stoppedEarly = false;
     double mergeTime = -1.0;
     double detonationTime = -1.0;
     /** Full diagnostic histories (index k = time k*dumpInterval). */
@@ -142,27 +72,6 @@ struct WdRunResult
     /** One-step fitted curves aligned with fittedIters (Fig. 7). */
     std::array<std::vector<double>, numDiagVars> fitted;
     std::array<std::vector<long>, numDiagVars> fittedIters;
-    /** Bytes of this rank's feature store (0: none written). */
-    std::size_t storeBytes = 0;
-    /** True when the feature sink degraded mid-run and was
-     *  detached (the physics above are still exact). */
-    bool storeDegraded = false;
-
-    /** Resilience bookkeeping; mirrors blast::RunResult. @{ */
-    bool interrupted = false;
-    bool halted = false;
-    bool resumed = false;
-    long resumedFromIteration = -1;
-    long checkpointsWritten = 0;
-    bool ckptDegraded = false;
-    std::string ckptError;
-    bool commDegraded = false;
-    int restarts = 0;
-    /** @} */
-
-    /** End-of-run telemetry (empty unless metrics were enabled;
-     *  see src/obs and --metrics-out). */
-    obs::RunReport report;
 };
 
 /**
@@ -177,11 +86,8 @@ WdRunResult runWdMerger(const WdMergerConfig &config,
                         Communicator *comm,
                         const WdRunOptions &options);
 
-/**
- * Auto-resume supervisor around runWdMerger; semantics match
- * blast::runBlastResilient (requires options.ckptPath; per-attempt
- * store segments stitched into options.storePath, single-rank only).
- */
+/** runWdMerger under the crash-resume supervisor (superviseRuns;
+ *  requires options.ckpt.path). */
 WdRunResult runWdMergerResilient(const WdMergerConfig &config,
                                  Communicator *comm,
                                  const WdRunOptions &options);

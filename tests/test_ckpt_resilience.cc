@@ -4,9 +4,10 @@
  * trips, a crash-point sweep over every byte-offset class of the
  * atomic write (header / payload / trailing CRC / missed rename)
  * with fallback to the previous good generation, sticky degrade on
- * write errors, rotation, and the blast supervisor's crash sweep —
- * a resumed run must be bitwise identical to an uninterrupted one,
- * including the stitched feature store.
+ * write errors, rotation, and the supervisor's crash sweep over both
+ * harnessed apps (blast, wdmerger) — a resumed run must be bitwise
+ * identical to an uninterrupted one, including the stitched feature
+ * store.
  */
 
 #include <cstdio>
@@ -19,26 +20,15 @@
 #include "ckpt/checkpoint.hh"
 #include "store/file.hh"
 #include "store/reader.hh"
+#include "tests/test_util.hh"
+#include "wdmerger/runner.hh"
 
 namespace
 {
 
 using namespace tdfe;
+using namespace tdfe::test;
 using namespace tdfe::blast;
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
-
-void
-removeGenerations(const std::string &prefix)
-{
-    for (const ckpt::Generation &g : ckpt::listGenerations(prefix))
-        std::remove(g.path.c_str());
-    std::remove((prefix + ".manifest").c_str());
-}
 
 TEST(CkptEnvelope, RoundTrips)
 {
@@ -253,42 +243,8 @@ sweepOptions(long total_iters, const std::string &store_path)
     RunOptions opts;
     opts.instrument = true;
     opts.analysis = sweepAnalysis(total_iters);
-    opts.storePath = store_path;
+    opts.store.path = store_path;
     return opts;
-}
-
-std::vector<FeatureRecord>
-readRecords(const std::string &path)
-{
-    std::string error;
-    auto reader = FeatureStoreReader::open(path, &error);
-    EXPECT_TRUE(reader) << error;
-    std::vector<FeatureRecord> out;
-    if (!reader)
-        return out;
-    FeatureStoreReader::Cursor c = reader->cursor();
-    FeatureRecord rec;
-    while (c.next(rec))
-        out.push_back(rec);
-    return out;
-}
-
-/** Bitwise equality, ignoring wallTime (measured per attempt). */
-void
-expectRecordsEqual(const std::vector<FeatureRecord> &a,
-                   const std::vector<FeatureRecord> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE("record " + std::to_string(i));
-        EXPECT_EQ(a[i].iteration, b[i].iteration);
-        EXPECT_EQ(a[i].analysis, b[i].analysis);
-        EXPECT_EQ(a[i].stop, b[i].stop);
-        EXPECT_EQ(a[i].wavefront, b[i].wavefront);
-        EXPECT_EQ(a[i].predicted, b[i].predicted);
-        EXPECT_EQ(a[i].mse, b[i].mse);
-        EXPECT_EQ(a[i].coeffs, b[i].coeffs);
-    }
 }
 
 void
@@ -326,9 +282,9 @@ TEST(ResilientRun, CrashSweepIsBitExact)
         removeGenerations(prefix);
 
         RunOptions opts = sweepOptions(200, store);
-        opts.ckptPath = prefix;
-        opts.ckptEvery = 3;
-        opts.ckptDurability = "none"; // speed; atomicity is separate
+        opts.ckpt.path = prefix;
+        opts.ckpt.every = 3;
+        opts.ckpt.durability = "none"; // speed; atomicity is separate
         opts.haltAfterIterations = halt;
         const RunResult res = runBlastResilient(cfg, nullptr, opts);
 
@@ -353,9 +309,9 @@ TEST(ResilientRun, TornNewestGenerationStillRecovers)
     removeGenerations(prefix);
 
     RunOptions opts = sweepOptions(200, "");
-    opts.ckptPath = prefix;
-    opts.ckptEvery = 3;
-    opts.ckptDurability = "none";
+    opts.ckpt.path = prefix;
+    opts.ckpt.every = 3;
+    opts.ckpt.durability = "none";
     opts.haltAfterIterations = 7;
     // Tear the generation written at iteration 6 mid-payload: the
     // resumed attempt must fall back to the one at iteration 3.
@@ -388,9 +344,9 @@ TEST(ResilientRun, CheckpointWriteFailureNeverFatals)
     removeGenerations(prefix);
 
     RunOptions opts = sweepOptions(200, "");
-    opts.ckptPath = prefix;
-    opts.ckptEvery = 3;
-    opts.ckptDurability = "none";
+    opts.ckpt.path = prefix;
+    opts.ckpt.every = 3;
+    opts.ckpt.durability = "none";
     // Every write fails ENOSPC; the run must still complete with
     // identical physics and a sticky degraded flag.
     opts.ckptWriteHook = [](std::uint64_t,
@@ -423,8 +379,8 @@ TEST(ResilientRun, InterruptCheckpointsThenResumesBitExact)
     removeGenerations(prefix);
 
     RunOptions opts = sweepOptions(200, "");
-    opts.ckptPath = prefix;
-    opts.ckptEvery = 0; // only the interrupt-time checkpoint
+    opts.ckpt.path = prefix;
+    opts.ckpt.every = 0; // only the interrupt-time checkpoint
 
     ckpt::requestInterrupt();
     const RunResult stopped = runBlast(cfg, nullptr, opts);
@@ -434,12 +390,61 @@ TEST(ResilientRun, InterruptCheckpointsThenResumesBitExact)
     ASSERT_LT(stopped.iterations, ref.iterations);
 
     RunOptions resume = opts;
-    resume.resumeAuto = true;
+    resume.ckpt.resumeAuto = true;
     const RunResult res = runBlast(cfg, nullptr, resume);
     EXPECT_TRUE(res.resumed);
     EXPECT_EQ(res.resumedFromIteration, stopped.iterations);
     expectPhysicsEqual(res, ref);
     removeGenerations(prefix);
+}
+
+TEST(ResilientRun, WdCrashResumeIsBitExact)
+{
+    wd::WdMergerConfig cfg;
+    cfg.resolution = 6;
+    cfg.tEnd = 30.0;
+    cfg.relaxSteps = 40;
+
+    wd::WdRunOptions ref_opts;
+    ref_opts.instrument = true;
+    ref_opts.trainFraction = 0.5;
+    ref_opts.store.path = tempPath("wd_ref_sweep.tdfs");
+    const wd::WdRunResult ref = wd::runWdMerger(cfg, nullptr, ref_opts);
+    ASSERT_GT(ref.dumps, 20);
+    const std::vector<FeatureRecord> ref_records =
+        readRecords(ref_opts.store.path);
+    ASSERT_FALSE(ref_records.empty());
+
+    // Before the first checkpoint, just after one, and mid-run.
+    const long halts[] = {1, 4, ref.dumps / 2};
+    for (const long halt : halts) {
+        SCOPED_TRACE("halt after " + std::to_string(halt));
+        const std::string prefix =
+            tempPath("wd_halt" + std::to_string(halt));
+        removeGenerations(prefix);
+
+        wd::WdRunOptions opts = ref_opts;
+        opts.store.path = prefix + ".tdfs";
+        opts.ckpt.path = prefix;
+        opts.ckpt.every = 3;
+        opts.ckpt.durability = "none";
+        opts.haltAfterIterations = halt;
+        const wd::WdRunResult res =
+            wd::runWdMergerResilient(cfg, nullptr, opts);
+
+        EXPECT_EQ(res.restarts, 1);
+        EXPECT_FALSE(res.halted);
+        EXPECT_EQ(res.resumed, halt >= 3);
+        EXPECT_EQ(res.dumps, ref.dumps);
+        EXPECT_EQ(res.sphSteps, ref.sphSteps);
+        EXPECT_EQ(res.history, ref.history);
+        EXPECT_EQ(res.delayTime, ref.delayTime);
+        EXPECT_EQ(res.convergedIteration, ref.convergedIteration);
+        expectRecordsEqual(readRecords(opts.store.path), ref_records);
+        removeGenerations(prefix);
+        std::remove(opts.store.path.c_str());
+    }
+    std::remove(ref_opts.store.path.c_str());
 }
 
 } // namespace

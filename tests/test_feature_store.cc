@@ -32,11 +32,13 @@
 #include "store/file.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
+#include "tests/test_util.hh"
 
 namespace
 {
 
 using namespace tdfe;
+using test::tempPath;
 
 /** Deterministic record stream with awkward bit patterns mixed in. */
 FeatureRecord
@@ -95,12 +97,6 @@ expectRecordsEqual(const FeatureRecord &a, const FeatureRecord &b)
     for (std::size_t k = 0; k < a.coeffs.size(); ++k)
         EXPECT_TRUE(bitsEqual(a.coeffs[k], b.coeffs[k]))
             << "coeff " << k;
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
 }
 
 std::string

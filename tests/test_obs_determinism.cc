@@ -22,6 +22,7 @@
 #include "obs/trace.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
+#include "tests/test_util.hh"
 
 namespace
 {
@@ -87,7 +88,7 @@ runWave(const std::string &name, bool telemetry, bool async)
         obs::clearTrace();
     }
 
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = test::tempPath(name);
     WaveDomain domain;
     Region region("obs-wave", &domain);
     region.setAsyncAnalyses(async);

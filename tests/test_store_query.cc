@@ -34,17 +34,13 @@
 #include "store/query.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
+#include "tests/test_util.hh"
 
 namespace
 {
 
 using namespace tdfe;
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
-}
+using test::tempPath;
 
 bool
 bitsEqual(double a, double b)
@@ -311,6 +307,10 @@ TEST(QueryCodec, DictRleTaggedRoundTripHostileInputs)
                         std::numeric_limits<std::int64_t>::max(), 0,
                         -1, 1,
                         std::numeric_limits<std::int64_t>::min()});
+    // A dictionary gap wider than INT64_MAX (signed overflow if the
+    // encoder took it in int64).
+    expectIntRoundTrip({std::numeric_limits<std::int64_t>::min(), 0,
+                        std::numeric_limits<std::int64_t>::max()});
 
     std::vector<std::int64_t> vals;
     // Constant column (RLE's and the 0-bit dictionary's best case).

@@ -25,11 +25,13 @@
 #include "store/file.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
+#include "tests/test_util.hh"
 
 namespace
 {
 
 using namespace tdfe;
+using test::tempPath;
 
 /** Attenuating wave, as in test_analysis_region. */
 struct WaveDomain
@@ -64,12 +66,6 @@ waveAnalysis()
     ac.ar.axis = LagAxis::Space;
     ac.ar.batchSize = 24;
     return ac;
-}
-
-std::string
-tempPath(const std::string &name)
-{
-    return ::testing::TempDir() + name;
 }
 
 /** Instrumented wave run writing a store; @return the store path. */
@@ -314,7 +310,7 @@ TEST(StoreSink, BlastRunnerReportsDegradedStore)
     EXPECT_FALSE(good.storeDegraded);
 
     RunOptions bad = fe;
-    bad.storePath = "/nonexistent-dir/sub/blast.tdfs";
+    bad.store.path = "/nonexistent-dir/sub/blast.tdfs";
     const RunResult degraded = runBlast(config, nullptr, bad);
     EXPECT_TRUE(degraded.storeDegraded);
     EXPECT_EQ(degraded.storeBytes, 0u);
@@ -411,7 +407,7 @@ TEST(StoreMerge, BlastRunnerMergesRankStores)
     world.run([&](Communicator &comm) {
         RunOptions fe;
         fe.instrument = true;
-        fe.storePath = path;
+        fe.store.path = path;
         fe.analysis.space = IterParam(1, 8, 1);
         fe.analysis.time = IterParam(ref.iterations / 20,
                                      (ref.iterations * 2) / 5, 1);
