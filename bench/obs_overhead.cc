@@ -505,8 +505,8 @@ main(int argc, char **argv)
                     steps);
         ok = false;
     }
-    if (snap.counter("region.ingests_total") == 0) {
-        std::printf("!! region.ingests_total is zero\n");
+    if (snap.counter("region.snapshots_total") == 0) {
+        std::printf("!! region.snapshots_total is zero\n");
         ok = false;
     }
 

@@ -1,24 +1,25 @@
 /**
  * @file
  * Rank-pipelining baseline: the instrumented blast loop run across
- * thread-emulated ranks under three sync protocols —
+ * thread-emulated ranks under three stop protocols —
  *
- *   blocking   the pre-pipelined reference (collectives stall
- *              inside end(); Region::setBlockingSync),
- *   overlapped the default posted-then-lazily-completed protocol
- *              with the strict (draining) stop query,
+ *   nosync     the reference floor: the region has no communicator,
+ *              so the (replicated) stop decision needs no
+ *              collectives at all,
+ *   overlapped the posted-then-lazily-completed collectives with the
+ *              strict (draining) stop query,
  *   relaxed    overlapped + Region::setRelaxedStopQuery: the
  *              per-iteration stop poll returns the last published
  *              decision and never stalls,
  *
  * and reports the *exposed* per-iteration analysis+sync overhead
- * (max over ranks) for each. The digest-equality gate fails the run
- * (exit 1) unless, at every rank count: the overlapped protocol's
- * features, iteration counts, stop iterations, and per-analysis
- * checkpoint bytes (FNV-1a) are bitwise identical to blocking mode;
- * fixed-length relaxed runs are bitwise identical too; and the
- * relaxed early-termination run stops at most one iteration after
- * the strict one. Writes JSON via bench_to_json; see PERF.md.
+ * (max over ranks) for each. The gate fails the run (exit 1) unless,
+ * at every rank count: the overlapped and relaxed protocols'
+ * features, iteration counts, and per-analysis checkpoint bytes
+ * (FNV-1a) are bitwise identical to nosync; every early-termination
+ * run actually stops; the overlapped one stops on the nosync
+ * iteration; and the relaxed one stops at most one iteration after
+ * it. Writes JSON via bench_to_json; see PERF.md.
  *
  * On a single-core host the ranks timeshare, so the sweep certifies
  * parity and determinism; the full overlap win needs >= 2 cores.
@@ -49,7 +50,6 @@ enum class Protocol
      *  iteration *sync cost* of the other protocols is their
      *  exposed overhead above this floor. */
     NoSync,
-    Blocking,
     Overlapped,
     Relaxed,
 };
@@ -60,8 +60,6 @@ protocolName(Protocol p)
     switch (p) {
       case Protocol::NoSync:
         return "nosync";
-      case Protocol::Blocking:
-        return "blocking";
       case Protocol::Overlapped:
         return "overlapped";
       case Protocol::Relaxed:
@@ -109,7 +107,6 @@ runRank(const blast::BlastConfig &cfg, Communicator *comm,
     Region region("rank_pipeline", &domain,
                   protocol == Protocol::NoSync ? nullptr : comm);
     region.setSyncInterval(sync_interval);
-    region.setBlockingSync(protocol == Protocol::Blocking);
     region.setRelaxedStopQuery(protocol == Protocol::Relaxed);
     region.setAsyncAnalyses(true);
     region.setRankOfLocation([&domain](long loc) {
@@ -129,9 +126,9 @@ runRank(const blast::BlastConfig &cfg, Communicator *comm,
         domain.gatherProbes();
         region.end();
         // The common application pattern: poll the stop flag every
-        // iteration. Under the blocking and overlapped protocols
-        // this is the strict (draining) query; in relaxed mode it
-        // reads the published decision without a stall.
+        // iteration. Under the nosync and overlapped protocols this
+        // is the strict (draining) query; in relaxed mode it reads
+        // the published decision without a stall.
         if (region.shouldStop()) {
             if (out.stopIter < 0)
                 out.stopIter = region.iteration() - 1;
@@ -195,7 +192,7 @@ runWorld(int size, int ranks, const AnalysisConfig &analysis,
 
 /**
  * Best-of-@p reps timing of all three protocols, *interleaved*
- * within each repetition (blocking, overlapped, relaxed, repeat) so
+ * within each repetition (nosync, overlapped, relaxed, repeat) so
  * slow load drift on the host hits every protocol symmetrically
  * instead of skewing whichever mode happened to run its block
  * during a spike. Every repetition must produce the identical
@@ -205,12 +202,11 @@ std::vector<WorldOut>
 timeProtocols(int size, int ranks, const AnalysisConfig &analysis,
               int reps, bool &digests_ok)
 {
-    const Protocol protos[] = {Protocol::NoSync, Protocol::Blocking,
-                               Protocol::Overlapped,
+    const Protocol protos[] = {Protocol::NoSync, Protocol::Overlapped,
                                Protocol::Relaxed};
-    std::vector<WorldOut> best(4);
+    std::vector<WorldOut> best(3);
     for (int rep = 0; rep < reps; ++rep) {
-        for (int m = 0; m < 4; ++m) {
+        for (int m = 0; m < 3; ++m) {
             const WorldOut r = runWorld(size, ranks, analysis,
                                         protos[m], false);
             digests_ok = digests_ok && r.ranksAgree;
@@ -238,9 +234,9 @@ timeProtocols(int size, int ranks, const AnalysisConfig &analysis,
 int
 main(int argc, char **argv)
 {
-    ArgParser args("Rank pipelining: blocking vs overlapped vs "
-                   "relaxed sync protocol on the instrumented, "
-                   "rank-decomposed blast loop");
+    ArgParser args("Rank pipelining: overlapped vs relaxed stop "
+                   "protocol against the collective-free floor on "
+                   "the instrumented, rank-decomposed blast loop");
     args.addInt("size", 24, "blast domain size");
     args.addString("ranks", "1,2,4",
                    "thread-rank counts to sweep (comma-separated)");
@@ -258,9 +254,9 @@ main(int argc, char **argv)
         ArgParser::parseIntList(args.getString("ranks"));
 
     banner("Rank pipelining: blast " + std::to_string(size) +
-               "^3, overlapped vs blocking collectives",
+               "^3, overlapped vs relaxed stop protocol",
            "sync cost = exposed overhead above the collective-free "
-           "floor, max over ranks; digests must match blocking mode "
+           "floor, max over ranks; digests must match the floor "
            "bitwise");
 
     // One recorded probe run sizes the analysis windows.
@@ -272,9 +268,8 @@ main(int argc, char **argv)
     stopper.stopWhenConverged = true;
 
     std::vector<BenchRecord> records;
-    AsciiTable table({"Ranks", "floor us/it", "blk sync", "ovl sync",
-                      "rlx sync", "ovl/blk", "stop blk/ovl/rlx",
-                      "gate"});
+    AsciiTable table({"Ranks", "floor us/it", "ovl sync", "rlx sync",
+                      "stop nos/ovl/rlx", "gate"});
     bool gate_ok = true;
     for (const auto r : ranks) {
         const int nr = static_cast<int>(r);
@@ -284,9 +279,8 @@ main(int argc, char **argv)
         const std::vector<WorldOut> timed =
             timeProtocols(size, nr, nonstop, reps, digests_ok);
         const WorldOut &nosync = timed[0];
-        const WorldOut &blocking = timed[1];
-        const WorldOut &overlapped = timed[2];
-        const WorldOut &relaxed = timed[3];
+        const WorldOut &overlapped = timed[1];
+        const WorldOut &relaxed = timed[2];
         // Per-iteration exposed *sync* cost: overhead above the
         // collective-free floor (clamped — sub-floor readings are
         // timer noise on an empty protocol).
@@ -295,61 +289,52 @@ main(int argc, char **argv)
                                      nosync.overheadPerIter);
         };
         const bool same =
-            nosync.checkpointHash == blocking.checkpointHash &&
-            nosync.iterations == blocking.iterations &&
-            overlapped.checkpointHash == blocking.checkpointHash &&
-            overlapped.iterations == blocking.iterations &&
-            relaxed.checkpointHash == blocking.checkpointHash &&
-            relaxed.iterations == blocking.iterations &&
-            relaxed.feature == blocking.feature;
+            overlapped.checkpointHash == nosync.checkpointHash &&
+            overlapped.iterations == nosync.iterations &&
+            relaxed.checkpointHash == nosync.checkpointHash &&
+            relaxed.iterations == nosync.iterations &&
+            relaxed.feature == nosync.feature;
 
-        // Early-terminated runs: the stop-iteration bound.
-        bool stop_ok = true;
-        const WorldOut stop_blocking = runWorld(
-            size, nr, stopper, Protocol::Blocking, true);
+        // Early-terminated runs: the stop-iteration bound. A run
+        // that never stops would pass the bound vacuously, so every
+        // protocol must report a stop.
+        const WorldOut stop_nosync =
+            runWorld(size, nr, stopper, Protocol::NoSync, true);
         const WorldOut stop_overlapped = runWorld(
             size, nr, stopper, Protocol::Overlapped, true);
         const WorldOut stop_relaxed = runWorld(
             size, nr, stopper, Protocol::Relaxed, true);
-        stop_ok = stop_ok && stop_blocking.ranksAgree &&
-                  stop_overlapped.ranksAgree &&
-                  stop_relaxed.ranksAgree;
-        // Strict overlapped must stop on the blocking iteration;
+        bool stop_ok = stop_nosync.ranksAgree &&
+                       stop_overlapped.ranksAgree &&
+                       stop_relaxed.ranksAgree &&
+                       stop_nosync.stopIter >= 0;
+        // Strict overlapped must stop on the nosync iteration;
         // relaxed may trail it by at most one.
         stop_ok = stop_ok &&
-                  stop_overlapped.stopIter == stop_blocking.stopIter;
+                  stop_overlapped.stopIter == stop_nosync.stopIter;
         stop_ok = stop_ok &&
-                  stop_relaxed.stopIter >= stop_blocking.stopIter &&
-                  stop_relaxed.stopIter <= stop_blocking.stopIter + 1;
+                  stop_relaxed.stopIter >= stop_nosync.stopIter &&
+                  stop_relaxed.stopIter <= stop_nosync.stopIter + 1;
 
         gate_ok = gate_ok && digests_ok && same && stop_ok;
 
-        const double blk_sync = sync_cost(blocking);
-        const double ovl_sync = sync_cost(overlapped);
-        const double ratio =
-            blk_sync > 0.0 ? ovl_sync / blk_sync
-                           : (ovl_sync > 0.0 ? 1e30 : 0.0);
         table.addRow(
             {std::to_string(nr),
              AsciiTable::fmt(1e6 * nosync.overheadPerIter, 2),
-             AsciiTable::fmt(1e6 * blk_sync, 2),
-             AsciiTable::fmt(1e6 * ovl_sync, 2),
+             AsciiTable::fmt(1e6 * sync_cost(overlapped), 2),
              AsciiTable::fmt(1e6 * sync_cost(relaxed), 2),
-             AsciiTable::fmt(ratio, 3),
-             std::to_string(stop_blocking.stopIter) + "/" +
+             std::to_string(stop_nosync.stopIter) + "/" +
                  std::to_string(stop_overlapped.stopIter) + "/" +
                  std::to_string(stop_relaxed.stopIter),
              digests_ok && same && stop_ok ? "pass" : "FAIL"});
 
-        const WorldOut *outs[] = {&nosync, &blocking, &overlapped,
-                                  &relaxed};
-        const WorldOut *stops[] = {nullptr, &stop_blocking,
-                                   &stop_overlapped, &stop_relaxed};
+        const WorldOut *outs[] = {&nosync, &overlapped, &relaxed};
+        const WorldOut *stops[] = {&stop_nosync, &stop_overlapped,
+                                   &stop_relaxed};
         const Protocol protos[] = {Protocol::NoSync,
-                                   Protocol::Blocking,
                                    Protocol::Overlapped,
                                    Protocol::Relaxed};
-        for (int m = 0; m < 4; ++m) {
+        for (int m = 0; m < 3; ++m) {
             BenchRecord rec;
             rec.name = std::string(protocolName(protos[m])) + "_r" +
                        std::to_string(nr);
@@ -359,30 +344,26 @@ main(int argc, char **argv)
             rec.metrics["sync_cost_sec_per_iter"] =
                 sync_cost(*outs[m]);
             rec.metrics["wall_sec_per_iter"] = outs[m]->wallPerIter;
-            rec.metrics["sync_vs_blocking"] =
-                blk_sync > 0.0 ? sync_cost(*outs[m]) / blk_sync
-                               : 0.0;
             rec.metrics["iterations"] =
                 static_cast<double>(outs[m]->iterations);
             rec.metrics["feature"] = outs[m]->feature;
-            rec.metrics["digest_matches_blocking"] =
-                outs[m]->checkpointHash == blocking.checkpointHash
+            rec.metrics["digest_matches_nosync"] =
+                outs[m]->checkpointHash == nosync.checkpointHash
                     ? 1.0
                     : 0.0;
-            if (stops[m]) {
-                rec.metrics["stop_iteration"] =
-                    static_cast<double>(stops[m]->stopIter);
-                rec.metrics["stop_delta_vs_blocking"] =
-                    static_cast<double>(stops[m]->stopIter -
-                                        stop_blocking.stopIter);
-            }
+            rec.metrics["stop_iteration"] =
+                static_cast<double>(stops[m]->stopIter);
+            rec.metrics["stop_delta_vs_nosync"] =
+                static_cast<double>(stops[m]->stopIter -
+                                    stop_nosync.stopIter);
             records.push_back(rec);
         }
     }
     table.print();
     if (!gate_ok)
         std::printf("!! rank-pipeline gate FAILED: protocols "
-                    "diverged (digest or stop bound)\n");
+                    "diverged (digest or stop bound) or a stop run "
+                    "never stopped\n");
 
     const std::string json = args.getString("json");
     if (!json.empty()) {

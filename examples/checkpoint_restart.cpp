@@ -26,7 +26,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 
 #include "base/cli.hh"
@@ -40,21 +39,6 @@ using namespace tdfe::blast;
 
 namespace
 {
-
-/** Consume a boolean flag from argv (true when present). */
-bool
-stripFlag(int &argc, char **argv, const char *name)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) != 0)
-            continue;
-        for (int j = i; j + 1 < argc; ++j)
-            argv[j] = argv[j + 1];
-        --argc;
-        return true;
-    }
-    return false;
-}
 
 /** Shared run options for the reference and the resilient run. */
 RunOptions
@@ -91,12 +75,26 @@ recordCount(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions storeCli = applyStoreFlags(argc, argv);
-    CkptCliOptions ckptCli = applyCkptFlags(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
-    const bool keep_ckpt = stripFlag(argc, argv, "--keep-ckpt");
-    const bool tear_newest = stripFlag(argc, argv, "--tear-newest");
+    ArgParser args("Crash and auto-resume of an instrumented blast "
+                   "run, checked bitwise against an uninterrupted "
+                   "one");
+    args.addFlag("keep-ckpt",
+                 "keep the checkpoint generations after the run");
+    args.addFlag("tear-newest",
+                 "tear the newest pre-crash generation so the "
+                 "resume falls back to the previous one");
+    addThreadsOption(args);
+    addStoreOptions(args);
+    addCkptOptions(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const StoreCliOptions storeCli = storeOptions(args);
+    CkptCliOptions ckptCli = ckptOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
+    const bool keep_ckpt = args.getFlag("keep-ckpt");
+    const bool tear_newest = args.getFlag("tear-newest");
     if (ckptCli.path.empty())
         ckptCli.path = "blast_region";
     if (ckptCli.every <= 0)

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "base/cli.hh"
@@ -31,15 +30,23 @@ using namespace tdfe::clover;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions storeCli = applyStoreFlags(argc, argv);
+    ArgParser args("2D staggered Lagrangian-remap blast with an "
+                   "in-situ break-point analysis");
+    args.addInt("size", 48, "grid cells per side");
+    addThreadsOption(args);
+    addStoreOptions(args);
     // --metrics-out <file> snapshots every counter at exit,
     // --trace-out <file> records spans for Perfetto, and
     // --metrics-every <n> prints a heartbeat line from the loop.
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const StoreCliOptions storeCli = storeOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     CloverAppConfig config;
-    config.size = argc > 1 ? std::atoi(argv[1]) : 48;
+    config.size = static_cast<int>(args.getInt("size"));
     config.blastEnergy = 2.0;
 
     CloverField field(config);

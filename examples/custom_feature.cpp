@@ -34,8 +34,14 @@ struct RingDomain
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("Custom features: in-situ peak tracking plus the "
+                   "standalone tracker and threshold extractor");
+    addThreadsOption(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     // 1. In-situ peak tracking through the Region API.
     RingDomain sim;

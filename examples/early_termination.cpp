@@ -16,13 +16,22 @@ using namespace tdfe::blast;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions store = applyStoreFlags(argc, argv);
-    const CkptCliOptions ckpt = applyCkptFlags(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("Early termination: a full blast run against one "
+                   "the converged analysis stops");
+    args.addInt("size", 24, "blast domain size");
+    addThreadsOption(args);
+    addStoreOptions(args);
+    addCkptOptions(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const StoreCliOptions store = storeOptions(args);
+    const CkptCliOptions ckpt = ckptOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     BlastConfig config;
-    config.size = argc > 1 ? std::atoi(argv[1]) : 24;
+    config.size = static_cast<int>(args.getInt("size"));
 
     // Full run, recording the trace for reference.
     RunOptions full;

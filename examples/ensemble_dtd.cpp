@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "base/cli.hh"
@@ -35,11 +34,19 @@ using namespace tdfe::wd;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("Delay-time distribution from an ensemble of "
+                   "in-situ instrumented white-dwarf mergers");
+    args.addInt("count", 8, "mergers in the ensemble");
+    args.addInt("resolution", 6, "SPH resolution of each merger");
+    addThreadsOption(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
-    const int count = argc > 1 ? std::atoi(argv[1]) : 8;
-    const int resolution = argc > 2 ? std::atoi(argv[2]) : 6;
+    const int count = static_cast<int>(args.getInt("count"));
+    const int resolution = static_cast<int>(args.getInt("resolution"));
     setLogQuiet(true);
 
     // Flat-in-log separations between a_min and a_max.

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "base/cli.hh"
@@ -24,11 +23,18 @@ using namespace tdfe;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("1D spherical Lagrangian blast with an async "
+                   "in-situ break-point analysis");
+    args.addInt("zones", 60, "Lagrangian zones");
+    addThreadsOption(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     Lagrangian1Config config;
-    config.zones = argc > 1 ? std::atoi(argv[1]) : 60;
+    config.zones = static_cast<int>(args.getInt("zones"));
     config.length = static_cast<double>(config.zones);
     const double stop_radius = 0.9 * config.length;
 

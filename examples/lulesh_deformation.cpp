@@ -7,7 +7,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "base/cli.hh"
 #include "blastapp/domain.hh"
@@ -27,19 +26,24 @@ td_var_provider(void *loc_dom, int loc)
 int
 main(int argc, char **argv)
 {
-    tdfe::applyThreadsFlag(argc, argv);
+    tdfe::ArgParser args("Material deformation through the C API "
+                         "(the paper's Fig. 2 integration)");
+    args.addInt("size", 24, "blast domain size");
+    tdfe::addThreadsOption(args);
+    tdfe::addObsOptions(args);
+    args.parse(argc, argv);
+    tdfe::applyThreadsOption(args);
     // Telemetry through the C API: --metrics-out/--trace-out parse
     // here, but enable/export go through td_metrics_* / td_trace_*
     // exactly as a C simulation would call them.
-    const tdfe::ObsCliOptions obsCli =
-        tdfe::applyObsFlags(argc, argv);
+    const tdfe::ObsCliOptions obsCli = tdfe::obsOptions(args);
     if (obsCli.enabled())
         td_metrics_enable(1);
     if (!obsCli.traceOut.empty())
         td_trace_enable(1);
 
     BlastConfig config;
-    config.size = argc > 1 ? std::atoi(argv[1]) : 24;
+    config.size = static_cast<int>(args.getInt("size"));
 
     Domain *locDom = new Domain(config);
 

@@ -30,11 +30,17 @@ struct ToySim
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
+    ArgParser args("Quickstart: one in-situ AR analysis on a toy "
+                   "travelling wave");
+    addThreadsOption(args);
     // --metrics-out / --trace-out / --metrics-every work here like
     // everywhere else (see src/obs): every layer under begin()/end()
     // is instrumented, the flags only turn recording on.
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
     ToySim sim;
 

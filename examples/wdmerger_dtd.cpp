@@ -21,12 +21,21 @@ using namespace tdfe::wd;
 int
 main(int argc, char **argv)
 {
-    applyThreadsFlag(argc, argv);
-    const StoreCliOptions store = applyStoreFlags(argc, argv);
-    const CkptCliOptions ckpt = applyCkptFlags(argc, argv);
-    const ObsCliOptions obsCli = applyObsFlags(argc, argv);
+    ArgParser args("White-dwarf merger delay times from four in-situ "
+                   "analyses, plus a small separation sweep");
+    args.addInt("resolution", 8, "SPH resolution");
+    addThreadsOption(args);
+    addStoreOptions(args);
+    addCkptOptions(args);
+    addObsOptions(args);
+    args.parse(argc, argv);
+    applyThreadsOption(args);
+    const StoreCliOptions store = storeOptions(args);
+    const CkptCliOptions ckpt = ckptOptions(args);
+    const ObsCliOptions obsCli = obsOptions(args);
+    applyObsOptions(obsCli);
 
-    const int resolution = argc > 1 ? std::atoi(argv[1]) : 8;
+    const int resolution = static_cast<int>(args.getInt("resolution"));
 
     // One instrumented run: delay time per diagnostic. With
     // --store <path> the four analyses' per-dump features land in a

@@ -40,7 +40,7 @@ ctest --output-on-failure -L bench_smoke
 # export it, and a diff against itself must be clean. The query
 # subcommand must agree with the unfiltered record count, prune to
 # a plausible subset under a filter, and reject a bad predicate.
-./example_clover_shock 32 --store check_clover.tdfs --store-async
+./example_clover_shock --size 32 --store check_clover.tdfs --store-async
 ./tdfstool verify check_clover.tdfs
 ./tdfstool info check_clover.tdfs > /dev/null
 ./tdfstool export check_clover.tdfs --out check_clover.csv
@@ -66,7 +66,7 @@ fi
 # (2 pool threads so the async overlap spans are recorded) must
 # emit a heartbeat line, and the exported documents must pass the
 # tdfstool validators; a non-telemetry JSON must be rejected.
-./example_clover_shock 32 --threads 2 --metrics-out check_obs.json \
+./example_clover_shock --size 32 --threads 2 --metrics-out check_obs.json \
     --trace-out check_obs_trace.json --metrics-every 100 \
     > check_obs.log 2>&1
 grep -q "heartbeat iter=" check_obs.log
@@ -126,7 +126,7 @@ rm -f check_resume.tdfs check_resume.tdfs.reference \
 # a reader never sees a record a crash can take back.
 ./example_live_dashboard --records 2048 --block 128 \
     --store check_dash.tdfs
-./example_clover_shock 96 --store check_live.tdfs --store-live \
+./example_clover_shock --size 96 --store check_live.tdfs --store-live \
     > /dev/null &
 writer_pid=$!
 ./tdfstool tail check_live.tdfs --stall 5 > check_tailed.csv &

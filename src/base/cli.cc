@@ -214,52 +214,6 @@ storeOptions(const ArgParser &args)
     return opts;
 }
 
-StoreCliOptions
-applyStoreFlags(int &argc, char **argv)
-{
-    StoreCliOptions opts;
-    // --name value and --name= value forms of the string options.
-    auto match = [&](int &i, const std::string &arg,
-                     const char *name, std::string &into) {
-        const std::string flag = std::string("--") + name;
-        if (arg == flag) {
-            if (i + 1 >= argc)
-                TDFE_FATAL("option ", flag, " needs a value");
-            into = argv[++i];
-            return true;
-        }
-        if (arg.rfind(flag + "=", 0) == 0) {
-            into = arg.substr(flag.size() + 1);
-            return true;
-        }
-        return false;
-    };
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--store-async") {
-            opts.async = true;
-        } else if (arg == "--store-keep-parts") {
-            opts.keepParts = true;
-        } else if (arg == "--store-live") {
-            opts.live = true;
-        } else if (match(i, arg, "store-durability",
-                         opts.durability) ||
-                   match(i, arg, "store-merge-policy",
-                         opts.mergePolicy)) {
-            // value captured by match()
-        } else if (match(i, arg, "store", opts.path)) {
-            if (opts.path.empty())
-                TDFE_FATAL("empty --store path");
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-    return opts;
-}
-
 void
 addCkptOptions(ArgParser &args)
 {
@@ -291,57 +245,6 @@ ckptOptions(const ArgParser &args)
     return opts;
 }
 
-CkptCliOptions
-applyCkptFlags(int &argc, char **argv)
-{
-    CkptCliOptions opts;
-    auto match = [&](int &i, const std::string &arg,
-                     const char *name, std::string &into) {
-        const std::string flag = std::string("--") + name;
-        if (arg == flag) {
-            if (i + 1 >= argc)
-                TDFE_FATAL("option ", flag, " needs a value");
-            into = argv[++i];
-            return true;
-        }
-        if (arg.rfind(flag + "=", 0) == 0) {
-            into = arg.substr(flag.size() + 1);
-            return true;
-        }
-        return false;
-    };
-    auto to_count = [](const char *name, const std::string &value) {
-        char *end = nullptr;
-        const long long n = std::strtoll(value.c_str(), &end, 10);
-        if (value.empty() || *end != '\0' || n < 0)
-            TDFE_FATAL("invalid --", name, " value '", value, "'");
-        return static_cast<std::int64_t>(n);
-    };
-    int out = 1;
-    std::string every, keep;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--resume-auto") {
-            opts.resumeAuto = true;
-        } else if (match(i, arg, "ckpt-durability",
-                         opts.durability)) {
-            // value captured by match()
-        } else if (match(i, arg, "ckpt-every", every)) {
-            opts.every = to_count("ckpt-every", every);
-        } else if (match(i, arg, "ckpt-keep", keep)) {
-            opts.keep = to_count("ckpt-keep", keep);
-        } else if (match(i, arg, "ckpt", opts.path)) {
-            if (opts.path.empty())
-                TDFE_FATAL("empty --ckpt prefix");
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-    return opts;
-}
-
 void
 addObsOptions(ArgParser &args)
 {
@@ -363,50 +266,6 @@ obsOptions(const ArgParser &args)
     opts.metricsOut = args.getString("metrics-out");
     opts.traceOut = args.getString("trace-out");
     opts.metricsEvery = args.getInt("metrics-every");
-    return opts;
-}
-
-ObsCliOptions
-applyObsFlags(int &argc, char **argv)
-{
-    ObsCliOptions opts;
-    auto match = [&](int &i, const std::string &arg,
-                     const char *name, std::string &into) {
-        const std::string flag = std::string("--") + name;
-        if (arg == flag) {
-            if (i + 1 >= argc)
-                TDFE_FATAL("option ", flag, " needs a value");
-            into = argv[++i];
-            return true;
-        }
-        if (arg.rfind(flag + "=", 0) == 0) {
-            into = arg.substr(flag.size() + 1);
-            return true;
-        }
-        return false;
-    };
-    int out = 1;
-    std::string every;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (match(i, arg, "metrics-out", opts.metricsOut) ||
-            match(i, arg, "trace-out", opts.traceOut)) {
-            // value captured by match()
-        } else if (match(i, arg, "metrics-every", every)) {
-            char *end = nullptr;
-            const long long n =
-                std::strtoll(every.c_str(), &end, 10);
-            if (every.empty() || *end != '\0' || n < 0)
-                TDFE_FATAL("invalid --metrics-every value '", every,
-                           "'");
-            opts.metricsEvery = static_cast<std::int64_t>(n);
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-    argv[argc] = nullptr;
-    applyObsOptions(opts);
     return opts;
 }
 

@@ -99,10 +99,10 @@ void addThreadsOption(ArgParser &args);
 void applyThreadsOption(const ArgParser &args);
 
 /**
- * Raw-argv variant for binaries without an ArgParser (examples,
- * google-benchmark mains): strip `--threads <n>` / `--threads=<n>`
- * from argv, resize the global pool accordingly, and leave every
- * other argument in place for the program's own parsing.
+ * Raw-argv variant for google-benchmark mains, which own their argv
+ * parsing: strip `--threads <n>` / `--threads=<n>` from argv, resize
+ * the global pool accordingly, and leave every other argument in
+ * place for the program's own parsing.
  *
  * @return the thread count applied, or 0 when the flag was absent.
  */
@@ -153,13 +153,6 @@ void addStoreOptions(ArgParser &args);
 StoreCliOptions storeOptions(const ArgParser &args);
 
 /**
- * Raw-argv variant for binaries without an ArgParser: strip the
- * --store* options (see addStoreOptions) from argv, leaving every
- * other argument for the program's own parsing.
- */
-StoreCliOptions applyStoreFlags(int &argc, char **argv);
-
-/**
  * Crash-safe-checkpoint request parsed from the command line (the
  * run harness's HarnessOptions::ckpt; see src/ckpt).
  */
@@ -193,13 +186,6 @@ void addCkptOptions(ArgParser &args);
 
 /** Read the parsed --ckpt* / --resume-auto values. */
 CkptCliOptions ckptOptions(const ArgParser &args);
-
-/**
- * Raw-argv variant for binaries without an ArgParser: strip the
- * checkpoint options (see addCkptOptions) from argv, leaving every
- * other argument for the program's own parsing.
- */
-CkptCliOptions applyCkptFlags(int &argc, char **argv);
 
 /**
  * Telemetry request parsed from the command line (src/obs), shared
@@ -238,14 +224,6 @@ void addObsOptions(ArgParser &args);
 
 /** Read the parsed --metrics-* and --trace-out values. */
 ObsCliOptions obsOptions(const ArgParser &args);
-
-/**
- * Raw-argv variant for binaries without an ArgParser: strip the
- * telemetry options (see addObsOptions) from argv, leaving every
- * other argument for the program's own parsing, and enable
- * metric/span recording per the request (see applyObsOptions).
- */
-ObsCliOptions applyObsFlags(int &argc, char **argv);
 
 /**
  * Enable metric accumulation when @p opts requests any telemetry

@@ -106,9 +106,8 @@ class CurveFitAnalysis
 
     /**
      * Ingest one simulation iteration: sample, maybe train.
-     * Equivalent to snapshotIteration() + digestIteration(); the
-     * async region runs the same two phases with the digest
-     * deferred to a pool worker.
+     * Equivalent to snapshotIteration() + digestIteration(); a
+     * Region runs the same two phases, the digest on the pool.
      *
      * @param iter Iteration number (must increase by 1 per call once
      *        sampling has started).
@@ -119,9 +118,9 @@ class CurveFitAnalysis
     /**
      * Phase 1 (synchronous, cheap): invoke the variable provider to
      * copy the per-location probe values into the reusable staging
-     * row. The provider is only ever called from here, so under the
-     * async pipeline it always runs on the caller's thread while
-     * the domain is quiescent.
+     * row. The provider is only ever called from here, so inside a
+     * Region it always runs on the caller's thread while the domain
+     * is quiescent.
      */
     void snapshotIteration(long iter, void *domain);
 

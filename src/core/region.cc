@@ -69,68 +69,50 @@ Region::end()
     // Opportunistic harvest: fold any collective that completed
     // while the solver ran (a test under the lock, no stall). Keeps
     // the published stop decision fresh for relaxed-mode queries.
-    completeSync(false);
-    completeBcast(false);
+    completeSync(Harvest::Poll);
+    completeBcast(Harvest::Poll);
 
     // Pipeline discipline: the previous epoch's digest must finish
     // (and its stop protocol run, for *its* iteration) before this
     // iteration snapshots into the same staging rows.
     drainNow();
 
-    // With a single-thread pool there is no worker to overlap the
-    // digest onto: deferring would only add queue bookkeeping and
-    // run the same work at the next drain anyway, so the pipeline
-    // degenerates to the synchronous path (the phase order —
-    // snapshot, digest, protocol, all for iteration k — and thus
-    // every result stays identical; only the execution moment moves).
-    if (asyncAnalyses_ && !serialAnalyses && !analyses.empty() &&
-        ThreadPool::global().threadCount() > 1) {
-        // Snapshot phase, synchronous and one analysis at a time:
-        // the providers only ever run here, on the caller's thread,
-        // so even non-pure providers are safe under the pipeline.
-        {
-            static obs::Counter snapshots("region.snapshots_total");
-            obs::SpanTimer snap("region.snapshot", "region");
-            for (auto &a : analyses)
-                a->snapshotIteration(iter, domain);
-            snapshots.add(analyses.size());
-        }
+    // Snapshot phase, on the caller's thread and one analysis at a
+    // time in every mode: the providers only ever run here, so they
+    // need not be thread-safe.
+    {
+        static obs::Counter snapshots("region.snapshots_total");
+        obs::SpanTimer snap("region.snapshot", "region");
+        for (auto &a : analyses)
+            a->snapshotIteration(iter, domain);
+        snapshots.add(analyses.size());
+    }
 
-        // Digest phase: one pool task per analysis trains against
-        // the snapshot while the caller returns to the solver. The
-        // protocol for this iteration runs at drain time. The
-        // "region.digest" spans land on pool-worker tids — in a
-        // trace they are the work *hidden* under the next solver
-        // step, the visual counterpart of the exposed spans above.
+    // Digest phase: each analysis owns its collector/model/trainer,
+    // so the digests (normalize, append, training rounds, early-stop
+    // checks) run one per pool chunk. In async mode they are
+    // deferred: the caller returns to the solver and the protocol
+    // for this iteration runs at drain time, so the "region.digest"
+    // spans on pool-worker tids are the work *hidden* under the next
+    // solver step. A single-thread pool has no worker to overlap
+    // onto, so async degenerates to the synchronous path (the phase
+    // order — snapshot, digest, protocol, all for iteration k — and
+    // thus every result stays identical; only the execution moment
+    // moves).
+    auto digest = [this](std::size_t a) {
+        static obs::Counter digests("region.digests_total");
+        obs::SpanTimer span("region.digest", "region");
+        analyses[a]->digestIteration();
+        digests.add();
+    };
+    if (asyncAnalyses_ && !analyses.empty() &&
+        ThreadPool::global().threadCount() > 1) {
         epochIter = iter;
-        epochHandle = ThreadPool::global().submit(
-            analyses.size(), [this](std::size_t a) {
-                static obs::Counter digests("region.digests_total");
-                obs::SpanTimer span("region.digest", "region");
-                analyses[a]->digestIteration();
-                digests.add();
-            });
+        epochHandle =
+            ThreadPool::global().submit(analyses.size(), digest);
         epochOpen = true;
     } else {
-        // Synchronous ingest. Each analysis owns its
-        // collector/model/trainer, so the per-iteration ingest
-        // (sampling plus any training round) fans out across the
-        // pool. This invokes the variable providers concurrently
-        // (see td_var_provider_fn's thread-safety note);
-        // setSerialAnalyses() opts out for providers that are not
-        // pure reads. Single-analysis regions take the serial fast
-        // path inside parallelFor.
-        static obs::Counter ingests("region.ingests_total");
-        if (serialAnalyses) {
-            for (auto &a : analyses)
-                a->onIteration(iter, domain);
-        } else {
-            parallelFor(analyses.size(), std::size_t{1},
-                        [&](std::size_t a) {
-                            analyses[a]->onIteration(iter, domain);
-                        });
-        }
-        ingests.add(analyses.size());
+        parallelFor(analyses.size(), std::size_t{1}, digest);
         finishIteration(iter);
     }
 
@@ -164,10 +146,9 @@ Region::finishIteration(long it)
     // always run on the application thread — under the async
     // pipeline this method executes at drain time, never on a pool
     // worker — and fire on the same iterations as synchronous mode.
-    // In the overlapped (default) protocol the broadcast is only
-    // *posted* here and completed lazily at the first query that
-    // needs it (wavefrontRank / lastBroadcast / checkpoint), so no
-    // rank stalls inside end().
+    // The broadcast is only *posted* here and completed lazily at
+    // the first query that needs it (wavefrontRank / lastBroadcast /
+    // checkpoint), so no rank stalls inside end().
     if (all_done && !broadcastDone) {
         broadcastDone = true;
         const CurveFitAnalysis &lead = *analyses.front();
@@ -179,45 +160,32 @@ Region::finishIteration(long it)
         broadcastBuf[2] = want_stop ? 1.0 : 0.0;
         if (comm && !commDegraded_) {
             static obs::Counter posts("comm.posts_total");
-            if (blockingSync_) {
-                posts.add();
-                comm->bcast(broadcastBuf, 3, 0);
-                wavefrontRank_ =
-                    static_cast<int>(broadcastBuf[1]);
-            } else {
-                posts.add();
-                bcastReq = comm->ibcast(broadcastBuf, 3, 0);
-                bcastPending = true;
-            }
+            posts.add();
+            bcastReq = comm->ibcast(broadcastBuf, 3, 0);
+            bcastPending = true;
         }
     }
 
-    bool stop_now = want_stop;
     if (comm && !commDegraded_ &&
         (it % syncInterval) == syncInterval - 1) {
         // Keep all ranks agreed on the stop decision. Analyses are
         // replicated, so this is belt-and-braces, but it is the MPI
         // traffic whose cost the paper's overhead tables include.
+        // Harvest the reduction posted one sync window ago (usually
+        // long complete — that is the rank pipelining), then post
+        // this window's. The result folds into the stop flag at the
+        // next harvest point; a strict shouldStop() forces it with a
+        // wait.
         static obs::Counter posts("comm.posts_total");
         posts.add();
-        if (blockingSync_) {
-            stop_now = comm->allreduce(stop_now ? 1.0 : 0.0,
-                                       ReduceOp::Max) > 0.5;
-        } else {
-            // Overlapped protocol: harvest the reduction posted one
-            // sync window ago (usually long complete — that is the
-            // rank pipelining), then post this window's. The result
-            // folds into the stop flag at the next harvest point; a
-            // strict shouldStop() forces it with a wait.
-            completeSync(true);
-            syncResult = 0.0;
-            syncIter = it;
-            syncReq = comm->iallreduce(stop_now ? 1.0 : 0.0,
-                                       ReduceOp::Max, &syncResult);
-            syncPending = true;
-        }
+        completeSync(Harvest::Wait);
+        syncResult = 0.0;
+        syncIter = it;
+        syncReq = comm->iallreduce(want_stop ? 1.0 : 0.0,
+                                   ReduceOp::Max, &syncResult);
+        syncPending = true;
     }
-    publishStop(stop_now, it);
+    publishStop(want_stop, it);
 
     if (store_)
         recordFeatures(it);
@@ -229,10 +197,9 @@ Region::recordFeatures(long it)
     // Always on the application thread (finishIteration runs at
     // drain time under the async pipeline), so the single-producer
     // store sees appends in iteration order. The published stop
-    // flag is whatever the protocol knows *now* — with overlapped
-    // collectives a remote stop can appear one sync window later
-    // than in blocking mode, which is the same staleness the
-    // relaxed stop query exposes.
+    // flag is whatever the protocol knows *now* — a remote stop
+    // folds in at the harvest one sync window after its post, which
+    // is the same staleness the relaxed stop query exposes.
     storeRec.iteration = it;
     storeRec.stop = stopFlag;
     storeRec.wallTime = runTimer.elapsed();
@@ -293,55 +260,55 @@ Region::publishStop(bool stop_now, long it)
     stopFlag = stopFlag || stop_now;
 }
 
-void
-Region::completeSync(bool block)
+bool
+Region::harvest(CommRequest &req, bool &pending, Harvest how,
+                const char *stall_span)
 {
-    if (!syncPending)
-        return;
-    if (block) {
-        if (commDeadline_ > 0.0) {
-            if (!syncReq.waitFor(commDeadline_)) {
-                degradeComm();
-                return;
-            }
-        } else {
-            syncReq.wait();
+    if (!pending)
+        return false;
+    if (how == Harvest::Wait) {
+        if (commDeadline_ <= 0.0) {
+            req.wait();
+        } else if (!req.waitFor(commDeadline_)) {
+            degradeComm();
+            return false;
         }
-    } else if (!syncReq.test()) {
-        return;
+    } else if (!req.test()) {
+        if (how == Harvest::Poll)
+            return false;
+        // A query that actually stalls charges the wait to the
+        // exposed overhead (one that already completed costs
+        // nothing).
+        static obs::Counter stalls("comm.stalls_total");
+        stalls.add();
+        obs::SpanTimer stall(stall_span, "region");
+        const bool done = harvest(req, pending, Harvest::Wait, nullptr);
+        overhead += stall.stop();
+        return done;
     }
-    syncReq.reset();
-    syncPending = false;
+    req.reset();
+    pending = false;
     static obs::Counter completions("comm.completions_total");
     completions.add();
-    // Attribute a remote-triggered stop to the iteration the
-    // reduction was evaluated for — exactly where blocking mode
-    // would have published it, however late the harvest runs.
-    publishStop(syncResult > 0.5, syncIter);
+    return true;
 }
 
 void
-Region::completeBcast(bool block)
+Region::completeSync(Harvest how)
 {
-    if (!bcastPending)
-        return;
-    if (block) {
-        if (commDeadline_ > 0.0) {
-            if (!bcastReq.waitFor(commDeadline_)) {
-                degradeComm();
-                return;
-            }
-        } else {
-            bcastReq.wait();
-        }
-    } else if (!bcastReq.test()) {
-        return;
-    }
-    bcastReq.reset();
-    bcastPending = false;
-    static obs::Counter completions("comm.completions_total");
-    completions.add();
-    wavefrontRank_ = static_cast<int>(broadcastBuf[1]);
+    // Attribute a remote-triggered stop to the iteration the
+    // reduction was evaluated for — where a blocking collective
+    // would have published it, however late the harvest runs.
+    if (harvest(syncReq, syncPending, how, "region.exposed.sync_stall"))
+        publishStop(syncResult > 0.5, syncIter);
+}
+
+void
+Region::completeBcast(Harvest how)
+{
+    if (harvest(bcastReq, bcastPending, how,
+                "region.exposed.bcast_stall"))
+        wavefrontRank_ = static_cast<int>(broadcastBuf[1]);
 }
 
 void
@@ -368,38 +335,6 @@ Region::degradeComm()
     // Broadcast values fall back to this rank's local computation
     // (already staged in broadcastBuf) — the analyses are
     // replicated, so these match what the collective would publish.
-}
-
-void
-Region::completeSyncQuery()
-{
-    if (!syncPending)
-        return;
-    if (syncReq.test()) {
-        completeSync(false);
-        return;
-    }
-    static obs::Counter stalls("comm.stalls_total");
-    stalls.add();
-    obs::SpanTimer stall("region.exposed.sync_stall", "region");
-    completeSync(true);
-    overhead += stall.stop();
-}
-
-void
-Region::completeBcastQuery()
-{
-    if (!bcastPending)
-        return;
-    if (bcastReq.test()) {
-        completeBcast(false);
-        return;
-    }
-    static obs::Counter stalls("comm.stalls_total");
-    stalls.add();
-    obs::SpanTimer stall("region.exposed.bcast_stall", "region");
-    completeBcast(true);
-    overhead += stall.stop();
 }
 
 void
@@ -446,11 +381,11 @@ Region::shouldStop() const
         // poll that folds in a reduction that already completed.
         // The answer trails strict mode by at most one iteration
         // (the in-flight epoch); all other results are untouched.
-        self->completeSync(false);
+        self->completeSync(Harvest::Poll);
         return stopFlag;
     }
     drainPending();
-    self->completeSyncQuery();
+    self->completeSync(Harvest::Query);
     return stopFlag;
 }
 
@@ -465,7 +400,7 @@ int
 Region::wavefrontRank() const
 {
     drainPending();
-    const_cast<Region *>(this)->completeBcastQuery();
+    const_cast<Region *>(this)->completeBcast(Harvest::Query);
     return wavefrontRank_;
 }
 
@@ -473,7 +408,7 @@ const double *
 Region::lastBroadcast() const
 {
     drainPending();
-    const_cast<Region *>(this)->completeBcastQuery();
+    const_cast<Region *>(this)->completeBcast(Harvest::Query);
     return broadcastBuf;
 }
 
@@ -508,15 +443,6 @@ Region::setCommunicator(Communicator *c)
     comm = c;
 }
 
-void
-Region::setBlockingSync(bool blocking)
-{
-    TDFE_ASSERT(iter == 0,
-                "sync mode must be chosen before iterating");
-    blockingSync_ = blocking;
-}
-
-
 bool
 Region::saveCheckpoint(std::ostream &out) const
 {
@@ -526,8 +452,8 @@ Region::saveCheckpoint(std::ostream &out) const
     // the overlap had progressed.
     drainPending();
     auto *self = const_cast<Region *>(this);
-    self->completeSyncQuery();
-    self->completeBcastQuery();
+    self->completeSync(Harvest::Query);
+    self->completeBcast(Harvest::Query);
     BinaryWriter w(out);
     w.writeTag("TDFECKPT");
     w.writeU64(2); // format version
@@ -561,8 +487,8 @@ Region::loadCheckpoint(std::istream &in)
     // A pending collective harvested after the restore would fold a
     // pre-restore stop decision into the restored state: settle it
     // now instead.
-    completeSyncQuery();
-    completeBcastQuery();
+    completeSync(Harvest::Query);
+    completeBcast(Harvest::Query);
     BinaryReader r(in);
     r.expectTag("TDFECKPT");
     const std::uint64_t version = r.readU64();

@@ -57,12 +57,15 @@ class Region
     void begin();
 
     /**
-     * Mark the end of the instrumented block: runs data collection
-     * and training for every analysis, evaluates the stop protocol,
-     * and advances the iteration counter. In async mode (see
-     * setAsyncAnalyses) only the provider snapshot happens here;
-     * the digest is deferred to the thread pool and drained at the
-     * next end() or the first query, whichever comes first.
+     * Mark the end of the instrumented block and advance the
+     * iteration counter. Every analysis first snapshots its probe
+     * values through its variable provider, on the calling thread
+     * and one analysis at a time; then the digests (normalize,
+     * append, training, early-stop checks) run one per analysis on
+     * the thread pool. By default end() waits for them and
+     * evaluates the stop protocol before returning; in async mode
+     * (see setAsyncAnalyses) the digests are deferred and drained
+     * at the next end() or the first query, whichever comes first.
      */
     void end();
 
@@ -71,8 +74,8 @@ class Region
      *
      * Strict mode (default): drains any in-flight async epoch and
      * completes any posted stop collective first, so the answer on
-     * iteration k is bitwise identical to synchronous, blocking-
-     * collective mode.
+     * iteration k is bitwise identical to a synchronous run with a
+     * collective-free (replicated) stop decision.
      *
      * Relaxed mode (setRelaxedStopQuery): returns the last
      * *published* decision — the stop protocol state as of the most
@@ -146,39 +149,15 @@ class Region
     bool relaxedStopQuery() const { return relaxedStop_; }
 
     /**
-     * Reference mode: run the sync-interval reduction and the
-     * convergence broadcast as blocking collectives inside end(),
-     * exactly the pre-pipelined protocol. Only for measurement
-     * (bench/rank_pipeline) and debugging; results are bitwise
-     * identical either way. Set before the first begin().
-     */
-    void setBlockingSync(bool blocking);
-
-    /**
-     * Force the per-iteration analysis ingest back onto the calling
-     * thread. By default a region with several analyses fans their
-     * ingest (sampling + training) across the process-wide thread
-     * pool, which invokes the analyses' variable providers
-     * concurrently against the shared domain; providers that are
-     * not pure reads need this escape hatch. Takes precedence over
-     * setAsyncAnalyses().
-     */
-    void setSerialAnalyses(bool serial) { serialAnalyses = serial; }
-
-    /**
-     * Pipeline the per-iteration ingest: end() invokes the
-     * providers synchronously (on the calling thread, one analysis
-     * at a time) to snapshot the probe values into reusable staging
-     * rows, then defers the digest — normalize, append, mini-batch
-     * training, early-stop checks — to the process-wide thread pool
-     * so it overlaps the next solver step. The in-flight epoch is
-     * drained, and its stop protocol evaluated for the iteration it
-     * belongs to, at the next end() or at the first query
-     * (shouldStop(), analysis(), lastBroadcast(), wavefrontRank(),
-     * overheadSeconds(), checkpoints), so extracted features, stop
-     * decisions, and checkpoints are bitwise identical to the
-     * synchronous modes. setSerialAnalyses(true) wins over this
-     * flag and forces everything back on-thread, and a
+     * Pipeline the per-iteration ingest: end() still snapshots the
+     * probe values on the calling thread, but returns without
+     * waiting for the digests, so they overlap the next solver
+     * step. The in-flight epoch is drained, and its stop protocol
+     * evaluated for the iteration it belongs to, at the next end()
+     * or at the first query (shouldStop(), analysis(),
+     * lastBroadcast(), wavefrontRank(), overheadSeconds(),
+     * checkpoints), so extracted features, stop decisions, and
+     * checkpoints are bitwise identical to synchronous mode. A
      * single-thread pool degenerates to the synchronous path (no
      * worker to overlap onto, so deferring would only add queue
      * bookkeeping).
@@ -278,25 +257,35 @@ class Region
     /** Publish @p stop_now into the stop flag for iteration @p it. */
     void publishStop(bool stop_now, long it);
 
-    /** Harvest the posted stop reduction: fold its result into the
-     *  stop flag once complete. @p block waits; otherwise a test()
-     *  that comes back pending leaves the request posted. */
-    void completeSync(bool block);
+    /** How a harvest treats a posted collective. */
+    enum class Harvest
+    {
+        /** test() only: a pending request stays posted. */
+        Poll,
+        /** Wait for completion (up to the watchdog deadline). */
+        Wait,
+        /** Query path: wait, charging any actual stall to the
+         *  exposed overhead as a stall span. */
+        Query,
+    };
 
-    /** Harvest the posted convergence broadcast (wave-front rank and
-     *  broadcast values land on completion). */
-    void completeBcast(bool block);
+    /** Complete @p req if posted (@p pending) per @p how; a Query
+     *  stall is recorded as @p stall_span. @return true when it
+     *  completed now; the caller folds the result. */
+    bool harvest(CommRequest &req, bool &pending, Harvest how,
+                 const char *stall_span);
+
+    /** Harvest the posted stop reduction and fold its result into
+     *  the stop flag. */
+    void completeSync(Harvest how);
+
+    /** Harvest the posted convergence broadcast (the wave-front rank
+     *  lands on completion). */
+    void completeBcast(Harvest how);
 
     /** Watchdog fired: keep the last published decision, drop the
      *  posted requests, never post again (sticky). */
     void degradeComm();
-
-    /** Query-path harvests: like the above with block = true, but
-     *  any actual stall is charged to the exposed overhead (a
-     *  collective that already completed costs nothing). @{ */
-    void completeSyncQuery();
-    void completeBcastQuery();
-    /** @} */
 
     /** Complete the in-flight epoch: wait for the digest tasks,
      *  then run its deferred stop protocol on this thread. */
@@ -322,16 +311,14 @@ class Region
     bool stopFlag = false;
     long stopIter_ = -1;
     bool broadcastDone = false;
-    bool serialAnalyses = false;
     bool asyncAnalyses_ = false;
     bool relaxedStop_ = false;
-    bool blockingSync_ = false;
     long syncInterval = 10;
     int wavefrontRank_ = 0;
     std::function<int(long)> rankOfLocation;
     double broadcastBuf[3] = {0.0, 0.0, 0.0};
 
-    /** Posted-but-not-yet-harvested collectives (overlapped sync).
+    /** Posted-but-not-yet-harvested collectives.
      *  At most one of each kind is in flight: the stop reduction is
      *  harvested before the next one is posted, the convergence
      *  broadcast fires once per run. @{ */
@@ -339,7 +326,8 @@ class Region
     bool syncPending = false;
     double syncResult = 0.0;
     /** Iteration the posted reduction was evaluated for, so a late
-     *  harvest publishes the stop where blocking mode would have. */
+     *  harvest publishes the stop where a blocking collective would
+     *  have. */
     long syncIter = -1;
     CommRequest bcastReq;
     bool bcastPending = false;

@@ -39,22 +39,14 @@ typedef struct td_store_view td_store_view_t;
  * User-implemented diagnostic-variable accessor: returns the value
  * of the tracked variable at @p loc for the given simulation domain.
  *
- * Thread-safety and lifetime: in the default synchronous mode, when
- * a region hosts more than one analysis and the process-wide thread
- * pool has more than one thread, providers of different analyses may
- * be invoked concurrently (each against the same @p domain), so they
- * must be pure reads of the domain. Under the asynchronous pipeline
- * (td_region_set_async / tdfe::Region::setAsyncAnalyses) providers
- * are only ever called during the synchronous snapshot phase inside
- * td_region_end — on the calling thread, one analysis at a time,
- * while the domain is quiescent — so providers that mutate shared
- * state (lazy caches, handles bound to one thread) are safe again;
- * only the deferred digest (which never calls providers) overlaps
- * the next solver step. Alternatively, serial ingest via
- * tdfe::Region::setSerialAnalyses() keeps everything on-thread.
- * Either way a provider must stay valid for the whole simulation:
- * the region keeps invoking it every td_region_end until the run
- * (or the sampling window) finishes.
+ * Thread-safety and lifetime: providers are called only inside
+ * td_region_end, on the calling thread, one analysis at a time, in
+ * every mode (synchronous or td_region_set_async). Only the digest,
+ * which never calls providers, runs on the thread pool, so
+ * providers that mutate shared state (lazy caches, handles bound to
+ * one thread) are safe. A provider must stay valid for the whole
+ * simulation: the region keeps invoking it every td_region_end
+ * until the run (or the sampling window) finishes.
  */
 typedef double (*td_var_provider_fn)(void *domain, int loc);
 

@@ -136,7 +136,6 @@ makeRegion(const std::string &name, void *domain, Communicator *comm,
         return nullptr;
     auto region = std::make_unique<Region>(name, domain, comm);
     region->setSyncInterval(options.syncInterval);
-    region->setBlockingSync(options.blockingSync);
     region->setAsyncAnalyses(options.asyncAnalyses);
     region->setRelaxedStopQuery(options.relaxedStop);
     region->setCommDeadline(options.commDeadlineSeconds);

@@ -75,10 +75,6 @@ struct HarnessOptions
      *  without draining, so the digest keeps overlapping the solver
      *  even with honorStop; the stop may fire one iteration late. */
     bool relaxedStop = false;
-    /** Reference mode: blocking collectives inside end() (the
-     *  pre-pipelined protocol; bench/rank_pipeline measures the
-     *  overlapped protocol against it). */
-    bool blockingSync = false;
     /** Iterations between collective stop syncs. */
     long syncInterval = 10;
     /** Feature store (empty path: disabled; requires instrument).

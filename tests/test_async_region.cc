@@ -3,14 +3,17 @@
  * Tests of the asynchronous ingest pipeline: async (snapshot-and-
  * defer) runs must produce bitwise-identical features, predictions,
  * stop iterations, and checkpoints to synchronous runs at every
- * thread count; queries must drain the in-flight epoch; and
- * setSerialAnalyses must still force everything on-thread.
+ * thread count; queries must drain the in-flight epoch; and in
+ * both modes the variable providers run only on the thread that
+ * called end().
  */
 
 #include <cmath>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "base/serial.hh"
@@ -74,12 +77,11 @@ waveAnalysis(bool stopper)
     return ac;
 }
 
-enum class Mode { Serial, Fanout, Async };
+enum class Mode { Fanout, Async };
 
 void
 applyMode(Region &region, Mode mode)
 {
-    region.setSerialAnalyses(mode == Mode::Serial);
     region.setAsyncAnalyses(mode == Mode::Async);
 }
 
@@ -155,7 +157,7 @@ class AsyncRegionTest : public ::testing::Test
 TEST_F(AsyncRegionTest, AsyncMatchesSerialAtEveryThreadCount)
 {
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Serial, 80, false);
+    const RunOut ref = runWave(Mode::Fanout, 80, false);
     ASSERT_GT(ref.rounds, 2u);
     ASSERT_GE(ref.convergedIter, 0);
 
@@ -178,7 +180,7 @@ TEST_F(AsyncRegionTest, AsyncMatchesSerialAtEveryThreadCount)
 TEST_F(AsyncRegionTest, StopIterationAndQueriesIdenticalMidFlight)
 {
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Serial, 80, true);
+    const RunOut ref = runWave(Mode::Fanout, 80, true);
     ASSERT_GE(ref.stopIter, 0)
         << "reference run never requested a stop";
 
@@ -219,47 +221,58 @@ TEST_F(AsyncRegionTest, QueriesDrainTheEpoch)
     EXPECT_FALSE(region.epochInFlight());
 }
 
-TEST_F(AsyncRegionTest, SerialAnalysesStillForcesOnThread)
+/** A wave domain that records the thread of every provider call. */
+struct RecordingDomain
 {
-    setGlobalThreadCount(4);
-    WaveDomain dom;
-    Region region("wave-serial", &dom);
-    region.setAsyncAnalyses(true);
-    region.setSerialAnalyses(true);
-    region.addAnalysis(waveAnalysis(false));
+    WaveDomain wave;
+    std::mutex mu;
+    std::vector<std::thread::id> callers;
+};
 
-    for (long k = 0; k < 20; ++k) {
-        region.begin();
-        dom.iter = k;
-        region.end();
-        // Serial mode wins: the digest ran inside end(), no epoch
-        // was deferred.
-        EXPECT_FALSE(region.epochInFlight());
+double
+recordingProvider(void *domain, long loc)
+{
+    auto *d = static_cast<RecordingDomain *>(domain);
+    {
+        std::lock_guard<std::mutex> lock(d->mu);
+        d->callers.push_back(std::this_thread::get_id());
     }
+    return d->wave.at(loc);
+}
 
-    setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Serial, 50, false);
+TEST_F(AsyncRegionTest, ProvidersRunOnTheCallingThread)
+{
+    // Providers need not be thread-safe: in both modes they run only
+    // inside end(), on the thread that called it, even when a
+    // several-analysis region has pool workers to digest on.
     setGlobalThreadCount(4);
-    const RunOut both = [&] {
-        WaveDomain d2;
-        Region r2("wave-serial2", &d2);
-        r2.setAsyncAnalyses(true);
-        r2.setSerialAnalyses(true);
-        const std::size_t id = r2.addAnalysis(waveAnalysis(true));
-        AnalysisConfig second = waveAnalysis(false);
-        second.feature = FeatureKind::PeakValue;
-        second.featureLocation = 4;
-        r2.addAnalysis(second);
-        for (long k = 0; k < 50; ++k) {
-            r2.begin();
-            d2.iter = k;
-            r2.end();
+    for (const Mode mode : {Mode::Fanout, Mode::Async}) {
+        const char *what = mode == Mode::Async ? "async" : "sync";
+        RecordingDomain dom;
+        Region region("wave-caller", &dom);
+        applyMode(region, mode);
+        for (int a = 0; a < 3; ++a) {
+            AnalysisConfig ac = waveAnalysis(a == 0);
+            ac.provider = recordingProvider;
+            region.addAnalysis(ac);
         }
-        RunOut out;
-        out.bytes = analysisBytes(r2, id) + analysisBytes(r2, 1);
-        return out;
-    }();
-    EXPECT_EQ(ref.bytes, both.bytes);
+        for (long k = 0; k < 40; ++k) {
+            region.begin();
+            dom.wave.iter = k;
+            region.end();
+        }
+        (void)region.shouldStop(); // drain the last epoch
+
+        ASSERT_FALSE(dom.callers.empty()) << what;
+        const std::thread::id caller = std::this_thread::get_id();
+        std::size_t elsewhere = 0;
+        for (const std::thread::id &id : dom.callers)
+            elsewhere += id != caller ? 1 : 0;
+        EXPECT_EQ(0u, elsewhere)
+            << what << ": " << elsewhere << " of "
+            << dom.callers.size()
+            << " provider calls ran off the calling thread";
+    }
 }
 
 TEST_F(AsyncRegionTest, OverheadChargesDrainStallsExactlyOnce)
@@ -365,11 +378,10 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
 {
     const long split = 30, total = 70;
 
-    // Serial reference: checkpoint at the split, state at the end.
+    // 1-thread reference: checkpoint at the split, state at the end.
     setGlobalThreadCount(1);
     WaveDomain dref;
     Region serial("wave-ck", &dref);
-    serial.setSerialAnalyses(true);
     serial.addAnalysis(waveAnalysis(true));
     std::stringstream serial_split;
     for (long k = 0; k < total; ++k) {
