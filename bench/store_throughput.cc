@@ -3,16 +3,13 @@
  * Feature-store throughput and compression baseline (PR 5).
  *
  * Part 1 — writer sweep: append a deterministic feature-record
- * stream in synchronous and asynchronous flush mode across a thread
- * sweep, measuring the *exposed* store cost (seal-path time that
- * blocked the producer, FeatureStoreWriter::exposedSeconds) and the
- * wall time of the append loop. Gates (exit 1 on failure):
- *
- *   - sync and async files are byte-identical at every thread
- *     count (FNV digest over the file bytes);
- *   - best-of-reps async exposed cost <= --cost-gate x sync (on a
- *     single-core host async degenerates to near-parity; the
- *     overlap win needs real cores, as with PR 2).
+ * stream across a thread sweep, measuring the *exposed* store cost
+ * (seal-path time that blocked the producer,
+ * FeatureStoreWriter::exposedSeconds) and the wall time of the
+ * append loop. Gate (exit 1 on failure): the files are
+ * byte-identical at every thread count and repetition (FNV digest
+ * over the file bytes) — the seal runs inline on the appending
+ * thread, so the pool size must not change a byte.
  *
  * Part 2 (PR 6) — durability and failure overhead: what each
  * DurabilityPolicy level costs per record (flush-per-seal gated
@@ -80,7 +77,7 @@ struct WriteResult
 
 WriteResult
 writeOnce(const std::string &path, std::size_t records,
-          std::size_t coeffs, std::size_t block, bool async,
+          std::size_t coeffs, std::size_t block,
           store::DurabilityPolicy durability =
               store::DurabilityPolicy::None)
 {
@@ -88,7 +85,6 @@ writeOnce(const std::string &path, std::size_t records,
     schema.coeffCount = coeffs;
     StoreOptions opts;
     opts.blockCapacity = block;
-    opts.async = async;
     opts.durability = durability;
     WriteResult res;
     FeatureRecord rec;
@@ -123,8 +119,6 @@ main(int argc, char **argv)
     args.addInt("reps", 3, "repetitions (best-of)");
     args.addString("threads", "1,2,4", "thread counts to sweep");
     args.addInt("size", 48, "clover grid edge (compression part)");
-    args.addDouble("cost-gate", 1.15,
-                   "fail when async exposed > gate * sync exposed");
     args.addDouble("ratio-gate", 4.0,
                    "fail when trace/store size ratio is below this");
     args.addDouble("durability-gate", 2.0,
@@ -139,13 +133,12 @@ main(int argc, char **argv)
     const auto coeffs = static_cast<std::size_t>(args.getInt("coeffs"));
     const auto block = static_cast<std::size_t>(args.getInt("block"));
     const int reps = static_cast<int>(args.getInt("reps"));
-    const double cost_gate = args.getDouble("cost-gate");
     const double ratio_gate = args.getDouble("ratio-gate");
     const std::vector<std::int64_t> threads =
         ArgParser::parseIntList(args.getString("threads"));
 
     banner("feature-store throughput (PR 5)",
-           "exposed append cost sync vs async + compression vs raw "
+           "exposed append cost by thread count + compression vs raw "
            "trace dump");
     std::printf("-- hardware threads: %u\n\n",
                 std::thread::hardware_concurrency());
@@ -154,62 +147,48 @@ main(int argc, char **argv)
     bool ok = true;
 
     // ---------------------------------------------- writer sweep
-    AsciiTable table({"threads", "sync us/rec", "async us/rec",
-                      "async/sync", "bytes/rec", "identical"});
+    AsciiTable table({"threads", "exposed us/rec", "append us/rec",
+                      "bytes/rec", "identical"});
+    bool have_ref = false;
+    std::uint64_t ref_digest = 0;
     for (const std::int64_t t : threads) {
         setGlobalThreadCount(static_cast<int>(t));
-        WriteResult sync_best, async_best;
-        sync_best.exposed = async_best.exposed = 1e100;
-        std::uint64_t sync_digest = 0, async_digest = 0;
+        WriteResult best;
+        best.exposed = 1e100;
+        bool identical = true;
         for (int rep = 0; rep < reps; ++rep) {
-            // Interleave modes so host-load drift hits both.
-            const WriteResult s = writeOnce(
-                "store_tp_sync.tdfs", records_n, coeffs, block,
-                false);
-            const WriteResult a = writeOnce(
-                "store_tp_async.tdfs", records_n, coeffs, block,
-                true);
-            if (s.exposed < sync_best.exposed)
-                sync_best = s;
-            if (a.exposed < async_best.exposed)
-                async_best = a;
-            sync_digest = s.digest;
-            async_digest = a.digest;
-            if (s.digest != a.digest)
-                ok = false;
+            const WriteResult r = writeOnce(
+                "store_tp_sweep.tdfs", records_n, coeffs, block);
+            if (r.exposed < best.exposed)
+                best = r;
+            if (!have_ref) {
+                ref_digest = r.digest;
+                have_ref = true;
+            }
+            identical = identical && r.digest == ref_digest;
         }
-        const double n = static_cast<double>(records_n);
-        const double ratio =
-            async_best.exposed / std::max(sync_best.exposed, 1e-12);
-        const bool identical = sync_digest == async_digest;
-        if (!identical || ratio > cost_gate)
+        if (!identical)
             ok = false;
+        const double n = static_cast<double>(records_n);
         table.addRow(
             {std::to_string(t),
-             AsciiTable::fmt(1e6 * sync_best.exposed / n, 3),
-             AsciiTable::fmt(1e6 * async_best.exposed / n, 3),
-             AsciiTable::fmt(ratio, 2),
-             AsciiTable::fmt(static_cast<double>(sync_best.bytes) / n,
-                          1),
+             AsciiTable::fmt(1e6 * best.exposed / n, 3),
+             AsciiTable::fmt(1e6 * best.appendWall / n, 3),
+             AsciiTable::fmt(static_cast<double>(best.bytes) / n, 1),
              identical ? "yes" : "NO"});
 
         BenchRecord rec;
         rec.name = "writer_sweep_t" + std::to_string(t);
         rec.metrics["threads"] = static_cast<double>(t);
         rec.metrics["records"] = n;
-        rec.metrics["sync_exposed_s"] = sync_best.exposed;
-        rec.metrics["async_exposed_s"] = async_best.exposed;
-        rec.metrics["sync_append_wall_s"] = sync_best.appendWall;
-        rec.metrics["async_append_wall_s"] = async_best.appendWall;
-        rec.metrics["async_over_sync"] = ratio;
-        rec.metrics["bytes"] =
-            static_cast<double>(sync_best.bytes);
+        rec.metrics["exposed_s"] = best.exposed;
+        rec.metrics["append_wall_s"] = best.appendWall;
+        rec.metrics["bytes"] = static_cast<double>(best.bytes);
         rec.metrics["files_identical"] = identical ? 1.0 : 0.0;
         records.push_back(rec);
     }
     setGlobalThreadCount(1);
-    std::remove("store_tp_sync.tdfs");
-    std::remove("store_tp_async.tdfs");
+    std::remove("store_tp_sweep.tdfs");
     table.print();
 
     // ----------------------------- durability-policy overhead sweep
@@ -232,7 +211,7 @@ main(int argc, char **argv)
         for (int rep = 0; rep < reps; ++rep) {
             const WriteResult r =
                 writeOnce("store_tp_dur.tdfs", records_n, coeffs,
-                          block, false, policy);
+                          block, policy);
             if (r.exposed < best.exposed)
                 best = r;
         }
@@ -272,8 +251,7 @@ main(int argc, char **argv)
     double healthy_wall = 1e100, degraded_wall = 1e100;
     for (int rep = 0; rep < reps; ++rep) {
         const WriteResult h = writeOnce(
-            "store_tp_healthy.tdfs", records_n, coeffs, block,
-            false);
+            "store_tp_healthy.tdfs", records_n, coeffs, block);
         healthy_wall = std::min(healthy_wall, h.appendWall);
 
         StoreSchema schema;
@@ -409,7 +387,6 @@ main(int argc, char **argv)
             std::to_string(std::thread::hardware_concurrency());
         meta["records"] = std::to_string(records_n);
         meta["block"] = std::to_string(block);
-        meta["cost_gate"] = AsciiTable::fmt(cost_gate, 2);
         meta["ratio_gate"] = AsciiTable::fmt(ratio_gate, 2);
         meta["durability_gate"] =
             AsciiTable::fmt(durability_gate, 2);
@@ -421,16 +398,14 @@ main(int argc, char **argv)
     }
 
     if (!ok) {
-        std::printf("\n!! GATE FAILURE: async exposed cost, file "
-                    "identity, durability/degraded overhead, or "
-                    "compression ratio out of bounds\n");
+        std::printf("\n!! GATE FAILURE: file identity, "
+                    "durability/degraded overhead, or compression "
+                    "ratio out of bounds\n");
         return 1;
     }
-    std::printf("\nall gates passed: files byte-identical, async "
-                "exposed <= %.2fx sync, flush-per-seal <= %.2fx "
-                "none, degraded append <= %.2fx healthy, "
-                "compression >= %.1fx\n",
-                cost_gate, durability_gate, degraded_gate,
-                ratio_gate);
+    std::printf("\nall gates passed: files byte-identical across "
+                "threads, flush-per-seal <= %.2fx none, degraded "
+                "append <= %.2fx healthy, compression >= %.1fx\n",
+                durability_gate, degraded_gate, ratio_gate);
     return 0;
 }

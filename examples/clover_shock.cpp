@@ -92,8 +92,8 @@ main(int argc, char **argv)
 
     // --store <path> persists every iteration's extracted features
     // (wave front, prediction, fit coefficients, MSE) to a trace
-    // store; --store-async flushes its blocks on the thread pool,
-    // --store-durability picks when sealed blocks hit the disk.
+    // store; --store-durability picks when sealed blocks hit the
+    // disk.
     std::unique_ptr<FeatureStoreWriter> store;
     if (!storeCli.path.empty()) {
         store = attachRankStore(region, storeCli.path, order + 1,

@@ -68,8 +68,8 @@ main(int argc, char **argv)
         std::max<long>(1, reference.iterations / 20);
     stop.analysis.ar.convergeTol = 0.1;
     // --store <path> persists the per-iteration features of the
-    // instrumented run (--store-async flushes on the pool,
-    // --store-durability picks when sealed blocks hit the disk).
+    // instrumented run (--store-durability picks when sealed blocks
+    // hit the disk).
     stop.store = store;
     // --ckpt <prefix> writes crash-safe checkpoint generations every
     // --ckpt-every iterations; --resume-auto restores the newest

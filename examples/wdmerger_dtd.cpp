@@ -39,7 +39,7 @@ main(int argc, char **argv)
 
     // One instrumented run: delay time per diagnostic. With
     // --store <path> the four analyses' per-dump features land in a
-    // trace store (--store-async flushes on the pool).
+    // trace store.
     WdMergerConfig config;
     config.resolution = resolution;
     WdRunOptions options;

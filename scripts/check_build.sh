@@ -40,7 +40,7 @@ ctest --output-on-failure -L bench_smoke
 # export it, and a diff against itself must be clean. The query
 # subcommand must agree with the unfiltered record count, prune to
 # a plausible subset under a filter, and reject a bad predicate.
-./example_clover_shock --size 32 --store check_clover.tdfs --store-async
+./example_clover_shock --size 32 --store check_clover.tdfs
 ./tdfstool verify check_clover.tdfs
 ./tdfstool info check_clover.tdfs > /dev/null
 ./tdfstool export check_clover.tdfs --out check_clover.csv

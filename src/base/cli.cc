@@ -181,9 +181,6 @@ addStoreOptions(ArgParser &args)
     args.addString("store", "",
                    "write extracted features to a trace store at "
                    "this path (empty: disabled)");
-    args.addFlag("store-async",
-                 "flush store blocks on the thread pool instead of "
-                 "the simulation thread");
     args.addString("store-durability", "none",
                    "when sealed store blocks become durable: none, "
                    "flush (flush per seal), or fsync (fsync per "
@@ -206,7 +203,6 @@ storeOptions(const ArgParser &args)
 {
     StoreCliOptions opts;
     opts.path = args.getString("store");
-    opts.async = args.getFlag("store-async");
     opts.durability = args.getString("store-durability");
     opts.mergePolicy = args.getString("store-merge-policy");
     opts.keepParts = args.getFlag("store-keep-parts");

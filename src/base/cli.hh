@@ -116,8 +116,6 @@ struct StoreCliOptions
 {
     /** Store file path; empty means no store was requested. */
     std::string path;
-    /** Async flush mode (--store-async). */
-    bool async = false;
     /** Durability policy name (--store-durability): "none",
      *  "flush", or "fsync". Kept as a string here — src/base does
      *  not depend on src/store; storeOptionsFrom (src/harness)
@@ -138,9 +136,7 @@ struct StoreCliOptions
 /**
  * Register the standard feature-store options: `--store <path>`
  * (write extracted features to a trace store; empty default
- * disables), the `--store-async` flag (flush store blocks on the
- * thread pool instead of the simulation thread),
- * `--store-durability none|flush|fsync` (when sealed blocks become
+ * disables), `--store-durability none|flush|fsync` (when sealed blocks become
  * durable), `--store-merge-policy fail|skip` (what the rank merge
  * does with unreadable parts), the `--store-keep-parts` flag (keep
  * per-rank part files after the merge), and the `--store-live` flag

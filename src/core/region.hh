@@ -175,8 +175,8 @@ class Region
      * validation MSE, stop flag) to @p store. Appends always happen
      * on the application thread in iteration order — under the
      * async pipeline they run at drain time, exactly where the stop
-     * protocol does — so the store's own async mode is the only
-     * I/O-overlap knob. Register every analysis first (the store
+     * protocol does — and each full block is encoded and written
+     * inline by the append that fills it. Register every analysis first (the store
      * schema must carry max(order)+1 coefficient columns; fatal
      * otherwise); pass nullptr to detach. Attaching or detaching
      * drains any in-flight async epoch, so records always land in

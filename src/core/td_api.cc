@@ -129,6 +129,39 @@ metricValue(const tdfe::FeatureRecord &rec, std::size_t column)
     return std::numeric_limits<double>::quiet_NaN();
 }
 
+/** Shared body of the td_store_open* functions. @p durability is
+ *  NULL ("none") or a policy name, parsed non-fatally: a C caller
+ *  gets NULL back, not a terminated process. @return NULL on
+ *  invalid arguments. */
+td_store_t *
+openStore(const char *path, int n_coeffs, int block_capacity,
+          const char *durability, bool live)
+{
+    if (!path || n_coeffs < 0 || block_capacity < 0)
+        return nullptr;
+    tdfe::StoreSchema schema;
+    schema.coeffCount = static_cast<std::size_t>(n_coeffs);
+    tdfe::StoreOptions options;
+    if (block_capacity > 0)
+        options.blockCapacity =
+            static_cast<std::size_t>(block_capacity);
+    options.live = live;
+    if (durability) {
+        const std::string d(durability);
+        if (d == "none")
+            options.durability = tdfe::store::DurabilityPolicy::None;
+        else if (d == "flush")
+            options.durability =
+                tdfe::store::DurabilityPolicy::FlushPerSeal;
+        else if (d == "fsync")
+            options.durability =
+                tdfe::store::DurabilityPolicy::SyncPerSeal;
+        else
+            return nullptr;
+    }
+    return new td_store(path, schema, options);
+}
+
 } // namespace
 
 extern "C" {
@@ -334,73 +367,25 @@ td_region_overhead_seconds(const td_region_t *region)
 }
 
 td_store_t *
-td_store_open(const char *path, int n_coeffs, int block_capacity,
-              int async)
+td_store_open(const char *path, int n_coeffs, int block_capacity)
 {
-    return td_store_open_ex(path, n_coeffs, block_capacity, async,
-                            nullptr);
+    return openStore(path, n_coeffs, block_capacity, nullptr, false);
 }
 
 td_store_t *
 td_store_open_ex(const char *path, int n_coeffs, int block_capacity,
-                 int async, const char *durability)
+                 const char *durability)
 {
-    if (!path || n_coeffs < 0 || block_capacity < 0)
-        return nullptr;
-    tdfe::StoreSchema schema;
-    schema.coeffCount = static_cast<std::size_t>(n_coeffs);
-    tdfe::StoreOptions options;
-    if (block_capacity > 0)
-        options.blockCapacity =
-            static_cast<std::size_t>(block_capacity);
-    options.async = async != 0;
-    if (durability) {
-        // Non-fatal parse: a C caller gets NULL back, not a
-        // terminated process.
-        const std::string d(durability);
-        if (d == "none")
-            options.durability = tdfe::store::DurabilityPolicy::None;
-        else if (d == "flush")
-            options.durability =
-                tdfe::store::DurabilityPolicy::FlushPerSeal;
-        else if (d == "fsync")
-            options.durability =
-                tdfe::store::DurabilityPolicy::SyncPerSeal;
-        else
-            return nullptr;
-    }
-    return new td_store(path, schema, options);
+    return openStore(path, n_coeffs, block_capacity, durability,
+                     false);
 }
 
 td_store_t *
 td_store_open_live(const char *path, int n_coeffs,
-                   int block_capacity, int async,
-                   const char *durability)
+                   int block_capacity, const char *durability)
 {
-    if (!path || n_coeffs < 0 || block_capacity < 0)
-        return nullptr;
-    tdfe::StoreSchema schema;
-    schema.coeffCount = static_cast<std::size_t>(n_coeffs);
-    tdfe::StoreOptions options;
-    if (block_capacity > 0)
-        options.blockCapacity =
-            static_cast<std::size_t>(block_capacity);
-    options.async = async != 0;
-    options.live = true;
-    if (durability) {
-        const std::string d(durability);
-        if (d == "none")
-            options.durability = tdfe::store::DurabilityPolicy::None;
-        else if (d == "flush")
-            options.durability =
-                tdfe::store::DurabilityPolicy::FlushPerSeal;
-        else if (d == "fsync")
-            options.durability =
-                tdfe::store::DurabilityPolicy::SyncPerSeal;
-        else
-            return nullptr;
-    }
-    return new td_store(path, schema, options);
+    return openStore(path, n_coeffs, block_capacity, durability,
+                     true);
 }
 
 int

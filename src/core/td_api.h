@@ -185,16 +185,13 @@ void td_region_set_relaxed_stop(td_region_t *region, int relaxed);
  * @param n_coeffs Coefficient columns (AR order + 1 of the
  *        producing analyses; the maximum when several differ).
  * @param block_capacity Records per compressed block (0: default).
- * @param async Nonzero defers block encode + write to the
- *        process-wide thread pool so the simulation never blocks on
- *        store I/O; files are byte-identical to synchronous mode.
  * @return handle, or NULL on invalid arguments. A path that cannot
  *         be opened is NOT fatal and still returns a handle: the
  *         store starts degraded (td_store_status nonzero, appends
  *         dropped) so the simulation it serves keeps running.
  */
 td_store_t *td_store_open(const char *path, int n_coeffs,
-                          int block_capacity, int async);
+                          int block_capacity);
 
 /**
  * As td_store_open with an explicit durability policy: "none"
@@ -205,7 +202,7 @@ td_store_t *td_store_open(const char *path, int n_coeffs,
  * an unknown durability string.
  */
 td_store_t *td_store_open_ex(const char *path, int n_coeffs,
-                             int block_capacity, int async,
+                             int block_capacity,
                              const char *durability);
 
 /**
@@ -348,12 +345,12 @@ long td_store_query_stat(const char *path, long iter_begin,
  * As td_store_open_ex, additionally publishing a live manifest
  * sidecar ("<path>.live") after sealed blocks so concurrent
  * readers (td_store_view_*, `tdfstool tail`) can follow the store
- * while it is being written. Publication rides the flush path,
- * never the append hot path, and a publication failure degrades
+ * while it is being written. Publication rides the block seal,
+ * never the per-record append, and a publication failure degrades
  * only the live side — the trace itself keeps writing.
  */
 td_store_t *td_store_open_live(const char *path, int n_coeffs,
-                               int block_capacity, int async,
+                               int block_capacity,
                                const char *durability);
 
 /**

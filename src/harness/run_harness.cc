@@ -122,7 +122,6 @@ StoreOptions
 storeOptionsFrom(const StoreCliOptions &store)
 {
     StoreOptions options;
-    options.async = store.async;
     options.durability = store::parseDurabilityPolicy(store.durability);
     options.live = store.live;
     return options;

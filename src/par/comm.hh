@@ -14,13 +14,15 @@
  * that is completed lazily with test()/wait(). They follow MPI's
  * matching rule: every rank must post its non-blocking collectives in
  * the same order (they pair up by per-rank sequence number, not by
- * content), and the caller's buffers must stay valid until the
- * request has completed or been dropped. Results only ever land in
- * the caller's buffers from the caller's own thread, inside a
- * successful test() or a wait() — never asynchronously — so dropping
- * a request without completing it is always safe: the contribution
- * made at post time still completes the collective for the other
- * ranks, only this rank's output is never written.
+ * content). Blocking collectives count a sequence of their own, so
+ * the two kinds never pair with each other. The caller's buffers
+ * must stay valid until the request has completed or been dropped.
+ * Results only ever land in the caller's buffers from the caller's
+ * own thread, inside a successful test() or a wait() — never
+ * asynchronously — so dropping a request without completing it is
+ * always safe: the contribution made at post time still completes
+ * the collective for the other ranks, only this rank's output is
+ * never written.
  */
 
 #ifndef TDFE_PAR_COMM_HH
@@ -185,10 +187,8 @@ class Communicator
      * doubles. @p data is read (contribution) at post time and
      * overwritten with the reduced vector at completion; it must
      * stay valid until the request completes or is dropped. The
-     * reduction folds contributions in rank order (deterministic;
-     * note the blocking allreduceVec folds in arrival order, so the
-     * two are only bitwise comparable for order-independent
-     * reductions such as Min/Max or exact sums).
+     * reduction folds contributions in rank order, so the result is
+     * bitwise identical to the blocking allreduceVec().
      */
     virtual CommRequest iallreduceVec(double *data, std::size_t count,
                                       ReduceOp op) = 0;

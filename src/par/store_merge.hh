@@ -115,7 +115,8 @@ std::size_t mergeRankStores(const std::vector<std::string> &parts,
  * rankStorePath(@p base, rank, size) with @p coeff_count
  * coefficient columns and attach it as @p region's feature sink
  * (register every analysis first). @p comm may be null (single
- * rank). @p options carries async mode and the durability policy.
+ * rank). @p options carries the block capacity and the durability
+ * policy.
  */
 std::unique_ptr<FeatureStoreWriter>
 attachRankStore(Region &region, const std::string &base,
@@ -132,10 +133,10 @@ struct RankMergeOptions
      *  under Skip are always kept for post-mortem). */
     bool keepParts = false;
     /** Writer options of the merged output file (block capacity,
-     *  durability, async). Callers pass the same options they gave
+     *  durability). Callers pass the same options they gave
      *  attachRankStore so the merged store honors the run's
-     *  --store-durability / --store-async flags instead of
-     *  silently reverting to defaults. */
+     *  --store-durability flag instead of silently reverting to
+     *  defaults. */
     StoreOptions storeOptions;
 };
 

@@ -12,8 +12,6 @@ namespace tdfe
 ThreadCommWorld::ThreadCommWorld(int nranks) : nRanks(nranks)
 {
     TDFE_ASSERT(nranks > 0, "need at least one rank");
-    bcastBuffer.resize(1, 0.0);
-    reduceSlots.resize(static_cast<std::size_t>(nranks), 0.0);
 }
 
 void
@@ -46,9 +44,9 @@ ThreadCommWorld::run(const std::function<void(Communicator &)> &body)
 
     TDFE_ASSERT(arrived == 0, "ranks left a barrier half-entered");
     if (!nbOps.empty()) {
-        TDFE_WARN(nbOps.size(), " non-blocking collective(s) were "
-                  "never completed by every rank (posted on some "
-                  "ranks only); clearing them");
+        TDFE_WARN(nbOps.size(), " collective(s) were never "
+                  "completed by every rank (posted on some ranks "
+                  "only); clearing them");
         nbOps.clear();
     }
     for (const auto &[key, queue] : mailboxes) {
@@ -146,17 +144,22 @@ class ThreadNbOp : public CommOp
 };
 
 CommRequest
-ThreadCommRank::postCollective(NbCollective::Kind kind,
+ThreadCommRank::postCollective(bool blocking, NbCollective::Kind kind,
                                const double *contribution,
                                std::size_t count, ReduceOp op,
                                int root, double *out)
 {
-    const std::uint64_t seq = nbSeq++;
+    // Blocking posts keep their own sequence: a rank that stops
+    // posting non-blocking collectives (a silenced or degraded stop
+    // protocol) must not shift the pairing of its solver's blocking
+    // ones, and vice versa.
+    const std::pair<bool, std::uint64_t> key(
+        blocking, blocking ? blockingSeq++ : nbSeq++);
     std::shared_ptr<NbCollective> c;
     bool completed = false;
     {
         std::lock_guard<std::mutex> lock(world.mtx);
-        auto &slot = world.nbOps[seq];
+        auto &slot = world.nbOps[key];
         if (!slot) {
             slot = std::make_shared<NbCollective>();
             slot->kind = kind;
@@ -169,8 +172,9 @@ ThreadCommRank::postCollective(NbCollective::Kind kind,
         c = slot;
         TDFE_ASSERT(c->kind == kind && c->count == count &&
                         c->root == root && c->op == op,
-                    "non-blocking collective mismatch across ranks "
-                    "(slot ", seq, "): every rank must post the same "
+                    "collective mismatch across ranks (",
+                    blocking ? "blocking" : "non-blocking", " slot ",
+                    key.second, "): every rank must post the same "
                     "operations in the same order");
 
         if (contribution) {
@@ -179,9 +183,8 @@ ThreadCommRank::postCollective(NbCollective::Kind kind,
         }
         if (++c->contributions == world.nRanks) {
             // Last contributor completes the op: reduce the parts in
-            // rank order (deterministic; matches the blocking
-            // scalar allreduce bitwise) and retire the slot —
-            // nobody will look it up again.
+            // rank order (deterministic whatever the arrival order)
+            // and retire the slot — nobody will look it up again.
             if (kind == NbCollective::Kind::Bcast) {
                 c->result =
                     c->parts[static_cast<std::size_t>(c->root)];
@@ -197,7 +200,7 @@ ThreadCommRank::postCollective(NbCollective::Kind kind,
             }
             c->parts.clear();
             c->complete = true;
-            world.nbOps.erase(seq);
+            world.nbOps.erase(key);
             completed = true;
         }
     }
@@ -210,16 +213,16 @@ ThreadCommRank::postCollective(NbCollective::Kind kind,
 CommRequest
 ThreadCommRank::iallreduce(double value, ReduceOp op, double *result)
 {
-    return postCollective(NbCollective::Kind::Allreduce, &value, 1,
-                          op, 0, result);
+    return postCollective(false, NbCollective::Kind::Allreduce, &value,
+                          1, op, 0, result);
 }
 
 CommRequest
 ThreadCommRank::iallreduceVec(double *data, std::size_t count,
                               ReduceOp op)
 {
-    return postCollective(NbCollective::Kind::AllreduceVec, data,
-                          count, op, 0, data);
+    return postCollective(false, NbCollective::Kind::AllreduceVec,
+                          data, count, op, 0, data);
 }
 
 CommRequest
@@ -229,7 +232,7 @@ ThreadCommRank::ibcast(double *data, std::size_t count, int root)
                 "ibcast root out of range");
     // Only the root's payload matters; other ranks contribute just
     // their arrival and receive the payload into data at completion.
-    return postCollective(NbCollective::Kind::Bcast,
+    return postCollective(false, NbCollective::Kind::Bcast,
                           myRank == root ? data : nullptr, count,
                           ReduceOp::Sum, root, data);
 }
@@ -238,55 +241,19 @@ void
 ThreadCommRank::bcast(double *data, std::size_t count, int root)
 {
     TDFE_ASSERT(root >= 0 && root < size(), "bcast root out of range");
-
-    // Root publishes under the lock, then a barrier releases the
-    // readers; the trailing barrier keeps the buffer stable until
-    // every rank has copied it out.
-    if (myRank == root) {
-        std::lock_guard<std::mutex> lock(world.mtx);
-        world.bcastBuffer.assign(data, data + count);
-    }
-    world.barrier();
-    if (myRank != root) {
-        std::lock_guard<std::mutex> lock(world.mtx);
-        TDFE_ASSERT(world.bcastBuffer.size() == count,
-                    "bcast count mismatch across ranks");
-        std::copy(world.bcastBuffer.begin(), world.bcastBuffer.end(),
-                  data);
-    }
-    world.barrier();
+    postCollective(true, NbCollective::Kind::Bcast,
+                   myRank == root ? data : nullptr, count,
+                   ReduceOp::Sum, root, data)
+        .wait();
 }
 
 double
 ThreadCommRank::allreduce(double value, ReduceOp op)
 {
-    {
-        std::lock_guard<std::mutex> lock(world.mtx);
-        world.reduceSlots[static_cast<std::size_t>(myRank)] = value;
-    }
-    world.barrier();
-
-    double result;
-    {
-        std::lock_guard<std::mutex> lock(world.mtx);
-        result = world.reduceSlots[0];
-        for (int r = 1; r < size(); ++r) {
-            const double v =
-                world.reduceSlots[static_cast<std::size_t>(r)];
-            switch (op) {
-              case ReduceOp::Sum:
-                result += v;
-                break;
-              case ReduceOp::Min:
-                result = std::min(result, v);
-                break;
-              case ReduceOp::Max:
-                result = std::max(result, v);
-                break;
-            }
-        }
-    }
-    world.barrier();
+    double result = 0.0;
+    postCollective(true, NbCollective::Kind::Allreduce, &value, 1, op,
+                   0, &result)
+        .wait();
     return result;
 }
 
@@ -294,42 +261,9 @@ void
 ThreadCommRank::allreduceVec(double *data, std::size_t count,
                              ReduceOp op)
 {
-    {
-        std::lock_guard<std::mutex> lock(world.mtx);
-        // The previous round's contributors counter resets when the
-        // first rank of a new round arrives; barrier #2 of the old
-        // round guarantees nobody is still reading vecSlot.
-        if (world.vecContributors == world.nRanks)
-            world.vecContributors = 0;
-        if (world.vecContributors == 0) {
-            world.vecSlot.assign(data, data + count);
-        } else {
-            TDFE_ASSERT(world.vecSlot.size() == count,
-                        "allreduceVec count mismatch across ranks");
-            for (std::size_t i = 0; i < count; ++i) {
-                switch (op) {
-                  case ReduceOp::Sum:
-                    world.vecSlot[i] += data[i];
-                    break;
-                  case ReduceOp::Min:
-                    world.vecSlot[i] =
-                        std::min(world.vecSlot[i], data[i]);
-                    break;
-                  case ReduceOp::Max:
-                    world.vecSlot[i] =
-                        std::max(world.vecSlot[i], data[i]);
-                    break;
-                }
-            }
-        }
-        ++world.vecContributors;
-    }
-    world.barrier();
-    {
-        std::lock_guard<std::mutex> lock(world.mtx);
-        std::copy(world.vecSlot.begin(), world.vecSlot.end(), data);
-    }
-    world.barrier();
+    postCollective(true, NbCollective::Kind::AllreduceVec, data, count,
+                   op, 0, data)
+        .wait();
 }
 
 void

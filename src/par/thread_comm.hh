@@ -4,7 +4,8 @@
  *
  * ThreadCommWorld::run(nranks, body) spawns one std::thread per rank
  * and hands each a Communicator bound to shared state. Collectives
- * synchronise through a central generation-counted barrier; point-to-
+ * complete through shared per-sequence slots (blocking ones post and
+ * wait); barrier() is a central generation-counted barrier; point-to-
  * point messages flow through mutex-protected mailboxes. This gives
  * the paper's MPI call pattern real synchronisation cost (which the
  * overhead tables measure) without an MPI installation.
@@ -21,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "par/comm.hh"
@@ -29,18 +31,18 @@ namespace tdfe
 {
 
 /**
- * Shared state of one in-flight non-blocking collective. Ranks
- * match by per-rank sequence number (all ranks must post their
- * non-blocking collectives in the same order); the op completes when
- * the last rank posts, which reduces the per-rank contributions *in
- * rank order* — deterministic run to run, and bitwise identical to
- * the blocking scalar allreduce (which also folds in rank order;
- * the blocking allreduceVec folds in arrival order instead, so for
- * floating-point Sum only the non-blocking vec path is
- * reproducible). Each rank then copies the result into its own output
- * buffer from its own thread, at its first successful test() or at
- * wait() — never from another rank's thread, so a rank may drop its
- * request (and even free its buffers) without affecting the rest.
+ * Shared state of one in-flight collective. Ranks match by per-rank
+ * sequence number — blocking and non-blocking posts each count their
+ * own sequence, so every rank must post its non-blocking collectives
+ * in the same order and its blocking ones in the same order, but the
+ * two streams never pair with each other. The op completes when the
+ * last rank posts, which reduces the per-rank contributions *in rank
+ * order* — deterministic run to run, and bitwise identical between
+ * the blocking and non-blocking calls. Each rank then copies the
+ * result into its own output buffer from its own thread, at its
+ * first successful test() or at wait() — never from another rank's
+ * thread, so a rank may drop its request (and even free its
+ * buffers) without affecting the rest.
  */
 struct NbCollective
 {
@@ -98,16 +100,11 @@ class ThreadCommWorld
     int arrived = 0;
     std::uint64_t generation = 0;
 
-    // Collective scratch.
-    std::vector<double> bcastBuffer;
-    std::vector<double> reduceSlots;
-    std::vector<double> vecSlot;
-    int vecContributors = 0;
-
-    // In-flight non-blocking collectives keyed by sequence slot; the
+    // In-flight collectives keyed by (blocking?, sequence slot); the
     // last contributor completes the op and erases the entry (the
     // requests keep the shared state alive).
-    std::map<std::uint64_t, std::shared_ptr<NbCollective>> nbOps;
+    std::map<std::pair<bool, std::uint64_t>,
+             std::shared_ptr<NbCollective>> nbOps;
     std::condition_variable nbCv;
 
     // Mailboxes keyed by (src, dest, tag).
@@ -143,18 +140,21 @@ class ThreadCommRank : public Communicator
     std::vector<double> recv(int src, int tag) override;
 
   private:
-    /** Post one non-blocking collective into the next sequence
-     *  slot; @p contribution is this rank's payload (ignored for
-     *  non-root bcast posts), @p out where the result lands. */
-    CommRequest postCollective(NbCollective::Kind kind,
+    /** Post one collective into the next slot of the blocking or
+     *  the non-blocking sequence; @p contribution is this rank's
+     *  payload (ignored for non-root bcast posts), @p out where the
+     *  result lands. */
+    CommRequest postCollective(bool blocking, NbCollective::Kind kind,
                                const double *contribution,
                                std::size_t count, ReduceOp op,
                                int root, double *out);
 
     ThreadCommWorld &world;
     int myRank;
-    /** Next non-blocking collective slot this rank will post into. */
+    /** Next slot this rank will post into, per sequence. @{ */
     std::uint64_t nbSeq = 0;
+    std::uint64_t blockingSeq = 0;
+    /** @} */
 };
 
 } // namespace tdfe

@@ -57,15 +57,9 @@ FeatureStoreWriter::init(store::IoError open_error)
 
     stInt.resize(schema_.intColumns());
     stDbl.resize(schema_.doubleColumns());
-    pdInt.resize(schema_.intColumns());
-    pdDbl.resize(schema_.doubleColumns());
     for (auto &c : stInt)
         c.reserve(opts_.blockCapacity);
     for (auto &c : stDbl)
-        c.reserve(opts_.blockCapacity);
-    for (auto &c : pdInt)
-        c.reserve(opts_.blockCapacity);
-    for (auto &c : pdDbl)
         c.reserve(opts_.blockCapacity);
 
     if (!file_) {
@@ -151,27 +145,7 @@ FeatureStoreWriter::seal()
     // Span + exposed accumulator share one clock read, the same
     // derivation contract as Region's "region.exposed.*" spans.
     obs::SpanTimer t("store.exposed.seal", "store");
-    // Strict flush order: the previous block must be on disk (or at
-    // least encoded and written by its job) before its buffers are
-    // recycled and the next flush is queued. With one job in flight
-    // at a time, sync and async mode write the same bytes in the
-    // same order — only *when* the encode runs differs.
-    drainFlush();
-    if (!ok()) {
-        // The in-flight flush died: its records are already counted
-        // as lost; the staged ones will never be written either.
-        discardStaging();
-        exposed_ += t.stop();
-        return;
-    }
-    rotateStaging();
-
-    if (opts_.async && ThreadPool::global().threadCount() > 1) {
-        flushJob = ThreadPool::global().submit(
-            1, [this](std::size_t) { flushPending(); });
-    } else {
-        flushPending();
-    }
+    flushStaged();
     const double secs = t.stop();
     exposed_ += secs;
     static obs::Histogram sealLatency("store.writer.seal_seconds");
@@ -179,12 +153,13 @@ FeatureStoreWriter::seal()
 }
 
 void
-FeatureStoreWriter::flushPending()
+FeatureStoreWriter::flushStaged()
 {
-    // On an async store this runs on a pool worker: in a trace the
-    // span sits on the worker tid, under the next solver step.
     obs::SpanTimer span("store.flush", "store");
-    const std::size_t n = pdInt[0].size();
+    ++sealed_;
+    static obs::Counter seals("store.writer.blocks_sealed_total");
+    seals.add();
+    const std::size_t n = staged;
     encodeBuf.clear();
     store::putU32(encodeBuf, static_cast<std::uint32_t>(n));
     // Encode straight into encodeBuf and backpatch the 4-byte
@@ -195,13 +170,13 @@ FeatureStoreWriter::flushPending()
             encodeBuf[at + static_cast<std::size_t>(i)] =
                 static_cast<std::uint8_t>(len >> (8 * i));
     };
-    for (const auto &c : pdInt) {
+    for (const auto &c : stInt) {
         const std::size_t at = encodeBuf.size();
         store::putU32(encodeBuf, 0);
         store::encodeIntColumnTagged(c.data(), n, encodeBuf);
         backpatch(at);
     }
-    for (const auto &c : pdDbl) {
+    for (const auto &c : stDbl) {
         const std::size_t at = encodeBuf.size();
         store::putU32(encodeBuf, 0);
         store::encodeDoubleColumn(c.data(), n, encodeBuf);
@@ -214,14 +189,19 @@ FeatureStoreWriter::flushPending()
     info.offset = bytesWritten_;
     info.size = encodeBuf.size();
     info.records = n;
-    info.firstIter = pdInt[0].front();
-    info.lastIter = pdInt[0].back();
+    info.firstIter = stInt[0].front();
+    info.lastIter = stInt[0].back();
 
-    if (!writeChecked(encodeBuf.data(), encodeBuf.size(), n))
-        return;
-    index.push_back(info);
-    zones.push_back(store::computeBlockZone(pdInt, pdDbl));
-    publishManifest(false, false);
+    if (writeChecked(encodeBuf.data(), encodeBuf.size(), n)) {
+        index.push_back(info);
+        zones.push_back(store::computeBlockZone(stInt, stDbl));
+        publishManifest(false, false);
+    }
+    for (auto &c : stInt)
+        c.clear();
+    for (auto &c : stDbl)
+        c.clear();
+    staged = 0;
 }
 
 bool
@@ -308,64 +288,16 @@ FeatureStoreWriter::status() const
     return error_;
 }
 
-void
-FeatureStoreWriter::drainFlush()
-{
-    if (flushJob) {
-        ThreadPool::global().wait(flushJob);
-        flushJob.reset();
-    }
-}
-
-void
-FeatureStoreWriter::rotateStaging()
-{
-    stInt.swap(pdInt);
-    stDbl.swap(pdDbl);
-    for (auto &c : stInt)
-        c.clear();
-    for (auto &c : stDbl)
-        c.clear();
-    staged = 0;
-    ++sealed_;
-    static obs::Counter seals("store.writer.blocks_sealed_total");
-    seals.add();
-    pendingSorted_ = sortedAppends_;
-}
-
-void
-FeatureStoreWriter::discardStaging()
-{
-    dropped_.fetch_add(staged, std::memory_order_relaxed);
-    if (staged) {
-        static obs::Counter drops(
-            "store.writer.records_dropped_total");
-        drops.add(staged);
-    }
-    for (auto &c : stInt)
-        c.clear();
-    for (auto &c : stDbl)
-        c.clear();
-    staged = 0;
-}
-
 std::size_t
 FeatureStoreWriter::finish()
 {
     if (finished_)
         return ok() ? static_cast<std::size_t>(bytesWritten_) : 0;
     obs::SpanTimer t("store.exposed.finish", "store");
-    drainFlush();
-    if (ok() && staged > 0) {
-        // Seal inline: there is nothing left to overlap with.
-        rotateStaging();
-        flushPending();
-    }
-    if (ok()) {
+    if (ok() && staged > 0)
+        flushStaged();
+    if (ok())
         writeFooter();
-    } else {
-        discardStaging();
-    }
     if (ok()) {
         // The footer is what makes the file complete; make it at
         // least kernel-visible regardless of policy, durable under
@@ -482,7 +414,7 @@ FeatureStoreWriter::publishManifest(bool final_manifest, bool force)
     m.dataBytes = index.empty()
                       ? store::headerBytes
                       : index.back().offset + index.back().size;
-    m.sorted = pendingSorted_;
+    m.sorted = sortedAppends_;
     m.index = index;
     m.zones = zones;
     store::encodeManifest(m, manifestBuf_);

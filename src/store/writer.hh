@@ -3,14 +3,9 @@
  * Append-only writer of the feature trace store (see format.hh for
  * the byte layout). Records are staged into columnar builders; every
  * `blockCapacity` records the block is sealed — encoded per column
- * and written with a CRC. In async mode the seal hands the staged
- * columns to the process-wide ThreadPool so the encode and the
- * file write overlap the solver, mirroring the snapshot-and-defer
- * discipline of Region::setAsyncAnalyses: the caller only ever pays
- * a cheap buffer swap (plus a stall if the previous block is still
- * in flight, charged to exposedSeconds()). Blocks are flushed
- * strictly in seal order, so sync and async mode produce
- * byte-identical files.
+ * and written with a CRC, inline on the appending thread, and
+ * charged to exposedSeconds(). The file bytes depend only on the
+ * appended records and the options, never on the thread count.
  *
  * Failure semantics (the store must never take the simulation
  * down): every sealed block's write is checked immediately, not at
@@ -38,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "base/thread_pool.hh"
 #include "store/feature_record.hh"
 #include "store/file.hh"
 #include "store/format.hh"
@@ -51,11 +45,6 @@ struct StoreOptions
 {
     /** Records per block (encode/flush granularity). */
     std::size_t blockCapacity = 256;
-    /** Defer block encode + write to the process-wide ThreadPool so
-     *  the producing thread never blocks on I/O. Degenerates to the
-     *  synchronous path on a single-thread pool; files are
-     *  byte-identical either way. */
-    bool async = false;
     /** When sealed blocks become durable (see DurabilityPolicy). */
     store::DurabilityPolicy durability =
         store::DurabilityPolicy::None;
@@ -69,9 +58,9 @@ struct StoreOptions
      * Publish a live manifest ("<path>.live", see manifest.hh)
      * after sealed blocks so concurrent LiveStoreReader views can
      * follow the store while it is being written. Publication rides
-     * the flush path (the pool worker in async mode), never the
-     * append hot path, and a publication failure degrades only the
-     * live side (liveOk()) — the store itself keeps writing.
+     * the seal path, never the per-record staging, and a publication
+     * failure degrades only the live side (liveOk()) — the store
+     * itself keeps writing.
      */
     bool live = false;
     /** Seals between manifest publications (live mode). 1 publishes
@@ -89,8 +78,7 @@ struct StoreOptions
 
 /**
  * Append-only block writer. Single-producer: append() and finish()
- * must come from one thread (the async flush runs on the pool, but
- * its hand-off is internal). Records should be appended in
+ * must come from one thread. Records should be appended in
  * nondecreasing iteration order for the reader's block-index range
  * queries to use random access; out-of-order appends are legal
  * (e.g. rank-merged files) and simply downgrade range queries to a
@@ -127,8 +115,7 @@ class FeatureStoreWriter
      * Stage one record (coeffs size must match the schema — fatal
      * otherwise, as is appending after finish(); both are caller
      * bugs). Cheap: columnar pushes into reserved buffers; every
-     * blockCapacity-th append seals a block (encode + write,
-     * deferred in async mode).
+     * blockCapacity-th append seals a block (encode + write).
      *
      * @return true when the record was accepted; false when the
      * writer is degraded by an earlier unrecoverable I/O error —
@@ -138,8 +125,8 @@ class FeatureStoreWriter
     bool append(const FeatureRecord &record);
 
     /**
-     * Drain any in-flight flush, seal the partial block, write the
-     * footer + trailer, and close the file. Idempotent.
+     * Seal the partial block, write the footer + trailer, and close
+     * the file. Idempotent.
      * @return total file bytes, or 0 when the writer is (or
      *         becomes) degraded — the file then holds only its
      *         salvageable sealed prefix, no footer.
@@ -175,13 +162,12 @@ class FeatureStoreWriter
     /** @return column layout the store was opened with. */
     const StoreSchema &schema() const { return schema_; }
 
-    /** @return blocks sealed so far (in-flight ones included). */
+    /** @return blocks sealed so far (failed ones included). */
     std::size_t blocksSealed() const { return sealed_; }
 
     /**
      * Cumulative seconds of store work *exposed* to the producer:
-     * seal-path time (buffer swap + any stall on the previous
-     * in-flight flush + the inline encode/write in sync mode) plus
+     * seal-path time (the encode + write of each block) plus
      * finish(). Per-record staging pushes are not timed — they are
      * a few nanoseconds and timing them would cost more than they
      * do. This is the store's contribution to the per-step overhead
@@ -222,13 +208,12 @@ class FeatureStoreWriter
     /** Shared constructor body (file may be null: degraded open). */
     void init(store::IoError open_error);
 
-    /** Seal the staged block: swap into the pending buffers and
-     *  flush (inline, or as a pool job in async mode). */
+    /** Seal the full staged block, timed as exposed store work. */
     void seal();
 
-    /** Encode + write the pending block (caller or pool worker;
-     *  strictly serialized by the one-job-in-flight discipline). */
-    void flushPending();
+    /** Encode + write the staged block, then clear the staging
+     *  columns (written or lost, the records leave staging). */
+    void flushStaged();
 
     /**
      * Checked write of @p n bytes with the per-seal durability step
@@ -246,27 +231,15 @@ class FeatureStoreWriter
     void fail(const store::IoError &error,
               std::size_t lost_records);
 
-    /** Wait for the in-flight flush job, if any. */
-    void drainFlush();
-
-    /** Swap the staged columns into the (drained) pending buffers
-     *  and reset the staging side for the next block. */
-    void rotateStaging();
-
-    /** Drop the staged records (degraded path). */
-    void discardStaging();
-
     void writeFooter();
 
     /**
      * Atomically publish the live manifest describing the current
      * sealed prefix (tmp + rename; see manifest.hh). Runs on the
-     * flush path — the pool worker in async mode — and inside
-     * finish() for the final generation, so index/zones access is
-     * serialized by the one-job-in-flight discipline. Respects
-     * livePublishEvery unless @p force. On failure latches the
-     * sticky live degrade (warn once) and never touches the data
-     * file or the append path.
+     * seal path and inside finish() for the final generation, both
+     * on the producing thread. Respects livePublishEvery unless
+     * @p force. On failure latches the sticky live degrade (warn
+     * once) and never touches the data file or the append path.
      */
     void publishManifest(bool final_manifest, bool force);
 
@@ -279,23 +252,16 @@ class FeatureStoreWriter
     StoreOptions opts_;
     std::unique_ptr<store::StoreFile> file_;
 
-    /** Active staging columns (ints, then doubles). @{ */
+    /** Staging columns (ints, then doubles). @{ */
     std::vector<std::vector<std::int64_t>> stInt;
     std::vector<std::vector<double>> stDbl;
     std::size_t staged = 0;
     /** @} */
-
-    /** Sealed-but-flushing columns (recycled by swap). @{ */
-    std::vector<std::vector<std::int64_t>> pdInt;
-    std::vector<std::vector<double>> pdDbl;
     std::vector<std::uint8_t> encodeBuf;
-    ThreadPool::JobHandle flushJob;
-    /** @} */
 
-    /** Sticky failure latch. The flag is written by whichever
-     *  thread runs the failing flush (pool worker in async mode)
-     *  and read lock-free on the append fast path; the error detail
-     *  is guarded by errorMutex_. @{ */
+    /** Sticky failure latch. The flag is read lock-free on the
+     *  append fast path and by other threads polling ok(); the error
+     *  detail is guarded by errorMutex_. @{ */
     std::atomic<bool> failed_{false};
     mutable std::mutex errorMutex_;
     store::IoError error_;
@@ -312,9 +278,6 @@ class FeatureStoreWriter
      *  rank merges break it and downgrade range queries). @{ */
     std::int64_t lastIter_ = 0;
     bool sortedAppends_ = true;
-    /** Snapshot of sortedAppends_ taken at rotateStaging so the
-     *  async flush worker never races the producer's appends. */
-    bool pendingSorted_ = true;
     /** @} */
     std::size_t records_ = 0;
     std::size_t sealed_ = 0;
@@ -324,7 +287,7 @@ class FeatureStoreWriter
 
     /** Live-manifest publication state. The flag is sticky and read
      *  lock-free; the error detail shares errorMutex_. Generation
-     *  and scratch are touched only on the (serialized) flush path.
+     *  and scratch are touched only on the producing thread.
      *  @{ */
     std::atomic<bool> liveFailed_{false};
     /** warnOnce latch for the live-degrade warning. */

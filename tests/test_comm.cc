@@ -5,7 +5,10 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <gtest/gtest.h>
+#include <thread>
+#include <vector>
 
 #include "par/serial_comm.hh"
 #include "par/thread_comm.hh"
@@ -83,6 +86,28 @@ TEST(ThreadComm, VectorAllreduceSum)
         EXPECT_DOUBLE_EQ(line[0], 10.0);
         EXPECT_DOUBLE_EQ(line[1], 20.0);
         EXPECT_DOUBLE_EQ(line[2], 30.0);
+    });
+}
+
+TEST(ThreadComm, VectorAllreduceIsRankOrdered)
+{
+    // Floating-point Sum is not associative: folding these in
+    // arrival order (2, 0, 1) gives (v2 + v0) + v1 = 1, the rank
+    // order gives (v0 + v1) + v2 = 0. Every rank must get the
+    // rank-order result, whoever arrives first.
+    const double v[3] = {1e16, 1.0, -1e16};
+    const double expect = (v[0] + v[1]) + v[2];
+    ASSERT_NE(expect, (v[2] + v[0]) + v[1]);
+    const int delay_ms[3] = {50, 100, 0};
+    ThreadCommWorld world(3);
+    world.run([&](Communicator &c) {
+        const auto r = static_cast<std::size_t>(c.rank());
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(delay_ms[r]));
+        std::vector<double> x(4, v[r]);
+        c.allreduceVec(x.data(), x.size(), ReduceOp::Sum);
+        for (double e : x)
+            EXPECT_EQ(e, expect) << "rank " << r;
     });
 }
 

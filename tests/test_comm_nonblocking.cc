@@ -207,17 +207,20 @@ TEST_P(NonblockingStress, BitwiseMatchesBlockingCollectives)
             rb.wait();
             EXPECT_EQ(b1, b2) << "bcast " << i;
 
-            // Vector Max: order-independent, so the blocking path
-            // (which folds in arrival order) is comparable bitwise.
-            std::vector<double> v1(5), v2(5);
-            for (std::size_t j = 0; j < v1.size(); ++j)
-                v1[j] = v2[j] =
-                    std::cos(static_cast<double>(i) + j) + c.rank();
-            c.allreduceVec(v1.data(), v1.size(), ReduceOp::Max);
-            CommRequest rv = c.iallreduceVec(v2.data(), v2.size(),
-                                             ReduceOp::Max);
-            rv.wait();
-            EXPECT_EQ(v1, v2) << "vec " << i;
+            // Vector Sum and Max: both paths fold in rank order, so
+            // even the floating-point Sum must agree bitwise.
+            for (const ReduceOp vop : {ReduceOp::Sum, ReduceOp::Max}) {
+                std::vector<double> v1(5), v2(5);
+                for (std::size_t j = 0; j < v1.size(); ++j)
+                    v1[j] = v2[j] =
+                        std::cos(static_cast<double>(i) + j) *
+                        std::exp(3.0 * c.rank());
+                c.allreduceVec(v1.data(), v1.size(), vop);
+                CommRequest rv =
+                    c.iallreduceVec(v2.data(), v2.size(), vop);
+                rv.wait();
+                EXPECT_EQ(v1, v2) << "vec " << i;
+            }
         }
     });
 }

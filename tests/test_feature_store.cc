@@ -2,10 +2,9 @@
  * @file
  * Feature trace store tests: bit-exact round trips across block
  * boundaries (including NaN/inf/denormal payloads), byte-identical
- * files across sync/async flush modes and 1/2/4 pool threads,
- * truncated-file and corrupted-CRC rejection, block-index range
- * queries against a brute-force scan, and the codec primitives.
- * The async-writer cases double as the TSan battery's store entry.
+ * files across 1/2/4 pool threads, truncated-file and corrupted-CRC
+ * rejection, block-index range queries against a brute-force scan,
+ * and the codec primitives.
  *
  * Fault battery (label fault_smoke via --gtest_filter=StoreFault.*):
  * the crash-point sweep writes through a FaultyFile that tears the
@@ -230,27 +229,21 @@ TEST(FeatureStore, EmptyAndPartialStores)
     std::remove(path.c_str());
 }
 
-TEST(FeatureStore, SyncAsyncThreadSweepByteIdentical)
+TEST(FeatureStore, ThreadSweepByteIdentical)
 {
     const std::string ref_path = tempPath("ref.tdfs");
-    StoreOptions sync_opts;
-    sync_opts.blockCapacity = 16;
-    writeStore(ref_path, 200, 4, sync_opts);
+    StoreOptions opts;
+    opts.blockCapacity = 16;
+    writeStore(ref_path, 200, 4, opts);
     const std::string ref = fileBytes(ref_path);
     ASSERT_FALSE(ref.empty());
 
     for (const int threads : {1, 2, 4}) {
         setGlobalThreadCount(threads);
-        for (const bool async : {false, true}) {
-            const std::string path = tempPath("sweep.tdfs");
-            StoreOptions opts;
-            opts.blockCapacity = 16;
-            opts.async = async;
-            writeStore(path, 200, 4, opts);
-            EXPECT_EQ(fileBytes(path), ref)
-                << "threads=" << threads << " async=" << async;
-            std::remove(path.c_str());
-        }
+        const std::string path = tempPath("sweep.tdfs");
+        writeStore(path, 200, 4, opts);
+        EXPECT_EQ(fileBytes(path), ref) << "threads=" << threads;
+        std::remove(path.c_str());
     }
     setGlobalThreadCount(1);
     std::remove(ref_path.c_str());
@@ -548,30 +541,24 @@ TEST(StoreFault, TransientEioRetriesAndHeals)
     // Two EIO failures (with a torn short write landing a prefix)
     // at block 2, then the file heals: the retry loop truncates
     // back and rewrites, and the result is byte-identical to the
-    // clean run — in sync mode and with the flush on the pool.
-    for (const bool async : {false, true}) {
-        setGlobalThreadCount(async ? 4 : 1);
-        const std::string path = tempPath("eio.tdfs");
-        store::FaultPlan plan;
-        plan.kind = store::FaultPlan::Kind::ErrorAt;
-        plan.atByte = block2_off + 7;
-        plan.errCode = EIO;
-        plan.failCount = 2;
-        plan.shortWrite = true;
-        StoreOptions wopts = opts;
-        wopts.async = async;
-        {
-            auto w = faultyWriter(path, kCoeffs, wopts, plan);
-            for (std::size_t i = 0; i < kRecords; ++i)
-                EXPECT_TRUE(w->append(makeRecord(i, kCoeffs)));
-            EXPECT_TRUE(w->ok()) << w->status().message;
-            EXPECT_GT(w->finish(), 0u);
-            EXPECT_EQ(w->droppedRecords(), 0u);
-        }
-        EXPECT_EQ(fileBytes(path), ref) << "async=" << async;
-        std::remove(path.c_str());
+    // clean run.
+    const std::string path = tempPath("eio.tdfs");
+    store::FaultPlan plan;
+    plan.kind = store::FaultPlan::Kind::ErrorAt;
+    plan.atByte = block2_off + 7;
+    plan.errCode = EIO;
+    plan.failCount = 2;
+    plan.shortWrite = true;
+    {
+        auto w = faultyWriter(path, kCoeffs, opts, plan);
+        for (std::size_t i = 0; i < kRecords; ++i)
+            EXPECT_TRUE(w->append(makeRecord(i, kCoeffs)));
+        EXPECT_TRUE(w->ok()) << w->status().message;
+        EXPECT_GT(w->finish(), 0u);
+        EXPECT_EQ(w->droppedRecords(), 0u);
     }
-    setGlobalThreadCount(1);
+    EXPECT_EQ(fileBytes(path), ref);
+    std::remove(path.c_str());
     std::remove(ref_path.c_str());
 }
 
@@ -592,39 +579,32 @@ TEST(StoreFault, PersistentEnospcDegradesWithoutAborting)
     }
     std::remove(ref_path.c_str());
 
-    for (const bool async : {false, true}) {
-        setGlobalThreadCount(async ? 4 : 1);
-        const std::string path = tempPath("enospc.tdfs");
-        store::FaultPlan plan;
-        plan.kind = store::FaultPlan::Kind::ErrorAt;
-        plan.atByte = block2_off + 3;
-        plan.errCode = ENOSPC; // non-transient: no retry burn
-        {
-            StoreOptions wopts = opts;
-            wopts.async = async;
-            auto w = faultyWriter(path, kCoeffs, wopts, plan);
-            std::size_t accepted = 0;
-            for (std::size_t i = 0; i < kRecords; ++i)
-                if (w->append(makeRecord(i, kCoeffs)))
-                    ++accepted;
-            // The writer degraded instead of dying; the sticky
-            // status names ENOSPC and the failing offset.
-            EXPECT_FALSE(w->ok());
-            EXPECT_LT(accepted, kRecords);
-            const store::IoError err = w->status();
-            EXPECT_EQ(err.code, ENOSPC);
-            EXPECT_NE(err.message.find("offset"),
-                      std::string::npos)
-                << err.message;
-            EXPECT_EQ(w->finish(), 0u);
-            // Every record is either salvageable or counted lost.
-            EXPECT_EQ(w->droppedRecords() + 2 * 16, kRecords);
-        }
-        // The two sealed blocks below the failure survive exactly.
-        expectSalvagePrefix(path, 2 * 16, kCoeffs);
-        std::remove(path.c_str());
+    const std::string path = tempPath("enospc.tdfs");
+    store::FaultPlan plan;
+    plan.kind = store::FaultPlan::Kind::ErrorAt;
+    plan.atByte = block2_off + 3;
+    plan.errCode = ENOSPC; // non-transient: no retry burn
+    {
+        auto w = faultyWriter(path, kCoeffs, opts, plan);
+        std::size_t accepted = 0;
+        for (std::size_t i = 0; i < kRecords; ++i)
+            if (w->append(makeRecord(i, kCoeffs)))
+                ++accepted;
+        // The writer degraded instead of dying; the sticky status
+        // names ENOSPC and the failing offset.
+        EXPECT_FALSE(w->ok());
+        EXPECT_LT(accepted, kRecords);
+        const store::IoError err = w->status();
+        EXPECT_EQ(err.code, ENOSPC);
+        EXPECT_NE(err.message.find("offset"), std::string::npos)
+            << err.message;
+        EXPECT_EQ(w->finish(), 0u);
+        // Every record is either salvageable or counted lost.
+        EXPECT_EQ(w->droppedRecords() + 2 * 16, kRecords);
     }
-    setGlobalThreadCount(1);
+    // The two sealed blocks below the failure survive exactly.
+    expectSalvagePrefix(path, 2 * 16, kCoeffs);
+    std::remove(path.c_str());
 }
 
 TEST(StoreFault, SalvageMatchesFooterReaderOnIntactStore)

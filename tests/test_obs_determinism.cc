@@ -98,7 +98,6 @@ runWave(const std::string &name, bool telemetry, bool async)
     schema.coeffCount = 3;
     StoreOptions opts;
     opts.blockCapacity = 32;
-    opts.async = async;
     FeatureStoreWriter store(path, schema, opts);
     region.setFeatureStore(&store);
 

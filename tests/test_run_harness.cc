@@ -98,11 +98,9 @@ TEST(RunHarness, BareRegionIsNullAndStoreOptionsFollowTheRequest)
               nullptr);
 
     StoreCliOptions cli;
-    cli.async = true;
     cli.live = true;
     cli.durability = "fsync";
     const StoreOptions opts = storeOptionsFrom(cli);
-    EXPECT_TRUE(opts.async);
     EXPECT_TRUE(opts.live);
     EXPECT_EQ(opts.durability, store::DurabilityPolicy::SyncPerSeal);
 }

@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/thread_pool.hh"
 #include "store/codec.hh"
 #include "store/file.hh"
 #include "store/live.hh"
@@ -734,64 +733,56 @@ TEST(LiveTsan, ConcurrentWriterAndPollingReaders)
     constexpr std::size_t kCoeffs = 3;
     constexpr std::size_t kCap = 32;
     constexpr int kReaders = 2;
-    for (const bool async : {false, true}) {
-        setGlobalThreadCount(4);
-        const std::string path = tempPath("tsan_live.tdfs");
-        std::atomic<bool> writer_ok{true};
-        std::thread writer([&] {
-            StoreOptions opts;
-            opts.blockCapacity = kCap;
-            opts.live = true;
-            opts.async = async;
-            StoreSchema schema;
-            schema.coeffCount = kCoeffs;
-            FeatureStoreWriter w(path, schema, opts);
-            for (std::size_t i = 0; i < kRecords; ++i)
-                if (!w.append(makeRecord(i, kCoeffs)))
-                    writer_ok.store(false);
-            if (w.finish() == 0 || !w.liveOk())
+    const std::string path = tempPath("tsan_live.tdfs");
+    std::atomic<bool> writer_ok{true};
+    std::thread writer([&] {
+        StoreOptions opts;
+        opts.blockCapacity = kCap;
+        opts.live = true;
+        StoreSchema schema;
+        schema.coeffCount = kCoeffs;
+        FeatureStoreWriter w(path, schema, opts);
+        for (std::size_t i = 0; i < kRecords; ++i)
+            if (!w.append(makeRecord(i, kCoeffs)))
                 writer_ok.store(false);
-        });
+        if (w.finish() == 0 || !w.liveOk())
+            writer_ok.store(false);
+    });
 
-        std::vector<std::thread> readers;
-        std::vector<std::size_t> delivered(kReaders, 0);
-        std::vector<std::size_t> out_of_order(kReaders, 0);
-        for (int t = 0; t < kReaders; ++t) {
-            readers.emplace_back([&, t] {
-                LiveViewOptions vopts;
-                vopts.pollMinUs = 20;
-                vopts.pollMaxUs = 2000;
-                vopts.stallDeadlineSeconds = 30.0;
-                LiveStoreReader live(path, vopts);
-                TailCursor tail(live);
-                FeatureRecord rec;
-                std::size_t next_iter = 0;
-                while (!tail.done()) {
-                    if (tail.next(rec)) {
-                        if (rec.iteration !=
-                            static_cast<long>(next_iter))
-                            ++out_of_order[t];
-                        ++next_iter;
-                        continue;
-                    }
-                    live.waitForAdvance(0.05);
+    std::vector<std::thread> readers;
+    std::vector<std::size_t> delivered(kReaders, 0);
+    std::vector<std::size_t> out_of_order(kReaders, 0);
+    for (int t = 0; t < kReaders; ++t) {
+        readers.emplace_back([&, t] {
+            LiveViewOptions vopts;
+            vopts.pollMinUs = 20;
+            vopts.pollMaxUs = 2000;
+            vopts.stallDeadlineSeconds = 30.0;
+            LiveStoreReader live(path, vopts);
+            TailCursor tail(live);
+            FeatureRecord rec;
+            std::size_t next_iter = 0;
+            while (!tail.done()) {
+                if (tail.next(rec)) {
+                    if (rec.iteration != static_cast<long>(next_iter))
+                        ++out_of_order[t];
+                    ++next_iter;
+                    continue;
                 }
-                delivered[t] = next_iter;
-            });
-        }
-        writer.join();
-        for (std::thread &r : readers)
-            r.join();
-        EXPECT_TRUE(writer_ok.load()) << "async=" << async;
-        for (int t = 0; t < kReaders; ++t) {
-            EXPECT_EQ(delivered[t], kRecords)
-                << "async=" << async << " reader " << t;
-            EXPECT_EQ(out_of_order[t], 0u)
-                << "async=" << async << " reader " << t;
-        }
-        setGlobalThreadCount(1);
-        removeStore(path);
+                live.waitForAdvance(0.05);
+            }
+            delivered[t] = next_iter;
+        });
     }
+    writer.join();
+    for (std::thread &r : readers)
+        r.join();
+    EXPECT_TRUE(writer_ok.load());
+    for (int t = 0; t < kReaders; ++t) {
+        EXPECT_EQ(delivered[t], kRecords) << "reader " << t;
+        EXPECT_EQ(out_of_order[t], 0u) << "reader " << t;
+    }
+    removeStore(path);
 }
 
 } // namespace

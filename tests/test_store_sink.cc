@@ -23,6 +23,7 @@
 #include "par/store_merge.hh"
 #include "par/thread_comm.hh"
 #include "store/file.hh"
+#include "store/manifest.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
 #include "tests/test_util.hh"
@@ -71,7 +72,7 @@ waveAnalysis()
 /** Instrumented wave run writing a store; @return the store path. */
 std::string
 runWaveWithStore(const std::string &name, bool async_region,
-                 bool async_store, long iters = 200)
+                 long iters = 200)
 {
     const std::string path = tempPath(name);
     WaveDomain domain;
@@ -83,7 +84,6 @@ runWaveWithStore(const std::string &name, bool async_region,
     schema.coeffCount = 3; // order 2 + intercept
     StoreOptions opts;
     opts.blockCapacity = 32;
-    opts.async = async_store;
     FeatureStoreWriter store(path, schema, opts);
     region.setFeatureStore(&store);
 
@@ -102,7 +102,7 @@ runWaveWithStore(const std::string &name, bool async_region,
 TEST(StoreSink, RegionRecordsEveryIteration)
 {
     const std::string path =
-        runWaveWithStore("sink.tdfs", false, false);
+        runWaveWithStore("sink.tdfs", false);
     const auto r = FeatureStoreReader::open(path);
     ASSERT_TRUE(r);
     EXPECT_EQ(r->recordCount(), 201u);
@@ -147,13 +147,13 @@ TEST(StoreSink, RegionRecordsEveryIteration)
 TEST(StoreSink, AsyncRegionSameFeaturePayloads)
 {
     // Features, coefficients, MSE, and stop flags are bitwise
-    // invariant across the region's sync/async ingest and the
-    // store's sync/async flush; only wall_time is clock noise.
+    // invariant across the region's sync/async ingest; only
+    // wall_time is clock noise.
     setGlobalThreadCount(4);
     const std::string sync_path =
-        runWaveWithStore("sync.tdfs", false, false);
+        runWaveWithStore("sync.tdfs", false);
     const std::string async_path =
-        runWaveWithStore("async.tdfs", true, true);
+        runWaveWithStore("async.tdfs", true);
     setGlobalThreadCount(1);
 
     const auto a = FeatureStoreReader::open(sync_path);
@@ -479,8 +479,7 @@ TEST(StoreMerge, SchemaMismatchIsFatal)
 TEST(StoreCApi, EndToEnd)
 {
     const std::string path = tempPath("capi.tdfs");
-    td_store_t *store =
-        td_store_open(path.c_str(), 3, 16, /*async=*/0);
+    td_store_t *store = td_store_open(path.c_str(), 3, 16);
     ASSERT_NE(store, nullptr);
     const double coeffs[3] = {1.0, -0.5, 0.25};
     for (long i = 0; i < 50; ++i) {
@@ -513,6 +512,43 @@ TEST(StoreCApi, EndToEnd)
     std::remove(path.c_str());
 }
 
+TEST(StoreCApi, OpenVariantsParseDurabilityAlike)
+{
+    const std::string path = tempPath("capi_open.tdfs");
+    const std::string live = store::manifestPathFor(path);
+    // An unknown policy is a NULL return, never a terminated
+    // process, on both entry points that take one.
+    EXPECT_EQ(td_store_open_ex(path.c_str(), 2, 8, "sometimes"),
+              nullptr);
+    EXPECT_EQ(td_store_open_live(path.c_str(), 2, 8, "sometimes"),
+              nullptr);
+    EXPECT_EQ(td_store_open_ex(path.c_str(), -1, 8, nullptr), nullptr);
+    EXPECT_EQ(td_store_open_live(nullptr, 2, 8, nullptr), nullptr);
+
+    const double coeffs[2] = {0.5, 1.5};
+    for (const char *durability : {"none", "flush", "fsync"}) {
+        for (const bool with_live : {false, true}) {
+            std::remove(live.c_str());
+            td_store_t *store =
+                with_live
+                    ? td_store_open_live(path.c_str(), 2, 8, durability)
+                    : td_store_open_ex(path.c_str(), 2, 8, durability);
+            ASSERT_NE(store, nullptr) << durability;
+            for (long i = 0; i < 20; ++i)
+                EXPECT_EQ(td_store_append(store, i, 0, 0, 0.0, 1.0,
+                                          2.0, 0.1, coeffs),
+                          0);
+            EXPECT_GT(td_store_close(store), 0);
+            EXPECT_EQ(td_store_record_count(path.c_str()), 20);
+            // Only the live entry point publishes a manifest.
+            EXPECT_EQ(std::ifstream(live).good(), with_live)
+                << durability;
+        }
+    }
+    std::remove(live.c_str());
+    std::remove(path.c_str());
+}
+
 TEST(StoreCApi, RegionSinkThroughCApi)
 {
     static WaveDomain domain; // provider needs process lifetime
@@ -530,8 +566,7 @@ TEST(StoreCApi, RegionSinkThroughCApi)
     ASSERT_EQ(id, 0);
 
     const std::string path = tempPath("capi_region.tdfs");
-    td_store_t *store =
-        td_store_open(path.c_str(), 5, 0, /*async=*/1);
+    td_store_t *store = td_store_open(path.c_str(), 5, 0);
     ASSERT_NE(store, nullptr);
     td_region_set_store(region, store);
 
