@@ -2,14 +2,13 @@
  * @file
  * Feature-store throughput and compression baseline (PR 5).
  *
- * Part 1 — writer sweep: append a deterministic feature-record
- * stream across a thread sweep, measuring the *exposed* store cost
+ * Part 1 — writer cost: append a deterministic feature-record
+ * stream --reps times, measuring the *exposed* store cost
  * (seal-path time that blocked the producer,
  * FeatureStoreWriter::exposedSeconds) and the wall time of the
- * append loop. Gate (exit 1 on failure): the files are
- * byte-identical at every thread count and repetition (FNV digest
- * over the file bytes) — the seal runs inline on the appending
- * thread, so the pool size must not change a byte.
+ * append loop. Gate (exit 1 on failure): every repetition's file is
+ * byte-identical (FNV digest over the file bytes). The writer does
+ * not use the thread pool, so there is no thread axis to sweep.
  *
  * Part 2 (PR 6) — durability and failure overhead: what each
  * DurabilityPolicy level costs per record (flush-per-seal gated
@@ -36,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/thread_pool.hh"
 #include "clover2d/app.hh"
 #include "core/region.hh"
 #include "store/reader.hh"
@@ -117,7 +115,6 @@ main(int argc, char **argv)
     args.addInt("coeffs", 4, "coefficient columns");
     args.addInt("block", 256, "records per block");
     args.addInt("reps", 3, "repetitions (best-of)");
-    args.addString("threads", "1,2,4", "thread counts to sweep");
     args.addInt("size", 48, "clover grid edge (compression part)");
     args.addDouble("ratio-gate", 4.0,
                    "fail when trace/store size ratio is below this");
@@ -134,52 +131,44 @@ main(int argc, char **argv)
     const auto block = static_cast<std::size_t>(args.getInt("block"));
     const int reps = static_cast<int>(args.getInt("reps"));
     const double ratio_gate = args.getDouble("ratio-gate");
-    const std::vector<std::int64_t> threads =
-        ArgParser::parseIntList(args.getString("threads"));
 
     banner("feature-store throughput (PR 5)",
-           "exposed append cost by thread count + compression vs raw "
-           "trace dump");
+           "exposed append cost + compression vs raw trace dump");
     std::printf("-- hardware threads: %u\n\n",
                 std::thread::hardware_concurrency());
 
     std::vector<BenchRecord> records;
     bool ok = true;
 
-    // ---------------------------------------------- writer sweep
-    AsciiTable table({"threads", "exposed us/rec", "append us/rec",
-                      "bytes/rec", "identical"});
-    bool have_ref = false;
+    // ---------------------------------------------- writer cost
+    AsciiTable table({"exposed us/rec", "append us/rec", "bytes/rec",
+                      "identical"});
+    WriteResult best;
+    best.exposed = 1e100;
     std::uint64_t ref_digest = 0;
-    for (const std::int64_t t : threads) {
-        setGlobalThreadCount(static_cast<int>(t));
-        WriteResult best;
-        best.exposed = 1e100;
-        bool identical = true;
-        for (int rep = 0; rep < reps; ++rep) {
-            const WriteResult r = writeOnce(
-                "store_tp_sweep.tdfs", records_n, coeffs, block);
-            if (r.exposed < best.exposed)
-                best = r;
-            if (!have_ref) {
-                ref_digest = r.digest;
-                have_ref = true;
-            }
-            identical = identical && r.digest == ref_digest;
-        }
-        if (!identical)
-            ok = false;
+    bool identical = true;
+    for (int rep = 0; rep < reps; ++rep) {
+        const WriteResult r = writeOnce("store_tp_writer.tdfs",
+                                        records_n, coeffs, block);
+        if (r.exposed < best.exposed)
+            best = r;
+        if (rep == 0)
+            ref_digest = r.digest;
+        identical = identical && r.digest == ref_digest;
+    }
+    std::remove("store_tp_writer.tdfs");
+    if (!identical)
+        ok = false;
+    {
         const double n = static_cast<double>(records_n);
         table.addRow(
-            {std::to_string(t),
-             AsciiTable::fmt(1e6 * best.exposed / n, 3),
+            {AsciiTable::fmt(1e6 * best.exposed / n, 3),
              AsciiTable::fmt(1e6 * best.appendWall / n, 3),
              AsciiTable::fmt(static_cast<double>(best.bytes) / n, 1),
              identical ? "yes" : "NO"});
 
         BenchRecord rec;
-        rec.name = "writer_sweep_t" + std::to_string(t);
-        rec.metrics["threads"] = static_cast<double>(t);
+        rec.name = "writer";
         rec.metrics["records"] = n;
         rec.metrics["exposed_s"] = best.exposed;
         rec.metrics["append_wall_s"] = best.appendWall;
@@ -187,8 +176,6 @@ main(int argc, char **argv)
         rec.metrics["files_identical"] = identical ? 1.0 : 0.0;
         records.push_back(rec);
     }
-    setGlobalThreadCount(1);
-    std::remove("store_tp_sweep.tdfs");
     table.print();
 
     // ----------------------------- durability-policy overhead sweep
@@ -404,7 +391,7 @@ main(int argc, char **argv)
         return 1;
     }
     std::printf("\nall gates passed: files byte-identical across "
-                "threads, flush-per-seal <= %.2fx none, degraded "
+                "reps, flush-per-seal <= %.2fx none, degraded "
                 "append <= %.2fx healthy, compression >= %.1fx\n",
                 durability_gate, degraded_gate, ratio_gate);
     return 0;
