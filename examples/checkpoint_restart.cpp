@@ -17,7 +17,7 @@
  *   --ckpt-every <n>      iterations between generations (default 5)
  *   --ckpt-keep <n>       generations kept (default 3)
  *   --ckpt-durability <p> none | flush | fsync
- *   --keep-ckpt           leave the generations + manifest on disk
+ *   --keep-ckpt           leave the generations on disk
  *                         (scripts/check_build.sh inspects them with
  *                         `tdfstool ckpt-info`)
  *   --tear-newest         tear the final pre-crash generation
@@ -182,12 +182,10 @@ main(int argc, char **argv)
     std::printf("resumed run identical to uninterrupted run: %s\n",
                 identical ? "yes" : "NO");
 
-    if (!keep_ckpt) {
+    if (!keep_ckpt)
         for (const ckpt::Generation &g :
              ckpt::listGenerations(ckptCli.path))
             std::remove(g.path.c_str());
-        std::remove((ckptCli.path + ".manifest").c_str());
-    }
     finishObsOptions(obsCli);
     return identical ? 0 : 1;
 }

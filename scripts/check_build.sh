@@ -114,7 +114,7 @@ if ./tdfstool ckpt-info check_torn.tdck > /dev/null 2>&1; then
   echo "!! torn checkpoint unexpectedly verified" && exit 1
 fi
 rm -f check_resume.tdfs check_resume.tdfs.reference \
-    check_ckpt.*.tdck check_ckpt.manifest check_torn.tdck
+    check_ckpt.*.tdck check_torn.tdck
 
 # Live serving smoke: first the dashboard demo (in-process writer +
 # tail, exits nonzero unless the tail delivers every record exactly

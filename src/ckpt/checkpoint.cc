@@ -390,7 +390,6 @@ CheckpointSet::save(std::uint64_t iteration,
     static obs::Counter bytes("ckpt.bytes_written_total");
     bytes.add(payload.size());
     pruneOld();
-    rewriteManifest();
     return true;
 }
 
@@ -417,27 +416,6 @@ CheckpointSet::pruneOld() const
     for (std::size_t i = static_cast<std::size_t>(keep_);
          i < gens.size(); ++i)
         std::remove(gens[i].path.c_str());
-}
-
-void
-CheckpointSet::rewriteManifest() const
-{
-    // Advisory (the load-time directory scan is authoritative):
-    // a human-readable index for post-mortem triage, atomically
-    // replaced so it never shows a torn state itself.
-    const std::string path = prefix_ + ".manifest";
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp, std::ios::trunc);
-        if (!out)
-            return;
-        out << "# tdfe checkpoint manifest (newest first)\n";
-        for (const Generation &g : listGenerations(prefix_))
-            out << g.iteration << " " << g.path << "\n";
-        if (!out.good())
-            return;
-    }
-    std::rename(tmp.c_str(), path.c_str());
 }
 
 void

@@ -124,11 +124,9 @@ std::string generationPath(const std::string &prefix,
                            std::uint64_t iteration);
 
 /**
- * Rotating set of checkpoint generations under one path prefix,
- * plus a human-readable `<prefix>.manifest` rewritten (atomically)
- * after every save. The directory scan — not the manifest — is
- * authoritative on load, so a crash between rename and manifest
- * update costs nothing.
+ * Rotating set of checkpoint generations under one path prefix.
+ * Loading scans the directory for `<prefix>.NNNNNN.tdck` files, so
+ * the generations themselves are the only state on disk.
  */
 class CheckpointSet
 {
@@ -185,7 +183,6 @@ class CheckpointSet
     }
 
   private:
-    void rewriteManifest() const;
     void pruneOld() const;
 
     std::string prefix_;

@@ -147,16 +147,17 @@ openStore(const char *path, int n_coeffs, int block_capacity,
             static_cast<std::size_t>(block_capacity);
     options.live = live;
     if (durability) {
+        using tdfe::store::DurabilityPolicy;
         const std::string d(durability);
-        if (d == "none")
-            options.durability = tdfe::store::DurabilityPolicy::None;
-        else if (d == "flush")
-            options.durability =
-                tdfe::store::DurabilityPolicy::FlushPerSeal;
-        else if (d == "fsync")
-            options.durability =
-                tdfe::store::DurabilityPolicy::SyncPerSeal;
-        else
+        bool known = false;
+        for (const DurabilityPolicy p :
+             {DurabilityPolicy::None, DurabilityPolicy::FlushPerSeal,
+              DurabilityPolicy::SyncPerSeal})
+            if (d == tdfe::store::durabilityPolicyName(p)) {
+                options.durability = p;
+                known = true;
+            }
+        if (!known)
             return nullptr;
     }
     return new td_store(path, schema, options);

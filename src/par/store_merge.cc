@@ -107,11 +107,10 @@ mergeRankStores(const std::vector<std::string> &parts,
     // with the smallest iteration, ties broken toward the lower
     // part (rank) index so equal-iteration records keep rank order.
     // Every part a rank writes is iteration-sorted, so the merged
-    // store keeps the footer's sorted flag and stays binary-
-    // searchable (cursorAt/readRange skip to the right blocks
-    // instead of falling back to a sequential scan). A linear
-    // min-scan over the heads is plenty: parts = world size, and
-    // re-encoding each record dwarfs the scan.
+    // store keeps the footer's sorted flag, and iteration-range
+    // queries over it exit at the first block past their window. A
+    // linear min-scan over the heads is plenty: parts = world size,
+    // and re-encoding each record dwarfs the scan.
     struct Head
     {
         FeatureStoreReader::Cursor cur;

@@ -7,8 +7,8 @@
  * merge (ties in rank order, so equal-iteration records still read
  * like concatenated per-rank logs). Each part is iteration-sorted,
  * so the merged file is too: it keeps the footer's sorted flag,
- * and cursorAt/readRange/filtered queries binary-search its block
- * index like any single-rank store's.
+ * and iteration-range queries stop at the first block past their
+ * window like on any single-rank store.
  *
  * Failure semantics: the merge is policy-driven. MergePolicy::Fail
  * keeps the historical behavior (any unreadable part is fatal);

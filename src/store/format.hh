@@ -39,7 +39,9 @@
  *
  * The trailer is fixed-size and at the very end, so a reader finds
  * the footer without scanning; any truncation loses the trailer (or
- * breaks the footer CRC) and is rejected at open.
+ * breaks the footer CRC) and is rejected at open. The live manifest
+ * (manifest.hh) embeds these footer bytes for a store's sealed
+ * prefix, and readers parse both with the same code.
  *
  * Crash consistency: the layout is deliberately recoverable without
  * its footer. Blocks are self-delimiting (the record count and the

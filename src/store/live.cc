@@ -205,24 +205,47 @@ LiveStoreReader::adopt(const store::LiveManifest &m, std::string *why)
         prev = snap_;
     }
 
+    // The manifest's footer is read exactly as a finished store's:
+    // the data file's header first (it fixes the version, capacity,
+    // and schema the footer must agree with), then the one footer
+    // parser, with the sealed extent standing in for the footer
+    // offset.
+    std::unique_ptr<FeatureStoreReader> r(new FeatureStoreReader());
+    if (!r->loadAndCheckHeader(path_, why, opts_.fileFactory))
+        return false;
+    if (r->fileBytes() < m.dataBytes) {
+        // The classic lying-kernel tear: the manifest made it to
+        // disk, the data it indexes did not.
+        *why = "live manifest: runs ahead of the data file (" +
+               std::to_string(r->fileBytes()) + " < " +
+               std::to_string(m.dataBytes) + " bytes)";
+        return false;
+    }
+    std::string detail;
+    if (!r->parseFooter(m.footer.data(), m.footer.size(), m.dataBytes,
+                        &detail)) {
+        *why = "live manifest: " + detail;
+        return false;
+    }
+
     // Generations come from one writer over one store: the shape
     // must not change, and the previous snapshot's blocks must
     // reappear verbatim as a prefix (sealed blocks are immutable).
     // A manifest violating either is not a newer view of our store.
     const FeatureStoreReader *pr =
         prev ? prev->reader.get() : nullptr;
-    if (pr && (m.blockCapacity != pr->blockCapacity() ||
-               m.coeffCount != pr->schema().coeffCount)) {
+    if (pr && (r->blockCapacity() != pr->blockCapacity() ||
+               r->schema() != pr->schema())) {
         *why = "live manifest: schema/capacity changed mid-stream";
         return false;
     }
     const std::size_t prev_blocks = pr ? pr->blockCount() : 0;
-    if (m.index.size() < prev_blocks) {
+    if (r->blockCount() < prev_blocks) {
         *why = "live manifest: fewer blocks than the adopted view";
         return false;
     }
     for (std::size_t b = 0; b < prev_blocks; ++b) {
-        const store::BlockInfo &a = m.index[b];
+        const store::BlockInfo &a = r->blockInfo(b);
         const store::BlockInfo &o = pr->blockInfo(b);
         if (a.offset != o.offset || a.size != o.size ||
             a.records != o.records) {
@@ -231,60 +254,21 @@ LiveStoreReader::adopt(const store::LiveManifest &m, std::string *why)
         }
     }
 
-    std::unique_ptr<FeatureStoreReader> r(new FeatureStoreReader());
-    r->schema_.coeffCount =
-        static_cast<std::size_t>(m.coeffCount);
-    r->version_ = m.storeVersion;
-    r->capacity_ = static_cast<std::size_t>(m.blockCapacity);
-    r->records_ = static_cast<std::size_t>(m.recordCount);
-    r->sorted_ = m.sorted;
-    r->index = m.index;
-    r->zones_ = m.zones;
-    for (std::size_t i = 0; i < r->schema_.intColumns(); ++i)
-        r->names_.push_back(StoreSchema::intColumnName(i));
-    for (std::size_t i = 0; i < r->schema_.doubleColumns(); ++i)
-        r->names_.push_back(r->schema_.doubleColumnName(i));
-
-    if (!m.index.empty()) {
-        store::IoError io;
-        std::unique_ptr<store::ReadFile> file =
-            store::openReadFileVia(opts_.fileFactory, path_, &io);
-        if (!file) {
-            *why = "live manifest: data file unreadable: " +
-                   io.message;
+    // CRC-check and decode only the blocks this view adds: earlier
+    // ones were validated when first adopted and are immutable, so
+    // refresh stays O(new blocks) — amortized one decode per block
+    // over the store's lifetime.
+    std::vector<std::uint8_t> raw;
+    std::vector<std::vector<std::int64_t>> ints;
+    std::vector<std::vector<double>> dbls;
+    for (std::size_t b = prev_blocks; b < r->blockCount(); ++b) {
+        if (!r->decodeBlock(b, raw, ints, dbls, &detail)) {
+            *why = "live manifest: new block " + std::to_string(b) +
+                   " rejected: " + detail;
             return false;
-        }
-        if (file->size() < m.dataBytes) {
-            // The classic lying-kernel tear: the manifest made it
-            // to disk, the data it indexes did not.
-            *why = "live manifest: runs ahead of the data file (" +
-                   std::to_string(file->size()) + " < " +
-                   std::to_string(m.dataBytes) + " bytes)";
-            return false;
-        }
-        r->file_ = std::move(file);
-
-        if (opts_.validateBlocks) {
-            // Only blocks this view adds: earlier ones were
-            // validated when first adopted and are immutable, so
-            // refresh stays O(new blocks) — amortized one decode
-            // per block over the store's lifetime.
-            std::vector<std::uint8_t> raw;
-            std::vector<std::vector<std::int64_t>> ints;
-            std::vector<std::vector<double>> dbls;
-            std::string detail;
-            for (std::size_t b = prev_blocks; b < r->index.size();
-                 ++b) {
-                if (!r->decodeBlock(b, raw, ints, dbls, &detail)) {
-                    *why = "live manifest: new block " +
-                           std::to_string(b) +
-                           " rejected: " + detail;
-                    return false;
-                }
-            }
-            r->resetIoStats(); // validation is not query I/O
         }
     }
+    r->resetIoStats(); // validation is not query I/O
 
     auto snap = std::make_shared<LiveSnapshot>();
     snap->reader = std::move(r);

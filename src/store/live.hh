@@ -4,32 +4,37 @@
  * that is still being written. The writer republishes a CRC-framed
  * manifest sidecar after sealed blocks (see manifest.hh); a
  * LiveStoreReader follows those publications and turns each one it
- * accepts into an immutable snapshot — a footerless
- * FeatureStoreReader over exactly the manifest's sealed prefix. A
- * StoreView pins one snapshot (shared ownership), so everything the
- * read side already knows how to do — cursors, readRange, the full
- * query engine with zone-map pushdown — runs unchanged against a
- * view while the writer keeps appending: the view simply never
- * describes the unsealed tail.
+ * accepts into an immutable snapshot — a FeatureStoreReader over
+ * exactly the manifest's sealed prefix, built from the footer the
+ * manifest embeds by the same parser open() runs on a finished
+ * store's footer. A StoreView pins one snapshot (shared ownership),
+ * so everything the read side already knows how to do — cursors,
+ * the full query engine with zone-map pushdown — runs unchanged
+ * against a view while the writer keeps appending: the view simply
+ * never describes the unsealed tail.
  *
  * Consistency model (names_view / names_commit style): refresh()
  * either adopts a whole newer manifest or keeps the current
  * snapshot untouched — there is no intermediate state. Adoption is
- * defended in depth: the manifest frame is CRC-checked, its index
- * is structurally validated, the data file must be at least as long
- * as the prefix the manifest claims, and every *newly indexed*
- * block is CRC-checked and fully decoded before the snapshot is
- * published (blocks already covered by the previous snapshot are
- * immutable and were validated when first adopted). A lying kernel
- * that tears the data file while manifests keep arriving therefore
- * cannot produce a view with a torn record — the refresh is
- * rejected and the reader keeps serving its last good snapshot.
+ * defended in depth: the manifest frame is CRC-checked, the data
+ * file's header must pass the same check open() and salvage()
+ * apply, the data file must be at least as long as the prefix the
+ * manifest claims, the embedded footer must pass open()'s footer
+ * validation against that prefix, the previously adopted blocks
+ * must reappear unchanged, and every *newly indexed* block is
+ * CRC-checked and fully decoded before the snapshot is published
+ * (blocks already covered by the previous snapshot are immutable
+ * and were validated when first adopted). A lying kernel that tears
+ * the data file while manifests keep arriving therefore cannot
+ * produce a view with a torn record — the refresh is rejected and
+ * the reader keeps serving its last good snapshot.
  *
  * Degradation model: nothing here is fatal. A missing manifest, a
- * torn frame, an injected read fault, a manifest ahead of the data
- * file — all reject one refresh and leave the previous snapshot
- * serving. A writer that stops publishing trips the stall deadline
- * and the reader degrades to a static terminal view: the store's
+ * torn or unsupported frame, a corrupt data-file header, an
+ * injected read fault, a manifest ahead of the data file — all
+ * reject one refresh and leave the previous snapshot serving. A
+ * writer that stops publishing trips the stall deadline and the
+ * reader degrades to a static terminal view: the store's
  * footer if the writer actually finished (Final), else the best
  * salvage-consistent prefix it can prove (WriterLost). Mirrors the
  * Region::setCommDeadline discipline — a dead peer degrades the
@@ -79,11 +84,6 @@ struct LiveViewOptions
      *  declares the writer lost and degrades to a static view
      *  (<= 0: wait forever). */
     double stallDeadlineSeconds = 30.0;
-    /** CRC + fully decode newly indexed blocks before adopting a
-     *  manifest. The torn-data defence; tests disable it only to
-     *  prove it is what stands between a lying kernel and a torn
-     *  record. */
-    bool validateBlocks = true;
 };
 
 /** Lifecycle of a live reader. */
@@ -123,8 +123,8 @@ class StoreView
     bool valid() const { return snap_ != nullptr; }
 
     /** @return the pinned reader (fatal on an invalid view — pin
-     *  before use is the caller contract). Cursors, readRange, and
-     *  QueryCursor over it behave exactly as on a finished store. */
+     *  before use is the caller contract). Cursors and QueryCursor
+     *  over it behave exactly as on a finished store. */
     const FeatureStoreReader &reader() const;
 
     /** @return manifest generation this view pins (0: invalid). */
@@ -196,9 +196,10 @@ class LiveStoreReader
     /**
      * One poll: read the manifest sidecar, validate, adopt if it is
      * a newer generation. Never blocks beyond the I/O itself and
-     * never throws away a good snapshot — every failure (missing or
-     * torn manifest, data file shorter than claimed, a newly
-     * indexed block that fails CRC/decode, injected read fault)
+     * never throws away a good snapshot — every failure (missing,
+     * torn, or unsupported manifest, corrupt data-file header, data
+     * file shorter than claimed, a newly indexed block that fails
+     * CRC/decode, injected read fault)
      * rejects this attempt and keeps the previous snapshot serving.
      * Falls back to a footer-backed Final snapshot when no manifest
      * exists but the store is complete (a pre-live or cleaned-up
@@ -231,9 +232,10 @@ class LiveStoreReader
     std::string lastError() const;
 
   private:
-    /** Validate @p m against the data file and adopt it as the new
-     *  snapshot. @return false (with the reason in @p why) when
-     *  validation rejects it. */
+    /** Validate @p m against the data file — header check, footer
+     *  parse over the sealed extent, prefix immutability, new-block
+     *  decode — and adopt it as the new snapshot. @return false
+     *  (with the reason in @p why) when validation rejects it. */
     bool adopt(const store::LiveManifest &m, std::string *why);
 
     /** Terminal degrade after a stall: footer-backed Final when the

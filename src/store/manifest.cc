@@ -22,37 +22,10 @@ encodeManifest(const LiveManifest &m, std::vector<std::uint8_t> &out)
     out.clear();
     out.insert(out.end(), manifestMagic, manifestMagic + 8);
     putU32(out, manifestVersion);
-    putU32(out, m.storeVersion);
     putU64(out, m.generation);
     putU32(out, m.flags);
-    putU32(out, static_cast<std::uint32_t>(m.blockCapacity));
-    putU32(out, m.intColumns);
-    putU32(out, m.doubleColumns);
-    putU64(out, m.coeffCount);
-    putU64(out, m.index.size());
-    putU64(out, m.recordCount);
     putU64(out, m.dataBytes);
-    putU32(out, m.sorted ? 1 : 0);
-    for (std::size_t b = 0; b < m.index.size(); ++b) {
-        const BlockInfo &info = m.index[b];
-        putU64(out, info.offset);
-        putU64(out, info.size);
-        putU64(out, info.records);
-        putI64(out, info.firstIter);
-        putI64(out, info.lastIter);
-        const BlockZone &z = m.zones[b];
-        for (std::size_t c = 0; c < zoneIntColumns; ++c) {
-            putI64(out, z.intMin[c]);
-            putI64(out, z.intMax[c]);
-        }
-        for (std::size_t c = 0; c < zoneDoubleColumns; ++c) {
-            std::uint64_t bits;
-            std::memcpy(&bits, &z.dblMin[c], sizeof(bits));
-            putU64(out, bits);
-            std::memcpy(&bits, &z.dblMax[c], sizeof(bits));
-            putU64(out, bits);
-        }
-    }
+    out.insert(out.end(), m.footer.begin(), m.footer.end());
     putU32(out, crc32(out.data(), out.size()));
 }
 
@@ -65,14 +38,6 @@ reject(std::string *error, const std::string &msg)
     if (error)
         *error = "live manifest: " + msg;
     return false;
-}
-
-double
-bitsToDouble(std::uint64_t b)
-{
-    double v;
-    std::memcpy(&v, &b, sizeof(v));
-    return v;
 }
 
 } // namespace
@@ -91,69 +56,12 @@ decodeManifest(const std::uint8_t *data, std::size_t n,
     if (framing != manifestVersion)
         return reject(error, "unsupported manifest version " +
                                  std::to_string(framing));
-    out.storeVersion = r.u32();
     out.generation = r.u64();
     out.flags = r.u32();
-    out.blockCapacity = r.u32();
-    out.intColumns = r.u32();
-    out.doubleColumns = r.u32();
-    out.coeffCount = r.u64();
-    const std::uint64_t n_blocks = r.u64();
-    out.recordCount = r.u64();
     out.dataBytes = r.u64();
-    out.sorted = r.u32() != 0;
     if (!r.ok())
         return reject(error, "truncated frame");
-    if (out.storeVersion < minSupportedFormatVersion ||
-        out.storeVersion > formatVersion)
-        return reject(error, "unsupported store version " +
-                                 std::to_string(out.storeVersion));
-    // The same header-plausibility bounds open() enforces: every
-    // later loop and allocation is bounded by these counts.
-    if (out.blockCapacity == 0 ||
-        out.blockCapacity > maxBlockCapacity ||
-        out.intColumns != zoneIntColumns ||
-        out.doubleColumns < zoneDoubleColumns ||
-        out.doubleColumns > maxDoubleColumns ||
-        out.coeffCount != out.doubleColumns - zoneDoubleColumns)
-        return reject(error, "implausible schema fields");
-    if (n_blocks > r.remaining() / (indexEntryBytes + zoneEntryBytes))
-        return reject(error, "block count implausible");
-
-    out.index.resize(static_cast<std::size_t>(n_blocks));
-    out.zones.resize(static_cast<std::size_t>(n_blocks));
-    std::uint64_t record_sum = 0;
-    std::uint64_t prev_end = headerBytes;
-    for (std::size_t b = 0; b < out.index.size(); ++b) {
-        BlockInfo &info = out.index[b];
-        info.offset = r.u64();
-        info.size = r.u64();
-        info.records = r.u64();
-        info.firstIter = r.i64();
-        info.lastIter = r.i64();
-        if (info.offset != prev_end || info.size < 8 ||
-            info.offset + info.size > out.dataBytes ||
-            info.records == 0 || info.records > out.blockCapacity ||
-            info.records > info.size)
-            return reject(error, "block index entry out of range");
-        prev_end = info.offset + info.size;
-        record_sum += info.records;
-        BlockZone &z = out.zones[b];
-        for (std::size_t c = 0; c < zoneIntColumns; ++c) {
-            z.intMin[c] = r.i64();
-            z.intMax[c] = r.i64();
-        }
-        for (std::size_t c = 0; c < zoneDoubleColumns; ++c) {
-            z.dblMin[c] = bitsToDouble(r.u64());
-            z.dblMax[c] = bitsToDouble(r.u64());
-        }
-    }
-    if (!r.ok() || r.remaining() != 0)
-        return reject(error, "trailing bytes after index");
-    if (prev_end != out.dataBytes)
-        return reject(error, "blocks do not tile the data extent");
-    if (record_sum != out.recordCount)
-        return reject(error, "record count disagrees with index");
+    out.footer.assign(r.cursor(), r.cursor() + r.remaining());
     return true;
 }
 

@@ -2,32 +2,38 @@
  * @file
  * The live manifest: a compact CRC-framed sidecar ("<store>.live")
  * the writer republishes atomically (tmp + rename) after sealed
- * blocks, carrying everything a reader needs to serve the sealed
- * prefix of a store that is still being appended to — schema,
- * sealed-block index, zone map, record count, and a monotonically
- * increasing generation. The data file's unsealed tail is never
- * described and therefore never trusted; a reader that pins one
- * manifest sees one immutable prefix, which is what makes live
- * views snapshot-isolated (see live.hh).
+ * blocks, so a reader can serve the sealed prefix of a store that
+ * is still being appended to. Its body is the footer the writer
+ * would write if it finished at that seal — the same encoder, the
+ * same bytes (format.hh) — and a reader parses and validates it
+ * with the same footer parser FeatureStoreReader::open uses, after
+ * checking the data file's header exactly as open() does. The frame
+ * adds only what a footer cannot say: which publication it is,
+ * whether more will follow, and where the sealed prefix ends. The
+ * data file's unsealed tail is never described and therefore never
+ * trusted; a reader that pins one manifest sees one immutable
+ * prefix, which is what makes live views snapshot-isolated (see
+ * live.hh).
  *
- * Layout (little-endian, one frame):
+ * Layout (little-endian, one frame, manifest version 2):
  *
  *   magic "TDFSLIV1" (8)
- *   u32 manifest version, u32 store format version
+ *   u32 manifest version
  *   u64 generation          monotone per publication
  *   u32 flags               bit 0: final (writer finished or
  *                           degraded — no further generations),
  *                           bit 1: writer degraded (the store holds
  *                           only a partial trace)
- *   u32 block capacity, u32 int cols, u32 double cols,
- *   u64 coeff count
- *   u64 block count, u64 record count
  *   u64 data bytes          extent of the sealed prefix in the data
- *                           file (header + all indexed blocks)
- *   u32 sorted flag
- *   per block: the footer's index entry (offset, size, records,
- *              first/last iteration) followed by its zone-map entry
+ *                           file (header + all indexed blocks): the
+ *                           offset the footer would be written at
+ *   footer                  the format.hh footer of the sealed
+ *                           prefix, its own CRC included
  *   u32 CRC-32 over everything before it
+ *
+ * Version 1 frames carried their own copy of the index and zone
+ * map; this build rejects them as unsupported, and a live view that
+ * meets one keeps its snapshot and polls again.
  *
  * The frame is rewritten whole every time; rename() makes each
  * publication atomic, so a reader observes either the previous or
@@ -44,8 +50,6 @@
 #include <string>
 #include <vector>
 
-#include "store/format.hh"
-
 namespace tdfe
 {
 
@@ -56,8 +60,9 @@ namespace store
 constexpr char manifestMagic[8] = {'T', 'D', 'F', 'S',
                                    'L', 'I', 'V', '1'};
 
-/** Manifest framing version written by this build. */
-constexpr std::uint32_t manifestVersion = 1;
+/** Manifest framing version written (and the only one read) by this
+ *  build. */
+constexpr std::uint32_t manifestVersion = 2;
 
 /** LiveManifest::flags bits. @{ */
 constexpr std::uint32_t manifestFlagFinal = 1u << 0;
@@ -70,28 +75,15 @@ std::string manifestPathFor(const std::string &store_path);
 /** In-memory form of one published manifest. */
 struct LiveManifest
 {
-    /** Store format version of the data file (see format.hh). */
-    std::uint32_t storeVersion = formatVersion;
     /** Publication counter; strictly increasing per writer. */
     std::uint64_t generation = 0;
     /** manifestFlag* bits. */
     std::uint32_t flags = 0;
-    /** Header fields of the data file (readers cross-check). @{ */
-    std::uint64_t blockCapacity = 0;
-    std::uint32_t intColumns = 0;
-    std::uint32_t doubleColumns = 0;
-    std::uint64_t coeffCount = 0;
-    /** @} */
-    /** Records across the indexed blocks. */
-    std::uint64_t recordCount = 0;
     /** Sealed-prefix extent in the data file: header + blocks. */
     std::uint64_t dataBytes = 0;
-    /** Appends were nondecreasing in iteration. */
-    bool sorted = true;
-    /** Sealed-block index, exactly the footer's entries. */
-    std::vector<BlockInfo> index;
-    /** Per-block zone map, parallel to @c index. */
-    std::vector<BlockZone> zones;
+    /** Footer bytes describing the sealed prefix (format.hh, CRC
+     *  included); FeatureStoreReader parses them. */
+    std::vector<std::uint8_t> footer;
 
     bool final() const { return (flags & manifestFlagFinal) != 0; }
     bool
@@ -107,11 +99,10 @@ void encodeManifest(const LiveManifest &m,
 
 /**
  * Parse @p n bytes at @p data into @p out. Validates the magic, the
- * framing version, the CRC, and the structural plausibility of the
- * index (blocks tile [headerBytes, dataBytes), record counts agree)
- * — the same paranoia FeatureStoreReader::open applies to footers,
- * because a manifest is user data read mid-write. @return false
- * with a diagnostic in @p error on any malformation.
+ * CRC, the framing version, and that the fixed fields are present;
+ * the footer is copied out unparsed — the reader validates it
+ * against the data file. @return false with a diagnostic in
+ * @p error on any malformation.
  */
 bool decodeManifest(const std::uint8_t *data, std::size_t n,
                     LiveManifest &out, std::string *error = nullptr);

@@ -1,6 +1,5 @@
 #include "store/reader.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "base/logging.hh"
@@ -61,8 +60,7 @@ static_assert(store::zoneIntColumns == StoreSchema::numIntColumns &&
 
 bool
 FeatureStoreReader::loadAndCheckHeader(
-    const std::string &path, FeatureStoreReader &reader,
-    std::uint32_t &n_int, std::uint32_t &n_dbl, std::string *error,
+    const std::string &path, std::string *error,
     const store::ReadFileFactory &file_factory)
 {
     auto reject = [&](const std::string &msg) {
@@ -70,39 +68,120 @@ FeatureStoreReader::loadAndCheckHeader(
     };
 
     store::IoError io;
-    reader.file_ = store::openReadFileVia(file_factory, path, &io);
-    if (!reader.file_)
+    file_ = store::openReadFileVia(file_factory, path, &io);
+    if (!file_)
         return reject("cannot open: " + io.message);
-    if (reader.file_->size() < store::headerBytes)
+    if (file_->size() < store::headerBytes)
         return reject("truncated: shorter than the header");
     std::uint8_t header[store::headerBytes];
-    io = reader.file_->readAt(0, header, store::headerBytes);
+    io = file_->readAt(0, header, store::headerBytes);
     if (!io.ok())
         return reject("header read failed: " + io.message);
 
     if (std::memcmp(header, store::headerMagic, 8) != 0)
         return reject("bad header magic (not a feature store)");
     store::ByteReader h(header + 8, store::headerBytes - 8);
-    reader.version_ = h.u32();
-    if (reader.version_ < store::minSupportedFormatVersion ||
-        reader.version_ > store::formatVersion)
+    version_ = h.u32();
+    if (version_ < store::minSupportedFormatVersion ||
+        version_ > store::formatVersion)
         return reject(
-            "unsupported format version " +
-            std::to_string(reader.version_) + " (this build reads " +
-            std::to_string(store::minSupportedFormatVersion) +
-            ".." + std::to_string(store::formatVersion) + ")");
-    reader.capacity_ = h.u32();
-    n_int = h.u32();
-    n_dbl = h.u32();
+            "unsupported format version " + std::to_string(version_) +
+            " (this build reads " +
+            std::to_string(store::minSupportedFormatVersion) + ".." +
+            std::to_string(store::formatVersion) + ")");
+    capacity_ = h.u32();
+    const std::uint32_t n_int = h.u32();
+    const std::uint32_t n_dbl = h.u32();
     // File-supplied counts bound every later loop and allocation,
     // so cap them here: a corrupt header must be rejected, not
     // obeyed.
-    if (reader.capacity_ == 0 ||
-        reader.capacity_ > store::maxBlockCapacity ||
+    if (capacity_ == 0 || capacity_ > store::maxBlockCapacity ||
         n_int != StoreSchema::numIntColumns ||
         n_dbl < StoreSchema::numFixedDoubleColumns ||
         n_dbl > store::maxDoubleColumns)
         return reject("implausible header column/capacity counts");
+    schema_.coeffCount = n_dbl - StoreSchema::numFixedDoubleColumns;
+    return true;
+}
+
+bool
+FeatureStoreReader::parseFooter(const std::uint8_t *footer,
+                                std::size_t n, std::uint64_t data_end,
+                                std::string *error)
+{
+    if (n < 4)
+        return fail(error, "footer too small");
+    store::ByteReader crc_r(footer + n - 4, 4);
+    if (store::crc32(footer, n - 4) != crc_r.u32())
+        return fail(error, "footer CRC mismatch");
+    store::ByteReader r(footer, n - 4);
+    const std::uint64_t n_blocks = r.u64();
+    // Divide instead of multiplying: n_blocks is file-supplied and
+    // a product could wrap past the check.
+    if (n_blocks > n / store::indexEntryBytes)
+        return fail(error, "footer block count implausible");
+    index.resize(static_cast<std::size_t>(n_blocks));
+    std::uint64_t record_sum = 0;
+    std::uint64_t prev_end = store::headerBytes;
+    for (store::BlockInfo &b : index) {
+        b.offset = r.u64();
+        b.size = r.u64();
+        b.records = r.u64();
+        b.firstIter = r.i64();
+        b.lastIter = r.i64();
+        // b.records also bounds decodeBlock's scratch resize, so
+        // tie it to the block's actual byte size: the iteration
+        // column alone costs >= 1 varint byte per record. The size
+        // is compared by subtraction: offset + size could wrap.
+        if (b.offset != prev_end || b.offset > data_end ||
+            b.size < 8 || b.size > data_end - b.offset ||
+            b.records == 0 || b.records > capacity_ ||
+            b.records > b.size)
+            return fail(error, "block index entry out of range");
+        prev_end = b.offset + b.size;
+        record_sum += b.records;
+    }
+    if (prev_end != data_end)
+        return fail(error, "blocks do not tile the data section");
+    records_ = static_cast<std::size_t>(r.u64());
+    if (records_ != record_sum)
+        return fail(error, "footer record count disagrees with index");
+    sorted_ = r.u32() != 0;
+    if (r.u32() != schema_.intColumns() ||
+        r.u32() != schema_.doubleColumns())
+        return fail(error, "footer schema disagrees with header");
+    if (r.u64() != schema_.coeffCount)
+        return fail(error, "coefficient count disagrees with columns");
+    for (std::size_t i = 0; i < schema_.totalColumns(); ++i) {
+        const std::uint32_t len = r.u32();
+        if (!r.ok() || len > r.remaining())
+            return fail(error, "column name overruns footer");
+        std::string name(len, '\0');
+        r.bytes(name.data(), len);
+        names_.push_back(std::move(name));
+    }
+    if (version_ >= 2) {
+        zones_.resize(index.size());
+        for (store::BlockZone &z : zones_) {
+            for (std::size_t c = 0; c < store::zoneIntColumns; ++c) {
+                z.intMin[c] = r.i64();
+                z.intMax[c] = r.i64();
+            }
+            for (std::size_t c = 0; c < store::zoneDoubleColumns;
+                 ++c) {
+                z.dblMin[c] = bitsToDouble(r.u64());
+                z.dblMax[c] = bitsToDouble(r.u64());
+            }
+        }
+    }
+    if (!r.ok())
+        return fail(error, "footer truncated");
+
+    // Belt and braces: the footer flag must agree with the block
+    // boundaries it implies.
+    for (std::size_t b = 1; b < index.size(); ++b)
+        if (index[b].firstIter < index[b - 1].lastIter)
+            sorted_ = false;
     return true;
 }
 
@@ -118,10 +197,7 @@ FeatureStoreReader::open(const std::string &path, std::string *error,
 
     auto reader =
         std::unique_ptr<FeatureStoreReader>(new FeatureStoreReader());
-    std::uint32_t n_int = 0;
-    std::uint32_t n_dbl = 0;
-    if (!loadAndCheckHeader(path, *reader, n_int, n_dbl, error,
-                            file_factory))
+    if (!reader->loadAndCheckHeader(path, error, file_factory))
         return nullptr;
     const std::size_t file_size = reader->fileBytes();
     if (file_size < store::headerBytes + store::trailerBytes)
@@ -142,89 +218,16 @@ FeatureStoreReader::open(const std::string &path, std::string *error,
     const std::uint64_t footer_off = t.u64();
     if (footer_off < store::headerBytes || footer_off > tr)
         return reject("footer offset out of range");
-    const std::size_t footer_len =
-        tr - static_cast<std::size_t>(footer_off);
-    if (footer_len < 4)
-        return reject("footer too small");
-    std::vector<std::uint8_t> footer(footer_len);
-    io = reader->file_->readAt(footer_off, footer.data(), footer_len);
+    std::vector<std::uint8_t> footer(
+        tr - static_cast<std::size_t>(footer_off));
+    io = reader->file_->readAt(footer_off, footer.data(),
+                               footer.size());
     if (!io.ok())
         return reject("footer read failed: " + io.message);
-
-    // Footer CRC, then parse.
-    const std::uint8_t *fp = footer.data();
-    store::ByteReader crc_r(fp + footer_len - 4, 4);
-    if (store::crc32(fp, footer_len - 4) != crc_r.u32())
-        return reject("footer CRC mismatch");
-    store::ByteReader r(fp, footer_len - 4);
-    const std::uint64_t n_blocks = r.u64();
-    // Divide instead of multiplying: n_blocks is file-supplied and
-    // a product could wrap past the check.
-    if (n_blocks > footer_len / store::indexEntryBytes)
-        return reject("footer block count implausible");
-    reader->index.resize(static_cast<std::size_t>(n_blocks));
-    std::uint64_t record_sum = 0;
-    std::uint64_t prev_end = store::headerBytes;
-    for (store::BlockInfo &b : reader->index) {
-        b.offset = r.u64();
-        b.size = r.u64();
-        b.records = r.u64();
-        b.firstIter = r.i64();
-        b.lastIter = r.i64();
-        // b.records also bounds decodeBlock's scratch resize, so
-        // tie it to the block's actual byte size: the iteration
-        // column alone costs >= 1 varint byte per record.
-        if (b.offset != prev_end || b.size < 8 ||
-            b.offset + b.size > footer_off || b.records == 0 ||
-            b.records > reader->capacity_ || b.records > b.size)
-            return reject("block index entry out of range");
-        prev_end = b.offset + b.size;
-        record_sum += b.records;
-    }
-    if (prev_end != footer_off)
-        return reject("blocks do not tile the data section");
-    reader->records_ = static_cast<std::size_t>(r.u64());
-    if (reader->records_ != record_sum)
-        return reject("footer record count disagrees with index");
-    reader->sorted_ = r.u32() != 0;
-    if (r.u32() != n_int || r.u32() != n_dbl)
-        return reject("footer schema disagrees with header");
-    reader->schema_.coeffCount =
-        static_cast<std::size_t>(r.u64());
-    if (reader->schema_.doubleColumns() != n_dbl)
-        return reject("coefficient count disagrees with columns");
-    for (std::uint32_t i = 0; i < n_int + n_dbl; ++i) {
-        const std::uint32_t len = r.u32();
-        if (!r.ok() || len > r.remaining())
-            return reject("column name overruns footer");
-        std::string name(len, '\0');
-        r.bytes(name.data(), len);
-        reader->names_.push_back(std::move(name));
-    }
-    if (reader->version_ >= 2) {
-        reader->zones_.resize(reader->index.size());
-        for (store::BlockZone &z : reader->zones_) {
-            for (std::size_t c = 0; c < store::zoneIntColumns; ++c) {
-                z.intMin[c] = r.i64();
-                z.intMax[c] = r.i64();
-            }
-            for (std::size_t c = 0; c < store::zoneDoubleColumns;
-                 ++c) {
-                z.dblMin[c] = bitsToDouble(r.u64());
-                z.dblMax[c] = bitsToDouble(r.u64());
-            }
-        }
-    }
-    if (!r.ok())
-        return reject("footer truncated");
-
-    // Belt and braces: the footer flag must agree with the block
-    // boundaries it implies.
-    for (std::size_t b = 1; b < reader->index.size(); ++b)
-        if (reader->index[b].firstIter <
-            reader->index[b - 1].lastIter)
-            reader->sorted_ = false;
-
+    std::string why;
+    if (!reader->parseFooter(footer.data(), footer.size(), footer_off,
+                             &why))
+        return reject(why);
     return reader;
 }
 
@@ -235,21 +238,16 @@ FeatureStoreReader::salvage(const std::string &path,
 {
     auto reader =
         std::unique_ptr<FeatureStoreReader>(new FeatureStoreReader());
-    std::uint32_t n_int = 0;
-    std::uint32_t n_dbl = 0;
-    if (!loadAndCheckHeader(path, *reader, n_int, n_dbl, error,
-                            file_factory))
+    if (!reader->loadAndCheckHeader(path, error, file_factory))
         return nullptr;
     reader->salvaged_ = true;
-    reader->schema_.coeffCount =
-        n_dbl - StoreSchema::numFixedDoubleColumns;
+    const StoreSchema &schema = reader->schema_;
     // Column names never make it into a footerless file, but they
     // are deterministic functions of the schema — rebuild them.
-    for (std::uint32_t i = 0; i < n_int; ++i)
+    for (std::size_t i = 0; i < schema.intColumns(); ++i)
         reader->names_.push_back(StoreSchema::intColumnName(i));
-    for (std::uint32_t i = 0; i < n_dbl; ++i)
-        reader->names_.push_back(
-            reader->schema_.doubleColumnName(i));
+    for (std::size_t i = 0; i < schema.doubleColumns(); ++i)
+        reader->names_.push_back(schema.doubleColumnName(i));
 
     // Salvage cannot know block extents up front, so it reads the
     // whole tail once and walks it in memory — the one reader path
@@ -273,7 +271,7 @@ FeatureStoreReader::salvage(const std::string &path,
     // much as a footer-backed block (same CRC, same decoders). The
     // zone map is rebuilt from the decoded columns on the way, so
     // pushdown works over salvaged stores of either version.
-    const std::uint32_t n_cols = n_int + n_dbl;
+    const std::size_t n_cols = schema.totalColumns();
     std::vector<std::vector<std::int64_t>> ints;
     std::vector<std::vector<double>> dbls;
     std::int64_t last_iter = 0;
@@ -284,7 +282,7 @@ FeatureStoreReader::salvage(const std::string &path,
         if (!r.ok() || count == 0 || count > reader->capacity_)
             break;
         bool shaped = true;
-        for (std::uint32_t c = 0; c < n_cols && shaped; ++c) {
+        for (std::size_t c = 0; c < n_cols && shaped; ++c) {
             const std::uint32_t len = r.u32();
             if (!r.ok() || len > r.remaining())
                 shaped = false;
@@ -501,65 +499,6 @@ FeatureStoreReader::Cursor::next(FeatureRecord &out)
     materialize(reader->schema_, ints, dbls, pos, out);
     ++pos;
     return true;
-}
-
-FeatureStoreReader::Cursor
-FeatureStoreReader::cursorAt(std::int64_t iter_begin) const
-{
-    Cursor c(*this);
-    if (!sorted_)
-        return c;
-    // First block whose last iteration reaches the range start.
-    const auto it = std::lower_bound(
-        index.begin(), index.end(), iter_begin,
-        [](const store::BlockInfo &b, std::int64_t v) {
-            return b.lastIter < v;
-        });
-    c.block = static_cast<std::size_t>(it - index.begin());
-    return c;
-}
-
-std::size_t
-FeatureStoreReader::readRange(std::int64_t iter_begin,
-                              std::int64_t iter_end,
-                              std::vector<FeatureRecord> &out) const
-{
-    std::size_t appended = 0;
-    std::size_t b = 0;
-    if (sorted_) {
-        const auto it = std::lower_bound(
-            index.begin(), index.end(), iter_begin,
-            [](const store::BlockInfo &blk, std::int64_t v) {
-                return blk.lastIter < v;
-            });
-        b = static_cast<std::size_t>(it - index.begin());
-    }
-    std::vector<std::uint8_t> raw;
-    std::vector<std::vector<std::int64_t>> ints;
-    std::vector<std::vector<double>> dbls;
-    FeatureRecord rec;
-    for (; b < index.size(); ++b) {
-        std::int64_t lo = 0;
-        std::int64_t hi = 0;
-        if (blockIterBounds(b, lo, hi)) {
-            if (sorted_ && lo >= iter_end)
-                break; // every later block is even later
-            if (hi < iter_begin || lo >= iter_end)
-                continue; // pruned: never read, never decoded
-        }
-        std::string detail;
-        if (!decodeBlock(b, raw, ints, dbls, &detail))
-            TDFE_FATAL("corrupt feature store: ", detail);
-        for (std::size_t i = 0; i < ints[0].size(); ++i) {
-            const std::int64_t iter = ints[0][i];
-            if (iter < iter_begin || iter >= iter_end)
-                continue;
-            materialize(schema_, ints, dbls, i, rec);
-            out.push_back(rec);
-            ++appended;
-        }
-    }
-    return appended;
 }
 
 } // namespace tdfe

@@ -124,11 +124,10 @@ class FeatureStoreReader
     /** @return records-per-block capacity from the header. */
     std::size_t blockCapacity() const { return capacity_; }
 
-    /** @return file size in bytes (0 for the fileless empty reader
-     *  a live view pins before the store's first block exists). */
+    /** @return file size in bytes. */
     std::size_t fileBytes() const
     {
-        return file_ ? static_cast<std::size_t>(file_->size()) : 0;
+        return static_cast<std::size_t>(file_->size());
     }
 
     /** @return column names as recorded in the footer (ints then
@@ -141,10 +140,10 @@ class FeatureStoreReader
     /**
      * @return true when the producer appended records in
      * nondecreasing iteration order (footer flag, cross-checked
-     * against the block boundaries), enabling block-index binary
-     * search and early exit in range queries. Unsorted stores (e.g.
-     * legacy rank-concatenated merges) still prune per block via
-     * the index's iteration bounds — they only lose the early exit.
+     * against the block boundaries), enabling the early exit of
+     * iteration-range queries. Unsorted stores (e.g. legacy
+     * rank-concatenated merges) still prune per block via the zone
+     * map's iteration bounds — they only lose the early exit.
      */
     bool sortedByIteration() const { return sorted_; }
 
@@ -184,7 +183,7 @@ class FeatureStoreReader
     bool verify(std::string *detail = nullptr) const;
 
     /**
-     * Sequential decoder. Obtain via cursor()/cursorAt(); the
+     * Sequential decoder. Obtain via cursor()/cursorAtBlock(); the
      * reader must outlive it. Not thread-safe; create one cursor
      * per thread for parallel scans.
      */
@@ -232,35 +231,11 @@ class FeatureStoreReader
         return c;
     }
 
-    /**
-     * @return cursor positioned at the first block that may contain
-     * iteration @p iter_begin (block-index binary search when the
-     * store is iteration-sorted; block 0 otherwise). Records before
-     * @p iter_begin inside that block are not skipped — use
-     * readRange() for exact windows.
-     */
-    Cursor cursorAt(std::int64_t iter_begin) const;
-
-    /**
-     * Append every record with iteration in [@p iter_begin,
-     * @p iter_end) to @p out. Blocks whose iteration bounds do not
-     * overlap the window are neither read nor decoded. Exact bounds
-     * come from the zone map when present (v2, or any salvaged
-     * store) and from the index's first/last iterations when the
-     * store is sorted; only a v1 footer-backed unsorted store has
-     * no per-block bounds and decodes everything. Sortedness
-     * additionally buys the binary-searched start block and the
-     * early exit. @return records appended.
-     */
-    std::size_t readRange(std::int64_t iter_begin,
-                          std::int64_t iter_end,
-                          std::vector<FeatureRecord> &out) const;
-
   private:
     FeatureStoreReader() = default;
 
     friend class QueryCursor;
-    /** Builds footerless snapshot readers from a live manifest. */
+    /** Builds snapshot readers from a live manifest's footer. */
     friend class LiveStoreReader;
 
     /**
@@ -299,21 +274,37 @@ class FeatureStoreReader
     bool blockIterBounds(std::size_t b, std::int64_t &lo,
                          std::int64_t &hi) const;
 
+    /**
+     * Open @p path (through @p file_factory when nonempty) and
+     * validate the fixed header into this reader: format version,
+     * block capacity, and the schema its column counts imply.
+     * Shared by open(), salvage(), and the live attach path.
+     * @return false with a diagnostic in @p error on failure.
+     */
+    bool loadAndCheckHeader(const std::string &path,
+                            std::string *error,
+                            const store::ReadFileFactory &file_factory);
+
+    /**
+     * The one footer parser. Validate the @p n footer bytes at
+     * @p footer (CRC included, format.hh) for a data section ending
+     * at @p data_end — blocks must tile [header, data_end), counts
+     * must agree with each other and with the loaded header — and
+     * fill the index, record count, sorted flag (cross-checked
+     * against the block boundaries), column names, and (v2+) zone
+     * map. open() passes the footer the trailer points at; a live
+     * view passes the one embedded in a manifest, with the sealed
+     * extent as @p data_end. @return false with a diagnostic in
+     * @p error on any malformation.
+     */
+    bool parseFooter(const std::uint8_t *footer, std::size_t n,
+                     std::uint64_t data_end, std::string *error);
+
     std::unique_ptr<store::ReadFile> file_;
     StoreSchema schema_;
     std::vector<store::BlockInfo> index;
     std::vector<store::BlockZone> zones_;
     std::vector<std::string> names_;
-    /** Open @p path (through @p file_factory when nonempty) and
-     *  validate the fixed header into @p reader. Shared by open(),
-     *  salvage(), and the live attach path. @return false with a
-     *  diagnostic in @p error on failure. */
-    static bool loadAndCheckHeader(
-        const std::string &path, FeatureStoreReader &reader,
-        std::uint32_t &n_int, std::uint32_t &n_dbl,
-        std::string *error,
-        const store::ReadFileFactory &file_factory);
-
     std::uint32_t version_ = store::formatVersion;
     std::size_t records_ = 0;
     std::size_t capacity_ = 0;

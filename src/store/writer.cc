@@ -325,10 +325,10 @@ FeatureStoreWriter::finish()
 }
 
 void
-FeatureStoreWriter::writeFooter()
+FeatureStoreWriter::encodeFooter(std::vector<std::uint8_t> &f) const
 {
-    const std::uint64_t footer_offset = bytesWritten_;
-    std::vector<std::uint8_t> f;
+    f.clear();
+    std::uint64_t records = 0;
     store::putU64(f, index.size());
     for (const store::BlockInfo &b : index) {
         store::putU64(f, b.offset);
@@ -336,8 +336,9 @@ FeatureStoreWriter::writeFooter()
         store::putU64(f, b.records);
         store::putI64(f, b.firstIter);
         store::putI64(f, b.lastIter);
+        records += b.records;
     }
-    store::putU64(f, records_);
+    store::putU64(f, records);
     store::putU32(f, sortedAppends_ ? 1 : 0);
     store::putU32(f, static_cast<std::uint32_t>(schema_.intColumns()));
     store::putU32(f,
@@ -367,7 +368,14 @@ FeatureStoreWriter::writeFooter()
         }
     }
     store::putU32(f, store::crc32(f.data(), f.size()));
+}
 
+void
+FeatureStoreWriter::writeFooter()
+{
+    const std::uint64_t footer_offset = bytesWritten_;
+    std::vector<std::uint8_t> f;
+    encodeFooter(f);
     store::putU64(f, footer_offset);
     f.insert(f.end(), store::trailerMagic, store::trailerMagic + 8);
     writeChecked(f.data(), f.size(), 0);
@@ -396,27 +404,15 @@ FeatureStoreWriter::publishManifest(bool final_manifest, bool force)
     }
 
     store::LiveManifest m;
-    m.storeVersion = store::formatVersion;
     m.generation = ++liveGeneration_;
     if (final_manifest)
         m.flags |= store::manifestFlagFinal;
     if (!ok())
         m.flags |= store::manifestFlagDegraded;
-    m.blockCapacity = opts_.blockCapacity;
-    m.intColumns = static_cast<std::uint32_t>(schema_.intColumns());
-    m.doubleColumns =
-        static_cast<std::uint32_t>(schema_.doubleColumns());
-    m.coeffCount = schema_.coeffCount;
-    std::uint64_t sealed_records = 0;
-    for (const store::BlockInfo &b : index)
-        sealed_records += b.records;
-    m.recordCount = sealed_records;
     m.dataBytes = index.empty()
                       ? store::headerBytes
                       : index.back().offset + index.back().size;
-    m.sorted = sortedAppends_;
-    m.index = index;
-    m.zones = zones;
+    encodeFooter(m.footer);
     store::encodeManifest(m, manifestBuf_);
 
     // Whole-frame rewrite into a tmp sibling, then rename over the

@@ -231,6 +231,16 @@ class FeatureStoreWriter
     void fail(const store::IoError &error,
               std::size_t lost_records);
 
+    /**
+     * Encode the footer (format.hh, CRC included) describing the
+     * sealed blocks into @p out (cleared first). The one encoder of
+     * the block index and zone map: writeFooter() appends the
+     * trailer to it, publishManifest() embeds it in the live
+     * manifest.
+     */
+    void encodeFooter(std::vector<std::uint8_t> &out) const;
+
+    /** Write the footer and trailer after the last sealed block. */
     void writeFooter();
 
     /**

@@ -3,7 +3,7 @@
  * Feature trace store tests: bit-exact round trips across block
  * boundaries (including NaN/inf/denormal payloads), byte-identical
  * files across 1/2/4 pool threads, truncated-file and corrupted-CRC
- * rejection, block-index range queries against a brute-force scan,
+ * rejection, iteration-range queries against a brute-force scan,
  * and the codec primitives.
  *
  * Fault battery (label fault_smoke via --gtest_filter=StoreFault.*):
@@ -29,6 +29,7 @@
 #include "base/thread_pool.hh"
 #include "store/codec.hh"
 #include "store/file.hh"
+#include "store/query.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
 #include "tests/test_util.hh"
@@ -328,6 +329,36 @@ TEST(FeatureStore, CorruptedBlockRejected)
     }
     std::string error;
     EXPECT_EQ(FeatureStoreReader::open(path, &error), nullptr);
+
+    // So is a footer with a valid CRC whose block 0 claims 2^64 - 8
+    // bytes, wrapping its end offset to 16, with block 1 running
+    // from there to block 2: the blocks still appear to tile, and
+    // accepting them would hand the decoder a 2^64 - 8 byte block.
+    std::string wrapped = bytes;
+    auto put = [&wrapped](std::size_t at, std::uint64_t v, int n) {
+        for (int i = 0; i < n; ++i)
+            wrapped[at + static_cast<std::size_t>(i)] =
+                static_cast<char>(v >> (8 * i));
+    };
+    const std::size_t footer_off =
+        static_cast<std::size_t>(r->blockInfo(3).offset +
+                                 r->blockInfo(3).size);
+    put(footer_off + 8 + 8, ~std::uint64_t{0} - 7, 8); // block 0 size
+    put(footer_off + 8 + 40, 16, 8);                   // block 1 offset
+    put(footer_off + 8 + 48, r->blockInfo(2).offset - 16, 8);
+    const std::size_t crc_at = wrapped.size() - store::trailerBytes - 4;
+    put(crc_at,
+        store::crc32(wrapped.data() + footer_off, crc_at - footer_off),
+        4);
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(wrapped.data(),
+                  static_cast<std::streamsize>(wrapped.size()));
+    }
+    EXPECT_EQ(FeatureStoreReader::open(path, &error), nullptr);
+    EXPECT_NE(error.find("block index entry out of range"),
+              std::string::npos)
+        << error;
     std::remove(path.c_str());
 }
 
@@ -356,15 +387,17 @@ TEST(FeatureStore, RangeQueriesMatchBruteForce)
         {0, 1},    {0, 1000}, {123, 457}, {500, 500},
         {31, 33},  {992, 2000}, {-10, 5},  {1500, 1600}};
     for (const auto &[lo, hi] : windows) {
+        QueryCursor q(*r, EventFilter().iterRange(lo, hi));
         std::vector<FeatureRecord> got;
-        const std::size_t appended = r->readRange(lo, hi, got);
+        FeatureRecord rec;
+        while (q.next(rec))
+            got.push_back(rec);
         std::vector<const FeatureRecord *> want;
         for (const FeatureRecord &rec : all)
             if (rec.iteration >= lo && rec.iteration < hi)
                 want.push_back(&rec);
-        ASSERT_EQ(appended, want.size())
+        ASSERT_EQ(got.size(), want.size())
             << "[" << lo << ", " << hi << ")";
-        ASSERT_EQ(got.size(), want.size());
         for (std::size_t i = 0; i < got.size(); ++i)
             expectRecordsEqual(got[i], *want[i]);
     }

@@ -564,11 +564,68 @@ TEST(LiveFault, TornManifestsRejectAndKeepServing)
     expect_rejected("garbage");
     writeBytes(mpath, "xy");
     expect_rejected("tiny");
+    // A well-formed frame of an older manifest version (version 1
+    // carried its own copy of the index): unsupported, not parsed.
+    std::vector<std::uint8_t> v1(good.begin(), good.end());
+    v1[8] = 1; // the u32 version after the magic, little-endian
+    v1.resize(v1.size() - 4);
+    store::putU32(v1, store::crc32(v1.data(), v1.size()));
+    writeBytes(mpath, std::string(v1.begin(), v1.end()));
+    expect_rejected("version 1 frame");
+    EXPECT_NE(live.lastError().find("unsupported manifest version 1"),
+              std::string::npos)
+        << live.lastError();
 
     // The next good publication advances as if nothing happened.
     writeBytes(mpath, good);
     ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.view().recordCount(), 48u);
+    removeStore(path);
+}
+
+TEST(LiveFault, CorruptDataHeaderIsRejected)
+{
+    // Intact manifests over a data file whose header magic was
+    // flipped: the file is no longer a feature store, and a live
+    // view must say so exactly as open() and salvage() do — never
+    // serve the blocks the manifest indexes.
+    const LiveRunArtifacts a = captureLiveRun(100, 2, 16);
+    const std::string path = tempPath("badheader.tdfs");
+    const std::string mpath = store::manifestPathFor(path);
+    auto corrupt = [](std::string data) {
+        data[0] ^= 0x20;
+        return data;
+    };
+    writeBytes(path, corrupt(a.dataAtSeal[1]));
+    writeBytes(mpath, a.manifestAtSeal[1]);
+
+    LiveStoreReader fresh(path);
+    EXPECT_FALSE(fresh.refresh());
+    EXPECT_FALSE(fresh.attached());
+    EXPECT_EQ(fresh.refreshRejects(), 1u);
+    EXPECT_NE(fresh.lastError().find("bad header magic"),
+              std::string::npos)
+        << fresh.lastError();
+    std::string error;
+    EXPECT_EQ(FeatureStoreReader::salvage(path, &error), nullptr);
+    EXPECT_NE(error.find("bad header magic"), std::string::npos)
+        << error;
+
+    // An attached view meeting the same corruption on its next
+    // generation rejects it and keeps serving its snapshot.
+    writeBytes(path, a.dataAtSeal[1]);
+    LiveStoreReader live(path);
+    ASSERT_TRUE(live.refresh());
+    EXPECT_EQ(live.view().recordCount(), 32u);
+    writeBytes(path, corrupt(a.dataAtSeal[2]));
+    writeBytes(mpath, a.manifestAtSeal[2]);
+    EXPECT_FALSE(live.refresh());
+    EXPECT_EQ(live.refreshRejects(), 1u);
+    EXPECT_NE(live.lastError().find("bad header magic"),
+              std::string::npos)
+        << live.lastError();
+    EXPECT_EQ(live.view().recordCount(), 32u);
+    EXPECT_EQ(live.state(), LiveState::Live);
     removeStore(path);
 }
 

@@ -4,7 +4,7 @@
  * codec round trips on hostile inputs, v1 backward compatibility
  * (a hand-written v1 file opens, verifies, and queries bitwise-
  * identically to a brute-force scan) and clean rejection of future
- * versions, unsorted-store readRange/cursorAt exactness, filtered
+ * versions, unsorted-store iteration-window exactness, filtered
  * cursors agreeing bitwise with filter-in-the-caller under 1/2/4
  * concurrent threads, zone-map pushdown gates (selective queries
  * must not decode most blocks), the iteration-sorted k-way rank
@@ -597,26 +597,14 @@ TEST(QueryFilter, UnsortedStoreExactAndPruned)
     EXPECT_FALSE(r->sortedByIteration());
     EXPECT_TRUE(r->verify());
 
-    // readRange must equal the brute-force window filter bitwise,
-    // in store order.
+    // An iteration window must equal the brute-force window filter
+    // bitwise, in store order.
     std::vector<FeatureRecord> want;
     for (const FeatureRecord &rec : recs)
         if (rec.iteration >= 100 && rec.iteration < 300)
             want.push_back(rec);
-    std::vector<FeatureRecord> got;
-    EXPECT_EQ(r->readRange(100, 300, got), want.size());
-    expectRecordsBitwise(got, want);
-
-    // cursorAt on an unsorted store starts at block 0: draining it
-    // must reproduce the full stream bitwise.
-    {
-        auto c = r->cursorAt(500);
-        std::vector<FeatureRecord> all;
-        FeatureRecord rec;
-        while (c.next(rec))
-            all.push_back(rec);
-        expectRecordsBitwise(all, recs);
-    }
+    QueryCursor window(*r, EventFilter().iterRange(100, 300));
+    expectRecordsBitwise(drainCursor(window), want);
 
     // Filtered cursor agrees with filter-in-caller...
     MetricPredicate tail;
@@ -709,8 +697,8 @@ TEST(QueryCompat, V1StoreOpensVerifiesAndQueries)
         expectRecordsBitwise(drainCursor(cur), bruteFilter(*r, f));
     }
     r->resetIoStats();
-    std::vector<FeatureRecord> window;
-    EXPECT_EQ(r->readRange(100, 200, window), 100u);
+    QueryCursor window(*r, EventFilter().iterRange(100, 200));
+    EXPECT_EQ(drainCursor(window).size(), 100u);
     EXPECT_LE(r->blocksDecoded(), 3u);
     std::remove(path.c_str());
 }
@@ -783,8 +771,9 @@ TEST(StoreMergeQuery, MergedStoreStaysSortedAndQueryable)
     // And it is range-queryable with pruned reads, as a single-rank
     // sorted store would be.
     r->resetIoStats();
-    std::vector<FeatureRecord> out;
-    EXPECT_EQ(r->readRange(300, 330, out), 30u);
+    QueryCursor window(*r, EventFilter().iterRange(300, 330));
+    const std::vector<FeatureRecord> out = drainCursor(window);
+    EXPECT_EQ(out.size(), 30u);
     EXPECT_LE(r->blocksDecoded(), 2u);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i].iteration, 300 + static_cast<long>(i));

@@ -24,6 +24,7 @@
 #include "par/thread_comm.hh"
 #include "store/file.hh"
 #include "store/manifest.hh"
+#include "store/query.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
 #include "tests/test_util.hh"
@@ -379,12 +380,15 @@ TEST(StoreMerge, RankOrderConcatenation)
         ++row;
     }
     EXPECT_EQ(row, 120);
-    // ...and range queries binary-search the block index yet stay
-    // exact: iteration 5 appears once per rank.
-    std::vector<FeatureRecord> hits;
-    EXPECT_EQ(r->readRange(5, 6, hits), 3u);
-    for (const FeatureRecord &h : hits)
-        EXPECT_EQ(h.iteration, 5);
+    // ...and range queries prune on the block index yet stay exact:
+    // iteration 5 appears once per rank.
+    QueryCursor hits(*r, EventFilter().iterRange(5, 6));
+    std::size_t n_hits = 0;
+    while (hits.next(rec)) {
+        EXPECT_EQ(rec.iteration, 5);
+        ++n_hits;
+    }
+    EXPECT_EQ(n_hits, 3u);
 
     // Single-rank worlds use the base path unchanged.
     EXPECT_EQ(rankStorePath("x.tdfs", 0, 1), "x.tdfs");

@@ -37,7 +37,6 @@ removeGenerations(const std::string &prefix)
 {
     for (const ckpt::Generation &g : ckpt::listGenerations(prefix))
         std::remove(g.path.c_str());
-    std::remove((prefix + ".manifest").c_str());
 }
 
 /** Every record of the store at @p path (empty when unreadable). */
