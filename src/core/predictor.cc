@@ -16,50 +16,21 @@ Predictor::Predictor(const ArModel &model, const ObservedSeries &series)
 FittedSeries
 Predictor::oneStepSeries(long loc) const
 {
-    const ArConfig &cfg = model.config();
     FittedSeries out;
-    std::vector<double> lags(cfg.order, 0.0);
-
+    std::vector<double> lags;
     const long t0 = series.iterBegin();
     const long t1 = series.iterEnd();
     if (t1 <= t0)
         return out;
-    // Zero-copy views: the queried location's series is one strided
-    // column; Space-axis lag sources are a stride-1 slice of the
-    // lagged iteration's row.
+    // Zero-copy view of the queried location's series (one strided
+    // column) for the actual values.
     const SeriesView col = series.seriesView(loc);
+    double predicted = 0.0;
     for (long t = t0; t < t1; ++t) {
-        bool ok = true;
-        if (cfg.axis == LagAxis::Time) {
-            for (std::size_t i = 0; i < cfg.order && ok; ++i) {
-                const long src = t - static_cast<long>(i + 1) * cfg.lag;
-                if (src < t0)
-                    ok = false;
-                else
-                    lags[i] = col[static_cast<std::size_t>(src - t0)];
-            }
-        } else {
-            const long src_t = t - cfg.lag;
-            if (src_t < t0)
-                ok = false;
-            if (ok) {
-                const SeriesView row = series.profileView(src_t);
-                const long li =
-                    (loc - series.locBegin()) / series.locStep();
-                for (std::size_t i = 0; i < cfg.order && ok; ++i) {
-                    const long src_li = li - static_cast<long>(i + 1);
-                    if (src_li < 0)
-                        ok = false;
-                    else
-                        lags[i] =
-                            row[static_cast<std::size_t>(src_li)];
-                }
-            }
-        }
-        if (!ok)
+        if (!oneStepAt(loc, t, lags, predicted))
             continue;
         out.iters.push_back(t);
-        out.predicted.push_back(model.predict(lags));
+        out.predicted.push_back(predicted);
         out.actual.push_back(col[static_cast<std::size_t>(t - t0)]);
     }
     return out;

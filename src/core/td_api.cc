@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -710,28 +709,14 @@ td_region_restore(td_region_t *region, const char *path)
     TDFE_ASSERT(region && path, "null region or path");
     std::string payload, error;
     std::uint64_t iteration = 0;
-    if (tdfe::ckpt::readCheckpointFile(path, &payload, &iteration,
-                                       &error)) {
-        std::istringstream is(payload, std::ios::binary);
-        if (!region->region.loadCheckpoint(is)) {
-            region->ckptStatus = -1;
-            region->ckptErrorMsg = region->region.checkpointError();
-            return -1;
-        }
-        region->ckptStatus = 0;
-        region->ckptErrorMsg.clear();
-        return 0;
-    }
-
-    // Not a CRC-framed envelope: fall back to the legacy raw-stream
-    // format older checkpoints were written in.
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    if (!tdfe::ckpt::readCheckpointFile(path, &payload, &iteration,
+                                        &error)) {
         region->ckptStatus = -1;
         region->ckptErrorMsg = error;
         return -1;
     }
-    if (!region->region.loadCheckpoint(in)) {
+    std::istringstream is(payload, std::ios::binary);
+    if (!region->region.loadCheckpoint(is)) {
         region->ckptStatus = -1;
         region->ckptErrorMsg = region->region.checkpointError();
         return -1;

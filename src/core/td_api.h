@@ -494,9 +494,9 @@ int td_region_checkpoint(const td_region_t *region,
 
 /**
  * Restore state written by td_region_checkpoint into an
- * identically-configured region. Envelope CRCs are verified first;
- * files written by older library versions (raw stream, no envelope)
- * are still accepted.
+ * identically-configured region. Envelope CRCs are verified before
+ * any state is touched; a file that is not an intact envelope is
+ * rejected with the envelope's own error (td_ckpt_error).
  *
  * @return 0 on success, -1 when the file cannot be read or is
  * damaged (the region's state is unspecified after a failed restore

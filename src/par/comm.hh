@@ -6,23 +6,26 @@
  * distribute the current prediction, the rank holding the wave front,
  * and the stop flag (Sec. III-C). This repository has no MPI
  * installation, so the same call pattern is provided behind this
- * interface with two implementations: SerialComm (single rank) and
- * ThreadComm (std::thread-backed ranks with real synchronisation).
+ * interface; ThreadComm (std::thread-backed ranks with real
+ * synchronisation) implements it. A single-rank run passes a null
+ * communicator instead and makes no communication calls at all.
  *
- * Besides the blocking collectives the interface offers non-blocking
- * ones (iallreduce / iallreduceVec / ibcast) returning a CommRequest
- * that is completed lazily with test()/wait(). They follow MPI's
- * matching rule: every rank must post its non-blocking collectives in
- * the same order (they pair up by per-rank sequence number, not by
- * content). Blocking collectives count a sequence of their own, so
- * the two kinds never pair with each other. The caller's buffers
- * must stay valid until the request has completed or been dropped.
- * Results only ever land in the caller's buffers from the caller's
- * own thread, inside a successful test() or a wait() — never
- * asynchronously — so dropping a request without completing it is
- * always safe: the contribution made at post time still completes
- * the collective for the other ranks, only this rank's output is
- * never written.
+ * A backend supplies one collective primitive, post(): it posts
+ * this rank's part of the next collective and returns a CommRequest
+ * that is completed lazily with test()/wait(). The front ends
+ * (barrier / allreduce / allreduceVec, which post and wait, and the
+ * non-blocking iallreduce / ibcast, which only post) are written
+ * once on top of it. Collectives follow MPI's matching rule: every
+ * rank must post them in the same order (they pair up by per-rank
+ * sequence number, not by content). Blocking collectives count a
+ * sequence of their own, so the two kinds never pair with each
+ * other. The caller's buffers must stay valid until the request has
+ * completed or been dropped. Results only ever land in the caller's
+ * buffers from the caller's own thread, inside a successful test()
+ * or a wait() — never asynchronously — so dropping a request
+ * without completing it is always safe: the contribution made at
+ * post time still completes the collective for the other ranks,
+ * only this rank's output is never written.
  */
 
 #ifndef TDFE_PAR_COMM_HH
@@ -35,7 +38,7 @@
 namespace tdfe
 {
 
-/** Reduction operators for allreduce(). */
+/** Reduction operators of the reducing collectives. */
 enum class ReduceOp
 {
     Sum,
@@ -136,9 +139,27 @@ class CommRequest
     std::shared_ptr<CommOp> op;
 };
 
+/** Which per-rank sequence a collective post is counted in. */
+enum class CollectiveSeq
+{
+    Blocking,
+    NonBlocking,
+};
+
+/** Shape of one collective post. */
+enum class CollectiveKind
+{
+    Allreduce,
+    AllreduceVec,
+    Bcast,
+    Barrier,
+};
+
 /**
  * Minimal communicator: the subset of MPI the paper's library and
- * the rank-decomposed solvers actually use.
+ * the rank-decomposed solvers actually use. A backend implements
+ * rank(), size(), post(), send() and recv(); every collective front
+ * end below is written once on top of post().
  */
 class Communicator
 {
@@ -151,47 +172,50 @@ class Communicator
     /** @return number of ranks in the communicator. */
     virtual int size() const = 0;
 
-    /** Block until every rank has entered the barrier. */
-    virtual void barrier() = 0;
-
     /**
-     * Broadcast @p count doubles from @p root to all ranks.
-     * @p data is both input (on root) and output (elsewhere).
+     * The backend's one collective primitive: post this rank's part
+     * of the next collective in sequence @p seq and return its
+     * request. Ranks pair posts by per-rank position within a
+     * sequence; blocking and non-blocking posts count separate
+     * sequences, so the two kinds never pair with each other. Every
+     * rank must post the same (@p kind, @p count, @p op, @p root) at
+     * the same position; a mismatch is a caller bug.
+     *
+     * @p contribution (@p count doubles; null for a non-root Bcast
+     * and for a Barrier) is copied before the call returns. Reducing
+     * kinds fold the contributions in rank order, so a result never
+     * depends on arrival order and the blocking and non-blocking
+     * paths agree bitwise. Bcast delivers the root's contribution.
+     * The result is written to @p out (null: discarded) only from
+     * the caller's own thread, inside a successful test() or a
+     * wait() on the returned request.
      */
-    virtual void bcast(double *data, std::size_t count, int root) = 0;
+    virtual CommRequest post(CollectiveSeq seq, CollectiveKind kind,
+                             const double *contribution,
+                             std::size_t count, ReduceOp op, int root,
+                             double *out) = 0;
+
+    /** Block until every rank has entered the barrier. */
+    void barrier();
 
     /** Reduce one double across ranks; every rank gets the result. */
-    virtual double allreduce(double value, ReduceOp op) = 0;
+    double allreduce(double value, ReduceOp op);
 
     /**
      * Elementwise in-place reduction of @p count doubles across all
      * ranks (used to gather distributed probe lines: owners
      * contribute values, the rest contribute zeros, Sum merges).
      */
-    virtual void allreduceVec(double *data, std::size_t count,
-                              ReduceOp op) = 0;
+    void allreduceVec(double *data, std::size_t count, ReduceOp op);
 
     /**
      * Non-blocking allreduce of one double. The rank's contribution
      * is captured before the call returns; the reduced value is
      * written to @p *result (which must stay valid until then) when
      * the returned request first tests true or wait() returns. The
-     * reduction combines contributions in rank order, so the result
-     * is bitwise identical to the blocking allreduce().
+     * result is bitwise identical to the blocking allreduce().
      */
-    virtual CommRequest iallreduce(double value, ReduceOp op,
-                                   double *result) = 0;
-
-    /**
-     * Non-blocking elementwise in-place reduction of @p count
-     * doubles. @p data is read (contribution) at post time and
-     * overwritten with the reduced vector at completion; it must
-     * stay valid until the request completes or is dropped. The
-     * reduction folds contributions in rank order, so the result is
-     * bitwise identical to the blocking allreduceVec().
-     */
-    virtual CommRequest iallreduceVec(double *data, std::size_t count,
-                                      ReduceOp op) = 0;
+    CommRequest iallreduce(double value, ReduceOp op, double *result);
 
     /**
      * Non-blocking broadcast of @p count doubles from @p root. The
@@ -199,8 +223,7 @@ class Communicator
      * @p data is overwritten at completion and must stay valid until
      * then (or until the request is dropped).
      */
-    virtual CommRequest ibcast(double *data, std::size_t count,
-                               int root) = 0;
+    CommRequest ibcast(double *data, std::size_t count, int root);
 
     /**
      * Non-blocking enqueue of a message to @p dest: the payload is
@@ -217,14 +240,6 @@ class Communicator
 
     /** Blocking receive of the next message from @p src with @p tag. */
     virtual std::vector<double> recv(int src, int tag) = 0;
-
-    /** Convenience: broadcast a single double. */
-    double
-    bcastValue(double value, int root)
-    {
-        bcast(&value, 1, root);
-        return value;
-    }
 };
 
 } // namespace tdfe

@@ -82,52 +82,26 @@ class DelayedOp : public CommOp
 
 } // namespace
 
-bool
-FaultyComm::swallowNext()
+CommRequest
+FaultyComm::post(CollectiveSeq seq, CollectiveKind kind,
+                 const double *contribution, std::size_t count,
+                 ReduceOp op, int root, double *out)
 {
+    if (seq == CollectiveSeq::Blocking)
+        return inner_.post(seq, kind, contribution, count, op, root,
+                           out);
     const int op_index = posted_++;
     if (op_index >= plan_.silentAfterOp) {
         silent_ = true;
-        return true;
+        return CommRequest(std::make_shared<SilentOp>());
     }
-    return false;
-}
-
-CommRequest
-FaultyComm::decorate(CommRequest inner_request)
-{
-    // posted_ was bumped by swallowNext(); the op that just posted
-    // has index posted_ - 1.
-    if (posted_ - 1 >= plan_.delayAfterOp && plan_.delayPolls > 0) {
+    CommRequest request =
+        inner_.post(seq, kind, contribution, count, op, root, out);
+    if (op_index >= plan_.delayAfterOp && plan_.delayPolls > 0) {
         return CommRequest(std::make_shared<DelayedOp>(
-            std::move(inner_request), plan_.delayPolls));
+            std::move(request), plan_.delayPolls));
     }
-    return inner_request;
-}
-
-CommRequest
-FaultyComm::iallreduce(double value, ReduceOp op, double *result)
-{
-    if (swallowNext())
-        return CommRequest(std::make_shared<SilentOp>());
-    return decorate(inner_.iallreduce(value, op, result));
-}
-
-CommRequest
-FaultyComm::iallreduceVec(double *data, std::size_t count,
-                          ReduceOp op)
-{
-    if (swallowNext())
-        return CommRequest(std::make_shared<SilentOp>());
-    return decorate(inner_.iallreduceVec(data, count, op));
-}
-
-CommRequest
-FaultyComm::ibcast(double *data, std::size_t count, int root)
-{
-    if (swallowNext())
-        return CommRequest(std::make_shared<SilentOp>());
-    return decorate(inner_.ibcast(data, count, root));
+    return request;
 }
 
 } // namespace tdfe

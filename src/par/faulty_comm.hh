@@ -8,12 +8,14 @@
  * dead (the rank stops contributing entirely, peers' requests never
  * complete and the watchdog must degrade instead of hanging).
  *
- * Faults target the non-blocking path only. The blocking
- * collectives the solvers themselves use (timestep allreduce, probe
- * gather) pass through untouched: the scenario modeled is a wedged
- * analysis/stop protocol on one rank, not a dead node — exactly the
- * place the Region's overlapped stop protocol has to degrade
- * gracefully while the simulation keeps stepping.
+ * The decorator overrides the one collective primitive, post(), so
+ * every front end goes through it. Faults target the non-blocking
+ * sequence only. The blocking collectives the solvers themselves
+ * use (timestep allreduce, probe gather, merge barrier) pass
+ * through untouched: the scenario modeled is a wedged analysis/stop
+ * protocol on one rank, not a dead node — exactly the place the
+ * Region's overlapped stop protocol has to degrade gracefully while
+ * the simulation keeps stepping.
  *
  * Plans are counted in posted non-blocking operations (a
  * deterministic, content-independent clock), so a test can silence a
@@ -59,9 +61,10 @@ struct CommFaultPlan
 };
 
 /**
- * Communicator decorator applying a CommFaultPlan to the
- * non-blocking collectives; everything else forwards to the inner
- * comm. The inner communicator must outlive the decorator.
+ * Communicator decorator applying a CommFaultPlan to the posts of
+ * the non-blocking sequence; blocking posts and point-to-point
+ * messages forward to the inner comm. The inner communicator must
+ * outlive the decorator.
  */
 class FaultyComm final : public Communicator
 {
@@ -73,33 +76,11 @@ class FaultyComm final : public Communicator
 
     int rank() const override { return inner_.rank(); }
     int size() const override { return inner_.size(); }
-    void barrier() override { inner_.barrier(); }
 
-    void
-    bcast(double *data, std::size_t count, int root) override
-    {
-        inner_.bcast(data, count, root);
-    }
-
-    double
-    allreduce(double value, ReduceOp op) override
-    {
-        return inner_.allreduce(value, op);
-    }
-
-    void
-    allreduceVec(double *data, std::size_t count,
-                 ReduceOp op) override
-    {
-        inner_.allreduceVec(data, count, op);
-    }
-
-    CommRequest iallreduce(double value, ReduceOp op,
-                           double *result) override;
-    CommRequest iallreduceVec(double *data, std::size_t count,
-                              ReduceOp op) override;
-    CommRequest ibcast(double *data, std::size_t count,
-                       int root) override;
+    /** Blocking posts forward; non-blocking ones follow the plan. */
+    CommRequest post(CollectiveSeq seq, CollectiveKind kind,
+                     const double *contribution, std::size_t count,
+                     ReduceOp op, int root, double *out) override;
 
     void
     send(int dest, int tag,
@@ -121,10 +102,6 @@ class FaultyComm final : public Communicator
     bool wentSilent() const { return silent_; }
 
   private:
-    /** Classify the next post and bump the op clock. */
-    CommRequest decorate(CommRequest inner_request);
-    bool swallowNext();
-
     Communicator &inner_;
     CommFaultPlan plan_;
     int posted_ = 0;

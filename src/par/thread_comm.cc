@@ -15,20 +15,6 @@ ThreadCommWorld::ThreadCommWorld(int nranks) : nRanks(nranks)
 }
 
 void
-ThreadCommWorld::barrier()
-{
-    std::unique_lock<std::mutex> lock(mtx);
-    const std::uint64_t my_generation = generation;
-    if (++arrived == nRanks) {
-        arrived = 0;
-        ++generation;
-        cv.notify_all();
-    } else {
-        cv.wait(lock, [&] { return generation != my_generation; });
-    }
-}
-
-void
 ThreadCommWorld::run(const std::function<void(Communicator &)> &body)
 {
     std::vector<std::thread> threads;
@@ -42,7 +28,6 @@ ThreadCommWorld::run(const std::function<void(Communicator &)> &body)
     for (auto &t : threads)
         t.join();
 
-    TDFE_ASSERT(arrived == 0, "ranks left a barrier half-entered");
     if (!nbOps.empty()) {
         TDFE_WARN(nbOps.size(), " collective(s) were never "
                   "completed by every rank (posted on some ranks "
@@ -144,11 +129,13 @@ class ThreadNbOp : public CommOp
 };
 
 CommRequest
-ThreadCommRank::postCollective(bool blocking, NbCollective::Kind kind,
-                               const double *contribution,
-                               std::size_t count, ReduceOp op,
-                               int root, double *out)
+ThreadCommRank::post(CollectiveSeq seq, CollectiveKind kind,
+                     const double *contribution, std::size_t count,
+                     ReduceOp op, int root, double *out)
 {
+    TDFE_ASSERT(root >= 0 && root < size(),
+                "collective root out of range");
+    const bool blocking = seq == CollectiveSeq::Blocking;
     // Blocking posts keep their own sequence: a rank that stops
     // posting non-blocking collectives (a silenced or degraded stop
     // protocol) must not shift the pairing of its solver's blocking
@@ -185,7 +172,7 @@ ThreadCommRank::postCollective(bool blocking, NbCollective::Kind kind,
             // Last contributor completes the op: reduce the parts in
             // rank order (deterministic whatever the arrival order)
             // and retire the slot — nobody will look it up again.
-            if (kind == NbCollective::Kind::Bcast) {
+            if (kind == CollectiveKind::Bcast) {
                 c->result =
                     c->parts[static_cast<std::size_t>(c->root)];
             } else {
@@ -208,62 +195,6 @@ ThreadCommRank::postCollective(bool blocking, NbCollective::Kind kind,
         world.nbCv.notify_all();
     return CommRequest(
         std::make_shared<ThreadNbOp>(world, std::move(c), out));
-}
-
-CommRequest
-ThreadCommRank::iallreduce(double value, ReduceOp op, double *result)
-{
-    return postCollective(false, NbCollective::Kind::Allreduce, &value,
-                          1, op, 0, result);
-}
-
-CommRequest
-ThreadCommRank::iallreduceVec(double *data, std::size_t count,
-                              ReduceOp op)
-{
-    return postCollective(false, NbCollective::Kind::AllreduceVec,
-                          data, count, op, 0, data);
-}
-
-CommRequest
-ThreadCommRank::ibcast(double *data, std::size_t count, int root)
-{
-    TDFE_ASSERT(root >= 0 && root < size(),
-                "ibcast root out of range");
-    // Only the root's payload matters; other ranks contribute just
-    // their arrival and receive the payload into data at completion.
-    return postCollective(false, NbCollective::Kind::Bcast,
-                          myRank == root ? data : nullptr, count,
-                          ReduceOp::Sum, root, data);
-}
-
-void
-ThreadCommRank::bcast(double *data, std::size_t count, int root)
-{
-    TDFE_ASSERT(root >= 0 && root < size(), "bcast root out of range");
-    postCollective(true, NbCollective::Kind::Bcast,
-                   myRank == root ? data : nullptr, count,
-                   ReduceOp::Sum, root, data)
-        .wait();
-}
-
-double
-ThreadCommRank::allreduce(double value, ReduceOp op)
-{
-    double result = 0.0;
-    postCollective(true, NbCollective::Kind::Allreduce, &value, 1, op,
-                   0, &result)
-        .wait();
-    return result;
-}
-
-void
-ThreadCommRank::allreduceVec(double *data, std::size_t count,
-                             ReduceOp op)
-{
-    postCollective(true, NbCollective::Kind::AllreduceVec, data, count,
-                   op, 0, data)
-        .wait();
 }
 
 void

@@ -3,12 +3,14 @@
  * Thread-backed rank emulation.
  *
  * ThreadCommWorld::run(nranks, body) spawns one std::thread per rank
- * and hands each a Communicator bound to shared state. Collectives
- * complete through shared per-sequence slots (blocking ones post and
- * wait); barrier() is a central generation-counted barrier; point-to-
- * point messages flow through mutex-protected mailboxes. This gives
- * the paper's MPI call pattern real synchronisation cost (which the
- * overhead tables measure) without an MPI installation.
+ * and hands each a Communicator bound to shared state. The one
+ * collective primitive, post(), completes through shared
+ * per-sequence slots — every collective, barrier included, is a post
+ * (blocking front ends then wait) — and point-to-point messages flow
+ * through mutex-protected mailboxes. This gives the paper's MPI call
+ * pattern real synchronisation cost (which the overhead tables
+ * measure) without an MPI installation. A one-rank world completes
+ * every collective at post time.
  */
 
 #ifndef TDFE_PAR_THREAD_COMM_HH
@@ -31,34 +33,23 @@ namespace tdfe
 {
 
 /**
- * Shared state of one in-flight collective. Ranks match by per-rank
- * sequence number — blocking and non-blocking posts each count their
- * own sequence, so every rank must post its non-blocking collectives
- * in the same order and its blocking ones in the same order, but the
- * two streams never pair with each other. The op completes when the
- * last rank posts, which reduces the per-rank contributions *in rank
- * order* — deterministic run to run, and bitwise identical between
- * the blocking and non-blocking calls. Each rank then copies the
- * result into its own output buffer from its own thread, at its
- * first successful test() or at wait() — never from another rank's
+ * Shared state of one in-flight collective slot; the matching and
+ * fold rules are Communicator::post's. The last rank to post folds
+ * the parts in rank order. Each rank then copies the result into
+ * its own output buffer from its own thread, at its first
+ * successful test() or at wait() — never from another rank's
  * thread, so a rank may drop its request (and even free its
  * buffers) without affecting the rest.
  */
 struct NbCollective
 {
-    enum class Kind
-    {
-        Allreduce,
-        AllreduceVec,
-        Bcast,
-    };
-
-    Kind kind = Kind::Allreduce;
+    CollectiveKind kind = CollectiveKind::Allreduce;
     ReduceOp op = ReduceOp::Sum;
     std::size_t count = 0;
     int root = 0;
     int contributions = 0;
-    /** Per-rank contributions (bcast: only parts[root] is used). */
+    /** Per-rank contributions (bcast: only parts[root] is used;
+     *  barrier: all empty). */
     std::vector<std::vector<double>> parts;
     /** Reduced/broadcast payload, written by the last contributor. */
     std::vector<double> result;
@@ -88,17 +79,9 @@ class ThreadCommWorld
     friend class ThreadCommRank;
     friend class ThreadNbOp;
 
-    /** Generation-counted central barrier. */
-    void barrier();
-
     int nRanks;
 
     std::mutex mtx;
-    std::condition_variable cv;
-
-    // Barrier state.
-    int arrived = 0;
-    std::uint64_t generation = 0;
 
     // In-flight collectives keyed by (blocking?, sequence slot); the
     // last contributor completes the op and erases the entry (the
@@ -124,31 +107,14 @@ class ThreadCommRank : public Communicator
 
     int rank() const override { return myRank; }
     int size() const override { return world.nRanks; }
-    void barrier() override { world.barrier(); }
-    void bcast(double *data, std::size_t count, int root) override;
-    double allreduce(double value, ReduceOp op) override;
-    void allreduceVec(double *data, std::size_t count,
-                      ReduceOp op) override;
-    CommRequest iallreduce(double value, ReduceOp op,
-                           double *result) override;
-    CommRequest iallreduceVec(double *data, std::size_t count,
-                              ReduceOp op) override;
-    CommRequest ibcast(double *data, std::size_t count,
-                       int root) override;
+    CommRequest post(CollectiveSeq seq, CollectiveKind kind,
+                     const double *contribution, std::size_t count,
+                     ReduceOp op, int root, double *out) override;
     void send(int dest, int tag,
               const std::vector<double> &payload) override;
     std::vector<double> recv(int src, int tag) override;
 
   private:
-    /** Post one collective into the next slot of the blocking or
-     *  the non-blocking sequence; @p contribution is this rank's
-     *  payload (ignored for non-root bcast posts), @p out where the
-     *  result lands. */
-    CommRequest postCollective(bool blocking, NbCollective::Kind kind,
-                               const double *contribution,
-                               std::size_t count, ReduceOp op,
-                               int root, double *out);
-
     ThreadCommWorld &world;
     int myRank;
     /** Next slot this rank will post into, per sequence. @{ */

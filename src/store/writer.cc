@@ -17,6 +17,15 @@
 namespace tdfe
 {
 
+namespace
+{
+
+/** Retries per block for transient I/O failures before the writer
+ *  degrades. */
+constexpr int maxWriteRetries = 3;
+
+} // namespace
+
 FeatureStoreWriter::FeatureStoreWriter(const std::string &path,
                                        StoreSchema schema,
                                        StoreOptions options)
@@ -52,8 +61,6 @@ FeatureStoreWriter::init(store::IoError open_error)
                    schema_.doubleColumns(),
                    " double columns, format maximum is ",
                    store::maxDoubleColumns);
-    if (opts_.maxRetries < 0)
-        opts_.maxRetries = 0;
 
     stInt.resize(schema_.intColumns());
     stDbl.resize(schema_.doubleColumns());
@@ -235,7 +242,7 @@ FeatureStoreWriter::writeChecked(const std::uint8_t *data,
             bytes.add(n);
             return true;
         }
-        if (!err.transientHint() || attempt >= opts_.maxRetries)
+        if (!err.transientHint() || attempt >= maxWriteRetries)
             break;
         static obs::Counter retries("store.writer.retries_total");
         retries.add();

@@ -48,9 +48,6 @@ struct StoreOptions
     /** When sealed blocks become durable (see DurabilityPolicy). */
     store::DurabilityPolicy durability =
         store::DurabilityPolicy::None;
-    /** Retries per block for transient I/O failures before the
-     *  writer degrades. */
-    int maxRetries = 3;
     /** Base backoff before retry @c k sleeps `backoff << k`
      *  microseconds (0 disables sleeping — tests). */
     int retryBackoffUs = 500;

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/region.hh"
-#include "par/serial_comm.hh"
+#include "par/thread_comm.hh"
 
 namespace
 {
@@ -111,29 +111,32 @@ TEST(Analysis, TinyThresholdClampsAtSearchEnd)
 
 TEST(Region, EarlyStopProtocol)
 {
-    WaveDomain domain;
-    SerialComm comm;
-    Region region("wave", &domain, &comm);
-    region.setSyncInterval(5);
-    region.addAnalysis(waveAnalysis(0.05, true));
-    region.setRankOfLocation([](long) { return 0; });
+    // One ThreadComm rank: every collective completes at post time.
+    ThreadCommWorld world(1);
+    world.run([](Communicator &comm) {
+        WaveDomain domain;
+        Region region("wave", &domain, &comm);
+        region.setSyncInterval(5);
+        region.addAnalysis(waveAnalysis(0.05, true));
+        region.setRankOfLocation([](long) { return 0; });
 
-    long stop_iter = -1;
-    for (domain.iter = 0; domain.iter <= 200; ++domain.iter) {
-        region.begin();
-        region.end();
-        if (region.shouldStop()) {
-            stop_iter = domain.iter;
-            break;
+        long stop_iter = -1;
+        for (domain.iter = 0; domain.iter <= 200; ++domain.iter) {
+            region.begin();
+            region.end();
+            if (region.shouldStop()) {
+                stop_iter = domain.iter;
+                break;
+            }
         }
-    }
-    ASSERT_GT(stop_iter, 0);
-    EXPECT_LT(stop_iter, 200);
-    EXPECT_EQ(region.wavefrontRank(), 0);
-    // The convergence broadcast carried the stop flag.
-    EXPECT_DOUBLE_EQ(region.lastBroadcast()[2], 1.0);
-    EXPECT_GT(region.overheadSeconds(), 0.0);
-    EXPECT_GE(region.stepSeconds(), region.overheadSeconds() * 0.0);
+        ASSERT_GT(stop_iter, 0);
+        EXPECT_LT(stop_iter, 200);
+        EXPECT_EQ(region.wavefrontRank(), 0);
+        // The convergence broadcast carried the stop flag.
+        EXPECT_DOUBLE_EQ(region.lastBroadcast()[2], 1.0);
+        EXPECT_GT(region.overheadSeconds(), 0.0);
+        EXPECT_GE(region.stepSeconds(), region.overheadSeconds() * 0.0);
+    });
 }
 
 TEST(Region, IterationCountsAndAccessors)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the message-passing substrate: SerialComm and the
- * thread-backed ThreadCommWorld collectives.
+ * Unit tests for the message-passing substrate: the Communicator
+ * front ends over the thread-backed ThreadCommWorld.
  */
 
 #include <atomic>
@@ -10,35 +10,12 @@
 #include <thread>
 #include <vector>
 
-#include "par/serial_comm.hh"
 #include "par/thread_comm.hh"
 
 namespace
 {
 
 using namespace tdfe;
-
-TEST(SerialComm, TrivialCollectives)
-{
-    SerialComm c;
-    EXPECT_EQ(c.rank(), 0);
-    EXPECT_EQ(c.size(), 1);
-    c.barrier();
-    EXPECT_DOUBLE_EQ(c.allreduce(5.0, ReduceOp::Sum), 5.0);
-    EXPECT_DOUBLE_EQ(c.bcastValue(3.0, 0), 3.0);
-    double buf[2] = {1.0, 2.0};
-    c.allreduceVec(buf, 2, ReduceOp::Max);
-    EXPECT_DOUBLE_EQ(buf[0], 1.0);
-}
-
-TEST(SerialComm, SelfSendReceive)
-{
-    SerialComm c;
-    c.send(0, 7, {1.0, 2.0});
-    c.send(0, 7, {3.0});
-    EXPECT_EQ(c.recv(0, 7), (std::vector<double>{1.0, 2.0}));
-    EXPECT_EQ(c.recv(0, 7), (std::vector<double>{3.0}));
-}
 
 TEST(ThreadComm, RanksAndSizes)
 {
@@ -68,7 +45,7 @@ TEST(ThreadComm, BroadcastFromEveryRoot)
     world.run([&](Communicator &c) {
         for (int root = 0; root < c.size(); ++root) {
             double v = c.rank() == root ? 42.0 + root : -1.0;
-            c.bcast(&v, 1, root);
+            c.ibcast(&v, 1, root).wait();
             EXPECT_DOUBLE_EQ(v, 42.0 + root);
         }
     });

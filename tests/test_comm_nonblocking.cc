@@ -1,10 +1,11 @@
 /**
  * @file
  * Stress and interleaving tests for the non-blocking collectives
- * (iallreduce / iallreduceVec / ibcast + CommRequest): thousands of
+ * (iallreduce / ibcast + CommRequest): thousands of
  * posted-then-lazily-completed operations per rank with randomized
- * completion order, bitwise agreement with the blocking collectives,
- * dropped requests, and no deadlock under nested ThreadPool use.
+ * completion order, interleaved with blocking vector reductions,
+ * bitwise agreement with the blocking collectives, dropped requests,
+ * and no deadlock under nested ThreadPool use.
  */
 
 #include <cmath>
@@ -15,39 +16,12 @@
 #include <vector>
 
 #include "base/thread_pool.hh"
-#include "par/serial_comm.hh"
 #include "par/thread_comm.hh"
 
 namespace
 {
 
 using namespace tdfe;
-
-TEST(SerialCommNonblocking, CompletesImmediately)
-{
-    SerialComm c;
-    double r = -1.0;
-    CommRequest req = c.iallreduce(5.0, ReduceOp::Sum, &r);
-    EXPECT_TRUE(req.test());
-    EXPECT_DOUBLE_EQ(r, 5.0);
-    req.wait(); // idempotent after completion
-
-    double vec[3] = {1.0, 2.0, 3.0};
-    CommRequest rv = c.iallreduceVec(vec, 3, ReduceOp::Max);
-    EXPECT_TRUE(rv.test());
-    EXPECT_DOUBLE_EQ(vec[2], 3.0);
-
-    double payload[2] = {7.0, 8.0};
-    CommRequest rb = c.ibcast(payload, 2, 0);
-    EXPECT_TRUE(rb.test());
-    EXPECT_DOUBLE_EQ(payload[0], 7.0);
-
-    // A default-constructed request counts as complete.
-    CommRequest none;
-    EXPECT_FALSE(none.valid());
-    EXPECT_TRUE(none.test());
-    none.wait();
-}
 
 /**
  * One posted operation awaiting lazy completion, together with the
@@ -65,7 +39,10 @@ struct Outstanding
  * Post operation @p i on @p c: the kind, reduction, length, and root
  * all derive deterministically from @p i so every rank posts the
  * identical schedule; values are integers so every reduction is
- * exact regardless of combination order.
+ * exact regardless of combination order. Every third operation is a
+ * blocking allreduceVec, which completes before this returns (its
+ * request stays null) while earlier non-blocking posts are still in
+ * flight.
  */
 std::unique_ptr<Outstanding>
 postOp(Communicator &c, long i)
@@ -116,9 +93,8 @@ postOp(Communicator &c, long i)
                         : static_cast<double>(n * (i + j)) +
                               n * (n - 1) / 2.0;
         }
-        out->req = c.iallreduceVec(out->buf.data(), len,
-                                   use_max ? ReduceOp::Max
-                                           : ReduceOp::Sum);
+        c.allreduceVec(out->buf.data(), len,
+                       use_max ? ReduceOp::Max : ReduceOp::Sum);
     }
     return out;
 }
@@ -198,29 +174,13 @@ TEST_P(NonblockingStress, BitwiseMatchesBlockingCollectives)
             r.wait();
             EXPECT_EQ(blocking, nonblocking) << "op " << i;
 
-            // Broadcast from every root in turn.
+            // Broadcast from every root in turn: every rank ends
+            // with the root's exact bits.
             const int root = static_cast<int>(i) % n;
-            double b1 = c.rank() == root ? v : 0.0;
-            double b2 = b1;
-            c.bcast(&b1, 1, root);
-            CommRequest rb = c.ibcast(&b2, 1, root);
-            rb.wait();
-            EXPECT_EQ(b1, b2) << "bcast " << i;
-
-            // Vector Sum and Max: both paths fold in rank order, so
-            // even the floating-point Sum must agree bitwise.
-            for (const ReduceOp vop : {ReduceOp::Sum, ReduceOp::Max}) {
-                std::vector<double> v1(5), v2(5);
-                for (std::size_t j = 0; j < v1.size(); ++j)
-                    v1[j] = v2[j] =
-                        std::cos(static_cast<double>(i) + j) *
-                        std::exp(3.0 * c.rank());
-                c.allreduceVec(v1.data(), v1.size(), vop);
-                CommRequest rv =
-                    c.iallreduceVec(v2.data(), v2.size(), vop);
-                rv.wait();
-                EXPECT_EQ(v1, v2) << "vec " << i;
-            }
+            double b = c.rank() == root ? v : 0.0;
+            c.ibcast(&b, 1, root).wait();
+            EXPECT_EQ(b, std::sin(static_cast<double>(i + root * 37)))
+                << "bcast " << i;
         }
     });
 }

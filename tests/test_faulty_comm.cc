@@ -16,7 +16,6 @@
 
 #include "blastapp/runner.hh"
 #include "par/faulty_comm.hh"
-#include "par/serial_comm.hh"
 #include "par/thread_comm.hh"
 
 namespace
@@ -25,17 +24,22 @@ namespace
 using namespace tdfe;
 using namespace tdfe::blast;
 
-TEST(CommWaitFor, SerialCompletesImmediately)
+TEST(CommWaitFor, OneRankCompletesImmediately)
 {
-    SerialComm c;
-    double r = -1.0;
-    CommRequest req = c.iallreduce(2.0, ReduceOp::Sum, &r);
-    EXPECT_TRUE(req.waitFor(0.001));
-    EXPECT_DOUBLE_EQ(r, 2.0);
+    ThreadCommWorld world(1);
+    world.run([](Communicator &c) {
+        double r = -1.0;
+        CommRequest req = c.iallreduce(2.0, ReduceOp::Sum, &r);
+        EXPECT_TRUE(req.waitFor(0.001));
+        EXPECT_DOUBLE_EQ(r, 2.0);
+        req.wait(); // idempotent after completion
 
-    // A default-constructed (dropped) request counts as complete.
-    CommRequest none;
-    EXPECT_TRUE(none.waitFor(0.0));
+        // A default-constructed (dropped) request counts as complete.
+        CommRequest none;
+        EXPECT_FALSE(none.valid());
+        EXPECT_TRUE(none.test());
+        EXPECT_TRUE(none.waitFor(0.0));
+    });
 }
 
 TEST(CommWaitFor, TimesOutWhileAPeerLags)
@@ -64,51 +68,62 @@ TEST(CommWaitFor, TimesOutWhileAPeerLags)
 
 TEST(FaultyComm, DelayedCompletionIsLateButLossless)
 {
-    SerialComm inner;
-    CommFaultPlan plan;
-    plan.delayAfterOp = 0;
-    plan.delayPolls = 2;
-    FaultyComm comm(inner, plan);
+    ThreadCommWorld world(1);
+    world.run([](Communicator &inner) {
+        CommFaultPlan plan;
+        plan.delayAfterOp = 0;
+        plan.delayPolls = 2;
+        FaultyComm comm(inner, plan);
 
-    double out = -1.0;
-    CommRequest req = comm.iallreduce(3.0, ReduceOp::Sum, &out);
-    // The first delayPolls polls report incomplete even though the
-    // serial op completed at post time...
-    EXPECT_FALSE(req.test());
-    EXPECT_FALSE(req.test());
-    EXPECT_TRUE(req.test());
-    EXPECT_DOUBLE_EQ(out, 3.0);
+        double out = -1.0;
+        CommRequest req = comm.iallreduce(3.0, ReduceOp::Sum, &out);
+        // The first delayPolls polls report incomplete even though
+        // the one-rank op completed at post time...
+        EXPECT_FALSE(req.test());
+        EXPECT_FALSE(req.test());
+        EXPECT_TRUE(req.test());
+        EXPECT_DOUBLE_EQ(out, 3.0);
 
-    // ...but a bounded wait drains the held polls: slow is not dead,
-    // so the watchdog path must not observe a timeout.
-    double out2 = -1.0;
-    CommRequest req2 = comm.iallreduce(4.0, ReduceOp::Sum, &out2);
-    EXPECT_TRUE(req2.waitFor(0.001));
-    EXPECT_DOUBLE_EQ(out2, 4.0);
-    EXPECT_EQ(comm.postedOps(), 2);
-    EXPECT_FALSE(comm.wentSilent());
+        // ...but a bounded wait drains the held polls: slow is not
+        // dead, so the watchdog path must not observe a timeout.
+        double out2 = -1.0;
+        CommRequest req2 =
+            comm.iallreduce(4.0, ReduceOp::Sum, &out2);
+        EXPECT_TRUE(req2.waitFor(0.001));
+        EXPECT_DOUBLE_EQ(out2, 4.0);
+        EXPECT_EQ(comm.postedOps(), 2);
+        EXPECT_FALSE(comm.wentSilent());
+    });
 }
 
 TEST(FaultyComm, SilentRankSwallowsPosts)
 {
-    SerialComm inner;
-    CommFaultPlan plan;
-    plan.silentAfterOp = 1;
-    FaultyComm comm(inner, plan);
+    ThreadCommWorld world(1);
+    world.run([](Communicator &inner) {
+        CommFaultPlan plan;
+        plan.silentAfterOp = 1;
+        FaultyComm comm(inner, plan);
 
-    double out = -1.0;
-    CommRequest first = comm.iallreduce(1.0, ReduceOp::Sum, &out);
-    EXPECT_TRUE(first.waitFor(0.001));
-    EXPECT_FALSE(comm.wentSilent());
+        double out = -1.0;
+        CommRequest first = comm.iallreduce(1.0, ReduceOp::Sum, &out);
+        EXPECT_TRUE(first.waitFor(0.001));
+        EXPECT_FALSE(comm.wentSilent());
 
-    double never = -1.0;
-    CommRequest second =
-        comm.iallreduce(1.0, ReduceOp::Sum, &never);
-    EXPECT_TRUE(comm.wentSilent());
-    EXPECT_FALSE(second.test());
-    EXPECT_FALSE(second.waitFor(0.01));
-    EXPECT_DOUBLE_EQ(never, -1.0); // nothing was ever delivered
-    EXPECT_EQ(comm.postedOps(), 2);
+        double never = -1.0;
+        CommRequest second =
+            comm.iallreduce(1.0, ReduceOp::Sum, &never);
+        EXPECT_TRUE(comm.wentSilent());
+        EXPECT_FALSE(second.test());
+        EXPECT_FALSE(second.waitFor(0.01));
+        EXPECT_DOUBLE_EQ(never, -1.0); // nothing was ever delivered
+        EXPECT_EQ(comm.postedOps(), 2);
+
+        // Blocking collectives bypass the plan: a silenced rank's
+        // solver keeps reducing (and posts no op-clock tick).
+        EXPECT_DOUBLE_EQ(comm.allreduce(5.0, ReduceOp::Max), 5.0);
+        comm.barrier();
+        EXPECT_EQ(comm.postedOps(), 2);
+    });
 }
 
 // ---------------------------------------------------------------

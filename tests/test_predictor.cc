@@ -7,6 +7,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include "core/analysis.hh"
 #include "core/ar_model.hh"
 #include "core/collector.hh"
 #include "core/predictor.hh"
@@ -137,6 +138,93 @@ TEST(Predictor, SpatialRolloutExtendsProfile)
     ASSERT_EQ(peaks.size(), 7u);
     EXPECT_DOUBLE_EQ(peaks[0], 16.0); // observed peak
     EXPECT_NEAR(peaks[4], 1.0, 0.05); // rolled peak
+}
+
+TEST(Predictor, OneStepAtIsTheSeriesElementBitwise)
+{
+    // Five locations, 40 iterations of an irregular field, so the
+    // lag gathering (not just the model) decides every value.
+    ObservedSeries series(2, 3, 5, 7);
+    for (int t = 0; t < 40; ++t) {
+        std::vector<double> row(5);
+        for (int k = 0; k < 5; ++k)
+            row[static_cast<std::size_t>(k)] =
+                std::sin(0.37 * t + 1.3 * k) * (k + 1) + 0.01 * t;
+        series.appendRow(row);
+    }
+
+    for (const LagAxis axis : {LagAxis::Time, LagAxis::Space}) {
+        ArConfig cfg;
+        cfg.order = 3;
+        cfg.lag = 2;
+        cfg.axis = axis;
+        cfg.batchSize = 16;
+        const ArModel model =
+            trainedModel(cfg, [](const std::vector<double> &x) {
+                return 0.5 * x[0] - 0.25 * x[1] + 0.125 * x[2] + 0.3;
+            });
+        const Predictor pred(model, series);
+        std::vector<double> lags;
+        std::size_t matched = 0;
+        // Space-axis locations 2..8 lack lag sources: both sides
+        // must agree there is nothing to predict.
+        for (long loc = 2; loc <= 14; loc += 3) {
+            const FittedSeries fit = pred.oneStepSeries(loc);
+            std::size_t k = 0;
+            for (long t = series.iterBegin() - 1;
+                 t <= series.iterEnd(); ++t) {
+                double predicted = 0.0;
+                const bool ok = pred.oneStepAt(loc, t, lags, predicted);
+                const bool in_fit =
+                    k < fit.iters.size() && fit.iters[k] == t;
+                EXPECT_EQ(ok, in_fit) << "loc " << loc << " t " << t;
+                if (ok && in_fit) {
+                    EXPECT_EQ(predicted, fit.predicted[k])
+                        << "loc " << loc << " t " << t;
+                    ++k;
+                }
+            }
+            EXPECT_EQ(k, fit.iters.size()) << "loc " << loc;
+            matched += k;
+        }
+        EXPECT_GT(matched, 0u);
+    }
+}
+
+TEST(Predictor, LatestPredictionIsTheLastFittedPoint)
+{
+    // V(l, t) = 10 * 0.7^(l-1) * ramp(t): a trained Space-axis
+    // analysis whose feature location has lag sources, so the
+    // per-iteration store value is a real model prediction.
+    struct Wave
+    {
+        long iter = 0;
+    } wave;
+    AnalysisConfig ac;
+    ac.provider = [](void *domain, long loc) {
+        const long t = static_cast<Wave *>(domain)->iter;
+        return 10.0 * std::pow(0.7, static_cast<double>(loc - 1)) *
+               (1.0 - std::exp(-static_cast<double>(t) / 20.0));
+    };
+    ac.space = IterParam(1, 6, 1);
+    ac.time = IterParam(10, 120, 1);
+    ac.featureLocation = 4;
+    ac.ar.order = 2;
+    ac.ar.lag = 1;
+    ac.ar.axis = LagAxis::Space;
+    ac.ar.batchSize = 24;
+    CurveFitAnalysis analysis(ac);
+    for (wave.iter = 0; wave.iter <= 80; ++wave.iter)
+        analysis.onIteration(wave.iter, &wave);
+
+    ASSERT_TRUE(analysis.model().trained());
+    const FittedSeries fit =
+        Predictor(analysis.model(), analysis.observed())
+            .oneStepSeries(4);
+    ASSERT_FALSE(fit.predicted.empty());
+    ASSERT_EQ(fit.iters.back(), analysis.observed().iterEnd() - 1);
+    EXPECT_EQ(analysis.latestPrediction(), fit.predicted.back());
+    EXPECT_EQ(analysis.currentPrediction(), fit.predicted.back());
 }
 
 TEST(PredictorDeathTest, AxisMisuseIsRejected)

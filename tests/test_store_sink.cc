@@ -516,6 +516,33 @@ TEST(StoreCApi, EndToEnd)
     std::remove(path.c_str());
 }
 
+TEST(StoreCApi, UnopenablePathDegradesWithoutAborting)
+{
+    // The directory does not exist: the open still hands back a
+    // handle, degraded from the start, so the simulation keeps going.
+    const std::string path = tempPath("no-such-dir/capi.tdfs");
+    td_store_t *store = td_store_open(path.c_str(), 2, 8);
+    ASSERT_NE(store, nullptr);
+    EXPECT_EQ(td_store_status(store), ENOENT);
+    EXPECT_NE(std::string(td_store_error(store)).find(path),
+              std::string::npos)
+        << td_store_error(store);
+    EXPECT_EQ(td_store_dropped(store), 0);
+
+    const double coeffs[2] = {0.5, 1.5};
+    for (long i = 0; i < 5; ++i)
+        EXPECT_EQ(td_store_append(store, i, 0, 0, 0.0, 1.0, 2.0, 0.1,
+                                  coeffs),
+                  ENOENT);
+    EXPECT_EQ(td_store_dropped(store), 5);
+    EXPECT_EQ(td_store_status(store), ENOENT); // sticky
+    EXPECT_EQ(td_store_close(store), 0);
+
+    EXPECT_EQ(td_store_status(nullptr), -1);
+    EXPECT_EQ(td_store_dropped(nullptr), -1);
+    EXPECT_EQ(td_store_close(nullptr), -1);
+}
+
 TEST(StoreCApi, OpenVariantsParseDurabilityAlike)
 {
     const std::string path = tempPath("capi_open.tdfs");

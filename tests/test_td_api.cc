@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <string>
 
 #include "core/td_api.h"
 
@@ -140,30 +142,33 @@ TEST(TdApi, CxxBridgeExposesRegion)
 }
 
 
+/** A region for the checkpoint tests: one space-axis analysis. */
+td_region_t *
+buildCkptRegion(FakeDomain *dom)
+{
+    td_region_t *region = td_region_init("ckpt", dom);
+    td_iter_param_t *loc = td_iter_param_init(1, 6, 1);
+    td_iter_param_t *iter = td_iter_param_init(10, 150, 1);
+    td_ar_options_t opts;
+    td_ar_options_default(&opts);
+    opts.order = 2;
+    opts.axis = TD_AXIS_SPACE;
+    opts.search_end = 20;
+    opts.min_location = 1;
+    td_region_add_analysis_ex(region, td_var_provider, loc,
+                              Curve_Fitting, iter, 0.4, 0, &opts);
+    td_iter_param_destroy(loc);
+    td_iter_param_destroy(iter);
+    return region;
+}
+
 TEST(TdApi, CheckpointRoundTripThroughTheCApi)
 {
-    auto build = [](FakeDomain *dom) {
-        td_region_t *region = td_region_init("ckpt", dom);
-        td_iter_param_t *loc = td_iter_param_init(1, 6, 1);
-        td_iter_param_t *iter = td_iter_param_init(10, 150, 1);
-        td_ar_options_t opts;
-        td_ar_options_default(&opts);
-        opts.order = 2;
-        opts.axis = TD_AXIS_SPACE;
-        opts.search_end = 20;
-        opts.min_location = 1;
-        td_region_add_analysis_ex(region, td_var_provider, loc,
-                                  Curve_Fitting, iter, 0.4, 0, &opts);
-        td_iter_param_destroy(loc);
-        td_iter_param_destroy(iter);
-        return region;
-    };
-
     const char *path = "td_api_test.ckpt";
 
     // Reference: uninterrupted.
     FakeDomain ref_dom;
-    td_region_t *ref = build(&ref_dom);
+    td_region_t *ref = buildCkptRegion(&ref_dom);
     for (ref_dom.iter = 0; ref_dom.iter <= 150; ++ref_dom.iter) {
         td_region_begin(ref);
         td_region_end(ref);
@@ -171,7 +176,7 @@ TEST(TdApi, CheckpointRoundTripThroughTheCApi)
 
     // Interrupted at 70, checkpointed, restored, finished.
     FakeDomain dom_a;
-    td_region_t *a = build(&dom_a);
+    td_region_t *a = buildCkptRegion(&dom_a);
     for (dom_a.iter = 0; dom_a.iter <= 70; ++dom_a.iter) {
         td_region_begin(a);
         td_region_end(a);
@@ -180,7 +185,7 @@ TEST(TdApi, CheckpointRoundTripThroughTheCApi)
     td_region_destroy(a);
 
     FakeDomain dom_b;
-    td_region_t *b = build(&dom_b);
+    td_region_t *b = buildCkptRegion(&dom_b);
     ASSERT_EQ(td_region_restore(b, path), 0);
     EXPECT_EQ(td_region_iteration(b), 71);
     for (dom_b.iter = 71; dom_b.iter <= 150; ++dom_b.iter) {
@@ -205,6 +210,47 @@ TEST(TdApi, CheckpointToUnwritablePathFails)
     EXPECT_EQ(td_region_restore(region, "/nonexistent-dir/x.ckpt"),
               -1);
     td_region_destroy(region);
+}
+
+TEST(TdApi, CorruptCheckpointReportsEnvelopeError)
+{
+    const char *path = "td_api_corrupt.ckpt";
+    FakeDomain dom;
+    td_region_t *a = buildCkptRegion(&dom);
+    for (dom.iter = 0; dom.iter <= 40; ++dom.iter) {
+        td_region_begin(a);
+        td_region_end(a);
+    }
+    ASSERT_EQ(td_region_checkpoint(a, path), 0);
+    EXPECT_EQ(td_ckpt_status(a), 0);
+    EXPECT_STREQ(td_ckpt_error(a), "");
+    td_region_destroy(a);
+
+    // Flip one payload byte: the envelope's payload CRC must catch
+    // it, and the error must say so rather than whatever a second
+    // parse of the damaged bytes would complain about.
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f);
+        f.seekg(40);
+        char byte = 0;
+        ASSERT_TRUE(f.get(byte));
+        f.seekp(40);
+        f.put(static_cast<char>(byte ^ 0x5a));
+    }
+
+    FakeDomain dom_b;
+    td_region_t *b = buildCkptRegion(&dom_b);
+    EXPECT_EQ(td_region_restore(b, path), -1);
+    EXPECT_NE(td_ckpt_status(b), 0);
+    EXPECT_NE(std::string(td_ckpt_error(b)).find("payload CRC mismatch"),
+              std::string::npos)
+        << td_ckpt_error(b);
+    td_region_destroy(b);
+
+    EXPECT_EQ(td_ckpt_status(nullptr), -1);
+    std::remove(path);
 }
 
 } // namespace
