@@ -20,7 +20,7 @@
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
-# checkpoint, and run-harness tests under the asan_smoke label —
+# checkpoint, run-harness, and C API tests under the asan_smoke label —
 # skipped with a notice when the toolchain cannot produce ASan
 # binaries, or when SKIP_ASAN=1.
 # This is the command CI and the roadmap's "tier-1 verify" refer to.
@@ -61,6 +61,19 @@ if ./tdfstool query check_clover.tdfs --where "bogus<1" \
     > /dev/null 2>&1; then
   echo "!! bad predicate unexpectedly accepted" && exit 1
 fi
+# Malformed numeric flags exit 1 with a message, never read as 0
+# (a bad --stall used to mean "wait forever", hence the timeout).
+for bad in "query check_clover.tdfs --iter abc:xyz --agg count" \
+    "query check_clover.tdfs --analysis foo --agg count" \
+    "query check_clover.tdfs --stop false --agg count" \
+    "tail check_missing.tdfs --stall x"; do
+  rc=0
+  timeout 10 ./tdfstool $bad > /dev/null 2> check_bad_flag.err || rc=$?
+  if (( rc != 1 )) || [[ ! -s check_bad_flag.err ]]; then
+    echo "!! tdfstool $bad exited $rc, want 1 with a message" && exit 1
+  fi
+done
+rm -f check_bad_flag.err
 
 # Telemetry smoke: the same example run with metrics + tracing on
 # (2 pool threads so the async overlap spans are recorded) must
@@ -202,7 +215,7 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_store_query_asan test_store_live_asan \
       test_feature_store_asan test_store_sink_asan \
       test_checkpoint_asan test_ckpt_resilience_asan \
-      test_run_harness_asan
+      test_run_harness_asan test_td_api_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

@@ -1,22 +1,18 @@
 #include "ckpt/checkpoint.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <limits>
 
 #include <dirent.h>
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "base/logging.hh"
-#include "base/portable.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "store/codec.hh"
 
 namespace tdfe
 {
@@ -30,41 +26,7 @@ namespace
 constexpr char envelopeMagic[8] = {'T', 'D', 'C', 'K',
                                    'E', 'N', 'V', '1'};
 constexpr std::uint32_t envelopeVersion = 1;
-constexpr std::size_t headerBytes = 36; // magic..headerCrc inclusive
-constexpr std::size_t trailerBytes = 4; // payload CRC
 constexpr char generationSuffix[] = ".tdck";
-
-void
-appendU32(std::string &out, std::uint32_t v)
-{
-    char b[4];
-    std::memcpy(b, &v, sizeof(v));
-    out.append(b, sizeof(b));
-}
-
-void
-appendU64(std::string &out, std::uint64_t v)
-{
-    char b[8];
-    std::memcpy(b, &v, sizeof(v));
-    out.append(b, sizeof(b));
-}
-
-std::uint32_t
-loadU32(const char *p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-std::uint64_t
-loadU64(const char *p)
-{
-    std::uint64_t v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
 
 /** Split @p prefix into (directory, basename) for the scan. */
 void
@@ -81,90 +43,29 @@ splitPrefix(const std::string &prefix, std::string *dir,
     }
 }
 
-/** Read a whole file into @p out. @return false when unreadable. */
-bool
-slurp(const std::string &path, std::string *out, std::string *error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error)
-            *error = "cannot open '" + path + "'";
-        return false;
-    }
-    in.seekg(0, std::ios::end);
-    const std::streamoff size = in.tellg();
-    in.seekg(0, std::ios::beg);
-    out->resize(size > 0 ? static_cast<std::size_t>(size) : 0);
-    if (!out->empty())
-        in.read(&(*out)[0],
-                static_cast<std::streamsize>(out->size()));
-    if (in.gcount() != static_cast<std::streamsize>(out->size())) {
-        if (error)
-            *error = "short read of '" + path + "'";
-        return false;
-    }
-    return true;
-}
-
 /**
- * Parse + validate an envelope held in memory. Fills @p info with
- * everything parseable even when invalid.
+ * Read and validate the envelope at @p path into @p bytes. @p info
+ * gets everything parseable, even for a rejected file.
  */
 void
-parseEnvelope(const std::string &bytes, EnvelopeInfo *info,
-              std::string *payload)
+loadEnvelope(const std::string &path, std::vector<std::uint8_t> &bytes,
+             EnvelopeInfo &info)
 {
-    info->fileBytes = bytes.size();
-    if (bytes.size() < headerBytes + trailerBytes) {
-        info->error = "file too small for a checkpoint envelope (" +
-                      std::to_string(bytes.size()) + " bytes)";
+    // No size cap: a checkpoint is as large as the state it holds.
+    const store::IoError io = store::readWholeFile(
+        {}, path, std::numeric_limits<std::uint64_t>::max(), bytes);
+    if (!io.ok()) {
+        info.error = io.message;
         return;
     }
-    if (std::memcmp(bytes.data(), envelopeMagic,
-                    sizeof(envelopeMagic)) != 0) {
-        info->error = "bad magic (not a checkpoint envelope)";
-        return;
-    }
-    info->version = loadU32(bytes.data() + 8);
-    info->iteration = loadU64(bytes.data() + 16);
-    info->payloadBytes = loadU64(bytes.data() + 24);
-    const std::uint32_t header_crc = loadU32(bytes.data() + 32);
-    const std::uint32_t header_crc_want =
-        store::crc32(bytes.data(), 32);
-    if (header_crc != header_crc_want) {
-        info->error = "header CRC mismatch (torn or corrupt header)";
-        return;
-    }
-    if (info->version != envelopeVersion) {
-        info->error = "unsupported envelope version " +
-                      std::to_string(info->version);
-        return;
-    }
-    if (bytes.size() !=
-        headerBytes + info->payloadBytes + trailerBytes) {
-        info->error =
-            "size mismatch: header promises " +
-            std::to_string(info->payloadBytes) + " payload bytes, " +
-            "file has " +
-            std::to_string(bytes.size() - headerBytes -
-                           trailerBytes) +
-            " (torn write)";
-        return;
-    }
-    const char *body = bytes.data() + headerBytes;
-    info->payloadCrc =
-        loadU32(body + info->payloadBytes);
-    const std::uint32_t payload_crc_want =
-        store::crc32(body, static_cast<std::size_t>(
-                               info->payloadBytes));
-    if (info->payloadCrc != payload_crc_want) {
-        info->error = "payload CRC mismatch (corrupt payload)";
-        return;
-    }
-    info->valid = true;
-    if (payload)
-        payload->assign(body, static_cast<std::size_t>(
-                                  info->payloadBytes));
+    info.fileBytes = bytes.size();
+    store::FrameInfo frame;
+    info.valid = store::decodeFrame(envelopeMagic, envelopeVersion,
+                                    bytes, frame, &info.error);
+    info.version = frame.version;
+    info.iteration = frame.counter;
+    info.payloadBytes = frame.payloadBytes;
+    info.payloadCrc = frame.payloadCrc;
 }
 
 /** Best-effort fsync of the directory holding @p path so the rename
@@ -196,94 +97,35 @@ writeCheckpointFile(const std::string &path,
                     const std::string &payload,
                     std::uint64_t iteration, const WriteOptions &opts)
 {
-    // Assemble the whole envelope first so the file sees exactly one
-    // write call — an injected crash-at-byte-N then tears the file at
-    // precisely that offset, independent of buffering.
-    std::string env;
-    env.reserve(headerBytes + payload.size() + trailerBytes);
-    env.append(envelopeMagic, sizeof(envelopeMagic));
-    appendU32(env, envelopeVersion);
-    appendU32(env, 0); // reserved
-    appendU64(env, iteration);
-    appendU64(env, payload.size());
-    appendU32(env, store::crc32(env.data(), 32));
-    env.append(payload);
-    appendU32(env, store::crc32(payload.data(), payload.size()));
-
-    const std::string tmp = path + ".tmp";
-    store::IoError err;
-    std::unique_ptr<store::StoreFile> file =
-        store::openOsFile(tmp, &err);
-    if (!file) {
-        return {err.code != 0 ? err.code : EIO,
-                "cannot open '" + tmp + "': " + err.message};
-    }
-    if (opts.wrapFile)
-        file = opts.wrapFile(std::move(file));
-
-    CkptStatus bad;
-    err = file->write(env.data(), env.size());
-    if (!err.ok()) {
-        bad = {err.code, "write to '" + tmp + "' failed: " +
-                             err.message};
-    }
-    if (bad.ok()) {
-        switch (opts.durability) {
-          case store::DurabilityPolicy::None:
-            break;
-          case store::DurabilityPolicy::FlushPerSeal:
-            err = file->flush();
-            break;
-          case store::DurabilityPolicy::SyncPerSeal:
-            err = file->sync();
-            break;
-        }
-        if (!err.ok())
-            bad = {err.code, "durability on '" + tmp +
-                                 "' failed: " + err.message};
-    }
-    err = file->close();
-    if (bad.ok() && !err.ok())
-        bad = {err.code, "close of '" + tmp + "' failed: " +
-                             err.message};
-    if (!bad.ok()) {
-        std::remove(tmp.c_str());
-        return bad;
-    }
-    if (opts.skipRename) {
-        // Injected crash-before-publish: the durable tmp file is
-        // abandoned exactly as a real crash would leave it.
-        return {};
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int e = errno;
-        std::remove(tmp.c_str());
-        return {e != 0 ? e : EIO, "rename '" + tmp + "' -> '" + path +
-                                      "' failed"};
-    }
-    if (opts.durability == store::DurabilityPolicy::SyncPerSeal)
+    std::vector<std::uint8_t> frame;
+    store::encodeFrame(envelopeMagic, envelopeVersion, iteration,
+                       payload.data(), payload.size(), frame);
+    const CkptStatus st =
+        store::publishFile(path, frame.data(), frame.size(), opts);
+    // CheckpointSet prunes older generations after a save, so the
+    // rename itself must survive node loss under SyncPerSeal.
+    if (st.ok() &&
+        opts.durability == store::DurabilityPolicy::SyncPerSeal)
         syncParentDir(path);
-    return {};
+    return st;
 }
 
 bool
 readCheckpointFile(const std::string &path, std::string *payload,
                    std::uint64_t *iteration, std::string *error)
 {
-    std::string bytes;
-    std::string slurp_error;
-    if (!slurp(path, &bytes, &slurp_error)) {
-        if (error)
-            *error = slurp_error;
-        return false;
-    }
+    std::vector<std::uint8_t> bytes;
     EnvelopeInfo info;
-    parseEnvelope(bytes, &info, payload);
+    loadEnvelope(path, bytes, info);
     if (!info.valid) {
         if (error)
             *error = info.error;
         return false;
     }
+    if (payload)
+        payload->assign(reinterpret_cast<const char *>(bytes.data()) +
+                            store::frameHeaderBytes,
+                        static_cast<std::size_t>(info.payloadBytes));
     if (iteration)
         *iteration = info.iteration;
     return true;
@@ -292,11 +134,9 @@ readCheckpointFile(const std::string &path, std::string *payload,
 EnvelopeInfo
 inspectCheckpointFile(const std::string &path)
 {
+    std::vector<std::uint8_t> bytes;
     EnvelopeInfo info;
-    std::string bytes;
-    if (!slurp(path, &bytes, &info.error))
-        return info;
-    parseEnvelope(bytes, &info, nullptr);
+    loadEnvelope(path, bytes, info);
     return info;
 }
 

@@ -1,25 +1,13 @@
 /**
  * @file
- * Crash-safe checkpoint envelope + rotation. Checkpoints are the
+ * Crash-safe checkpoint generations + rotation. Checkpoints are the
  * restart data of a long campaign, so unlike the feature store they
- * default to the paranoid end of the durability scale, and every
- * write is atomic: the envelope is assembled in memory, written to
- * `<path>.tmp` through the PR-6 StoreFile seam (so the same
- * deterministic FaultyFile faults the store sweep uses apply here),
- * made durable per policy, and renamed into place. A crash at any
- * byte leaves either the previous generation intact or a torn file
- * that fails its CRC and is skipped by openNewestValid().
- *
- * Envelope layout (little-endian, see base/portable.hh):
- *
- *     offset  0  magic[8]       "TDCKENV1"
- *     offset  8  u32 version    envelope format (currently 1)
- *     offset 12  u32 reserved   zero
- *     offset 16  u64 iteration  simulation iteration of the payload
- *     offset 24  u64 payload bytes
- *     offset 32  u32 header CRC-32 (of bytes [0, 32))
- *     offset 36  payload
- *     offset 36+n u32 payload CRC-32
+ * default to the paranoid end of the durability scale. Each
+ * generation is one store/frame.hh frame (magic "TDCKENV1", version
+ * 1, the iteration as its counter; the layout is documented there)
+ * published atomically by store::publishFile, so a crash at any byte
+ * leaves either the previous generation intact or a torn file that
+ * fails its CRC and is skipped by openNewestValid().
  *
  * Error model mirrors the store sink: nothing in here ever fatals on
  * I/O. Saves that fail latch a sticky degraded status on the
@@ -33,11 +21,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "store/file.hh"
+#include "store/frame.hh"
 
 namespace tdfe
 {
@@ -45,35 +32,15 @@ namespace tdfe
 namespace ckpt
 {
 
-/** Outcome of a checkpoint I/O operation; default means success. */
-struct CkptStatus
-{
-    /** errno-style code; 0 means the operation succeeded. */
-    int code = 0;
-    /** Human-readable detail of the first failure. */
-    std::string message;
-
-    bool ok() const { return code == 0; }
-};
+/** Outcome of a checkpoint I/O operation; ok() means success. */
+using CkptStatus = store::IoError;
 
 /**
- * Per-write knobs. The fault hooks exist for the crash-point sweep:
- * wrapFile decorates the temp file (FaultyFile tears the write at an
- * exact byte), skipRename models dying after the durable write but
- * before the publish rename.
+ * Per-write knobs: the durability before the rename, and the fault
+ * hooks of the crash-point sweep (wrapFile tears the write at an
+ * exact byte, skipRename dies before the publish rename).
  */
-struct WriteOptions
-{
-    /** When the envelope becomes durable before the rename. */
-    store::DurabilityPolicy durability =
-        store::DurabilityPolicy::SyncPerSeal;
-    /** Test seam: decorate the temp file before writing. */
-    std::function<std::unique_ptr<store::StoreFile>(
-        std::unique_ptr<store::StoreFile>)>
-        wrapFile;
-    /** Test seam: crash before the tmp -> final rename. */
-    bool skipRename = false;
-};
+using WriteOptions = store::PublishOptions;
 
 /**
  * Write @p payload as a complete envelope at @p path, atomically

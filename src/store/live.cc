@@ -1,10 +1,13 @@
 #include "store/live.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
+#include "store/codec.hh"
+#include "store/frame.hh"
 #include "store/manifest.hh"
 
 namespace tdfe
@@ -134,10 +137,16 @@ LiveStoreReader::refresh()
     if (s == LiveState::Final || s == LiveState::WriterLost)
         return false;
 
-    store::IoError io;
-    std::unique_ptr<store::ReadFile> mf = store::openReadFileVia(
-        opts_.fileFactory, store::manifestPathFor(path_), &io);
-    if (!mf) {
+    // Largest frame ever read: bounded by the index caps the footer
+    // parser enforces anyway; this just keeps a garbage sidecar from
+    // provoking a huge allocation before the CRC can reject it.
+    constexpr std::uint64_t maxFrame =
+        std::uint64_t(128) * 1024 * 1024;
+    std::vector<std::uint8_t> frame;
+    const store::IoError io = store::readWholeFile(
+        opts_.fileFactory, store::manifestPathFor(path_), maxFrame,
+        frame);
+    if (io.code == ENOENT) {
         // No manifest (yet). The one legitimate reason while
         // unattached is a store that was finished without live mode
         // (or whose sidecar was cleaned up) — a footer-backed open
@@ -160,36 +169,23 @@ LiveStoreReader::refresh()
         }
         return false;
     }
-
-    const std::uint64_t size = mf->size();
-    // Largest frame we ever accept: bounded by the index caps the
-    // decoder enforces anyway; this just keeps a garbage sidecar
-    // from provoking a huge allocation before the CRC can reject it.
-    constexpr std::uint64_t maxFrame =
-        std::uint64_t(128) * 1024 * 1024;
-    if (size < 12 || size > maxFrame) {
-        rejectRefresh("live manifest: implausible size " +
-                      std::to_string(size));
-        return false;
-    }
-    std::vector<std::uint8_t> buf(static_cast<std::size_t>(size));
-    io = mf->readAt(0, buf.data(), buf.size());
-    mf.reset();
     if (!io.ok()) {
         rejectRefresh("live manifest: " + io.message);
         return false;
     }
 
-    store::LiveManifest m;
+    store::FrameInfo info;
     std::string why;
-    if (!store::decodeManifest(buf.data(), buf.size(), m, &why)) {
-        rejectRefresh(why);
+    if (!store::decodeFrame(store::manifestMagic, store::manifestVersion,
+                            frame, info, &why)) {
+        rejectRefresh("live manifest: " + why);
         return false;
     }
-    if (m.generation <= generation())
+    if (info.counter <= generation())
         return false; // already serving this prefix (or newer)
 
-    if (!adopt(m, &why)) {
+    if (!adopt(info.counter, frame.data() + store::frameHeaderBytes,
+               static_cast<std::size_t>(info.payloadBytes), &why)) {
         rejectRefresh(why);
         return false;
     }
@@ -197,8 +193,18 @@ LiveStoreReader::refresh()
 }
 
 bool
-LiveStoreReader::adopt(const store::LiveManifest &m, std::string *why)
+LiveStoreReader::adopt(std::uint64_t generation,
+                       const std::uint8_t *payload, std::size_t n,
+                       std::string *why)
 {
+    store::ByteReader fields(payload, n);
+    const std::uint32_t flags = fields.u32();
+    const std::uint64_t data_bytes = fields.u64();
+    if (!fields.ok()) {
+        *why = "live manifest: payload too short";
+        return false;
+    }
+
     std::shared_ptr<const LiveSnapshot> prev;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -213,16 +219,16 @@ LiveStoreReader::adopt(const store::LiveManifest &m, std::string *why)
     std::unique_ptr<FeatureStoreReader> r(new FeatureStoreReader());
     if (!r->loadAndCheckHeader(path_, why, opts_.fileFactory))
         return false;
-    if (r->fileBytes() < m.dataBytes) {
+    if (r->fileBytes() < data_bytes) {
         // The classic lying-kernel tear: the manifest made it to
         // disk, the data it indexes did not.
         *why = "live manifest: runs ahead of the data file (" +
                std::to_string(r->fileBytes()) + " < " +
-               std::to_string(m.dataBytes) + " bytes)";
+               std::to_string(data_bytes) + " bytes)";
         return false;
     }
     std::string detail;
-    if (!r->parseFooter(m.footer.data(), m.footer.size(), m.dataBytes,
+    if (!r->parseFooter(fields.cursor(), fields.remaining(), data_bytes,
                         &detail)) {
         *why = "live manifest: " + detail;
         return false;
@@ -272,11 +278,11 @@ LiveStoreReader::adopt(const store::LiveManifest &m, std::string *why)
 
     auto snap = std::make_shared<LiveSnapshot>();
     snap->reader = std::move(r);
-    snap->generation = m.generation;
-    snap->final = m.final();
-    snap->degraded = m.degraded();
+    snap->generation = generation;
+    snap->final = (flags & store::manifestFlagFinal) != 0;
+    snap->degraded = (flags & store::manifestFlagDegraded) != 0;
     const LiveState next =
-        m.final() ? LiveState::Final : LiveState::Live;
+        snap->final ? LiveState::Final : LiveState::Live;
     publish(std::move(snap), next);
     return true;
 }

@@ -63,11 +63,6 @@
 namespace tdfe
 {
 
-namespace store
-{
-struct LiveManifest;
-}
-
 /** Knobs of one live reader. */
 struct LiveViewOptions
 {
@@ -232,11 +227,14 @@ class LiveStoreReader
     std::string lastError() const;
 
   private:
-    /** Validate @p m against the data file — header check, footer
-     *  parse over the sealed extent, prefix immutability, new-block
-     *  decode — and adopt it as the new snapshot. @return false
-     *  (with the reason in @p why) when validation rejects it. */
-    bool adopt(const store::LiveManifest &m, std::string *why);
+    /** Validate the @p n-byte manifest payload @p payload of
+     *  @p generation (manifest.hh) against the data file — header
+     *  check, footer parse over the sealed extent, prefix
+     *  immutability, new-block decode — and adopt it as the new
+     *  snapshot. @return false (with the reason in @p why) when
+     *  validation rejects it. */
+    bool adopt(std::uint64_t generation, const std::uint8_t *payload,
+               std::size_t n, std::string *why);
 
     /** Terminal degrade after a stall: footer-backed Final when the
      *  writer actually finished, else the best salvage-consistent

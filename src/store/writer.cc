@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -334,7 +333,7 @@ FeatureStoreWriter::finish()
 void
 FeatureStoreWriter::encodeFooter(std::vector<std::uint8_t> &f) const
 {
-    f.clear();
+    const std::size_t start = f.size();
     std::uint64_t records = 0;
     store::putU64(f, index.size());
     for (const store::BlockInfo &b : index) {
@@ -374,7 +373,7 @@ FeatureStoreWriter::encodeFooter(std::vector<std::uint8_t> &f) const
             put_dbl_bits(z.dblMax[c]);
         }
     }
-    store::putU32(f, store::crc32(f.data(), f.size()));
+    store::putU32(f, store::crc32(f.data() + start, f.size() - start));
 }
 
 void
@@ -410,52 +409,28 @@ FeatureStoreWriter::publishManifest(bool final_manifest, bool force)
         }
     }
 
-    store::LiveManifest m;
-    m.generation = ++liveGeneration_;
+    std::uint32_t flags = 0;
     if (final_manifest)
-        m.flags |= store::manifestFlagFinal;
+        flags |= store::manifestFlagFinal;
     if (!ok())
-        m.flags |= store::manifestFlagDegraded;
-    m.dataBytes = index.empty()
+        flags |= store::manifestFlagDegraded;
+    manifestBuf_.clear();
+    store::putU32(manifestBuf_, flags);
+    store::putU64(manifestBuf_,
+                  index.empty()
                       ? store::headerBytes
-                      : index.back().offset + index.back().size;
-    encodeFooter(m.footer);
-    store::encodeManifest(m, manifestBuf_);
-
-    // Whole-frame rewrite into a tmp sibling, then rename over the
-    // previous generation: readers observe either manifest, never a
-    // blend, without any reader/writer locking.
-    const std::string live_path = store::manifestPathFor(path_);
-    const std::string tmp_path = live_path + ".tmp";
-    store::IoError err;
-    std::unique_ptr<store::StoreFile> out =
-        opts_.liveFileFactory ? opts_.liveFileFactory(tmp_path, &err)
-                              : store::openOsFile(tmp_path, &err);
-    if (!out) {
-        if (err.ok()) {
-            err.code = EIO;
-            err.message = "cannot open " + tmp_path;
-        }
-        liveFail(err);
-        return;
-    }
-    err = out->write(manifestBuf_.data(), manifestBuf_.size());
-    if (err.ok())
-        err = opts_.durability ==
-                      store::DurabilityPolicy::SyncPerSeal
-                  ? out->sync()
-                  : out->flush();
-    const store::IoError close_err = out->close();
-    if (err.ok())
-        err = close_err;
-    if (err.ok() && std::rename(tmp_path.c_str(),
-                                live_path.c_str()) != 0) {
-        err.code = errno ? errno : EIO;
-        err.message = "rename " + tmp_path + ": " +
-                      std::strerror(err.code);
-    }
+                      : index.back().offset + index.back().size);
+    encodeFooter(manifestBuf_);
+    store::encodeFrame(store::manifestMagic, store::manifestVersion,
+                       ++liveGeneration_, manifestBuf_.data(),
+                       manifestBuf_.size(), frameBuf_);
+    store::PublishOptions publish;
+    publish.durability = opts_.durability;
+    publish.wrapFile = opts_.liveWrapFile;
+    const store::IoError err =
+        store::publishFile(store::manifestPathFor(path_),
+                           frameBuf_.data(), frameBuf_.size(), publish);
     if (!err.ok()) {
-        std::remove(tmp_path.c_str());
         liveFail(err);
         return;
     }

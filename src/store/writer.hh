@@ -27,15 +27,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "store/feature_record.hh"
-#include "store/file.hh"
 #include "store/format.hh"
+#include "store/frame.hh"
 
 namespace tdfe
 {
@@ -65,12 +64,11 @@ struct StoreOptions
      *  manifest rewrite on very long runs. finish() always
      *  publishes a final manifest regardless. */
     std::size_t livePublishEvery = 1;
-    /** Test seam: how the manifest tmp file is opened (empty: OS
-     *  file). Fault plans injected here exercise the sticky live
-     *  degrade without touching the data file. */
-    std::function<std::unique_ptr<store::StoreFile>(
-        const std::string &, store::IoError *)>
-        liveFileFactory;
+    /** Test seam: decorates each manifest tmp file (the wrapFile
+     *  of store::publishFile). Fault plans injected here exercise
+     *  torn publications and the sticky live degrade without
+     *  touching the data file. */
+    store::WrapFile liveWrapFile;
 };
 
 /**
@@ -229,11 +227,10 @@ class FeatureStoreWriter
               std::size_t lost_records);
 
     /**
-     * Encode the footer (format.hh, CRC included) describing the
-     * sealed blocks into @p out (cleared first). The one encoder of
-     * the block index and zone map: writeFooter() appends the
-     * trailer to it, publishManifest() embeds it in the live
-     * manifest.
+     * Append the footer (format.hh, CRC included) describing the
+     * sealed blocks to @p out. The one encoder of the block index
+     * and zone map: writeFooter() appends the trailer to it,
+     * publishManifest() embeds it in the live manifest's payload.
      */
     void encodeFooter(std::vector<std::uint8_t> &out) const;
 
@@ -242,9 +239,9 @@ class FeatureStoreWriter
 
     /**
      * Atomically publish the live manifest describing the current
-     * sealed prefix (tmp + rename; see manifest.hh). Runs on the
-     * seal path and inside finish() for the final generation, both
-     * on the producing thread. Respects livePublishEvery unless
+     * sealed prefix (store::publishFile; see manifest.hh). Runs on
+     * the seal path and inside finish() for the final generation,
+     * both on the producing thread. Respects livePublishEvery unless
      * @p force. On failure latches the sticky live degrade (warn
      * once) and never touches the data file or the append path.
      */
@@ -302,7 +299,8 @@ class FeatureStoreWriter
     store::IoError liveError_;
     std::atomic<std::uint64_t> livePublished_{0};
     std::uint64_t liveGeneration_ = 0;
-    std::vector<std::uint8_t> manifestBuf_;
+    /** Manifest payload and frame, reused across publications. */
+    std::vector<std::uint8_t> manifestBuf_, frameBuf_;
     /** @} */
 };
 

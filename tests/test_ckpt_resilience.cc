@@ -11,13 +11,16 @@
  */
 
 #include <cstdio>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "blastapp/runner.hh"
 #include "ckpt/checkpoint.hh"
+#include "store/codec.hh"
 #include "store/file.hh"
 #include "store/reader.hh"
 #include "tests/test_util.hh"
@@ -53,6 +56,36 @@ TEST(CkptEnvelope, RoundTrips)
     EXPECT_EQ(info.iteration, 42u);
     EXPECT_EQ(info.payloadBytes, payload.size());
     EXPECT_EQ(info.fileBytes, 36u + payload.size() + 4u);
+    std::remove(path.c_str());
+}
+
+TEST(CkptEnvelope, BytesMatchDocumentedLayout)
+{
+    // Byte identity of checkpoint files: a known payload at a known
+    // iteration must produce exactly the documented envelope.
+    const std::string path = tempPath("env_layout.tdck");
+    const std::string payload = "golden checkpoint payload \x01\xff";
+    const std::uint64_t iteration = 0x0102030405060708ull;
+    ASSERT_TRUE(
+        ckpt::writeCheckpointFile(path, payload, iteration).ok());
+
+    std::string want = "TDCKENV1";
+    auto put = [&want](std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i)
+            want.push_back(static_cast<char>(v >> (8 * i)));
+    };
+    put(1, 4); // version
+    put(0, 4); // reserved
+    put(iteration, 8);
+    put(payload.size(), 8);
+    put(store::crc32(want.data(), 32), 4);
+    want += payload;
+    put(store::crc32(payload.data(), payload.size()), 4);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string got((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want);
     std::remove(path.c_str());
 }
 

@@ -32,6 +32,7 @@
 
 #include "store/codec.hh"
 #include "store/file.hh"
+#include "store/frame.hh"
 #include "store/live.hh"
 #include "store/manifest.hh"
 #include "store/query.hh"
@@ -564,16 +565,20 @@ TEST(LiveFault, TornManifestsRejectAndKeepServing)
     expect_rejected("garbage");
     writeBytes(mpath, "xy");
     expect_rejected("tiny");
-    // A well-formed frame of an older manifest version (version 1
-    // carried its own copy of the index): unsupported, not parsed.
-    std::vector<std::uint8_t> v1(good.begin(), good.end());
-    v1[8] = 1; // the u32 version after the magic, little-endian
-    v1.resize(v1.size() - 4);
-    store::putU32(v1, store::crc32(v1.data(), v1.size()));
-    writeBytes(mpath, std::string(v1.begin(), v1.end()));
-    expect_rejected("version 1 frame");
-    EXPECT_NE(live.lastError().find("unsupported manifest version 1"),
-              std::string::npos)
+    // A well-formed frame in the previous sidecar layout (magic
+    // TDFSLIV1, manifest version 2, generation, then this payload,
+    // then a CRC over everything): not a frame of this build.
+    std::vector<std::uint8_t> v2(store::manifestMagic,
+                                 store::manifestMagic + 8);
+    v2[7] = '1';
+    store::putU32(v2, 2);
+    v2.insert(v2.end(), good.begin() + 16, good.begin() + 24);
+    v2.insert(v2.end(), good.begin() + store::frameHeaderBytes,
+              good.end() - store::frameTrailerBytes);
+    store::putU32(v2, store::crc32(v2.data(), v2.size()));
+    writeBytes(mpath, std::string(v2.begin(), v2.end()));
+    expect_rejected("version 2 layout");
+    EXPECT_NE(live.lastError().find("bad magic"), std::string::npos)
         << live.lastError();
 
     // The next good publication advances as if nothing happened.
@@ -736,11 +741,9 @@ TEST(LiveFault, ManifestPublishFailureDegradesLiveSideOnly)
     // Publications 1 (init) and 2 (first seal) succeed; from the
     // third on the manifest tmp file dies with persistent ENOSPC.
     int opened = 0;
-    opts.liveFileFactory =
-        [&opened](const std::string &p, store::IoError *err)
+    opts.liveWrapFile = [&opened](std::unique_ptr<store::StoreFile> f)
         -> std::unique_ptr<store::StoreFile> {
-        auto f = store::openOsFile(p, err);
-        if (!f || ++opened <= 2)
+        if (++opened <= 2)
             return f;
         store::FaultPlan plan;
         plan.kind = store::FaultPlan::Kind::ErrorAt;
@@ -781,6 +784,81 @@ TEST(LiveFault, ManifestPublishFailureDegradesLiveSideOnly)
     EXPECT_EQ(live.view().recordCount(), kRecords);
     EXPECT_EQ(streamDigest(live.view().reader()),
               honestDigest(kRecords, 2, kCap));
+    removeStore(path);
+}
+
+TEST(LiveFault, TornPublicationsRejectThenNextAdopts)
+{
+    // A lying kernel tears one manifest publication inside the frame
+    // header, the payload, or the trailing CRC. The torn frame is
+    // renamed into place (Crash mode reports success); the view must
+    // reject it, keep its generation, and adopt the next healthy one.
+    constexpr std::size_t kCap = 16;
+    const std::string path = tempPath("torn_publish.tdfs");
+    const std::string mpath = store::manifestPathFor(path);
+    std::uint64_t tear_at = ~0ull;
+    StoreOptions opts;
+    opts.blockCapacity = kCap;
+    opts.live = true;
+    opts.liveWrapFile = [&tear_at](std::unique_ptr<store::StoreFile> f)
+        -> std::unique_ptr<store::StoreFile> {
+        if (tear_at == ~0ull)
+            return f;
+        store::FaultPlan plan;
+        plan.kind = store::FaultPlan::Kind::Crash;
+        plan.atByte = tear_at;
+        return std::make_unique<store::FaultyFile>(std::move(f), plan);
+    };
+    StoreSchema schema;
+    schema.coeffCount = 2;
+    FeatureStoreWriter w(path, schema, opts);
+    std::size_t appended = 0;
+    auto seal_block = [&] {
+        for (std::size_t i = 0; i < kCap; ++i)
+            EXPECT_TRUE(w.append(makeRecord(appended++, 2)));
+    };
+    // Frame size grows by a fixed footer entry per sealed block.
+    const std::size_t empty_frame = readBytes(mpath).size();
+    seal_block();
+    const std::size_t per_block = readBytes(mpath).size() - empty_frame;
+    LiveStoreReader live(path);
+    ASSERT_TRUE(live.refresh());
+
+    const char *regions[] = {"header", "payload", "payload CRC"};
+    std::uint64_t rejects = 0;
+    for (std::size_t t = 0; t < 3; ++t) {
+        SCOPED_TRACE(regions[t]);
+        // Each round seals two blocks, a torn publication and a
+        // healthy one; the torn frame describes 2t + 2 blocks.
+        const std::uint64_t size = empty_frame + (2 * t + 2) * per_block;
+        const std::uint64_t at[] = {
+            20, store::frameHeaderBytes + per_block, size - 2};
+        tear_at = at[t];
+        const std::uint64_t gen = live.generation();
+        const std::size_t records = live.view().recordCount();
+        seal_block();
+        EXPECT_EQ(readBytes(mpath).size(), tear_at);
+        tear_at = ~0ull;
+        EXPECT_FALSE(live.refresh());
+        EXPECT_EQ(live.refreshRejects(), ++rejects);
+        EXPECT_NE(live.lastError().find("live manifest"),
+                  std::string::npos)
+            << live.lastError();
+        EXPECT_EQ(live.generation(), gen);
+        EXPECT_EQ(live.view().recordCount(), records);
+        EXPECT_EQ(live.state(), LiveState::Live);
+
+        seal_block();
+        ASSERT_TRUE(live.refresh());
+        EXPECT_EQ(live.generation(), gen + 2);
+        EXPECT_EQ(live.view().recordCount(), records + 2 * kCap);
+    }
+    EXPECT_TRUE(w.liveOk());
+    EXPECT_GT(w.finish(), 0u);
+    ASSERT_TRUE(live.refresh());
+    EXPECT_EQ(live.state(), LiveState::Final);
+    EXPECT_EQ(streamDigest(live.view().reader()),
+              honestDigest(appended, 2, kCap));
     removeStore(path);
 }
 

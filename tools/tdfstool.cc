@@ -41,6 +41,7 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -333,6 +334,36 @@ columnValue(const FeatureRecord &rec, const std::string &name,
     return false;
 }
 
+/** Parse all of @p text as a decimal integer. */
+bool
+parseInt(const std::string &text, long long &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtoll(text.c_str(), &end, 10);
+    return !text.empty() && *end == '\0' && errno == 0;
+}
+
+/** Parse all of @p text as a finite number. */
+bool
+parseNumber(const std::string &text, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && *end == '\0' && errno == 0 &&
+           std::isfinite(out);
+}
+
+/** Report a malformed flag value. @return -1. */
+int
+badValue(const char *flag, const char *want, const std::string &got)
+{
+    std::fprintf(stderr, "tdfstool: %s wants %s, got '%s'\n", flag,
+                 want, got.c_str());
+    return -1;
+}
+
 /**
  * Try to consume argv[@p i] (advancing @p i past any value) as one
  * of the filter/projection flags `query` and `tail` share: --iter,
@@ -348,26 +379,30 @@ consumeFilterArg(int argc, char **argv, int &i,
     if (arg == "--iter" && i + 1 < argc) {
         const std::string spec = argv[++i];
         const std::size_t colon = spec.find(':');
-        if (colon == std::string::npos) {
-            std::fprintf(stderr,
-                         "tdfstool: --iter wants a:b, got '%s'\n",
-                         spec.c_str());
-            return -1;
-        }
+        if (colon == std::string::npos)
+            return badValue("--iter", "a:b", spec);
         const std::string lo = spec.substr(0, colon);
         const std::string hi = spec.substr(colon + 1);
-        if (!lo.empty())
-            filter.iterBegin = std::atoll(lo.c_str());
-        if (!hi.empty())
-            filter.iterEnd = std::atoll(hi.c_str());
+        long long begin = filter.iterBegin, end = filter.iterEnd;
+        if ((!lo.empty() && !parseInt(lo, begin)) ||
+            (!hi.empty() && !parseInt(hi, end)))
+            return badValue("--iter", "a:b", spec);
+        filter.iterBegin = begin;
+        filter.iterEnd = end;
         return 1;
     }
     if (arg == "--analysis" && i + 1 < argc) {
-        filter.analysisIs(std::atoll(argv[++i]));
+        long long id = 0;
+        if (!parseInt(argv[++i], id))
+            return badValue("--analysis", "an integer", argv[i]);
+        filter.analysisIs(id);
         return 1;
     }
     if (arg == "--stop" && i + 1 < argc) {
-        filter.stopIs(std::string(argv[++i]) != "0");
+        const std::string v = argv[++i];
+        if (v != "0" && v != "1")
+            return badValue("--stop", "0 or 1", v);
+        filter.stopIs(v == "1");
         return 1;
     }
     if (arg == "--where" && i + 1 < argc) {
@@ -565,9 +600,17 @@ cmdTail(int argc, char **argv)
             continue;
         const std::string arg = argv[i];
         if (arg == "--stall" && i + 1 < argc) {
-            stall = std::atof(argv[++i]);
+            if (!parseNumber(argv[++i], stall) || stall < 0.0) {
+                badValue("--stall", "seconds >= 0", argv[i]);
+                return 1;
+            }
         } else if (arg == "--max" && i + 1 < argc) {
-            max_records = std::atoll(argv[++i]);
+            long long n = 0;
+            if (!parseInt(argv[++i], n) || n < 0) {
+                badValue("--max", "a count >= 0", argv[i]);
+                return 1;
+            }
+            max_records = static_cast<long>(n);
         } else {
             return usage();
         }
