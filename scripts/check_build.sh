@@ -20,7 +20,8 @@
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
-# checkpoint, run-harness, and C API tests under the asan_smoke label —
+# checkpoint, run-harness, C API, and packed-training tests under the
+# asan_smoke label —
 # skipped with a notice when the toolchain cannot produce ASan
 # binaries, or when SKIP_ASAN=1.
 # This is the command CI and the roadmap's "tier-1 verify" refer to.
@@ -215,7 +216,8 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_store_query_asan test_store_live_asan \
       test_feature_store_asan test_store_sink_asan \
       test_checkpoint_asan test_ckpt_resilience_asan \
-      test_run_harness_asan test_td_api_asan
+      test_run_harness_asan test_td_api_asan \
+      test_packed_batch_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

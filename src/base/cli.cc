@@ -1,6 +1,5 @@
 #include "base/cli.hh"
 
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -159,20 +158,40 @@ ArgParser::parseDoubleList(const std::string &text)
     return out;
 }
 
+namespace
+{
+
+/** A --threads value through parseThreadCount; fatal when invalid. */
+int
+threadsValue(const std::string &value)
+{
+    const int n = parseThreadCount(value.c_str());
+    if (n == 0)
+        TDFE_FATAL("invalid --threads value '", value, "' (want 1..",
+                   maxThreadCount, ")");
+    return n;
+}
+
+} // namespace
+
 void
 addThreadsOption(ArgParser &args)
 {
-    args.addInt("threads", 0,
-                "thread-pool size, workers + caller (0: "
-                "TDFE_NUM_THREADS or hardware concurrency)");
+    // A string option, so the value goes through the one validating
+    // parser rather than a truncating integer conversion.
+    args.addString("threads", "0",
+                   "thread-pool size, workers + caller, 1.." +
+                       std::to_string(maxThreadCount) +
+                       " (0: TDFE_NUM_THREADS or hardware "
+                       "concurrency)");
 }
 
 void
 applyThreadsOption(const ArgParser &args)
 {
-    const std::int64_t n = args.getInt("threads");
-    if (n > 0)
-        setGlobalThreadCount(static_cast<int>(n));
+    const std::string value = args.getString("threads");
+    if (value != "0")
+        setGlobalThreadCount(threadsValue(value));
 }
 
 void
@@ -310,12 +329,7 @@ applyThreadsFlag(int &argc, char **argv)
             argv[out++] = argv[i];
             continue;
         }
-        char *end = nullptr;
-        const long n = std::strtol(value.c_str(), &end, 10);
-        if (value.empty() || *end != '\0' || n < 1 ||
-            n > static_cast<long>(INT_MAX))
-            TDFE_FATAL("invalid --threads value '", value, "'");
-        applied = static_cast<int>(n);
+        applied = threadsValue(value);
     }
     argc = out;
     argv[argc] = nullptr;

@@ -94,7 +94,8 @@ void addThreadsOption(ArgParser &args);
 /**
  * Apply a parsed `--threads` value (see addThreadsOption) to the
  * global pool. Call after parse() and before the first parallel
- * region; 0 leaves the environment sizing untouched.
+ * region; 0 leaves the environment sizing untouched, and any value
+ * parseThreadCount rejects is fatal.
  */
 void applyThreadsOption(const ArgParser &args);
 
@@ -102,7 +103,8 @@ void applyThreadsOption(const ArgParser &args);
  * Raw-argv variant for google-benchmark mains, which own their argv
  * parsing: strip `--threads <n>` / `--threads=<n>` from argv, resize
  * the global pool accordingly, and leave every other argument in
- * place for the program's own parsing.
+ * place for the program's own parsing. A value parseThreadCount
+ * rejects is fatal.
  *
  * @return the thread count applied, or 0 when the flag was absent.
  */

@@ -1,5 +1,6 @@
 #include "base/thread_pool.hh"
 
+#include <cerrno>
 #include <cstdlib>
 #include <string>
 
@@ -9,13 +10,26 @@ namespace tdfe
 {
 
 int
+parseThreadCount(const char *text)
+{
+    if (text == nullptr || *text == '\0')
+        return 0;
+    errno = 0;
+    char *end = nullptr;
+    const long n = std::strtol(text, &end, 10);
+    if (errno != 0 || *end != '\0' || n < 1 || n > maxThreadCount)
+        return 0;
+    return static_cast<int>(n);
+}
+
+int
 configuredThreadCount()
 {
     if (const char *env = std::getenv("TDFE_NUM_THREADS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
+        if (const int n = parseThreadCount(env))
             return n;
-        TDFE_WARN("ignoring invalid TDFE_NUM_THREADS='", env, "'");
+        TDFE_WARN("ignoring invalid TDFE_NUM_THREADS='", env,
+                  "' (want 1..", maxThreadCount, ")");
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;

@@ -155,9 +155,21 @@ class ThreadPool
     bool shutdown = false;
 };
 
+/** Largest thread count a user may request: each is an OS thread. */
+constexpr int maxThreadCount = 1024;
+
+/**
+ * Parse a requested thread count. The whole of @p text must be a
+ * decimal integer in [1, maxThreadCount].
+ *
+ * @return the count, or 0 when @p text is anything else.
+ */
+int parseThreadCount(const char *text);
+
 /**
  * Thread count requested by the environment: TDFE_NUM_THREADS when
- * set (clamped to >= 1), otherwise the hardware concurrency.
+ * it parses (parseThreadCount), otherwise the hardware concurrency.
+ * An invalid TDFE_NUM_THREADS warns and falls back.
  */
 int configuredThreadCount();
 

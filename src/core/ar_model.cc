@@ -54,21 +54,6 @@ ArModel::rawCoefficientsInto(double *out) const
     stdzr.denormalizeCoefficientsInto(coeffsNorm, out);
 }
 
-double
-ArModel::predictHomogeneous(const std::vector<double> &raw_lags) const
-{
-    TDFE_ASSERT(raw_lags.size() == cfg.order,
-                "predictHomogeneous expects ", cfg.order,
-                " lag values");
-    if (!trainedFlag || stdzr.count() == 0)
-        return raw_lags[0];
-    const std::vector<double> raw = rawCoefficients();
-    double acc = 0.0;
-    for (std::size_t d = 0; d < cfg.order; ++d)
-        acc += raw[d + 1] * raw_lags[d];
-    return acc;
-}
-
 
 void
 ArModel::save(BinaryWriter &w) const

@@ -118,16 +118,6 @@ class ArModel
      */
     void rawCoefficientsInto(double *out) const;
 
-    /**
-     * Homogeneous prediction: the raw-space slopes applied without
-     * the intercept. Used when forwarding a decaying signal toward
-     * its quiescent (zero) state — an affine rollout would otherwise
-     * converge to the artificial fixed point b0 / (1 - sum b_i)
-     * instead of zero.
-     */
-    double predictHomogeneous(
-        const std::vector<double> &raw_lags) const;
-
     /** @return true once at least one training round has run. */
     bool trained() const { return trainedFlag; }
 

@@ -127,6 +127,27 @@ Predictor::spatialRollout(long loc_end, double quiescent,
         return rolled[k][static_cast<std::size_t>(t - t0)];
     };
 
+    // Homogeneous prediction applies the raw-space slopes without
+    // the intercept, so a decaying signal forwards toward its
+    // quiescent zero instead of the affine fixed point
+    // b0 / (1 - sum b_i); an untrained model forwards the nearest
+    // lag. The model is fixed for the whole rollout, so its raw
+    // slopes are derived once here, not once per prediction.
+    const bool fitted =
+        model.trained() && model.standardizer().count() > 0;
+    std::vector<double> raw(cfg.order + 1, 0.0);
+    model.rawCoefficientsInto(raw.data());
+    auto forward = [&](const std::vector<double> &lags) {
+        if (!homogeneous)
+            return model.predict(lags);
+        if (!fitted)
+            return lags[0];
+        double acc = 0.0;
+        for (std::size_t d = 0; d < cfg.order; ++d)
+            acc += raw[d + 1] * lags[d];
+        return acc;
+    };
+
     std::vector<double> lags(cfg.order, 0.0);
     for (std::size_t k = 0; k < n_new; ++k) {
         const long loc = first + static_cast<long>(k) * step;
@@ -136,9 +157,7 @@ Predictor::spatialRollout(long loc_end, double quiescent,
                     loc - static_cast<long>(i + 1) * step;
                 lags[i] = value_at(src_l, t - cfg.lag);
             }
-            rolled[k][static_cast<std::size_t>(t - t0)] =
-                homogeneous ? model.predictHomogeneous(lags)
-                            : model.predict(lags);
+            rolled[k][static_cast<std::size_t>(t - t0)] = forward(lags);
         }
     }
     return rolled;

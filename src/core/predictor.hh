@@ -79,10 +79,11 @@ class Predictor
      * @param loc_end Outermost location to predict (inclusive).
      * @param quiescent Seed value used for iterations earlier than
      *        the first lag-reachable row (pre-shock state).
-     * @param homogeneous Use the slope-only prediction (see
-     *        ArModel::predictHomogeneous); recommended whenever the
-     *        extrapolated signal decays toward quiescence, which is
-     *        the break-point use case.
+     * @param homogeneous Use the slope-only prediction: the
+     *        raw-space slopes without the intercept (an untrained
+     *        model forwards the nearest lag); recommended whenever
+     *        the extrapolated signal decays toward quiescence, which
+     *        is the break-point use case.
      */
     std::vector<std::vector<double>>
     spatialRollout(long loc_end, double quiescent = 0.0,

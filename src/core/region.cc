@@ -90,14 +90,18 @@ Region::end()
 
     // Digest phase: each analysis owns its collector/model/trainer,
     // so the digests (normalize, append, training rounds, early-stop
-    // checks) run one per pool chunk. In async mode they are
-    // deferred: the caller returns to the solver and the protocol
-    // for this iteration runs at drain time, so the "region.digest"
-    // spans on pool-worker tids are the work *hidden* under the next
-    // solver step. A single-thread pool has no worker to overlap
-    // onto, so async degenerates to the synchronous path (the phase
-    // order — snapshot, digest, protocol, all for iteration k — and
-    // thus every result stays identical; only the execution moment
+    // checks) are independent of one another. In sync mode they run
+    // inline on the caller's thread, one analysis after another: a
+    // digest is a few microseconds, less than a pool dispatch and
+    // its wake-ups, so sync mode never touches the pool. In async
+    // mode they are submitted to the pool and deferred: the caller
+    // returns to the solver and the protocol for this iteration runs
+    // at drain time, so the "region.digest" spans on pool-worker
+    // tids are the work *hidden* under the next solver step. A
+    // single-thread pool has no worker to overlap onto, so async
+    // degenerates to the synchronous path (the phase order —
+    // snapshot, digest, protocol, all for iteration k — and thus
+    // every result stays identical; only the execution moment
     // moves).
     auto digest = [this](std::size_t a) {
         static obs::Counter digests("region.digests_total");
@@ -112,7 +116,8 @@ Region::end()
             ThreadPool::global().submit(analyses.size(), digest);
         epochOpen = true;
     } else {
-        parallelFor(analyses.size(), std::size_t{1}, digest);
+        for (std::size_t a = 0; a < analyses.size(); ++a)
+            digest(a);
         finishIteration(iter);
     }
 

@@ -61,11 +61,12 @@ class Region
      * iteration counter. Every analysis first snapshots its probe
      * values through its variable provider, on the calling thread
      * and one analysis at a time; then the digests (normalize,
-     * append, training, early-stop checks) run one per analysis on
-     * the thread pool. By default end() waits for them and
-     * evaluates the stop protocol before returning; in async mode
-     * (see setAsyncAnalyses) the digests are deferred and drained
-     * at the next end() or the first query, whichever comes first.
+     * append, training, early-stop checks) run. By default they run
+     * inline on the calling thread, one analysis after another, and
+     * end() evaluates the stop protocol before returning; in async
+     * mode (see setAsyncAnalyses) the digests are submitted to the
+     * thread pool, deferred, and drained at the next end() or the
+     * first query, whichever comes first.
      */
     void end();
 

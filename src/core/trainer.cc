@@ -1,7 +1,5 @@
 #include "core/trainer.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 #include "base/serial.hh"
 
@@ -11,7 +9,8 @@ namespace tdfe
 ArTrainer::ArTrainer(ArModel &model)
     : model(model), optimizer(model.order(), model.config().sgd),
       rls(model.order(), model.config().rls),
-      normBatch(model.config().batchSize, model.order())
+      normBatch(model.config().batchSize, model.order()),
+      featMean(model.order()), featStd(model.order())
 {
 }
 
@@ -31,18 +30,31 @@ ArTrainer::trainRound(MiniBatch &batch)
     for (std::size_t i = 0; i < n; ++i)
         stdzr.observeRow(xs + i * dims, ys[i]);
 
-    // Zero-allocation invariant: normBatch's packed block is sized
-    // at construction and each normalized row is built in place
-    // (copy + normalizeRow straight into the design matrix), so a
-    // training round performs no heap allocation no matter how many
-    // rounds run.
+    // The statistics are fixed for the rest of the round, so read
+    // each mean and floored std once instead of once per element.
+    // Every element still goes through the same (x - mean) / std as
+    // Standardizer::normalize / normalizeTarget, on the same
+    // doubles, so the normalized batch is bitwise identical.
+    TDFE_ASSERT(dims == featMean.size(), "batch dims ", dims,
+                " != model order ", featMean.size());
+    for (std::size_t d = 0; d < dims; ++d) {
+        featMean[d] = stdzr.featureMean(d);
+        featStd[d] = stdzr.featureStd(d);
+    }
+    const double y_mean = stdzr.targetMean();
+    const double y_std = stdzr.targetStd();
+
+    // Zero-allocation invariant: normBatch's packed block and the
+    // mean/std scratch are sized at construction, and each
+    // normalized row is built in place straight into the design
+    // matrix, so a training round performs no heap allocation no
+    // matter how many rounds run.
     normBatch.clear();
     for (std::size_t i = 0; i < n; ++i) {
         const double *src = xs + i * dims;
-        double *dst =
-            normBatch.appendRow(stdzr.normalizeTarget(ys[i]));
-        std::copy(src, src + dims, dst);
-        stdzr.normalizeRow(dst);
+        double *dst = normBatch.appendRow((ys[i] - y_mean) / y_std);
+        for (std::size_t d = 0; d < dims; ++d)
+            dst[d] = (src[d] - featMean[d]) / featStd[d];
     }
 
     if (model.config().optimizer == OptimizerKind::Rls)

@@ -61,6 +61,10 @@ class ArTrainer
     RlsEstimator rls;
     /** Packed normalized design matrix, rebuilt in place per round. */
     MiniBatch normBatch;
+    /** Per-round feature means and floored stds (model order). @{ */
+    std::vector<double> featMean;
+    std::vector<double> featStd;
+    /** @} */
     std::size_t roundCount = 0;
     double lastValMse = 0.0;
 };

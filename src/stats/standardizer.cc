@@ -62,14 +62,7 @@ Standardizer::normalize(std::vector<double> &x) const
 {
     TDFE_ASSERT(x.size() == featureStats.size(),
                 "feature size mismatch in normalize");
-    normalizeRow(x.data());
-}
-
-void
-Standardizer::normalizeRow(double *x) const
-{
-    const std::size_t dims = featureStats.size();
-    for (std::size_t d = 0; d < dims; ++d)
+    for (std::size_t d = 0; d < x.size(); ++d)
         x[d] = (x[d] - featureMean(d)) / featureStd(d);
 }
 
@@ -105,10 +98,10 @@ Standardizer::denormalizeCoefficientsInto(
                 "expected intercept + ", featureStats.size(),
                 " coefficients");
     // y = mu_y + sigma_y * (b0' + sum_i bi' * (x_i - mu_i) / s_i)
-    double intercept = targetMean() + targetStd() * coeffs_norm[0];
+    const double y_std = targetStd();
+    double intercept = targetMean() + y_std * coeffs_norm[0];
     for (std::size_t d = 0; d < featureStats.size(); ++d) {
-        const double slope =
-            targetStd() * coeffs_norm[d + 1] / featureStd(d);
+        const double slope = y_std * coeffs_norm[d + 1] / featureStd(d);
         out[d + 1] = slope;
         intercept -= slope * featureMean(d);
     }

@@ -42,9 +42,6 @@ class Standardizer
     /** Normalize a feature vector in place. */
     void normalize(std::vector<double> &x) const;
 
-    /** Normalize a raw row of dims entries in place (packed path). */
-    void normalizeRow(double *x) const;
-
     /** @return normalized target value. */
     double normalizeTarget(double y) const;
 

@@ -1,0 +1,182 @@
+/**
+ * @file
+ * Allocation budget of the synchronous in-situ steady state: once a
+ * region has warmed up, a begin/end iteration of four sync analyses
+ * (snapshot, normalize, append, training round, early-stop check,
+ * stop protocol) must not touch the heap, at any pool thread count.
+ * The only allowance is the amortized geometric growth of each
+ * analysis's ObservedSeries history.
+ *
+ * The global operator new is replaced with a counting one, so this
+ * binary must not be built with AddressSanitizer (which owns
+ * operator new).
+ */
+
+#include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include <gtest/gtest.h>
+
+#include "base/thread_pool.hh"
+#include "core/region.hh"
+
+namespace
+{
+
+std::atomic<std::size_t> allocations{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return countedAlloc(n);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace
+{
+
+using namespace tdfe;
+
+constexpr long warmupIters = 1000;
+constexpr long countedIters = 5000;
+constexpr std::size_t analysisCount = 4;
+
+/** Attenuating travelling pulse plus a ripple; `iter` is the step. */
+struct WaveDomain
+{
+    long iter = 0;
+
+    double
+    at(long loc) const
+    {
+        const double x = static_cast<double>(loc);
+        const double t = static_cast<double>(iter);
+        const double front = 0.02 * t;
+        const double amp = 1.0 / (1.0 + 0.03 * x);
+        return amp * std::exp(-(x - front) * (x - front) / 24.0) +
+               0.01 * std::sin(0.7 * x + 0.3 * t);
+    }
+};
+
+double
+waveProvider(void *domain, long loc)
+{
+    return static_cast<WaveDomain *>(domain)->at(loc);
+}
+
+AnalysisConfig
+waveAnalysis(std::size_t k)
+{
+    AnalysisConfig ac;
+    ac.name = "wave";
+    ac.provider = waveProvider;
+    ac.space = IterParam(1, 16, 1);
+    // The window covers every iteration, so every analysis keeps
+    // collecting and training through the counted phase.
+    ac.time = IterParam(5, warmupIters + countedIters, 1);
+    ac.feature = k % 2 ? FeatureKind::PeakValue
+                       : FeatureKind::BreakpointRadius;
+    ac.threshold = 0.3;
+    ac.searchEnd = 16;
+    ac.featureLocation = 4;
+    ac.minLocation = 1;
+    ac.stopWhenConverged = k == 0;
+    ac.ar.axis = LagAxis::Space;
+    ac.ar.order = 2 + k;
+    ac.ar.lag = 2;
+    ac.ar.batchSize = 8;
+    ac.ar.convergeTol = 0.2;
+    ac.ar.convergePatience = 2;
+    ac.ar.minBatches = 2;
+    return ac;
+}
+
+/** Heap allocations made by the counted iterations at @p threads. */
+std::size_t
+steadyStateAllocations(int threads)
+{
+    setGlobalThreadCount(threads);
+    WaveDomain dom;
+    Region region("alloc", &dom);
+    for (std::size_t k = 0; k < analysisCount; ++k)
+        region.addAnalysis(waveAnalysis(k));
+
+    auto iterate = [&](long k) {
+        region.begin();
+        dom.iter = k;
+        region.end();
+    };
+    for (long k = 0; k < warmupIters; ++k)
+        iterate(k);
+    const std::size_t before = allocations.load();
+    for (long k = warmupIters; k < warmupIters + countedIters; ++k)
+        iterate(k);
+    const std::size_t made = allocations.load() - before;
+    EXPECT_GT(region.analysis(0).trainingRounds(),
+              static_cast<std::size_t>(warmupIters));
+    return made;
+}
+
+TEST(AllocSteadyState, SyncRegionStaysOffTheHeap)
+{
+    // analyses x ceil(log2(total iterations)): the doublings of each
+    // analysis's ObservedSeries history, nothing per iteration.
+    const std::size_t budget =
+        analysisCount *
+        static_cast<std::size_t>(std::ceil(
+            std::log2(static_cast<double>(warmupIters + countedIters))));
+    for (const int threads : {1, 2, 4}) {
+        const std::size_t made = steadyStateAllocations(threads);
+        std::printf("%d threads: %zu allocations (budget %zu)\n",
+                    threads, made, budget);
+        EXPECT_LE(made, budget)
+            << made << " allocations over " << countedIters
+            << " iterations at " << threads << " threads";
+    }
+    setGlobalThreadCount(1);
+}
+
+} // namespace

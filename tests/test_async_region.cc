@@ -77,7 +77,7 @@ waveAnalysis(bool stopper)
     return ac;
 }
 
-enum class Mode { Fanout, Async };
+enum class Mode { Sync, Async };
 
 void
 applyMode(Region &region, Mode mode)
@@ -157,13 +157,13 @@ class AsyncRegionTest : public ::testing::Test
 TEST_F(AsyncRegionTest, AsyncMatchesSerialAtEveryThreadCount)
 {
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Fanout, 80, false);
+    const RunOut ref = runWave(Mode::Sync, 80, false);
     ASSERT_GT(ref.rounds, 2u);
     ASSERT_GE(ref.convergedIter, 0);
 
     for (const int t : {1, 2, 4}) {
         setGlobalThreadCount(t);
-        for (const Mode mode : {Mode::Fanout, Mode::Async}) {
+        for (const Mode mode : {Mode::Sync, Mode::Async}) {
             const RunOut r = runWave(mode, 80, false);
             EXPECT_EQ(ref.feature, r.feature) << "threads " << t;
             EXPECT_EQ(ref.prediction, r.prediction)
@@ -180,7 +180,7 @@ TEST_F(AsyncRegionTest, AsyncMatchesSerialAtEveryThreadCount)
 TEST_F(AsyncRegionTest, StopIterationAndQueriesIdenticalMidFlight)
 {
     setGlobalThreadCount(1);
-    const RunOut ref = runWave(Mode::Fanout, 80, true);
+    const RunOut ref = runWave(Mode::Sync, 80, true);
     ASSERT_GE(ref.stopIter, 0)
         << "reference run never requested a stop";
 
@@ -246,7 +246,7 @@ TEST_F(AsyncRegionTest, ProvidersRunOnTheCallingThread)
     // inside end(), on the thread that called it, even when a
     // several-analysis region has pool workers to digest on.
     setGlobalThreadCount(4);
-    for (const Mode mode : {Mode::Fanout, Mode::Async}) {
+    for (const Mode mode : {Mode::Sync, Mode::Async}) {
         const char *what = mode == Mode::Async ? "async" : "sync";
         RecordingDomain dom;
         Region region("wave-caller", &dom);

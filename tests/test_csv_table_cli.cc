@@ -3,14 +3,19 @@
  * Unit tests for CSV output, ASCII tables, and CLI parsing.
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "base/cli.hh"
 #include "base/csv.hh"
 #include "base/table.hh"
+#include "base/thread_pool.hh"
 
 namespace
 {
@@ -132,6 +137,71 @@ TEST(CliDeathTest, MissingValueIsFatal)
     const char *argv[] = {"prog", "--count"};
     EXPECT_DEATH(p.parse(2, const_cast<char **>(argv)),
                  "needs a value");
+}
+
+TEST(ThreadCount, ParserAcceptsOnlyWholeValuesInRange)
+{
+    EXPECT_EQ(parseThreadCount("1"), 1);
+    EXPECT_EQ(parseThreadCount("4"), 4);
+    EXPECT_EQ(parseThreadCount("1024"), maxThreadCount);
+    for (const char *bad :
+         {"", "0", "-1", "4x", "x4", "4.0", "4 ", "1025", "2147483648",
+          "99999999999999999999999", "-99999999999999999999999"})
+        EXPECT_EQ(parseThreadCount(bad), 0) << "'" << bad << "'";
+    EXPECT_EQ(parseThreadCount(nullptr), 0);
+}
+
+TEST(ThreadCount, EnvironmentFallsBackToHardwareWhenInvalid)
+{
+    // Only the environment variable changes here: no pool is built
+    // or resized from these values.
+    const char *old = std::getenv("TDFE_NUM_THREADS");
+    const std::string saved = old ? old : "";
+    const int hardware = static_cast<int>(
+        std::max(1u, std::thread::hardware_concurrency()));
+
+    ::setenv("TDFE_NUM_THREADS", "3", 1);
+    EXPECT_EQ(configuredThreadCount(), 3);
+    for (const char *bad : {"4x", "0", "-2", "1025", "99999999999"}) {
+        ::setenv("TDFE_NUM_THREADS", bad, 1);
+        EXPECT_EQ(configuredThreadCount(), hardware) << bad;
+    }
+    ::unsetenv("TDFE_NUM_THREADS");
+    EXPECT_EQ(configuredThreadCount(), hardware);
+
+    if (old)
+        ::setenv("TDFE_NUM_THREADS", saved.c_str(), 1);
+}
+
+TEST(ThreadCount, FlagIsStrippedFromArgv)
+{
+    const char *args[] = {"prog", "--threads=1", "--other", nullptr};
+    char **argv = const_cast<char **>(args);
+    int argc = 3;
+    EXPECT_EQ(applyThreadsFlag(argc, argv), 1);
+    ASSERT_EQ(argc, 2);
+    EXPECT_STREQ(argv[1], "--other");
+    EXPECT_EQ(argv[2], nullptr);
+}
+
+TEST(ThreadCountDeathTest, InvalidCliValuesAreFatal)
+{
+    // Both CLI paths reject before any pool is resized.
+    for (const char *bad : {"4x", "-1", "1025", "4294967297"}) {
+        const std::string flag = std::string("--threads=") + bad;
+        const char *args[] = {"prog", flag.c_str(), nullptr};
+        int argc = 2;
+        EXPECT_EXIT(applyThreadsFlag(argc, const_cast<char **>(args)),
+                    ::testing::ExitedWithCode(1), "invalid --threads")
+            << bad;
+
+        ArgParser p("test");
+        addThreadsOption(p);
+        p.parse(2, const_cast<char **>(args));
+        EXPECT_EXIT(applyThreadsOption(p),
+                    ::testing::ExitedWithCode(1), "invalid --threads")
+            << bad;
+    }
 }
 
 } // namespace

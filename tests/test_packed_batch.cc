@@ -9,6 +9,10 @@
  * literal arithmetic groupings) so any reordering slipped into the
  * packed kernels trips an exact comparison.
  *
+ * ArTrainer's round, which reads each statistic once per round, is
+ * compared the same way against a replica that normalizes every
+ * element through the Standardizer's own accessors.
+ *
  * Also covers the zero-copy ObservedSeries views (seriesView /
  * profileView) against the copying accessors, and thread-count
  * invariance of a full packed analysis pipeline.
@@ -25,6 +29,8 @@
 #include "base/serial.hh"
 #include "base/thread_pool.hh"
 #include "core/analysis.hh"
+#include "core/ar_model.hh"
+#include "core/trainer.hh"
 #include "stats/minibatch.hh"
 #include "stats/rls.hh"
 #include "stats/sgd.hh"
@@ -317,6 +323,122 @@ TEST_P(PackedVsLegacy, RlsStateBitwiseIdentical)
 INSTANTIATE_TEST_SUITE_P(
     OrdersAndBatches, PackedVsLegacy,
     ::testing::Combine(::testing::Values<std::size_t>(1, 4, 8, 32),
+                       ::testing::Values<std::size_t>(1, 7, 32)));
+
+/**
+ * Replica of ArTrainer::trainRound that observes every row and then
+ * normalizes each row and target through Standardizer::normalize /
+ * normalizeTarget, i.e. with the statistics re-read per element.
+ */
+struct ReplicaTrainer
+{
+    explicit ReplicaTrainer(const ArConfig &cfg)
+        : model(cfg), sgd(cfg.order, cfg.sgd), rls(cfg.order, cfg.rls),
+          norm(cfg.batchSize, cfg.order)
+    {
+    }
+
+    void
+    trainRound(const std::vector<LegacySample> &batch)
+    {
+        Standardizer &stdzr = model.standardizer();
+        for (const LegacySample &s : batch)
+            stdzr.observe(s.x, s.y);
+        norm.clear();
+        for (const LegacySample &s : batch) {
+            std::vector<double> x = s.x;
+            stdzr.normalize(x);
+            norm.push(x, stdzr.normalizeTarget(s.y));
+        }
+        if (model.config().optimizer == OptimizerKind::Rls)
+            lastMse = rls.trainRound(model.normCoeffs(), norm);
+        else
+            lastMse = sgd.trainRound(model.normCoeffs(), norm);
+        model.markTrained();
+        ++rounds;
+    }
+
+    /** The bytes ArTrainer::save writes for the same state. */
+    std::string
+    trainerBytes() const
+    {
+        std::ostringstream os;
+        BinaryWriter w(os);
+        sgd.save(w);
+        rls.save(w);
+        w.writeU64(rounds);
+        w.writeF64(lastMse);
+        return os.str();
+    }
+
+    ArModel model;
+    SgdOptimizer sgd;
+    RlsEstimator rls;
+    PackedBatch norm;
+    std::size_t rounds = 0;
+    double lastMse = 0.0;
+};
+
+template <typename T>
+std::string
+saveBytes(const T &obj)
+{
+    std::ostringstream os;
+    BinaryWriter w(os);
+    obj.save(w);
+    return os.str();
+}
+
+class TrainerVsReplica
+    : public ::testing::TestWithParam<
+          std::tuple<OptimizerKind, std::size_t, std::size_t>>
+{
+};
+
+TEST_P(TrainerVsReplica, RoundIsBitwiseIdentical)
+{
+    ArConfig cfg;
+    cfg.optimizer = std::get<0>(GetParam());
+    cfg.order = std::get<1>(GetParam());
+    cfg.batchSize = std::get<2>(GetParam());
+
+    for (const bool constant_column : {false, true}) {
+        auto batches = makeBatches(cfg.order, cfg.batchSize, 6, 41);
+        // Floor cases: the first round carries one sample, so every
+        // variance is 0; a constant column keeps its variance 0 in
+        // every round. Both clamp the std to the Standardizer floor.
+        batches.front().resize(1);
+        if (constant_column)
+            for (auto &batch : batches)
+                for (LegacySample &s : batch)
+                    s.x.back() = 2.5;
+
+        ArModel model(cfg);
+        ArTrainer trainer(model);
+        ReplicaTrainer replica(cfg);
+        PackedBatch pb(cfg.batchSize, cfg.order);
+        for (const auto &batch : batches) {
+            for (const LegacySample &s : batch)
+                pb.push(s.x, s.y);
+            const double mse = trainer.trainRound(pb);
+            replica.trainRound(batch);
+            EXPECT_TRUE(nearlyEqual(mse, replica.lastMse));
+            ASSERT_TRUE(coeffsAgree(model.normCoeffs(),
+                                    replica.model.normCoeffs()))
+                << "constant column " << constant_column;
+        }
+        if (exactGates) {
+            EXPECT_EQ(saveBytes(model), saveBytes(replica.model));
+            EXPECT_EQ(saveBytes(trainer), replica.trainerBytes());
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OptimizersOrdersAndBatches, TrainerVsReplica,
+    ::testing::Combine(::testing::Values(OptimizerKind::MiniBatchGd,
+                                         OptimizerKind::Rls),
+                       ::testing::Values<std::size_t>(1, 4, 8),
                        ::testing::Values<std::size_t>(1, 7, 32)));
 
 TEST(PackedBatch, CheckpointBytesMatchLegacyAosFormat)

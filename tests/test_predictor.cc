@@ -191,6 +191,57 @@ TEST(Predictor, OneStepAtIsTheSeriesElementBitwise)
     }
 }
 
+TEST(Predictor, SpatialRolloutIsThePerPredictionFormulaBitwise)
+{
+    // Irregular field over locations 2, 5, 8; rollout to 17 (three
+    // rolled locations, each lagging on the previous ones).
+    ObservedSeries series(2, 3, 3, 0);
+    for (int t = 0; t < 30; ++t)
+        series.appendRow({std::sin(0.3 * t) + 2.0,
+                          std::cos(0.2 * t) + 1.5,
+                          0.5 * std::sin(0.7 * t) + 1.0});
+    ArConfig cfg;
+    cfg.order = 2;
+    cfg.lag = 2;
+    cfg.axis = LagAxis::Space;
+    cfg.batchSize = 16;
+    const ArModel trained =
+        trainedModel(cfg, [](const std::vector<double> &x) {
+            return 0.6 * x[0] - 0.2 * x[1] + 0.4;
+        });
+    const ArModel untrained(cfg);
+
+    for (const ArModel *model : {&trained, &untrained}) {
+        const std::vector<double> raw = model->rawCoefficients();
+        for (const bool homogeneous : {true, false}) {
+            const auto rolled = Predictor(*model, series)
+                                    .spatialRollout(17, 0.0, homogeneous);
+            ASSERT_EQ(rolled.size(), 3u);
+            auto value_at = [&](long loc, long t) {
+                return loc <= series.locEnd()
+                    ? series.at(loc, t)
+                    : rolled[static_cast<std::size_t>((loc - 11) / 3)]
+                            [static_cast<std::size_t>(t)];
+            };
+            for (std::size_t k = 0; k < rolled.size(); ++k) {
+                const long loc = 11 + 3 * static_cast<long>(k);
+                for (long t = cfg.lag; t < 30; ++t) {
+                    const std::vector<double> lags{
+                        value_at(loc - 3, t - cfg.lag),
+                        value_at(loc - 6, t - cfg.lag)};
+                    double want = model->predict(lags);
+                    if (homogeneous && !model->trained())
+                        want = lags[0];
+                    else if (homogeneous)
+                        want = 0.0 + raw[1] * lags[0] + raw[2] * lags[1];
+                    EXPECT_EQ(rolled[k][static_cast<std::size_t>(t)], want)
+                        << "loc " << loc << " t " << t;
+                }
+            }
+        }
+    }
+}
+
 TEST(Predictor, LatestPredictionIsTheLastFittedPoint)
 {
     // V(l, t) = 10 * 0.7^(l-1) * ramp(t): a trained Space-axis
