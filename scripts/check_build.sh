@@ -217,7 +217,7 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_feature_store_asan test_store_sink_asan \
       test_checkpoint_asan test_ckpt_resilience_asan \
       test_run_harness_asan test_td_api_asan \
-      test_packed_batch_asan
+      test_packed_batch_asan test_parallel_for_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

@@ -35,6 +35,75 @@ configuredThreadCount()
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
+namespace
+{
+
+/** Hint to the core that this thread is spinning. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
+
+using Clock = std::chrono::steady_clock;
+
+/**
+ * Spin until @p ready() holds or @p deadline has passed.
+ * @return the last value of @p ready().
+ */
+template <typename Ready>
+bool
+spinUntil(Clock::time_point deadline, Ready &&ready)
+{
+    constexpr int pollsPerClockRead = 32;
+    for (;;) {
+        for (int k = 0; k < pollsPerClockRead; ++k) {
+            if (ready())
+                return true;
+            cpuRelax();
+        }
+        if (Clock::now() >= deadline)
+            return ready();
+    }
+}
+
+/**
+ * Take @p lock, polling try_lock for a moment before blocking. The
+ * pool's critical sections are a few dozen instructions, and a
+ * thread that sleeps on the mutex costs a futex round trip to wake.
+ */
+void
+lockSoon(std::unique_lock<std::mutex> &lock)
+{
+    constexpr int tries = 64;
+    for (int k = 0; k < tries; ++k) {
+        if (lock.try_lock())
+            return;
+        cpuRelax();
+    }
+    lock.lock();
+}
+
+} // namespace
+
+ThreadPool::Job::Job(ChunkRef body, std::size_t chunks,
+                     std::size_t run_length)
+    : fn(body), nchunks(chunks), run(run_length),
+      nruns((chunks + run_length - 1) / run_length)
+{
+}
+
+ThreadPool::Job::Job(std::function<void(std::size_t)> body,
+                     std::size_t chunks, std::size_t run_length)
+    : owned(std::move(body)), fn(owned), nchunks(chunks),
+      run(run_length), nruns((chunks + run_length - 1) / run_length)
+{
+}
+
 ThreadPool::ThreadPool(int threads)
 {
     nThreads = threads > 0 ? threads : configuredThreadCount();
@@ -44,12 +113,15 @@ ThreadPool::ThreadPool(int threads)
 ThreadPool::~ThreadPool()
 {
     joinWorkers();
+    // Release submitted jobs nobody waited on.
+    while (head != nullptr)
+        unlink(*head);
 }
 
 void
 ThreadPool::spawnWorkers()
 {
-    shutdown = false;
+    shutdown.store(false, std::memory_order_relaxed);
     workers.reserve(static_cast<std::size_t>(nThreads - 1));
     for (int w = 1; w < nThreads; ++w)
         workers.emplace_back([this] { workerLoop(); });
@@ -60,9 +132,9 @@ ThreadPool::joinWorkers()
 {
     {
         std::lock_guard<std::mutex> lock(mtx);
-        shutdown = true;
+        shutdown.store(true, std::memory_order_relaxed);
     }
-    cv.notify_all();
+    work.notify_all();
     for (std::thread &w : workers)
         w.join();
     workers.clear();
@@ -79,93 +151,194 @@ ThreadPool::resize(int threads)
     spawnWorkers();
 }
 
-void
-ThreadPool::helpWith(Job &job)
+std::size_t
+ThreadPool::runLength(std::size_t nchunks) const
 {
-    for (;;) {
-        const std::size_t c =
-            job.next.fetch_add(1, std::memory_order_relaxed);
-        if (c >= job.nchunks)
-            return;
-        (*job.fn)(c);
-        if (job.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            job.nchunks) {
-            // Last chunk: wake the submitter (it may already be
-            // waiting on the job's condition variable).
-            std::lock_guard<std::mutex> lock(job.m);
-            job.cv.notify_all();
-        }
+    const std::size_t runs = 2 * static_cast<std::size_t>(nThreads);
+    return std::max<std::size_t>(1, nchunks / runs);
+}
+
+std::size_t
+ThreadPool::claim(Job &job)
+{
+    const std::size_t r = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (r >= job.nruns)
+        return job.nruns;
+    if (r + 1 == job.nruns)
+        openJobs.fetch_sub(1, std::memory_order_relaxed);
+    return r;
+}
+
+void
+ThreadPool::helpWith(Job &job, std::size_t r)
+{
+    for (; r < job.nruns; r = claim(job)) {
+        const std::size_t b = r * job.run;
+        const std::size_t e = std::min(job.nchunks, b + job.run);
+        for (std::size_t c = b; c < e; ++c)
+            job.fn(c);
+        job.done.fetch_add(1, std::memory_order_release);
     }
 }
 
 void
 ThreadPool::workerLoop()
 {
+    std::unique_lock<std::mutex> lock(mtx);
+    bool spin = false; // a freshly spawned worker parks at once
     for (;;) {
-        std::shared_ptr<Job> job;
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            cv.wait(lock,
-                    [this] { return shutdown || !pending.empty(); });
-            if (shutdown)
-                return;
-            job = pending.front();
-        }
-        helpWith(*job);
-        {
-            // The job's cursor is spent; drop it from the queue if
-            // another helper has not done so already.
-            std::lock_guard<std::mutex> lock(mtx);
-            for (auto it = pending.begin(); it != pending.end(); ++it) {
-                if (it->get() == job.get()) {
-                    pending.erase(it);
+        if (spin) {
+            // Spin out the whole window. A spinner takes the lock only
+            // while some job has unclaimed runs, and only when the
+            // lock is free, so it never sleeps on the mutex; a job
+            // that others spent first does not end the spin.
+            const auto deadline = Clock::now() + spinWindow;
+            while (claimable() == nullptr && !shutdown) {
+                lock.unlock();
+                const bool locked = spinUntil(deadline, [&] {
+                    return (openJobs.load(std::memory_order_relaxed) !=
+                                0 ||
+                            shutdown.load(std::memory_order_relaxed)) &&
+                           lock.try_lock();
+                });
+                if (!locked) {
+                    lock.lock();
                     break;
                 }
             }
         }
-    }
-}
+        if (claimable() == nullptr && !shutdown) {
+            ++parked;
+            work.wait(lock, [this] {
+                return claimable() != nullptr || shutdown;
+            });
+            --parked;
+        }
+        if (shutdown)
+            return;
 
-void
-ThreadPool::enqueue(const std::shared_ptr<Job> &job)
-{
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        pending.push_back(job);
-    }
-    cv.notify_all();
-}
-
-void
-ThreadPool::awaitJob(const std::shared_ptr<Job> &job)
-{
-    // Participate: the waiter claims chunks like any worker, so the
-    // job completes even if every worker is busy elsewhere
-    // (including the nested case where *this thread* is a worker).
-    helpWith(*job);
-
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (auto it = pending.begin(); it != pending.end(); ++it) {
-            if (it->get() == job.get()) {
-                pending.erase(it);
-                break;
-            }
+        // Join the job only with a run in hand, so the caller never
+        // waits for a worker that had nothing left to do.
+        Job &job = *head;
+        spin = true;
+        const std::size_t first = claim(job);
+        if (first == job.nruns) {
+            unlink(job);
+            continue;
+        }
+        job.active.fetch_add(1, std::memory_order_relaxed);
+        // submit() jobs stay alive through this reference even if
+        // their handle is dropped meanwhile.
+        std::shared_ptr<Job> hold = job.keepAlive;
+        lock.unlock();
+        helpWith(job, first);
+        lockSoon(lock);
+        // The cursor is spent: drop the job from the queue, then
+        // leave it. A runChunks job may end the moment `active`
+        // reaches zero, so nothing below touches it.
+        unlink(job);
+        job.active.fetch_sub(1, std::memory_order_release);
+        if (waiters > 0)
+            idle.notify_all();
+        if (hold) {
+            lock.unlock();
+            hold.reset();
+            lock.lock();
         }
     }
-
-    if (job->done.load(std::memory_order_acquire) != job->nchunks) {
-        std::unique_lock<std::mutex> lock(job->m);
-        job->cv.wait(lock, [&job] {
-            return job->done.load(std::memory_order_acquire) ==
-                   job->nchunks;
-        });
-    }
 }
 
 void
-ThreadPool::runChunks(std::size_t nchunks,
-                      const std::function<void(std::size_t)> &fn)
+ThreadPool::enqueue(Job &job, std::size_t helpers)
+{
+    std::size_t wake = 0;
+    {
+        std::unique_lock<std::mutex> lock(mtx, std::defer_lock);
+        lockSoon(lock);
+        job.prev = tail;
+        job.succ = nullptr;
+        (tail ? tail->succ : head) = &job;
+        tail = &job;
+        job.queued = true;
+        openJobs.fetch_add(1, std::memory_order_relaxed);
+        wake = std::min(helpers, static_cast<std::size_t>(parked));
+    }
+    for (std::size_t k = 0; k < wake; ++k)
+        work.notify_one();
+}
+
+void
+ThreadPool::unlink(Job &job)
+{
+    if (!job.queued)
+        return;
+    (job.prev ? job.prev->succ : head) = job.succ;
+    (job.succ ? job.succ->prev : tail) = job.prev;
+    job.prev = job.succ = nullptr;
+    job.queued = false;
+    // Close the cursor. Only a job whose caller is unwinding from a
+    // throwing chunk (or one the destroyed pool drops) still has
+    // unclaimed runs here; it runs no more of them.
+    if (job.next.exchange(job.nruns, std::memory_order_relaxed) <
+        job.nruns)
+        openJobs.fetch_sub(1, std::memory_order_relaxed);
+    // Workers and waiters hold their own reference, so outside the
+    // destructor this never destroys the job under the lock.
+    job.keepAlive.reset();
+}
+
+ThreadPool::Job *
+ThreadPool::claimable()
+{
+    // A linked job is alive (its owner unlinks it before leaving),
+    // so its cursor can be read here.
+    while (head != nullptr &&
+           head->next.load(std::memory_order_relaxed) >= head->nruns)
+        unlink(*head);
+    return head;
+}
+
+void
+ThreadPool::retire(Job &job)
+{
+    const auto left = [&job] {
+        return job.active.load(std::memory_order_acquire) == 0;
+    };
+    std::unique_lock<std::mutex> lock(mtx, std::defer_lock);
+    lockSoon(lock);
+    // Unlinked, the job gains no new workers; `active` only falls.
+    unlink(job);
+    if (left())
+        return;
+    lock.unlock();
+    if (spinUntil(Clock::now() + spinWindow, left))
+        return;
+    lock.lock();
+    ++waiters;
+    idle.wait(lock, left);
+    --waiters;
+}
+
+void
+ThreadPool::awaitJob(Job &job)
+{
+    // Retire even if a chunk throws on this thread: workers may
+    // still be inside a job that lives on the caller's stack.
+    struct Retire
+    {
+        ThreadPool &pool;
+        Job &job;
+        ~Retire() { pool.retire(job); }
+    } retire_on_exit{*this, job};
+
+    // Participate: the waiter claims runs like any worker, so the
+    // job completes even if every worker is busy elsewhere
+    // (including the nested case where *this thread* is a worker).
+    helpWith(job, claim(job));
+}
+
+void
+ThreadPool::runChunks(std::size_t nchunks, ChunkRef fn)
 {
     if (nchunks == 0)
         return;
@@ -175,10 +348,8 @@ ThreadPool::runChunks(std::size_t nchunks,
         return;
     }
 
-    auto job = std::make_shared<Job>();
-    job->fn = &fn;
-    job->nchunks = nchunks;
-    enqueue(job);
+    Job job(fn, nchunks, runLength(nchunks));
+    enqueue(job, job.nruns - 1);
     awaitJob(job);
 }
 
@@ -186,16 +357,15 @@ ThreadPool::JobHandle
 ThreadPool::submit(std::size_t nchunks,
                    std::function<void(std::size_t)> fn)
 {
-    auto job = std::make_shared<Job>();
-    job->owned = std::move(fn);
-    job->fn = &job->owned;
-    job->nchunks = nchunks;
+    auto job =
+        std::make_shared<Job>(std::move(fn), nchunks, runLength(nchunks));
     if (nchunks == 0) {
         // Nothing to run: return an already-completed token so
         // finished()/wait() stay uniform for the caller.
         return job;
     }
-    enqueue(job);
+    job->keepAlive = job;
+    enqueue(*job, job->nruns);
     return job;
 }
 
@@ -203,7 +373,7 @@ bool
 ThreadPool::finished(const JobHandle &job)
 {
     return !job ||
-           job->done.load(std::memory_order_acquire) == job->nchunks;
+           job->done.load(std::memory_order_acquire) == job->nruns;
 }
 
 void
@@ -211,7 +381,7 @@ ThreadPool::wait(const JobHandle &job)
 {
     if (!job || job->nchunks == 0)
         return;
-    awaitJob(job);
+    awaitJob(*job);
 }
 
 ThreadPool &

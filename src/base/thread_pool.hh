@@ -20,6 +20,20 @@
  *     fits in a single chunk, the body runs inline on the caller
  *     with no locking, allocation, or wake-ups, keeping
  *     single-thread performance at parity with plain loops.
+ *  4. No allocation per dispatch. A `runChunks` job lives on the
+ *     caller's stack and refers to the body through a non-owning
+ *     ChunkRef; the queue links jobs intrusively; reductions keep
+ *     their partials on the stack. Only `submit()` allocates (its
+ *     job must outlive the caller's scope).
+ *  5. Cheap wake-ups. A dispatch wakes at most one parked worker per
+ *     run it leaves for others, and makes no futex call when none is
+ *     parked. A worker that finishes a job spins on the queue for a
+ *     fixed bound (ThreadPool::spinWindow) before it parks, so the
+ *     next dispatch of a tight solver loop finds it awake; a freshly
+ *     spawned worker parks at once, and shutdown ends every spin.
+ *  6. Batched claims. Participants claim runs of consecutive chunks
+ *     (about two runs per thread), which cuts cursor traffic without
+ *     moving a chunk boundary — so constraint 1 still holds.
  *
  * The process-wide pool (`ThreadPool::global()`) is sized from the
  * `TDFE_NUM_THREADS` environment variable, falling back to the
@@ -31,47 +45,105 @@
 #define TDFE_BASE_THREAD_POOL_HH
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace tdfe
 {
 
 /**
- * Work-sharing pool. A job is a chunk counter plus a body; workers
- * and the submitting thread race on the counter until every chunk
- * has been claimed, then the submitter waits for stragglers.
+ * Work-sharing pool. A job is a run cursor plus a body; workers and
+ * the submitting thread race on the cursor until every run has been
+ * claimed, then the submitter waits for the workers to leave the job.
  */
 class ThreadPool
 {
   public:
     /**
-     * One unit of pool work: a chunk counter plus a body. Treat as
-     * opaque outside the pool — it is public only so JobHandle can
-     * name it; submit()/wait()/finished() are the API.
+     * Non-owning reference to a chunk body (object pointer plus
+     * trampoline): copying it never allocates. The referenced
+     * callable must outlive every call through the reference.
+     */
+    class ChunkRef
+    {
+      public:
+        template <typename F,
+                  typename = std::enable_if_t<
+                      !std::is_same_v<std::decay_t<F>, ChunkRef>>>
+        ChunkRef(F &&fn) noexcept
+            : obj(const_cast<void *>(
+                  static_cast<const void *>(std::addressof(fn)))),
+              call(&invoke<std::remove_reference_t<F>>)
+        {
+        }
+
+        void operator()(std::size_t c) const { call(obj, c); }
+
+      private:
+        template <typename F>
+        static void
+        invoke(void *obj, std::size_t c)
+        {
+            (*static_cast<F *>(obj))(c);
+        }
+
+        void *obj;
+        void (*call)(void *, std::size_t);
+    };
+
+    /**
+     * One unit of pool work. Treat as opaque outside the pool — it
+     * is public only so JobHandle can name it; submit()/wait()/
+     * finished() are the API.
      */
     struct Job
     {
-        /** Body to run (runChunks points at the caller's stack
-         *  copy; submit() stores its own in `owned`). */
-        const std::function<void(std::size_t)> *fn = nullptr;
+        /** A job over the caller's body (runChunks). */
+        Job(ChunkRef body, std::size_t chunks, std::size_t run_length);
+        /** A job that owns its body (submit). */
+        Job(std::function<void(std::size_t)> body, std::size_t chunks,
+            std::size_t run_length);
+
+        /** submit()'s body; empty for runChunks jobs. */
         std::function<void(std::size_t)> owned;
-        std::size_t nchunks = 0;
+        ChunkRef fn;
+        std::size_t nchunks;
+        /** Consecutive chunks per claim, and the number of runs. */
+        std::size_t run;
+        std::size_t nruns;
+        /** Next unclaimed run, and runs completed. */
         std::atomic<std::size_t> next{0};
         std::atomic<std::size_t> done{0};
-        std::mutex m;
-        std::condition_variable cv;
+        /** Workers inside the job; changed under the pool mutex. */
+        std::atomic<int> active{0};
+
+        /** Queue links, guarded by the pool mutex. @{ */
+        Job *prev = nullptr;
+        Job *succ = nullptr;
+        bool queued = false;
+        /** submit() jobs: the queue's owning reference. */
+        std::shared_ptr<Job> keepAlive;
+        /** @} */
     };
 
     /** Completion token of an asynchronously submitted job. */
     using JobHandle = std::shared_ptr<Job>;
+
+    /**
+     * How long a worker that finished a job spins on the queue
+     * before it parks, and how long a caller spins for its job's
+     * last workers before it blocks.
+     */
+    static constexpr std::chrono::microseconds spinWindow{50};
 
     /**
      * @param threads Total thread count including the caller
@@ -97,11 +169,11 @@ class ThreadPool
     /**
      * Execute @p fn(chunk) for every chunk in [0, nchunks). The
      * calling thread participates; returns once all chunks have
-     * completed. Safe to call concurrently from several threads and
-     * from inside a running chunk.
+     * completed and no worker still refers to @p fn. Safe to call
+     * concurrently from several threads and from inside a running
+     * chunk. Never allocates.
      */
-    void runChunks(std::size_t nchunks,
-                   const std::function<void(std::size_t)> &fn);
+    void runChunks(std::size_t nchunks, ChunkRef fn);
 
     /**
      * Enqueue @p nchunks chunks of @p fn for asynchronous execution
@@ -137,22 +209,50 @@ class ThreadPool
     void joinWorkers();
     void workerLoop();
 
-    /** Claim and run chunks of @p job until the cursor is spent. */
-    static void helpWith(Job &job);
+    /** Claims per participant: about two runs per thread. */
+    std::size_t runLength(std::size_t nchunks) const;
 
-    /** Push @p job onto the queue and wake the workers. */
-    void enqueue(const std::shared_ptr<Job> &job);
+    /** Claim the next run of @p job; @return it, or nruns if the
+     *  cursor is spent. */
+    std::size_t claim(Job &job);
 
-    /** Help with @p job, unlink it from the queue, await stragglers. */
-    void awaitJob(const std::shared_ptr<Job> &job);
+    /** Run run @p r of @p job, then claim and run more until the
+     *  cursor is spent. */
+    void helpWith(Job &job, std::size_t r);
+
+    /** Queue @p job; wake up to @p helpers parked workers. */
+    void enqueue(Job &job, std::size_t helpers);
+
+    /** Drop @p job from the queue if it is still there (mtx held). */
+    void unlink(Job &job);
+
+    /** Unlink spent jobs at the head; @return the head (mtx held). */
+    Job *claimable();
+
+    /** Help with @p job, then return once no worker is inside it. */
+    void awaitJob(Job &job);
+
+    /** Unlink @p job and wait for its workers to leave. */
+    void retire(Job &job);
 
     int nThreads = 1;
     std::vector<std::thread> workers;
 
+    /** Guards the queue, the counts and the link fields of jobs. */
     std::mutex mtx;
-    std::condition_variable cv;
-    std::deque<std::shared_ptr<Job>> pending;
-    bool shutdown = false;
+    /** Parked workers wait here for a job. */
+    std::condition_variable work;
+    /** Callers wait here for a job's last worker to leave. */
+    std::condition_variable idle;
+    Job *head = nullptr;
+    Job *tail = nullptr;
+    int parked = 0;
+    int waiters = 0;
+    /** Queued jobs with unclaimed runs; spinning workers poll it
+     *  without the lock. */
+    std::atomic<std::size_t> openJobs{0};
+    /** Set (under mtx) to end every worker. */
+    std::atomic<bool> shutdown{false};
 };
 
 /** Largest thread count a user may request: each is an OS thread. */
@@ -198,11 +298,10 @@ parallelForRange(std::size_t n, std::size_t grain, Fn &&fn)
         fn(static_cast<std::size_t>(0), n);
         return;
     }
-    const std::function<void(std::size_t)> chunk =
-        [&](std::size_t c) {
-            const std::size_t b = c * grain;
-            fn(b, std::min(n, b + grain));
-        };
+    const auto chunk = [&](std::size_t c) {
+        const std::size_t b = c * grain;
+        fn(b, std::min(n, b + grain));
+    };
     pool.runChunks(nchunks, chunk);
 }
 
@@ -217,11 +316,16 @@ parallelFor(std::size_t n, std::size_t grain, Fn &&fn)
     });
 }
 
+/** Chunk partials a reduction keeps on the stack per dispatch. */
+constexpr std::size_t reduceBatch = 128;
+
 /**
  * Deterministic reduction over [0, n). @p chunk_fn(begin, end)
  * returns the partial for one grain-sized chunk; partials are
  * combined with @p combine serially in chunk order, so the result
- * does not depend on the thread count.
+ * does not depend on the thread count. T must be default-
+ * constructible: partials live in a stack array of reduceBatch, and
+ * a range with more chunks is reduced in several dispatches.
  */
 template <typename T, typename ChunkFn, typename CombineFn>
 inline T
@@ -233,21 +337,26 @@ parallelReduce(std::size_t n, std::size_t grain, T identity,
     if (grain == 0)
         grain = 1;
     const std::size_t nchunks = (n + grain - 1) / grain;
-    if (nchunks == 1)
-        return combine(identity, chunk_fn(static_cast<std::size_t>(0),
-                                          n));
-    std::vector<T> partials(nchunks, identity);
-    // Iterate chunk *indices* (grain 1) rather than the element
-    // range: the serial fast path then still evaluates chunk_fn once
-    // per chunk, keeping the partial association — and the result —
-    // identical to every parallel execution.
-    parallelFor(nchunks, std::size_t{1}, [&](std::size_t c) {
-        const std::size_t b = c * grain;
-        partials[c] = chunk_fn(b, std::min(n, b + grain));
-    });
     T acc = identity;
-    for (const T &p : partials)
-        acc = combine(acc, p);
+    if (nchunks == 1 || ThreadPool::global().threadCount() <= 1) {
+        for (std::size_t c = 0; c < nchunks; ++c) {
+            const std::size_t b = c * grain;
+            acc = combine(acc, chunk_fn(b, std::min(n, b + grain)));
+        }
+        return acc;
+    }
+    std::array<T, reduceBatch> partials;
+    for (std::size_t first = 0; first < nchunks; first += reduceBatch) {
+        const std::size_t count = std::min(reduceBatch, nchunks - first);
+        // Iterate chunk *indices* (grain 1) rather than the element
+        // range, so each partial covers exactly one grain-sized chunk.
+        parallelFor(count, std::size_t{1}, [&](std::size_t k) {
+            const std::size_t b = (first + k) * grain;
+            partials[k] = chunk_fn(b, std::min(n, b + grain));
+        });
+        for (std::size_t k = 0; k < count; ++k)
+            acc = combine(acc, partials[k]);
+    }
     return acc;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
@@ -46,6 +47,19 @@ forRows(int j_begin, int j_end, Fn &&fn)
     });
 }
 
+/**
+ * Mass of node @p i's control volume: a quarter of each surrounding
+ * cell's mass, from the south (@p rho_s, @p vol_s) and north
+ * (@p rho_n, @p vol_n) cell rows.
+ */
+inline double
+nodeMass(const double *rho_s, const double *rho_n,
+         const double *vol_s, const double *vol_n, int i)
+{
+    return 0.25 * (rho_s[i - 1] * vol_s[i - 1] + rho_s[i] * vol_s[i] +
+                   rho_n[i - 1] * vol_n[i - 1] + rho_n[i] * vol_n[i]);
+}
+
 } // namespace
 
 CloverSolver2D::CloverSolver2D(const CloverConfig &config)
@@ -82,7 +96,6 @@ CloverSolver2D::CloverSolver2D(const CloverConfig &config)
     vxBar.assign(nn, 0.0);
     vyBar.assign(nn, 0.0);
     nodeMass0.assign(nn, 0.0);
-    nodeMass1.assign(nn, 0.0);
     volFluxX.assign(nn, 0.0);
     volFluxY.assign(nn, 0.0);
     massFluxX.assign(nn, 0.0);
@@ -111,6 +124,7 @@ CloverSolver2D::depositCornerEnergy(double energy)
     const double cell_mass = cfg.rho0 * cfg.dx * cfg.dy;
     e0_[cid(ghosts, ghosts)] = energy / cell_mass;
     e1_[cid(ghosts, ghosts)] = energy / cell_mass;
+    derivedCurrent = false;
 }
 
 double
@@ -196,23 +210,6 @@ CloverSolver2D::totalEnergy() const
     return sum * cfg.dx * cfg.dy;
 }
 
-void
-CloverSolver2D::idealGas()
-{
-    const std::size_t nc = rho0_.size();
-    const double *rho = rho0_.data();
-    const double *e = e0_.data();
-    double *p = p_.data();
-    double *cs = cs_.data();
-    parallelForRange(nc, flatGrain,
-                     [&](std::size_t b, std::size_t end) {
-                         for (std::size_t c = b; c < end; ++c) {
-                             p[c] = eos_.pressure(rho[c], e[c]);
-                             cs[c] = eos_.soundSpeed(rho[c], p[c]);
-                         }
-                     });
-}
-
 namespace
 {
 
@@ -257,62 +254,56 @@ CloverSolver2D::updateHalo()
     haloFillCell(e0_, pcx, pcy, cfg.nx, cfg.ny, ghosts);
 }
 
-void
-CloverSolver2D::viscosity()
-{
-    forRows(ghosts, ghosts + cfg.ny, [&](int j) {
-        // Flattened row bases: cells of row j, nodes of rows j/j+1.
-        double *qr = q_.data() + cid(0, j);
-        const double *rr = rho0_.data() + cid(0, j);
-        const double *cr = cs_.data() + cid(0, j);
-        const double *vx0 = vx_.data() + nid(0, j);
-        const double *vx1 = vx_.data() + nid(0, j + 1);
-        const double *vy0 = vy_.data() + nid(0, j);
-        const double *vy1 = vy_.data() + nid(0, j + 1);
-        for (int i = ghosts; i < ghosts + cfg.nx; ++i) {
-            // Velocity jumps across the cell (face-averaged).
-            const double du = 0.5 * (vx0[i + 1] + vx1[i + 1] -
-                                     vx0[i] - vx1[i]);
-            const double dv = 0.5 * (vy1[i] + vy1[i + 1] -
-                                     vy0[i] - vy0[i + 1]);
-            const double jump = du + dv;
-            if (jump < 0.0) {
-                qr[i] = rr[i] *
-                        (cfg.cvisc2 * jump * jump +
-                         cfg.cvisc1 * cr[i] * std::fabs(jump));
-            } else {
-                qr[i] = 0.0;
-            }
-        }
-    });
-    haloFillCell(q_, pcx, pcy, cfg.nx, cfg.ny, ghosts);
-}
-
 double
-CloverSolver2D::calcDt()
+CloverSolver2D::deriveFields()
 {
     updateHalo();
-    idealGas();
-    viscosity();
 
-    const double dt0 =
-        lastDt > 0.0 ? lastDt * cfg.dtGrowth : cfg.dtInit;
-    // Per-row CFL minima, combined by min: bitwise identical for any
-    // chunking or thread count.
+    // One pass over every padded row. Each row computes the EOS
+    // across its whole width (ghosts included), then, on interior
+    // rows, its viscosity and CFL minimum, which read only this
+    // row's derived values. min is exact, so neither the chunking
+    // nor the thread count can change the result.
+    const int g = ghosts;
     const double dt = parallelReduce(
-        static_cast<std::size_t>(cfg.ny), rowGrain, dt0,
+        static_cast<std::size_t>(pcy), rowGrain,
+        std::numeric_limits<double>::infinity(),
         [&](std::size_t rb, std::size_t re) {
-            double best = dt0;
+            double best = std::numeric_limits<double>::infinity();
             for (std::size_t r = rb; r < re; ++r) {
-                const int j = ghosts + static_cast<int>(r);
-                const double *cr = cs_.data() + cid(0, j);
-                const double *qr = q_.data() + cid(0, j);
+                const int j = static_cast<int>(r);
                 const double *rr = rho0_.data() + cid(0, j);
+                const double *er = e0_.data() + cid(0, j);
+                double *pr = p_.data() + cid(0, j);
+                double *cr = cs_.data() + cid(0, j);
+                for (int i = 0; i < pcx; ++i) {
+                    pr[i] = eos_.pressure(rr[i], er[i]);
+                    cr[i] = eos_.soundSpeed(rr[i], pr[i]);
+                }
+                if (j < g || j >= g + cfg.ny)
+                    continue;
+
+                // Flattened row bases: nodes of rows j/j+1.
+                double *qr = q_.data() + cid(0, j);
                 const double *vx0 = vx_.data() + nid(0, j);
                 const double *vx1 = vx_.data() + nid(0, j + 1);
                 const double *vy0 = vy_.data() + nid(0, j);
                 const double *vy1 = vy_.data() + nid(0, j + 1);
-                for (int i = ghosts; i < ghosts + cfg.nx; ++i) {
+                for (int i = g; i < g + cfg.nx; ++i) {
+                    // Velocity jumps across the cell (face-averaged).
+                    const double du = 0.5 * (vx0[i + 1] + vx1[i + 1] -
+                                             vx0[i] - vx1[i]);
+                    const double dv = 0.5 * (vy1[i] + vy1[i + 1] -
+                                             vy0[i] - vy0[i + 1]);
+                    const double jump = du + dv;
+                    if (jump < 0.0) {
+                        qr[i] = rr[i] *
+                                (cfg.cvisc2 * jump * jump +
+                                 cfg.cvisc1 * cr[i] * std::fabs(jump));
+                    } else {
+                        qr[i] = 0.0;
+                    }
+
                     const double cs2 =
                         cr[i] * cr[i] + 2.0 * qr[i] / rr[i];
                     const double cs_eff = std::sqrt(cs2);
@@ -331,6 +322,17 @@ CloverSolver2D::calcDt()
             return best;
         },
         [](double a, double b) { return std::min(a, b); });
+    haloFillCell(q_, pcx, pcy, cfg.nx, cfg.ny, ghosts);
+    derivedCurrent = true;
+    return dt;
+}
+
+double
+CloverSolver2D::calcDt()
+{
+    const double dt0 =
+        lastDt > 0.0 ? lastDt * cfg.dtGrowth : cfg.dtInit;
+    const double dt = std::min(dt0, deriveFields());
     TDFE_ASSERT(dt > 0.0 && std::isfinite(dt),
                 "clover2d produced a non-positive timestep");
     return dt;
@@ -445,14 +447,15 @@ CloverSolver2D::fluxCalc(double dt)
     // extended range (one ghost ring) also feeds the momentum remap.
     const double hdt_dy = 0.5 * dt * cfg.dy;
     const double hdt_dx = 0.5 * dt * cfg.dx;
-    forRows(ghosts - 1, ghosts + cfg.ny + 1, [&](int j) {
-        double *fx = volFluxX.data() + nid(0, j);
-        const double *vb0 = vxBar.data() + nid(0, j);
-        const double *vb1 = vxBar.data() + nid(0, j + 1);
-        for (int i = ghosts - 1; i < ghosts + cfg.nx + 2; ++i)
-            fx[i] = hdt_dy * (vb0[i] + vb1[i]);
-    });
+    // Y faces span one node row more than X faces.
     forRows(ghosts - 1, ghosts + cfg.ny + 2, [&](int j) {
+        if (j < ghosts + cfg.ny + 1) {
+            double *fx = volFluxX.data() + nid(0, j);
+            const double *vb0 = vxBar.data() + nid(0, j);
+            const double *vb1 = vxBar.data() + nid(0, j + 1);
+            for (int i = ghosts - 1; i < ghosts + cfg.nx + 2; ++i)
+                fx[i] = hdt_dy * (vb0[i] + vb1[i]);
+        }
         double *fy = volFluxY.data() + nid(0, j);
         const double *vb = vyBar.data() + nid(0, j);
         for (int i = ghosts - 1; i < ghosts + cfg.nx + 1; ++i)
@@ -508,7 +511,10 @@ CloverSolver2D::advectCellX()
     // ring included so boundary node masses see consistent values.
     // The first sweep of a cycle starts from the fully-expanded
     // Lagrangian volume (both directions' fluxes); the second sweep
-    // only has its own direction left to remap.
+    // only has its own direction left to remap. The same pass forms
+    // the donor-cell mass and internal-energy fluxes, all from
+    // pre-update values so the update loop below has no ordering
+    // hazard.
     forRows(g - 1, g + cfg.ny + 1, [&](int j) {
         double *pre = preVol.data() + cid(0, j);
         double *post = postVol.data() + cid(0, j);
@@ -521,15 +527,9 @@ CloverSolver2D::advectCellX()
             pre[i] = vol + fx + (first_sweep ? fy : 0.0);
             post[i] = pre[i] - fx;
         }
-    });
 
-    // Donor-cell mass and internal-energy fluxes, all from
-    // pre-update values so the update loop below has no ordering
-    // hazard.
-    forRows(g - 1, g + cfg.ny + 1, [&](int j) {
         double *mfx = massFluxX.data() + nid(0, j);
         double *ef = eFlux.data() + nid(0, j);
-        const double *fvx = volFluxX.data() + nid(0, j);
         const double *rho1 = rho1_.data() + cid(0, j);
         const double *e1 = e1_.data() + cid(0, j);
         for (int i = g - 1; i <= g + cfg.nx + 1; ++i) {
@@ -547,12 +547,8 @@ CloverSolver2D::advectCellX()
         const double *rho_n = rho1_.data() + cid(0, j);
         const double *pre_s = preVol.data() + cid(0, j - 1);
         const double *pre_n = preVol.data() + cid(0, j);
-        for (int i = g; i <= g + cfg.nx; ++i) {
-            nm[i] = 0.25 * (rho_s[i - 1] * pre_s[i - 1] +
-                            rho_s[i] * pre_s[i] +
-                            rho_n[i - 1] * pre_n[i - 1] +
-                            rho_n[i] * pre_n[i]);
-        }
+        for (int i = g; i <= g + cfg.nx; ++i)
+            nm[i] = nodeMass(rho_s, rho_n, pre_s, pre_n, i);
     });
 
     // Conservative remap of mass and internal energy.
@@ -582,21 +578,6 @@ CloverSolver2D::advectMomX()
 {
     const int g = ghosts;
 
-    // Node masses after the cell remap.
-    forRows(g, g + cfg.ny + 1, [&](int j) {
-        double *nm = nodeMass1.data() + nid(0, j);
-        const double *rho_s = rho1_.data() + cid(0, j - 1);
-        const double *rho_n = rho1_.data() + cid(0, j);
-        const double *post_s = postVol.data() + cid(0, j - 1);
-        const double *post_n = postVol.data() + cid(0, j);
-        for (int i = g; i <= g + cfg.nx; ++i) {
-            nm[i] = 0.25 * (rho_s[i - 1] * post_s[i - 1] +
-                            rho_s[i] * post_s[i] +
-                            rho_n[i - 1] * post_n[i - 1] +
-                            rho_n[i] * post_n[i]);
-        }
-    });
-
     // Donor velocities come from a frozen copy of the node fields.
     vxBar = vx_;
     vyBar = vy_;
@@ -607,7 +588,10 @@ CloverSolver2D::advectMomX()
         const double *vbx = vxBar.data() + nid(0, j);
         const double *vby = vyBar.data() + nid(0, j);
         const double *nm0 = nodeMass0.data() + nid(0, j);
-        const double *nm1 = nodeMass1.data() + nid(0, j);
+        const double *rho_s = rho1_.data() + cid(0, j - 1);
+        const double *rho_n = rho1_.data() + cid(0, j);
+        const double *post_s = postVol.data() + cid(0, j - 1);
+        const double *post_n = postVol.data() + cid(0, j);
         const double *mf_s = massFluxX.data() + nid(0, j - 1);
         const double *mf_n = massFluxX.data() + nid(0, j);
         // Node-control-volume mass flux across the face between
@@ -622,7 +606,8 @@ CloverSolver2D::advectMomX()
             const double f_out = node_flux(i + 1);
             const int don_in = f_in > 0.0 ? i - 1 : i;
             const int don_out = f_out > 0.0 ? i : i + 1;
-            const double m1 = std::max(nm1[i], fieldFloor);
+            const double m1 = std::max(
+                nodeMass(rho_s, rho_n, post_s, post_n, i), fieldFloor);
             vxr[i] = (nm0[i] * vbx[i] + f_in * vbx[don_in] -
                       f_out * vbx[don_out]) / m1;
             vyr[i] = (nm0[i] * vby[i] + f_in * vby[don_in] -
@@ -642,21 +627,23 @@ CloverSolver2D::advectCellY()
     haloFillCell(rho1_, pcx, pcy, cfg.nx, cfg.ny, ghosts);
     haloFillCell(e1_, pcx, pcy, cfg.nx, cfg.ny, ghosts);
 
-    forRows(g - 1, g + cfg.ny + 1, [&](int j) {
-        double *pre = preVol.data() + cid(0, j);
-        double *post = postVol.data() + cid(0, j);
-        const double *fvx = volFluxX.data() + nid(0, j);
-        const double *fvy0 = volFluxY.data() + nid(0, j);
-        const double *fvy1 = volFluxY.data() + nid(0, j + 1);
-        for (int i = g - 1; i <= g + cfg.nx; ++i) {
-            const double fx = fvx[i + 1] - fvx[i];
-            const double fy = fvy1[i] - fvy0[i];
-            pre[i] = vol + fy + (first_sweep ? fx : 0.0);
-            post[i] = pre[i] - fy;
-        }
-    });
-
+    // Control volumes and donor fluxes in one pass, as in
+    // advectCellX; the flux faces span one row more than the cells.
     forRows(g - 1, g + cfg.ny + 2, [&](int j) {
+        if (j < g + cfg.ny + 1) {
+            double *pre = preVol.data() + cid(0, j);
+            double *post = postVol.data() + cid(0, j);
+            const double *fvx = volFluxX.data() + nid(0, j);
+            const double *fvy0 = volFluxY.data() + nid(0, j);
+            const double *fvy1 = volFluxY.data() + nid(0, j + 1);
+            for (int i = g - 1; i <= g + cfg.nx; ++i) {
+                const double fx = fvx[i + 1] - fvx[i];
+                const double fy = fvy1[i] - fvy0[i];
+                pre[i] = vol + fy + (first_sweep ? fx : 0.0);
+                post[i] = pre[i] - fy;
+            }
+        }
+
         double *mfy = massFluxY.data() + nid(0, j);
         double *ef = eFlux.data() + nid(0, j);
         const double *fvy = volFluxY.data() + nid(0, j);
@@ -679,12 +666,8 @@ CloverSolver2D::advectCellY()
         const double *rho_n = rho1_.data() + cid(0, j);
         const double *pre_s = preVol.data() + cid(0, j - 1);
         const double *pre_n = preVol.data() + cid(0, j);
-        for (int i = g; i <= g + cfg.nx; ++i) {
-            nm[i] = 0.25 * (rho_s[i - 1] * pre_s[i - 1] +
-                            rho_s[i] * pre_s[i] +
-                            rho_n[i - 1] * pre_n[i - 1] +
-                            rho_n[i] * pre_n[i]);
-        }
+        for (int i = g; i <= g + cfg.nx; ++i)
+            nm[i] = nodeMass(rho_s, rho_n, pre_s, pre_n, i);
     });
 
     forRows(g - 1, g + cfg.ny + 1, [&](int j) {
@@ -714,20 +697,6 @@ CloverSolver2D::advectMomY()
 {
     const int g = ghosts;
 
-    forRows(g, g + cfg.ny + 1, [&](int j) {
-        double *nm = nodeMass1.data() + nid(0, j);
-        const double *rho_s = rho1_.data() + cid(0, j - 1);
-        const double *rho_n = rho1_.data() + cid(0, j);
-        const double *post_s = postVol.data() + cid(0, j - 1);
-        const double *post_n = postVol.data() + cid(0, j);
-        for (int i = g; i <= g + cfg.nx; ++i) {
-            nm[i] = 0.25 * (rho_s[i - 1] * post_s[i - 1] +
-                            rho_s[i] * post_s[i] +
-                            rho_n[i - 1] * post_n[i - 1] +
-                            rho_n[i] * post_n[i]);
-        }
-    });
-
     vxBar = vx_;
     vyBar = vy_;
 
@@ -735,7 +704,10 @@ CloverSolver2D::advectMomY()
         double *vxr = vx_.data() + nid(0, j);
         double *vyr = vy_.data() + nid(0, j);
         const double *nm0 = nodeMass0.data() + nid(0, j);
-        const double *nm1 = nodeMass1.data() + nid(0, j);
+        const double *rho_s = rho1_.data() + cid(0, j - 1);
+        const double *rho_n = rho1_.data() + cid(0, j);
+        const double *post_s = postVol.data() + cid(0, j - 1);
+        const double *post_n = postVol.data() + cid(0, j);
         const double *mf_s = massFluxY.data() + nid(0, j - 1);
         const double *mf_c = massFluxY.data() + nid(0, j);
         const double *mf_n = massFluxY.data() + nid(0, j + 1);
@@ -756,7 +728,8 @@ CloverSolver2D::advectMomY()
             const double *vbx_out = f_out > 0.0 ? vbx_c : vbx_n;
             const double *vby_in = f_in > 0.0 ? vby_s : vby_c;
             const double *vby_out = f_out > 0.0 ? vby_c : vby_n;
-            const double m1 = std::max(nm1[i], fieldFloor);
+            const double m1 = std::max(
+                nodeMass(rho_s, rho_n, post_s, post_n, i), fieldFloor);
             vxr[i] = (nm0[i] * vbx_c[i] + f_in * vbx_in[i] -
                       f_out * vbx_out[i]) / m1;
             vyr[i] = (nm0[i] * vby_c[i] + f_in * vby_in[i] -
@@ -772,9 +745,10 @@ CloverSolver2D::step(double dt)
     TDFE_ASSERT(dt > 0.0 && std::isfinite(dt),
                 "step requires a positive finite dt");
 
-    updateHalo();
-    idealGas();
-    viscosity();
+    // calcDt has usually just derived p, cs and q from this state;
+    // recompute only for callers that pass their own dt.
+    if (!derivedCurrent)
+        deriveFields();
     accelerate(dt);
     fluxCalc(dt);
     pdv();
@@ -800,6 +774,7 @@ CloverSolver2D::step(double dt)
     t += dt;
     ++cycleCount;
     lastDt = dt;
+    derivedCurrent = false;
 }
 
 double

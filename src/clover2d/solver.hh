@@ -8,7 +8,10 @@
  *
  * The kernel decomposition mirrors CloverLeaf's hydro cycle —
  * ideal_gas -> viscosity -> calc_dt -> accelerate -> PdV ->
- * flux_calc -> advec_cell -> advec_mom — so the module doubles as a
+ * flux_calc -> advec_cell -> advec_mom. The derived fields
+ * (ideal_gas's pressure and sound speed, viscosity's q) are computed
+ * once per cycle, in calc_dt's row pass; step() reuses them unless
+ * the state changed since. The module doubles as a
  * second, structurally different hydro mini-app substrate for the
  * in-situ feature-extraction library (the first being the
  * cell-centered Godunov solver in src/euler3d).
@@ -132,10 +135,17 @@ class CloverSolver2D
     /** Node-array index of node (i, j) in ghost coordinates. */
     std::size_t nid(int i, int j) const;
 
-    /** CloverLeaf kernels, in cycle order. @{ */
-    void idealGas();
+    /** Refill the ghost cells of rho0 and e0. */
     void updateHalo();
-    void viscosity();
+
+    /**
+     * ideal_gas + viscosity + the CFL scan, fused into one row pass:
+     * fills p, cs and q from the current state and marks them
+     * current. @return the smallest per-cell CFL timestep.
+     */
+    double deriveFields();
+
+    /** CloverLeaf kernels after calc_dt, in cycle order. @{ */
     void accelerate(double dt);
     void fluxCalc(double dt);
     void pdv();
@@ -161,7 +171,7 @@ class CloverSolver2D
     std::vector<double> rho0_, rho1_, e0_, e1_, p_, q_, cs_;
     /** @} */
     /** Node fields (ghost-padded). @{ */
-    std::vector<double> vx_, vy_, vxBar, vyBar, nodeMass0, nodeMass1;
+    std::vector<double> vx_, vy_, vxBar, vyBar, nodeMass0;
     /** @} */
     /** Face volume and mass fluxes (ghost-padded, node-sized). @{ */
     std::vector<double> volFluxX, volFluxY, massFluxX, massFluxY;
@@ -174,6 +184,8 @@ class CloverSolver2D
     double t = 0.0;
     long cycleCount = 0;
     double lastDt = 0.0;
+    /** p, cs and q match the current rho0/e0/velocities. */
+    bool derivedCurrent = false;
 };
 
 } // namespace clover

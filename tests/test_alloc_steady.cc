@@ -1,11 +1,14 @@
 /**
  * @file
- * Allocation budget of the synchronous in-situ steady state: once a
- * region has warmed up, a begin/end iteration of four sync analyses
- * (snapshot, normalize, append, training round, early-stop check,
- * stop protocol) must not touch the heap, at any pool thread count.
- * The only allowance is the amortized geometric growth of each
- * analysis's ObservedSeries history.
+ * Allocation budgets of the steady state, at every pool thread count:
+ *
+ *  - once a region has warmed up, a begin/end iteration of four sync
+ *    analyses (snapshot, normalize, append, training round,
+ *    early-stop check, stop protocol) must not touch the heap. The
+ *    only allowance is the amortized geometric growth of each
+ *    analysis's ObservedSeries history;
+ *  - a warmed-up clover cycle (Timestep + HydroCycle: every parallel
+ *    region and reduction of the solver) makes no allocation at all.
  *
  * The global operator new is replaced with a counting one, so this
  * binary must not be built with AddressSanitizer (which owns
@@ -21,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "base/thread_pool.hh"
+#include "clover2d/app.hh"
 #include "core/region.hh"
 
 namespace
@@ -175,6 +179,41 @@ TEST(AllocSteadyState, SyncRegionStaysOffTheHeap)
         EXPECT_LE(made, budget)
             << made << " allocations over " << countedIters
             << " iterations at " << threads << " threads";
+    }
+    setGlobalThreadCount(1);
+}
+
+/** Heap allocations made by @p counted clover 64^2 cycles. */
+std::size_t
+cloverCycleAllocations(int threads, long warmup, long counted)
+{
+    setGlobalThreadCount(threads);
+    clover::CloverAppConfig cfg;
+    cfg.size = 64;
+    clover::CloverField field(cfg);
+    auto cycle = [&field] {
+        clover::Timestep(field);
+        clover::HydroCycle(field);
+    };
+    for (long k = 0; k < warmup; ++k)
+        cycle();
+    const std::size_t before = allocations.load();
+    for (long k = 0; k < counted; ++k)
+        cycle();
+    return allocations.load() - before;
+}
+
+TEST(AllocSteadyState, CloverCyclesStayOffTheHeap)
+{
+    constexpr long warmup = 200;
+    constexpr long counted = 1000;
+    for (const int threads : {1, 2, 4}) {
+        const std::size_t made =
+            cloverCycleAllocations(threads, warmup, counted);
+        std::printf("clover 64^2, %d threads: %zu allocations over "
+                    "%ld cycles\n",
+                    threads, made, counted);
+        EXPECT_EQ(made, 0u) << "at " << threads << " threads";
     }
     setGlobalThreadCount(1);
 }

@@ -2,13 +2,20 @@
  * @file
  * Tests of the CloverLeaf-style 2D staggered Lagrangian-remap
  * solver: quiescent stability, conservation, x/y blast symmetry,
- * shock kinematics (r ~ t^(1/2)), positivity, and the app wrapper's
- * probe/driver surface.
+ * shock kinematics (r ~ t^(1/2)), positivity, the app wrapper's
+ * probe/driver surface, and golden state hashes that pin every bit of
+ * the solver across pool thread counts and call orders.
  */
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <vector>
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.hh"
 #include "clover2d/app.hh"
 #include "clover2d/solver.hh"
 
@@ -259,6 +266,153 @@ TEST(CloverApp, FinishesByIterationCap)
         ASSERT_LE(steps, 10);
     }
     EXPECT_EQ(steps, 10);
+}
+
+/**
+ * Golden comparisons are bitwise on the reproducible default build.
+ * Under TDFE_NATIVE (-ffast-math defines __FAST_MATH__) the compiler
+ * may contract and reassociate the kernels, so the recorded hashes
+ * no longer apply; the thread-count and call-order equalities below
+ * still do (they compare a binary with itself).
+ */
+#ifdef __FAST_MATH__
+constexpr bool exactGates = false;
+#else
+constexpr bool exactGates = true;
+#endif
+
+/** FNV-1a over the bytes of @p v, folded into @p h. */
+void
+fnvMix(std::uint64_t &h, double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+}
+
+/** Hash of every interior rho, e, p, node vx/vy, and the time. */
+std::uint64_t
+stateHash(const CloverSolver2D &solver)
+{
+    const int nx = solver.config().nx;
+    const int ny = solver.config().ny;
+    std::uint64_t h = 14695981039346656037ull;
+    for (int j = 0; j < ny; ++j) {
+        for (int i = 0; i < nx; ++i) {
+            fnvMix(h, solver.density(i, j));
+            fnvMix(h, solver.energy(i, j));
+            fnvMix(h, solver.pressure(i, j));
+        }
+    }
+    for (int j = 0; j <= ny; ++j) {
+        for (int i = 0; i <= nx; ++i) {
+            fnvMix(h, solver.xvel(i, j));
+            fnvMix(h, solver.yvel(i, j));
+        }
+    }
+    fnvMix(h, solver.time());
+    return h;
+}
+
+/** State hash after @p cycles Timestep/HydroCycle pairs. */
+std::uint64_t
+appHash(int size, int cycles)
+{
+    CloverAppConfig cfg;
+    cfg.size = size;
+    CloverField field(cfg);
+    for (int s = 0; s < cycles; ++s) {
+        Timestep(field);
+        HydroCycle(field);
+    }
+    return stateHash(field.solver());
+}
+
+TEST(Clover2D, StateIsBitwiseGoldenAcrossThreadCounts)
+{
+    // 64 is the perfbench grid; 37 gives ragged last row chunks.
+    // Recorded from the solver before its kernels were fused.
+    struct Golden
+    {
+        int size;
+        std::uint64_t hash;
+    };
+    const Golden golden[] = {{64, 0x254985ed4ac115beull},
+                              {37, 0x5f084d52e521dbe9ull}};
+    constexpr int cycles = 200;
+
+    const int original = globalThreadCount();
+    for (const Golden &g : golden) {
+        std::uint64_t first = 0;
+        for (const int threads : {1, 2, 4}) {
+            setGlobalThreadCount(threads);
+            const std::uint64_t h = appHash(g.size, cycles);
+            std::printf("clover %d^2, %d threads: %016" PRIx64 "\n",
+                        g.size, threads, h);
+            if (threads == 1)
+                first = h;
+            EXPECT_EQ(h, first)
+                << g.size << "^2 drifted at " << threads << " threads";
+            if (exactGates)
+                EXPECT_EQ(h, g.hash) << g.size << "^2 at " << threads
+                                     << " threads left the golden";
+        }
+    }
+    setGlobalThreadCount(original);
+}
+
+TEST(Clover2D, StepWithoutCalcDtRecomputesDerivedFields)
+{
+    // The reference order recomputes pressure, sound speed and
+    // viscosity at the top of every step. step(dt) must match it
+    // whether or not calcDt ran first, and a corner deposit after
+    // calcDt must not leave stale derived fields behind.
+    constexpr int n = 37;
+    constexpr int cycles = 60;
+    // Both orders take dtInit as their first dt, so they share one
+    // golden.
+    constexpr std::uint64_t golden = 0x041c04537938fe53ull;
+
+    // Reference: calcDt before every step; record the dts.
+    CloverSolver2D ref(smallConfig(n));
+    ref.depositCornerEnergy(2.0);
+    std::vector<double> dts;
+    for (int s = 0; s < cycles; ++s) {
+        dts.push_back(ref.calcDt());
+        ref.step(dts.back());
+    }
+
+    // Caller-supplied dts, no calcDt at all.
+    CloverSolver2D own(smallConfig(n));
+    own.depositCornerEnergy(2.0);
+    for (const double dt : dts)
+        own.step(dt);
+    EXPECT_EQ(stateHash(own), stateHash(ref));
+
+    // calcDt on the quiescent state, then the deposit, then step.
+    CloverSolver2D late(smallConfig(n));
+    const double dt0 = late.calcDt();
+    late.depositCornerEnergy(2.0);
+    late.step(dt0);
+    for (int s = 1; s < cycles; ++s)
+        late.advance();
+    // The same dt0 stepped straight after the deposit.
+    CloverSolver2D early(smallConfig(n));
+    early.depositCornerEnergy(2.0);
+    early.step(dt0);
+    for (int s = 1; s < cycles; ++s)
+        early.advance();
+    EXPECT_EQ(stateHash(late), stateHash(early));
+
+    std::printf("advance %016" PRIx64 ", late deposit %016" PRIx64 "\n",
+                stateHash(ref), stateHash(late));
+    if (exactGates) {
+        EXPECT_EQ(stateHash(ref), golden);
+        EXPECT_EQ(stateHash(late), golden);
+    }
 }
 
 TEST(CloverApp, ShockTimeEstimateIsMonotoneInRadius)

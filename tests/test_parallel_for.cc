@@ -2,13 +2,19 @@
  * @file
  * Tests of the parallel-compute backbone: determinism of
  * parallelReduce across thread counts, nested use from inside
- * ThreadComm rank bodies (no deadlock), empty/short ranges, and
- * concurrent submissions from independent threads.
+ * ThreadComm rank bodies (no deadlock), empty/short ranges,
+ * concurrent submissions from independent threads, and resizing
+ * while workers spin. Jobs live on their caller's stack, so the
+ * ASan build of this binary also catches a worker touching a job
+ * after its caller returned.
  */
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -232,6 +238,150 @@ TEST(ThreadPool, SubmitWaitFinished)
     solo.wait(deferred);
     EXPECT_TRUE(ThreadPool::finished(deferred));
     EXPECT_EQ(solo_runs.load(), 8);
+}
+
+/**
+ * Occupy every worker of @p pool with a submitted job whose chunks
+ * block until @p release is set. @return the job's handle.
+ */
+ThreadPool::JobHandle
+occupyWorkers(ThreadPool &pool, std::atomic<bool> &release)
+{
+    const std::size_t workers =
+        static_cast<std::size_t>(pool.threadCount() - 1);
+    auto entered = std::make_shared<std::atomic<std::size_t>>(0);
+    ThreadPool::JobHandle job =
+        pool.submit(workers, [entered, &release](std::size_t) {
+            entered->fetch_add(1);
+            while (!release.load())
+                std::this_thread::yield();
+        });
+    while (entered->load() < workers)
+        std::this_thread::yield();
+    return job;
+}
+
+TEST(ThreadPool, ConcurrentRunChunksBesideAPendingSubmit)
+{
+    ThreadPool pool(4);
+    // A slow submitted job is queued first and holds a worker while
+    // three threads dispatch their own jobs.
+    std::atomic<bool> release{false};
+    std::atomic<int> slow_runs{0};
+    const ThreadPool::JobHandle slow =
+        pool.submit(1, [&](std::size_t) {
+            while (!release.load())
+                std::this_thread::yield();
+            ++slow_runs;
+        });
+
+    constexpr int callers = 3;
+    constexpr std::size_t chunks = 257;
+    constexpr int rounds = 50;
+    std::vector<std::vector<std::atomic<int>>> hits(callers);
+    for (auto &h : hits)
+        h = std::vector<std::atomic<int>>(chunks);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < callers; ++t) {
+        threads.emplace_back([&, t] {
+            for (int r = 0; r < rounds; ++r) {
+                pool.runChunks(chunks, [&](std::size_t c) {
+                    hits[static_cast<std::size_t>(t)][c].fetch_add(1);
+                });
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    EXPECT_FALSE(ThreadPool::finished(slow));
+    release = true;
+    pool.wait(slow);
+    EXPECT_EQ(slow_runs.load(), 1);
+
+    for (int t = 0; t < callers; ++t) {
+        for (std::size_t c = 0; c < chunks; ++c) {
+            ASSERT_EQ(hits[static_cast<std::size_t>(t)][c].load(),
+                      rounds)
+                << "caller " << t << " chunk " << c;
+        }
+    }
+}
+
+TEST(ThreadPool, ResizeWhileWorkersSpinStaysUsable)
+{
+    ThreadPool pool(4);
+    std::atomic<long> runs{0};
+    const auto body = [&](std::size_t) { ++runs; };
+    constexpr int rounds = 20;
+    for (int r = 0; r < rounds; ++r) {
+        // Each resize follows a job at once, while the workers are
+        // still in their post-job spin; it must end the spin.
+        pool.runChunks(64, body);
+        pool.resize(1);
+        EXPECT_EQ(pool.threadCount(), 1);
+        pool.runChunks(8, body);
+        pool.resize(4);
+        EXPECT_EQ(pool.threadCount(), 4);
+    }
+    pool.runChunks(64, body);
+    EXPECT_EQ(runs.load(), rounds * (64 + 8) + 64);
+}
+
+TEST(ThreadPool, NestedBatchedRunChunksFinishOnTheCallerAlone)
+{
+    ThreadPool pool(4);
+    std::atomic<bool> release{false};
+    const ThreadPool::JobHandle busy = occupyWorkers(pool, release);
+
+    // Every worker is blocked, so the caller claims every run of the
+    // outer job (runs of several chunks at 4 threads) and of each
+    // nested inner job itself.
+    const std::thread::id caller = std::this_thread::get_id();
+    constexpr std::size_t outer = 32;
+    constexpr std::size_t inner = 24;
+    std::vector<int> hits(outer * inner, 0);
+    std::atomic<int> off_caller{0};
+    pool.runChunks(outer, [&](std::size_t o) {
+        pool.runChunks(inner, [&](std::size_t i) {
+            if (std::this_thread::get_id() != caller)
+                ++off_caller;
+            ++hits[o * inner + i];
+        });
+    });
+    EXPECT_EQ(off_caller.load(), 0);
+    for (std::size_t k = 0; k < hits.size(); ++k)
+        ASSERT_EQ(hits[k], 1) << "chunk " << k;
+
+    release = true;
+    pool.wait(busy);
+    EXPECT_TRUE(ThreadPool::finished(busy));
+}
+
+TEST(ThreadPool, ThrowOnTheCallerWaitsForWorkersAndRethrows)
+{
+    ThreadPool pool(4);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 0; round < 20; ++round) {
+        // Workers hold their first run until the caller has entered
+        // one, so the caller always claims a chunk and throws.
+        std::atomic<bool> thrown{false};
+        std::atomic<int> runs{0};
+        const auto body = [&](std::size_t) {
+            if (std::this_thread::get_id() == caller) {
+                thrown = true;
+                throw std::runtime_error("chunk failed");
+            }
+            while (!thrown.load())
+                std::this_thread::yield();
+            ++runs;
+        };
+        EXPECT_THROW(pool.runChunks(64, body), std::runtime_error);
+        // The stack job is gone; the pool must still work.
+        std::atomic<int> after{0};
+        pool.runChunks(64, [&](std::size_t) { ++after; });
+        EXPECT_EQ(after.load(), 64);
+        EXPECT_LT(runs.load(), 64);
+    }
 }
 
 } // namespace
