@@ -4,11 +4,14 @@
  * per-iteration collector cost, one GD training round, and one
  * model prediction. These are the numbers behind the "minimal
  * performance impact" claim. Also the solver side: one clover cycle
- * and the thread pool's fork-join dispatch latency.
+ * and the thread pool's fork-join dispatch latency; and the feature
+ * store's byte codecs: CRC-32 throughput and Gorilla decode cost.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "base/cli.hh"
@@ -19,6 +22,7 @@
 #include "core/collector.hh"
 #include "core/trainer.hh"
 #include "stats/rls.hh"
+#include "store/codec.hh"
 
 namespace
 {
@@ -178,6 +182,52 @@ BENCHMARK(BM_ParallelForDispatch)
     ->Args({2, 130})
     ->Args({16, 130})
     ->Args({64, 130});
+
+/**
+ * store::crc32 throughput over range(0) bytes: 10 KB is about one
+ * sealed store block, 846 KB a blast_stop rank-0 checkpoint payload.
+ */
+void
+BM_Crc32(benchmark::State &state)
+{
+    std::vector<std::uint8_t> buf(static_cast<std::size_t>(state.range(0)));
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        buf[i] = static_cast<std::uint8_t>(i * 2654435761u >> 13);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(store::crc32(buf.data(), buf.size()));
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(10 << 10)->Arg(846 << 10);
+
+/**
+ * Gorilla decode of one block's double column (range(0) values of a
+ * smooth decaying oscillation, like a feature's predicted value);
+ * ns_per_value is the per-value cost.
+ */
+void
+BM_DecodeDoubleColumn(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    std::vector<double> vals(n), out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const double t = static_cast<double>(i);
+        vals[i] = 10.0 * std::exp(-0.01 * t) + std::sin(0.3 * t);
+    }
+    std::vector<std::uint8_t> bytes;
+    store::encodeDoubleColumn(vals.data(), n, bytes);
+    for (auto _ : state) {
+        if (!store::decodeDoubleColumn(bytes.data(), bytes.size(), n,
+                                       out.data()))
+            state.SkipWithError("decode failed");
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.counters["ns_per_value"] = benchmark::Counter(
+        static_cast<double>(n),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DecodeDoubleColumn)->Arg(256);
 
 // Hand-rolled BENCHMARK_MAIN so the shared --threads flag can size
 // the global pool before google-benchmark sees (and would reject)

@@ -16,23 +16,34 @@ namespace store
 namespace
 {
 
-/** Lazily-built CRC-32 lookup table (reflected polynomial). */
-const std::uint32_t *
-crcTable()
+/** Slicing-by-8 tables for the reflected IEEE polynomial:
+ *  t[0] is the bytewise table, and t[k][b] is the CRC of byte b
+ *  followed by k zero bytes, so one 8-byte step is eight lookups.
+ *  Built at compile time. */
+struct CrcTables
 {
-    static std::uint32_t table[256];
-    static const bool built = [] {
+    std::uint32_t t[8][256];
+};
+
+constexpr CrcTables
+makeCrcTables()
+{
+    CrcTables tables{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+        std::uint32_t c = i;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        tables.t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k)
         for (std::uint32_t i = 0; i < 256; ++i) {
-            std::uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-            table[i] = c;
+            const std::uint32_t c = tables.t[k - 1][i];
+            tables.t[k][i] = (c >> 8) ^ tables.t[0][c & 0xFFu];
         }
-        return true;
-    }();
-    (void)built;
-    return table;
+    return tables;
 }
+
+constexpr CrcTables crcTables = makeCrcTables();
 
 inline std::uint64_t
 doubleBits(double v)
@@ -50,102 +61,245 @@ bitsDouble(std::uint64_t b)
     return v;
 }
 
-/** MSB-first bit appender over a byte vector. */
+/**
+ * MSB-first bit appender over a byte vector. Bits collect in a
+ * 64-bit accumulator (the low `used` bits are pending; anything
+ * above them is stale and shifts out before it is emitted) and
+ * leave as whole 8-byte big-endian words.
+ */
 class BitWriter
 {
   public:
     explicit BitWriter(std::vector<std::uint8_t> &out) : out(out) {}
 
-    void
-    writeBit(unsigned b)
-    {
-        cur = static_cast<std::uint8_t>((cur << 1) | (b & 1u));
-        if (++used == 8) {
-            out.push_back(cur);
-            cur = 0;
-            used = 0;
-        }
-    }
+    void writeBit(unsigned b) { writeBits(b, 1); }
 
-    /** Append the lowest @p n bits of @p v, most significant first. */
+    /** Append the lowest @p n bits of @p v (n in [0, 64]), most
+     *  significant first. */
     void
     writeBits(std::uint64_t v, unsigned n)
     {
-        for (unsigned i = n; i-- > 0;)
-            writeBit(static_cast<unsigned>((v >> i) & 1u));
+        if (n < 64)
+            v &= (std::uint64_t{1} << n) - 1;
+        const unsigned room = 64 - used; // in [1, 64]
+        if (n < room) {
+            acc = (acc << n) | v;
+            used += n;
+            return;
+        }
+        // Fill the word with v's top `room` bits, emit it, and keep
+        // the other n - room bits pending.
+        const unsigned rest = n - room; // in [0, 63]
+        const std::uint64_t word =
+            (room == 64 ? 0 : acc << room) | (v >> rest);
+        emit(word, 8);
+        acc = v;
+        used = rest;
     }
 
-    /** Flush the trailing partial byte (zero-padded). */
+    /** Flush the pending bits, the last byte zero-padded. */
     void
     finish()
     {
-        if (used > 0) {
-            out.push_back(
-                static_cast<std::uint8_t>(cur << (8 - used)));
-            cur = 0;
-            used = 0;
-        }
+        if (used > 0)
+            emit(acc << (64 - used), (used + 7) / 8);
+        acc = 0;
+        used = 0;
     }
 
   private:
+    /** Append the top @p bytes bytes of @p word, high byte first. */
+    void
+    emit(std::uint64_t word, unsigned bytes)
+    {
+        std::uint8_t buf[8];
+        for (unsigned i = 0; i < 8; ++i)
+            buf[i] = static_cast<std::uint8_t>(word >> (56 - 8 * i));
+        out.insert(out.end(), buf, buf + bytes);
+    }
+
     std::vector<std::uint8_t> &out;
-    std::uint8_t cur = 0;
-    int used = 0;
+    std::uint64_t acc = 0;
+    unsigned used = 0; // in [0, 63]
 };
 
-/** MSB-first bit reader; latches !ok() past the end. */
+/**
+ * MSB-first bit reader over a byte range. A read of n bits is one
+ * bounds check and one 8-byte big-endian load (bytewise within the
+ * last 8 bytes), plus one more byte when the n bits straddle the
+ * word. A read past the end returns 0, consumes the rest, and
+ * latches !ok().
+ */
 class BitReader
 {
   public:
     BitReader(const std::uint8_t *data, std::size_t size)
-        : p(data), end(data + size)
+        : p(data), size(size), nbits(std::uint64_t{size} * 8)
     {
     }
 
-    unsigned
-    readBit()
-    {
-        if (used == 0) {
-            if (p == end) {
-                ok_ = false;
-                return 0;
-            }
-            cur = *p++;
-            used = 8;
-        }
-        --used;
-        return static_cast<unsigned>((cur >> used) & 1u);
-    }
+    unsigned readBit() { return static_cast<unsigned>(readBits(1)); }
 
+    /** Read @p n bits (n in [0, 64]), the first read most
+     *  significant. */
     std::uint64_t
     readBits(unsigned n)
     {
-        std::uint64_t v = 0;
-        for (unsigned i = 0; i < n; ++i)
-            v = (v << 1) | readBit();
-        return v;
+        if (nbits - pos < n) {
+            ok_ = false;
+            pos = nbits;
+            return 0;
+        }
+        if (n == 0)
+            return 0;
+        const std::size_t byte = static_cast<std::size_t>(pos >> 3);
+        const unsigned skip = static_cast<unsigned>(pos & 7);
+        std::uint64_t v = loadWord(byte) << skip;
+        // The check above guarantees byte + 8 exists when n bits run
+        // past the loaded word (skip > 0 there, so no shift by 8).
+        if (skip + n > 64)
+            v |= p[byte + 8] >> (8 - skip);
+        pos += n;
+        return v >> (64 - n);
+    }
+
+    /**
+     * @return true when every read stayed in range, the reads ended
+     * in the last byte (no whole trailing byte), and the bits after
+     * them in that byte are zero — exactly what BitWriter::finish
+     * leaves.
+     */
+    bool
+    atCleanEnd() const
+    {
+        if (!ok_ || (pos + 7) / 8 != size)
+            return false;
+        const unsigned tail = static_cast<unsigned>(pos & 7);
+        return tail == 0 || (p[size - 1] & (0xFFu >> tail)) == 0;
     }
 
     bool ok() const { return ok_; }
 
   private:
+    /** Big-endian 8 bytes from @p byte, zeros past the end. */
+    std::uint64_t
+    loadWord(std::size_t byte) const
+    {
+        std::uint64_t w = 0;
+        if (size - byte >= 8) {
+            std::memcpy(&w, p + byte, 8);
+            return __builtin_bswap64(w);
+        }
+        for (std::size_t i = 0; byte + i < size; ++i)
+            w |= std::uint64_t{p[byte + i]} << (56 - 8 * i);
+        return w;
+    }
+
     const std::uint8_t *p;
-    const std::uint8_t *end;
-    std::uint8_t cur = 0;
-    int used = 0;
+    std::size_t size;
+    std::uint64_t nbits;
+    std::uint64_t pos = 0;
     bool ok_ = true;
 };
+
+/** LEB128 length of @p v in bytes, as putVarint writes it. */
+inline std::size_t
+varintBytes(std::uint64_t v)
+{
+    return 1 + static_cast<std::size_t>(63 - __builtin_clzll(v | 1)) / 7;
+}
+
+/** Index width for a dictionary of @p size entries. */
+inline unsigned
+dictIndexBits(std::uint64_t size)
+{
+    unsigned bits = 0;
+    while ((std::uint64_t{1} << bits) < size)
+        ++bits;
+    return bits;
+}
+
+/**
+ * Visit the dictionary's stored varints in order: the first entry
+ * zigzags against 0, later ones store the (positive, sorted) gap
+ * to the previous entry, taken in unsigned — a signed gap overflows
+ * across the full range.
+ */
+template <typename F>
+void
+forEachDictVarint(const std::vector<std::int64_t> &dict, F &&f)
+{
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < dict.size(); ++i) {
+        const auto v = static_cast<std::uint64_t>(dict[i]);
+        f(i == 0 ? zigzagEncode(dict[0]) : v - prev);
+        prev = v;
+    }
+}
+
+/** Dict payload of @p vals against its sorted distinct @p dict. */
+void
+encodeDictWith(const std::int64_t *vals, std::size_t n,
+               const std::vector<std::int64_t> &dict,
+               std::vector<std::uint8_t> &out)
+{
+    putVarint(out, dict.size());
+    forEachDictVarint(dict, [&](std::uint64_t v) { putVarint(out, v); });
+    const unsigned bits = dictIndexBits(dict.size());
+    if (bits == 0)
+        return; // constant column: the dictionary alone decodes it
+    BitWriter bw(out);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto it =
+            std::lower_bound(dict.begin(), dict.end(), vals[i]);
+        bw.writeBits(
+            static_cast<std::uint64_t>(it - dict.begin()), bits);
+    }
+    bw.finish();
+}
+
+/** Exact byte count encodeDictWith would append. */
+std::size_t
+dictBytes(std::size_t n, const std::vector<std::int64_t> &dict)
+{
+    std::size_t bytes = varintBytes(dict.size());
+    forEachDictVarint(dict,
+                      [&](std::uint64_t v) { bytes += varintBytes(v); });
+    return bytes + (n * dictIndexBits(dict.size()) + 7) / 8;
+}
+
+/** Sorted distinct values of @p vals. */
+std::vector<std::int64_t>
+sortedDistinct(const std::int64_t *vals, std::size_t n)
+{
+    std::vector<std::int64_t> dict(vals, vals + n);
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    return dict;
+}
 
 } // namespace
 
 std::uint32_t
 crc32(const void *data, std::size_t n)
 {
-    const std::uint32_t *table = crcTable();
+    const auto &t = crcTables.t;
     const auto *p = static_cast<const std::uint8_t *>(data);
     std::uint32_t c = 0xFFFFFFFFu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        // Little-endian host (base/portable.hh): lo's low byte is
+        // p[0], the byte the reflected CRC consumes first.
+        std::uint32_t lo, hi;
+        std::memcpy(&lo, p, 4);
+        std::memcpy(&hi, p + 4, 4);
+        lo ^= c;
+        c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+            t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
     return c ^ 0xFFFFFFFFu;
 }
 
@@ -294,36 +448,7 @@ void
 encodeIntColumnDict(const std::int64_t *vals, std::size_t n,
                     std::vector<std::uint8_t> &out)
 {
-    // Dictionary-build pass: sorted distinct values, then each
-    // record as a fixed-width index into them.
-    std::vector<std::int64_t> dict(vals, vals + n);
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-
-    putVarint(out, dict.size());
-    std::uint64_t prev = 0;
-    for (std::size_t i = 0; i < dict.size(); ++i) {
-        // First entry zigzags against 0; later ones store the
-        // (positive, sorted) gap to the previous entry, taken in
-        // unsigned — a signed gap overflows across the full range.
-        const auto v = static_cast<std::uint64_t>(dict[i]);
-        putVarint(out, i == 0 ? zigzagEncode(dict[0]) : v - prev);
-        prev = v;
-    }
-
-    unsigned bits = 0;
-    while ((std::size_t{1} << bits) < dict.size())
-        ++bits;
-    if (bits == 0)
-        return; // constant column: the dictionary alone decodes it
-    BitWriter bw(out);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto it =
-            std::lower_bound(dict.begin(), dict.end(), vals[i]);
-        bw.writeBits(
-            static_cast<std::uint64_t>(it - dict.begin()), bits);
-    }
-    bw.finish();
+    encodeDictWith(vals, n, sortedDistinct(vals, n), out);
 }
 
 bool
@@ -346,9 +471,7 @@ decodeIntColumnDict(const std::uint8_t *data, std::size_t len,
     }
     if (!r.ok())
         return false;
-    unsigned bits = 0;
-    while ((std::uint64_t{1} << bits) < dict_n)
-        ++bits;
+    const unsigned bits = dictIndexBits(dict_n);
     if (bits == 0) {
         for (std::size_t i = 0; i < n; ++i)
             out[i] = dict[0];
@@ -363,7 +486,7 @@ decodeIntColumnDict(const std::uint8_t *data, std::size_t len,
             return false;
         out[i] = dict[static_cast<std::size_t>(idx)];
     }
-    return br.ok();
+    return br.atCleanEnd();
 }
 
 void
@@ -401,45 +524,56 @@ void
 encodeIntColumnTagged(const std::int64_t *vals, std::size_t n,
                       std::vector<std::uint8_t> &out)
 {
-    // Trial-encode every candidate and keep the smallest payload.
-    // The extra encodes cost microseconds per sealed block; the
-    // store is orders of magnitude smaller than the trace it
-    // replaces, so the write path can afford to shop around.
-    std::vector<std::uint8_t> delta;
-    encodeIntColumn(vals, n, delta);
-
-    IntCodec best = IntCodec::DeltaVarint;
-    const std::vector<std::uint8_t> *best_bytes = &delta;
-
-    // Dictionary only pays off (and only stays cheap to build) on
-    // genuinely low-cardinality columns; a quick bounded distinct
-    // count guards the sort in encodeIntColumnDict.
-    std::vector<std::uint8_t> dict;
-    constexpr std::size_t maxDictValues = 256;
-    if (n > 0) {
-        std::vector<std::int64_t> probe(vals, vals + n);
-        std::sort(probe.begin(), probe.end());
-        const std::size_t distinct = static_cast<std::size_t>(
-            std::unique(probe.begin(), probe.end()) -
-            probe.begin());
-        if (distinct <= maxDictValues) {
-            encodeIntColumnDict(vals, n, dict);
-            if (dict.size() < best_bytes->size()) {
-                best = IntCodec::Dict;
-                best_bytes = &dict;
-            }
+    // Size every candidate exactly, then encode only the smallest.
+    // One pass prices delta-varint and RLE; ties break toward the
+    // lower codec id, so the choice is deterministic and files stay
+    // byte-identical across runs and flush modes.
+    std::size_t delta_bytes = 0, rle_bytes = 0, run_start = 0;
+    std::uint64_t prev = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto v = static_cast<std::uint64_t>(vals[i]);
+        delta_bytes += varintBytes(
+            zigzagEncode(static_cast<std::int64_t>(v - prev)));
+        prev = v;
+        if (i + 1 == n || vals[i + 1] != vals[i]) { // a run ends here
+            rle_bytes += varintBytes(zigzagEncode(vals[i])) +
+                         varintBytes(i + 1 - run_start);
+            run_start = i + 1;
         }
     }
 
-    std::vector<std::uint8_t> rle;
-    encodeIntColumnRle(vals, n, rle);
-    if (rle.size() < best_bytes->size()) {
-        best = IntCodec::Rle;
-        best_bytes = &rle;
+    IntCodec best = IntCodec::DeltaVarint;
+    std::size_t best_bytes = delta_bytes;
+
+    // Dictionary only pays off (and only stays cheap to index) on
+    // genuinely low-cardinality columns.
+    constexpr std::size_t maxDictValues = 256;
+    std::vector<std::int64_t> dict;
+    if (n > 0) {
+        dict = sortedDistinct(vals, n);
+        if (dict.size() <= maxDictValues) {
+            const std::size_t bytes = dictBytes(n, dict);
+            if (bytes < best_bytes) {
+                best = IntCodec::Dict;
+                best_bytes = bytes;
+            }
+        }
     }
+    if (rle_bytes < best_bytes)
+        best = IntCodec::Rle;
 
     out.push_back(static_cast<std::uint8_t>(best));
-    out.insert(out.end(), best_bytes->begin(), best_bytes->end());
+    switch (best) {
+      case IntCodec::DeltaVarint:
+        encodeIntColumn(vals, n, out);
+        break;
+      case IntCodec::Dict:
+        encodeDictWith(vals, n, dict, out);
+        break;
+      case IntCodec::Rle:
+        encodeIntColumnRle(vals, n, out);
+        break;
+    }
 }
 
 bool
@@ -573,8 +707,9 @@ decodeDoubleColumn(const std::uint8_t *data, std::size_t len,
         prev ^= meaningful << (64 - winLz - winLen);
         out[i] = bitsDouble(prev);
     }
-    // Trailing padding must fit in the flushed partial byte.
-    return br.ok();
+    // The column ends in the byte holding its last bit, and the
+    // padding after that bit is zero.
+    return br.atCleanEnd();
 }
 
 } // namespace store

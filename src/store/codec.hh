@@ -10,6 +10,14 @@
  * All encodings are bit-exact: decoding returns the original 64-bit
  * patterns, including NaN payloads and signed zeros. Byte order is
  * little-endian (see base/portable.hh).
+ *
+ * Bit-packed sections (the Gorilla double column and the dictionary
+ * index section) are one MSB-first bitstream: a field's most
+ * significant bit comes first, bits fill each byte from its high bit
+ * down, and the last byte is zero-padded. A decoder rejects a
+ * bitstream that runs short, that has a whole byte after the one
+ * holding its last bit, or whose padding bits are not zero, so each
+ * valid column has exactly one encoding.
  */
 
 #ifndef TDFE_STORE_CODEC_HH
@@ -27,7 +35,11 @@ namespace tdfe
 namespace store
 {
 
-/** CRC-32 (IEEE 802.3, poly 0xEDB88320) of @p n bytes. */
+/**
+ * CRC-32 (IEEE 802.3, reflected poly 0xEDB88320, the zlib checksum)
+ * of @p n bytes, eight bytes per step (slicing-by-8). Not CRC-32C:
+ * the SSE4.2 crc32 instruction would change every stored checksum.
+ */
 std::uint32_t crc32(const void *data, std::size_t n);
 
 /** Zigzag mapping: small-magnitude signed -> small unsigned. @{ */
@@ -116,8 +128,11 @@ bool decodeIntColumn(const std::uint8_t *data, std::size_t len,
  * Dictionary encoding (v2): varint dictionary size, the sorted
  * distinct values delta-varint encoded, then one bit-packed index
  * per record (ceil(log2(size)) bits, 0 bits for a constant
- * column). Only worthwhile — and only attempted by the trial
- * selector — for low-cardinality columns. @{
+ * column). Only worthwhile — and only considered by the codec
+ * selector — for low-cardinality columns. The decoder rejects an
+ * empty or oversized dictionary, an index past its end, and an
+ * index section that is not exactly ceil(n * bits / 8) bytes with
+ * zero padding. @{
  */
 void encodeIntColumnDict(const std::int64_t *vals, std::size_t n,
                          std::vector<std::uint8_t> &out);
@@ -136,10 +151,12 @@ bool decodeIntColumnRle(const std::uint8_t *data, std::size_t len,
 /** @} */
 
 /**
- * v2 integer column encode: trial-encode with every candidate codec
- * and append [u8 codec id][smallest payload] to @p out. Ties break
- * toward the lower codec id, so the choice is deterministic and
- * files stay byte-identical across runs and flush modes.
+ * v2 integer column encode: size every candidate codec exactly
+ * (dictionary only for at most 256 distinct values), then append
+ * [u8 codec id][smallest payload] to @p out, encoding only the
+ * winner. Ties break toward the lower codec id, so the choice is
+ * deterministic and files stay byte-identical across runs and flush
+ * modes.
  */
 void encodeIntColumnTagged(const std::int64_t *vals, std::size_t n,
                            std::vector<std::uint8_t> &out);
@@ -178,7 +195,10 @@ void encodeDoubleColumn(const double *vals, std::size_t n,
 
 /**
  * Decode @p n doubles from @p len bytes at @p data into @p out
- * (bit-exact). @return false when the bitstream is malformed.
+ * (bit-exact). @return false when the bitstream is malformed: it
+ * runs short, reuses a window before defining one, describes a
+ * window past bit 63, or breaks the bitstream end rule above
+ * (@p len must be exactly the bytes the encoder wrote).
  */
 bool decodeDoubleColumn(const std::uint8_t *data, std::size_t len,
                         std::size_t n, double *out);

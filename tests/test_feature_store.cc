@@ -4,7 +4,8 @@
  * boundaries (including NaN/inf/denormal payloads), byte-identical
  * files across 1/2/4 pool threads, truncated-file and corrupted-CRC
  * rejection, iteration-range queries against a brute-force scan,
- * and the codec primitives.
+ * and the codec primitives, checked against bit-at-a-time reference
+ * encoders/decoders and a bitwise CRC-32 kept in this file.
  *
  * Fault battery (label fault_smoke via --gtest_filter=StoreFault.*):
  * the crash-point sweep writes through a FaultyFile that tears the
@@ -14,6 +15,7 @@
  * (sticky degrade, no abort, prefix salvageable).
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <gtest/gtest.h>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -172,6 +175,479 @@ TEST(StoreCodec, Crc32KnownAnswer)
 {
     // IEEE 802.3 check value of "123456789".
     EXPECT_EQ(store::crc32("123456789", 9), 0xCBF43926u);
+}
+
+/**
+ * Bit-at-a-time MSB-first writer and reader: the reference the
+ * codec's word-at-a-time bit I/O must match byte for byte.
+ */
+struct RefBitWriter
+{
+    std::vector<std::uint8_t> bytes;
+    std::size_t bits = 0;
+
+    void
+    put(unsigned b)
+    {
+        if (bits % 8 == 0)
+            bytes.push_back(0);
+        if (b & 1u)
+            bytes.back() |= static_cast<std::uint8_t>(0x80u >> (bits % 8));
+        ++bits;
+    }
+
+    void
+    put(std::uint64_t v, unsigned n)
+    {
+        for (unsigned i = n; i-- > 0;)
+            put(static_cast<unsigned>((v >> i) & 1u));
+    }
+};
+
+struct RefBitReader
+{
+    const std::uint8_t *data;
+    std::size_t size;
+    std::size_t pos = 0;
+    bool ok = true;
+
+    unsigned
+    get()
+    {
+        if (pos >= size * 8) {
+            ok = false;
+            return 0;
+        }
+        const unsigned b = (data[pos / 8] >> (7 - pos % 8)) & 1u;
+        ++pos;
+        return b;
+    }
+
+    std::uint64_t
+    get(unsigned n)
+    {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < n; ++i)
+            v = (v << 1) | get();
+        return v;
+    }
+
+    /** Consumed to the last byte exactly, with zero padding. */
+    bool
+    cleanEnd() const
+    {
+        if (!ok || (pos + 7) / 8 != size)
+            return false;
+        for (std::size_t b = pos; b < size * 8; ++b)
+            if ((data[b / 8] >> (7 - b % 8)) & 1u)
+                return false;
+        return true;
+    }
+};
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+/** Reference Gorilla encoder; also reports the bit count. */
+std::vector<std::uint8_t>
+refEncodeDoubles(const std::vector<double> &vals,
+                 std::size_t *bit_count = nullptr)
+{
+    RefBitWriter bw;
+    std::uint64_t prev = 0;
+    unsigned winLz = 0, winLen = 0;
+    bool haveWindow = false;
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        const std::uint64_t bits = bitsOf(vals[i]);
+        if (i == 0) {
+            bw.put(bits, 64);
+            prev = bits;
+            continue;
+        }
+        const std::uint64_t x = bits ^ prev;
+        prev = bits;
+        if (x == 0) {
+            bw.put(0u);
+            continue;
+        }
+        bw.put(1u);
+        const unsigned lz = std::min(
+            31u, static_cast<unsigned>(__builtin_clzll(x)));
+        const unsigned tz = static_cast<unsigned>(__builtin_ctzll(x));
+        if (haveWindow && lz >= winLz && tz >= 64 - winLz - winLen) {
+            bw.put(0u);
+            bw.put(x >> (64 - winLz - winLen), winLen);
+        } else {
+            const unsigned len = 64 - lz - tz;
+            bw.put(1u);
+            bw.put(lz, 5);
+            bw.put(len - 1, 6);
+            bw.put(x >> tz, len);
+            winLz = lz;
+            winLen = len;
+            haveWindow = true;
+        }
+    }
+    if (bit_count)
+        *bit_count = bw.bits;
+    return bw.bytes;
+}
+
+/** Reference Gorilla decoder with the codec's reject rules. */
+bool
+refDecodeDoubles(const std::uint8_t *data, std::size_t len,
+                 std::size_t n, std::vector<double> &out)
+{
+    RefBitReader br{data, len};
+    out.assign(n, 0.0);
+    std::uint64_t prev = 0;
+    unsigned winLz = 0, winLen = 0;
+    bool haveWindow = false;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i == 0) {
+            prev = br.get(64);
+        } else if (br.get() == 1) {
+            if (br.get() == 1) {
+                winLz = static_cast<unsigned>(br.get(5));
+                winLen = static_cast<unsigned>(br.get(6)) + 1;
+                haveWindow = true;
+            } else if (!haveWindow) {
+                return false;
+            }
+            if (winLz + winLen > 64)
+                return false;
+            prev ^= br.get(winLen) << (64 - winLz - winLen);
+        }
+        std::memcpy(&out[i], &prev, sizeof(prev));
+    }
+    return br.cleanEnd();
+}
+
+/** Reference dictionary encoder: library varints, reference bits. */
+std::vector<std::uint8_t>
+refEncodeDict(const std::vector<std::int64_t> &vals)
+{
+    std::vector<std::int64_t> dict(vals);
+    std::sort(dict.begin(), dict.end());
+    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    std::vector<std::uint8_t> out;
+    store::putVarint(out, dict.size());
+    for (std::size_t i = 0; i < dict.size(); ++i)
+        store::putVarint(
+            out, i == 0 ? store::zigzagEncode(dict[0])
+                        : static_cast<std::uint64_t>(dict[i]) -
+                              static_cast<std::uint64_t>(dict[i - 1]));
+    unsigned bits = 0;
+    while ((std::size_t{1} << bits) < dict.size())
+        ++bits;
+    if (bits == 0)
+        return out;
+    RefBitWriter bw;
+    for (const std::int64_t v : vals)
+        bw.put(static_cast<std::uint64_t>(
+                   std::lower_bound(dict.begin(), dict.end(), v) -
+                   dict.begin()),
+               bits);
+    out.insert(out.end(), bw.bytes.begin(), bw.bytes.end());
+    return out;
+}
+
+/** Reference v2 selector: build every candidate, keep the smallest
+ *  (ties to the lower codec id). */
+std::vector<std::uint8_t>
+refEncodeTagged(const std::vector<std::int64_t> &vals)
+{
+    const std::size_t n = vals.size();
+    std::vector<std::uint8_t> best, cand;
+    store::encodeIntColumn(vals.data(), n, best);
+    std::uint8_t id = 0;
+    std::vector<std::int64_t> distinct(vals);
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    if (n > 0 && distinct.size() <= 256) {
+        cand = refEncodeDict(vals);
+        if (cand.size() < best.size()) {
+            best.swap(cand);
+            id = 1;
+        }
+    }
+    cand.clear();
+    store::encodeIntColumnRle(vals.data(), n, cand);
+    if (cand.size() < best.size()) {
+        best.swap(cand);
+        id = 2;
+    }
+    best.insert(best.begin(), id);
+    return best;
+}
+
+/** Bitwise (table-free) CRC-32, IEEE reflected polynomial. */
+std::uint32_t
+refCrc32(const std::uint8_t *p, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+enum class ColumnKind
+{
+    Smooth,
+    Constant,
+    Repeated,
+    RawBits
+};
+
+/** Seeded double column of one kind; RawBits mixes in NaN
+ *  payloads, infinities, signed zeros and denormals. */
+std::vector<double>
+randomDoubles(ColumnKind kind, std::size_t n, std::mt19937_64 &rng)
+{
+    std::uniform_real_distribution<double> u(-1.0, 1.0);
+    std::vector<double> v(n);
+    double x = 100.0 * u(rng);
+    const double levels[3] = {u(rng), 1e6 * u(rng), -0.0};
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (kind) {
+          case ColumnKind::Smooth:
+            x += 1e-3 * std::sin(0.05 * static_cast<double>(i)) +
+                 1e-9 * u(rng);
+            v[i] = x;
+            break;
+          case ColumnKind::Constant:
+            v[i] = levels[0];
+            break;
+          case ColumnKind::Repeated:
+            v[i] = levels[(i / 7 + rng() % 2) % 3];
+            break;
+          case ColumnKind::RawBits: {
+            std::uint64_t b = rng();
+            switch (rng() % 8) {
+              case 0:
+                b |= 0x7FF0000000000000ull; // NaN (or inf) payload
+                break;
+              case 1:
+                b = (b & 0x8000000000000000ull) |
+                    0x7FF0000000000000ull; // +-inf
+                break;
+              case 2:
+                b &= 0x800FFFFFFFFFFFFFull; // denormal or +-0
+                break;
+              default:
+                break;
+            }
+            std::memcpy(&v[i], &b, sizeof(b));
+            break;
+          }
+        }
+    }
+    return v;
+}
+
+/** Seeded int column: iteration-like, constant, low-cardinality
+ *  runs, analysis-id cycle, or full-range random. */
+std::vector<std::int64_t>
+randomInts(int kind, std::size_t n, std::mt19937_64 &rng)
+{
+    std::vector<std::int64_t> v(n);
+    std::int64_t it = static_cast<std::int64_t>(rng() % 100000);
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (kind) {
+          case 0:
+            it += static_cast<std::int64_t>(rng() % 3);
+            v[i] = it;
+            break;
+          case 1:
+            v[i] = -42;
+            break;
+          case 2:
+            v[i] = static_cast<std::int64_t>((i / 50) % 2);
+            break;
+          case 3:
+            v[i] = static_cast<std::int64_t>(i % 4);
+            break;
+          default:
+            v[i] = static_cast<std::int64_t>(rng());
+            break;
+        }
+    }
+    return v;
+}
+
+TEST(StoreCodec, DoubleColumnMatchesBitwiseReference)
+{
+    std::mt19937_64 rng(20230);
+    const ColumnKind kinds[] = {ColumnKind::Smooth, ColumnKind::Constant,
+                                ColumnKind::Repeated,
+                                ColumnKind::RawBits};
+    for (const ColumnKind kind : kinds)
+        for (const std::size_t n : {0, 1, 2, 37, 256})
+            for (int rep = 0; rep < 4; ++rep) {
+                const std::vector<double> vals =
+                    randomDoubles(kind, n, rng);
+                SCOPED_TRACE("kind " +
+                             std::to_string(static_cast<int>(kind)) +
+                             " n " + std::to_string(n));
+                std::vector<std::uint8_t> bytes;
+                store::encodeDoubleColumn(vals.data(), n, bytes);
+                ASSERT_EQ(bytes, refEncodeDoubles(vals));
+
+                std::vector<double> out(n), ref;
+                ASSERT_TRUE(store::decodeDoubleColumn(
+                    bytes.data(), bytes.size(), n, out.data()));
+                ASSERT_TRUE(refDecodeDoubles(bytes.data(),
+                                             bytes.size(), n, ref));
+                for (std::size_t i = 0; i < n; ++i) {
+                    EXPECT_TRUE(bitsEqual(out[i], vals[i])) << i;
+                    EXPECT_TRUE(bitsEqual(ref[i], vals[i])) << i;
+                }
+                for (std::size_t t = 0; t < bytes.size(); ++t)
+                    EXPECT_FALSE(store::decodeDoubleColumn(
+                        bytes.data(), t, n, out.data()))
+                        << "truncated to " << t;
+            }
+}
+
+TEST(StoreCodec, DoubleColumnRejectsTrailingBytesAndPadBits)
+{
+    // 3.25 then 42 repeats: 64 + 42 bits, so 14 bytes, 6 pad bits.
+    std::vector<double> vals(43, 3.25);
+    std::size_t bits = 0;
+    const std::vector<std::uint8_t> bytes =
+        refEncodeDoubles(vals, &bits);
+    ASSERT_EQ(bytes.size(), 14u);
+    ASSERT_EQ(bits % 8, 2u);
+    std::vector<double> out(vals.size());
+    ASSERT_TRUE(store::decodeDoubleColumn(bytes.data(), bytes.size(),
+                                          vals.size(), out.data()));
+
+    std::vector<std::uint8_t> longer(bytes);
+    longer.push_back(0);
+    longer.push_back(0);
+    EXPECT_FALSE(store::decodeDoubleColumn(
+        longer.data(), longer.size(), vals.size(), out.data()));
+    EXPECT_FALSE(store::decodeDoubleColumn(
+        longer.data(), bytes.size() + 1, vals.size(), out.data()));
+
+    for (unsigned pad = 0; pad < 8 - bits % 8; ++pad) {
+        std::vector<std::uint8_t> dirty(bytes);
+        dirty.back() |= static_cast<std::uint8_t>(1u << pad);
+        EXPECT_FALSE(store::decodeDoubleColumn(
+            dirty.data(), dirty.size(), vals.size(), out.data()))
+            << "pad bit " << pad;
+    }
+
+    // No values: only the empty column decodes.
+    const std::uint8_t junk[1] = {0};
+    EXPECT_TRUE(store::decodeDoubleColumn(junk, 0, 0, out.data()));
+    EXPECT_FALSE(store::decodeDoubleColumn(junk, 1, 0, out.data()));
+}
+
+TEST(StoreCodec, TaggedIntColumnMatchesTrialSelector)
+{
+    std::mt19937_64 rng(5150);
+    int chosen[3] = {0, 0, 0};
+    for (int kind = 0; kind < 5; ++kind)
+        for (const std::size_t n : {0, 1, 2, 37, 256})
+            for (int rep = 0; rep < 4; ++rep) {
+                const std::vector<std::int64_t> vals =
+                    randomInts(kind, n, rng);
+                SCOPED_TRACE("kind " + std::to_string(kind) + " n " +
+                             std::to_string(n));
+                std::vector<std::uint8_t> bytes;
+                store::encodeIntColumnTagged(vals.data(), n, bytes);
+                ASSERT_EQ(bytes, refEncodeTagged(vals));
+                ++chosen[bytes[0]];
+
+                std::vector<std::int64_t> out(n);
+                ASSERT_TRUE(store::decodeIntColumnTagged(
+                    bytes.data(), bytes.size(), n, out.data()));
+                EXPECT_EQ(out, vals);
+                for (std::size_t t = 0; t < bytes.size(); ++t)
+                    EXPECT_FALSE(store::decodeIntColumnTagged(
+                        bytes.data(), t, n, out.data()))
+                        << "truncated to " << t;
+            }
+    // The column mix exercises every codec.
+    EXPECT_GT(chosen[0], 0);
+    EXPECT_GT(chosen[1], 0);
+    EXPECT_GT(chosen[2], 0);
+}
+
+TEST(StoreCodec, DictIndexWidthsOneToEightRoundTrip)
+{
+    std::mt19937_64 rng(77);
+    for (unsigned width = 1; width <= 8; ++width)
+        for (const std::size_t size :
+             {(std::size_t{1} << (width - 1)) + 1,
+              std::size_t{1} << width}) {
+            SCOPED_TRACE("width " + std::to_string(width) + " size " +
+                         std::to_string(size));
+            // Every dictionary entry appears; 251 records leave
+            // padding at every width but 8.
+            std::vector<std::int64_t> vals(251);
+            for (std::size_t i = 0; i < vals.size(); ++i)
+                vals[i] = 1000 * static_cast<std::int64_t>(
+                                     i < size ? i : rng() % size) -
+                          7;
+            std::vector<std::uint8_t> bytes;
+            store::encodeIntColumnDict(vals.data(), vals.size(),
+                                       bytes);
+            ASSERT_EQ(bytes, refEncodeDict(vals));
+            std::vector<std::int64_t> out(vals.size());
+            ASSERT_TRUE(store::decodeIntColumnDict(
+                bytes.data(), bytes.size(), vals.size(), out.data()));
+            EXPECT_EQ(out, vals);
+            for (std::size_t t = 0; t < bytes.size(); ++t)
+                EXPECT_FALSE(store::decodeIntColumnDict(
+                    bytes.data(), t, vals.size(), out.data()));
+        }
+}
+
+TEST(StoreCodec, DictIndexSectionRejectsPadBits)
+{
+    // Five records over a 5-entry dictionary: 3-bit indices, 15
+    // bits, so the index section is 2 bytes with 1 pad bit.
+    const std::vector<std::int64_t> vals = {0, 1, 2, 3, 4};
+    std::vector<std::uint8_t> bytes;
+    store::encodeIntColumnDict(vals.data(), vals.size(), bytes);
+    std::vector<std::int64_t> out(vals.size());
+    ASSERT_TRUE(store::decodeIntColumnDict(bytes.data(), bytes.size(),
+                                           vals.size(), out.data()));
+    EXPECT_EQ(out, vals);
+    bytes.back() |= 1u;
+    EXPECT_FALSE(store::decodeIntColumnDict(
+        bytes.data(), bytes.size(), vals.size(), out.data()));
+}
+
+TEST(StoreCodec, Crc32MatchesBitwiseReference)
+{
+    std::mt19937_64 rng(99);
+    std::vector<std::uint8_t> buf(67 + 8);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng());
+    for (std::size_t start = 0; start < 8; ++start)
+        for (std::size_t len = 0; len <= 67; ++len)
+            ASSERT_EQ(store::crc32(buf.data() + start, len),
+                      refCrc32(buf.data() + start, len))
+                << "start " << start << " len " << len;
+
+    // The size of a blast_stop rank-0 checkpoint payload.
+    std::vector<std::uint8_t> big(846 * 1024);
+    for (std::uint8_t &b : big)
+        b = static_cast<std::uint8_t>(rng());
+    EXPECT_EQ(store::crc32(big.data(), big.size()),
+              refCrc32(big.data(), big.size()));
 }
 
 TEST(FeatureStore, RoundTripAcrossBlockBoundaries)
