@@ -20,7 +20,8 @@
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
-# checkpoint, run-harness, C API, and packed-training tests under the
+# checkpoint, run-harness, C API, packed-training, trace-dump and
+# thread-pool tests under the
 # asan_smoke label —
 # skipped with a notice when the toolchain cannot produce ASan
 # binaries, or when SKIP_ASAN=1.
@@ -217,7 +218,8 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_feature_store_asan test_store_sink_asan \
       test_checkpoint_asan test_ckpt_resilience_asan \
       test_run_harness_asan test_td_api_asan \
-      test_packed_batch_asan test_parallel_for_asan
+      test_packed_batch_asan test_parallel_for_asan \
+      test_postproc_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

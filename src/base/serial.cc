@@ -1,7 +1,8 @@
 #include "base/serial.hh"
 
-#include <cstring>
+#include <string_view>
 
+#include "base/logging.hh"
 // Compile-time guard: every raw little-endian IEEE-754 payload the
 // serial layer writes shares these assumptions with the feature
 // store and the trace dump.
@@ -9,17 +10,6 @@
 
 namespace tdfe
 {
-
-namespace
-{
-
-// A length prefix larger than this cannot come from a checkpoint we
-// wrote (the biggest vector is a design matrix of a few thousand
-// doubles); treat it as corruption instead of attempting a huge
-// allocation off garbage bytes.
-constexpr std::uint64_t maxSaneLength = 1ull << 32;
-
-} // namespace
 
 void
 BinaryWriter::writeU64(std::uint64_t v)
@@ -74,46 +64,21 @@ BinaryReader::fail(const std::string &message)
 }
 
 bool
-BinaryReader::readBytes(void *dst, std::size_t n)
+BinaryReader::have(std::size_t n)
 {
-    if (!ok_) {
-        std::memset(dst, 0, n);
-        return false;
+    if (ok_ && remaining() < n) {
+        fail("payload truncated: wanted " + std::to_string(n) +
+             " bytes, " + std::to_string(remaining()) + " remain");
     }
-    in.read(static_cast<char *>(dst),
-            static_cast<std::streamsize>(n));
-    const std::size_t got = static_cast<std::size_t>(in.gcount());
-    if (got != n) {
-        if (got < n)
-            std::memset(static_cast<char *>(dst) + got, 0, n - got);
-        fail("checkpoint truncated: wanted " + std::to_string(n) +
-             " bytes, got " + std::to_string(got));
-        return false;
-    }
-    return true;
-}
-
-std::uint64_t
-BinaryReader::readU64()
-{
-    std::uint64_t v = 0;
-    readBytes(&v, sizeof(v));
-    return v;
-}
-
-std::int64_t
-BinaryReader::readI64()
-{
-    std::int64_t v = 0;
-    readBytes(&v, sizeof(v));
-    return v;
+    return ok_;
 }
 
 double
 BinaryReader::readF64()
 {
     double v = 0.0;
-    readBytes(&v, sizeof(v));
+    if (have(sizeof(v)))
+        in.bytes(&v, sizeof(v));
     return v;
 }
 
@@ -121,44 +86,60 @@ bool
 BinaryReader::readBool()
 {
     std::uint8_t b = 0;
-    readBytes(&b, sizeof(b));
+    if (have(sizeof(b)))
+        in.bytes(&b, sizeof(b));
     return b != 0;
+}
+
+std::uint64_t
+BinaryReader::readLength(std::size_t unit, const std::string &what)
+{
+    const std::uint64_t n = readU64();
+    // Divide rather than multiply: n * unit wraps for a corrupt n.
+    if (ok_ && n > remaining() / unit) {
+        fail("payload corrupt: " + what + " length " +
+             std::to_string(n) + " exceeds the " +
+             std::to_string(remaining()) + " bytes remaining");
+    }
+    return ok_ ? n : 0;
 }
 
 std::vector<double>
 BinaryReader::readVec()
 {
-    const std::uint64_t n = readU64();
-    if (!ok_)
-        return {};
-    if (n > maxSaneLength) {
-        fail("checkpoint corrupt: vector length " + std::to_string(n) +
-             " is implausible");
-        return {};
-    }
-    std::vector<double> v(n, 0.0);
-    if (n > 0)
-        readBytes(v.data(), n * sizeof(double));
+    std::vector<double> v(readLength(sizeof(double), "vector"));
+    if (!v.empty())
+        in.bytes(v.data(), v.size() * sizeof(double));
     return v;
+}
+
+void
+BinaryReader::readVecInto(std::vector<double> &dst, const char *what)
+{
+    const std::uint64_t n = readLength(sizeof(double), what);
+    if (!ok_)
+        return;
+    if (n != dst.size()) {
+        TDFE_FATAL(what, " checkpoint has ", n, " values, configured "
+                   "for ", dst.size());
+    }
+    if (n > 0)
+        in.bytes(dst.data(), dst.size() * sizeof(double));
 }
 
 void
 BinaryReader::expectTag(const std::string &tag)
 {
-    const std::uint64_t n = readU64();
+    const std::uint64_t n =
+        readLength(1, "tag (expected section '" + tag + "')");
     if (!ok_)
         return;
-    if (n > maxSaneLength) {
-        fail("checkpoint corrupt: tag length " + std::to_string(n) +
-             " is implausible (expected section '" + tag + "')");
-        return;
-    }
-    std::string got(n, '\0');
-    if (n > 0)
-        readBytes(got.data(), n);
-    if (ok_ && got != tag) {
-        fail("checkpoint section mismatch: expected '" + tag +
-             "', found '" + got + "'");
+    const std::string_view got(
+        reinterpret_cast<const char *>(in.cursor()), n);
+    in.skip(n);
+    if (got != tag) {
+        fail("payload section mismatch: expected '" + tag +
+             "', found '" + std::string(got) + "'");
     }
 }
 

@@ -1,33 +1,39 @@
 /**
  * @file
  * Minimal binary serialization for checkpoint/restart: fixed-width
- * little-endian primitives and length-prefixed vectors over
- * std::iostream. The library's checkpoint model mirrors gem5's:
+ * little-endian primitives and length-prefixed vectors. The writer
+ * appends to a std::ostream. The reader parses in-memory bytes (a
+ * checkpoint payload, a trace file read whole) through
+ * store::ByteReader, and caps every count it reads — a vector or tag
+ * length — by the bytes remaining before it allocates or copies
+ * anything. The library's checkpoint model mirrors gem5's:
  * configuration is reconstructed by the application (the same code
  * that built the objects the first time), and only *mutable state*
  * travels through the checkpoint, guarded by magic/version tags and
  * shape checks on load.
  *
- * Error model: a damaged checkpoint (truncation, tag skew, corrupt
- * lengths) is an environment fact a resilient harness must survive,
- * not a library bug — so the reader never fatals on it. The first
+ * Error model: damaged bytes (truncation, tag skew, corrupt lengths)
+ * are an environment fact a resilient harness must survive, not a
+ * library bug — so the reader never fatals on them. The first
  * mismatch latches a sticky error (ok() turns false, error() says
  * what and where) and every subsequent read returns zeros without
- * touching the stream, so a load path can finish cheaply and the
- * caller (Region::loadCheckpoint, the auto-resume supervisor) can
- * fall back to an older checkpoint generation. *Shape* disagreements
- * observed through a healthy reader — a checkpoint for a different
- * model order or lattice — remain fatal in the component load()
- * functions: that is caller misconfiguration, not file damage.
+ * consuming input, so a load path can finish cheaply and the caller
+ * (Region::loadCheckpoint, the auto-resume supervisor) can fall back
+ * to an older checkpoint generation. *Shape* disagreements observed
+ * through a healthy reader — a checkpoint for a different model
+ * order or lattice — are fatal (readVecInto, the component load()
+ * functions): that is caller misconfiguration, not file damage.
  */
 
 #ifndef TDFE_BASE_SERIAL_HH
 #define TDFE_BASE_SERIAL_HH
 
 #include <cstdint>
-#include <iostream>
+#include <ostream>
 #include <string>
 #include <vector>
+
+#include "store/codec.hh"
 
 namespace tdfe
 {
@@ -61,20 +67,32 @@ class BinaryWriter
 };
 
 /**
- * Sequential binary reader with a sticky error latch: short reads,
- * tag mismatches, and implausible lengths set ok() false and record
- * a message instead of fatal()ing; later reads return zeros. Check
- * ok() after a load to learn whether the values are real.
+ * Sequential binary reader over an in-memory byte range with a
+ * sticky error latch: short reads, tag mismatches, and lengths the
+ * remaining bytes cannot hold set ok() false and record a message
+ * instead of fatal()ing; later reads return zeros (empty vectors).
+ * Check ok() after a load to learn whether the values are real.
  */
 class BinaryReader
 {
   public:
-    /** @param in Source stream (must outlive the reader). */
-    explicit BinaryReader(std::istream &in) : in(in) {}
+    /** Read the @p size bytes at @p data (must outlive the reader). */
+    BinaryReader(const void *data, std::size_t size)
+        : in(static_cast<const std::uint8_t *>(data), size)
+    {
+    }
+
+    /** Read @p bytes in place (must outlive the reader). @{ */
+    explicit BinaryReader(const std::string &bytes)
+        : BinaryReader(bytes.data(), bytes.size())
+    {
+    }
+    BinaryReader(std::string &&) = delete;
+    /** @} */
 
     /** Fixed-width primitives (0 once the reader has failed). @{ */
-    std::uint64_t readU64();
-    std::int64_t readI64();
+    std::uint64_t readU64() { return have(8) ? in.u64() : 0; }
+    std::int64_t readI64() { return have(8) ? in.i64() : 0; }
     double readF64();
     bool readBool();
     /** @} */
@@ -83,11 +101,22 @@ class BinaryReader
     std::vector<double> readVec();
 
     /**
+     * Length-prefixed double vector read straight into @p dst, whose
+     * size is the configured shape. Damage latches the error and
+     * leaves @p dst untouched; a length that is present in full but
+     * differs from dst.size() is fatal, naming @p what.
+     */
+    void readVecInto(std::vector<double> &dst, const char *what);
+
+    /**
      * Read a tag and check it against the expectation; a mismatch
      * latches the error (section skew reported at the boundary
      * where it happened) and subsequent reads return zeros.
      */
     void expectTag(const std::string &tag);
+
+    /** @return bytes not yet consumed. */
+    std::size_t remaining() const { return in.remaining(); }
 
     /** @return true while no read has failed. */
     bool ok() const { return ok_; }
@@ -99,9 +128,16 @@ class BinaryReader
     void fail(const std::string &message);
 
   private:
-    bool readBytes(void *dst, std::size_t n);
+    /** @return whether @p n more bytes can be read (false, with a
+     *  truncation latched, when they are not there). */
+    bool have(std::size_t n);
 
-    std::istream &in;
+    /** Read a length prefix of @p unit-byte items; a length the
+     *  remaining bytes cannot hold latches an error naming @p what.
+     *  @return the length, 0 after a failure. */
+    std::uint64_t readLength(std::size_t unit, const std::string &what);
+
+    store::ByteReader in;
     bool ok_ = true;
     std::string error_;
 };

@@ -129,16 +129,8 @@ void
 Domain::load(BinaryReader &r)
 {
     r.expectTag("blastdom");
-    const double ckpt_dt = r.readF64();
-    std::vector<double> probes = r.readVec();
-    if (!r.ok())
-        return;
-    if (probes.size() != probeLine.size()) {
-        TDFE_FATAL("blast checkpoint probe line has ", probes.size(),
-                   " locations, domain has ", probeLine.size());
-    }
-    dt = ckpt_dt;
-    probeLine = std::move(probes);
+    dt = r.readF64();
+    r.readVecInto(probeLine, "blast probe line");
     vInit = r.readF64();
     solver_.load(r);
 }

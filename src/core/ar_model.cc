@@ -67,14 +67,7 @@ void
 ArModel::load(BinaryReader &r)
 {
     stdzr.load(r);
-    std::vector<double> c = r.readVec();
-    if (!r.ok())
-        return; // damaged stream: values are zeros, caller checks ok()
-    if (c.size() != coeffsNorm.size()) {
-        TDFE_FATAL("AR-model checkpoint order mismatch: ", c.size(),
-                   " vs ", coeffsNorm.size());
-    }
-    coeffsNorm = std::move(c);
+    r.readVecInto(coeffsNorm, "AR-model coefficients");
     trainedFlag = r.readBool();
 }
 

@@ -486,7 +486,7 @@ Region::saveCheckpoint(std::ostream &out) const
 }
 
 bool
-Region::loadCheckpoint(std::istream &in)
+Region::loadCheckpoint(BinaryReader &r)
 {
     drainQuery();
     // A pending collective harvested after the restore would fold a
@@ -494,7 +494,6 @@ Region::loadCheckpoint(std::istream &in)
     // now instead.
     completeSync(Harvest::Query);
     completeBcast(Harvest::Query);
-    BinaryReader r(in);
     r.expectTag("TDFECKPT");
     const std::uint64_t version = r.readU64();
     if (r.ok() && version != 2) {

@@ -10,6 +10,7 @@
 #ifndef TDFE_CORE_REGION_HH
 #define TDFE_CORE_REGION_HH
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 namespace tdfe
 {
 
+class BinaryReader;
 class FeatureStoreWriter;
 
 /**
@@ -210,23 +212,26 @@ class Region
     const double *lastBroadcast() const;
 
     /**
-     * Write a checkpoint of the region and all its analyses.
-     * Restore by constructing an identically-configured Region
-     * (same analyses in the same order) and calling
-     * loadCheckpoint(); the checkpoint carries only mutable state.
+     * Write a checkpoint of the region and all its analyses to
+     * @p out. Restore by constructing an identically-configured
+     * Region (same analyses in the same order) and calling
+     * loadCheckpoint() with a reader over the written bytes; the
+     * checkpoint carries only mutable state. The load consumes the
+     * region's bytes from @p r and leaves the reader just past them,
+     * so a container payload (the run harness's TDRESUME) can embed
+     * the region after its own fields and read both with one reader.
      *
-     * Neither direction fatals on I/O or file damage: both return
+     * Neither direction fatals on I/O or byte damage: both return
      * false with the reason in checkpointError() (a failed load
      * leaves the region's mutable state unspecified — reconstruct
-     * it or fall back to another checkpoint; the resilient harness
-     * builds a fresh region per restart attempt anyway). A *shape*
-     * mismatch through a healthy stream — a checkpoint for a
-     * differently-configured analysis — still fatals in the
-     * analysis loaders: that is caller misconfiguration, not file
-     * damage.
+     * it, reload a known-good checkpoint, or fall back to another
+     * generation). A *shape* mismatch through a healthy reader — a
+     * checkpoint for a differently-configured analysis — still
+     * fatals in the analysis loaders: that is caller
+     * misconfiguration, not file damage.
      * @{ */
     bool saveCheckpoint(std::ostream &out) const;
-    bool loadCheckpoint(std::istream &in);
+    bool loadCheckpoint(BinaryReader &r);
     /** @} */
 
     /** Reason of the last failed save/loadCheckpoint ("" if none). */

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/serial.hh"
 #include "ckpt/checkpoint.hh"
 #include "core/iter_param.hh"
 #include "core/region.hh"
@@ -715,8 +716,8 @@ td_region_restore(td_region_t *region, const char *path)
         region->ckptErrorMsg = error;
         return -1;
     }
-    std::istringstream is(payload, std::ios::binary);
-    if (!region->region.loadCheckpoint(is)) {
+    tdfe::BinaryReader r(payload);
+    if (!region->region.loadCheckpoint(r)) {
         region->ckptStatus = -1;
         region->ckptErrorMsg = region->region.checkpointError();
         return -1;

@@ -458,18 +458,8 @@ void
 EulerSolver3D::load(BinaryReader &r)
 {
     r.expectTag("euler3d");
-    std::vector<double> *const fields[] = {&rho, &mx, &my, &mz, &en};
-    for (std::vector<double> *field : fields) {
-        std::vector<double> v = r.readVec();
-        if (!r.ok())
-            return;
-        if (v.size() != field->size()) {
-            TDFE_FATAL("euler3d checkpoint field has ", v.size(),
-                       " cells, solver has ", field->size(),
-                       " (different grid or decomposition?)");
-        }
-        *field = std::move(v);
-    }
+    for (std::vector<double> *field : {&rho, &mx, &my, &mz, &en})
+        r.readVecInto(*field, "euler3d field");
     t = r.readF64();
     cycleCount = static_cast<long>(r.readI64());
     lastDt = r.readF64();

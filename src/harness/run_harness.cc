@@ -39,8 +39,7 @@ bool
 restoreResumePayload(const std::string &payload, HarnessApp &app,
                      Region *region, std::string *error)
 {
-    std::istringstream is(payload, std::ios::binary);
-    BinaryReader r(is);
+    BinaryReader r(payload);
     r.expectTag("TDRESUME");
     const std::uint64_t version = r.readU64();
     if (r.ok() && version != 1) {
@@ -62,7 +61,7 @@ restoreResumePayload(const std::string &payload, HarnessApp &app,
         *error = r.error();
         return false;
     }
-    if (region && !region->loadCheckpoint(is)) {
+    if (region && !region->loadCheckpoint(r)) {
         *error = region->checkpointError();
         return false;
     }
@@ -104,16 +103,21 @@ resume(ckpt::CheckpointSet &set, HarnessApp &app, Region *region,
     std::uint64_t at_iter = 0;
     if (!set.openNewestValid(&payload, &at_iter, &from_path))
         return;
+    // A payload can fail after the app's part loaded: keep the
+    // fresh state to put back, so "from scratch" holds for both.
+    const std::string fresh = buildResumePayload(app, region);
     std::string error;
     if (restoreResumePayload(payload, app, region, &error)) {
         result.resumed = true;
         result.resumedFromIteration = static_cast<long>(at_iter);
         TDFE_INFORM("run harness: resumed from '", from_path,
                     "' (iteration ", at_iter, ")");
-    } else {
-        TDFE_WARN("run harness: checkpoint '", from_path,
-                  "' not usable (", error, "); starting from scratch");
+        return;
     }
+    TDFE_WARN("run harness: checkpoint '", from_path, "' not usable (",
+              error, "); starting from scratch");
+    const bool reset = restoreResumePayload(fresh, app, region, &error);
+    TDFE_ASSERT(reset, "reloading the fresh state failed: ", error);
 }
 
 } // namespace

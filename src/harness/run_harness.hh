@@ -18,9 +18,12 @@
  * **Resume payload** (inside the ckpt envelope, which adds the CRCs):
  * tag "TDRESUME", u64 version 1, bool "has region", the app's save()
  * bytes, then — when instrumented — Region::saveCheckpoint's bytes.
- * A CRC-valid payload that does not fit the run (other version, or a
- * region saved by a differently instrumented run) is skipped with a
- * warning and the run starts from scratch.
+ * One BinaryReader reads the whole payload in place. A CRC-valid
+ * payload that does not fit the run (other version, a region saved
+ * by a differently instrumented run, or a region with a different
+ * analysis count) is skipped with a warning and the run starts from
+ * scratch: the app and region are put back in the state they had
+ * before the attempt, even when the app's part had already loaded.
  *
  * **Supervisor** (superviseRuns). Attempts run until one is not an
  * injected crash (HarnessOptions::haltAfterIterations); each retry

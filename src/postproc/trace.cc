@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "base/logging.hh"
 #include "base/portable.hh"
 #include "base/serial.hh"
+#include "store/frame.hh"
 
 namespace tdfe
 {
@@ -90,41 +92,38 @@ FullTrace::dump(const std::string &path) const
 FullTrace
 FullTrace::load(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        TDFE_FATAL("cannot open trace file for reading: ", path);
+    std::vector<std::uint8_t> bytes;
+    const store::IoError io = store::readWholeFile(
+        {}, path, std::numeric_limits<std::uint64_t>::max(), bytes);
+    if (!io.ok())
+        TDFE_FATAL("cannot read trace file ", path, ": ", io.message);
 
-    // The serial layer turns truncation and tag skew into fatal
-    // diagnostics; the shape checks below catch header/payload
-    // disagreement (e.g. a file cut at a row boundary). Peek the
-    // tag length first so a pre-v2 raw dump (or a foreign file)
-    // gets a trace-specific diagnostic rather than the serial
-    // layer's section-mismatch message over binary garbage.
-    BinaryReader r(in);
-    {
-        std::uint64_t tag_len = 0;
-        in.read(reinterpret_cast<char *>(&tag_len), sizeof(tag_len));
-        if (!in.good() || tag_len != sizeof(traceTag) - 1)
-            TDFE_FATAL("not a ", traceTag, " dump: ", path,
-                       " (written by a pre-store build, or not a "
-                       "trace file)");
-        in.seekg(0);
-    }
+    // A pre-v2 raw dump or a foreign file fails the tag check; a cut
+    // or overlong file fails the reader or the trailing-byte check,
+    // never loading as a partially-filled trace.
+    BinaryReader r(bytes.data(), bytes.size());
     r.expectTag(traceTag);
     const std::uint64_t version = r.readU64();
-    if (version != traceVersion)
-        TDFE_FATAL("unsupported trace version ", version);
+    if (r.ok() && version != traceVersion)
+        TDFE_FATAL("unsupported trace version ", version, ": ", path);
     const std::uint64_t n_locs = r.readU64();
     const std::uint64_t n_iters = r.readU64();
+    std::vector<double> values = r.readVec();
+    if (r.ok() && r.remaining() != 0)
+        r.fail(std::to_string(r.remaining()) + " trailing bytes");
+    if (!r.ok())
+        TDFE_FATAL("corrupt ", traceTag, " dump ", path, ": ",
+                   r.error());
     if (n_locs == 0)
         TDFE_FATAL("corrupt trace header: zero locations");
-
-    FullTrace trace(static_cast<std::size_t>(n_locs));
-    trace.values = r.readVec();
-    if (trace.values.size() != n_locs * n_iters)
-        TDFE_FATAL("corrupt trace payload: ", trace.values.size(),
+    if (values.size() / n_locs != n_iters ||
+        values.size() % n_locs != 0)
+        TDFE_FATAL("corrupt trace payload: ", values.size(),
                    " values, header promises ", n_locs, " x ",
                    n_iters);
+
+    FullTrace trace(static_cast<std::size_t>(n_locs));
+    trace.values = std::move(values);
     return trace;
 }
 

@@ -61,8 +61,8 @@ class FullTrace
      */
     std::size_t dump(const std::string &path) const;
 
-    /** Read a trace written by dump(). Truncated or malformed
-     *  files fail loudly via the serial layer instead of returning
+    /** Read a trace written by dump(). A truncated, overlong or
+     *  malformed file is a fatal error naming the trace file, never
      *  a partially-filled trace. */
     static FullTrace load(const std::string &path);
 

@@ -392,17 +392,8 @@ void
 SphSystem::load(BinaryReader &r)
 {
     r.expectTag("sphsys");
-    for (std::vector<double> *field : checkpointFields(part)) {
-        std::vector<double> v = r.readVec();
-        if (!r.ok())
-            return;
-        if (v.size() != field->size()) {
-            TDFE_FATAL("SPH checkpoint field has ", v.size(),
-                       " particles, system has ", field->size(),
-                       " (different setup?)");
-        }
-        *field = std::move(v);
-    }
+    for (std::vector<double> *field : checkpointFields(part))
+        r.readVecInto(*field, "SPH particle field");
     t = r.readF64();
     cycleCount = static_cast<long>(r.readI64());
     forcesFresh = r.readBool();

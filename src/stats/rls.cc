@@ -133,14 +133,7 @@ RlsEstimator::save(BinaryWriter &w) const
 void
 RlsEstimator::load(BinaryReader &r)
 {
-    std::vector<double> pm = r.readVec();
-    if (!r.ok())
-        return; // damaged stream: values are zeros, caller checks ok()
-    if (pm.size() != p.size()) {
-        TDFE_FATAL("RLS checkpoint size ", pm.size(),
-                   " != configured ", p.size());
-    }
-    p = std::move(pm);
+    r.readVecInto(p, "RLS covariance");
     stepCount = static_cast<std::size_t>(r.readU64());
 }
 

@@ -106,14 +106,7 @@ SgdOptimizer::save(BinaryWriter &w) const
 void
 SgdOptimizer::load(BinaryReader &r)
 {
-    std::vector<double> v = r.readVec();
-    if (!r.ok())
-        return; // damaged stream: values are zeros, caller checks ok()
-    if (v.size() != velocity.size()) {
-        TDFE_FATAL("SGD checkpoint size ", v.size(),
-                   " != configured ", velocity.size());
-    }
-    velocity = std::move(v);
+    r.readVecInto(velocity, "SGD velocity");
     stepCount = static_cast<std::size_t>(r.readU64());
 }
 

@@ -424,7 +424,9 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
         Region region("wave-ck", &dom);
         region.setAsyncAnalyses(async_mode);
         region.addAnalysis(waveAnalysis(true));
-        region.loadCheckpoint(ck);
+        const std::string bytes = ck.str();
+        BinaryReader r(bytes);
+        region.loadCheckpoint(r);
         EXPECT_EQ(split, region.iteration());
         for (long k = split; k < total; ++k) {
             region.begin();

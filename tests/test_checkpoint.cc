@@ -29,8 +29,10 @@ TEST(Serial, PrimitivesRoundTrip)
     w.writeBool(false);
     w.writeVec({1.0, -2.0, 0.5});
     w.writeTag("section");
+    w.writeVec({4.0, 5.0});
 
-    BinaryReader r(ss);
+    const std::string bytes = ss.str();
+    BinaryReader r(bytes);
     EXPECT_EQ(r.readU64(), 42u);
     EXPECT_EQ(r.readI64(), -7);
     EXPECT_DOUBLE_EQ(r.readF64(), 3.25);
@@ -40,6 +42,11 @@ TEST(Serial, PrimitivesRoundTrip)
     ASSERT_EQ(v.size(), 3u);
     EXPECT_DOUBLE_EQ(v[1], -2.0);
     r.expectTag("section"); // must not die
+    std::vector<double> into(2, 0.0);
+    r.readVecInto(into, "test field");
+    EXPECT_DOUBLE_EQ(into[1], 5.0);
+    EXPECT_TRUE(r.ok()) << r.error();
+    EXPECT_EQ(r.remaining(), 0u);
 }
 
 TEST(Serial, TruncatedStreamIsRecoverable)
@@ -47,14 +54,14 @@ TEST(Serial, TruncatedStreamIsRecoverable)
     std::stringstream ss;
     BinaryWriter w(ss);
     w.writeU64(7);
-    BinaryReader r(ss);
+    const std::string bytes = ss.str();
+    BinaryReader r(bytes);
     r.readU64();
     EXPECT_TRUE(r.ok());
 
-    BinaryReader r2(ss);
-    EXPECT_EQ(r2.readF64(), 0.0); // zero-filled, not fatal
-    EXPECT_FALSE(r2.ok());
-    EXPECT_NE(r2.error().find("truncated"), std::string::npos);
+    EXPECT_EQ(r.readF64(), 0.0); // zero-filled, not fatal
+    EXPECT_FALSE(r.ok());
+    EXPECT_NE(r.error().find("truncated"), std::string::npos);
 }
 
 TEST(Serial, WrongTagIsRecoverable)
@@ -62,7 +69,8 @@ TEST(Serial, WrongTagIsRecoverable)
     std::stringstream ss;
     BinaryWriter w(ss);
     w.writeTag("alpha");
-    BinaryReader r(ss);
+    const std::string bytes = ss.str();
+    BinaryReader r(bytes);
     r.expectTag("beta");
     EXPECT_FALSE(r.ok());
     EXPECT_NE(r.error().find("section mismatch"), std::string::npos);
@@ -73,13 +81,78 @@ TEST(Serial, FirstErrorSticks)
     std::stringstream ss;
     BinaryWriter w(ss);
     w.writeTag("alpha");
-    BinaryReader r(ss);
+    w.writeU64(9);
+    const std::string bytes = ss.str();
+    BinaryReader r(bytes);
     r.expectTag("beta");
     const std::string first = r.error();
-    r.readU64(); // reads past damage keep returning zeros
+    EXPECT_EQ(r.readU64(), 0u); // reads past damage return zeros
     r.readF64();
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.error(), first);
+    EXPECT_EQ(r.remaining(), 8u); // ... and consume nothing
+}
+
+// A length field is checked against the bytes that follow it before
+// anything is allocated: each of these would otherwise ask for up to
+// 2^67 bytes. The 2^32 case used to pass a fixed sanity cap and
+// allocate 32 GiB.
+TEST(Serial, InflatedLengthsAreRejectedBeforeAllocating)
+{
+    // A length field, then 29 bytes: three 8-byte words and 5 more.
+    auto with_length = [](std::uint64_t n) {
+        std::stringstream ss;
+        BinaryWriter w(ss);
+        w.writeU64(n);
+        w.writeVec({1.0, 2.0}); // 8-byte count + 2 doubles
+        ss.write("tail!", 5);
+        return ss.str();
+    };
+    // One item more than the 29 bytes hold (a truncated vector body
+    // or tag), then lengths whose byte count overflows or nearly so.
+    const std::uint64_t vec_lengths[] = {29 / 8 + 1, 1ull << 32,
+                                         1ull << 61, UINT64_MAX};
+    const std::uint64_t tag_lengths[] = {29 + 1, 1ull << 32, 1ull << 61,
+                                         UINT64_MAX};
+
+    for (const std::uint64_t n : vec_lengths) {
+        const std::string bytes = with_length(n);
+        BinaryReader vec(bytes);
+        EXPECT_TRUE(vec.readVec().empty()) << n;
+        EXPECT_FALSE(vec.ok()) << n;
+        EXPECT_NE(vec.error().find(std::to_string(n)), std::string::npos)
+            << vec.error();
+
+        std::vector<double> into(3, 7.0);
+        BinaryReader fixed(bytes);
+        fixed.readVecInto(into, "test field"); // damage, not a fatal
+        EXPECT_FALSE(fixed.ok()) << n;
+        EXPECT_EQ(into, std::vector<double>(3, 7.0)); // untouched
+    }
+    for (const std::uint64_t n : tag_lengths) {
+        const std::string bytes = with_length(n);
+        BinaryReader tag(bytes);
+        tag.expectTag("section");
+        EXPECT_FALSE(tag.ok()) << n;
+        EXPECT_NE(tag.error().find(std::to_string(n)), std::string::npos)
+            << tag.error();
+        EXPECT_EQ(tag.readU64(), 0u);
+    }
+}
+
+TEST(SerialDeathTest, ShapeMismatchThroughHealthyStreamIsFatal)
+{
+    std::stringstream ss;
+    BinaryWriter w(ss);
+    w.writeVec({1.0, 2.0, 3.0});
+    const std::string bytes = ss.str();
+    EXPECT_DEATH(
+        {
+            BinaryReader r(bytes);
+            std::vector<double> into(4);
+            r.readVecInto(into, "test field");
+        },
+        "test field checkpoint has 3 values, configured for 4");
 }
 
 /** Toy simulation: noisy damped travelling wave. */
@@ -117,6 +190,15 @@ toyAnalysis(OptimizerKind kind = OptimizerKind::MiniBatchGd)
     return cfg;
 }
 
+/** Restore @p region from the bytes saved into @p ckpt. */
+bool
+restore(Region &region, const std::stringstream &ckpt)
+{
+    const std::string bytes = ckpt.str();
+    BinaryReader r(bytes);
+    return region.loadCheckpoint(r);
+}
+
 /** Drive @p region over steps (from, to]. */
 void
 drive(Region &region, ToySim &sim, long from, long to)
@@ -147,7 +229,7 @@ TEST(Checkpoint, ResumedRunIsBitExact)
     ToySim sim_b;
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis());
-    b.loadCheckpoint(ckpt);
+    restore(b, ckpt);
     drive(b, sim_b, 91, 180);
 
     const CurveFitAnalysis &ra = ref.analysis(id);
@@ -182,7 +264,7 @@ TEST(Checkpoint, ResumedRlsRunIsBitExact)
     ToySim sim_b;
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis(OptimizerKind::Rls));
-    b.loadCheckpoint(ckpt);
+    restore(b, ckpt);
     drive(b, sim_b, 76, 180);
 
     const auto &ca = ref.analysis(0).model().normCoeffs();
@@ -221,7 +303,7 @@ TEST(Checkpoint, MultiAnalysisRegionRoundTrips)
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis());
     b.addAnalysis(second());
-    b.loadCheckpoint(ckpt);
+    restore(b, ckpt);
     drive(b, sim_b, 61, 180);
 
     for (std::size_t k = 0; k < 2; ++k) {
@@ -250,7 +332,7 @@ TEST(Checkpoint, CheckpointAtStepZeroIsAFullRun)
     ToySim sim_b;
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis());
-    b.loadCheckpoint(ckpt);
+    restore(b, ckpt);
     drive(b, sim_b, 0, 180);
 
     EXPECT_EQ(ref.analysis(0).breakPoint().radius,
@@ -276,7 +358,7 @@ TEST(Checkpoint, AnalysisCountMismatchIsRecoverable)
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis());
     b.addAnalysis(toyAnalysis());
-    EXPECT_FALSE(b.loadCheckpoint(ckpt));
+    EXPECT_FALSE(restore(b, ckpt));
     EXPECT_NE(b.checkpointError().find("analyses"),
               std::string::npos);
 }
@@ -290,17 +372,22 @@ TEST(Checkpoint, DamagedStreamIsRecoverable)
     std::stringstream ckpt;
     EXPECT_TRUE(a.saveCheckpoint(ckpt));
 
-    // Truncate the serialized state mid-payload.
+    // Every strict prefix of the serialized state — a cut inside any
+    // tag, length, vector body or scalar — is a clean, recoverable
+    // load failure: no fatal, no zero-filled success.
     const std::string bytes = ckpt.str();
-    std::stringstream torn(
-        bytes.substr(0, bytes.size() / 2),
-        std::ios::in | std::ios::out | std::ios::binary);
-
     ToySim sim_b;
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis());
-    EXPECT_FALSE(b.loadCheckpoint(torn));
-    EXPECT_FALSE(b.checkpointError().empty());
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+        BinaryReader torn(bytes.data(), len);
+        ASSERT_FALSE(b.loadCheckpoint(torn)) << "prefix " << len;
+        ASSERT_FALSE(b.checkpointError().empty()) << "prefix " << len;
+    }
+    BinaryReader whole(bytes);
+    EXPECT_TRUE(b.loadCheckpoint(whole)) << b.checkpointError();
+    EXPECT_EQ(whole.remaining(), 0u);
+    EXPECT_EQ(b.iteration(), a.iteration());
 }
 
 TEST(CheckpointDeathTest, ReconfiguredModelOrderIsFatal)
@@ -319,7 +406,7 @@ TEST(CheckpointDeathTest, ReconfiguredModelOrderIsFatal)
             AnalysisConfig cfg = toyAnalysis();
             cfg.ar.order = 5; // different model shape
             b.addAnalysis(std::move(cfg));
-            b.loadCheckpoint(ckpt);
+            restore(b, ckpt);
         },
         "checkpoint dims");
 }

@@ -469,8 +469,8 @@ TEST(PackedBatch, CheckpointBytesMatchLegacyAosFormat)
 
     // And the bytes round-trip into an identical packed batch.
     PackedBatch restored(8, 3);
-    std::istringstream in(packed_ck.str());
-    BinaryReader r(in);
+    const std::string packed_bytes = packed_ck.str();
+    BinaryReader r(packed_bytes);
     restored.load(r);
     ASSERT_EQ(restored.size(), pb.size());
     for (std::size_t i = 0; i < pb.size(); ++i) {

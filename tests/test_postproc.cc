@@ -65,6 +65,43 @@ TEST(Trace, DumpLoadRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(TraceDeathTest, TruncatedOrOverlongDumpIsFatal)
+{
+    // 4 locations x 10 iterations, location 0 holds t + 1.
+    FullTrace trace(4);
+    for (int t = 0; t < 10; ++t)
+        trace.appendRow({t + 1.0, 0.5, 0.25, 0.125});
+    const std::string path = ::testing::TempDir() + "trace_cut.bin";
+    const std::size_t size = trace.dump(path);
+    std::string bytes(size, '\0');
+    {
+        std::FILE *f = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fread(bytes.data(), 1, size, f), size);
+        std::fclose(f);
+    }
+    EXPECT_DOUBLE_EQ(FullTrace::load(path).at(9, 0), 10.0);
+
+    // Layout: tag 8 + 9 bytes, header 3 x 8, payload 8 + 40 x 8.
+    const std::string cuts[] = {
+        bytes.substr(0, 4),          // inside the tag's length
+        bytes.substr(0, 12),         // inside the tag's bytes
+        bytes.substr(0, 17 + 12),    // inside the header
+        bytes.substr(0, size - 100), // inside the payload
+        bytes.substr(0, size - 1),   // one byte short
+        bytes + '\0',                // one byte extra
+    };
+    for (const std::string &cut : cuts) {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(cut.data(), 1, cut.size(), f);
+        std::fclose(f);
+        EXPECT_DEATH(FullTrace::load(path), "corrupt TDFETRACE dump")
+            << cut.size() << " of " << size << " bytes";
+    }
+    std::remove(path.c_str());
+}
+
 TEST(GroundTruth, BreakpointRadiusFromPeaks)
 {
     // Peaks: 40 * 0.8^(l-1); threshold 20 -> l <= 4.1 -> radius 4.

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <gtest/gtest.h>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -127,14 +126,13 @@ TEST(RunHarness, CheckpointCadenceHaltAndPayloadLayout)
         ckpt::generationPath(prefix, 8), &payload, &iteration, &error))
         << error;
     EXPECT_EQ(iteration, 8u);
-    std::istringstream is(payload, std::ios::binary);
-    BinaryReader r(is);
+    BinaryReader r(payload);
     r.expectTag("TDRESUME");
     EXPECT_EQ(r.readU64(), 1u);
     EXPECT_FALSE(r.readBool());
     EXPECT_EQ(r.readI64(), 8);
     ASSERT_TRUE(r.ok()) << r.error();
-    EXPECT_EQ(is.peek(), std::char_traits<char>::eof());
+    EXPECT_EQ(r.remaining(), 0u);
 
     // A bare resume picks up at iteration 8 and runs to the end.
     options.haltAfterIterations = 0;
@@ -168,6 +166,41 @@ TEST(RunHarness, ResumeAcrossInstrumentationChangeStartsFresh)
     EXPECT_EQ(runWave(instrumented, second), 60);
     EXPECT_FALSE(second.resumed);
     EXPECT_EQ(second.resumedFromIteration, -1);
+    removeGenerations(prefix);
+}
+
+TEST(RunHarness, ResumeFailingInTheRegionLeavesAppAndRegionFresh)
+{
+    const std::string prefix = tempPath("harness_region_mismatch");
+    removeGenerations(prefix);
+
+    // One analysis, checkpointed at iteration 10.
+    HarnessOptions options;
+    options.instrument = true;
+    options.ckpt.path = prefix;
+    options.ckpt.every = 10;
+    options.ckpt.durability = "none";
+    options.haltAfterIterations = 10;
+    HarnessResult first;
+    ASSERT_EQ(runWave(options, first), 10);
+    ASSERT_EQ(first.checkpointsWritten, 1);
+
+    // Two analyses: the app's bytes load, then the region's analysis
+    // count does not match. "Starting from scratch" must hold for
+    // both, not only for the region.
+    options.haltAfterIterations = 0;
+    options.ckpt.resumeAuto = true;
+    WaveApp app(60);
+    std::unique_ptr<Region> region =
+        makeRegion("wave", &app, nullptr, options);
+    region->addAnalysis(waveAnalysis());
+    region->addAnalysis(waveAnalysis());
+    HarnessResult second;
+    runHarness(app, region.get(), nullptr, options, second);
+    EXPECT_FALSE(second.resumed);
+    EXPECT_EQ(second.resumedFromIteration, -1);
+    EXPECT_EQ(app.iter, 60);
+    EXPECT_EQ(region->iteration(), 60);
     removeGenerations(prefix);
 }
 
