@@ -108,7 +108,7 @@ QueryResult
 runBrute(const FeatureStoreReader &reader, const EventFilter &filter)
 {
     QueryResult res;
-    FeatureStoreReader::Cursor cur = reader.cursor();
+    QueryCursor cur = reader.cursor();
     FeatureRecord rec;
     Timer t;
     while (cur.next(rec)) {

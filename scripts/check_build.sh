@@ -8,23 +8,23 @@
 # a store, tdfstool verify/export/diff/query it) and the fault battery
 # (fault_smoke ctest label plus a truncate/recover round trip
 # through tdfstool and a crash -> auto-resume round trip through
-# the checkpoint example + tdfstool ckpt-info). A second Release
-# tree then builds
-# with TDFE_NATIVE=ON (-march=native -ffast-math) and runs the
-# tier-1 tests only — the vectorized build is not bitwise-comparable
-# to the default one, so the digest-gated benches are skipped there;
-# the point is that the native build cannot silently rot (set
-# SKIP_NATIVE=1 to opt out, e.g. for cross-compilation). Finally the
-# TSan battery rebuilds the concurrency tests with -fsanitize=thread
+# the checkpoint example + tdfstool ckpt-info). The TSan battery
+# then rebuilds the concurrency tests with -fsanitize=thread
 # (TIER1_TSAN) in their own tree and runs the tsan_smoke label —
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
 # checkpoint, run-harness, C API, packed-training, trace-dump and
-# thread-pool tests under the
-# asan_smoke label —
-# skipped with a notice when the toolchain cannot produce ASan
-# binaries, or when SKIP_ASAN=1.
+# thread-pool tests under the asan_smoke label — skipped with a
+# notice when the toolchain cannot produce ASan binaries, or when
+# SKIP_ASAN=1. Last, a second Release tree builds with
+# TDFE_NATIVE=ON (-march=native -ffast-math) and runs the tier-1
+# tests only — the vectorized build is not bitwise-comparable to the
+# default one, so the digest-gated benches are skipped there; the
+# point is that the native build cannot silently rot (set
+# SKIP_NATIVE=1 to opt out, e.g. for cross-compilation). It runs
+# last so that a native failure cannot hide the sanitizer batteries;
+# it still fails the script.
 # This is the command CI and the roadmap's "tier-1 verify" refer to.
 set -euo pipefail
 
@@ -174,16 +174,6 @@ rm -f check_live.tdfs check_live.tdfs.live check_live_salvaged.tdfs \
     check_tailed.csv check_live_full.csv
 
 cd "$root"
-if [[ "${SKIP_NATIVE:-0}" != 1 ]]; then
-  cmake -B build-native -S . -DTDFE_NATIVE=ON \
-      -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-native -j"$(nproc)"
-  cd build-native
-  ctest --output-on-failure -j"$(nproc)" -L tier1
-  cd "$root"
-else
-  echo "-- native (TDFE_NATIVE=ON) tier-1 run skipped (SKIP_NATIVE=1)"
-fi
 tsan_probe=$(mktemp /tmp/tsan_probe.XXXXXX)
 if [[ "${SKIP_TSAN:-0}" != 1 ]] &&
    echo 'int main(){return 0;}' |
@@ -225,4 +215,14 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
 else
   rm -f "$asan_probe"
   echo "-- asan battery skipped (no -fsanitize=address or SKIP_ASAN=1)"
+fi
+cd "$root"
+if [[ "${SKIP_NATIVE:-0}" != 1 ]]; then
+  cmake -B build-native -S . -DTDFE_NATIVE=ON \
+      -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-native -j"$(nproc)"
+  cd build-native
+  ctest --output-on-failure -j"$(nproc)" -L tier1
+else
+  echo "-- native (TDFE_NATIVE=ON) tier-1 run skipped (SKIP_NATIVE=1)"
 fi

@@ -17,6 +17,7 @@
 #include "core/region.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "par/store_merge.hh"
 #include "store/live.hh"
 #include "store/query.hh"
 #include "store/reader.hh"
@@ -86,7 +87,7 @@ buildQueryFilter(long iter_begin, long iter_end, long analysis,
     if (iter_begin >= 0)
         out.iterBegin = iter_begin;
     if (iter_end >= 0)
-        out.iterEnd = iter_end;
+        out.iterRange(out.iterBegin, iter_end);
     if (analysis >= 0)
         out.analysisIs(analysis);
     if (stop >= 0)
@@ -110,23 +111,6 @@ buildQueryFilter(long iter_begin, long iter_end, long analysis,
         pos = comma + 1;
     }
     return true;
-}
-
-/** Fixed metric column of @p rec by metricColumnIndex() index. */
-double
-metricValue(const tdfe::FeatureRecord &rec, std::size_t column)
-{
-    switch (column) {
-      case 0:
-        return rec.wallTime;
-      case 1:
-        return rec.wavefront;
-      case 2:
-        return rec.predicted;
-      case 3:
-        return rec.mse;
-    }
-    return std::numeric_limits<double>::quiet_NaN();
 }
 
 /** Shared body of the td_store_open* functions. @p durability is
@@ -457,20 +441,10 @@ td_store_salvage(const char *src_path, const char *dst_path)
 {
     if (!src_path || !dst_path)
         return -1;
-    const auto reader = tdfe::FeatureStoreReader::salvage(src_path);
-    if (!reader)
+    tdfe::SalvageReport report;
+    if (!tdfe::salvageStore(src_path, dst_path, report))
         return -1;
-    tdfe::StoreOptions options;
-    options.blockCapacity = reader->blockCapacity();
-    tdfe::FeatureStoreWriter writer(dst_path, reader->schema(),
-                                    options);
-    tdfe::FeatureRecord rec;
-    auto cursor = reader->cursor();
-    while (cursor.next(rec))
-        writer.append(rec);
-    const long recovered = static_cast<long>(writer.recordCount());
-    writer.finish();
-    return writer.ok() ? recovered : -1;
+    return static_cast<long>(report.records);
 }
 
 void
@@ -555,7 +529,8 @@ td_store_query_stat(const char *path, long iter_begin, long iter_end,
     double sum = 0.0;
     while (cursor.next(rec)) {
         ++matched;
-        const double v = metricValue(rec, col);
+        double v = 0.0;
+        tdfe::metricColumnValue(rec, col, v);
         if (std::isnan(v))
             continue;
         if (finite == 0 || v < lo)

@@ -113,10 +113,10 @@ mergeRankStores(const std::vector<std::string> &parts,
     // and re-encoding each record dwarfs the scan.
     struct Head
     {
-        FeatureStoreReader::Cursor cur;
+        QueryCursor cur;
         FeatureRecord rec;
         bool live;
-        Head(FeatureStoreReader::Cursor c) : cur(std::move(c))
+        Head(QueryCursor c) : cur(std::move(c))
         {
             live = cur.next(rec);
         }
@@ -196,7 +196,7 @@ stitchSegmentStores(const std::vector<std::string> &parts,
         if (!readers[i])
             continue;
         cutoff[i] = next_first;
-        FeatureStoreReader::Cursor c = readers[i]->cursor();
+        QueryCursor c = readers[i]->cursor();
         if (c.next(rec) && rec.iteration < next_first)
             next_first = rec.iteration;
     }
@@ -205,7 +205,7 @@ stitchSegmentStores(const std::vector<std::string> &parts,
     for (std::size_t i = 0; i < readers.size(); ++i) {
         if (!readers[i])
             continue;
-        FeatureStoreReader::Cursor c = readers[i]->cursor();
+        QueryCursor c = readers[i]->cursor();
         while (c.next(rec)) {
             if (rec.iteration >= cutoff[i])
                 break;
@@ -217,6 +217,37 @@ stitchSegmentStores(const std::vector<std::string> &parts,
         TDFE_FATAL("cannot write stitched feature store ", out_path,
                    ": ", writer.status().message);
     return stitched;
+}
+
+bool
+salvageStore(const std::string &src, const std::string &dst,
+             SalvageReport &report)
+{
+    report = SalvageReport();
+    const auto reader = FeatureStoreReader::salvage(src, &report.error);
+    if (!reader)
+        return false;
+    report.blocks = reader->blockCount();
+    report.droppedBytes = reader->droppedTailBytes();
+
+    // Re-encode at the source's block capacity so a store that was
+    // merely truncated round-trips byte-identically to the honest
+    // prefix (same blocks, same codecs, same footer).
+    StoreOptions options;
+    options.blockCapacity = reader->blockCapacity();
+    FeatureStoreWriter writer(dst, reader->schema(), options);
+    FeatureRecord rec;
+    QueryCursor c = reader->cursor();
+    while (c.next(rec))
+        writer.append(rec);
+    report.records = writer.recordCount();
+    report.bytes = writer.finish();
+    if (!writer.ok()) {
+        report.error =
+            "cannot write " + dst + ": " + writer.status().message;
+        return false;
+    }
+    return true;
 }
 
 std::unique_ptr<FeatureStoreWriter>

@@ -160,6 +160,28 @@ std::size_t stitchSegmentStores(const std::vector<std::string> &parts,
                                 const StoreOptions &options =
                                     StoreOptions());
 
+/** What salvageStore recovered. */
+struct SalvageReport
+{
+    std::size_t records = 0;      ///< records written to the output
+    std::size_t blocks = 0;       ///< source blocks the scan recovered
+    std::size_t droppedBytes = 0; ///< damaged/trailing bytes dropped
+    std::size_t bytes = 0;        ///< output store bytes
+    std::string error;            ///< why it failed (empty: success)
+};
+
+/**
+ * Recover what the damaged store at @p src still holds
+ * (FeatureStoreReader::salvage) and re-encode it into a clean store
+ * at @p dst, at the source's block capacity, so a store that was
+ * merely truncated round-trips byte-identically to its honest
+ * prefix. Shared by td_store_salvage and `tdfstool recover`.
+ * @return false with the reason in report.error when not even the
+ * source header survives or the output cannot be written.
+ */
+bool salvageStore(const std::string &src, const std::string &dst,
+                  SalvageReport &report);
+
 /**
  * Counterpart of attachRankStore, for when the run (and every
  * region query — queries drain pending appends) is over: detach

@@ -385,15 +385,12 @@ TailCursor::next(FeatureRecord &out)
                 return false;
             }
             view_ = std::move(nv);
-            cursor_.reset(new FeatureStoreReader::Cursor(
-                view_.reader().cursorAtBlock(blocksConsumed_)));
+            cursor_.emplace(view_.reader(), filter_, blocksConsumed_);
         }
-        while (cursor_->next(out)) {
-            if (filter_.matches(out)) {
-                ++delivered_;
-                drained_ = false;
-                return true;
-            }
+        if (cursor_->next(out)) {
+            ++delivered_;
+            drained_ = false;
+            return true;
         }
         // Current snapshot drained; resume a newer one (if any) at
         // the first block we have not consumed.
@@ -402,10 +399,7 @@ TailCursor::next(FeatureRecord &out)
             drained_ = true;
             return false;
         }
-        StoreView nv = live_->view();
-        view_ = std::move(nv);
-        cursor_.reset(new FeatureStoreReader::Cursor(
-            view_.reader().cursorAtBlock(blocksConsumed_)));
+        cursor_.reset();
     }
 }
 

@@ -55,6 +55,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 
 #include "store/query.hh"
@@ -118,8 +119,8 @@ class StoreView
     bool valid() const { return snap_ != nullptr; }
 
     /** @return the pinned reader (fatal on an invalid view — pin
-     *  before use is the caller contract). Cursors and QueryCursor
-     *  over it behave exactly as on a finished store. */
+     *  before use is the caller contract). A QueryCursor over it
+     *  behaves exactly as on a finished store. */
     const FeatureStoreReader &reader() const;
 
     /** @return manifest generation this view pins (0: invalid). */
@@ -269,13 +270,17 @@ class LiveStoreReader
  * seals, in store order, exactly once, across any number of
  * snapshot advances — the consumer behind `tdfstool tail` and the
  * live dashboard. Blocks are immutable once sealed and newer
- * snapshots only append whole blocks, so the cursor resumes each
- * new snapshot at the first block it has not consumed.
+ * snapshots only append whole blocks, so each new snapshot is
+ * scanned by a QueryCursor that starts at the first block the tail
+ * has not consumed. The filter runs inside that cursor, so blocks
+ * its zone map or iteration bounds rule out are never decoded for
+ * records (adoption still validates every new block once).
  *
  * next() is non-blocking: false means "drained for now" — the
  * caller decides how to wait (typically LiveStoreReader::
  * waitForAdvance) and retries. done() reports when the stream can
- * never produce again. Single-threaded, like the Cursor it wraps.
+ * never produce again. Single-threaded, like the QueryCursor it
+ * drives.
  */
 class TailCursor
 {
@@ -305,8 +310,8 @@ class TailCursor
     LiveStoreReader *live_;
     EventFilter filter_;
     StoreView view_;
-    /** Cursor into view_ (absent before the first pin). */
-    std::unique_ptr<FeatureStoreReader::Cursor> cursor_;
+    /** Scan of view_ (absent before the first pin). */
+    std::optional<QueryCursor> cursor_;
     std::size_t blocksConsumed_ = 0;
     std::size_t delivered_ = 0;
     bool drained_ = false;

@@ -6,6 +6,7 @@
 
 #include "base/logging.hh"
 #include "obs/metrics.hh"
+#include "store/reader.hh"
 
 namespace tdfe
 {
@@ -67,6 +68,27 @@ metricColumnIndex(const std::string &name)
 }
 
 bool
+metricColumnValue(const FeatureRecord &r, std::size_t column,
+                  double &v)
+{
+    switch (column) {
+      case 0:
+        v = r.wallTime;
+        return true;
+      case 1:
+        v = r.wavefront;
+        return true;
+      case 2:
+        v = r.predicted;
+        return true;
+      case 3:
+        v = r.mse;
+        return true;
+    }
+    return false;
+}
+
+bool
 parseMetricPredicate(const std::string &text, MetricPredicate &out,
                      std::string *error)
 {
@@ -121,7 +143,7 @@ bool
 EventFilter::matches(const FeatureRecord &r) const
 {
     const std::int64_t iter = r.iteration;
-    if (iter < iterBegin || iter >= iterEnd)
+    if (iter < iterBegin || iter > iterLast)
         return false;
     if (hasAnalysis && r.analysis != analysis)
         return false;
@@ -129,31 +151,23 @@ EventFilter::matches(const FeatureRecord &r) const
         return false;
     for (const MetricPredicate &p : predicates) {
         double v = 0.0;
-        switch (p.column) {
-          case 0:
-            v = r.wallTime;
-            break;
-          case 1:
-            v = r.wavefront;
-            break;
-          case 2:
-            v = r.predicted;
-            break;
-          case 3:
-            v = r.mse;
-            break;
-          default:
-            return false; // unknown column matches nothing
-        }
-        if (!p.matches(v))
+        // An unknown column matches nothing.
+        if (!metricColumnValue(r, p.column, v) || !p.matches(v))
             return false;
     }
     return true;
 }
 
+QueryCursor
+FeatureStoreReader::cursor() const
+{
+    return QueryCursor(*this, EventFilter());
+}
+
 QueryCursor::QueryCursor(const FeatureStoreReader &reader,
-                         EventFilter filter)
-    : reader_(&reader), filter_(std::move(filter))
+                         EventFilter filter, std::size_t first_block)
+    : reader_(&reader), filter_(std::move(filter)),
+      block_(first_block)
 {
 }
 
@@ -163,7 +177,7 @@ QueryCursor::blockMayMatch(std::size_t b) const
     std::int64_t lo = 0;
     std::int64_t hi = 0;
     if (reader_->blockIterBounds(b, lo, hi) &&
-        (hi < filter_.iterBegin || lo >= filter_.iterEnd))
+        (hi < filter_.iterBegin || lo > filter_.iterLast))
         return false;
     const store::BlockZone *z = reader_->zone(b);
     if (!z)
@@ -193,7 +207,7 @@ QueryCursor::next(FeatureRecord &out)
         while (pos_ < count_) {
             const std::size_t i = pos_++;
             const std::int64_t iter = ints_[0][i];
-            if (iter < filter_.iterBegin || iter >= filter_.iterEnd)
+            if (iter < filter_.iterBegin || iter > filter_.iterLast)
                 continue;
             if (filter_.hasAnalysis &&
                 ints_[1][i] != filter_.analysis)
@@ -211,8 +225,18 @@ QueryCursor::next(FeatureRecord &out)
             }
             if (!good)
                 continue;
-            FeatureStoreReader::materialize(reader_->schema_, ints_,
-                                            dbls_, i, out);
+            out.iteration = static_cast<long>(iter);
+            out.analysis = static_cast<long>(ints_[1][i]);
+            out.stop = ints_[2][i] != 0;
+            out.wallTime = dbls_[0][i];
+            out.wavefront = dbls_[1][i];
+            out.predicted = dbls_[2][i];
+            out.mse = dbls_[3][i];
+            const std::size_t n_coeffs = reader_->schema().coeffCount;
+            out.coeffs.resize(n_coeffs);
+            for (std::size_t k = 0; k < n_coeffs; ++k)
+                out.coeffs[k] =
+                    dbls_[StoreSchema::numFixedDoubleColumns + k][i];
             return true;
         }
 
@@ -225,7 +249,7 @@ QueryCursor::next(FeatureRecord &out)
             std::int64_t hi = 0;
             if (reader_->sortedByIteration() &&
                 reader_->blockIterBounds(b, lo, hi) &&
-                lo >= filter_.iterEnd) {
+                lo > filter_.iterLast) {
                 // Sorted store: every later block is even later.
                 block_ = reader_->blockCount();
                 return false;

@@ -3,7 +3,9 @@
  * Read-side query engine of the feature trace store: a composable
  * record filter (iteration window × analysis id × stop flag ×
  * range predicates over the fixed metric columns) and a streaming
- * cursor that evaluates it with block pushdown. Every clause is
+ * cursor that evaluates it with block pushdown — the one cursor
+ * full scans, filtered queries and live tails all run through.
+ * Every clause is
  * checked twice — once per block against the footer's zone map
  * (min/max per column), once per record against the decoded values
  * — and the block-level check is conservative: a block is decoded
@@ -30,10 +32,11 @@
 #include <vector>
 
 #include "store/feature_record.hh"
-#include "store/reader.hh"
 
 namespace tdfe
 {
+
+class FeatureStoreReader;
 
 /** Comparison operator of a metric predicate. */
 enum class PredOp
@@ -74,6 +77,11 @@ struct MetricPredicate
  *  "wavefront", "predicted", "mse"), or SIZE_MAX when unknown. */
 std::size_t metricColumnIndex(const std::string &name);
 
+/** Read metric column @p column (see metricColumnIndex) of @p r
+ *  into @p v. @return false for an unknown column. */
+bool metricColumnValue(const FeatureRecord &r, std::size_t column,
+                       double &v);
+
 /**
  * Parse "col<op>value" (e.g. "mse<0.5", "wavefront>=12") into
  * @p out. Accepted operators: <= >= < > == != (and = for ==).
@@ -94,9 +102,10 @@ bool parseMetricPredicate(const std::string &text,
  */
 struct EventFilter
 {
-    /** Iteration window [iterBegin, iterEnd). @{ */
+    /** Iteration window [iterBegin, iterLast], both ends inclusive
+     *  so that the default holds every iteration. @{ */
     std::int64_t iterBegin = std::numeric_limits<std::int64_t>::min();
-    std::int64_t iterEnd = std::numeric_limits<std::int64_t>::max();
+    std::int64_t iterLast = std::numeric_limits<std::int64_t>::max();
     /** @} */
     /** Exact analysis id (active when hasAnalysis). @{ */
     bool hasAnalysis = false;
@@ -112,8 +121,11 @@ struct EventFilter
     EventFilter &
     iterRange(std::int64_t begin, std::int64_t end)
     {
-        iterBegin = begin;
-        iterEnd = end;
+        // Half-open [begin, end). end - 1 would overflow at
+        // INT64_MIN, where the window is empty: so is [1, 0].
+        const bool none = end == std::numeric_limits<std::int64_t>::min();
+        iterBegin = none ? 1 : begin;
+        iterLast = none ? 0 : end - 1;
         return *this;
     }
 
@@ -154,8 +166,8 @@ struct EventFilter
  * On an iteration-sorted store the scan also stops at the first
  * block past the window.
  *
- * Results are exactly the records a full scan filtered through
- * EventFilter::matches would yield, in store order. Not
+ * Results are exactly the records of the scanned blocks that
+ * EventFilter::matches accepts, in store order. Not
  * thread-safe; create one QueryCursor per thread (the shared
  * reader is safe to scan concurrently). The reader must outlive
  * the cursor.
@@ -163,10 +175,15 @@ struct EventFilter
 class QueryCursor
 {
   public:
-    QueryCursor(const FeatureStoreReader &reader, EventFilter filter);
+    /** Scan @p reader's blocks from @p first_block on (past the end:
+     *  exhausted) for records matching @p filter. Sealed blocks are
+     *  immutable, so a tail resumes a newer snapshot at its first
+     *  unconsumed block. */
+    QueryCursor(const FeatureStoreReader &reader, EventFilter filter,
+                std::size_t first_block = 0);
 
-    /** Decode the next matching record into @p out.
-     *  @return false once the store is exhausted. */
+    /** Decode the next matching record into @p out. @return false
+     *  once the store is exhausted. Fatal on a corrupt block. */
     bool next(FeatureRecord &out);
 
     /** @return blocks this cursor decoded so far (its share of the
@@ -179,7 +196,7 @@ class QueryCursor
 
     const FeatureStoreReader *reader_;
     EventFilter filter_;
-    std::size_t block_ = 0; ///< next block to consider
+    std::size_t block_;     ///< next block to consider
     std::size_t pos_ = 0;   ///< next record within the scratch
     std::size_t count_ = 0; ///< records in the scratch
     std::size_t decoded_ = 0;

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "base/logging.hh"
 #include "base/portable.hh"
 #include "obs/metrics.hh"
 #include "store/codec.hh"
@@ -30,26 +29,6 @@ bitsToDouble(std::uint64_t b)
 }
 
 } // namespace
-
-void
-FeatureStoreReader::materialize(
-    const StoreSchema &schema,
-    const std::vector<std::vector<std::int64_t>> &ints,
-    const std::vector<std::vector<double>> &dbls, std::size_t i,
-    FeatureRecord &out)
-{
-    out.iteration = static_cast<long>(ints[0][i]);
-    out.analysis = static_cast<long>(ints[1][i]);
-    out.stop = ints[2][i] != 0;
-    out.wallTime = dbls[0][i];
-    out.wavefront = dbls[1][i];
-    out.predicted = dbls[2][i];
-    out.mse = dbls[3][i];
-    out.coeffs.resize(schema.coeffCount);
-    for (std::size_t k = 0; k < schema.coeffCount; ++k)
-        out.coeffs[k] =
-            dbls[StoreSchema::numFixedDoubleColumns + k][i];
-}
 
 // The fixed zone-mapped column counts are the schema's fixed column
 // counts; this is where both headers are visible.
@@ -475,29 +454,6 @@ FeatureStoreReader::verify(std::string *detail) const
                                 ": zone map disagrees with data");
         }
     }
-    return true;
-}
-
-void
-FeatureStoreReader::Cursor::fill(std::size_t b)
-{
-    std::string detail;
-    if (!reader->decodeBlock(b, raw, ints, dbls, &detail))
-        TDFE_FATAL("corrupt feature store: ", detail);
-    count = ints[0].size();
-    pos = 0;
-}
-
-bool
-FeatureStoreReader::Cursor::next(FeatureRecord &out)
-{
-    while (pos == count) {
-        if (block >= reader->blockCount())
-            return false;
-        fill(block++);
-    }
-    materialize(reader->schema_, ints, dbls, pos, out);
-    ++pos;
     return true;
 }
 

@@ -5,12 +5,13 @@
  * fetched on demand, one pread per decoded block, through the same
  * store::ReadFile seam the writer uses on its side — so a filtered
  * query that the zone map prunes to three blocks reads three blocks
- * off disk, not the file. Records decode block-at-a-time into
- * caller-owned scratch: a cursor re-fills its columnar decode
- * buffers in place, so steady-state iteration allocates nothing,
- * matching the packed-layout conventions of the training hot path.
- * Cursors may run concurrently (one per thread): the reader's state
- * is immutable after open and ReadFile::readAt is thread-safe.
+ * off disk, not the file. Records are read through QueryCursor
+ * (query.hh), the one cursor type; cursor() is a full scan. It
+ * re-fills its columnar decode buffers in place, so steady-state
+ * iteration allocates nothing, matching the packed-layout
+ * conventions of the training hot path. Cursors may run
+ * concurrently (one per thread): the reader's state is immutable
+ * after open and ReadFile::readAt is thread-safe.
  *
  * Error model: open() and verify() report malformed input
  * gracefully (a store file is user data, and tdfstool must be able
@@ -32,11 +33,10 @@
 #include "store/feature_record.hh"
 #include "store/file.hh"
 #include "store/format.hh"
+#include "store/query.hh"
 
 namespace tdfe
 {
-
-class QueryCursor;
 
 /** Read-only view of one store file. */
 class FeatureStoreReader
@@ -182,54 +182,9 @@ class FeatureStoreReader
      */
     bool verify(std::string *detail = nullptr) const;
 
-    /**
-     * Sequential decoder. Obtain via cursor()/cursorAtBlock(); the
-     * reader must outlive it. Not thread-safe; create one cursor
-     * per thread for parallel scans.
-     */
-    class Cursor
-    {
-      public:
-        /**
-         * Decode the next record into @p out (coeffs resized to the
-         * schema). @return false at end-of-store. Fatal on a
-         * corrupt block.
-         */
-        bool next(FeatureRecord &out);
-
-      private:
-        friend class FeatureStoreReader;
-        explicit Cursor(const FeatureStoreReader &r) : reader(&r) {}
-
-        /** Decode block @p b into the columnar scratch. */
-        void fill(std::size_t b);
-
-        const FeatureStoreReader *reader;
-        std::size_t block = 0; ///< next block to decode
-        std::size_t pos = 0;   ///< next record within the scratch
-        std::size_t count = 0; ///< records in the scratch
-        std::vector<std::uint8_t> raw;
-        std::vector<std::vector<std::int64_t>> ints;
-        std::vector<std::vector<double>> dbls;
-    };
-
-    /** @return cursor at the first record. */
-    Cursor cursor() const { return Cursor(*this); }
-
-    /**
-     * @return cursor positioned at the first record of block @p b
-     * (end-of-store when @p b >= blockCount()). Blocks are sealed
-     * immutably, so a tail reader that consumed blocks [0, b) of an
-     * earlier snapshot resumes a newer snapshot of the same store
-     * here without re-decoding anything.
-     */
-    Cursor
-    cursorAtBlock(std::size_t b) const
-    {
-        Cursor c(*this);
-        c.block = b;
-        return c;
-    }
+    /** @return full scan: a QueryCursor over the default (match-all)
+     *  filter. The reader must outlive it. */
+    QueryCursor cursor() const;
 
   private:
     FeatureStoreReader() = default;
@@ -256,13 +211,6 @@ class FeatureStoreReader
         std::vector<std::vector<std::int64_t>> &ints,
         std::vector<std::vector<double>> &dbls,
         std::string *detail) const;
-
-    /** Copy record @p i of decoded columns into @p out. */
-    static void
-    materialize(const StoreSchema &schema,
-                const std::vector<std::vector<std::int64_t>> &ints,
-                const std::vector<std::vector<double>> &dbls,
-                std::size_t i, FeatureRecord &out);
 
     /**
      * Tightest known iteration bounds of block @p b: the zone map's

@@ -383,6 +383,63 @@ TEST(LiveView, TailFilterMatchesBruteForce)
     removeStore(path);
 }
 
+TEST(LiveView, FilteredTailDecodesOnlyBlocksItsFilterAdmits)
+{
+    // The tail's filter runs inside its QueryCursor: across snapshot
+    // advances, blocks the iteration bounds or the zone map rule out
+    // are never decoded for records, yet the tail yields exactly the
+    // filtered records of the finished store.
+    constexpr std::size_t kRecords = 330;
+    constexpr std::size_t kCoeffs = 2;
+    constexpr std::size_t kCap = 16;
+    const std::string path = tempPath("tailpushdown.tdfs");
+    StoreOptions opts;
+    opts.blockCapacity = kCap;
+    opts.live = true;
+    StoreSchema schema;
+    schema.coeffCount = kCoeffs;
+    FeatureStoreWriter w(path, schema, opts);
+
+    const EventFilter filter =
+        EventFilter().analysisIs(1).iterRange(100, 200);
+    LiveStoreReader live(path);
+    TailCursor tail(live, filter);
+    std::vector<FeatureRecord> got;
+    std::size_t decoded = 0;
+    std::size_t advances = 0;
+    // Refresh, drain the tail, and count the record decodes of the
+    // snapshot it drained (adoption's validation decodes are reset).
+    const auto drain = [&] {
+        ASSERT_TRUE(live.refresh());
+        ++advances;
+        const StoreView v = live.view();
+        FeatureRecord rec;
+        while (tail.next(rec))
+            got.push_back(rec);
+        decoded += v.reader().blocksDecoded();
+    };
+    for (std::size_t i = 0; i < kRecords; ++i) {
+        w.append(makeRecord(i, kCoeffs));
+        if ((i + 1) % (3 * kCap) == 0)
+            drain();
+    }
+    w.finish();
+    drain();
+    EXPECT_TRUE(tail.done());
+    EXPECT_GE(advances, 5u);
+
+    const auto r = FeatureStoreReader::open(path);
+    ASSERT_TRUE(r);
+    const std::vector<FeatureRecord> want = test::bruteFilter(*r, filter);
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        expectRecordsEqual(got[i], want[i]);
+    EXPECT_GT(decoded, 0u);
+    EXPECT_LT(decoded, r->blockCount());
+    removeStore(path);
+}
+
 TEST(LiveView, FooterFallbackServesFinishedStores)
 {
     // A store finished without live mode (no sidecar ever existed):

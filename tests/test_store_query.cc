@@ -13,6 +13,7 @@
  * through empty middle segments, and the td_store_query_* C API.
  */
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <cstdint>
@@ -40,6 +41,7 @@ namespace
 {
 
 using namespace tdfe;
+using test::bruteFilter;
 using test::tempPath;
 
 bool
@@ -126,18 +128,6 @@ drainCursor(QueryCursor &cur)
     FeatureRecord rec;
     while (cur.next(rec))
         out.push_back(rec);
-    return out;
-}
-
-std::vector<FeatureRecord>
-bruteFilter(const FeatureStoreReader &r, const EventFilter &filter)
-{
-    std::vector<FeatureRecord> out;
-    FeatureStoreReader::Cursor c = r.cursor();
-    FeatureRecord rec;
-    while (c.next(rec))
-        if (filter.matches(rec))
-            out.push_back(rec);
     return out;
 }
 
@@ -528,6 +518,74 @@ TEST(QueryFilter, FilteredCursorMatchesBruteForce)
                              bruteFilter(*r, filters[i]));
     }
     std::remove(path.c_str());
+}
+
+TEST(QueryFilter, FullScanCursorDecodesEveryBlock)
+{
+    const std::size_t total = 1000;
+    const std::string path = tempPath("query_fullscan.tdfs");
+    const std::vector<FeatureRecord> recs = sortedStream(total, 2);
+    writeStore(path, recs, 2, 64);
+    const auto r = FeatureStoreReader::open(path);
+    ASSERT_TRUE(r);
+    ASSERT_GE(r->blockCount(), 16u);
+
+    r->resetIoStats();
+    QueryCursor c = r->cursor();
+    const std::vector<FeatureRecord> got = drainCursor(c);
+    EXPECT_EQ(got.size(), r->recordCount());
+    expectRecordsBitwise(got, recs);
+    EXPECT_EQ(c.blocksDecoded(), r->blockCount());
+    EXPECT_EQ(r->blocksDecoded(), r->blockCount());
+    std::remove(path.c_str());
+}
+
+TEST(QueryFilter, DefaultFilterMatchesExtremeIterations)
+{
+    // The default window holds every iteration, LONG_MAX included,
+    // on every read path, sorted store or not. iterRange stays
+    // half-open.
+    const long iters[] = {LONG_MIN, LONG_MIN + 1, -1, 0, 7,
+                          LONG_MAX - 1, LONG_MAX};
+    for (const bool reversed : {false, true}) {
+        SCOPED_TRACE(reversed ? "reversed" : "sorted");
+        std::vector<FeatureRecord> recs;
+        for (const long it : iters) {
+            FeatureRecord rec = makeRecord(recs.size(), 7, 2);
+            rec.iteration = it;
+            recs.push_back(rec);
+        }
+        if (reversed)
+            std::reverse(recs.begin(), recs.end());
+        const std::string path = tempPath("query_extremes.tdfs");
+        writeStore(path, recs, 2, 3);
+        const auto r = FeatureStoreReader::open(path);
+        ASSERT_TRUE(r);
+        ASSERT_EQ(r->recordCount(), recs.size());
+        EXPECT_EQ(r->sortedByIteration(), !reversed);
+
+        QueryCursor all = r->cursor();
+        expectRecordsBitwise(drainCursor(all), recs);
+        QueryCursor deflt(*r, EventFilter());
+        EXPECT_EQ(drainCursor(deflt).size(), r->recordCount());
+        std::size_t matched = 0;
+        for (const FeatureRecord &rec : recs)
+            matched += EventFilter().matches(rec) ? 1 : 0;
+        EXPECT_EQ(matched, r->recordCount());
+        EXPECT_EQ(td_store_query_count(path.c_str(), -1, -1, -1, -1,
+                                       nullptr),
+                  static_cast<long>(r->recordCount()));
+
+        // Half-open windows: LONG_MAX itself is outside [0, LONG_MAX).
+        QueryCursor upto(*r, EventFilter().iterRange(0, LONG_MAX));
+        EXPECT_EQ(drainCursor(upto).size(), 3u);
+        QueryCursor none(*r, EventFilter().iterRange(LONG_MIN, LONG_MIN));
+        EXPECT_TRUE(drainCursor(none).empty());
+        EXPECT_EQ(td_store_query_count(path.c_str(), 0, -1, -1, -1,
+                                       nullptr),
+                  4);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(QueryFilter, ZoneMapSkipsBlocksWithoutReading)

@@ -49,10 +49,24 @@ readRecords(const std::string &path)
     std::vector<FeatureRecord> out;
     if (!reader)
         return out;
-    FeatureStoreReader::Cursor c = reader->cursor();
+    QueryCursor c = reader->cursor();
     FeatureRecord rec;
     while (c.next(rec))
         out.push_back(rec);
+    return out;
+}
+
+/** Reference semantics of a filtered read: every record of @p r,
+ *  kept when EventFilter::matches accepts it. */
+inline std::vector<FeatureRecord>
+bruteFilter(const FeatureStoreReader &r, const EventFilter &filter)
+{
+    std::vector<FeatureRecord> out;
+    QueryCursor c = r.cursor();
+    FeatureRecord rec;
+    while (c.next(rec))
+        if (filter.matches(rec))
+            out.push_back(rec);
     return out;
 }
 

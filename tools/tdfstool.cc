@@ -58,16 +58,13 @@
 
 #include "ckpt/checkpoint.hh"
 #include "obs/json.hh"
+#include "par/store_merge.hh"
 #include "store/live.hh"
 #include "store/query.hh"
 #include "store/reader.hh"
-#include "store/writer.hh"
 
 using tdfe::FeatureRecord;
 using tdfe::FeatureStoreReader;
-using tdfe::FeatureStoreWriter;
-using tdfe::StoreOptions;
-using tdfe::StoreSchema;
 
 namespace
 {
@@ -306,22 +303,8 @@ columnValue(const FeatureRecord &rec, const std::string &name,
         return true;
     }
     integral = false;
-    if (name == "wall_time") {
-        v = rec.wallTime;
+    if (tdfe::metricColumnValue(rec, tdfe::metricColumnIndex(name), v))
         return true;
-    }
-    if (name == "wavefront") {
-        v = rec.wavefront;
-        return true;
-    }
-    if (name == "predicted") {
-        v = rec.predicted;
-        return true;
-    }
-    if (name == "mse") {
-        v = rec.mse;
-        return true;
-    }
     if (name.rfind("coef", 0) == 0) {
         char *end = nullptr;
         const long k = std::strtol(name.c_str() + 4, &end, 10);
@@ -383,12 +366,14 @@ consumeFilterArg(int argc, char **argv, int &i,
             return badValue("--iter", "a:b", spec);
         const std::string lo = spec.substr(0, colon);
         const std::string hi = spec.substr(colon + 1);
-        long long begin = filter.iterBegin, end = filter.iterEnd;
+        long long begin = filter.iterBegin, end = 0;
         if ((!lo.empty() && !parseInt(lo, begin)) ||
             (!hi.empty() && !parseInt(hi, end)))
             return badValue("--iter", "a:b", spec);
-        filter.iterBegin = begin;
-        filter.iterEnd = end;
+        if (hi.empty())
+            filter.iterBegin = begin;
+        else
+            filter.iterRange(begin, end);
         return 1;
     }
     if (arg == "--analysis" && i + 1 < argc) {
@@ -774,36 +759,16 @@ cmdDiff(const std::string &path_a, const std::string &path_b,
 int
 cmdRecover(const std::string &src, const std::string &dst)
 {
-    std::string error;
-    const auto r = FeatureStoreReader::salvage(src, &error);
-    if (!r) {
-        std::fprintf(stderr, "tdfstool: %s\n", error.c_str());
+    tdfe::SalvageReport report;
+    if (!tdfe::salvageStore(src, dst, report)) {
+        std::fprintf(stderr, "tdfstool: %s\n", report.error.c_str());
         return 1;
     }
-
-    // Re-encode at the source's block capacity so a store that was
-    // merely truncated round-trips byte-identically to the honest
-    // prefix (same blocks, same codecs, same footer).
-    StoreOptions options;
-    options.blockCapacity = r->blockCapacity();
-    FeatureStoreWriter writer(dst, r->schema(), options);
-    FeatureRecord rec;
-    auto c = r->cursor();
-    while (c.next(rec))
-        writer.append(rec);
-    const std::size_t recovered = writer.recordCount();
-    const std::size_t bytes = writer.finish();
-    if (!writer.ok()) {
-        std::fprintf(stderr, "tdfstool: cannot write %s: %s\n",
-                     dst.c_str(), writer.status().message.c_str());
-        return 1;
-    }
-
     std::printf("%s: recovered %zu records in %zu blocks "
                 "(%zu damaged/trailing bytes dropped) -> %s "
                 "(%zu bytes)\n",
-                src.c_str(), recovered, r->blockCount(),
-                r->droppedTailBytes(), dst.c_str(), bytes);
+                src.c_str(), report.records, report.blocks,
+                report.droppedBytes, dst.c_str(), report.bytes);
     return 0;
 }
 
