@@ -14,8 +14,8 @@
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
-# checkpoint, run-harness, C API, packed-training, trace-dump and
-# thread-pool tests under the asan_smoke label — skipped with a
+# checkpoint, run-harness, C API, packed-training, trace-dump,
+# thread-pool and async-region tests under the asan_smoke label — skipped with a
 # notice when the toolchain cannot produce ASan binaries, or when
 # SKIP_ASAN=1. Last, a second Release tree builds with
 # TDFE_NATIVE=ON (-march=native -ffast-math) and runs the tier-1
@@ -209,7 +209,7 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_checkpoint_asan test_ckpt_resilience_asan \
       test_run_harness_asan test_td_api_asan \
       test_packed_batch_asan test_parallel_for_asan \
-      test_postproc_asan
+      test_async_region_asan test_postproc_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

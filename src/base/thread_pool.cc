@@ -90,20 +90,6 @@ lockSoon(std::unique_lock<std::mutex> &lock)
 
 } // namespace
 
-ThreadPool::Job::Job(ChunkRef body, std::size_t chunks,
-                     std::size_t run_length)
-    : fn(body), nchunks(chunks), run(run_length),
-      nruns((chunks + run_length - 1) / run_length)
-{
-}
-
-ThreadPool::Job::Job(std::function<void(std::size_t)> body,
-                     std::size_t chunks, std::size_t run_length)
-    : owned(std::move(body)), fn(owned), nchunks(chunks),
-      run(run_length), nruns((chunks + run_length - 1) / run_length)
-{
-}
-
 ThreadPool::ThreadPool(int threads)
 {
     nThreads = threads > 0 ? threads : configuredThreadCount();
@@ -113,9 +99,6 @@ ThreadPool::ThreadPool(int threads)
 ThreadPool::~ThreadPool()
 {
     joinWorkers();
-    // Release submitted jobs nobody waited on.
-    while (head != nullptr)
-        unlink(*head);
 }
 
 void
@@ -177,7 +160,6 @@ ThreadPool::helpWith(Job &job, std::size_t r)
         const std::size_t e = std::min(job.nchunks, b + job.run);
         for (std::size_t c = b; c < e; ++c)
             job.fn(c);
-        job.done.fetch_add(1, std::memory_order_release);
     }
 }
 
@@ -227,25 +209,27 @@ ThreadPool::workerLoop()
             continue;
         }
         job.active.fetch_add(1, std::memory_order_relaxed);
-        // submit() jobs stay alive through this reference even if
-        // their handle is dropped meanwhile.
-        std::shared_ptr<Job> hold = job.keepAlive;
         lock.unlock();
         helpWith(job, first);
         lockSoon(lock);
         // The cursor is spent: drop the job from the queue, then
-        // leave it. A runChunks job may end the moment `active`
+        // leave it. Its owner may destroy it the moment `active`
         // reaches zero, so nothing below touches it.
         unlink(job);
         job.active.fetch_sub(1, std::memory_order_release);
         if (waiters > 0)
             idle.notify_all();
-        if (hold) {
-            lock.unlock();
-            hold.reset();
-            lock.lock();
-        }
     }
+}
+
+void
+ThreadPool::arm(Job &job, std::size_t nchunks, ChunkRef fn) const
+{
+    job.fn = fn;
+    job.nchunks = nchunks;
+    job.run = runLength(nchunks);
+    job.nruns = (nchunks + job.run - 1) / job.run;
+    job.next.store(0, std::memory_order_relaxed);
 }
 
 void
@@ -277,14 +261,11 @@ ThreadPool::unlink(Job &job)
     job.prev = job.succ = nullptr;
     job.queued = false;
     // Close the cursor. Only a job whose caller is unwinding from a
-    // throwing chunk (or one the destroyed pool drops) still has
-    // unclaimed runs here; it runs no more of them.
+    // throwing chunk still has unclaimed runs here; it runs no more
+    // of them.
     if (job.next.exchange(job.nruns, std::memory_order_relaxed) <
         job.nruns)
         openJobs.fetch_sub(1, std::memory_order_relaxed);
-    // Workers and waiters hold their own reference, so outside the
-    // destructor this never destroys the job under the lock.
-    job.keepAlive.reset();
 }
 
 ThreadPool::Job *
@@ -320,10 +301,10 @@ ThreadPool::retire(Job &job)
 }
 
 void
-ThreadPool::awaitJob(Job &job)
+ThreadPool::wait(Job &job)
 {
     // Retire even if a chunk throws on this thread: workers may
-    // still be inside a job that lives on the caller's stack.
+    // still be inside a job its caller is about to free.
     struct Retire
     {
         ThreadPool &pool;
@@ -338,6 +319,17 @@ ThreadPool::awaitJob(Job &job)
 }
 
 void
+ThreadPool::post(Job &job, std::size_t nchunks, ChunkRef fn)
+{
+    TDFE_ASSERT(!job.queued, "post of a job that was not waited for");
+    arm(job, nchunks, fn);
+    // The poster does not join until wait(), so every run may go to
+    // a worker.
+    if (job.nruns > 0)
+        enqueue(job, job.nruns);
+}
+
+void
 ThreadPool::runChunks(std::size_t nchunks, ChunkRef fn)
 {
     if (nchunks == 0)
@@ -348,40 +340,10 @@ ThreadPool::runChunks(std::size_t nchunks, ChunkRef fn)
         return;
     }
 
-    Job job(fn, nchunks, runLength(nchunks));
+    Job job;
+    arm(job, nchunks, fn);
     enqueue(job, job.nruns - 1);
-    awaitJob(job);
-}
-
-ThreadPool::JobHandle
-ThreadPool::submit(std::size_t nchunks,
-                   std::function<void(std::size_t)> fn)
-{
-    auto job =
-        std::make_shared<Job>(std::move(fn), nchunks, runLength(nchunks));
-    if (nchunks == 0) {
-        // Nothing to run: return an already-completed token so
-        // finished()/wait() stay uniform for the caller.
-        return job;
-    }
-    job->keepAlive = job;
-    enqueue(*job, job->nruns);
-    return job;
-}
-
-bool
-ThreadPool::finished(const JobHandle &job)
-{
-    return !job ||
-           job->done.load(std::memory_order_acquire) == job->nruns;
-}
-
-void
-ThreadPool::wait(const JobHandle &job)
-{
-    if (!job || job->nchunks == 0)
-        return;
-    awaitJob(*job);
+    wait(job);
 }
 
 ThreadPool &

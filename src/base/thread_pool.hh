@@ -1,7 +1,9 @@
 /**
  * @file
  * Shared parallel-compute backbone: a chunked thread pool with
- * `parallelFor` / `parallelForRange` / `parallelReduce` front ends.
+ * `parallelFor` / `parallelForRange` / `parallelReduce` front ends,
+ * and `post()` / `wait()` for a job that runs while its caller does
+ * other work (the async digest epoch of a Region).
  *
  * Design constraints, in order:
  *
@@ -20,11 +22,11 @@
  *     fits in a single chunk, the body runs inline on the caller
  *     with no locking, allocation, or wake-ups, keeping
  *     single-thread performance at parity with plain loops.
- *  4. No allocation per dispatch. A `runChunks` job lives on the
- *     caller's stack and refers to the body through a non-owning
- *     ChunkRef; the queue links jobs intrusively; reductions keep
- *     their partials on the stack. Only `submit()` allocates (its
- *     job must outlive the caller's scope).
+ *  4. No allocation per dispatch. Every job is owned by its caller
+ *     (a `runChunks` job lives on the caller's stack, a `post()`ed
+ *     one wherever the caller keeps it) and refers to the body
+ *     through a non-owning ChunkRef; the queue links jobs
+ *     intrusively; reductions keep their partials on the stack.
  *  5. Cheap wake-ups. A dispatch wakes at most one parked worker per
  *     run it leaves for others, and makes no futex call when none is
  *     parked. A worker that finishes a job spins on the queue for a
@@ -50,7 +52,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -62,8 +63,8 @@ namespace tdfe
 
 /**
  * Work-sharing pool. A job is a run cursor plus a body; workers and
- * the submitting thread race on the cursor until every run has been
- * claimed, then the submitter waits for the workers to leave the job.
+ * the waiting thread race on the cursor until every run has been
+ * claimed, then the waiter waits for the workers to leave the job.
  */
 class ThreadPool
 {
@@ -86,6 +87,10 @@ class ThreadPool
         {
         }
 
+        /** An empty reference, held by a job never posted; calling
+         *  it is undefined. */
+        ChunkRef() noexcept = default;
+
         void operator()(std::size_t c) const { call(obj, c); }
 
       private:
@@ -96,33 +101,25 @@ class ThreadPool
             (*static_cast<F *>(obj))(c);
         }
 
-        void *obj;
-        void (*call)(void *, std::size_t);
+        void *obj = nullptr;
+        void (*call)(void *, std::size_t) = nullptr;
     };
 
     /**
-     * One unit of pool work. Treat as opaque outside the pool — it
-     * is public only so JobHandle can name it; submit()/wait()/
-     * finished() are the API.
+     * One unit of pool work, owned by its caller: runChunks keeps one
+     * on its stack, a post() caller wherever it likes. The owner must
+     * wait() for a posted job before it destroys the job or posts it
+     * again. The fields are the pool's; treat them as opaque.
      */
     struct Job
     {
-        /** A job over the caller's body (runChunks). */
-        Job(ChunkRef body, std::size_t chunks, std::size_t run_length);
-        /** A job that owns its body (submit). */
-        Job(std::function<void(std::size_t)> body, std::size_t chunks,
-            std::size_t run_length);
-
-        /** submit()'s body; empty for runChunks jobs. */
-        std::function<void(std::size_t)> owned;
         ChunkRef fn;
-        std::size_t nchunks;
+        std::size_t nchunks = 0;
         /** Consecutive chunks per claim, and the number of runs. */
-        std::size_t run;
-        std::size_t nruns;
-        /** Next unclaimed run, and runs completed. */
+        std::size_t run = 1;
+        std::size_t nruns = 0;
+        /** Next unclaimed run. */
         std::atomic<std::size_t> next{0};
-        std::atomic<std::size_t> done{0};
         /** Workers inside the job; changed under the pool mutex. */
         std::atomic<int> active{0};
 
@@ -130,13 +127,8 @@ class ThreadPool
         Job *prev = nullptr;
         Job *succ = nullptr;
         bool queued = false;
-        /** submit() jobs: the queue's owning reference. */
-        std::shared_ptr<Job> keepAlive;
         /** @} */
     };
-
-    /** Completion token of an asynchronously submitted job. */
-    using JobHandle = std::shared_ptr<Job>;
 
     /**
      * How long a worker that finished a job spins on the queue
@@ -176,30 +168,23 @@ class ThreadPool
     void runChunks(std::size_t nchunks, ChunkRef fn);
 
     /**
-     * Enqueue @p nchunks chunks of @p fn for asynchronous execution
-     * and return immediately; workers pick the job up in submission
-     * order. The body is moved into the job, so it may outlive the
-     * caller's scope — but everything it captures must stay valid
-     * until the job is waited on. Unlike runChunks there is no
-     * inline fast path: with zero workers (or all of them busy) the
-     * chunks simply run during wait(), on the waiting thread.
-     *
-     * @return completion token for finished()/wait().
+     * Queue @p nchunks chunks of @p fn as @p job and return at once;
+     * workers pick jobs up in posting order. There is no inline fast
+     * path: with zero workers (or all of them busy) the chunks run
+     * during wait(), on the waiting thread. @p fn and everything it
+     * refers to must stay valid until the job is waited on. A
+     * zero-chunk post completes at once and is not queued.
      */
-    JobHandle submit(std::size_t nchunks,
-                     std::function<void(std::size_t)> fn);
-
-    /** @return true once every chunk of @p job completed (a null
-     *  handle counts as finished). */
-    static bool finished(const JobHandle &job);
+    void post(Job &job, std::size_t nchunks, ChunkRef fn);
 
     /**
-     * Block until @p job completes. The caller claims outstanding
-     * chunks like any worker, so waiting is nested-safe: it makes
-     * progress even from inside another job's chunk and with zero
-     * workers.
+     * Block until @p job completes and no worker is inside it. The
+     * caller claims outstanding runs like any worker, so waiting is
+     * nested-safe: it makes progress even from inside another job's
+     * chunk and with zero workers. Waiting on a job that was never
+     * posted, or is already waited for, returns at once.
      */
-    void wait(const JobHandle &job);
+    void wait(Job &job);
 
     /** Process-wide shared pool (lazily constructed). */
     static ThreadPool &global();
@@ -220,6 +205,9 @@ class ThreadPool
      *  cursor is spent. */
     void helpWith(Job &job, std::size_t r);
 
+    /** Re-arm @p job to run @p nchunks chunks of @p fn. */
+    void arm(Job &job, std::size_t nchunks, ChunkRef fn) const;
+
     /** Queue @p job; wake up to @p helpers parked workers. */
     void enqueue(Job &job, std::size_t helpers);
 
@@ -228,9 +216,6 @@ class ThreadPool
 
     /** Unlink spent jobs at the head; @return the head (mtx held). */
     Job *claimable();
-
-    /** Help with @p job, then return once no worker is inside it. */
-    void awaitJob(Job &job);
 
     /** Unlink @p job and wait for its workers to leave. */
     void retire(Job &job);

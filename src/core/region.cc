@@ -25,11 +25,8 @@ Region::~Region()
     // the contribution made at post time still completes them for
     // the other ranks, and results only ever land in our buffers
     // from our own test()/wait() calls, so no dangling writes.
-    if (epochOpen) {
-        ThreadPool::global().wait(epochHandle);
-        epochHandle.reset();
-        epochOpen = false;
-    }
+    if (epochOpen)
+        ThreadPool::global().wait(epochJob);
 }
 
 std::size_t
@@ -94,26 +91,20 @@ Region::end()
     // inline on the caller's thread, one analysis after another: a
     // digest is a few microseconds, less than a pool dispatch and
     // its wake-ups, so sync mode never touches the pool. In async
-    // mode they are submitted to the pool and deferred: the caller
-    // returns to the solver and the protocol for this iteration runs
-    // at drain time, so the "region.digest" spans on pool-worker
-    // tids are the work *hidden* under the next solver step. A
+    // mode they are posted to the pool as the region's epoch job
+    // and deferred: the caller returns to the solver and the
+    // protocol for this iteration runs at drain time, so the
+    // "region.digest" spans on pool-worker tids are the work
+    // *hidden* under the next solver step. A
     // single-thread pool has no worker to overlap onto, so async
     // degenerates to the synchronous path (the phase order —
     // snapshot, digest, protocol, all for iteration k — and thus
     // every result stays identical; only the execution moment
     // moves).
-    auto digest = [this](std::size_t a) {
-        static obs::Counter digests("region.digests_total");
-        obs::SpanTimer span("region.digest", "region");
-        analyses[a]->digestIteration();
-        digests.add();
-    };
     if (asyncAnalyses_ && !analyses.empty() &&
         ThreadPool::global().threadCount() > 1) {
         epochIter = iter;
-        epochHandle =
-            ThreadPool::global().submit(analyses.size(), digest);
+        ThreadPool::global().post(epochJob, analyses.size(), digest);
         epochOpen = true;
     } else {
         for (std::size_t a = 0; a < analyses.size(); ++a)
@@ -123,6 +114,15 @@ Region::end()
 
     ++iter;
     overhead += work.stop();
+}
+
+void
+Region::Digest::operator()(std::size_t a) const
+{
+    static obs::Counter digests("region.digests_total");
+    obs::SpanTimer span("region.digest", "region");
+    region->analyses[a]->digestIteration();
+    digests.add();
 }
 
 void
@@ -347,8 +347,7 @@ Region::drainNow()
 {
     if (!epochOpen)
         return;
-    ThreadPool::global().wait(epochHandle);
-    epochHandle.reset();
+    ThreadPool::global().wait(epochJob);
     epochOpen = false;
     finishIteration(epochIter);
 }

@@ -66,7 +66,7 @@ class Region
      * append, training, early-stop checks) run. By default they run
      * inline on the calling thread, one analysis after another, and
      * end() evaluates the stop protocol before returning; in async
-     * mode (see setAsyncAnalyses) the digests are submitted to the
+     * mode (see setAsyncAnalyses) the digests are posted to the
      * thread pool, deferred, and drained at the next end() or the
      * first query, whichever comes first.
      */
@@ -155,15 +155,17 @@ class Region
      * Pipeline the per-iteration ingest: end() still snapshots the
      * probe values on the calling thread, but returns without
      * waiting for the digests, so they overlap the next solver
-     * step. The in-flight epoch is drained, and its stop protocol
-     * evaluated for the iteration it belongs to, at the next end()
-     * or at the first query (shouldStop(), analysis(),
-     * lastBroadcast(), wavefrontRank(), overheadSeconds(),
-     * checkpoints), so extracted features, stop decisions, and
-     * checkpoints are bitwise identical to synchronous mode. A
-     * single-thread pool degenerates to the synchronous path (no
-     * worker to overlap onto, so deferring would only add queue
-     * bookkeeping).
+     * step. The digests run as one pool job that the region owns
+     * and posts each iteration (no allocation per epoch). The
+     * in-flight epoch is drained, and its stop protocol evaluated
+     * for the iteration it belongs to, at the next end() or at the
+     * first query (shouldStop(), analysis(), lastBroadcast(),
+     * wavefrontRank(), overheadSeconds(), checkpoints), so
+     * extracted features, stop decisions, and checkpoints are
+     * bitwise identical to synchronous mode; the destructor waits
+     * for it without running the protocol. A single-thread pool
+     * degenerates to the synchronous path (no worker to overlap
+     * onto, so deferring would only add queue bookkeeping).
      */
     void setAsyncAnalyses(bool async);
 
@@ -339,8 +341,17 @@ class Region
     bool bcastPending = false;
     /** @} */
 
-    /** In-flight digest epoch (async mode). @{ */
-    ThreadPool::JobHandle epochHandle;
+    /** The digest of analysis `a`: one chunk of the epoch job. */
+    struct Digest
+    {
+        Region *region;
+        void operator()(std::size_t a) const;
+    };
+
+    /** Digest epoch (async mode): the pool job, posted and waited
+     *  once per iteration, its body, and the iteration in flight. @{ */
+    ThreadPool::Job epochJob;
+    Digest digest{this};
     long epochIter = -1;
     bool epochOpen = false;
     /** @} */

@@ -268,14 +268,14 @@ dictBytes(std::size_t n, const std::vector<std::int64_t> &dict)
     return bytes + (n * dictIndexBits(dict.size()) + 7) / 8;
 }
 
-/** Sorted distinct values of @p vals. */
-std::vector<std::int64_t>
-sortedDistinct(const std::int64_t *vals, std::size_t n)
+/** Replace @p dict by the sorted distinct values of @p vals. */
+void
+sortedDistinct(const std::int64_t *vals, std::size_t n,
+               std::vector<std::int64_t> &dict)
 {
-    std::vector<std::int64_t> dict(vals, vals + n);
+    dict.assign(vals, vals + n);
     std::sort(dict.begin(), dict.end());
     dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-    return dict;
 }
 
 } // namespace
@@ -448,7 +448,9 @@ void
 encodeIntColumnDict(const std::int64_t *vals, std::size_t n,
                     std::vector<std::uint8_t> &out)
 {
-    encodeDictWith(vals, n, sortedDistinct(vals, n), out);
+    std::vector<std::int64_t> dict;
+    sortedDistinct(vals, n, dict);
+    encodeDictWith(vals, n, dict, out);
 }
 
 bool
@@ -548,9 +550,10 @@ encodeIntColumnTagged(const std::int64_t *vals, std::size_t n,
     // Dictionary only pays off (and only stays cheap to index) on
     // genuinely low-cardinality columns.
     constexpr std::size_t maxDictValues = 256;
-    std::vector<std::int64_t> dict;
+    // Reused across calls, so sealing a block stays off the heap.
+    thread_local std::vector<std::int64_t> dict;
     if (n > 0) {
-        dict = sortedDistinct(vals, n);
+        sortedDistinct(vals, n, dict);
         if (dict.size() <= maxDictValues) {
             const std::size_t bytes = dictBytes(n, dict);
             if (bytes < best_bytes) {

@@ -15,14 +15,23 @@ namespace store
 namespace
 {
 
+/** Failure of an operation on the whole file (open, size). */
 IoError
-errnoError(int code, std::uint64_t offset, const std::string &what)
+fileError(int code, const std::string &what)
 {
     IoError e;
     e.code = code != 0 ? code : EIO;
+    e.message = what + ": " + std::strerror(e.code);
+    return e;
+}
+
+/** Failure of a read or write at @p offset. */
+IoError
+errnoError(int code, std::uint64_t offset, const std::string &what)
+{
+    IoError e =
+        fileError(code, what + " at offset " + std::to_string(offset));
     e.offset = offset;
-    e.message = what + " at offset " + std::to_string(offset) +
-                ": " + std::strerror(e.code);
     return e;
 }
 
@@ -218,7 +227,7 @@ openOsFile(const std::string &path, IoError *error)
     std::FILE *fp = std::fopen(path.c_str(), "wb");
     if (!fp) {
         if (error)
-            *error = errnoError(errno, 0, "cannot open " + path);
+            *error = fileError(errno, "cannot open " + path);
         return nullptr;
     }
     return std::make_unique<OsFile>(fp, path);
@@ -231,14 +240,14 @@ openOsReadFile(const std::string &path, IoError *error)
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         if (error)
-            *error = errnoError(errno, 0, "cannot open " + path);
+            *error = fileError(errno, "cannot open " + path);
         return nullptr;
     }
     errno = 0;
     const off_t size = ::lseek(fd, 0, SEEK_END);
     if (size < 0) {
         if (error)
-            *error = errnoError(errno, 0, "cannot size " + path);
+            *error = fileError(errno, "cannot size " + path);
         ::close(fd);
         return nullptr;
     }

@@ -48,8 +48,9 @@ FeatureStoreReader::loadAndCheckHeader(
 
     store::IoError io;
     file_ = store::openReadFileVia(file_factory, path, &io);
+    // An open failure already names the path.
     if (!file_)
-        return reject("cannot open: " + io.message);
+        return fail(error, io.ok() ? path + ": cannot open" : io.message);
     if (file_->size() < store::headerBytes)
         return reject("truncated: shorter than the header");
     std::uint8_t header[store::headerBytes];

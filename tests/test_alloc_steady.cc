@@ -2,11 +2,14 @@
  * @file
  * Allocation budgets of the steady state, at every pool thread count:
  *
- *  - once a region has warmed up, a begin/end iteration of four sync
+ *  - once a region has warmed up, a begin/end iteration of four
  *    analyses (snapshot, normalize, append, training round,
- *    early-stop check, stop protocol) must not touch the heap. The
- *    only allowance is the amortized geometric growth of each
- *    analysis's ObservedSeries history;
+ *    early-stop check, stop protocol) must not touch the heap, with
+ *    the digests run inline (sync) or as the region's posted epoch
+ *    job (async), and with metrics on and a feature store attached
+ *    that seals a block every few iterations. The only allowance is
+ *    amortized geometric growth: of each analysis's ObservedSeries
+ *    history, and of the store writer's block index and zone map;
  *  - a warmed-up clover cycle (Timestep + HydroCycle: every parallel
  *    region and reduction of the solver) makes no allocation at all.
  *
@@ -26,6 +29,9 @@
 #include "base/thread_pool.hh"
 #include "clover2d/app.hh"
 #include "core/region.hh"
+#include "obs/metrics.hh"
+#include "store/writer.hh"
+#include "test_util.hh"
 
 namespace
 {
@@ -138,15 +144,48 @@ waveAnalysis(std::size_t k)
     return ac;
 }
 
+/** How a steady-state region runs its iterations. */
+enum class Mode
+{
+    Sync,
+    Async,
+    /** Sync, with metrics on and a feature store attached. */
+    SyncWithStore,
+};
+
+/** Records per block of the attached store: a few iterations each,
+ *  so the store seals hundreds of times in the counted phase. */
+constexpr std::size_t storeBlockCapacity = 16;
+
+/** ceil(log2(n)): the doublings of a vector grown to @p n. */
+std::size_t
+doublings(double n)
+{
+    return static_cast<std::size_t>(std::ceil(std::log2(n)));
+}
+
 /** Heap allocations made by the counted iterations at @p threads. */
 std::size_t
-steadyStateAllocations(int threads)
+steadyStateAllocations(int threads, Mode mode)
 {
     setGlobalThreadCount(threads);
     WaveDomain dom;
     Region region("alloc", &dom);
+    region.setAsyncAnalyses(mode == Mode::Async);
     for (std::size_t k = 0; k < analysisCount; ++k)
         region.addAnalysis(waveAnalysis(k));
+
+    const std::string path = test::tempPath("alloc_steady.tdfs");
+    std::unique_ptr<FeatureStoreWriter> store;
+    if (mode == Mode::SyncWithStore) {
+        StoreSchema schema;
+        schema.coeffCount = analysisCount + 2; // order 2 + k, + 1
+        StoreOptions opts;
+        opts.blockCapacity = storeBlockCapacity;
+        store = std::make_unique<FeatureStoreWriter>(path, schema, opts);
+        region.setFeatureStore(store.get());
+        obs::setMetricsEnabled(true);
+    }
 
     auto iterate = [&](long k) {
         region.begin();
@@ -161,26 +200,65 @@ steadyStateAllocations(int threads)
     const std::size_t made = allocations.load() - before;
     EXPECT_GT(region.analysis(0).trainingRounds(),
               static_cast<std::size_t>(warmupIters));
+    if (store) {
+        obs::setMetricsEnabled(false);
+        region.setFeatureStore(nullptr);
+        EXPECT_TRUE(store->ok());
+        EXPECT_GT(store->blocksSealed(), countedIters * analysisCount /
+                                            storeBlockCapacity);
+        store->finish();
+        std::remove(path.c_str());
+    }
     return made;
+}
+
+/** Check @p mode against @p budget at 1, 2 and 4 threads. */
+void
+expectWithinBudget(Mode mode, const char *what, std::size_t budget)
+{
+    for (const int threads : {1, 2, 4}) {
+        const std::size_t made = steadyStateAllocations(threads, mode);
+        std::printf("%s, %d threads: %zu allocations (budget %zu)\n",
+                    what, threads, made, budget);
+        EXPECT_LE(made, budget)
+            << what << ": " << made << " allocations over "
+            << countedIters << " iterations at " << threads
+            << " threads";
+    }
+    setGlobalThreadCount(1);
+}
+
+/** analyses x ceil(log2(total iterations)): the doublings of each
+ *  analysis's ObservedSeries history, nothing per iteration. */
+std::size_t
+historyBudget()
+{
+    return analysisCount *
+           doublings(static_cast<double>(warmupIters + countedIters));
 }
 
 TEST(AllocSteadyState, SyncRegionStaysOffTheHeap)
 {
-    // analyses x ceil(log2(total iterations)): the doublings of each
-    // analysis's ObservedSeries history, nothing per iteration.
-    const std::size_t budget =
-        analysisCount *
-        static_cast<std::size_t>(std::ceil(
-            std::log2(static_cast<double>(warmupIters + countedIters))));
-    for (const int threads : {1, 2, 4}) {
-        const std::size_t made = steadyStateAllocations(threads);
-        std::printf("%d threads: %zu allocations (budget %zu)\n",
-                    threads, made, budget);
-        EXPECT_LE(made, budget)
-            << made << " allocations over " << countedIters
-            << " iterations at " << threads << " threads";
-    }
-    setGlobalThreadCount(1);
+    expectWithinBudget(Mode::Sync, "sync", historyBudget());
+}
+
+TEST(AllocSteadyState, AsyncRegionStaysOffTheHeap)
+{
+    // Each iteration posts the region's own epoch job to the pool
+    // and waits for it at the next end(): no allocation per epoch.
+    expectWithinBudget(Mode::Async, "async", historyBudget());
+}
+
+TEST(AllocSteadyState, StoreSealsStayOffTheHeap)
+{
+    // Sealing a block encodes into the writer's reused buffer and
+    // adds one entry each to its block index and zone map: those two
+    // vectors double ceil(log2(blocks)) times, nothing per seal.
+    const double blocks = static_cast<double>(
+        (warmupIters + countedIters) * analysisCount /
+        storeBlockCapacity);
+    expectWithinBudget(Mode::SyncWithStore, "sync with store",
+                       historyBudget() + 2 * doublings(blocks));
 }
 
 /** Heap allocations made by @p counted clover 64^2 cycles. */

@@ -20,6 +20,7 @@
 #include "base/thread_pool.hh"
 #include "base/timer.hh"
 #include "core/region.hh"
+#include "obs/metrics.hh"
 #include "par/thread_comm.hh"
 
 namespace
@@ -219,6 +220,44 @@ TEST_F(AsyncRegionTest, QueriesDrainTheEpoch)
     EXPECT_TRUE(region.epochInFlight());
     EXPECT_FALSE(region.shouldStop());
     EXPECT_FALSE(region.epochInFlight());
+}
+
+TEST_F(AsyncRegionTest, DestructorWaitsForTheEpochInFlight)
+{
+    // Providers run on the caller at snapshot, so the digest is
+    // slowed by a wide window instead: each analysis digests 4,000
+    // locations per iteration and trains on their pairs, which keeps
+    // the workers inside the region's epoch job when the region is
+    // destroyed right after end(). The destructor must wait for
+    // them: afterwards every digest has run to the end, and under
+    // ASan a worker left in the job would touch the freed job and
+    // analyses.
+    setGlobalThreadCount(4);
+    obs::resetMetrics();
+    obs::setMetricsEnabled(true);
+    constexpr std::size_t analysisCount = 3;
+    constexpr long iters = 8; // training starts at iteration 5
+    constexpr int regions = 10;
+    for (int r = 0; r < regions; ++r) {
+        WaveDomain dom;
+        Region region("wave-dtor", &dom);
+        region.setAsyncAnalyses(true);
+        for (std::size_t a = 0; a < analysisCount; ++a) {
+            AnalysisConfig ac = waveAnalysis(false);
+            ac.space = IterParam(1, 4000, 1);
+            region.addAnalysis(ac);
+        }
+        for (long k = 0; k < iters; ++k) {
+            region.begin();
+            dom.iter = k;
+            region.end();
+        }
+        EXPECT_TRUE(region.epochInFlight());
+    }
+    const std::uint64_t digests =
+        obs::snapshotMetrics().counter("region.digests_total");
+    obs::setMetricsEnabled(false);
+    EXPECT_EQ(digests, regions * iters * analysisCount);
 }
 
 /** A wave domain that records the thread of every provider call. */

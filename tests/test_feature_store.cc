@@ -1276,6 +1276,30 @@ TEST(StoreFault, FaultyReadFileCountsDownAndHeals)
     std::remove(path.c_str());
 }
 
+TEST(StoreFault, MissingFileErrorNamesThePathOnce)
+{
+    const std::string path = tempPath("missing.tdfs");
+    std::remove(path.c_str());
+    const auto occurrences = [&path](const std::string &text) {
+        std::size_t n = 0;
+        for (std::size_t at = text.find(path); at != std::string::npos;
+             at = text.find(path, at + path.size()))
+            ++n;
+        return n;
+    };
+    for (const bool salvage : {false, true}) {
+        std::string error;
+        const auto r = salvage
+                           ? FeatureStoreReader::salvage(path, &error)
+                           : FeatureStoreReader::open(path, &error);
+        EXPECT_EQ(r, nullptr);
+        EXPECT_EQ(occurrences(error), 1u) << error;
+        EXPECT_NE(error.find(std::strerror(ENOENT)), std::string::npos)
+            << error;
+        EXPECT_EQ(error.find("at offset"), std::string::npos) << error;
+    }
+}
+
 TEST(StoreFault, UnopenablePathDegradesInsteadOfAborting)
 {
     StoreSchema schema;

@@ -11,7 +11,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -207,73 +206,115 @@ TEST(ThreadPool, ResizeAndEnvSizing)
     EXPECT_EQ(runs.load(), 15);
 }
 
-TEST(ThreadPool, SubmitWaitFinished)
+TEST(ThreadPool, PostWaitRunsEveryChunkOnce)
 {
-    // Null and empty handles count as finished; wait is a no-op.
-    ThreadPool::JobHandle null_job;
-    EXPECT_TRUE(ThreadPool::finished(null_job));
-
     ThreadPool pool(3);
-    const ThreadPool::JobHandle empty =
-        pool.submit(0, [](std::size_t) { FAIL(); });
-    EXPECT_TRUE(ThreadPool::finished(empty));
+
+    // A zero-chunk job runs nothing; wait returns at once, as it
+    // does for a job never posted.
+    ThreadPool::Job never;
+    pool.wait(never);
+    ThreadPool::Job empty;
+    const auto fail = [](std::size_t) { FAIL(); };
+    pool.post(empty, 0, fail);
     pool.wait(empty);
 
-    // Deferred chunks complete exactly once each; wait() blocks
-    // until the counter is spent, after which finished() is stable.
-    std::atomic<int> runs{0};
-    const ThreadPool::JobHandle job =
-        pool.submit(64, [&](std::size_t) { ++runs; });
+    // Posted chunks complete exactly once each by the time wait()
+    // returns.
+    std::vector<std::atomic<int>> hits(64);
+    const auto count = [&](std::size_t c) { ++hits[c]; };
+    ThreadPool::Job job;
+    pool.post(job, hits.size(), count);
     pool.wait(job);
-    EXPECT_TRUE(ThreadPool::finished(job));
-    EXPECT_EQ(runs.load(), 64);
+    for (std::size_t c = 0; c < hits.size(); ++c)
+        ASSERT_EQ(hits[c].load(), 1) << "chunk " << c;
 
     // Zero workers: nothing runs until the waiter helps.
     ThreadPool solo(1);
     std::atomic<int> solo_runs{0};
-    const ThreadPool::JobHandle deferred =
-        solo.submit(8, [&](std::size_t) { ++solo_runs; });
+    const auto solo_body = [&](std::size_t) { ++solo_runs; };
+    ThreadPool::Job deferred;
+    solo.post(deferred, 8, solo_body);
     EXPECT_EQ(solo_runs.load(), 0);
-    EXPECT_FALSE(ThreadPool::finished(deferred));
     solo.wait(deferred);
-    EXPECT_TRUE(ThreadPool::finished(deferred));
     EXPECT_EQ(solo_runs.load(), 8);
 }
 
-/**
- * Occupy every worker of @p pool with a submitted job whose chunks
- * block until @p release is set. @return the job's handle.
- */
-ThreadPool::JobHandle
-occupyWorkers(ThreadPool &pool, std::atomic<bool> &release)
+TEST(ThreadPool, APostedJobRunsAgainWhenPostedAgain)
 {
-    const std::size_t workers =
-        static_cast<std::size_t>(pool.threadCount() - 1);
-    auto entered = std::make_shared<std::atomic<std::size_t>>(0);
-    ThreadPool::JobHandle job =
-        pool.submit(workers, [entered, &release](std::size_t) {
-            entered->fetch_add(1);
-            while (!release.load())
-                std::this_thread::yield();
-        });
-    while (entered->load() < workers)
-        std::this_thread::yield();
-    return job;
+    // The owner re-arms one job per epoch, as a Region does.
+    for (const int threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        constexpr std::size_t chunks = 5;
+        constexpr int epochs = 200;
+        std::vector<std::atomic<int>> hits(chunks);
+        const auto body = [&](std::size_t c) { ++hits[c]; };
+        ThreadPool::Job job;
+        for (int e = 1; e <= epochs; ++e) {
+            pool.post(job, chunks, body);
+            pool.wait(job);
+            for (std::size_t c = 0; c < chunks; ++c)
+                ASSERT_EQ(hits[c].load(), e)
+                    << threads << " threads, epoch " << e
+                    << ", chunk " << c;
+        }
+    }
 }
 
-TEST(ThreadPool, ConcurrentRunChunksBesideAPendingSubmit)
+/**
+ * Holds every worker of a pool inside one posted job, one blocking
+ * chunk per worker, for the occupier's lifetime.
+ */
+class WorkerOccupier
+{
+  public:
+    explicit WorkerOccupier(ThreadPool &pool)
+        : pool(pool),
+          workers(static_cast<std::size_t>(pool.threadCount() - 1))
+    {
+        pool.post(job, workers, *this);
+        while (entered.load() < workers)
+            std::this_thread::yield();
+    }
+
+    /** Lets the chunks return, and waits for the job. */
+    ~WorkerOccupier()
+    {
+        released = true;
+        pool.wait(job);
+        EXPECT_EQ(entered.load(), workers);
+    }
+
+    void
+    operator()(std::size_t)
+    {
+        entered.fetch_add(1);
+        while (!released.load())
+            std::this_thread::yield();
+    }
+
+  private:
+    ThreadPool &pool;
+    const std::size_t workers;
+    std::atomic<std::size_t> entered{0};
+    std::atomic<bool> released{false};
+    ThreadPool::Job job;
+};
+
+TEST(ThreadPool, ConcurrentRunChunksBesideAPendingPost)
 {
     ThreadPool pool(4);
-    // A slow submitted job is queued first and holds a worker while
+    // A slow posted job is queued first and holds a worker while
     // three threads dispatch their own jobs.
     std::atomic<bool> release{false};
     std::atomic<int> slow_runs{0};
-    const ThreadPool::JobHandle slow =
-        pool.submit(1, [&](std::size_t) {
-            while (!release.load())
-                std::this_thread::yield();
-            ++slow_runs;
-        });
+    const auto slow_body = [&](std::size_t) {
+        while (!release.load())
+            std::this_thread::yield();
+        ++slow_runs;
+    };
+    ThreadPool::Job slow;
+    pool.post(slow, 1, slow_body);
 
     constexpr int callers = 3;
     constexpr std::size_t chunks = 257;
@@ -293,7 +334,7 @@ TEST(ThreadPool, ConcurrentRunChunksBesideAPendingSubmit)
     }
     for (std::thread &th : threads)
         th.join();
-    EXPECT_FALSE(ThreadPool::finished(slow));
+    EXPECT_EQ(slow_runs.load(), 0);
     release = true;
     pool.wait(slow);
     EXPECT_EQ(slow_runs.load(), 1);
@@ -330,8 +371,7 @@ TEST(ThreadPool, ResizeWhileWorkersSpinStaysUsable)
 TEST(ThreadPool, NestedBatchedRunChunksFinishOnTheCallerAlone)
 {
     ThreadPool pool(4);
-    std::atomic<bool> release{false};
-    const ThreadPool::JobHandle busy = occupyWorkers(pool, release);
+    WorkerOccupier busy(pool);
 
     // Every worker is blocked, so the caller claims every run of the
     // outer job (runs of several chunks at 4 threads) and of each
@@ -351,10 +391,6 @@ TEST(ThreadPool, NestedBatchedRunChunksFinishOnTheCallerAlone)
     EXPECT_EQ(off_caller.load(), 0);
     for (std::size_t k = 0; k < hits.size(); ++k)
         ASSERT_EQ(hits[k], 1) << "chunk " << k;
-
-    release = true;
-    pool.wait(busy);
-    EXPECT_TRUE(ThreadPool::finished(busy));
 }
 
 TEST(ThreadPool, ThrowOnTheCallerWaitsForWorkersAndRethrows)
