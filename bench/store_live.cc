@@ -1,41 +1,30 @@
 /**
  * @file
  * Live-serving overhead (PR 9): what snapshot-isolated tail readers
- * cost the producer.
+ * cost the producer. Live views follow the data file itself (see
+ * store/live.hh), so the writer does no extra work for them; what
+ * is left to measure is reader interference.
  *
- * Part 1 — publication cost: the same record stream written with
- * and without live-manifest publication at matched durability
- * (flush-per-seal, so the per-seal flush is common to both and the
- * manifest's encode + tmp-write + rename is the only delta). The
- * per-seal row (--publish-every 1) is informative — an atomic
- * rename per 256-record block is dominated by filesystem metadata
- * ops; StoreOptions::livePublishEvery exists precisely to amortize
- * it, so the gate runs at --publish-every (default 8). Gates (exit
- * 1 on failure):
+ * The writer alone vs the same write with --readers concurrent
+ * threads each following the store through LiveStoreReader/
+ * TailCursor while it grows. Both sides write at flush-per-seal
+ * durability, the policy under which a tail sees every block at the
+ * next seal. The writer is paced (--pace-us between appends) to
+ * model the in-situ setting the live layer serves: the solver
+ * computes between extractions, and readers consume those cycles —
+ * an unpaced tight-loop writer on a single hardware thread measures
+ * raw CPU saturation, not serving overhead. Only the exposed
+ * append/seal path is timed, so pacing itself never counts. Gates
+ * (exit 1 on failure; each prints its name, value, and bound, and
+ * the last line names every gate that failed):
  *
- *   - best-of-reps amortized live exposed cost <= --publish-gate x
- *     the no-manifest baseline;
- *   - the data files are byte-identical (FNV digest) at every
- *     publication cadence — publication must never touch the data
- *     path.
- *
- * Part 2 — reader interference: the live writer alone vs the same
- * write with --readers concurrent threads each following the store
- * through LiveStoreReader/TailCursor while it grows. The writer is
- * paced (--pace-us between appends) to model the in-situ setting
- * the live layer serves: the solver computes between extractions,
- * and readers consume those cycles — an unpaced tight-loop writer
- * on a single hardware thread measures raw CPU saturation, not
- * serving overhead. Only the exposed append/seal path is timed, so
- * pacing itself never counts. Gates:
- *
- *   - writer exposed cost with readers <= --readers-gate x alone
- *     (same pacing both sides; the paper's in-situ budget must not
- *     regress when a dashboard attaches);
- *   - every reader delivers every record exactly once, in order,
- *     and the tailed stream's record digest equals a footer-backed
- *     read of the finished store — the live path serves the same
- *     bytes the post-hoc path does.
+ *   - readers: writer exposed cost with readers <= --readers-gate x
+ *     alone (same pacing both sides; the paper's in-situ budget must
+ *     not regress when a dashboard attaches);
+ *   - tails_exact: every reader delivers every record exactly once,
+ *     in order, and the tailed stream's record digest equals a
+ *     footer-backed read of the finished store — the live path
+ *     serves the same bytes the post-hoc path does.
  *
  * Writes JSON via bench_to_json (PERF.md schema).
  */
@@ -43,17 +32,14 @@
 #include "bench/bench_common.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "store/live.hh"
-#include "store/manifest.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
 
@@ -100,48 +86,29 @@ foldRecord(const FeatureRecord &rec, std::uint64_t h)
     return h;
 }
 
-struct WriteResult
-{
-    double exposed = 0.0; ///< writer seal-path + finish seconds
-    std::size_t bytes = 0;
-    std::uint64_t fileDigest = 0;
-    std::uint64_t published = 0;
-};
-
-WriteResult
+/** One paced flush-per-seal write of @p records records.
+ *  @return the writer's exposed (seal-path + finish) seconds. */
+double
 writeOnce(const std::string &path, std::size_t records,
-          std::size_t coeffs, std::size_t block, bool live,
-          store::DurabilityPolicy durability,
-          std::size_t publish_every = 1, long pace_us = 0)
+          std::size_t coeffs, std::size_t block, long pace_us)
 {
     StoreSchema schema;
     schema.coeffCount = coeffs;
     StoreOptions opts;
     opts.blockCapacity = block;
-    opts.durability = durability;
-    opts.live = live;
-    opts.livePublishEvery = publish_every;
-    WriteResult res;
+    opts.durability = store::DurabilityPolicy::FlushPerSeal;
     FeatureRecord rec;
     rec.coeffs.resize(coeffs);
-    {
-        FeatureStoreWriter w(path, schema, opts);
-        for (std::size_t i = 0; i < records; ++i) {
-            synthRecord(i, rec);
-            w.append(rec);
-            if (pace_us > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(pace_us));
-        }
-        res.bytes = w.finish();
-        res.exposed = w.exposedSeconds();
-        res.published = w.livePublished();
+    FeatureStoreWriter w(path, schema, opts);
+    for (std::size_t i = 0; i < records; ++i) {
+        synthRecord(i, rec);
+        w.append(rec);
+        if (pace_us > 0)
+            std::this_thread::sleep_for(
+                std::chrono::microseconds(pace_us));
     }
-    std::ifstream in(path, std::ios::binary);
-    const std::string bytes((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-    res.fileDigest = fnv1a(bytes);
-    return res;
+    w.finish();
+    return w.exposedSeconds();
 }
 
 /** One tailing reader: follow @p path until the stream ends.
@@ -179,22 +146,16 @@ tailStore(const std::string &path, std::uint64_t &digest,
 int
 main(int argc, char **argv)
 {
-    ArgParser args("live-serving overhead: manifest publication and "
-                   "polling-reader interference");
+    ArgParser args("live-serving overhead: polling-reader "
+                   "interference with the writer");
     args.addInt("records", 150000, "records per run");
     args.addInt("coeffs", 4, "coefficient columns");
     args.addInt("block", 256, "records per block");
     args.addInt("reps", 3, "repetitions (best-of)");
-    args.addInt("readers", 4, "concurrent tail readers (part 2)");
-    args.addInt("publish-every", 8,
-                "seals per manifest publication for the gated row "
-                "(per-seal cadence is reported as informative)");
+    args.addInt("readers", 4, "concurrent tail readers");
     args.addInt("pace-us", 20,
                 "microseconds of simulated solver work between "
-                "appends (part 2; pacing is never timed)");
-    args.addDouble("publish-gate", 1.5,
-                   "fail when amortized live exposed > gate * "
-                   "no-manifest exposed at matched durability");
+                "appends (pacing is never timed)");
     args.addDouble("readers-gate", 1.15,
                    "fail when exposed with readers > gate * alone");
     args.addString("json", "", "write results to this JSON file");
@@ -207,112 +168,26 @@ main(int argc, char **argv)
     const auto block = static_cast<std::size_t>(args.getInt("block"));
     const int reps = static_cast<int>(args.getInt("reps"));
     const int n_readers = static_cast<int>(args.getInt("readers"));
-    const auto publish_every =
-        static_cast<std::size_t>(args.getInt("publish-every"));
     const long pace_us = args.getInt("pace-us");
-    const double publish_gate = args.getDouble("publish-gate");
     const double readers_gate = args.getDouble("readers-gate");
 
     banner("live store serving (PR 9)",
-           "manifest publication + polling-reader interference on "
-           "the exposed append cost");
+           "polling-reader interference on the exposed append cost "
+           "(flush per seal)");
     std::printf("-- hardware threads: %u\n\n",
                 std::thread::hardware_concurrency());
 
     std::vector<BenchRecord> records;
-    bool ok = true;
     const std::string path = "store_live_bench.tdfs";
-    auto cleanup = [&path] {
-        std::remove(path.c_str());
-        std::remove(store::manifestPathFor(path).c_str());
-    };
 
-    // ------------------------------------- part 1: publication cost
-    WriteResult base_best, seal_best, amort_best;
-    base_best.exposed = seal_best.exposed = amort_best.exposed =
-        1e100;
-    bool identical = true;
-    for (int rep = 0; rep < reps; ++rep) {
-        const WriteResult b =
-            writeOnce(path, records_n, coeffs, block, false,
-                      store::DurabilityPolicy::FlushPerSeal);
-        std::remove(path.c_str());
-        const WriteResult s =
-            writeOnce(path, records_n, coeffs, block, true,
-                      store::DurabilityPolicy::FlushPerSeal, 1);
-        cleanup();
-        const WriteResult a =
-            writeOnce(path, records_n, coeffs, block, true,
-                      store::DurabilityPolicy::FlushPerSeal,
-                      publish_every);
-        cleanup();
-        if (b.exposed < base_best.exposed)
-            base_best = b;
-        if (s.exposed < seal_best.exposed)
-            seal_best = s;
-        if (a.exposed < amort_best.exposed)
-            amort_best = a;
-        if (b.fileDigest != s.fileDigest ||
-            b.fileDigest != a.fileDigest)
-            identical = false;
-    }
-    const double n = static_cast<double>(records_n);
-    const double per_seal_ratio =
-        seal_best.exposed / std::max(base_best.exposed, 1e-12);
-    const double publish_ratio =
-        amort_best.exposed / std::max(base_best.exposed, 1e-12);
-    AsciiTable pub({"mode", "exposed us/rec", "vs base",
-                    "manifests", "identical"});
-    pub.addRow({"flush-per-seal",
-                AsciiTable::fmt(1e6 * base_best.exposed / n, 3), "1.00",
-                "0", "-"});
-    pub.addRow({"+ manifest/seal",
-                AsciiTable::fmt(1e6 * seal_best.exposed / n, 3),
-                AsciiTable::fmt(per_seal_ratio, 2),
-                std::to_string(seal_best.published),
-                identical ? "yes" : "NO"});
-    pub.addRow({"+ manifest/" + std::to_string(publish_every) +
-                    " seals",
-                AsciiTable::fmt(1e6 * amort_best.exposed / n, 3),
-                AsciiTable::fmt(publish_ratio, 2),
-                std::to_string(amort_best.published),
-                identical ? "yes" : "NO"});
-    pub.print();
-    std::printf("publication gate (every %zu seals): "
-                "%.2f <= %.2f, data identical: %s\n\n",
-                publish_every, publish_ratio, publish_gate,
-                identical ? "yes" : "NO");
-    if (publish_ratio > publish_gate || !identical)
-        ok = false;
-    {
-        BenchRecord rec;
-        rec.name = "manifest_publication";
-        rec.metrics["records"] = n;
-        rec.metrics["base_exposed_s"] = base_best.exposed;
-        rec.metrics["per_seal_exposed_s"] = seal_best.exposed;
-        rec.metrics["amortized_exposed_s"] = amort_best.exposed;
-        rec.metrics["per_seal_ratio"] = per_seal_ratio;
-        rec.metrics["publish_ratio"] = publish_ratio;
-        rec.metrics["publish_every"] =
-            static_cast<double>(publish_every);
-        rec.metrics["manifests_published"] =
-            static_cast<double>(amort_best.published);
-        rec.metrics["data_identical"] = identical ? 1.0 : 0.0;
-        records.push_back(rec);
-    }
-
-    // --------------------------------- part 2: reader interference
-    WriteResult alone_best, shared_best;
-    alone_best.exposed = shared_best.exposed = 1e100;
+    double alone_best = 1e100, shared_best = 1e100;
     bool tails_exact = true;
     std::uint64_t footer_digest = 0;
     for (int rep = 0; rep < reps; ++rep) {
-        const WriteResult alone =
-            writeOnce(path, records_n, coeffs, block, true,
-                      store::DurabilityPolicy::None, 1, pace_us);
-        cleanup();
-        if (alone.exposed < alone_best.exposed)
-            alone_best = alone;
+        alone_best = std::min(
+            alone_best,
+            writeOnce(path, records_n, coeffs, block, pace_us));
+        std::remove(path.c_str());
 
         std::vector<std::thread> tails;
         std::vector<std::uint64_t> digests(
@@ -329,13 +204,11 @@ main(int argc, char **argv)
                     tailStore(path, digests[ti], in_order);
                 ordered[ti] = in_order ? 1 : 0;
             });
-        const WriteResult shared =
-            writeOnce(path, records_n, coeffs, block, true,
-                      store::DurabilityPolicy::None, 1, pace_us);
+        shared_best = std::min(
+            shared_best,
+            writeOnce(path, records_n, coeffs, block, pace_us));
         for (std::thread &t : tails)
             t.join();
-        if (shared.exposed < shared_best.exposed)
-            shared_best = shared;
 
         // The tailed stream must be the stream: digest-equal to a
         // footer-backed read of the finished store.
@@ -358,34 +231,41 @@ main(int argc, char **argv)
                 digests[ti] != want)
                 tails_exact = false;
         }
-        cleanup();
+        std::remove(path.c_str());
     }
+    const double n = static_cast<double>(records_n);
     const double readers_ratio =
-        shared_best.exposed / std::max(alone_best.exposed, 1e-12);
+        shared_best / std::max(alone_best, 1e-12);
     AsciiTable interference(
         {"writer", "exposed us/rec", "vs alone", "tails exact"});
     interference.addRow(
-        {"alone", AsciiTable::fmt(1e6 * alone_best.exposed / n, 3),
-         "1.00", "-"});
+        {"alone", AsciiTable::fmt(1e6 * alone_best / n, 3), "1.00",
+         "-"});
     interference.addRow(
         {std::to_string(n_readers) + " readers",
-         AsciiTable::fmt(1e6 * shared_best.exposed / n, 3),
+         AsciiTable::fmt(1e6 * shared_best / n, 3),
          AsciiTable::fmt(readers_ratio, 2),
          tails_exact ? "yes" : "NO"});
     interference.print();
-    std::printf("readers gate: %.2f <= %.2f, tails exact: %s\n",
-                readers_ratio, readers_gate,
-                tails_exact ? "yes" : "NO");
-    if (readers_ratio > readers_gate || !tails_exact)
-        ok = false;
+
+    std::vector<std::string> failed;
+    std::printf("gate readers: %.2f <= %.2f %s\n", readers_ratio,
+                readers_gate,
+                readers_ratio <= readers_gate ? "ok" : "FAIL");
+    if (!(readers_ratio <= readers_gate))
+        failed.push_back("readers");
+    std::printf("gate tails_exact: %s == yes %s\n",
+                tails_exact ? "yes" : "no", tails_exact ? "ok" : "FAIL");
+    if (!tails_exact)
+        failed.push_back("tails_exact");
     {
         BenchRecord rec;
         rec.name = "reader_interference";
         rec.metrics["records"] = n;
         rec.metrics["readers"] = static_cast<double>(n_readers);
         rec.metrics["pace_us"] = static_cast<double>(pace_us);
-        rec.metrics["alone_exposed_s"] = alone_best.exposed;
-        rec.metrics["shared_exposed_s"] = shared_best.exposed;
+        rec.metrics["alone_exposed_s"] = alone_best;
+        rec.metrics["shared_exposed_s"] = shared_best;
         rec.metrics["readers_ratio"] = readers_ratio;
         rec.metrics["tails_exact"] = tails_exact ? 1.0 : 0.0;
         rec.metrics["stream_digest"] =
@@ -402,9 +282,8 @@ main(int argc, char **argv)
         meta["records"] = std::to_string(records_n);
         meta["block"] = std::to_string(block);
         meta["readers"] = std::to_string(n_readers);
-        meta["publish_every"] = std::to_string(publish_every);
         meta["pace_us"] = std::to_string(pace_us);
-        meta["publish_gate"] = AsciiTable::fmt(publish_gate, 2);
+        meta["durability"] = "flush";
         meta["readers_gate"] = AsciiTable::fmt(readers_gate, 2);
         if (!bench_to_json(json, meta, records))
             std::printf("!! failed to write %s\n", json.c_str());
@@ -412,6 +291,13 @@ main(int argc, char **argv)
             std::printf("-- wrote %s\n", json.c_str());
     }
 
-    std::printf("\n%s\n", ok ? "ALL GATES PASSED" : "GATE FAILURES");
-    return ok ? 0 : 1;
+    if (failed.empty()) {
+        std::printf("\nALL GATES PASSED\n");
+        return 0;
+    }
+    std::string names;
+    for (const std::string &g : failed)
+        names += (names.empty() ? "" : ", ") + g;
+    std::printf("\nGATE FAILURES: %s\n", names.c_str());
+    return 1;
 }

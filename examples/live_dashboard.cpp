@@ -1,8 +1,8 @@
 /**
  * @file
  * Live dashboard: a writer thread streams extracted features into a
- * store with live publication on, while the main thread follows it
- * through a LiveStoreReader — the in-situ monitoring loop the live
+ * store at flush-per-seal durability, while the main thread follows
+ * it through a LiveStoreReader — the in-situ monitoring loop the live
  * serving layer exists for. Each time the view advances, the
  * dashboard reprints: generation, lifecycle state, sealed records,
  * and a filtered aggregate (min/mean MSE) computed by the regular
@@ -30,7 +30,6 @@
 
 #include "base/cli.hh"
 #include "store/live.hh"
-#include "store/manifest.hh"
 #include "store/query.hh"
 #include "store/writer.hh"
 
@@ -46,7 +45,7 @@ main(int argc, char **argv)
     args.addInt("records", 4096, "records the writer appends");
     args.addInt("block", 256, "records per sealed block");
     args.addString("store", "live_dashboard.tdfs",
-                   "store path (the \".live\" sidecar is derived)");
+                   "store path");
     args.addInt("delay-us", 50,
                 "microseconds between appends (writer pacing)");
     args.parse(argc, argv);
@@ -62,13 +61,13 @@ main(int argc, char **argv)
     constexpr std::size_t n_coeffs = 3;
 
     // Writer side: synthetic feature records shaped like the blast
-    // harness's (decaying MSE, advancing wavefront), published live
-    // after every sealed block.
+    // harness's (decaying MSE, advancing wavefront). Flushing every
+    // sealed block lets the tail adopt block k at seal k + 1.
     std::atomic<bool> writer_ok{true};
     std::thread writer([&] {
         StoreOptions options;
         options.blockCapacity = block;
-        options.live = true;
+        options.durability = store::DurabilityPolicy::FlushPerSeal;
         FeatureStoreWriter w(path, StoreSchema{n_coeffs}, options);
         FeatureRecord rec;
         rec.coeffs.resize(n_coeffs);
@@ -92,7 +91,7 @@ main(int argc, char **argv)
                     std::chrono::microseconds(delay_us));
         }
         w.finish();
-        writer_ok.store(writer_ok.load() && w.ok() && w.liveOk());
+        writer_ok.store(writer_ok.load() && w.ok());
     });
 
     // Reader side: tail the store as it grows. The stall deadline
@@ -166,7 +165,6 @@ main(int argc, char **argv)
         return 1;
     }
     std::remove(path.c_str());
-    std::remove(store::manifestPathFor(path).c_str());
     finishObsOptions(obsCli);
     return 0;
 }

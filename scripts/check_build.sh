@@ -133,16 +133,17 @@ rm -f check_resume.tdfs check_resume.tdfs.reference \
 
 # Live serving smoke: first the dashboard demo (in-process writer +
 # tail, exits nonzero unless the tail delivers every record exactly
-# once), then the cross-process crash drill — a live clover run is
-# tailed concurrently by tdfstool and SIGKILLed mid-write; the tail
-# must end cleanly on its own (stall deadline -> salvaged static
-# view), and every record it delivered must be a textual prefix of
-# a full query over the recovered store. That is the PR-9 contract:
-# a reader never sees a record a crash can take back.
+# once), then the cross-process crash drill — a clover run writing
+# its store at flush-per-seal durability is tailed concurrently by
+# tdfstool and SIGKILLed mid-write; the tail must end cleanly on its
+# own (stall deadline -> salvaged static view), and every record it
+# delivered must be a textual prefix of a full query over the
+# recovered store. That is the PR-9 contract: a reader never sees a
+# record a crash can take back.
 ./example_live_dashboard --records 2048 --block 128 \
     --store check_dash.tdfs
-./example_clover_shock --size 96 --store check_live.tdfs --store-live \
-    > /dev/null &
+./example_clover_shock --size 96 --store check_live.tdfs \
+    --store-durability flush > /dev/null &
 writer_pid=$!
 ./tdfstool tail check_live.tdfs --stall 5 > check_tailed.csv &
 tail_pid=$!
@@ -170,7 +171,7 @@ if (( tailed_rows < 2 )); then
   echo "!! live tail delivered no records before the kill" && exit 1
 fi
 head -n "$tailed_rows" check_live_full.csv | diff - check_tailed.csv
-rm -f check_live.tdfs check_live.tdfs.live check_live_salvaged.tdfs \
+rm -f check_live.tdfs check_live_salvaged.tdfs \
     check_tailed.csv check_live_full.csv
 
 cd "$root"

@@ -201,9 +201,10 @@ addStoreOptions(ArgParser &args)
                    "write extracted features to a trace store at "
                    "this path (empty: disabled)");
     args.addString("store-durability", "none",
-                   "when sealed store blocks become durable: none, "
-                   "flush (flush per seal), or fsync (fsync per "
-                   "seal)");
+                   "when sealed store blocks become durable, and "
+                   "visible to a live tail (tdfstool tail): none "
+                   "(when the stdio buffer is written out), flush "
+                   "(flush per seal), or fsync (fsync per seal)");
     args.addString("store-merge-policy", "fail",
                    "rank-merge treatment of unreadable store parts: "
                    "fail (abort) or skip (salvage what decodes, "
@@ -211,10 +212,6 @@ addStoreOptions(ArgParser &args)
     args.addFlag("store-keep-parts",
                  "keep the per-rank store part files after the "
                  "merge");
-    args.addFlag("store-live",
-                 "publish a live manifest (\"<store>.live\") after "
-                 "sealed blocks so concurrent readers (tdfstool "
-                 "tail) can follow the run");
 }
 
 StoreCliOptions
@@ -225,7 +222,6 @@ storeOptions(const ArgParser &args)
     opts.durability = args.getString("store-durability");
     opts.mergePolicy = args.getString("store-merge-policy");
     opts.keepParts = args.getFlag("store-keep-parts");
-    opts.live = args.getFlag("store-live");
     return opts;
 }
 

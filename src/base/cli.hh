@@ -130,20 +130,16 @@ struct StoreCliOptions
     /** Keep per-rank part files after the merge
      *  (--store-keep-parts). */
     bool keepParts = false;
-    /** Publish a live manifest after sealed blocks so concurrent
-     *  tail readers can follow the run (--store-live). */
-    bool live = false;
 };
 
 /**
  * Register the standard feature-store options: `--store <path>`
  * (write extracted features to a trace store; empty default
- * disables), `--store-durability none|flush|fsync` (when sealed blocks become
- * durable), `--store-merge-policy fail|skip` (what the rank merge
- * does with unreadable parts), the `--store-keep-parts` flag (keep
- * per-rank part files after the merge), and the `--store-live` flag
- * (publish a live manifest so `tdfstool tail` and other live views
- * can follow the run as it writes).
+ * disables), `--store-durability none|flush|fsync` (when sealed
+ * blocks become durable, and so when `tdfstool tail` sees them),
+ * `--store-merge-policy fail|skip` (what the rank merge does with
+ * unreadable parts), and the `--store-keep-parts` flag (keep
+ * per-rank part files after the merge).
  */
 void addStoreOptions(ArgParser &args);
 

@@ -62,7 +62,7 @@ bool logQuiet();
 /**
  * One-shot degrade warning: the shared convention behind every
  * "warn once, then stay quiet" sticky-degrade path (store writer
- * failure, checkpoint degrade, live-manifest loss, comm watchdog).
+ * failure, checkpoint degrade, comm watchdog).
  *
  * The first caller to flip @p fired warns with @p message and
  * counts one `degrade_total.<subsystem>` metric (obs::addDegrade);

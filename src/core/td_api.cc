@@ -59,7 +59,7 @@ struct td_store
     std::string errorMsg;
 };
 
-/** C-side live-view handle: the manifest follower plus the tail
+/** C-side live-view handle: the data-file follower plus the tail
  *  cursor streaming its snapshots (see store/live.hh). */
 struct td_store_view
 {
@@ -119,7 +119,7 @@ buildQueryFilter(long iter_begin, long iter_end, long analysis,
  *  invalid arguments. */
 td_store_t *
 openStore(const char *path, int n_coeffs, int block_capacity,
-          const char *durability, bool live)
+          const char *durability)
 {
     if (!path || n_coeffs < 0 || block_capacity < 0)
         return nullptr;
@@ -129,7 +129,6 @@ openStore(const char *path, int n_coeffs, int block_capacity,
     if (block_capacity > 0)
         options.blockCapacity =
             static_cast<std::size_t>(block_capacity);
-    options.live = live;
     if (durability) {
         using tdfe::store::DurabilityPolicy;
         const std::string d(durability);
@@ -354,23 +353,14 @@ td_region_overhead_seconds(const td_region_t *region)
 td_store_t *
 td_store_open(const char *path, int n_coeffs, int block_capacity)
 {
-    return openStore(path, n_coeffs, block_capacity, nullptr, false);
+    return openStore(path, n_coeffs, block_capacity, nullptr);
 }
 
 td_store_t *
 td_store_open_ex(const char *path, int n_coeffs, int block_capacity,
                  const char *durability)
 {
-    return openStore(path, n_coeffs, block_capacity, durability,
-                     false);
-}
-
-td_store_t *
-td_store_open_live(const char *path, int n_coeffs,
-                   int block_capacity, const char *durability)
-{
-    return openStore(path, n_coeffs, block_capacity, durability,
-                     true);
+    return openStore(path, n_coeffs, block_capacity, durability);
 }
 
 int

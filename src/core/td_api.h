@@ -198,8 +198,12 @@ td_store_t *td_store_open(const char *path, int n_coeffs,
  * (OS-buffered, fastest), "flush" (flush per sealed block — a
  * process crash loses at most the in-flight block), or "fsync"
  * (fsync per sealed block — sealed blocks survive node loss).
- * NULL means "none". @return NULL on invalid arguments, including
- * an unknown durability string.
+ * NULL means "none". Any store can be followed while it is written
+ * (td_store_view_*): a sealed block becomes visible once the bytes
+ * after it reach the kernel — at every seal under "flush" and
+ * "fsync", whenever the stdio buffer is written out under "none".
+ * @return NULL on invalid arguments, including an unknown
+ * durability string.
  */
 td_store_t *td_store_open_ex(const char *path, int n_coeffs,
                              int block_capacity,
@@ -342,44 +346,32 @@ long td_store_query_stat(const char *path, long iter_begin,
                          double *out_mean);
 
 /**
- * As td_store_open_ex, additionally publishing a live manifest
- * sidecar ("<path>.live") after sealed blocks so concurrent
- * readers (td_store_view_*, `tdfstool tail`) can follow the store
- * while it is being written. Publication rides the block seal,
- * never the per-record append, and a publication failure degrades
- * only the live side — the trace itself keeps writing.
- */
-td_store_t *td_store_open_live(const char *path, int n_coeffs,
-                               int block_capacity,
-                               const char *durability);
-
-/**
  * Crash-consistent live read handle over a store being written (or
  * already finished). Each successful refresh pins a snapshot-
- * isolated view of the sealed prefix the writer last published:
+ * isolated view of the blocks the writer has committed to the data
+ * file — a block counts once the file holds a byte past its end:
  * records stream in store order, exactly once, and a torn or
  * half-written state is never observable — a refresh that fails
  * validation keeps the previous snapshot serving. A writer that
- * stops publishing trips the stall deadline and the view degrades
- * to a static salvage-consistent prefix instead of blocking
- * forever. Handles are single-threaded.
+ * stops extending its file trips the stall deadline and the view
+ * degrades to a static salvage-consistent prefix instead of
+ * blocking forever. Handles are single-threaded.
  *
- * @param path Store path (the manifest sidecar is derived).
+ * @param path Store path.
  * @param stall_deadline_seconds Seconds without progress before
  *        td_store_view_wait declares the writer lost (<= 0: wait
  *        forever).
  * @return handle, or NULL only on a NULL @p path. A store that does
  *         not exist yet is fine — the view attaches when the writer
- *         appears.
+ *         has written its header.
  */
 td_store_view_t *td_store_view_open(const char *path,
                                     double stall_deadline_seconds);
 
 /**
- * One non-blocking poll: adopt the newest published manifest (or
- * the store's footer when no manifest exists but the store is
- * complete). @return 1 when the view advanced, 0 otherwise, -1 for
- * a NULL handle.
+ * One non-blocking poll: adopt the blocks committed since the last
+ * poll (or the store's footer once the writer finished). @return 1
+ * when the view advanced, 0 otherwise, -1 for a NULL handle.
  */
 int td_store_view_refresh(td_store_view_t *view);
 
@@ -400,7 +392,8 @@ int td_store_view_wait(td_store_view_t *view,
  */
 int td_store_view_state(const td_store_view_t *view);
 
-/** @return manifest generation pinned (0 before the first),
+/** @return generation pinned: the number of snapshots adopted so
+ *  far, one per advance (0 before the first),
  *  -1 for a NULL handle. */
 long td_store_view_generation(const td_store_view_t *view);
 

@@ -127,7 +127,6 @@ storeOptionsFrom(const StoreCliOptions &store)
 {
     StoreOptions options;
     options.durability = store::parseDurabilityPolicy(store.durability);
-    options.live = store.live;
     return options;
 }
 

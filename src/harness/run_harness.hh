@@ -83,8 +83,9 @@ struct HarnessOptions
     /** Feature store (empty path: disabled; requires instrument).
      *  Under a multi-rank communicator every rank writes
      *  "<path>.rk<rank>" and rank 0 merges them into the path in
-     *  rank order after the run. With `live`, the per-rank parts
-     *  publish a manifest a tail can follow. */
+     *  rank order after the run. Any of these files can be tailed
+     *  while it is written; its durability policy sets when each
+     *  sealed block becomes visible. */
     StoreCliOptions store;
     /** Crash-safe checkpoints (empty path: disabled). Generations
      *  land at "<path>.NNNNNN.tdck" (per rank "<path>.rk<rank>")

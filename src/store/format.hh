@@ -39,9 +39,7 @@
  *
  * The trailer is fixed-size and at the very end, so a reader finds
  * the footer without scanning; any truncation loses the trailer (or
- * breaks the footer CRC) and is rejected at open. The live manifest
- * (manifest.hh) embeds these footer bytes for a store's sealed
- * prefix, and readers parse both with the same code.
+ * breaks the footer CRC) and is rejected at open.
  *
  * Crash consistency: the layout is deliberately recoverable without
  * its footer. Blocks are self-delimiting (the record count and the
@@ -55,6 +53,11 @@
  * block. Sealed data is recovered exactly; only the unsealed tail
  * (at most blockCapacity-1 staged records, plus the in-flight block
  * under DurabilityPolicy::None) can be lost.
+ *
+ * The same forward scan makes the data file its own live log: a
+ * live view (live.hh) adopts each block once the file holds a byte
+ * past its end — the next block's first bytes, or the footer — and
+ * the writer never cuts a block that has bytes after it.
  */
 
 #ifndef TDFE_STORE_FORMAT_HH

@@ -1,8 +1,7 @@
 /**
  * @file
  * The one crash-safe framed file of the library. A checkpoint
- * generation (ckpt/checkpoint.hh) and the feature store's live
- * manifest (store/manifest.hh) are each one payload in this frame,
+ * generation (ckpt/checkpoint.hh) is one payload in this frame,
  * published atomically: written whole to `<path>.tmp` through the
  * StoreFile seam (so the deterministic FaultyFile faults the store
  * sweeps use apply here too), made durable per DurabilityPolicy,
@@ -16,8 +15,7 @@
  *     offset  0   magic[8]        names the kind of file
  *     offset  8   u32 version     that kind's format version
  *     offset 12   u32 reserved    zero
- *     offset 16   u64 counter     checkpoint iteration, or manifest
- *                                 generation
+ *     offset 16   u64 counter     checkpoint iteration
  *     offset 24   u64 payload bytes (n)
  *     offset 32   u32 header CRC-32 (of bytes [0, 32))
  *     offset 36   payload

@@ -1,14 +1,10 @@
 #include "store/live.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <thread>
 #include <vector>
 
 #include "base/logging.hh"
-#include "store/codec.hh"
-#include "store/frame.hh"
-#include "store/manifest.hh"
 
 namespace tdfe
 {
@@ -30,8 +26,8 @@ liveStateName(LiveState s)
 }
 
 /**
- * One adopted manifest generation: an immutable reader over exactly
- * that sealed prefix. Owned via shared_ptr — the newest one by the
+ * One adopted generation: an immutable reader over exactly the
+ * blocks adopted by then. Owned via shared_ptr — the newest one by the
  * LiveStoreReader, plus one reference per outstanding StoreView, so
  * a snapshot (and the data-file handle inside its reader) lives for
  * as long as anyone still reads through it.
@@ -40,8 +36,6 @@ struct LiveSnapshot
 {
     std::unique_ptr<FeatureStoreReader> reader;
     std::uint64_t generation = 0;
-    bool final = false;
-    bool degraded = false;
 };
 
 const FeatureStoreReader &
@@ -56,18 +50,6 @@ std::uint64_t
 StoreView::generation() const
 {
     return snap_ ? snap_->generation : 0;
-}
-
-bool
-StoreView::final() const
-{
-    return snap_ && snap_->final;
-}
-
-bool
-StoreView::degraded() const
-{
-    return snap_ && snap_->degraded;
 }
 
 std::size_t
@@ -118,9 +100,13 @@ LiveStoreReader::rejectRefresh(const std::string &why)
 }
 
 void
-LiveStoreReader::publish(std::shared_ptr<const LiveSnapshot> snap,
+LiveStoreReader::publish(std::unique_ptr<FeatureStoreReader> reader,
                          LiveState state)
 {
+    reader->resetIoStats(); // validation is not query I/O
+    auto snap = std::make_shared<LiveSnapshot>();
+    snap->reader = std::move(reader);
+    snap->generation = generation() + 1;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         snap_ = snap;
@@ -130,6 +116,22 @@ LiveStoreReader::publish(std::shared_ptr<const LiveSnapshot> snap,
     lastAdvance_ = std::chrono::steady_clock::now();
 }
 
+namespace
+{
+
+/** @return end of the blocks @p r indexes: the offset its next
+ *  block would start at. */
+std::uint64_t
+extentOf(const FeatureStoreReader &r)
+{
+    if (r.blockCount() == 0)
+        return store::headerBytes;
+    const store::BlockInfo &last = r.blockInfo(r.blockCount() - 1);
+    return last.offset + last.size;
+}
+
+} // namespace
+
 bool
 LiveStoreReader::refresh()
 {
@@ -137,170 +139,110 @@ LiveStoreReader::refresh()
     if (s == LiveState::Final || s == LiveState::WriterLost)
         return false;
 
-    // Largest frame ever read: bounded by the index caps the footer
-    // parser enforces anyway; this just keeps a garbage sidecar from
-    // provoking a huge allocation before the CRC can reject it.
-    constexpr std::uint64_t maxFrame =
-        std::uint64_t(128) * 1024 * 1024;
-    std::vector<std::uint8_t> frame;
-    const store::IoError io = store::readWholeFile(
-        opts_.fileFactory, store::manifestPathFor(path_), maxFrame,
-        frame);
-    if (io.code == ENOENT) {
-        // No manifest (yet). The one legitimate reason while
-        // unattached is a store that was finished without live mode
-        // (or whose sidecar was cleaned up) — a footer-backed open
-        // serves it as a Final view. Anything else is "nothing
-        // published yet": not an error, just no advance.
-        if (!attached()) {
-            std::string open_err;
-            std::unique_ptr<FeatureStoreReader> r =
-                FeatureStoreReader::open(path_, &open_err,
-                                         opts_.fileFactory);
-            if (r) {
-                auto snap = std::make_shared<LiveSnapshot>();
-                snap->reader = std::move(r);
-                snap->generation =
-                    generation_.load(std::memory_order_relaxed) + 1;
-                snap->final = true;
-                publish(std::move(snap), LiveState::Final);
-                return true;
-            }
-        }
-        return false;
-    }
-    if (!io.ok()) {
-        rejectRefresh("live manifest: " + io.message);
-        return false;
-    }
+    const StoreView prev = view();
+    const FeatureStoreReader *pr = prev.valid() ? &prev.reader() : nullptr;
 
-    store::FrameInfo info;
+    // The header is checked at every poll exactly as open() and
+    // salvage() check it: it fixes the version, capacity, and schema
+    // every block is decoded against.
+    std::unique_ptr<FeatureStoreReader> r(new FeatureStoreReader());
     std::string why;
-    if (!store::decodeFrame(store::manifestMagic, store::manifestVersion,
-                            frame, info, &why)) {
-        rejectRefresh("live manifest: " + why);
+    bool absent = false;
+    if (!r->loadAndCheckHeader(path_, &why, opts_.fileFactory,
+                               &absent)) {
+        if (!absent || pr)
+            rejectRefresh(why);
+        return false; // a writer that has not begun: Waiting
+    }
+    if (pr && (r->formatVersion() != pr->formatVersion() ||
+               r->blockCapacity() != pr->blockCapacity() ||
+               r->schema() != pr->schema())) {
+        rejectRefresh(path_ + ": header changed under the live view");
         return false;
     }
-    if (info.counter <= generation())
-        return false; // already serving this prefix (or newer)
+    const std::uint64_t extent = pr ? extentOf(*pr) : store::headerBytes;
+    const std::uint64_t size = r->fileBytes();
+    if (size < extent) {
+        rejectRefresh(path_ + ": data file shrank below the adopted " +
+                      "blocks (" + std::to_string(size) + " < " +
+                      std::to_string(extent) + " bytes)");
+        return false;
+    }
 
-    if (!adopt(info.counter, frame.data() + store::frameHeaderBytes,
-               static_cast<std::size_t>(info.payloadBytes), &why)) {
-        rejectRefresh(why);
+    bool untrailed = false;
+    if (r->loadFooter(&why, &untrailed)) {
+        if (!adoptFinal(std::move(r), pr, &why)) {
+            rejectRefresh(path_ + ": " + why);
+            return false;
+        }
+        return true;
+    }
+    if (!untrailed) {
+        rejectRefresh(path_ + ": " + why);
         return false;
     }
+
+    // No footer yet: adopt the blocks the writer has committed since
+    // the last poll. A block counts once a byte follows it, so the
+    // scan ends one byte short of EOF.
+    r->startScan(pr);
+    std::uint64_t stop = 0;
+    if (!r->scanBlocks(extent, size - 1, stop, &why)) {
+        rejectRefresh(path_ + ": " + why);
+        return false;
+    }
+    if (pr && r->blockCount() == pr->blockCount())
+        return false;
+    publish(std::move(r), LiveState::Live);
     return true;
 }
 
 bool
-LiveStoreReader::adopt(std::uint64_t generation,
-                       const std::uint8_t *payload, std::size_t n,
-                       std::string *why)
+LiveStoreReader::adoptFinal(std::unique_ptr<FeatureStoreReader> r,
+                            const FeatureStoreReader *prev,
+                            std::string *why)
 {
-    store::ByteReader fields(payload, n);
-    const std::uint32_t flags = fields.u32();
-    const std::uint64_t data_bytes = fields.u64();
-    if (!fields.ok()) {
-        *why = "live manifest: payload too short";
-        return false;
-    }
-
-    std::shared_ptr<const LiveSnapshot> prev;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        prev = snap_;
-    }
-
-    // The manifest's footer is read exactly as a finished store's:
-    // the data file's header first (it fixes the version, capacity,
-    // and schema the footer must agree with), then the one footer
-    // parser, with the sealed extent standing in for the footer
-    // offset.
-    std::unique_ptr<FeatureStoreReader> r(new FeatureStoreReader());
-    if (!r->loadAndCheckHeader(path_, why, opts_.fileFactory))
-        return false;
-    if (r->fileBytes() < data_bytes) {
-        // The classic lying-kernel tear: the manifest made it to
-        // disk, the data it indexes did not.
-        *why = "live manifest: runs ahead of the data file (" +
-               std::to_string(r->fileBytes()) + " < " +
-               std::to_string(data_bytes) + " bytes)";
-        return false;
-    }
-    std::string detail;
-    if (!r->parseFooter(fields.cursor(), fields.remaining(), data_bytes,
-                        &detail)) {
-        *why = "live manifest: " + detail;
-        return false;
-    }
-
-    // Generations come from one writer over one store: the shape
-    // must not change, and the previous snapshot's blocks must
-    // reappear verbatim as a prefix (sealed blocks are immutable).
-    // A manifest violating either is not a newer view of our store.
-    const FeatureStoreReader *pr =
-        prev ? prev->reader.get() : nullptr;
-    if (pr && (r->blockCapacity() != pr->blockCapacity() ||
-               r->schema() != pr->schema())) {
-        *why = "live manifest: schema/capacity changed mid-stream";
-        return false;
-    }
-    const std::size_t prev_blocks = pr ? pr->blockCount() : 0;
+    // The footer must describe the blocks already adopted verbatim
+    // as its prefix (sealed blocks are immutable); a footer that
+    // does not is not the end of the store this view has followed.
+    const std::size_t prev_blocks = prev ? prev->blockCount() : 0;
     if (r->blockCount() < prev_blocks) {
-        *why = "live manifest: fewer blocks than the adopted view";
+        *why = "footer indexes fewer blocks than the adopted view";
         return false;
     }
     for (std::size_t b = 0; b < prev_blocks; ++b) {
         const store::BlockInfo &a = r->blockInfo(b);
-        const store::BlockInfo &o = pr->blockInfo(b);
+        const store::BlockInfo &o = prev->blockInfo(b);
         if (a.offset != o.offset || a.size != o.size ||
             a.records != o.records) {
-            *why = "live manifest: adopted block prefix rewritten";
+            *why = "footer rewrites adopted block " + std::to_string(b);
             return false;
         }
     }
-
     // CRC-check and decode only the blocks this view adds: earlier
-    // ones were validated when first adopted and are immutable, so
-    // refresh stays O(new blocks) — amortized one decode per block
-    // over the store's lifetime.
+    // ones were validated when first adopted.
     std::vector<std::uint8_t> raw;
     std::vector<std::vector<std::int64_t>> ints;
     std::vector<std::vector<double>> dbls;
+    std::string detail;
     for (std::size_t b = prev_blocks; b < r->blockCount(); ++b) {
         if (!r->decodeBlock(b, raw, ints, dbls, &detail)) {
-            *why = "live manifest: new block " + std::to_string(b) +
-                   " rejected: " + detail;
+            *why = "new " + detail;
             return false;
         }
     }
-    r->resetIoStats(); // validation is not query I/O
-
-    auto snap = std::make_shared<LiveSnapshot>();
-    snap->reader = std::move(r);
-    snap->generation = generation;
-    snap->final = (flags & store::manifestFlagFinal) != 0;
-    snap->degraded = (flags & store::manifestFlagDegraded) != 0;
-    const LiveState next =
-        snap->final ? LiveState::Final : LiveState::Live;
-    publish(std::move(snap), next);
+    publish(std::move(r), LiveState::Final);
     return true;
 }
 
 void
 LiveStoreReader::degradeToStatic()
 {
-    std::shared_ptr<const LiveSnapshot> prev;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        prev = snap_;
-    }
-    const std::size_t prev_records =
-        prev ? prev->reader->recordCount() : 0;
+    const std::size_t prev_records = view().recordCount();
 
-    // The writer may have finished (intact footer, manifest lost)
-    // or crashed after sealing more than the last manifest shows —
-    // openOrSalvage captures the longest fully-decodable prefix
+    // The writer may have finished after the last poll (intact
+    // footer) or died with a last block that no byte ever followed
+    // — openOrSalvage captures the longest fully-decodable prefix
     // either way. Adopt it only when it is at least as long as what
     // we already serve; a terminal degrade never loses records.
     std::string err;
@@ -310,15 +252,8 @@ LiveStoreReader::degradeToStatic()
                                           opts_.fileFactory);
     if (r && r->recordCount() >= prev_records) {
         const std::size_t now_records = r->recordCount();
-        auto snap = std::make_shared<LiveSnapshot>();
-        snap->generation =
-            generation_.load(std::memory_order_relaxed) + 1;
-        snap->final = !was_salvaged;
-        snap->degraded = was_salvaged;
-        snap->reader = std::move(r);
-        publish(std::move(snap), was_salvaged
-                                     ? LiveState::WriterLost
-                                     : LiveState::Final);
+        publish(std::move(r), was_salvaged ? LiveState::WriterLost
+                                           : LiveState::Final);
         warnDegraded(
             "live_view",
             detail::concatMessage(

@@ -1,43 +1,49 @@
 /**
  * @file
  * Crash-consistent live reads: snapshot-isolated views over a store
- * that is still being written. The writer republishes a CRC-framed
- * manifest sidecar after sealed blocks (see manifest.hh); a
- * LiveStoreReader follows those publications and turns each one it
- * accepts into an immutable snapshot — a FeatureStoreReader over
- * exactly the manifest's sealed prefix, built from the footer the
- * manifest embeds by the same parser open() runs on a finished
- * store's footer. A StoreView pins one snapshot (shared ownership),
- * so everything the read side already knows how to do — cursors,
- * the full query engine with zone-map pushdown — runs unchanged
- * against a view while the writer keeps appending: the view simply
- * never describes the unsealed tail.
+ * that is still being written. The data file is its own live log:
+ * blocks are self-delimiting and individually CRC'd (format.hh), so
+ * a LiveStoreReader follows the file itself. Each refresh scans only
+ * the bytes past the blocks it has already adopted and turns the
+ * result into an immutable snapshot — a FeatureStoreReader over
+ * exactly the adopted blocks, built by the same block scan salvage()
+ * runs. A StoreView pins one snapshot (shared ownership), so
+ * everything the read side already knows how to do — cursors, the
+ * full query engine with zone-map pushdown — runs unchanged against
+ * a view while the writer keeps appending: the view simply never
+ * describes the unadopted tail.
+ *
+ * The commit rule: a block counts as sealed once the file holds at
+ * least one byte past its end — the next block's first bytes, or the
+ * footer. The writer starts block k+1 only after block k's write and
+ * durability step succeeded, and a retry or degrade cuts the file
+ * back only to the start of the write in flight, so a block with
+ * bytes after it is never cut: a view never shows a record the
+ * writer can take back, under every durability policy. A block
+ * becomes visible when the policy pushes the bytes after it to the
+ * kernel — at every seal under flush and fsync, whenever stdio
+ * writes its buffer out under none.
  *
  * Consistency model (names_view / names_commit style): refresh()
- * either adopts a whole newer manifest or keeps the current
- * snapshot untouched — there is no intermediate state. Adoption is
- * defended in depth: the manifest frame is CRC-checked, the data
- * file's header must pass the same check open() and salvage()
- * apply, the data file must be at least as long as the prefix the
- * manifest claims, the embedded footer must pass open()'s footer
- * validation against that prefix, the previously adopted blocks
- * must reappear unchanged, and every *newly indexed* block is
- * CRC-checked and fully decoded before the snapshot is published
- * (blocks already covered by the previous snapshot are immutable
- * and were validated when first adopted). A lying kernel that tears
- * the data file while manifests keep arriving therefore cannot
- * produce a view with a torn record — the refresh is rejected and
- * the reader keeps serving its last good snapshot.
+ * either adopts a newer snapshot or keeps the current one untouched
+ * — there is no intermediate state. Every newly adopted block is
+ * structurally walked, CRC-checked, and fully decoded before the
+ * snapshot is published; blocks adopted earlier are immutable and
+ * are neither re-read nor re-checked, so a refresh reads only the
+ * new bytes plus the header check and the trailer probe. Once the
+ * trailer and footer are there, the footer-backed store is adopted
+ * as the Final snapshot, after checking that it repeats the adopted
+ * blocks unchanged.
  *
- * Degradation model: nothing here is fatal. A missing manifest, a
- * torn or unsupported frame, a corrupt data-file header, an
- * injected read fault, a manifest ahead of the data file — all
- * reject one refresh and leave the previous snapshot serving. A
- * writer that stops publishing trips the stall deadline and the
- * reader degrades to a static terminal view: the store's
- * footer if the writer actually finished (Final), else the best
- * salvage-consistent prefix it can prove (WriterLost). Mirrors the
- * Region::setCommDeadline discipline — a dead peer degrades the
+ * Degradation model: nothing here is fatal. A corrupt data-file
+ * header, an injected read fault, a file shorter than the adopted
+ * blocks, a footer that contradicts them — all reject one refresh
+ * and leave the previous snapshot serving. A writer that stops
+ * extending its file (finished without a footer, degraded, or
+ * killed) trips the stall deadline and the reader degrades to a
+ * static terminal view: the store's footer if the writer actually
+ * finished (Final), else the salvage prefix (WriterLost). Mirrors
+ * the Region::setCommDeadline discipline — a dead peer degrades the
  * consumer, never kills it.
  *
  * Threading: refresh()/waitForAdvance() must come from one thread
@@ -67,8 +73,8 @@ namespace tdfe
 /** Knobs of one live reader. */
 struct LiveViewOptions
 {
-    /** How data-file and manifest reads are opened (empty: OS
-     *  files). Fault plans injected here exercise every reject /
+    /** How data-file reads are opened (empty: OS files). Fault
+     *  plans injected here exercise every reject /
      *  keep-last-snapshot path. */
     store::ReadFileFactory fileFactory;
     /** waitForAdvance backoff: first sleep, doubling per idle poll
@@ -85,16 +91,17 @@ struct LiveViewOptions
 /** Lifecycle of a live reader. */
 enum class LiveState
 {
-    /** No snapshot yet (no manifest has ever been accepted). */
+    /** No snapshot yet (the data file or its header is not there
+     *  yet). */
     Waiting,
-    /** Following a writer that may still publish. */
+    /** Following a writer that may still append. */
     Live,
-    /** Writer finished (final manifest or intact footer); the
-     *  current snapshot is the whole store. */
+    /** Writer finished (intact footer); the current snapshot is the
+     *  whole store. */
     Final,
-    /** Stall deadline tripped without a final manifest: the current
-     *  snapshot is a static salvage-consistent prefix and will
-     *  never advance. */
+    /** Stall deadline tripped without a footer: the current
+     *  snapshot is a static salvage-consistent prefix (the writer
+     *  degraded or died) and will never advance. */
     WriterLost,
 };
 
@@ -123,17 +130,9 @@ class StoreView
      *  behaves exactly as on a finished store. */
     const FeatureStoreReader &reader() const;
 
-    /** @return manifest generation this view pins (0: invalid). */
+    /** @return generation this view pins: the count of snapshots
+     *  its reader had adopted when it was taken (0: invalid). */
     std::uint64_t generation() const;
-
-    /** @return true when the writer declared this the last
-     *  generation (clean finish or degraded finish). */
-    bool final() const;
-
-    /** @return true when the writer finished degraded — the store
-     *  holds only a partial trace (the view itself is still fully
-     *  consistent). */
-    bool degraded() const;
 
     /** Conveniences over reader(). @{ */
     std::size_t recordCount() const;
@@ -151,7 +150,7 @@ class StoreView
 };
 
 /**
- * Follows the live manifest of one store. Construct, then poll:
+ * Follows the data file of one store. Construct, then poll:
  * refresh() makes one adopt-or-reject attempt, waitForAdvance()
  * wraps it in the backoff/stall loop. view() pins the current
  * snapshot at any time (an invalid view before the first accept).
@@ -178,7 +177,8 @@ class LiveStoreReader
         return state_.load(std::memory_order_acquire);
     }
 
-    /** @return newest adopted generation (0 before the first). */
+    /** @return snapshots adopted so far: the generation of the
+     *  newest one (0 before the first). */
     std::uint64_t
     generation() const
     {
@@ -186,20 +186,25 @@ class LiveStoreReader
     }
 
     /** @return pin on the current snapshot (invalid before the
-     *  first accepted manifest). Safe from any thread. */
+     *  first adoption). Safe from any thread. */
     StoreView view() const;
 
     /**
-     * One poll: read the manifest sidecar, validate, adopt if it is
-     * a newer generation. Never blocks beyond the I/O itself and
-     * never throws away a good snapshot — every failure (missing,
-     * torn, or unsupported manifest, corrupt data-file header, data
-     * file shorter than claimed, a newly indexed block that fails
-     * CRC/decode, injected read fault)
-     * rejects this attempt and keeps the previous snapshot serving.
-     * Falls back to a footer-backed Final snapshot when no manifest
-     * exists but the store is complete (a pre-live or cleaned-up
-     * store). @return true when the view advanced.
+     * One poll: check the data file's header, probe its trailer, and
+     * adopt what it newly holds — never blocking beyond the I/O
+     * itself and never throwing away a good snapshot:
+     *  - a missing file, or one shorter than the header, before the
+     *    first adoption: Waiting, no advance (not a reject);
+     *  - a header that fails the check, a file shorter than the
+     *    adopted blocks, a read fault: reject;
+     *  - a valid trailer and footer: a footer-backed Final snapshot
+     *    (reject when the footer does not repeat the adopted blocks,
+     *    or one of its new blocks fails CRC/decode);
+     *  - anything else: scan the bytes past the adopted blocks up to
+     *    EOF - 1 and publish a Live snapshot of every block that
+     *    scans (the first poll over a header-only file attaches an
+     *    empty one).
+     * @return true when the view advanced.
      */
     bool refresh();
 
@@ -215,7 +220,7 @@ class LiveStoreReader
     bool waitForAdvance(double timeout_seconds = -1.0);
 
     /** @return refresh attempts rejected by validation since
-     *  construction (torn manifests, short data files, bad blocks —
+     *  construction (bad headers, shrunk data files, read faults —
      *  the observable the fault tests assert on). */
     std::uint64_t
     refreshRejects() const
@@ -228,14 +233,12 @@ class LiveStoreReader
     std::string lastError() const;
 
   private:
-    /** Validate the @p n-byte manifest payload @p payload of
-     *  @p generation (manifest.hh) against the data file — header
-     *  check, footer parse over the sealed extent, prefix
-     *  immutability, new-block decode — and adopt it as the new
-     *  snapshot. @return false (with the reason in @p why) when
-     *  validation rejects it. */
-    bool adopt(std::uint64_t generation, const std::uint8_t *payload,
-               std::size_t n, std::string *why);
+    /** Adopt the footer-backed store @p r as the Final snapshot
+     *  after @p prev (null: none). @return false (with the reason
+     *  in @p why) when the footer contradicts the adopted blocks or
+     *  a new block fails to decode. */
+    bool adoptFinal(std::unique_ptr<FeatureStoreReader> r,
+                    const FeatureStoreReader *prev, std::string *why);
 
     /** Terminal degrade after a stall: footer-backed Final when the
      *  writer actually finished, else the best salvage-consistent
@@ -245,8 +248,9 @@ class LiveStoreReader
     /** Record a rejected refresh (sticky diagnostic + counter). */
     void rejectRefresh(const std::string &why);
 
-    /** Publish @p snap as the current snapshot. */
-    void publish(std::shared_ptr<const LiveSnapshot> snap,
+    /** Publish a validated @p reader as the next generation's
+     *  snapshot, entering @p state. */
+    void publish(std::unique_ptr<FeatureStoreReader> reader,
                  LiveState state);
 
     std::string path_;

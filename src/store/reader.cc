@@ -1,5 +1,6 @@
 #include "store/reader.hh"
 
+#include <cerrno>
 #include <cstring>
 
 #include "base/portable.hh"
@@ -40,7 +41,7 @@ static_assert(store::zoneIntColumns == StoreSchema::numIntColumns &&
 bool
 FeatureStoreReader::loadAndCheckHeader(
     const std::string &path, std::string *error,
-    const store::ReadFileFactory &file_factory)
+    const store::ReadFileFactory &file_factory, bool *absent)
 {
     auto reject = [&](const std::string &msg) {
         return fail(error, path + ": " + msg);
@@ -48,6 +49,9 @@ FeatureStoreReader::loadAndCheckHeader(
 
     store::IoError io;
     file_ = store::openReadFileVia(file_factory, path, &io);
+    if (absent)
+        *absent = file_ ? file_->size() < store::headerBytes
+                        : io.code == ENOENT;
     // An open failure already names the path.
     if (!file_)
         return fail(error, io.ok() ? path + ": cannot open" : io.message);
@@ -165,49 +169,56 @@ FeatureStoreReader::parseFooter(const std::uint8_t *footer,
     return true;
 }
 
-std::unique_ptr<FeatureStoreReader>
-FeatureStoreReader::open(const std::string &path, std::string *error,
-                         const store::ReadFileFactory &file_factory)
+bool
+FeatureStoreReader::loadFooter(std::string *error, bool *untrailed)
 {
-    auto reject = [&](const std::string &msg)
-        -> std::unique_ptr<FeatureStoreReader> {
-        fail(error, path + ": " + msg);
-        return nullptr;
-    };
-
-    auto reader =
-        std::unique_ptr<FeatureStoreReader>(new FeatureStoreReader());
-    if (!reader->loadAndCheckHeader(path, error, file_factory))
-        return nullptr;
-    const std::size_t file_size = reader->fileBytes();
-    if (file_size < store::headerBytes + store::trailerBytes)
-        return reject("truncated: shorter than header + trailer");
+    if (untrailed)
+        *untrailed = false;
+    const std::uint64_t file_size = file_->size();
+    if (file_size < store::headerBytes + store::trailerBytes) {
+        if (untrailed)
+            *untrailed = true;
+        return fail(error, "truncated: shorter than header + trailer");
+    }
 
     // Trailer -> footer window. Everything open() needs lives in
     // [footer offset, end); one read fetches it — block data stays
     // on disk until a cursor asks.
-    const std::size_t tr = file_size - store::trailerBytes;
+    const std::uint64_t tr = file_size - store::trailerBytes;
     std::uint8_t trailer[store::trailerBytes];
-    store::IoError io =
-        reader->file_->readAt(tr, trailer, store::trailerBytes);
+    store::IoError io = file_->readAt(tr, trailer, store::trailerBytes);
     if (!io.ok())
-        return reject("trailer read failed: " + io.message);
-    if (std::memcmp(trailer + 8, store::trailerMagic, 8) != 0)
-        return reject("bad trailer magic (truncated store?)");
+        return fail(error, "trailer read failed: " + io.message);
+    if (std::memcmp(trailer + 8, store::trailerMagic, 8) != 0) {
+        if (untrailed)
+            *untrailed = true;
+        return fail(error, "bad trailer magic (truncated store?)");
+    }
     store::ByteReader t(trailer, 8);
     const std::uint64_t footer_off = t.u64();
     if (footer_off < store::headerBytes || footer_off > tr)
-        return reject("footer offset out of range");
+        return fail(error, "footer offset out of range");
     std::vector<std::uint8_t> footer(
-        tr - static_cast<std::size_t>(footer_off));
-    io = reader->file_->readAt(footer_off, footer.data(),
-                               footer.size());
+        static_cast<std::size_t>(tr - footer_off));
+    io = file_->readAt(footer_off, footer.data(), footer.size());
     if (!io.ok())
-        return reject("footer read failed: " + io.message);
+        return fail(error, "footer read failed: " + io.message);
+    return parseFooter(footer.data(), footer.size(), footer_off, error);
+}
+
+std::unique_ptr<FeatureStoreReader>
+FeatureStoreReader::open(const std::string &path, std::string *error,
+                         const store::ReadFileFactory &file_factory)
+{
+    auto reader =
+        std::unique_ptr<FeatureStoreReader>(new FeatureStoreReader());
+    if (!reader->loadAndCheckHeader(path, error, file_factory))
+        return nullptr;
     std::string why;
-    if (!reader->parseFooter(footer.data(), footer.size(), footer_off,
-                             &why))
-        return reject(why);
+    if (!reader->loadFooter(&why)) {
+        fail(error, path + ": " + why);
+        return nullptr;
+    }
     return reader;
 }
 
@@ -221,45 +232,60 @@ FeatureStoreReader::salvage(const std::string &path,
     if (!reader->loadAndCheckHeader(path, error, file_factory))
         return nullptr;
     reader->salvaged_ = true;
-    const StoreSchema &schema = reader->schema_;
-    // Column names never make it into a footerless file, but they
-    // are deterministic functions of the schema — rebuild them.
-    for (std::size_t i = 0; i < schema.intColumns(); ++i)
-        reader->names_.push_back(StoreSchema::intColumnName(i));
-    for (std::size_t i = 0; i < schema.doubleColumns(); ++i)
-        reader->names_.push_back(schema.doubleColumnName(i));
-
-    // Salvage cannot know block extents up front, so it reads the
-    // whole tail once and walks it in memory — the one reader path
-    // that still slurps, acceptable for a recovery tool.
-    const std::size_t file_size = reader->fileBytes();
-    std::vector<std::uint8_t> tail(file_size - store::headerBytes);
-    if (!tail.empty()) {
-        const store::IoError io = reader->file_->readAt(
-            store::headerBytes, tail.data(), tail.size());
-        if (!io.ok()) {
-            fail(error, path + ": tail read failed: " + io.message);
-            return nullptr;
-        }
+    reader->startScan(nullptr);
+    const std::uint64_t file_size = reader->fileBytes();
+    std::uint64_t stop = 0;
+    std::string why;
+    if (!reader->scanBlocks(store::headerBytes, file_size, stop, &why)) {
+        fail(error, path + ": " + why);
+        return nullptr;
     }
+    reader->droppedTail_ = static_cast<std::size_t>(file_size - stop);
+    return reader;
+}
 
-    // Forward scan: keep accepting blocks while the bytes at the
-    // cursor parse, CRC-check, AND fully decode as one. The first
-    // offset that fails any of those is where the damage starts —
-    // a torn block, the beginning of a (possibly corrupt) footer,
-    // or plain garbage; everything before it is trusted exactly as
-    // much as a footer-backed block (same CRC, same decoders). The
-    // zone map is rebuilt from the decoded columns on the way, so
-    // pushdown works over salvaged stores of either version.
-    const std::size_t n_cols = schema.totalColumns();
+void
+FeatureStoreReader::startScan(const FeatureStoreReader *prefix)
+{
+    names_.clear();
+    for (std::size_t i = 0; i < schema_.intColumns(); ++i)
+        names_.push_back(StoreSchema::intColumnName(i));
+    for (std::size_t i = 0; i < schema_.doubleColumns(); ++i)
+        names_.push_back(schema_.doubleColumnName(i));
+    if (prefix) {
+        index = prefix->index;
+        zones_ = prefix->zones_;
+        records_ = prefix->records_;
+        sorted_ = prefix->sorted_;
+    }
+}
+
+bool
+FeatureStoreReader::scanBlocks(std::uint64_t from, std::uint64_t end,
+                               std::uint64_t &stop, std::string *error)
+{
+    stop = from;
+    if (end <= from)
+        return true;
+    // Block extents are unknown until parsed, so the range is read
+    // once and walked in memory.
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(end - from));
+    const store::IoError io = file_->readAt(from, bytes.data(), bytes.size());
+    if (!io.ok())
+        return fail(error, "block scan read failed: " + io.message);
+
+    // Keep accepting blocks while the bytes at the cursor parse,
+    // CRC-check, AND fully decode as one; everything accepted is
+    // trusted exactly as much as a footer-backed block (same CRC,
+    // same decoders).
+    const std::size_t n_cols = schema_.totalColumns();
     std::vector<std::vector<std::int64_t>> ints;
     std::vector<std::vector<double>> dbls;
-    std::int64_t last_iter = 0;
-    std::size_t off = 0; // relative to the tail buffer
+    std::size_t off = 0; // relative to bytes
     for (;;) {
-        store::ByteReader r(tail.data() + off, tail.size() - off);
+        store::ByteReader r(bytes.data() + off, bytes.size() - off);
         const std::uint32_t count = r.u32();
-        if (!r.ok() || count == 0 || count > reader->capacity_)
+        if (!r.ok() || count == 0 || count > capacity_)
             break;
         bool shaped = true;
         for (std::size_t c = 0; c < n_cols && shaped; ++c) {
@@ -271,34 +297,35 @@ FeatureStoreReader::salvage(const std::string &path,
         }
         if (!shaped || r.remaining() < 4)
             break;
-        const std::size_t size =
-            (r.cursor() - (tail.data() + off)) + 4;
+        const std::size_t size = (r.cursor() - (bytes.data() + off)) + 4;
 
         store::BlockInfo info;
-        info.offset = store::headerBytes + off;
+        info.offset = from + off;
         info.size = size;
         info.records = count;
-        reader->index.push_back(info);
-        if (!reader->decodeBlockBytes(reader->index.size() - 1,
-                                      tail.data() + off, ints, dbls,
-                                      nullptr)) {
-            reader->index.pop_back();
+        index.push_back(info);
+        if (!decodeBlockBytes(index.size() - 1, bytes.data() + off, ints,
+                              dbls, nullptr)) {
+            index.pop_back();
             break;
         }
-        store::BlockInfo &accepted = reader->index.back();
+        store::BlockInfo &accepted = index.back();
         accepted.firstIter = ints[0].front();
         accepted.lastIter = ints[0].back();
-        reader->zones_.push_back(store::computeBlockZone(ints, dbls));
-        for (std::size_t i = 0; i < ints[0].size(); ++i) {
-            if (reader->records_ + i > 0 && ints[0][i] < last_iter)
-                reader->sorted_ = false;
-            last_iter = ints[0][i];
+        zones_.push_back(store::computeBlockZone(ints, dbls));
+        std::int64_t last =
+            index.size() > 1 ? index[index.size() - 2].lastIter
+                             : accepted.firstIter;
+        for (const std::int64_t it : ints[0]) {
+            if (it < last)
+                sorted_ = false;
+            last = it;
         }
-        reader->records_ += count;
+        records_ += count;
         off += size;
     }
-    reader->droppedTail_ = tail.size() - off;
-    return reader;
+    stop = from + off;
+    return true;
 }
 
 std::unique_ptr<FeatureStoreReader>

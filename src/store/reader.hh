@@ -59,18 +59,18 @@ class FeatureStoreReader
 
     /**
      * Recover what a damaged store still holds. Requires only an
-     * intact header: scans forward from it, structurally walking
-     * and CRC-checking (and fully decoding) one block after
-     * another, and reconstructs the index from the blocks that
-     * survive; the scan stops at the first byte that does not parse
-     * as a valid block — exactly the sealed prefix an interrupted
-     * writer leaves behind. Column names are rebuilt from the
-     * schema (they are deterministic), the sorted flag is recomputed
-     * from the recovered records, and the zone map is rebuilt from
-     * the decoded blocks, so a salvaged reader behaves identically
-     * to a footer-backed one over the same blocks — filtered-query
+     * intact header: scanBlocks over [header, EOF) walks,
+     * CRC-checks and fully decodes one block after another and
+     * reconstructs the index from the blocks that survive; the scan
+     * stops at the first byte that does not parse as a valid block
+     * — exactly the sealed prefix an interrupted writer leaves
+     * behind. Column names are rebuilt from the schema (they are
+     * deterministic), the sorted flag is recomputed from the
+     * recovered records, and the zone map is rebuilt from the
+     * decoded blocks, so a salvaged reader behaves identically to a
+     * footer-backed one over the same blocks — filtered-query
      * pushdown included. @return nullptr (diagnostic in @p error)
-     * only when not even the header survives.
+     * only when not even the header survives or the read fails.
      */
     static std::unique_ptr<FeatureStoreReader>
     salvage(const std::string &path, std::string *error = nullptr,
@@ -190,7 +190,7 @@ class FeatureStoreReader
     FeatureStoreReader() = default;
 
     friend class QueryCursor;
-    /** Builds snapshot readers from a live manifest's footer. */
+    /** Builds live snapshots: block scans and footer opens. */
     friend class LiveStoreReader;
 
     /**
@@ -226,27 +226,68 @@ class FeatureStoreReader
      * Open @p path (through @p file_factory when nonempty) and
      * validate the fixed header into this reader: format version,
      * block capacity, and the schema its column counts imply.
-     * Shared by open(), salvage(), and the live attach path.
-     * @return false with a diagnostic in @p error on failure.
+     * Shared by open(), salvage(), and live refreshes.
+     * @return false with a diagnostic in @p error on failure;
+     * @p absent (when given) then says whether the file is missing
+     * or shorter than the header — a writer that has not put its
+     * header down yet — rather than malformed or unreadable.
      */
     bool loadAndCheckHeader(const std::string &path,
                             std::string *error,
-                            const store::ReadFileFactory &file_factory);
+                            const store::ReadFileFactory &file_factory,
+                            bool *absent = nullptr);
+
+    /**
+     * Read the trailer, then the footer it points at, and parse the
+     * footer (parseFooter). Shared by open() and a live view that
+     * finds its writer finished. @return false with a diagnostic in
+     * @p error; @p untrailed (when given) then says whether the file
+     * simply carries no trailer — too short for one, or no trailer
+     * magic at its end: a footer that was never written — in which
+     * case nothing was parsed into this reader.
+     */
+    bool loadFooter(std::string *error, bool *untrailed = nullptr);
 
     /**
      * The one footer parser. Validate the @p n footer bytes at
      * @p footer (CRC included, format.hh) for a data section ending
-     * at @p data_end — blocks must tile [header, data_end), counts
-     * must agree with each other and with the loaded header — and
-     * fill the index, record count, sorted flag (cross-checked
-     * against the block boundaries), column names, and (v2+) zone
-     * map. open() passes the footer the trailer points at; a live
-     * view passes the one embedded in a manifest, with the sealed
-     * extent as @p data_end. @return false with a diagnostic in
+     * at @p data_end, the footer's own offset — blocks must tile
+     * [header, data_end), counts must agree with each other and with
+     * the loaded header — and fill the index, record count, sorted
+     * flag (cross-checked against the block boundaries), column
+     * names, and (v2+) zone map. @return false with a diagnostic in
      * @p error on any malformation.
      */
     bool parseFooter(const std::uint8_t *footer, std::size_t n,
                      std::uint64_t data_end, std::string *error);
+
+    /**
+     * Begin an index built by scanning rather than from a footer:
+     * column names from the schema (they are deterministic, so a
+     * footerless file does not need them), then the blocks, zone
+     * map, record count, and sorted flag of @p prefix — a reader of
+     * the same file whose blocks are already validated (null: none).
+     */
+    void startScan(const FeatureStoreReader *prefix);
+
+    /**
+     * The one forward block scan (format.hh: blocks are
+     * self-delimiting and individually CRC'd). Reads [from, end)
+     * once and, starting at @p from, accepts blocks while the bytes
+     * there parse as a block that ends by @p end, pass its CRC, and
+     * decode fully. Each accepted block is appended to the index and
+     * zone map (rebuilt from the decoded columns, so pushdown works
+     * over scanned stores of either version) and updates the record
+     * count and sorted flag. The first bytes that fail any check
+     * stop the scan: a torn block, the start of a footer, or garbage.
+     * salvage() scans [header, EOF); a live view scans [its extent,
+     * EOF - 1), so a block that ends at EOF waits for the byte after
+     * it that commits it. @return false with a diagnostic in
+     * @p error only when the read fails; otherwise @p stop is the end
+     * of the last accepted block (@p from when none was).
+     */
+    bool scanBlocks(std::uint64_t from, std::uint64_t end,
+                    std::uint64_t &stop, std::string *error);
 
     std::unique_ptr<store::ReadFile> file_;
     StoreSchema schema_;

@@ -11,7 +11,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/codec.hh"
-#include "store/manifest.hh"
 
 namespace tdfe
 {
@@ -88,11 +87,6 @@ FeatureStoreWriter::init(store::IoError open_error)
     store::putU32(h,
                   static_cast<std::uint32_t>(schema_.doubleColumns()));
     writeChecked(h.data(), h.size(), 0);
-    // Generation 1 is the empty prefix: publishing it right after
-    // the header lets a live view attach before the first block is
-    // sealed (it pins a valid zero-block snapshot).
-    if (ok())
-        publishManifest(false, true);
 }
 
 FeatureStoreWriter::~FeatureStoreWriter()
@@ -201,7 +195,6 @@ FeatureStoreWriter::flushStaged()
     if (writeChecked(encodeBuf.data(), encodeBuf.size(), n)) {
         index.push_back(info);
         zones.push_back(store::computeBlockZone(stInt, stDbl));
-        publishManifest(false, false);
     }
     for (auto &c : stInt)
         c.clear();
@@ -320,20 +313,16 @@ FeatureStoreWriter::finish()
         if (err.ok() == false && ok())
             fail(err, 0);
     }
-    // Final generation: tells attached views the store has settled
-    // (cleanly, or degraded to its sealed prefix) and no further
-    // generations will come. Published after the data file is closed
-    // so everything the manifest describes is kernel-visible.
-    publishManifest(true, true);
     finished_ = true;
     exposed_ += t.stop();
     return ok() ? static_cast<std::size_t>(bytesWritten_) : 0;
 }
 
 void
-FeatureStoreWriter::encodeFooter(std::vector<std::uint8_t> &f) const
+FeatureStoreWriter::writeFooter()
 {
-    const std::size_t start = f.size();
+    const std::uint64_t footer_offset = bytesWritten_;
+    std::vector<std::uint8_t> f;
     std::uint64_t records = 0;
     store::putU64(f, index.size());
     for (const store::BlockInfo &b : index) {
@@ -373,96 +362,10 @@ FeatureStoreWriter::encodeFooter(std::vector<std::uint8_t> &f) const
             put_dbl_bits(z.dblMax[c]);
         }
     }
-    store::putU32(f, store::crc32(f.data() + start, f.size() - start));
-}
-
-void
-FeatureStoreWriter::writeFooter()
-{
-    const std::uint64_t footer_offset = bytesWritten_;
-    std::vector<std::uint8_t> f;
-    encodeFooter(f);
+    store::putU32(f, store::crc32(f.data(), f.size()));
     store::putU64(f, footer_offset);
     f.insert(f.end(), store::trailerMagic, store::trailerMagic + 8);
     writeChecked(f.data(), f.size(), 0);
-}
-
-void
-FeatureStoreWriter::publishManifest(bool final_manifest, bool force)
-{
-    if (!opts_.live || !liveOk())
-        return;
-    if (!force && opts_.livePublishEvery > 1 &&
-        index.size() % opts_.livePublishEvery != 0)
-        return;
-
-    // A manifest must never run ahead of what another process can
-    // read: under the buffered policy the sealed block may still sit
-    // in stdio buffers, so push it to the kernel first. (finish()
-    // flushes/closes the data file before its final publication.)
-    if (!final_manifest && file_ &&
-        opts_.durability == store::DurabilityPolicy::None) {
-        const store::IoError err = file_->flush();
-        if (!err.ok()) {
-            liveFail(err);
-            return;
-        }
-    }
-
-    std::uint32_t flags = 0;
-    if (final_manifest)
-        flags |= store::manifestFlagFinal;
-    if (!ok())
-        flags |= store::manifestFlagDegraded;
-    manifestBuf_.clear();
-    store::putU32(manifestBuf_, flags);
-    store::putU64(manifestBuf_,
-                  index.empty()
-                      ? store::headerBytes
-                      : index.back().offset + index.back().size);
-    encodeFooter(manifestBuf_);
-    store::encodeFrame(store::manifestMagic, store::manifestVersion,
-                       ++liveGeneration_, manifestBuf_.data(),
-                       manifestBuf_.size(), frameBuf_);
-    store::PublishOptions publish;
-    publish.durability = opts_.durability;
-    publish.wrapFile = opts_.liveWrapFile;
-    const store::IoError err =
-        store::publishFile(store::manifestPathFor(path_),
-                           frameBuf_.data(), frameBuf_.size(), publish);
-    if (!err.ok()) {
-        liveFail(err);
-        return;
-    }
-    livePublished_.fetch_add(1, std::memory_order_release);
-    static obs::Counter publishes(
-        "store.writer.live_publishes_total");
-    publishes.add();
-}
-
-void
-FeatureStoreWriter::liveFail(const store::IoError &error)
-{
-    {
-        std::lock_guard<std::mutex> lock(errorMutex_);
-        if (!liveFailed_.load(std::memory_order_relaxed))
-            liveError_ = error;
-    }
-    liveFailed_.store(true, std::memory_order_release);
-    warnOnce(liveWarned_, "live",
-             detail::concatMessage(
-                 "feature store '", path_,
-                 "' live manifest publication failed; live views "
-                 "will no longer advance (the trace itself is "
-                 "unaffected): ",
-                 error.message));
-}
-
-store::IoError
-FeatureStoreWriter::liveStatus() const
-{
-    std::lock_guard<std::mutex> lock(errorMutex_);
-    return liveError_;
 }
 
 } // namespace tdfe

@@ -19,6 +19,15 @@
  * drops the record. Nothing in this class calls TDFE_FATAL for I/O
  * — fatals are reserved for caller bugs (schema mismatch, append
  * after finish).
+ *
+ * Live readers (store/live.hh) follow the file itself, and the
+ * write order above is what makes that safe: block k+1 is written
+ * only after block k's write and durability step succeeded, and a
+ * retry or degrade cuts the file back only to the start of the
+ * write in flight. So a block with bytes after it is never cut, and
+ * that is the commit rule readers apply — no sidecar, no extra
+ * write. A degraded writer stops extending its file; its readers
+ * end at their stall deadline on the salvage prefix.
  */
 
 #ifndef TDFE_STORE_WRITER_HH
@@ -33,8 +42,8 @@
 #include <vector>
 
 #include "store/feature_record.hh"
+#include "store/file.hh"
 #include "store/format.hh"
-#include "store/frame.hh"
 
 namespace tdfe
 {
@@ -50,25 +59,6 @@ struct StoreOptions
     /** Base backoff before retry @c k sleeps `backoff << k`
      *  microseconds (0 disables sleeping — tests). */
     int retryBackoffUs = 500;
-    /**
-     * Publish a live manifest ("<path>.live", see manifest.hh)
-     * after sealed blocks so concurrent LiveStoreReader views can
-     * follow the store while it is being written. Publication rides
-     * the seal path, never the per-record staging, and a publication
-     * failure degrades only the live side (liveOk()) — the store
-     * itself keeps writing.
-     */
-    bool live = false;
-    /** Seals between manifest publications (live mode). 1 publishes
-     *  every sealed block; larger values amortize the O(blocks)
-     *  manifest rewrite on very long runs. finish() always
-     *  publishes a final manifest regardless. */
-    std::size_t livePublishEvery = 1;
-    /** Test seam: decorates each manifest tmp file (the wrapFile
-     *  of store::publishFile). Fault plans injected here exercise
-     *  torn publications and the sticky live degrade without
-     *  touching the data file. */
-    store::WrapFile liveWrapFile;
 };
 
 /**
@@ -175,30 +165,6 @@ class FeatureStoreWriter
     /** @return path the store is being written to. */
     const std::string &path() const { return path_; }
 
-    /**
-     * @return true while live-manifest publication (when requested
-     * via StoreOptions::live) has not failed. Sticky like the store
-     * degrade, but independent of it: a dead manifest path stops
-     * live serving, not the trace — append() and finish() proceed
-     * untouched. Always true when live mode is off.
-     */
-    bool
-    liveOk() const
-    {
-        return !liveFailed_.load(std::memory_order_acquire);
-    }
-
-    /** @return the first manifest-publication error (sticky; a
-     *  default-constructed IoError while liveOk()). */
-    store::IoError liveStatus() const;
-
-    /** @return manifest generations successfully published. */
-    std::uint64_t
-    livePublished() const
-    {
-        return livePublished_.load(std::memory_order_acquire);
-    }
-
   private:
     /** Shared constructor body (file may be null: degraded open). */
     void init(store::IoError open_error);
@@ -226,30 +192,10 @@ class FeatureStoreWriter
     void fail(const store::IoError &error,
               std::size_t lost_records);
 
-    /**
-     * Append the footer (format.hh, CRC included) describing the
-     * sealed blocks to @p out. The one encoder of the block index
-     * and zone map: writeFooter() appends the trailer to it,
-     * publishManifest() embeds it in the live manifest's payload.
-     */
-    void encodeFooter(std::vector<std::uint8_t> &out) const;
-
-    /** Write the footer and trailer after the last sealed block. */
+    /** Write the footer (format.hh, CRC included) describing the
+     *  sealed blocks, and the trailer, after the last sealed
+     *  block. */
     void writeFooter();
-
-    /**
-     * Atomically publish the live manifest describing the current
-     * sealed prefix (store::publishFile; see manifest.hh). Runs on
-     * the seal path and inside finish() for the final generation,
-     * both on the producing thread. Respects livePublishEvery unless
-     * @p force. On failure latches the sticky live degrade (warn
-     * once) and never touches the data file or the append path.
-     */
-    void publishManifest(bool final_manifest, bool force);
-
-    /** Latch the sticky live-publication error (first one wins) and
-     *  log once. The store itself keeps writing. */
-    void liveFail(const store::IoError &error);
 
     std::string path_;
     StoreSchema schema_;
@@ -288,20 +234,6 @@ class FeatureStoreWriter
     std::uint64_t bytesWritten_ = 0;
     double exposed_ = 0.0;
     bool finished_ = false;
-
-    /** Live-manifest publication state. The flag is sticky and read
-     *  lock-free; the error detail shares errorMutex_. Generation
-     *  and scratch are touched only on the producing thread.
-     *  @{ */
-    std::atomic<bool> liveFailed_{false};
-    /** warnOnce latch for the live-degrade warning. */
-    std::atomic<bool> liveWarned_{false};
-    store::IoError liveError_;
-    std::atomic<std::uint64_t> livePublished_{0};
-    std::uint64_t liveGeneration_ = 0;
-    /** Manifest payload and frame, reused across publications. */
-    std::vector<std::uint8_t> manifestBuf_, frameBuf_;
-    /** @} */
 };
 
 } // namespace tdfe

@@ -7,7 +7,8 @@
  *    early-stop check, stop protocol) must not touch the heap, with
  *    the digests run inline (sync) or as the region's posted epoch
  *    job (async), and with metrics on and a feature store attached
- *    that seals a block every few iterations. The only allowance is
+ *    that seals a block every few iterations (buffered, and flushed
+ *    per seal as a live tail needs it). The only allowance is
  *    amortized geometric growth: of each analysis's ObservedSeries
  *    history, and of the store writer's block index and zone map;
  *  - a warmed-up clover cycle (Timestep + HydroCycle: every parallel
@@ -151,6 +152,9 @@ enum class Mode
     Async,
     /** Sync, with metrics on and a feature store attached. */
     SyncWithStore,
+    /** As SyncWithStore, the store flushed at every seal: the
+     *  configuration a live tail follows block by block. */
+    SyncWithFlushedStore,
 };
 
 /** Records per block of the attached store: a few iterations each,
@@ -177,11 +181,14 @@ steadyStateAllocations(int threads, Mode mode)
 
     const std::string path = test::tempPath("alloc_steady.tdfs");
     std::unique_ptr<FeatureStoreWriter> store;
-    if (mode == Mode::SyncWithStore) {
+    if (mode == Mode::SyncWithStore ||
+        mode == Mode::SyncWithFlushedStore) {
         StoreSchema schema;
         schema.coeffCount = analysisCount + 2; // order 2 + k, + 1
         StoreOptions opts;
         opts.blockCapacity = storeBlockCapacity;
+        if (mode == Mode::SyncWithFlushedStore)
+            opts.durability = store::DurabilityPolicy::FlushPerSeal;
         store = std::make_unique<FeatureStoreWriter>(path, schema, opts);
         region.setFeatureStore(store.get());
         obs::setMetricsEnabled(true);
@@ -253,12 +260,16 @@ TEST(AllocSteadyState, StoreSealsStayOffTheHeap)
 {
     // Sealing a block encodes into the writer's reused buffer and
     // adds one entry each to its block index and zone map: those two
-    // vectors double ceil(log2(blocks)) times, nothing per seal.
+    // vectors double ceil(log2(blocks)) times, nothing per seal. A
+    // per-seal flush hands stdio's buffer to the kernel and
+    // allocates nothing either.
     const double blocks = static_cast<double>(
         (warmupIters + countedIters) * analysisCount /
         storeBlockCapacity);
-    expectWithinBudget(Mode::SyncWithStore, "sync with store",
-                       historyBudget() + 2 * doublings(blocks));
+    const std::size_t budget = historyBudget() + 2 * doublings(blocks);
+    expectWithinBudget(Mode::SyncWithStore, "sync with store", budget);
+    expectWithinBudget(Mode::SyncWithFlushedStore,
+                       "sync with store flushed per seal", budget);
 }
 
 /** Heap allocations made by @p counted clover 64^2 cycles. */

@@ -97,10 +97,8 @@ TEST(RunHarness, BareRegionIsNullAndStoreOptionsFollowTheRequest)
               nullptr);
 
     StoreCliOptions cli;
-    cli.live = true;
     cli.durability = "fsync";
     const StoreOptions opts = storeOptionsFrom(cli);
-    EXPECT_TRUE(opts.live);
     EXPECT_EQ(opts.durability, store::DurabilityPolicy::SyncPerSeal);
 }
 

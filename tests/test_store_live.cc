@@ -1,23 +1,28 @@
 /**
  * @file
  * Live-view tests: snapshot-isolated readers over a store that is
- * still being written (see live.hh / manifest.hh). The interleaving
- * sweep refreshes after every single append and proves a view only
- * ever describes whole sealed blocks; the crash-point sweep crosses
- * data-file tears with every manifest generation and proves each
- * adopted view is record-for-record (digest) equal to an honest
- * store of the same sealed prefix, while a manifest that runs ahead
- * of the torn data file is rejected without disturbing the serving
- * snapshot. Torn/garbage sidecars, injected read faults (with
- * healing), a vanished writer (stall -> salvage-consistent static
- * view), and a failing manifest path (live-only sticky degrade) all
- * land on the degrade-never-die paths. The concurrent battery —
- * one writer, polling tail readers — is the TSan entry for the live
- * layer (label tsan_smoke via the TIER1_TSAN build).
+ * still being written (see live.hh). A view follows the data file
+ * itself and adopts a block once a byte follows it. The
+ * interleaving sweep refreshes after every single append of a
+ * flush-per-seal writer and proves a view holds exactly the
+ * committed blocks — k - 1 after seal k, all of them after finish();
+ * the crash-point sweep tears the data file around every block
+ * boundary and inside the footer and proves each view is
+ * record-for-record (digest) equal to an honest store of the blocks
+ * that end before the tear and, after the stall, of salvage's
+ * prefix. Corrupt headers, shrunk files, injected read faults (with
+ * healing), a vanished writer and a degraded one (stall ->
+ * salvage-consistent static view) all land on the degrade-never-die
+ * paths, and a counting read factory pins the cost bound: a refresh
+ * reads only the bytes past the blocks it has adopted. The
+ * concurrent battery — one writer, polling tail readers — is the
+ * TSan entry for the live layer (label tsan_smoke via the TIER1_TSAN
+ * build).
  */
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -28,13 +33,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "store/codec.hh"
 #include "store/file.hh"
-#include "store/frame.hh"
 #include "store/live.hh"
-#include "store/manifest.hh"
 #include "store/query.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
@@ -109,13 +113,6 @@ writeBytes(const std::string &path, const std::string &bytes)
     ASSERT_TRUE(static_cast<bool>(out)) << path;
 }
 
-void
-removeStore(const std::string &path)
-{
-    std::remove(path.c_str());
-    std::remove(store::manifestPathFor(path).c_str());
-}
-
 /** Order-sensitive digest of every record a reader yields — the
  *  observable the crash sweep compares across read paths. */
 std::uint32_t
@@ -169,19 +166,49 @@ honestDigest(std::size_t n, std::size_t n_coeffs,
     return d;
 }
 
+/** Writer options of a followed store: flushed at every seal, so
+ *  block k is committed (a byte follows it) at seal k + 1. */
+StoreOptions
+flushOptions(std::size_t capacity)
+{
+    StoreOptions opts;
+    opts.blockCapacity = capacity;
+    opts.durability = store::DurabilityPolicy::FlushPerSeal;
+    return opts;
+}
+
+/** Poll knobs of the stall tests: degrade after a few idle polls. */
+LiveViewOptions
+quickStall()
+{
+    LiveViewOptions vopts;
+    vopts.pollMinUs = 10;
+    vopts.pollMaxUs = 100;
+    vopts.stallDeadlineSeconds = 0.02;
+    return vopts;
+}
+
+/** @return offset just past the last block @p r indexes. */
+std::uint64_t
+extentOf(const FeatureStoreReader &r)
+{
+    if (r.blockCount() == 0)
+        return store::headerBytes;
+    const store::BlockInfo &b = r.blockInfo(r.blockCount() - 1);
+    return b.offset + b.size;
+}
+
 /**
- * One live run recorded publication by publication: the data-file
- * and sidecar bytes after init (generation 1, empty prefix), after
- * every seal, and after finish(). Every later test reconstructs any
- * crash scenario — any data tear crossed with any manifest state —
+ * One flush-per-seal run recorded seal by seal: the data-file bytes
+ * after the header, after every seal, and after finish(). Every
+ * later test reconstructs a crash scenario — a tear at any byte —
  * from these byte-exact artifacts.
  */
 struct LiveRunArtifacts
 {
-    std::string dataInit, manifestInit;
-    std::vector<std::string> dataAtSeal, manifestAtSeal;
-    std::string dataFinal, manifestFinal;
-    std::size_t records = 0, coeffs = 0, capacity = 0;
+    std::string dataInit;
+    std::vector<std::string> dataAtSeal;
+    std::string dataFinal;
 };
 
 LiveRunArtifacts
@@ -189,34 +216,22 @@ captureLiveRun(std::size_t records, std::size_t n_coeffs,
                std::size_t capacity)
 {
     LiveRunArtifacts a;
-    a.records = records;
-    a.coeffs = n_coeffs;
-    a.capacity = capacity;
     const std::string path = tempPath("capture.tdfs");
-    const std::string mpath = store::manifestPathFor(path);
-    StoreOptions opts;
-    opts.blockCapacity = capacity;
-    opts.live = true;
     StoreSchema schema;
     schema.coeffCount = n_coeffs;
-    FeatureStoreWriter w(path, schema, opts);
-    // Sync mode + DurabilityPolicy::None: publishManifest flushes
-    // the data file before the rename, so after each seal both
-    // files on disk are mutually consistent — capture them.
+    FeatureStoreWriter w(path, schema, flushOptions(capacity));
+    // Flush per seal: after each seal the file on disk is exactly
+    // the header plus the sealed blocks — capture it.
     a.dataInit = readBytes(path);
-    a.manifestInit = readBytes(mpath);
+    EXPECT_EQ(a.dataInit.size(), store::headerBytes);
     for (std::size_t i = 0; i < records; ++i) {
         EXPECT_TRUE(w.append(makeRecord(i, n_coeffs)));
-        if ((i + 1) % capacity == 0) {
+        if ((i + 1) % capacity == 0)
             a.dataAtSeal.push_back(readBytes(path));
-            a.manifestAtSeal.push_back(readBytes(mpath));
-        }
     }
     EXPECT_GT(w.finish(), 0u);
-    EXPECT_TRUE(w.liveOk());
     a.dataFinal = readBytes(path);
-    a.manifestFinal = readBytes(mpath);
-    removeStore(path);
+    std::remove(path.c_str());
     // Sealed blocks are immutable: every capture must extend the
     // previous one byte-for-byte.
     for (std::size_t s = 1; s < a.dataAtSeal.size(); ++s)
@@ -233,21 +248,19 @@ TEST(LiveView, RefreshVsSealInterleavingNeverShowsPartialBlocks)
     constexpr std::size_t kCoeffs = 3;
     constexpr std::size_t kCap = 16;
     const std::string path = tempPath("interleave.tdfs");
-    StoreOptions opts;
-    opts.blockCapacity = kCap;
-    opts.live = true;
     StoreSchema schema;
     schema.coeffCount = kCoeffs;
-    FeatureStoreWriter w(path, schema, opts);
+    FeatureStoreWriter w(path, schema, flushOptions(kCap));
 
     LiveStoreReader live(path);
     EXPECT_FALSE(live.view().valid());
     EXPECT_FALSE(live.attached());
-    // The writer's init publication lets a reader attach before the
+    // The header is flushed at open, so a reader attaches before the
     // first seal: an empty-but-valid Live view.
     ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.state(), LiveState::Live);
     EXPECT_TRUE(live.attached());
+    EXPECT_EQ(live.generation(), 1u);
     EXPECT_EQ(live.view().recordCount(), 0u);
     EXPECT_EQ(live.view().blockCount(), 0u);
 
@@ -256,13 +269,18 @@ TEST(LiveView, RefreshVsSealInterleavingNeverShowsPartialBlocks)
     std::size_t delivered = 0;
     for (std::size_t i = 0; i < kRecords; ++i) {
         w.append(makeRecord(i, kCoeffs));
-        const bool sealed = (i + 1) % kCap == 0;
-        EXPECT_EQ(live.refresh(), sealed) << "append " << i;
-        // A view only ever describes whole sealed blocks, never the
-        // staged tail.
+        const std::size_t seals = (i + 1) / kCap;
+        const bool sealed_now = (i + 1) % kCap == 0;
+        // Seal k commits block k - 1 (its bytes follow it); the
+        // newest sealed block and the staged tail stay invisible.
+        EXPECT_EQ(live.refresh(), sealed_now && seals >= 2)
+            << "append " << i;
         const StoreView v = live.view();
-        EXPECT_EQ(v.recordCount() % kCap, 0u);
-        EXPECT_EQ(v.recordCount(), ((i + 1) / kCap) * kCap);
+        EXPECT_EQ(v.blockCount(), seals > 0 ? seals - 1 : 0)
+            << "append " << i;
+        EXPECT_EQ(v.recordCount(), v.blockCount() * kCap);
+        // One generation per adoption.
+        EXPECT_EQ(v.generation(), 1 + v.blockCount());
         EXPECT_FALSE(tail.done());
         while (tail.next(rec))
             expectRecordsEqual(rec, makeRecord(delivered++, kCoeffs));
@@ -270,9 +288,10 @@ TEST(LiveView, RefreshVsSealInterleavingNeverShowsPartialBlocks)
     }
 
     w.finish();
-    ASSERT_TRUE(live.refresh()); // final manifest, partial block in
+    // The footer commits the last sealed block and the partial one.
+    ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.state(), LiveState::Final);
-    EXPECT_FALSE(live.view().degraded());
+    EXPECT_EQ(live.view().recordCount(), kRecords);
     while (tail.next(rec))
         expectRecordsEqual(rec, makeRecord(delivered++, kCoeffs));
     EXPECT_EQ(delivered, kRecords);
@@ -280,7 +299,7 @@ TEST(LiveView, RefreshVsSealInterleavingNeverShowsPartialBlocks)
     EXPECT_EQ(tail.recordsDelivered(), kRecords);
     EXPECT_EQ(live.refreshRejects(), 0u);
     EXPECT_FALSE(live.refresh()); // terminal: no further advance
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 TEST(LiveView, PinnedViewsAreSnapshotIsolated)
@@ -288,13 +307,10 @@ TEST(LiveView, PinnedViewsAreSnapshotIsolated)
     constexpr std::size_t kCoeffs = 2;
     constexpr std::size_t kCap = 16;
     const std::string path = tempPath("pin.tdfs");
-    StoreOptions opts;
-    opts.blockCapacity = kCap;
-    opts.live = true;
     StoreSchema schema;
     schema.coeffCount = kCoeffs;
-    FeatureStoreWriter w(path, schema, opts);
-    for (std::size_t i = 0; i < 2 * kCap; ++i)
+    FeatureStoreWriter w(path, schema, flushOptions(kCap));
+    for (std::size_t i = 0; i < 3 * kCap; ++i)
         w.append(makeRecord(i, kCoeffs));
 
     LiveStoreReader live(path);
@@ -302,7 +318,7 @@ TEST(LiveView, PinnedViewsAreSnapshotIsolated)
     const StoreView v1 = live.view();
     EXPECT_EQ(v1.recordCount(), 2 * kCap);
 
-    for (std::size_t i = 2 * kCap; i < 4 * kCap; ++i)
+    for (std::size_t i = 3 * kCap; i < 5 * kCap; ++i)
         w.append(makeRecord(i, kCoeffs));
     ASSERT_TRUE(live.refresh());
     const StoreView v2 = live.view();
@@ -339,7 +355,7 @@ TEST(LiveView, PinnedViewsAreSnapshotIsolated)
     EXPECT_LT(v2.reader().blocksDecoded(), v2.blockCount());
 
     w.finish();
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 TEST(LiveView, TailFilterMatchesBruteForce)
@@ -347,12 +363,9 @@ TEST(LiveView, TailFilterMatchesBruteForce)
     constexpr std::size_t kRecords = 150;
     constexpr std::size_t kCoeffs = 2;
     const std::string path = tempPath("tailfilter.tdfs");
-    StoreOptions opts;
-    opts.blockCapacity = 16;
-    opts.live = true;
     StoreSchema schema;
     schema.coeffCount = kCoeffs;
-    FeatureStoreWriter w(path, schema, opts);
+    FeatureStoreWriter w(path, schema, flushOptions(16));
 
     EventFilter filter;
     filter.analysisIs(1).where(
@@ -380,7 +393,7 @@ TEST(LiveView, TailFilterMatchesBruteForce)
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i)
         expectRecordsEqual(got[i], want[i]);
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 TEST(LiveView, FilteredTailDecodesOnlyBlocksItsFilterAdmits)
@@ -393,12 +406,9 @@ TEST(LiveView, FilteredTailDecodesOnlyBlocksItsFilterAdmits)
     constexpr std::size_t kCoeffs = 2;
     constexpr std::size_t kCap = 16;
     const std::string path = tempPath("tailpushdown.tdfs");
-    StoreOptions opts;
-    opts.blockCapacity = kCap;
-    opts.live = true;
     StoreSchema schema;
     schema.coeffCount = kCoeffs;
-    FeatureStoreWriter w(path, schema, opts);
+    FeatureStoreWriter w(path, schema, flushOptions(kCap));
 
     const EventFilter filter =
         EventFilter().analysisIs(1).iterRange(100, 200);
@@ -437,15 +447,14 @@ TEST(LiveView, FilteredTailDecodesOnlyBlocksItsFilterAdmits)
         expectRecordsEqual(got[i], want[i]);
     EXPECT_GT(decoded, 0u);
     EXPECT_LT(decoded, r->blockCount());
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 TEST(LiveView, FooterFallbackServesFinishedStores)
 {
-    // A store finished without live mode (no sidecar ever existed):
-    // the reader attaches through the footer as a Final view. The
-    // zero-block store is the regression the live path exposed —
-    // empty-but-valid must attach, not error.
+    // A finished store: the reader attaches through the footer as a
+    // Final view. The zero-block store is the regression the live
+    // path exposed — empty-but-valid must attach, not error.
     for (const std::size_t records : {std::size_t{0}, std::size_t{37}}) {
         const std::string path = tempPath("fallback.tdfs");
         StoreOptions opts;
@@ -469,8 +478,96 @@ TEST(LiveView, FooterFallbackServesFinishedStores)
             expectRecordsEqual(rec, makeRecord(i++, 2));
         EXPECT_EQ(i, records);
         EXPECT_TRUE(tail.done());
-        removeStore(path);
+        std::remove(path.c_str());
     }
+}
+
+/** ReadFile that logs every readAt as (offset, bytes). */
+class LoggingReadFile final : public store::ReadFile
+{
+  public:
+    using Log = std::vector<std::pair<std::uint64_t, std::size_t>>;
+
+    LoggingReadFile(std::unique_ptr<store::ReadFile> inner,
+                    std::shared_ptr<Log> log)
+        : inner_(std::move(inner)), log_(std::move(log))
+    {
+    }
+
+    store::IoError
+    readAt(std::uint64_t offset, void *dst, std::size_t n) const override
+    {
+        log_->emplace_back(offset, n);
+        return inner_->readAt(offset, dst, n);
+    }
+    std::uint64_t size() const override { return inner_->size(); }
+    const std::string &path() const override { return inner_->path(); }
+
+  private:
+    std::unique_ptr<store::ReadFile> inner_;
+    std::shared_ptr<Log> log_;
+};
+
+TEST(LiveView, RefreshReadsOnlyNewBytes)
+{
+    // The cost bound of following the data file: once attached, a
+    // refresh reads nothing below the blocks it already adopted but
+    // the 24-byte header check and the 16-byte trailer probe — no
+    // index is re-read, no adopted block is re-checked — and in
+    // total at most those two plus the bytes past the adopted
+    // extent.
+    constexpr std::size_t kCap = 16;
+    constexpr std::size_t kSeals = 12;
+    const std::string path = tempPath("readcost.tdfs");
+    auto log = std::make_shared<LoggingReadFile::Log>();
+    LiveViewOptions vopts;
+    vopts.fileFactory = [log](const std::string &p, store::IoError *err)
+        -> std::unique_ptr<store::ReadFile> {
+        auto f = store::openOsReadFile(p, err);
+        if (!f)
+            return nullptr;
+        return std::make_unique<LoggingReadFile>(std::move(f), log);
+    };
+    StoreSchema schema;
+    schema.coeffCount = 2;
+    FeatureStoreWriter w(path, schema, flushOptions(kCap));
+    LiveStoreReader live(path, vopts);
+    ASSERT_TRUE(live.refresh());
+
+    std::size_t appended = 0;
+    auto check_refresh = [&](bool final_refresh) {
+        const std::uint64_t extent = extentOf(live.view().reader());
+        const std::uint64_t size = readBytes(path).size();
+        log->clear();
+        EXPECT_TRUE(live.refresh());
+        EXPECT_EQ(live.state(),
+                  final_refresh ? LiveState::Final : LiveState::Live);
+        std::uint64_t total = 0;
+        for (const auto &[offset, n] : *log) {
+            total += n;
+            const bool header = offset == 0 && n == store::headerBytes;
+            const bool trailer = n == store::trailerBytes;
+            EXPECT_TRUE(offset >= extent || header || trailer)
+                << "read of " << n << " bytes at " << offset
+                << " below the adopted extent " << extent;
+        }
+        EXPECT_LE(total, store::headerBytes + store::trailerBytes +
+                             (size - extent));
+    };
+    for (std::size_t s = 0; s < kSeals; ++s) {
+        for (std::size_t i = 0; i < kCap; ++i)
+            w.append(makeRecord(appended++, 2));
+        if (s > 0) // seal s commits block s - 1
+            check_refresh(false);
+    }
+    for (std::size_t i = 0; i < kCap / 2; ++i)
+        w.append(makeRecord(appended++, 2));
+    EXPECT_GT(w.finish(), 0u);
+    check_refresh(true);
+    EXPECT_EQ(live.view().recordCount(), appended);
+    EXPECT_EQ(streamDigest(live.view().reader()),
+              honestDigest(appended, 2, kCap));
+    std::remove(path.c_str());
 }
 
 TEST(LiveView, UnpinnedViewReaderIsFatal)
@@ -484,21 +581,23 @@ TEST(LiveView, UnpinnedViewReaderIsFatal)
 
 TEST(LiveView, HeaderOnlyStoreAttachesEmptyThenStallDegrades)
 {
-    // The on-disk state after a writer crashed before its first
-    // seal: a header-only data file plus the generation-1 manifest.
-    // A live reader must attach (empty view), and a stall must
-    // degrade it to a frozen WriterLost view without inventing or
-    // losing records.
+    // Before the writer's header is down the reader waits — a
+    // missing file or a partial header is no reject. The on-disk
+    // state after a writer crashed before its first seal is a
+    // header-only data file: a live reader must attach (empty view),
+    // and a stall must degrade it to a frozen WriterLost view
+    // without inventing or losing records.
     const LiveRunArtifacts a = captureLiveRun(40, 2, 16);
     const std::string path = tempPath("headeronly.tdfs");
-    writeBytes(path, a.dataInit);
-    writeBytes(store::manifestPathFor(path), a.manifestInit);
+    std::remove(path.c_str());
+    LiveStoreReader live(path, quickStall());
+    EXPECT_FALSE(live.refresh());
+    writeBytes(path, a.dataInit.substr(0, store::headerBytes - 1));
+    EXPECT_FALSE(live.refresh());
+    EXPECT_EQ(live.state(), LiveState::Waiting);
+    EXPECT_EQ(live.refreshRejects(), 0u);
 
-    LiveViewOptions vopts;
-    vopts.pollMinUs = 10;
-    vopts.pollMaxUs = 100;
-    vopts.stallDeadlineSeconds = 0.05;
-    LiveStoreReader live(path, vopts);
+    writeBytes(path, a.dataInit);
     ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.state(), LiveState::Live);
     EXPECT_EQ(live.view().recordCount(), 0u);
@@ -508,158 +607,140 @@ TEST(LiveView, HeaderOnlyStoreAttachesEmptyThenStallDegrades)
     EXPECT_EQ(live.state(), LiveState::WriterLost);
     EXPECT_TRUE(live.view().valid());
     EXPECT_EQ(live.view().recordCount(), 0u);
-    EXPECT_TRUE(live.view().degraded());
     TailCursor tail(live);
     FeatureRecord rec;
     EXPECT_FALSE(tail.next(rec));
     EXPECT_TRUE(tail.done());
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 TEST(LiveFault, CrashPointSweepViewEqualsHonestSealedPrefix)
 {
+    // A data file torn at byte N: a live view holds exactly the
+    // blocks that end before N (a byte follows each of them), and is
+    // digest-equal to an honest footer-backed store of those
+    // records. After the stall it holds salvage's prefix — which
+    // also takes a block ending exactly at N — as WriterLost. Tears
+    // sit a few bytes short of, exactly at, one past, and a few
+    // bytes past every block end, inside the footer, and at the full
+    // file, which is Final at once.
     constexpr std::size_t kRecords = 200;
     constexpr std::size_t kCoeffs = 2;
     constexpr std::size_t kCap = 16;
     const LiveRunArtifacts a = captureLiveRun(kRecords, kCoeffs, kCap);
-    const std::size_t seals = a.dataAtSeal.size();
-    ASSERT_GE(seals, 4u);
-    const std::string &full = a.dataAtSeal.back();
-
+    const std::string &full = a.dataFinal;
     const std::string path = tempPath("crash_live.tdfs");
-    const std::string mpath = store::manifestPathFor(path);
-    for (std::size_t s = 1; s + 1 < seals; ++s) {
-        const std::size_t boundary = a.dataAtSeal[s].size();
-        // Tear classes around seal s: exactly at the publication
-        // point, a few bytes into the next block, and a few bytes
-        // short of the boundary (mid final block of the prefix).
-        const std::size_t tears[] = {boundary, boundary + 7,
-                                     boundary - 3};
-        for (const std::size_t at : tears) {
-            writeBytes(path, full.substr(0, at));
 
-            // The newest manifest the tear still covers must adopt,
-            // and the adopted view must be digest-equal to an
-            // honest footer-backed store of the same sealed prefix.
-            const std::size_t adoptable =
-                at >= boundary ? s : s - 1;
-            writeBytes(mpath, a.manifestAtSeal[adoptable]);
-            LiveStoreReader live(path);
-            ASSERT_TRUE(live.refresh()) << "seal " << s << " at " << at;
-            const StoreView v = live.view();
-            const std::size_t sealed_records =
-                (adoptable + 1) * kCap;
-            EXPECT_EQ(v.recordCount(), sealed_records);
-            EXPECT_EQ(streamDigest(v.reader()),
-                      honestDigest(sealed_records, kCoeffs, kCap))
-                << "seal " << s << " at " << at;
-
-            // A manifest that runs ahead of the torn data file is
-            // the lying-kernel tear: reject, keep the good snapshot.
-            const std::uint64_t rejects_before = live.refreshRejects();
-            writeBytes(mpath, a.manifestAtSeal[s + 1]);
-            EXPECT_FALSE(live.refresh());
-            EXPECT_EQ(live.refreshRejects(), rejects_before + 1);
-            EXPECT_NE(live.lastError().find("runs ahead"),
-                      std::string::npos)
-                << live.lastError();
-            EXPECT_EQ(live.view().recordCount(), sealed_records);
-            EXPECT_EQ(live.state(), LiveState::Live);
-
-            // A fresh reader facing the same ahead-manifest (no
-            // prior snapshot) must also reject, not fatal.
-            LiveStoreReader fresh(path);
-            EXPECT_FALSE(fresh.refresh());
-            EXPECT_FALSE(fresh.attached());
-            EXPECT_EQ(fresh.refreshRejects(), 1u);
+    writeBytes(path, full);
+    std::vector<std::uint64_t> ends;
+    std::vector<std::size_t> recordsBefore = {0};
+    {
+        const auto r = FeatureStoreReader::open(path);
+        ASSERT_TRUE(r);
+        for (std::size_t b = 0; b < r->blockCount(); ++b) {
+            const store::BlockInfo &info = r->blockInfo(b);
+            ends.push_back(info.offset + info.size);
+            recordsBefore.push_back(recordsBefore.back() +
+                                    info.records);
         }
     }
-    removeStore(path);
+    ASSERT_GE(ends.size(), 4u);
+    std::vector<std::uint64_t> tears;
+    for (const std::uint64_t e : ends)
+        for (const std::uint64_t at : {e - 3, e, e + 1, e + 7})
+            tears.push_back(at);
+    tears.push_back(full.size() - 1);
+    tears.push_back(full.size());
+
+    std::vector<std::uint32_t> honest(recordsBefore.size());
+    for (std::size_t k = 0; k < honest.size(); ++k)
+        honest[k] = honestDigest(recordsBefore[k], kCoeffs, kCap);
+    for (const std::uint64_t at : tears) {
+        SCOPED_TRACE("tear at " + std::to_string(at));
+        writeBytes(path, full.substr(0, static_cast<std::size_t>(at)));
+        std::size_t before = 0, upto = 0;
+        for (const std::uint64_t e : ends) {
+            before += e < at ? 1 : 0;
+            upto += e <= at ? 1 : 0;
+        }
+        LiveStoreReader live(path, quickStall());
+        ASSERT_TRUE(live.refresh());
+        const StoreView v = live.view();
+        if (at == full.size()) {
+            EXPECT_EQ(live.state(), LiveState::Final);
+            EXPECT_EQ(v.recordCount(), kRecords);
+            EXPECT_EQ(streamDigest(v.reader()), honest.back());
+            continue;
+        }
+        EXPECT_EQ(live.state(), LiveState::Live);
+        EXPECT_EQ(v.blockCount(), before);
+        EXPECT_EQ(v.recordCount(), recordsBefore[before]);
+        EXPECT_EQ(streamDigest(v.reader()), honest[before]);
+
+        EXPECT_FALSE(live.waitForAdvance());
+        EXPECT_EQ(live.state(), LiveState::WriterLost);
+        const StoreView lost = live.view();
+        EXPECT_EQ(lost.blockCount(), upto);
+        EXPECT_EQ(streamDigest(lost.reader()), honest[upto]);
+        const auto salvaged = FeatureStoreReader::salvage(path);
+        ASSERT_TRUE(salvaged);
+        EXPECT_EQ(streamDigest(lost.reader()), streamDigest(*salvaged));
+        EXPECT_EQ(live.refreshRejects(), 0u);
+    }
+    std::remove(path.c_str());
 }
 
-TEST(LiveFault, TornManifestsRejectAndKeepServing)
+TEST(LiveFault, ShrunkDataFileIsRejected)
 {
+    // A data file shorter than the blocks a view has adopted is not
+    // a later state of the store it followed: reject, and keep the
+    // snapshot serving — also for a file cut below its header or
+    // removed. The file growing back past the extent advances again.
     const LiveRunArtifacts a = captureLiveRun(100, 2, 16);
-    ASSERT_GE(a.manifestAtSeal.size(), 3u);
-    const std::string path = tempPath("torn.tdfs");
-    const std::string mpath = store::manifestPathFor(path);
-    writeBytes(path, a.dataAtSeal.back());
-    writeBytes(mpath, a.manifestAtSeal[1]);
-
+    ASSERT_GE(a.dataAtSeal.size(), 6u);
+    const std::string path = tempPath("shrunk.tdfs");
+    writeBytes(path, a.dataAtSeal[3]);
     LiveStoreReader live(path);
     ASSERT_TRUE(live.refresh());
     const std::uint64_t gen = live.generation();
-    const std::size_t records = live.view().recordCount();
-    EXPECT_EQ(records, 32u);
+    EXPECT_EQ(live.view().recordCount(), 48u);
 
-    const std::string &good = a.manifestAtSeal[2];
-    std::uint64_t expected_rejects = 0;
+    std::uint64_t rejects = 0;
     auto expect_rejected = [&](const std::string &label) {
         EXPECT_FALSE(live.refresh()) << label;
-        EXPECT_EQ(live.refreshRejects(), ++expected_rejects)
-            << label;
-        EXPECT_FALSE(live.lastError().empty()) << label;
+        EXPECT_EQ(live.refreshRejects(), ++rejects) << label;
         EXPECT_EQ(live.generation(), gen) << label;
-        EXPECT_EQ(live.view().recordCount(), records) << label;
+        EXPECT_EQ(live.view().recordCount(), 48u) << label;
         EXPECT_EQ(live.state(), LiveState::Live) << label;
     };
-
-    // Truncations at every frame region: inside the magic, the
-    // fixed fields, the index, and the trailing CRC.
-    for (const std::size_t keep :
-         {std::size_t{4}, std::size_t{16}, good.size() / 2,
-          good.size() - 5, good.size() - 1}) {
-        writeBytes(mpath, good.substr(0, keep));
-        expect_rejected("truncated at " + std::to_string(keep));
-    }
-    // Bit flip mid-frame: CRC catches it.
-    std::string flipped = good;
-    flipped[flipped.size() / 2] ^= 0x10;
-    writeBytes(mpath, flipped);
-    expect_rejected("bit flip");
-    // Garbage and an implausibly tiny sidecar.
-    writeBytes(mpath, std::string(256, 'x'));
-    expect_rejected("garbage");
-    writeBytes(mpath, "xy");
-    expect_rejected("tiny");
-    // A well-formed frame in the previous sidecar layout (magic
-    // TDFSLIV1, manifest version 2, generation, then this payload,
-    // then a CRC over everything): not a frame of this build.
-    std::vector<std::uint8_t> v2(store::manifestMagic,
-                                 store::manifestMagic + 8);
-    v2[7] = '1';
-    store::putU32(v2, 2);
-    v2.insert(v2.end(), good.begin() + 16, good.begin() + 24);
-    v2.insert(v2.end(), good.begin() + store::frameHeaderBytes,
-              good.end() - store::frameTrailerBytes);
-    store::putU32(v2, store::crc32(v2.data(), v2.size()));
-    writeBytes(mpath, std::string(v2.begin(), v2.end()));
-    expect_rejected("version 2 layout");
-    EXPECT_NE(live.lastError().find("bad magic"), std::string::npos)
+    writeBytes(path, a.dataAtSeal[1]);
+    expect_rejected("cut to two blocks");
+    EXPECT_NE(live.lastError().find("shrank"), std::string::npos)
         << live.lastError();
+    writeBytes(path, a.dataInit.substr(0, 10));
+    expect_rejected("cut below the header");
+    std::remove(path.c_str());
+    expect_rejected("removed");
 
-    // The next good publication advances as if nothing happened.
-    writeBytes(mpath, good);
+    writeBytes(path, a.dataAtSeal[5]);
     ASSERT_TRUE(live.refresh());
-    EXPECT_EQ(live.view().recordCount(), 48u);
-    removeStore(path);
+    EXPECT_EQ(live.view().recordCount(), 80u);
+    EXPECT_EQ(streamDigest(live.view().reader()), honestDigest(80, 2, 16));
+    std::remove(path.c_str());
 }
 
 TEST(LiveFault, CorruptDataHeaderIsRejected)
 {
-    // Intact manifests over a data file whose header magic was
-    // flipped: the file is no longer a feature store, and a live
-    // view must say so exactly as open() and salvage() do — never
-    // serve the blocks the manifest indexes.
+    // A data file whose header magic was flipped is no longer a
+    // feature store, and a live view must say so exactly as open()
+    // and salvage() do — never serve the blocks behind it.
     const LiveRunArtifacts a = captureLiveRun(100, 2, 16);
     const std::string path = tempPath("badheader.tdfs");
-    const std::string mpath = store::manifestPathFor(path);
     auto corrupt = [](std::string data) {
         data[0] ^= 0x20;
         return data;
     };
-    writeBytes(path, corrupt(a.dataAtSeal[1]));
-    writeBytes(mpath, a.manifestAtSeal[1]);
+    writeBytes(path, corrupt(a.dataAtSeal[2]));
 
     LiveStoreReader fresh(path);
     EXPECT_FALSE(fresh.refresh());
@@ -673,14 +754,13 @@ TEST(LiveFault, CorruptDataHeaderIsRejected)
     EXPECT_NE(error.find("bad header magic"), std::string::npos)
         << error;
 
-    // An attached view meeting the same corruption on its next
-    // generation rejects it and keeps serving its snapshot.
-    writeBytes(path, a.dataAtSeal[1]);
+    // An attached view meeting the same corruption on a later poll
+    // rejects it and keeps serving its snapshot.
+    writeBytes(path, a.dataAtSeal[2]);
     LiveStoreReader live(path);
     ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.view().recordCount(), 32u);
-    writeBytes(path, corrupt(a.dataAtSeal[2]));
-    writeBytes(mpath, a.manifestAtSeal[2]);
+    writeBytes(path, corrupt(a.dataAtSeal[3]));
     EXPECT_FALSE(live.refresh());
     EXPECT_EQ(live.refreshRejects(), 1u);
     EXPECT_NE(live.lastError().find("bad header magic"),
@@ -688,82 +768,83 @@ TEST(LiveFault, CorruptDataHeaderIsRejected)
         << live.lastError();
     EXPECT_EQ(live.view().recordCount(), 32u);
     EXPECT_EQ(live.state(), LiveState::Live);
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 TEST(LiveFault, InjectedReadFaultsRejectThenHeal)
 {
-    const LiveRunArtifacts a = captureLiveRun(100, 2, 16);
+    const LiveRunArtifacts a = captureLiveRun(120, 2, 16);
     const std::string path = tempPath("readfault.tdfs");
-    const std::string mpath = store::manifestPathFor(path);
-    writeBytes(path, a.dataAtSeal[3]);
-    writeBytes(mpath, a.manifestAtSeal[3]);
+    writeBytes(path, a.dataAtSeal[4]);
 
-    // Two refresh attempts see EIO on every data-file read (the
-    // new-block validation hits it), then the file heals. Each
-    // failure rejects that refresh and nothing else.
-    auto data_faults = std::make_shared<std::atomic<int>>(2);
-    auto manifest_faults = std::make_shared<std::atomic<int>>(1);
+    // Per opened file (one per refresh), the offset from which its
+    // reads fail with EIO; -1 opens it healthy.
+    const std::vector<long> plan = {0, long(store::headerBytes), -1,
+                                    long(store::headerBytes), -1};
+    auto opens = std::make_shared<std::size_t>(0);
     LiveViewOptions vopts;
-    vopts.fileFactory =
-        [path, mpath, data_faults, manifest_faults](
-            const std::string &p, store::IoError *err)
+    vopts.fileFactory = [plan, opens](const std::string &p,
+                                      store::IoError *err)
         -> std::unique_ptr<store::ReadFile> {
         auto f = store::openOsReadFile(p, err);
         if (!f)
             return nullptr;
-        auto *budget = p == path ? data_faults.get()
-                     : p == mpath ? manifest_faults.get()
-                                  : nullptr;
-        if (budget && budget->fetch_sub(1) > 0) {
-            store::ReadFaultPlan plan;
-            plan.kind = store::ReadFaultPlan::Kind::ErrorAt;
-            plan.atByte = 0;
-            plan.errCode = EIO;
-            return std::make_unique<store::FaultyReadFile>(
-                std::move(f), plan);
-        }
-        return f;
+        const std::size_t k = (*opens)++;
+        if (k >= plan.size() || plan[k] < 0)
+            return f;
+        store::ReadFaultPlan fault;
+        fault.kind = store::ReadFaultPlan::Kind::ErrorAt;
+        fault.atByte = static_cast<std::uint64_t>(plan[k]);
+        fault.errCode = EIO;
+        return std::make_unique<store::FaultyReadFile>(std::move(f),
+                                                       fault);
     };
     LiveStoreReader live(path, vopts);
-    // Attempt 1: the manifest read itself faults.
+    // Attempt 1: the header read faults.
     EXPECT_FALSE(live.refresh());
     EXPECT_EQ(live.refreshRejects(), 1u);
-    EXPECT_NE(live.lastError().find("manifest"), std::string::npos);
-    // Attempts 2 and 3: manifest healed, data-file reads fault —
-    // block validation rejects the adoption, no snapshot appears.
+    EXPECT_NE(live.lastError().find("header read failed"),
+              std::string::npos)
+        << live.lastError();
+    // Attempt 2: the header reads, the bytes past it fault.
     EXPECT_FALSE(live.refresh());
-    EXPECT_FALSE(live.refresh());
-    EXPECT_EQ(live.refreshRejects(), 3u);
+    EXPECT_EQ(live.refreshRejects(), 2u);
+    EXPECT_NE(live.lastError().find("injected read"), std::string::npos)
+        << live.lastError();
     EXPECT_FALSE(live.attached());
-    // Attempt 4: healed end to end.
+    // Attempt 3: healed end to end.
     ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.view().recordCount(), 64u);
     EXPECT_EQ(streamDigest(live.view().reader()),
               honestDigest(64, 2, 16));
-    removeStore(path);
+
+    // Attached: a fault past the adopted blocks rejects that poll
+    // only, and the next one adopts the new blocks.
+    writeBytes(path, a.dataAtSeal[6]);
+    EXPECT_FALSE(live.refresh());
+    EXPECT_EQ(live.refreshRejects(), 3u);
+    EXPECT_EQ(live.view().recordCount(), 64u);
+    ASSERT_TRUE(live.refresh());
+    EXPECT_EQ(live.view().recordCount(), 96u);
+    EXPECT_EQ(streamDigest(live.view().reader()),
+              honestDigest(96, 2, 16));
+    std::remove(path.c_str());
 }
 
 TEST(LiveFault, VanishedWriterDegradesToSalvagedPrefix)
 {
-    // Crash scene: the writer sealed 4 blocks and tore mid-way
-    // through the 5th, but the newest surviving manifest only
-    // covers 2. The stalled reader must end WriterLost on the
-    // salvaged 4-block prefix — growing from its adopted snapshot,
-    // never shrinking — and a tail across the degrade delivers
-    // every salvageable record exactly once.
+    // Crash scene: the writer sealed its 4th block and died before
+    // writing another byte. The view follows it to the three blocks
+    // that bytes follow; the stall then degrades it to WriterLost on
+    // salvage's 4-block prefix — growing from its adopted snapshot,
+    // never shrinking — and a tail across the degrade delivers every
+    // salvageable record exactly once.
     const LiveRunArtifacts a = captureLiveRun(120, 2, 16);
     ASSERT_GE(a.dataAtSeal.size(), 5u);
     const std::string path = tempPath("vanish.tdfs");
-    writeBytes(path, a.dataAtSeal[4].substr(
-                         0, a.dataAtSeal[3].size() + 11));
-    writeBytes(store::manifestPathFor(path), a.manifestAtSeal[1]);
+    writeBytes(path, a.dataAtSeal[2]);
 
-    LiveViewOptions vopts;
-    vopts.pollMinUs = 10;
-    vopts.pollMaxUs = 100;
-    vopts.stallDeadlineSeconds = 0.05;
-    LiveStoreReader live(path, vopts);
+    LiveStoreReader live(path, quickStall());
     TailCursor tail(live);
     ASSERT_TRUE(live.refresh());
     EXPECT_EQ(live.view().recordCount(), 32u);
@@ -772,151 +853,76 @@ TEST(LiveFault, VanishedWriterDegradesToSalvagedPrefix)
     while (tail.next(rec))
         expectRecordsEqual(rec, makeRecord(delivered++, 2));
     EXPECT_EQ(delivered, 32u);
+
+    writeBytes(path, a.dataAtSeal[3]);
+    ASSERT_TRUE(live.refresh());
+    EXPECT_EQ(live.view().recordCount(), 48u);
     EXPECT_FALSE(tail.done());
 
     EXPECT_FALSE(live.waitForAdvance());
     EXPECT_EQ(live.state(), LiveState::WriterLost);
     const StoreView v = live.view();
-    EXPECT_TRUE(v.degraded());
     EXPECT_EQ(v.recordCount(), 64u);
     EXPECT_EQ(streamDigest(v.reader()), honestDigest(64, 2, 16));
     while (tail.next(rec))
         expectRecordsEqual(rec, makeRecord(delivered++, 2));
     EXPECT_EQ(delivered, 64u);
     EXPECT_TRUE(tail.done());
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
-TEST(LiveFault, ManifestPublishFailureDegradesLiveSideOnly)
+TEST(LiveFault, DegradedWriterTailEndsOnSalvagePrefix)
 {
-    constexpr std::size_t kRecords = 100;
+    // A writer that degrades (persistent ENOSPC on its 5th block)
+    // cuts the file back to its sealed prefix and stops extending
+    // it. A view that followed it ends at the stall deadline as
+    // WriterLost on salvage's prefix — every sealed block, nothing
+    // torn — never on anything the failed write left behind.
     constexpr std::size_t kCap = 16;
-    const std::string path = tempPath("livefail.tdfs");
-    StoreOptions opts;
-    opts.blockCapacity = kCap;
-    opts.live = true;
-    // Publications 1 (init) and 2 (first seal) succeed; from the
-    // third on the manifest tmp file dies with persistent ENOSPC.
-    int opened = 0;
-    opts.liveWrapFile = [&opened](std::unique_ptr<store::StoreFile> f)
-        -> std::unique_ptr<store::StoreFile> {
-        if (++opened <= 2)
-            return f;
-        store::FaultPlan plan;
-        plan.kind = store::FaultPlan::Kind::ErrorAt;
-        plan.atByte = 0;
-        plan.errCode = ENOSPC;
-        return std::make_unique<store::FaultyFile>(std::move(f),
-                                                   plan);
-    };
+    const LiveRunArtifacts a = captureLiveRun(6 * kCap, 2, kCap);
+    const std::string path = tempPath("degraded.tdfs");
+    store::IoError err;
+    auto file = store::openOsFile(path, &err);
+    ASSERT_TRUE(file) << err.message;
+    store::FaultPlan plan;
+    plan.kind = store::FaultPlan::Kind::ErrorAt;
+    plan.atByte = a.dataAtSeal[3].size() + 5;
+    plan.errCode = ENOSPC;
+    plan.shortWrite = true;
     StoreSchema schema;
     schema.coeffCount = 2;
-    FeatureStoreWriter w(path, schema, opts);
-    EXPECT_TRUE(w.liveOk());
-    for (std::size_t i = 0; i < kRecords; ++i)
-        EXPECT_TRUE(w.append(makeRecord(i, 2)));
+    StoreOptions opts = flushOptions(kCap);
+    opts.retryBackoffUs = 0;
+    FeatureStoreWriter w(
+        std::make_unique<store::FaultyFile>(std::move(file), plan),
+        schema, opts);
 
-    // The live side is degraded — sticky, with the injected errno —
-    // while the store itself never noticed.
-    EXPECT_FALSE(w.liveOk());
-    EXPECT_EQ(w.liveStatus().code, ENOSPC);
-    EXPECT_EQ(w.livePublished(), 2u);
-    EXPECT_TRUE(w.ok());
-    EXPECT_GT(w.finish(), 0u);
-    EXPECT_EQ(w.droppedRecords(), 0u);
-
-    // A live reader rides the last good publication (generation 2 =
-    // one sealed block), stalls, and degrades onto the intact
-    // footer: Final with every record, nothing torn.
-    LiveViewOptions vopts;
-    vopts.pollMinUs = 10;
-    vopts.pollMaxUs = 100;
-    vopts.stallDeadlineSeconds = 0.05;
-    LiveStoreReader live(path, vopts);
-    ASSERT_TRUE(live.refresh());
-    EXPECT_EQ(live.view().recordCount(), kCap);
-    EXPECT_FALSE(live.waitForAdvance());
-    EXPECT_EQ(live.state(), LiveState::Final);
-    EXPECT_FALSE(live.view().degraded());
-    EXPECT_EQ(live.view().recordCount(), kRecords);
-    EXPECT_EQ(streamDigest(live.view().reader()),
-              honestDigest(kRecords, 2, kCap));
-    removeStore(path);
-}
-
-TEST(LiveFault, TornPublicationsRejectThenNextAdopts)
-{
-    // A lying kernel tears one manifest publication inside the frame
-    // header, the payload, or the trailing CRC. The torn frame is
-    // renamed into place (Crash mode reports success); the view must
-    // reject it, keep its generation, and adopt the next healthy one.
-    constexpr std::size_t kCap = 16;
-    const std::string path = tempPath("torn_publish.tdfs");
-    const std::string mpath = store::manifestPathFor(path);
-    std::uint64_t tear_at = ~0ull;
-    StoreOptions opts;
-    opts.blockCapacity = kCap;
-    opts.live = true;
-    opts.liveWrapFile = [&tear_at](std::unique_ptr<store::StoreFile> f)
-        -> std::unique_ptr<store::StoreFile> {
-        if (tear_at == ~0ull)
-            return f;
-        store::FaultPlan plan;
-        plan.kind = store::FaultPlan::Kind::Crash;
-        plan.atByte = tear_at;
-        return std::make_unique<store::FaultyFile>(std::move(f), plan);
-    };
-    StoreSchema schema;
-    schema.coeffCount = 2;
-    FeatureStoreWriter w(path, schema, opts);
+    LiveStoreReader live(path, quickStall());
+    TailCursor tail(live);
     std::size_t appended = 0;
-    auto seal_block = [&] {
-        for (std::size_t i = 0; i < kCap; ++i)
-            EXPECT_TRUE(w.append(makeRecord(appended++, 2)));
-    };
-    // Frame size grows by a fixed footer entry per sealed block.
-    const std::size_t empty_frame = readBytes(mpath).size();
-    seal_block();
-    const std::size_t per_block = readBytes(mpath).size() - empty_frame;
-    LiveStoreReader live(path);
-    ASSERT_TRUE(live.refresh());
-
-    const char *regions[] = {"header", "payload", "payload CRC"};
-    std::uint64_t rejects = 0;
-    for (std::size_t t = 0; t < 3; ++t) {
-        SCOPED_TRACE(regions[t]);
-        // Each round seals two blocks, a torn publication and a
-        // healthy one; the torn frame describes 2t + 2 blocks.
-        const std::uint64_t size = empty_frame + (2 * t + 2) * per_block;
-        const std::uint64_t at[] = {
-            20, store::frameHeaderBytes + per_block, size - 2};
-        tear_at = at[t];
-        const std::uint64_t gen = live.generation();
-        const std::size_t records = live.view().recordCount();
-        seal_block();
-        EXPECT_EQ(readBytes(mpath).size(), tear_at);
-        tear_at = ~0ull;
-        EXPECT_FALSE(live.refresh());
-        EXPECT_EQ(live.refreshRejects(), ++rejects);
-        EXPECT_NE(live.lastError().find("live manifest"),
-                  std::string::npos)
-            << live.lastError();
-        EXPECT_EQ(live.generation(), gen);
-        EXPECT_EQ(live.view().recordCount(), records);
-        EXPECT_EQ(live.state(), LiveState::Live);
-
-        seal_block();
-        ASSERT_TRUE(live.refresh());
-        EXPECT_EQ(live.generation(), gen + 2);
-        EXPECT_EQ(live.view().recordCount(), records + 2 * kCap);
+    for (; appended < 6 * kCap; ++appended) {
+        if (!w.append(makeRecord(appended, 2)))
+            break;
+        live.refresh();
     }
-    EXPECT_TRUE(w.liveOk());
-    EXPECT_GT(w.finish(), 0u);
-    ASSERT_TRUE(live.refresh());
-    EXPECT_EQ(live.state(), LiveState::Final);
+    EXPECT_FALSE(w.ok());
+    EXPECT_EQ(w.status().code, ENOSPC);
+    EXPECT_EQ(readBytes(path), a.dataAtSeal[3]);
+    EXPECT_EQ(live.view().recordCount(), 3 * kCap);
+
+    EXPECT_FALSE(live.waitForAdvance());
+    EXPECT_EQ(live.state(), LiveState::WriterLost);
+    EXPECT_EQ(live.view().recordCount(), 4 * kCap);
     EXPECT_EQ(streamDigest(live.view().reader()),
-              honestDigest(appended, 2, kCap));
-    removeStore(path);
+              honestDigest(4 * kCap, 2, kCap));
+    FeatureRecord rec;
+    std::size_t delivered = 0;
+    while (tail.next(rec))
+        expectRecordsEqual(rec, makeRecord(delivered++, 2));
+    EXPECT_EQ(delivered, 4 * kCap);
+    EXPECT_TRUE(tail.done());
+    EXPECT_EQ(w.finish(), 0u);
+    std::remove(path.c_str());
 }
 
 TEST(LiveTsan, ConcurrentWriterAndPollingReaders)
@@ -926,24 +932,29 @@ TEST(LiveTsan, ConcurrentWriterAndPollingReaders)
     constexpr std::size_t kCap = 32;
     constexpr int kReaders = 2;
     const std::string path = tempPath("tsan_live.tdfs");
+    std::remove(path.c_str());
     std::atomic<bool> writer_ok{true};
     std::thread writer([&] {
-        StoreOptions opts;
-        opts.blockCapacity = kCap;
-        opts.live = true;
         StoreSchema schema;
         schema.coeffCount = kCoeffs;
-        FeatureStoreWriter w(path, schema, opts);
-        for (std::size_t i = 0; i < kRecords; ++i)
+        FeatureStoreWriter w(path, schema, flushOptions(kCap));
+        for (std::size_t i = 0; i < kRecords; ++i) {
             if (!w.append(makeRecord(i, kCoeffs)))
                 writer_ok.store(false);
-        if (w.finish() == 0 || !w.liveOk())
+            // Pace the seals so the readers follow the file mid-write
+            // instead of meeting the finished store's footer.
+            if ((i + 1) % kCap == 0)
+                std::this_thread::sleep_for(
+                    std::chrono::microseconds(200));
+        }
+        if (w.finish() == 0)
             writer_ok.store(false);
     });
 
     std::vector<std::thread> readers;
     std::vector<std::size_t> delivered(kReaders, 0);
     std::vector<std::size_t> out_of_order(kReaders, 0);
+    std::vector<std::uint64_t> generations(kReaders, 0);
     for (int t = 0; t < kReaders; ++t) {
         readers.emplace_back([&, t] {
             LiveViewOptions vopts;
@@ -964,6 +975,7 @@ TEST(LiveTsan, ConcurrentWriterAndPollingReaders)
                 live.waitForAdvance(0.05);
             }
             delivered[t] = next_iter;
+            generations[t] = live.generation();
         });
     }
     writer.join();
@@ -973,8 +985,10 @@ TEST(LiveTsan, ConcurrentWriterAndPollingReaders)
     for (int t = 0; t < kReaders; ++t) {
         EXPECT_EQ(delivered[t], kRecords) << "reader " << t;
         EXPECT_EQ(out_of_order[t], 0u) << "reader " << t;
+        std::printf("reader %d: %llu generations\n", t,
+                    static_cast<unsigned long long>(generations[t]));
     }
-    removeStore(path);
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 #include "par/store_merge.hh"
 #include "par/thread_comm.hh"
 #include "store/file.hh"
-#include "store/manifest.hh"
 #include "store/query.hh"
 #include "store/reader.hh"
 #include "store/writer.hh"
@@ -546,37 +545,93 @@ TEST(StoreCApi, UnopenablePathDegradesWithoutAborting)
 TEST(StoreCApi, OpenVariantsParseDurabilityAlike)
 {
     const std::string path = tempPath("capi_open.tdfs");
-    const std::string live = store::manifestPathFor(path);
     // An unknown policy is a NULL return, never a terminated
-    // process, on both entry points that take one.
+    // process.
     EXPECT_EQ(td_store_open_ex(path.c_str(), 2, 8, "sometimes"),
               nullptr);
-    EXPECT_EQ(td_store_open_live(path.c_str(), 2, 8, "sometimes"),
-              nullptr);
     EXPECT_EQ(td_store_open_ex(path.c_str(), -1, 8, nullptr), nullptr);
-    EXPECT_EQ(td_store_open_live(nullptr, 2, 8, nullptr), nullptr);
+    EXPECT_EQ(td_store_open_ex(nullptr, 2, 8, nullptr), nullptr);
 
     const double coeffs[2] = {0.5, 1.5};
     for (const char *durability : {"none", "flush", "fsync"}) {
-        for (const bool with_live : {false, true}) {
-            std::remove(live.c_str());
-            td_store_t *store =
-                with_live
-                    ? td_store_open_live(path.c_str(), 2, 8, durability)
-                    : td_store_open_ex(path.c_str(), 2, 8, durability);
-            ASSERT_NE(store, nullptr) << durability;
-            for (long i = 0; i < 20; ++i)
-                EXPECT_EQ(td_store_append(store, i, 0, 0, 0.0, 1.0,
-                                          2.0, 0.1, coeffs),
-                          0);
-            EXPECT_GT(td_store_close(store), 0);
-            EXPECT_EQ(td_store_record_count(path.c_str()), 20);
-            // Only the live entry point publishes a manifest.
-            EXPECT_EQ(std::ifstream(live).good(), with_live)
-                << durability;
-        }
+        td_store_t *store =
+            td_store_open_ex(path.c_str(), 2, 8, durability);
+        ASSERT_NE(store, nullptr) << durability;
+        for (long i = 0; i < 20; ++i)
+            EXPECT_EQ(td_store_append(store, i, 0, 0, 0.0, 1.0, 2.0,
+                                      0.1, coeffs),
+                      0);
+        EXPECT_GT(td_store_close(store), 0);
+        EXPECT_EQ(td_store_record_count(path.c_str()), 20);
+        // The data file is the whole store: nothing is written
+        // beside it.
+        EXPECT_FALSE(std::ifstream(path + ".live").good()) << durability;
     }
-    std::remove(live.c_str());
+    std::remove(path.c_str());
+}
+
+TEST(StoreCApi, FlushedStoreIsFollowedRecordExactly)
+{
+    // A view follows a "flush" store while it is written: block k is
+    // adopted at seal k + 1 (the next block's bytes commit it), the
+    // rest once the footer lands, and every record comes out once,
+    // in order, with every field intact.
+    constexpr int kCap = 8;
+    constexpr long kRecords = 45;
+    const std::string path = tempPath("capi_follow.tdfs");
+    td_store_t *store = td_store_open_ex(path.c_str(), 2, kCap, "flush");
+    ASSERT_NE(store, nullptr);
+    td_store_view_t *view = td_store_view_open(path.c_str(), 0.0);
+    ASSERT_NE(view, nullptr);
+
+    long next = 0;
+    auto drain = [&] {
+        long iteration = -1, analysis = -1;
+        int stop = -1;
+        double wall = 0, wave = 0, pred = 0, mse = 0, c[2] = {0, 0};
+        while (td_store_view_next(view, &iteration, &analysis, &stop,
+                                  &wall, &wave, &pred, &mse, c,
+                                  2) == 1) {
+            EXPECT_EQ(iteration, next);
+            EXPECT_EQ(analysis, next % 3);
+            EXPECT_EQ(stop, next == kRecords - 1 ? 1 : 0);
+            EXPECT_EQ(wall, 0.5 * static_cast<double>(next));
+            EXPECT_EQ(wave, static_cast<double>(next + 1));
+            EXPECT_EQ(pred, -static_cast<double>(next));
+            EXPECT_EQ(mse, 1.0 / static_cast<double>(next + 1));
+            EXPECT_EQ(c[0], static_cast<double>(2 * next));
+            EXPECT_EQ(c[1], static_cast<double>(2 * next + 1));
+            ++next;
+        }
+    };
+    // The header is flushed at open: the view attaches empty.
+    EXPECT_EQ(td_store_view_refresh(view), 1);
+    EXPECT_EQ(td_store_view_state(view), 1);
+    EXPECT_EQ(td_store_view_records(view), 0);
+    for (long i = 0; i < kRecords; ++i) {
+        const double c[2] = {static_cast<double>(2 * i),
+                             static_cast<double>(2 * i + 1)};
+        ASSERT_EQ(td_store_append(store, i, i % 3,
+                                  i == kRecords - 1 ? 1 : 0, 0.5 * i,
+                                  static_cast<double>(i + 1),
+                                  -static_cast<double>(i),
+                                  1.0 / static_cast<double>(i + 1), c),
+                  0);
+        td_store_view_refresh(view);
+        const long sealed = (i + 1) / kCap;
+        EXPECT_EQ(td_store_view_records(view),
+                  sealed > 0 ? (sealed - 1) * kCap : 0)
+            << "append " << i;
+        drain();
+        EXPECT_EQ(next, td_store_view_records(view));
+    }
+    EXPECT_GT(td_store_close(store), 0);
+    EXPECT_EQ(td_store_view_refresh(view), 1);
+    EXPECT_EQ(td_store_view_state(view), 2);
+    drain();
+    EXPECT_EQ(next, kRecords);
+    EXPECT_EQ(td_store_view_done(view), 1);
+    td_store_view_close(view);
     std::remove(path.c_str());
 }
 

@@ -12,10 +12,9 @@
  *                                      filtered scan (zone-map
  *                                      pushdown; see store/query.hh)
  *   tdfstool tail   <store> [filters] [--stall s] [--max n]
- *                                      follow a store being written
- *                                      (--store-live), streaming
- *                                      each sealed record as CSV
- *                                      (see store/live.hh)
+ *                                      follow a store being written,
+ *                                      streaming each sealed record
+ *                                      as CSV (see store/live.hh)
  *   tdfstool diff   <a> <b> [--ignore cols]
  *                                      record-wise comparison
  *   tdfstool recover <damaged> <out>   salvage a damaged store into
@@ -109,12 +108,14 @@ printUsage(std::FILE *to)
         "per-projected-column\n"
         "                              min/max/mean (NaNs "
         "excluded)\n"
-        "  tail   <store> [filters]    follow a store being written "
-        "(the\n"
-        "                              writer publishes with "
-        "--store-live),\n"
-        "                              printing each sealed record "
-        "as CSV;\n"
+        "  tail   <store> [filters]    follow a store being written, "
+        "printing\n"
+        "                              each sealed record as CSV "
+        "(a block\n"
+        "                              shows once the writer's "
+        "durability\n"
+        "                              policy pushes the bytes after "
+        "it out);\n"
         "                              accepts the query filters "
         "and\n"
         "                              --project above, plus:\n"
@@ -606,8 +607,8 @@ cmdTail(int argc, char **argv)
     tdfe::LiveStoreReader live(path, options);
     tdfe::TailCursor tail(live, filter);
 
-    // First advance = attach: the column set is only known once a
-    // manifest (or footer) has been adopted.
+    // First advance = attach: the column set is only known once the
+    // data file's header (or footer) has been adopted.
     if (!live.attached())
         live.waitForAdvance();
     if (!live.attached()) {
@@ -641,8 +642,8 @@ cmdTail(int argc, char **argv)
         }
         if (tail.done())
             break;
-        // Drained for now: block until the writer publishes again,
-        // finishes, or the stall deadline degrades us to a static
+        // Drained for now: block until the writer commits another
+        // block, finishes, or the stall deadline degrades us to a static
         // view — the loop then drains that and done() ends it.
         live.waitForAdvance();
     }
