@@ -205,10 +205,6 @@ addStoreOptions(ArgParser &args)
                    "visible to a live tail (tdfstool tail): none "
                    "(when the stdio buffer is written out), flush "
                    "(flush per seal), or fsync (fsync per seal)");
-    args.addString("store-merge-policy", "fail",
-                   "rank-merge treatment of unreadable store parts: "
-                   "fail (abort) or skip (salvage what decodes, "
-                   "keep the damaged part for post-mortem)");
     args.addFlag("store-keep-parts",
                  "keep the per-rank store part files after the "
                  "merge");
@@ -220,7 +216,6 @@ storeOptions(const ArgParser &args)
     StoreCliOptions opts;
     opts.path = args.getString("store");
     opts.durability = args.getString("store-durability");
-    opts.mergePolicy = args.getString("store-merge-policy");
     opts.keepParts = args.getFlag("store-keep-parts");
     return opts;
 }

@@ -123,10 +123,6 @@ struct StoreCliOptions
      *  not depend on src/store; storeOptionsFrom (src/harness)
      *  parses it, fatal on typos. */
     std::string durability = "none";
-    /** Rank-merge policy name (--store-merge-policy): "fail" or
-     *  "skip". String for the same layering reason (parsed with
-     *  parseMergePolicy by the run harness). */
-    std::string mergePolicy = "fail";
     /** Keep per-rank part files after the merge
      *  (--store-keep-parts). */
     bool keepParts = false;
@@ -137,9 +133,9 @@ struct StoreCliOptions
  * (write extracted features to a trace store; empty default
  * disables), `--store-durability none|flush|fsync` (when sealed
  * blocks become durable, and so when `tdfstool tail` sees them),
- * `--store-merge-policy fail|skip` (what the rank merge does with
- * unreadable parts), and the `--store-keep-parts` flag (keep
- * per-rank part files after the merge).
+ * and the `--store-keep-parts` flag (keep per-rank part files after
+ * the merge; damaged parts are kept regardless, since the merge
+ * salvages what they hold and never aborts on them).
  */
 void addStoreOptions(ArgParser &args);
 

@@ -235,7 +235,6 @@ runHarness(HarnessApp &app, Region *region, Communicator *comm,
         result.storeDegraded =
             region->featureStoreDegraded() || !store->ok();
         RankMergeOptions merge;
-        merge.policy = parseMergePolicy(options.store.mergePolicy);
         merge.keepParts = options.store.keepParts;
         merge.storeOptions = storeOptionsFrom(options.store);
         result.storeBytes = finishRankStore(

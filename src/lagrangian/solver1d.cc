@@ -84,11 +84,14 @@ LagrangianSolver1D::updateEosAndViscosity()
 }
 
 double
-LagrangianSolver1D::computeDt()
+LagrangianSolver1D::advance()
 {
     updateEosAndViscosity();
+    const int n = cfg.zones;
+
+    // Stable timestep from the fresh p + q.
     double dt = parallelReduce(
-        static_cast<std::size_t>(cfg.zones), zoneGrain, 1e30,
+        static_cast<std::size_t>(n), zoneGrain, 1e30,
         [&](std::size_t b, std::size_t e_) {
             double best = 1e30;
             for (std::size_t jz = b; jz < e_; ++jz) {
@@ -106,14 +109,6 @@ LagrangianSolver1D::computeDt()
     if (lastDt > 0.0)
         dt = std::min(dt, lastDt * cfg.dtGrowth);
     lastDt = dt;
-    return dt;
-}
-
-void
-LagrangianSolver1D::step(double dt)
-{
-    updateEosAndViscosity();
-    const int n = cfg.zones;
 
     // Nodal accelerations from the pressure (+q) jump across the
     // node, weighted by the node area; the centre node is pinned by
@@ -170,13 +165,6 @@ LagrangianSolver1D::step(double dt)
 
     t += dt;
     ++cycleCount;
-}
-
-double
-LagrangianSolver1D::advance()
-{
-    const double dt = computeDt();
-    step(dt);
     return dt;
 }
 

@@ -52,13 +52,11 @@ class LagrangianSolver1D
     /** Deposit blast @p energy in the innermost zone. */
     void depositCenterEnergy(double energy);
 
-    /** @return the stable timestep. */
-    double computeDt();
-
-    /** Advance one step of size @p dt. */
-    void step(double dt);
-
-    /** Convenience: computeDt + step; @return the dt used. */
+    /**
+     * Advance one step at the stable timestep: one EOS and
+     * viscosity pass, whose p and q set both the CFL timestep and
+     * the step's forces and pdV work. @return the dt used.
+     */
     double advance();
 
     /** @return accumulated simulation time. */
@@ -84,6 +82,9 @@ class LagrangianSolver1D
 
     /** Zone specific internal energy, j in [0, zones). */
     double zoneEnergy(int j) const { return e[j]; }
+
+    /** Zone artificial viscosity of the last step, j in [0, zones). */
+    double zoneViscosity(int j) const { return q[j]; }
 
     /**
      * Probe used by the feature-extraction analyses: |velocity| at

@@ -19,114 +19,108 @@ rankStorePath(const std::string &base, int rank, int world_size)
     return base + ".rk" + std::to_string(rank);
 }
 
-MergePolicy
-parseMergePolicy(const std::string &name)
+namespace
 {
-    if (name == "fail")
-        return MergePolicy::Fail;
-    if (name == "skip")
-        return MergePolicy::Skip;
-    TDFE_FATAL("unknown store merge policy '", name,
-               "' (expected fail or skip)");
-}
 
-std::size_t
-mergeRankStores(const std::vector<std::string> &parts,
-                const std::string &out_path,
-                const StoreOptions &options, MergePolicy policy,
-                MergeReport *report)
+/** Cutoff of a part that runs to its end. */
+const long noCutoff = std::numeric_limits<long>::max();
+
+/** The inputs of one store rewrite, in part order. */
+struct RewriteInputs
 {
-    TDFE_ASSERT(!parts.empty(), "nothing to merge");
-
-    // Open every part before creating the output so a bad input
-    // cannot leave a half-written merged file behind. Under Skip a
-    // damaged part falls back to the salvage scan, and a part that
-    // yields nothing (or the wrong schema) merges as zero records.
+    /** One reader per part; null when the part yielded nothing. */
     std::vector<std::unique_ptr<FeatureStoreReader>> readers;
-    MergeReport local_report;
-    MergeReport &rep = report ? *report : local_report;
-    rep.parts.clear();
+    /** Part i ends at its first record at or past cutoff[i]. */
+    std::vector<long> cutoff;
+    /** Part i opened through its footer with every block intact. */
+    std::vector<bool> clean;
+    /** Schema of the first readable part, shared by all of them. */
     const StoreSchema *schema = nullptr;
-    for (const std::string &p : parts) {
-        MergeReport::Part part;
-        part.path = p;
-        std::string error;
-        std::unique_ptr<FeatureStoreReader> r;
-        if (policy == MergePolicy::Fail) {
-            r = FeatureStoreReader::open(p, &error);
-            if (!r)
-                TDFE_FATAL("cannot merge feature store: ", error);
-        } else {
-            r = FeatureStoreReader::openOrSalvage(p, &error,
-                                                  &part.salvaged);
-            if (!r) {
-                part.skipped = true;
-                part.detail = error;
-            }
-        }
-        if (r && schema && r->schema() != *schema) {
-            if (policy == MergePolicy::Fail) {
-                TDFE_FATAL("feature store schema mismatch merging ",
-                           p, " (", r->schema().coeffCount, " vs ",
-                           schema->coeffCount,
-                           " coefficient columns)");
-            }
-            part.skipped = true;
-            part.salvaged = false;
-            part.detail = "schema mismatch (" +
-                          std::to_string(r->schema().coeffCount) +
-                          " vs " +
-                          std::to_string(schema->coeffCount) +
-                          " coefficient columns)";
-            r.reset();
-        }
-        if (r) {
-            if (!schema)
-                schema = &r->schema();
-            part.records = r->recordCount();
-            if (part.salvaged) {
-                part.detail = "salvaged " +
-                              std::to_string(r->recordCount()) +
-                              " records";
-                TDFE_WARN("merge: part '", p, "' damaged; ",
-                          part.detail);
-            }
-        } else {
-            TDFE_WARN("merge: skipping part '", p, "': ",
-                      part.detail);
-        }
+
+    void
+    add(std::unique_ptr<FeatureStoreReader> r, bool was_clean)
+    {
+        if (r && !schema)
+            schema = &r->schema();
         readers.push_back(std::move(r));
-        rep.parts.push_back(std::move(part));
+        cutoff.push_back(noCutoff);
+        clean.push_back(was_clean);
     }
-    if (!schema)
-        TDFE_FATAL("cannot merge feature store: no readable part ",
+};
+
+/**
+ * The one open rule of the merge and the stitch: I/O damage is
+ * salvaged (every part goes through openOrSalvage, and a part that
+ * yields nothing is skipped with a warning), a schema mismatch is a
+ * caller bug and fatal, and so is having no readable part at all.
+ * Every part is opened before the output is created, so a fatal
+ * input cannot leave a half-written file behind.
+ */
+RewriteInputs
+openParts(const std::vector<std::string> &parts, const char *what)
+{
+    TDFE_ASSERT(!parts.empty(), "nothing to ", what);
+    RewriteInputs in;
+    for (const std::string &p : parts) {
+        std::string error;
+        bool salvaged = false;
+        auto r = FeatureStoreReader::openOrSalvage(p, &error, &salvaged);
+        if (!r) {
+            TDFE_WARN(what, ": skipping part '", p, "': ", error);
+        } else if (in.schema && r->schema() != *in.schema) {
+            TDFE_FATAL("feature store schema mismatch in ", what,
+                       " of ", p, " (", r->schema().coeffCount,
+                       " vs ", in.schema->coeffCount,
+                       " coefficient columns)");
+        } else if (salvaged) {
+            TDFE_WARN(what, ": part '", p, "' damaged; salvaged ",
+                      r->recordCount(), " records");
+        }
+        const bool clean = r && !salvaged;
+        in.add(std::move(r), clean);
+    }
+    if (!in.schema)
+        TDFE_FATAL("cannot ", what, " feature store: no readable part ",
                    "among ", parts.size(), " (first: ", parts.front(),
                    ")");
+    return in;
+}
 
-    // Iteration-sorted k-way merge: repeatedly emit the head record
-    // with the smallest iteration, ties broken toward the lower
-    // part (rank) index so equal-iteration records keep rank order.
-    // Every part a rank writes is iteration-sorted, so the merged
-    // store keeps the footer's sorted flag, and iteration-range
-    // queries over it exit at the first block past their window. A
-    // linear min-scan over the heads is plenty: parts = world size,
-    // and re-encoding each record dwarfs the scan.
+/**
+ * The one copy loop: re-encode the parts of @p in into @p writer by
+ * iteration-sorted k-way merge, repeatedly emitting the head record
+ * with the smallest iteration, ties broken toward the lower part
+ * index so equal-iteration records keep part order. Iteration-
+ * sorted parts give an iteration-sorted output, so the footer's
+ * sorted flag holds and range queries over it exit at the first
+ * block past their window. A linear min-scan over the heads is
+ * plenty: parts are ranks or attempts, and re-encoding each record
+ * dwarfs the scan.
+ */
+void
+copyParts(const RewriteInputs &in, FeatureStoreWriter &writer)
+{
     struct Head
     {
         QueryCursor cur;
+        long cutoff;
         FeatureRecord rec;
-        bool live;
-        Head(QueryCursor c) : cur(std::move(c))
+        bool live = false;
+        Head(QueryCursor c, long cut) : cur(std::move(c)), cutoff(cut)
         {
-            live = cur.next(rec);
+            advance();
+        }
+        void
+        advance()
+        {
+            live = cur.next(rec) && rec.iteration < cutoff;
         }
     };
     std::vector<Head> heads;
-    for (const auto &r : readers)
-        if (r)
-            heads.emplace_back(r->cursor());
+    for (std::size_t i = 0; i < in.readers.size(); ++i)
+        if (in.readers[i])
+            heads.emplace_back(in.readers[i]->cursor(), in.cutoff[i]);
 
-    FeatureStoreWriter writer(out_path, *schema, options);
     for (;;) {
         Head *best = nullptr;
         for (Head &h : heads)
@@ -136,13 +130,33 @@ mergeRankStores(const std::vector<std::string> &parts,
         if (!best)
             break;
         writer.append(best->rec);
-        best->live = best->cur.next(best->rec);
+        best->advance();
     }
-    const std::size_t merged = writer.recordCount();
+}
+
+/** copyParts into a new store at @p out_path; fatal when it cannot
+ *  be written. @return records written. */
+std::size_t
+rewriteParts(const RewriteInputs &in, const std::string &out_path,
+             const StoreOptions &options)
+{
+    FeatureStoreWriter writer(out_path, *in.schema, options);
+    copyParts(in, writer);
+    const std::size_t records = writer.recordCount();
     if (writer.finish() == 0)
-        TDFE_FATAL("cannot write merged feature store ", out_path,
-                   ": ", writer.status().message);
-    return merged;
+        TDFE_FATAL("cannot write feature store ", out_path, ": ",
+                   writer.status().message);
+    return records;
+}
+
+} // namespace
+
+std::size_t
+mergeRankStores(const std::vector<std::string> &parts,
+                const std::string &out_path,
+                const StoreOptions &options)
+{
+    return rewriteParts(openParts(parts, "merge"), out_path, options);
 }
 
 std::size_t
@@ -150,35 +164,7 @@ stitchSegmentStores(const std::vector<std::string> &parts,
                     const std::string &out_path,
                     const StoreOptions &options)
 {
-    TDFE_ASSERT(!parts.empty(), "nothing to stitch");
-
-    // Crashed attempts die without sealing their segment, so every
-    // segment goes through the salvage path; a segment that decodes
-    // nothing at all (e.g. the crash hit before the first block
-    // sealed) is skipped, not fatal — the next attempt re-recorded
-    // its records anyway.
-    std::vector<std::unique_ptr<FeatureStoreReader>> readers;
-    const StoreSchema *schema = nullptr;
-    for (const std::string &p : parts) {
-        std::string error;
-        bool salvaged = false;
-        std::unique_ptr<FeatureStoreReader> r =
-            FeatureStoreReader::openOrSalvage(p, &error, &salvaged);
-        if (!r) {
-            TDFE_WARN("stitch: skipping segment '", p, "': ", error);
-        } else if (schema && r->schema() != *schema) {
-            TDFE_WARN("stitch: skipping segment '", p,
-                      "': schema mismatch");
-            r.reset();
-        } else if (!schema) {
-            schema = &r->schema();
-        }
-        readers.push_back(std::move(r));
-    }
-    if (!schema)
-        TDFE_FATAL("cannot stitch feature store: no readable segment ",
-                   "among ", parts.size(), " (first: ", parts.front(),
-                   ")");
+    RewriteInputs in = openParts(parts, "stitch");
 
     // Segment k's cutoff = the smallest first iteration any later
     // segment recorded: everything from there on was re-recorded by
@@ -187,36 +173,19 @@ stitchSegmentStores(const std::vector<std::string> &parts,
     // segment (crash before its first block sealed) is transparent
     // — it neither resets the cutoff of the segments before it (the
     // old chaining bug, which duplicated the overlap) nor blocks a
-    // later segment's cutoff from reaching them.
-    const long no_cutoff = std::numeric_limits<long>::max();
-    std::vector<long> cutoff(readers.size(), no_cutoff);
+    // later segment's cutoff from reaching them. Cut segments do not
+    // overlap, so the k-way copy emits them in concatenation order.
     FeatureRecord rec;
-    long next_first = no_cutoff;
-    for (std::size_t i = readers.size(); i-- > 0;) {
-        if (!readers[i])
+    long next_first = noCutoff;
+    for (std::size_t i = in.readers.size(); i-- > 0;) {
+        if (!in.readers[i])
             continue;
-        cutoff[i] = next_first;
-        QueryCursor c = readers[i]->cursor();
+        in.cutoff[i] = next_first;
+        QueryCursor c = in.readers[i]->cursor();
         if (c.next(rec) && rec.iteration < next_first)
             next_first = rec.iteration;
     }
-
-    FeatureStoreWriter writer(out_path, *schema, options);
-    for (std::size_t i = 0; i < readers.size(); ++i) {
-        if (!readers[i])
-            continue;
-        QueryCursor c = readers[i]->cursor();
-        while (c.next(rec)) {
-            if (rec.iteration >= cutoff[i])
-                break;
-            writer.append(rec);
-        }
-    }
-    const std::size_t stitched = writer.recordCount();
-    if (writer.finish() == 0)
-        TDFE_FATAL("cannot write stitched feature store ", out_path,
-                   ": ", writer.status().message);
-    return stitched;
+    return rewriteParts(in, out_path, options);
 }
 
 bool
@@ -224,7 +193,9 @@ salvageStore(const std::string &src, const std::string &dst,
              SalvageReport &report)
 {
     report = SalvageReport();
-    const auto reader = FeatureStoreReader::salvage(src, &report.error);
+    RewriteInputs in;
+    in.add(FeatureStoreReader::salvage(src, &report.error), false);
+    const FeatureStoreReader *reader = in.readers.front().get();
     if (!reader)
         return false;
     report.blocks = reader->blockCount();
@@ -235,11 +206,8 @@ salvageStore(const std::string &src, const std::string &dst,
     // prefix (same blocks, same codecs, same footer).
     StoreOptions options;
     options.blockCapacity = reader->blockCapacity();
-    FeatureStoreWriter writer(dst, reader->schema(), options);
-    FeatureRecord rec;
-    QueryCursor c = reader->cursor();
-    while (c.next(rec))
-        writer.append(rec);
+    FeatureStoreWriter writer(dst, *in.schema, options);
+    copyParts(in, writer);
     report.records = writer.recordCount();
     report.bytes = writer.finish();
     if (!writer.ok()) {
@@ -284,23 +252,18 @@ finishRankStore(Region &region,
             for (int r = 0; r < comm->size(); ++r)
                 parts.push_back(
                     rankStorePath(base, r, comm->size()));
-            MergeReport report;
-            mergeRankStores(parts, base, merge_options.storeOptions,
-                            merge_options.policy, &report);
+            const RewriteInputs in = openParts(parts, "merge");
+            rewriteParts(in, base, merge_options.storeOptions);
             if (!merge_options.keepParts) {
                 // Only parts that merged cleanly are disposable;
-                // skipped or salvaged ones are the sole surviving
+                // salvaged or skipped ones are the sole surviving
                 // evidence of what that rank recorded.
-                for (const MergeReport::Part &p : report.parts) {
-                    if (p.skipped || p.salvaged) {
-                        TDFE_INFORM("keeping part '", p.path,
-                                    "' for post-mortem (",
-                                    p.skipped ? "skipped"
-                                              : "salvaged",
-                                    ")");
-                        continue;
-                    }
-                    std::remove(p.path.c_str());
+                for (std::size_t i = 0; i < parts.size(); ++i) {
+                    if (in.clean[i])
+                        std::remove(parts[i].c_str());
+                    else
+                        TDFE_INFORM("keeping damaged part '", parts[i],
+                                    "' for post-mortem");
                 }
             }
         }

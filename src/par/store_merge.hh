@@ -1,22 +1,27 @@
 /**
  * @file
- * Rank-decomposed feature-store plumbing: every rank of a
- * decomposed run writes its own store file (one writer per rank —
- * the store is single-producer), and after the run the per-rank
- * parts are merged into one store by an iteration-sorted k-way
- * merge (ties in rank order, so equal-iteration records still read
- * like concatenated per-rank logs). Each part is iteration-sorted,
- * so the merged file is too: it keeps the footer's sorted flag,
- * and iteration-range queries stop at the first block past their
- * window like on any single-rank store.
+ * Rank-decomposed feature-store plumbing and the store rewrites.
+ * Every rank of a decomposed run writes its own store file (one
+ * writer per rank — the store is single-producer), and after the
+ * run the per-rank parts are merged into one store; a crash/resume
+ * run's per-attempt segments are stitched the same way, and a
+ * damaged store is salvaged into a clean one.
  *
- * Failure semantics: the merge is policy-driven. MergePolicy::Fail
- * keeps the historical behavior (any unreadable part is fatal);
- * MergePolicy::Skip treats each part independently — a part that
- * fails to open is re-tried through the reader's salvage scan, and
- * only what genuinely decodes ends up in the merged store, with a
- * MergeReport saying exactly what was dropped. One dead rank no
- * longer destroys the whole campaign's output.
+ * All three rewrites re-encode through one copy loop, an
+ * iteration-sorted k-way merge (ties toward the lower part index,
+ * so equal-iteration records still read like concatenated per-part
+ * logs). Iteration-sorted parts give an iteration-sorted output: it
+ * keeps the footer's sorted flag, and iteration-range queries stop
+ * at the first block past their window like on any single store.
+ *
+ * The merge and the stitch share one damage rule. I/O damage is
+ * salvaged: every part is opened through
+ * FeatureStoreReader::openOrSalvage, so a damaged part contributes
+ * its sealed-block prefix, and a part that yields nothing is
+ * skipped with a warning. A schema mismatch is a caller bug and
+ * fatal. The rewrite is fatal otherwise only when no part is
+ * readable or the output cannot be written — one degraded rank
+ * does not take the run down.
  */
 
 #ifndef TDFE_PAR_STORE_MERGE_HH
@@ -42,73 +47,23 @@ class Region;
 std::string rankStorePath(const std::string &base, int rank,
                           int world_size);
 
-/** What mergeRankStores does with a part that cannot be read. */
-enum class MergePolicy
-{
-    /** Any unreadable/mismatched part is fatal (strict default). */
-    Fail,
-    /** Salvage what decodes, skip the rest, report per part. */
-    Skip,
-};
-
-/** Parse "fail" / "skip" (CLI plumbing). Fatal on other values. */
-MergePolicy parseMergePolicy(const std::string &name);
-
-/** Per-part outcome of a policy-driven merge. */
-struct MergeReport
-{
-    struct Part
-    {
-        std::string path;
-        /** Records merged from this part. */
-        std::size_t records = 0;
-        /** True when the part was recovered via the salvage scan
-         *  instead of its footer. */
-        bool salvaged = false;
-        /** True when the part contributed nothing (unreadable or
-         *  schema mismatch); @c detail says why. */
-        bool skipped = false;
-        std::string detail;
-    };
-
-    std::vector<Part> parts;
-
-    /** @return parts that were skipped or salvaged (i.e. the merge
-     *  was lossy somewhere). */
-    std::size_t
-    degradedParts() const
-    {
-        std::size_t n = 0;
-        for (const Part &p : parts)
-            if (p.skipped || p.salvaged)
-                ++n;
-        return n;
-    }
-};
-
 /**
- * Merge the store files @p parts into @p out_path by iteration-
- * sorted k-way merge (ties toward the lower part index). All parts
- * must share one schema; records are re-encoded, so the merged
- * file uses @p options' block capacity — and stays iteration-
- * sorted (queryable by block index) as long as every part is.
- *
- * Under MergePolicy::Fail any unreadable part or schema mismatch is
- * fatal (and the output is never created — all parts are opened
- * first). Under MergePolicy::Skip a damaged part is salvaged
- * (sealed-block prefix) or, when nothing survives, skipped; the
- * per-part outcomes land in @p report when given, and skipped parts
- * are warned about. Fatal under both policies only when no part
- * yields a schema to write (nothing to merge at all).
+ * Merge the store files @p parts into @p out_path by the iteration-
+ * sorted k-way copy (ties toward the lower part index), under the
+ * damage rule in the file comment: a damaged part merges its
+ * salvaged prefix, an unreadable one is skipped with a warning, and
+ * a schema mismatch is fatal, as is having no readable part or an
+ * unwritable output. All parts are opened before the output is
+ * created. Records are re-encoded, so the merged file uses
+ * @p options' block capacity — and stays iteration-sorted
+ * (queryable by block index) as long as every part is.
  *
  * @return records in the merged store.
  */
 std::size_t mergeRankStores(const std::vector<std::string> &parts,
                             const std::string &out_path,
                             const StoreOptions &options =
-                                StoreOptions(),
-                            MergePolicy policy = MergePolicy::Fail,
-                            MergeReport *report = nullptr);
+                                StoreOptions());
 
 /**
  * App-harness helper: create this rank's store at
@@ -126,11 +81,9 @@ attachRankStore(Region &region, const std::string &base,
 /** Knobs of finishRankStore's merge step. */
 struct RankMergeOptions
 {
-    /** How the rank-0 merge treats unreadable parts. */
-    MergePolicy policy = MergePolicy::Fail;
-    /** Keep the per-rank part files after a successful merge (the
-     *  --store-keep-parts escape hatch; parts that failed to merge
-     *  under Skip are always kept for post-mortem). */
+    /** Keep every per-rank part file after the merge (the
+     *  --store-keep-parts escape hatch; parts that were salvaged or
+     *  skipped are always kept for post-mortem). */
     bool keepParts = false;
     /** Writer options of the merged output file (block capacity,
      *  durability). Callers pass the same options they gave
@@ -143,15 +96,17 @@ struct RankMergeOptions
 /**
  * Stitch per-attempt store segments of a crash/resume run (oldest
  * first) into one store at @p out_path. Each segment is one
- * attempt's output; crashed attempts leave footerless segments, so
- * every segment is opened through the salvage scan. Because a
+ * attempt's output; crashed attempts leave footerless segments,
+ * which the shared open step salvages. Because a
  * resumed attempt restarts from its checkpoint, the tail of segment
  * k overlaps the head of segment k+1 — segment k contributes only
  * records with iteration strictly below segment k+1's first
  * recorded iteration, which makes the stitched store record-equal
  * to an uninterrupted run's (modulo wallTime, which is measured
- * per attempt). Unreadable segments are skipped with a warning;
- * fatal only when no segment yields a schema.
+ * per attempt). The cut segments do not overlap, so the shared
+ * k-way copy emits them in concatenation order. Same damage rule
+ * as mergeRankStores: unreadable segments are skipped with a
+ * warning, a schema mismatch is fatal.
  *
  * @return records in the stitched store.
  */
@@ -175,7 +130,8 @@ struct SalvageReport
  * (FeatureStoreReader::salvage) and re-encode it into a clean store
  * at @p dst, at the source's block capacity, so a store that was
  * merely truncated round-trips byte-identically to its honest
- * prefix. Shared by td_store_salvage and `tdfstool recover`.
+ * prefix. Writes through the merge's copy loop. Shared by
+ * td_store_salvage and `tdfstool recover`.
  * @return false with the reason in report.error when not even the
  * source header survives or the output cannot be written.
  */
@@ -188,10 +144,11 @@ bool salvageStore(const std::string &src, const std::string &dst,
  * the sink, finish this rank's part, and under a multi-rank
  * @p comm merge all parts into @p base on rank 0 (rank order),
  * with barriers so the merged store is complete before any rank
- * returns. Cleanly merged parts are removed unless @p merge_options
- * says to keep them; parts skipped under MergePolicy::Skip are
- * always left on disk (and reported) so a post-mortem can still
- * read them.
+ * returns. A degraded rank's part merges what it sealed and does
+ * not abort the run (mergeRankStores' damage rule). Cleanly merged
+ * parts are removed unless @p merge_options says to keep them;
+ * salvaged or skipped parts are always left on disk so a
+ * post-mortem can still read them.
  *
  * @return bytes of this rank's part file (0 when this rank's
  *         writer degraded — see FeatureStoreWriter::finish()).

@@ -80,9 +80,9 @@ class FeatureStoreReader
      * open(), falling back to salvage() when the footer path fails
      * — and also when the footer is intact but verify() finds a
      * corrupt block, so the result is always fully decodable (a
-     * cursor over it cannot hit the fatal corruption path). Used by
-     * the skip-policy rank merge. @p was_salvaged reports which
-     * path produced the reader.
+     * cursor over it cannot hit the fatal corruption path). The open
+     * step of the rank merge and the segment stitch. @p was_salvaged
+     * reports which path produced the reader.
      */
     static std::unique_ptr<FeatureStoreReader>
     openOrSalvage(const std::string &path,

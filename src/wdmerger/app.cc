@@ -34,7 +34,7 @@ namespace
 {
 
 SphConfig
-makeSphConfig(const WdMergerConfig &cfg, double star_h)
+makeSphConfig(double star_h)
 {
     SphConfig sc;
     sc.h = star_h;
@@ -51,7 +51,7 @@ relaxStar(const StarModel &raw, const WdMergerConfig &cfg)
     if (cfg.relaxSteps <= 0)
         return raw;
 
-    SphConfig sc = makeSphConfig(cfg, raw.h);
+    SphConfig sc = makeSphConfig(raw.h);
     sc.damping = 2.0;
     SphSystem relax_sys(sc);
     const double origin[3] = {0.0, 0.0, 0.0};
@@ -77,8 +77,7 @@ relaxStar(const StarModel &raw, const WdMergerConfig &cfg)
 WdMergerApp::WdMergerApp(const WdMergerConfig &config,
                          Communicator *comm)
     : cfg(config),
-      sys(makeSphConfig(config,
-                        buildPolytropeStar(config.resolution, 1.0,
+      sys(makeSphConfig(buildPolytropeStar(config.resolution, 1.0,
                                            config.radius).h),
           comm)
 {

@@ -4,9 +4,14 @@
  * self-similarity property r_s(t) ~ t^(2/5).
  */
 
+#include <cinttypes>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 
+#include "base/thread_pool.hh"
 #include "lagrangian/solver1d.hh"
 
 namespace
@@ -127,6 +132,89 @@ TEST(Lagrangian1D, DtIsPositiveAndGrowthLimited)
         EXPECT_LE(dt, prev * s.config().dtGrowth + 1e-15);
         prev = dt;
     }
+}
+
+/**
+ * Golden comparisons are bitwise on the reproducible default build;
+ * under TDFE_FAST_MATH (the native build) the compiler may contract
+ * and reassociate the kernels, so only the thread-count equality
+ * applies there.
+ */
+#if defined(__FAST_MATH__) || defined(TDFE_FAST_MATH)
+constexpr bool exactGates = false;
+#else
+constexpr bool exactGates = true;
+#endif
+
+/** FNV-1a over the bytes of @p v, folded into @p h. */
+void
+fnvMix(std::uint64_t &h, double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int b = 0; b < 8; ++b) {
+        h ^= (bits >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+    }
+}
+
+/** Hash of every node r/u, zone e/p/q, and the time. */
+std::uint64_t
+stateHash(const LagrangianSolver1D &s)
+{
+    std::uint64_t h = 14695981039346656037ull;
+    for (int i = 0; i <= s.zones(); ++i) {
+        fnvMix(h, s.nodeRadius(i));
+        fnvMix(h, s.nodeVelocity(i));
+    }
+    for (int j = 0; j < s.zones(); ++j) {
+        fnvMix(h, s.zoneEnergy(j));
+        fnvMix(h, s.zonePressure(j));
+        fnvMix(h, s.zoneViscosity(j));
+    }
+    fnvMix(h, s.time());
+    return h;
+}
+
+TEST(Lagrangian1D, StateIsBitwiseGoldenAcrossThreadCounts)
+{
+    // 350 zones is the perfbench run (one serial chunk); 5000 spans
+    // three pool chunks with a ragged last one. Recorded from the
+    // solver that ran its EOS pass twice per step.
+    struct Golden
+    {
+        int zones;
+        int steps;
+        std::uint64_t hash;
+    };
+    const Golden golden[] = {{350, 2000, 0xd62cf6110ac468ffull},
+                             {5000, 300, 0x20cbb9bec2e653f9ull}};
+
+    const int original = globalThreadCount();
+    for (const Golden &g : golden) {
+        std::uint64_t first = 0;
+        for (const int threads : {1, 2, 4}) {
+            setGlobalThreadCount(threads);
+            LagrangianSolver1D s(defaultConfig(g.zones));
+            s.depositCenterEnergy(1.0);
+            for (int i = 0; i < g.steps; ++i)
+                s.advance();
+            const std::uint64_t h = stateHash(s);
+            std::printf("lagrangian %d zones, %d threads: %016" PRIx64
+                        "\n",
+                        g.zones, threads, h);
+            if (threads == 1)
+                first = h;
+            EXPECT_EQ(h, first)
+                << g.zones << " zones drifted at " << threads
+                << " threads";
+            if (exactGates)
+                EXPECT_EQ(h, g.hash) << g.zones << " zones at "
+                                     << threads
+                                     << " threads left the golden";
+        }
+    }
+    setGlobalThreadCount(original);
 }
 
 TEST(Lagrangian1DDeathTest, BadProbePanics)

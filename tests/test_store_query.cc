@@ -954,6 +954,27 @@ TEST(StitchQuery, EmptyMiddleSegmentDoesNotDuplicate)
         std::remove(p.c_str());
 }
 
+TEST(StitchQuery, SchemaMismatchIsFatal)
+{
+    // A segment whose schema differs from the first readable one is
+    // a caller bug under the one damage rule, as in the rank merge:
+    // fatal, not skipped.
+    StoreSchema s1, s2;
+    s1.coeffCount = 1;
+    s2.coeffCount = 2;
+    const std::string seg0 = tempPath("stitch_mismatch0.tdfs");
+    const std::string seg1 = tempPath("stitch_mismatch1.tdfs");
+    {
+        FeatureStoreWriter w0(seg0, s1);
+        FeatureStoreWriter w1(seg1, s2);
+    }
+    EXPECT_DEATH(stitchSegmentStores({seg0, seg1},
+                                     tempPath("stitch_mismatch.tdfs")),
+                 "schema mismatch");
+    std::remove(seg0.c_str());
+    std::remove(seg1.c_str());
+}
+
 // ------------------------------------------------------------ C API
 
 TEST(QueryCApi, CountAndStat)

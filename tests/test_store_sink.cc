@@ -479,6 +479,108 @@ TEST(StoreMerge, SchemaMismatchIsFatal)
     std::remove(p2.c_str());
 }
 
+TEST(StoreMerge, DegradedRankPartDoesNotKillTheRun)
+{
+    // Rank 1's writer loses its footer write to ENOSPC: finish()
+    // degrades and leaves five sealed blocks with no footer. The
+    // rank merge salvages them instead of aborting the run.
+    StoreSchema schema;
+    schema.coeffCount = 3;
+    StoreOptions opts;
+    opts.blockCapacity = 16;
+    opts.retryBackoffUs = 0;
+    constexpr long records = 80; // five sealed blocks per rank
+    const auto appendAll = [](FeatureStoreWriter &w, int rank) {
+        FeatureRecord rec;
+        rec.coeffs.assign(3, static_cast<double>(rank));
+        for (long i = 0; i < records; ++i) {
+            rec.iteration = i;
+            rec.analysis = rank;
+            rec.wavefront = 100.0 * rank + static_cast<double>(i);
+            w.append(rec);
+        }
+    };
+
+    // Rank 1's footer starts where the same stream's last block ends.
+    std::uint64_t footer_at = 0;
+    {
+        const std::string probe = tempPath("degraded_probe.tdfs");
+        {
+            FeatureStoreWriter w(probe, schema, opts);
+            appendAll(w, 1);
+            ASSERT_GT(w.finish(), 0u);
+        }
+        const auto r = FeatureStoreReader::open(probe);
+        ASSERT_TRUE(r);
+        ASSERT_EQ(r->blockCount(), 5u);
+        const store::BlockInfo &last = r->blockInfo(4);
+        footer_at = last.offset + last.size;
+        std::remove(probe.c_str());
+    }
+
+    const std::string base = tempPath("degraded_rank.tdfs");
+    std::size_t part_bytes[2] = {0, 0};
+    ThreadCommWorld world(2);
+    world.run([&](Communicator &comm) {
+        WaveDomain domain;
+        Region region("degraded", &domain, &comm);
+        region.addAnalysis(waveAnalysis());
+        std::unique_ptr<FeatureStoreWriter> store;
+        if (comm.rank() == 0) {
+            store = attachRankStore(region, base, 3, opts, &comm);
+        } else {
+            store::IoError open_error;
+            auto os = store::openOsFile(rankStorePath(base, 1, 2),
+                                        &open_error);
+            EXPECT_TRUE(os) << open_error.message;
+            store::FaultPlan plan;
+            plan.kind = store::FaultPlan::Kind::ErrorAt;
+            plan.atByte = footer_at;
+            plan.errCode = ENOSPC;
+            store = std::make_unique<FeatureStoreWriter>(
+                std::make_unique<store::FaultyFile>(std::move(os),
+                                                    plan),
+                schema, opts);
+            region.setFeatureStore(store.get());
+        }
+        appendAll(*store, comm.rank());
+        RankMergeOptions merge;
+        merge.storeOptions = opts;
+        part_bytes[comm.rank()] =
+            finishRankStore(region, std::move(store), base, &comm,
+                            merge);
+    });
+
+    // The run returned; rank 1's writer reported its degrade.
+    EXPECT_GT(part_bytes[0], 0u);
+    EXPECT_EQ(part_bytes[1], 0u);
+
+    // The merged store holds rank 0's records plus rank 1's sealed
+    // prefix, iteration-major with rank 0 first on ties.
+    const auto r = FeatureStoreReader::open(base);
+    ASSERT_TRUE(r);
+    EXPECT_TRUE(r->verify());
+    EXPECT_TRUE(r->sortedByIteration());
+    EXPECT_EQ(r->recordCount(), 2u * records);
+    auto c = r->cursor();
+    FeatureRecord rec;
+    long row = 0;
+    while (c.next(rec)) {
+        EXPECT_EQ(rec.iteration, row / 2);
+        EXPECT_EQ(rec.analysis, row % 2);
+        EXPECT_EQ(rec.wavefront,
+                  100.0 * (row % 2) + static_cast<double>(row / 2));
+        ++row;
+    }
+    EXPECT_EQ(row, 2 * records);
+
+    // The clean part is gone; the damaged one stays for post-mortem.
+    EXPECT_FALSE(std::ifstream(rankStorePath(base, 0, 2)).good());
+    EXPECT_TRUE(std::ifstream(rankStorePath(base, 1, 2)).good());
+    std::remove(rankStorePath(base, 1, 2).c_str());
+    std::remove(base.c_str());
+}
+
 TEST(StoreCApi, EndToEnd)
 {
     const std::string path = tempPath("capi.tdfs");
