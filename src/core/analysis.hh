@@ -229,13 +229,6 @@ class CurveFitAnalysis
      */
     void fillFeatureRecord(FeatureRecord &rec) const;
 
-    /** True while per-iteration work still includes training. */
-    bool
-    trainingActive() const
-    {
-        return !stopper.converged() && !windowDone;
-    }
-
     /**
      * Checkpoint the analysis state. The configuration is *not*
      * saved: restore by constructing an identical analysis (same

@@ -70,11 +70,6 @@ class CusumDetector
     /** @return samples consumed. */
     std::size_t count() const { return pushed; }
 
-    /** @return current positive / negative statistics. @{ */
-    double statHigh() const { return sHigh; }
-    double statLow() const { return sLow; }
-    /** @} */
-
     /** Restart: drops calibration, statistics, and the alarm. */
     void reset();
 

@@ -99,9 +99,6 @@ class DataCollector
         batchSink = std::move(sink);
     }
 
-    /** @return true when the mini-batch is full and ready to train. */
-    bool batchReady() const { return batch_.full(); }
-
     /** @return the mini-batch (trainer consumes then clears). */
     MiniBatch &batch() { return batch_; }
 

@@ -148,9 +148,6 @@ class Region
      */
     void setRelaxedStopQuery(bool relaxed) { relaxedStop_ = relaxed; }
 
-    /** @return true when shouldStop() runs in relaxed mode. */
-    bool relaxedStopQuery() const { return relaxedStop_; }
-
     /**
      * Pipeline the per-iteration ingest: end() still snapshots the
      * probe values on the calling thread, but returns without
@@ -195,9 +192,6 @@ class Region
      * simulation continues unchanged — see featureStoreDegraded().
      */
     void setFeatureStore(FeatureStoreWriter *store);
-
-    /** @return the attached feature-store sink (nullptr: none). */
-    FeatureStoreWriter *featureStore() const { return store_; }
 
     /**
      * @return true when an attached sink hit an unrecoverable I/O

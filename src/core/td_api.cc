@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
@@ -129,20 +128,9 @@ openStore(const char *path, int n_coeffs, int block_capacity,
     if (block_capacity > 0)
         options.blockCapacity =
             static_cast<std::size_t>(block_capacity);
-    if (durability) {
-        using tdfe::store::DurabilityPolicy;
-        const std::string d(durability);
-        bool known = false;
-        for (const DurabilityPolicy p :
-             {DurabilityPolicy::None, DurabilityPolicy::FlushPerSeal,
-              DurabilityPolicy::SyncPerSeal})
-            if (d == tdfe::store::durabilityPolicyName(p)) {
-                options.durability = p;
-                known = true;
-            }
-        if (!known)
-            return nullptr;
-    }
+    if (durability && !tdfe::store::lookupDurabilityPolicy(
+                          durability, options.durability))
+        return nullptr;
     return new td_store(path, schema, options);
 }
 
@@ -511,31 +499,18 @@ td_store_query_stat(const char *path, long iter_begin, long iter_end,
         return -1;
     tdfe::QueryCursor cursor(*reader, std::move(filter));
     tdfe::FeatureRecord rec;
-    const double nan = std::numeric_limits<double>::quiet_NaN();
+    tdfe::ColumnStats stats;
     long matched = 0;
-    long finite = 0;
-    double lo = nan;
-    double hi = nan;
-    double sum = 0.0;
     while (cursor.next(rec)) {
         ++matched;
-        double v = 0.0;
-        tdfe::metricColumnValue(rec, col, v);
-        if (std::isnan(v))
-            continue;
-        if (finite == 0 || v < lo)
-            lo = v;
-        if (finite == 0 || v > hi)
-            hi = v;
-        sum += v;
-        ++finite;
+        stats.add(tdfe::StoreSchema::doubleColumn(rec, col));
     }
     if (out_min)
-        *out_min = lo;
+        *out_min = stats.min;
     if (out_max)
-        *out_max = hi;
+        *out_max = stats.max;
     if (out_mean)
-        *out_mean = finite ? sum / static_cast<double>(finite) : nan;
+        *out_mean = stats.mean();
     return matched;
 }
 

@@ -20,6 +20,9 @@ namespace tdfe
 namespace
 {
 
+/** Restart attempts superviseRuns may consume. */
+constexpr int maxRestarts = 8;
+
 /** The TDRESUME payload (layout in the header's file comment). */
 std::string
 buildResumePayload(const HarnessApp &app, const Region *region)
@@ -269,7 +272,7 @@ Supervisor::retry(HarnessOptions &attempt, HarnessResult &result)
 {
     result.restarts = restarts;
     if (result.halted && !ckpt::interruptRequested() &&
-        restarts < options.maxRestarts) {
+        restarts < maxRestarts) {
         ++restarts;
         // The injected crash fires once; every retry resumes from
         // the newest valid generation it left behind.

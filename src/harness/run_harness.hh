@@ -93,8 +93,6 @@ struct HarnessOptions
      *  >= 2 so a torn newest generation has a previous-good
      *  fallback; resumeAuto restores the newest valid one first. */
     CkptCliOptions ckpt;
-    /** Restart attempts superviseRuns may consume. */
-    int maxRestarts = 8;
     /** Comm watchdog deadline for the region's stop protocol
      *  (seconds; 0 disables). See Region::setCommDeadline. */
     double commDeadlineSeconds = 0.0;

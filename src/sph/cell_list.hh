@@ -35,16 +35,6 @@ class CellList
     void build(const double *x, const double *y, const double *z,
                std::size_t n, double cell_size);
 
-    /** @return number of occupied cells (indexable via members()). */
-    std::size_t binCount() const { return bins.size(); }
-
-    /** @return member particle indices of occupied cell @p b. */
-    const std::vector<std::size_t> &
-    members(std::size_t b) const
-    {
-        return bins[b].members;
-    }
-
     /**
      * Gather the candidate neighbour indices of occupied cell @p b
      * (every particle in its 27 surrounding cells) into @p out,
@@ -76,31 +66,13 @@ class CellList
      * Visit every occupied cell assigned to @p rank (cells are dealt
      * round-robin across @p nranks). @p fn receives the member
      * particle indices of the cell and the candidate indices
-     * gathered from the 27 surrounding cells.
-     */
-    template <typename Fn>
-    void
-    forEachBlock(int rank, int nranks, Fn &&fn) const
-    {
-        std::vector<std::size_t> candidates;
-        for (std::size_t b = 0; b < bins.size(); ++b) {
-            if (static_cast<int>(b % static_cast<std::size_t>(
-                                         nranks)) != rank) {
-                continue;
-            }
-            gatherCandidates(b, candidates);
-            fn(bins[b].members, candidates);
-        }
-    }
-
-    /**
-     * Parallel forEachBlock: occupied cells fan out across the
-     * global pool in chunks of @p grain, each task reusing one
+     * gathered from the 27 surrounding cells. Cells fan out across
+     * the global pool in chunks of @p grain, each task reusing one
      * candidate buffer. Cells partition the particles, so @p fn
      * invocations touch disjoint member sets; @p fn must only write
-     * per-member state. Visit order within a task matches the
-     * serial traversal, so per-particle results are identical for
-     * any thread count.
+     * per-member state. Each cell's visit is independent of the
+     * chunking, so per-particle results are identical for any
+     * thread count.
      */
     template <typename Fn>
     void

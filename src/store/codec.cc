@@ -604,7 +604,7 @@ computeBlockZone(const std::vector<std::vector<std::int64_t>> &ints,
                  const std::vector<std::vector<double>> &dbls)
 {
     BlockZone z;
-    for (std::size_t c = 0; c < zoneIntColumns; ++c) {
+    for (std::size_t c = 0; c < StoreSchema::numIntColumns; ++c) {
         const std::vector<std::int64_t> &col = ints[c];
         z.intMin[c] = col[0];
         z.intMax[c] = col[0];
@@ -615,7 +615,8 @@ computeBlockZone(const std::vector<std::vector<std::int64_t>> &ints,
                 z.intMax[c] = v;
         }
     }
-    for (std::size_t c = 0; c < zoneDoubleColumns; ++c) {
+    for (std::size_t c = 0; c < StoreSchema::numFixedDoubleColumns;
+         ++c) {
         double lo = std::numeric_limits<double>::infinity();
         double hi = -std::numeric_limits<double>::infinity();
         for (const double v : dbls[c]) {

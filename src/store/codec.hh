@@ -172,8 +172,8 @@ bool decodeIntColumnTagged(const std::uint8_t *data,
 /**
  * Min/max of the zone-mapped columns of one block, computed from
  * columnar values (staged by the writer or decoded by salvage /
- * verify). Requires at least zoneIntColumns integer columns and
- * zoneDoubleColumns double columns, each non-empty. Doubles skip
+ * verify). Requires the schema's integer columns and at least its
+ * fixed double columns, each non-empty. Doubles skip
  * NaNs; an all-NaN column yields the empty interval (+inf, -inf),
  * which no range predicate overlaps. One shared implementation so
  * the footer entry the writer seals, the entry salvage rebuilds,

@@ -11,6 +11,7 @@
 #define TDFE_STORE_FEATURE_RECORD_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -46,10 +47,16 @@ struct FeatureRecord
 };
 
 /**
- * Column layout of one store file. The integer and the non-coeff
- * double columns are fixed; only the coefficient column count varies
- * (model order + 1 of the producing analyses). Column names are
- * recorded in the file footer so tools stay self-describing.
+ * Column layout of one store file, declared once: every module that
+ * names, orders, or reads a column goes through this table. The
+ * integer and the non-coeff double columns are fixed; only the
+ * coefficient column count varies (model order + 1 of the producing
+ * analyses). Columns are numbered in file order, the integer family
+ * first, then the double family; intColumn()/doubleColumn() index
+ * within one family, the way the on-disk column families and the
+ * footer's zone map do. Column names are recorded in the file
+ * footer so tools stay self-describing; the reader rejects a footer
+ * whose names are not these.
  */
 struct StoreSchema
 {
@@ -60,6 +67,12 @@ struct StoreSchema
     static constexpr std::size_t numIntColumns = 3;
     /** Fixed double columns before the coefficients. */
     static constexpr std::size_t numFixedDoubleColumns = 4;
+    /** Names of the fixed columns, in file order; coefficient k is
+     *  "coef<k>". */
+    static constexpr const char *fixedColumnNames[numIntColumns +
+                                                  numFixedDoubleColumns] =
+        {"iteration", "analysis",  "stop", "wall_time",
+         "wavefront", "predicted", "mse"};
 
     std::size_t intColumns() const { return numIntColumns; }
     std::size_t doubleColumns() const
@@ -72,25 +85,68 @@ struct StoreSchema
         return intColumns() + doubleColumns();
     }
 
-    /** Name of integer column @p i (tools / CSV export). */
+    /** @return name of column @p c (file order, < totalColumns()). */
     static std::string
-    intColumnName(std::size_t i)
+    columnName(std::size_t c)
     {
-        static const char *names[numIntColumns] = {"iteration",
-                                                   "analysis", "stop"};
-        return i < numIntColumns ? names[i] : "int?";
+        constexpr std::size_t fixed =
+            numIntColumns + numFixedDoubleColumns;
+        return c < fixed ? fixedColumnNames[c]
+                         : "coef" + std::to_string(c - fixed);
     }
 
-    /** Name of double column @p i (tools / CSV export). */
-    std::string
-    doubleColumnName(std::size_t i) const
+    /** @return every column name, in file order. */
+    std::vector<std::string>
+    columnNames() const
     {
-        static const char *fixed[numFixedDoubleColumns] = {
-            "wall_time", "wavefront", "predicted", "mse"};
-        if (i < numFixedDoubleColumns)
-            return fixed[i];
-        return "coef" +
-               std::to_string(i - numFixedDoubleColumns);
+        std::vector<std::string> names;
+        for (std::size_t c = 0; c < totalColumns(); ++c)
+            names.push_back(columnName(c));
+        return names;
+    }
+
+    /** @return file-order index of column @p name, or SIZE_MAX when
+     *  this schema has no such column. */
+    std::size_t
+    columnIndex(const std::string &name) const
+    {
+        for (std::size_t c = 0; c < totalColumns(); ++c)
+            if (columnName(c) == name)
+                return c;
+        return static_cast<std::size_t>(-1);
+    }
+
+    /** @return integer column @p i (< numIntColumns) of @p r. */
+    static std::int64_t
+    intColumn(const FeatureRecord &r, std::size_t i)
+    {
+        return i == 0 ? r.iteration : i == 1 ? r.analysis : r.stop;
+    }
+
+    /** Store @p v into integer column @p i (< numIntColumns) of
+     *  @p r. */
+    static void
+    setIntColumn(FeatureRecord &r, std::size_t i, std::int64_t v)
+    {
+        if (i < 2)
+            (i == 0 ? r.iteration : r.analysis) = static_cast<long>(v);
+        else
+            r.stop = v != 0;
+    }
+
+    /** @return double column @p i (< doubleColumns()) of @p r: the
+     *  fixed metrics, then the coefficients. @p Record is
+     *  FeatureRecord or const FeatureRecord. */
+    template <typename Record>
+    static auto &
+    doubleColumn(Record &r, std::size_t i)
+    {
+        constexpr double FeatureRecord::*fixed[numFixedDoubleColumns] = {
+            &FeatureRecord::wallTime, &FeatureRecord::wavefront,
+            &FeatureRecord::predicted, &FeatureRecord::mse};
+        return i < numFixedDoubleColumns
+                   ? r.*fixed[i]
+                   : r.coeffs[i - numFixedDoubleColumns];
     }
 
     bool

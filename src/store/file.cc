@@ -191,32 +191,46 @@ class OsReadFile final : public ReadFile
     std::string path_;
 };
 
+/** The one policy <-> name table. */
+constexpr struct
+{
+    DurabilityPolicy policy;
+    const char *name;
+} policyNames[] = {
+    {DurabilityPolicy::None, "none"},
+    {DurabilityPolicy::FlushPerSeal, "flush"},
+    {DurabilityPolicy::SyncPerSeal, "fsync"},
+};
+
 } // namespace
+
+bool
+lookupDurabilityPolicy(const std::string &name, DurabilityPolicy &out)
+{
+    for (const auto &p : policyNames)
+        if (name == p.name) {
+            out = p.policy;
+            return true;
+        }
+    return false;
+}
 
 DurabilityPolicy
 parseDurabilityPolicy(const std::string &name)
 {
-    if (name == "none")
-        return DurabilityPolicy::None;
-    if (name == "flush")
-        return DurabilityPolicy::FlushPerSeal;
-    if (name == "fsync")
-        return DurabilityPolicy::SyncPerSeal;
-    TDFE_FATAL("unknown store durability policy '", name,
-               "' (expected none, flush, or fsync)");
+    DurabilityPolicy policy = DurabilityPolicy::None;
+    if (!lookupDurabilityPolicy(name, policy))
+        TDFE_FATAL("unknown store durability policy '", name,
+                   "' (expected none, flush, or fsync)");
+    return policy;
 }
 
 const char *
 durabilityPolicyName(DurabilityPolicy policy)
 {
-    switch (policy) {
-      case DurabilityPolicy::None:
-        return "none";
-      case DurabilityPolicy::FlushPerSeal:
-        return "flush";
-      case DurabilityPolicy::SyncPerSeal:
-        return "fsync";
-    }
+    for (const auto &p : policyNames)
+        if (p.policy == policy)
+            return p.name;
     return "?";
 }
 

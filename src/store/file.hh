@@ -54,11 +54,16 @@ enum class DurabilityPolicy
     SyncPerSeal,
 };
 
-/** Parse "none" / "flush" / "fsync" (CLI plumbing). Fatal on other
- *  values so typos never silently weaken durability. */
+/** Look up the policy named "none" / "flush" / "fsync" into
+ *  @p out. @return false, leaving @p out alone, on any other name. */
+bool lookupDurabilityPolicy(const std::string &name,
+                            DurabilityPolicy &out);
+
+/** lookupDurabilityPolicy for CLI plumbing: fatal on an unknown
+ *  name so typos never silently weaken durability. */
 DurabilityPolicy parseDurabilityPolicy(const std::string &name);
 
-/** Inverse of parseDurabilityPolicy (logs, bench tables). */
+/** Inverse of lookupDurabilityPolicy (logs, bench tables). */
 const char *durabilityPolicyName(DurabilityPolicy policy);
 
 /**

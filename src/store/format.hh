@@ -7,7 +7,8 @@
  *   [header]  magic "TDFSTOR1", u32 version, u32 block capacity,
  *             u32 int columns, u32 double columns        (24 bytes)
  *   [blocks]  each: u32 record count,
- *             per column (ints then doubles): u32 encoded length +
+ *             per column, in StoreSchema's file order (the integer
+ *             family, then the double family): u32 encoded length +
  *             encoded bytes,
  *             u32 CRC-32 over everything before it in the block
  *   [footer]  u64 block count,
@@ -17,12 +18,16 @@
  *             u32 sorted flag (1: appends were nondecreasing in
  *                 iteration, enabling block-index range queries),
  *             u32 int columns, u32 double columns, u64 coeff count,
- *             per column: u32 name length + name bytes,
+ *             per column: u32 name length + name bytes (exactly
+ *                 StoreSchema::columnNames(); a reader rejects any
+ *                 other list),
  *             (v2+) per block a zone map entry: i64 min + i64 max
- *                 for each of the 3 integer columns, then raw f64
- *                 bits of min + max for each of the 4 fixed double
- *                 columns (NaNs excluded; an all-NaN column stores
- *                 min > max so no predicate can select the block),
+ *                 for each integer column, then raw f64 bits of
+ *                 min + max for each fixed double column (the
+ *                 coefficients are not zone-mapped: no predicate
+ *                 ranges over them; NaNs are excluded, and an
+ *                 all-NaN column stores min > max so no predicate
+ *                 can select the block),
  *             then u32 CRC-32 over the footer bytes before it
  *   [trailer] u64 footer offset, magic "TDFSEND1"        (16 bytes)
  *
@@ -45,12 +50,12 @@
  * its footer. Blocks are self-delimiting (the record count and the
  * per-column lengths determine the block's extent) and individually
  * CRC'd, the header alone fixes the schema (column names are
- * deterministic functions of it), and the writer truncates the file
- * back to the last sealed block when a write fails — so any crash
- * or mid-run degrade leaves "header + N intact blocks + possibly a
- * torn tail", and FeatureStoreReader::salvage / `tdfstool recover`
- * rebuild the index by scanning forward and CRC-checking each
- * block. Sealed data is recovered exactly; only the unsealed tail
+ * StoreSchema's, a function of the coefficient count), and the
+ * writer truncates the file back to the last sealed block when a
+ * write fails — so any crash or mid-run degrade leaves "header +
+ * N intact blocks + possibly a torn tail", and
+ * FeatureStoreReader::salvage / `tdfstool recover` rebuild the
+ * index by scanning forward and CRC-checking each block. Sealed data is recovered exactly; only the unsealed tail
  * (at most blockCapacity-1 staged records, plus the in-flight block
  * under DurabilityPolicy::None) can be lost.
  *
@@ -65,6 +70,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "store/feature_record.hh"
 
 namespace tdfe
 {
@@ -99,20 +106,6 @@ constexpr std::size_t trailerBytes = 8 + 8;
 
 /** Bytes of one block-index entry inside the footer. */
 constexpr std::size_t indexEntryBytes = 8 + 8 + 8 + 8 + 8;
-
-/** Columns covered by a zone-map entry: the fixed integer columns
- *  (iteration, analysis, stop) and the fixed double columns
- *  (wall_time, wavefront, predicted, mse). Coefficient columns are
- *  not zone-mapped — no filter predicate ranges over them. These
- *  mirror StoreSchema's fixed column counts (static_asserted where
- *  both are visible). @{ */
-constexpr std::size_t zoneIntColumns = 3;
-constexpr std::size_t zoneDoubleColumns = 4;
-/** @} */
-
-/** Bytes of one per-block zone-map entry (v2+ footers). */
-constexpr std::size_t zoneEntryBytes =
-    zoneIntColumns * 16 + zoneDoubleColumns * 16;
 
 /** Per-int-column codec id leading a v2 column payload. */
 enum class IntCodec : std::uint8_t
@@ -152,10 +145,10 @@ struct BlockInfo
  */
 struct BlockZone
 {
-    std::int64_t intMin[zoneIntColumns] = {0, 0, 0};
-    std::int64_t intMax[zoneIntColumns] = {0, 0, 0};
-    double dblMin[zoneDoubleColumns] = {0, 0, 0, 0};
-    double dblMax[zoneDoubleColumns] = {0, 0, 0, 0};
+    std::int64_t intMin[StoreSchema::numIntColumns] = {};
+    std::int64_t intMax[StoreSchema::numIntColumns] = {};
+    double dblMin[StoreSchema::numFixedDoubleColumns] = {};
+    double dblMax[StoreSchema::numFixedDoubleColumns] = {};
 };
 
 } // namespace store

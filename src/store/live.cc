@@ -185,7 +185,8 @@ LiveStoreReader::refresh()
     // No footer yet: adopt the blocks the writer has committed since
     // the last poll. A block counts once a byte follows it, so the
     // scan ends one byte short of EOF.
-    r->startScan(pr);
+    if (pr)
+        r->startScan(*pr);
     std::uint64_t stop = 0;
     if (!r->scanBlocks(extent, size - 1, stop, &why)) {
         rejectRefresh(path_ + ": " + why);

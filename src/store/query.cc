@@ -60,32 +60,25 @@ MetricPredicate::feasible(double lo, double hi) const
 std::size_t
 metricColumnIndex(const std::string &name)
 {
-    for (std::size_t c = 0; c < StoreSchema::numFixedDoubleColumns;
-         ++c)
-        if (name == StoreSchema().doubleColumnName(c))
-            return c;
-    return static_cast<std::size_t>(-1);
+    const std::size_t c = StoreSchema().columnIndex(name);
+    if (c < StoreSchema::numIntColumns ||
+        c >= StoreSchema::numIntColumns +
+                 StoreSchema::numFixedDoubleColumns)
+        return static_cast<std::size_t>(-1);
+    return c - StoreSchema::numIntColumns;
 }
 
-bool
-metricColumnValue(const FeatureRecord &r, std::size_t column,
-                  double &v)
+void
+ColumnStats::add(double v)
 {
-    switch (column) {
-      case 0:
-        v = r.wallTime;
-        return true;
-      case 1:
-        v = r.wavefront;
-        return true;
-      case 2:
-        v = r.predicted;
-        return true;
-      case 3:
-        v = r.mse;
-        return true;
-    }
-    return false;
+    if (std::isnan(v))
+        return;
+    if (count == 0 || v < min)
+        min = v;
+    if (count == 0 || v > max)
+        max = v;
+    sum += v;
+    ++count;
 }
 
 bool
@@ -126,9 +119,16 @@ parseMetricPredicate(const std::string &text, MetricPredicate &out,
     const std::string val =
         text.substr(at + std::strlen(found->token));
     out.column = metricColumnIndex(col);
-    if (out.column == static_cast<std::size_t>(-1))
-        return reject("unknown metric column '" + col +
-                      "' (wall_time, wavefront, predicted, mse)");
+    if (out.column == static_cast<std::size_t>(-1)) {
+        std::string known;
+        for (std::size_t c = 0; c < StoreSchema::numFixedDoubleColumns;
+             ++c)
+            known += (c ? ", " : "") +
+                     StoreSchema::columnName(StoreSchema::numIntColumns +
+                                             c);
+        return reject("unknown metric column '" + col + "' (" + known +
+                      ")");
+    }
     if (val.empty())
         return reject("missing value");
     char *end = nullptr;
@@ -150,9 +150,9 @@ EventFilter::matches(const FeatureRecord &r) const
     if (hasStop && r.stop != stop)
         return false;
     for (const MetricPredicate &p : predicates) {
-        double v = 0.0;
         // An unknown column matches nothing.
-        if (!metricColumnValue(r, p.column, v) || !p.matches(v))
+        if (p.column >= StoreSchema::numFixedDoubleColumns ||
+            !p.matches(StoreSchema::doubleColumn(r, p.column)))
             return false;
     }
     return true;
@@ -192,7 +192,7 @@ QueryCursor::blockMayMatch(std::size_t b) const
             return false;
     }
     for (const MetricPredicate &p : filter_.predicates) {
-        if (p.column >= store::zoneDoubleColumns)
+        if (p.column >= StoreSchema::numFixedDoubleColumns)
             return false; // matches() rejects every record too
         if (!p.feasible(z->dblMin[p.column], z->dblMax[p.column]))
             return false;
@@ -217,7 +217,7 @@ QueryCursor::next(FeatureRecord &out)
                 continue;
             bool good = true;
             for (const MetricPredicate &p : filter_.predicates) {
-                if (p.column >= store::zoneDoubleColumns ||
+                if (p.column >= StoreSchema::numFixedDoubleColumns ||
                     !p.matches(dbls_[p.column][i])) {
                     good = false;
                     break;
@@ -225,18 +225,11 @@ QueryCursor::next(FeatureRecord &out)
             }
             if (!good)
                 continue;
-            out.iteration = static_cast<long>(iter);
-            out.analysis = static_cast<long>(ints_[1][i]);
-            out.stop = ints_[2][i] != 0;
-            out.wallTime = dbls_[0][i];
-            out.wavefront = dbls_[1][i];
-            out.predicted = dbls_[2][i];
-            out.mse = dbls_[3][i];
-            const std::size_t n_coeffs = reader_->schema().coeffCount;
-            out.coeffs.resize(n_coeffs);
-            for (std::size_t k = 0; k < n_coeffs; ++k)
-                out.coeffs[k] =
-                    dbls_[StoreSchema::numFixedDoubleColumns + k][i];
+            for (std::size_t c = 0; c < StoreSchema::numIntColumns; ++c)
+                StoreSchema::setIntColumn(out, c, ints_[c][i]);
+            out.coeffs.resize(reader_->schema().coeffCount);
+            for (std::size_t c = 0; c < dbls_.size(); ++c)
+                StoreSchema::doubleColumn(out, c) = dbls_[c][i];
             return true;
         }
 

@@ -73,14 +73,10 @@ struct MetricPredicate
     bool feasible(double lo, double hi) const;
 };
 
-/** @return fixed metric column index of @p name ("wall_time",
- *  "wavefront", "predicted", "mse"), or SIZE_MAX when unknown. */
+/** @return the double-column index (StoreSchema::doubleColumn) of
+ *  fixed metric column @p name, or SIZE_MAX when @p name is not one
+ *  of the schema's fixed double columns. */
 std::size_t metricColumnIndex(const std::string &name);
-
-/** Read metric column @p column (see metricColumnIndex) of @p r
- *  into @p v. @return false for an unknown column. */
-bool metricColumnValue(const FeatureRecord &r, std::size_t column,
-                       double &v);
 
 /**
  * Parse "col<op>value" (e.g. "mse<0.5", "wavefront>=12") into
@@ -155,6 +151,29 @@ struct EventFilter
     /** Record-level evaluation (the reference semantics every
      *  pushdown path must agree with). */
     bool matches(const FeatureRecord &r) const;
+};
+
+/**
+ * Streaming min/max/mean of one column over a query's records. NaN
+ * values are excluded, the predicate semantics above; with no
+ * non-NaN value all three results are NaN.
+ */
+struct ColumnStats
+{
+    /** Non-NaN values added. */
+    std::size_t count = 0;
+    double min = std::numeric_limits<double>::quiet_NaN();
+    double max = std::numeric_limits<double>::quiet_NaN();
+    double sum = 0.0;
+
+    void add(double v);
+
+    double
+    mean() const
+    {
+        return count ? sum / static_cast<double>(count)
+                     : std::numeric_limits<double>::quiet_NaN();
+    }
 };
 
 /**

@@ -31,13 +31,6 @@ bitsToDouble(std::uint64_t b)
 
 } // namespace
 
-// The fixed zone-mapped column counts are the schema's fixed column
-// counts; this is where both headers are visible.
-static_assert(store::zoneIntColumns == StoreSchema::numIntColumns &&
-                  store::zoneDoubleColumns ==
-                      StoreSchema::numFixedDoubleColumns,
-              "zone map must cover exactly the fixed columns");
-
 bool
 FeatureStoreReader::loadAndCheckHeader(
     const std::string &path, std::string *error,
@@ -142,17 +135,21 @@ FeatureStoreReader::parseFooter(const std::uint8_t *footer,
             return fail(error, "column name overruns footer");
         std::string name(len, '\0');
         r.bytes(name.data(), len);
-        names_.push_back(std::move(name));
+        if (name != StoreSchema::columnName(i))
+            return fail(error, "footer column " + std::to_string(i) +
+                                   " is '" + name + "', schema has '" +
+                                   StoreSchema::columnName(i) + "'");
     }
     if (version_ >= 2) {
         zones_.resize(index.size());
         for (store::BlockZone &z : zones_) {
-            for (std::size_t c = 0; c < store::zoneIntColumns; ++c) {
+            for (std::size_t c = 0; c < StoreSchema::numIntColumns;
+                 ++c) {
                 z.intMin[c] = r.i64();
                 z.intMax[c] = r.i64();
             }
-            for (std::size_t c = 0; c < store::zoneDoubleColumns;
-                 ++c) {
+            for (std::size_t c = 0;
+                 c < StoreSchema::numFixedDoubleColumns; ++c) {
                 z.dblMin[c] = bitsToDouble(r.u64());
                 z.dblMax[c] = bitsToDouble(r.u64());
             }
@@ -232,7 +229,6 @@ FeatureStoreReader::salvage(const std::string &path,
     if (!reader->loadAndCheckHeader(path, error, file_factory))
         return nullptr;
     reader->salvaged_ = true;
-    reader->startScan(nullptr);
     const std::uint64_t file_size = reader->fileBytes();
     std::uint64_t stop = 0;
     std::string why;
@@ -245,19 +241,12 @@ FeatureStoreReader::salvage(const std::string &path,
 }
 
 void
-FeatureStoreReader::startScan(const FeatureStoreReader *prefix)
+FeatureStoreReader::startScan(const FeatureStoreReader &prefix)
 {
-    names_.clear();
-    for (std::size_t i = 0; i < schema_.intColumns(); ++i)
-        names_.push_back(StoreSchema::intColumnName(i));
-    for (std::size_t i = 0; i < schema_.doubleColumns(); ++i)
-        names_.push_back(schema_.doubleColumnName(i));
-    if (prefix) {
-        index = prefix->index;
-        zones_ = prefix->zones_;
-        records_ = prefix->records_;
-        sorted_ = prefix->sorted_;
-    }
+    index = prefix.index;
+    zones_ = prefix.zones_;
+    records_ = prefix.records_;
+    sorted_ = prefix.sorted_;
 }
 
 bool
@@ -469,11 +458,11 @@ FeatureStoreReader::verify(std::string *detail) const
             const store::BlockZone want =
                 store::computeBlockZone(ints, dbls);
             bool same = true;
-            for (std::size_t c = 0; c < store::zoneIntColumns; ++c)
+            for (std::size_t c = 0; c < StoreSchema::numIntColumns; ++c)
                 same = same && z->intMin[c] == want.intMin[c] &&
                        z->intMax[c] == want.intMax[c];
-            for (std::size_t c = 0; c < store::zoneDoubleColumns;
-                 ++c)
+            for (std::size_t c = 0;
+                 c < StoreSchema::numFixedDoubleColumns; ++c)
                 same = same && z->dblMin[c] == want.dblMin[c] &&
                        z->dblMax[c] == want.dblMax[c];
             if (!same)

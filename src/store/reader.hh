@@ -130,13 +130,6 @@ class FeatureStoreReader
         return static_cast<std::size_t>(file_->size());
     }
 
-    /** @return column names as recorded in the footer (ints then
-     *  doubles). */
-    const std::vector<std::string> &columnNames() const
-    {
-        return names_;
-    }
-
     /**
      * @return true when the producer appended records in
      * nondecreasing iteration order (footer flag, cross-checked
@@ -254,21 +247,21 @@ class FeatureStoreReader
      * at @p data_end, the footer's own offset — blocks must tile
      * [header, data_end), counts must agree with each other and with
      * the loaded header — and fill the index, record count, sorted
-     * flag (cross-checked against the block boundaries), column
-     * names, and (v2+) zone map. @return false with a diagnostic in
-     * @p error on any malformation.
+     * flag (cross-checked against the block boundaries), and (v2+)
+     * zone map; the recorded column names must be the schema's.
+     * @return false with a diagnostic in @p error on any
+     * malformation.
      */
     bool parseFooter(const std::uint8_t *footer, std::size_t n,
                      std::uint64_t data_end, std::string *error);
 
     /**
-     * Begin an index built by scanning rather than from a footer:
-     * column names from the schema (they are deterministic, so a
-     * footerless file does not need them), then the blocks, zone
-     * map, record count, and sorted flag of @p prefix — a reader of
-     * the same file whose blocks are already validated (null: none).
+     * Begin an index built by scanning rather than from a footer
+     * with the blocks, zone map, record count, and sorted flag of
+     * @p prefix — a reader of the same file whose blocks are
+     * already validated.
      */
-    void startScan(const FeatureStoreReader *prefix);
+    void startScan(const FeatureStoreReader &prefix);
 
     /**
      * The one forward block scan (format.hh: blocks are
@@ -293,7 +286,6 @@ class FeatureStoreReader
     StoreSchema schema_;
     std::vector<store::BlockInfo> index;
     std::vector<store::BlockZone> zones_;
-    std::vector<std::string> names_;
     std::uint32_t version_ = store::formatVersion;
     std::size_t records_ = 0;
     std::size_t capacity_ = 0;

@@ -120,16 +120,10 @@ FeatureStoreWriter::append(const FeatureRecord &record)
         sortedAppends_ = false;
     lastIter_ = record.iteration;
 
-    stInt[0].push_back(record.iteration);
-    stInt[1].push_back(record.analysis);
-    stInt[2].push_back(record.stop ? 1 : 0);
-    stDbl[0].push_back(record.wallTime);
-    stDbl[1].push_back(record.wavefront);
-    stDbl[2].push_back(record.predicted);
-    stDbl[3].push_back(record.mse);
-    for (std::size_t k = 0; k < schema_.coeffCount; ++k)
-        stDbl[StoreSchema::numFixedDoubleColumns + k].push_back(
-            record.coeffs[k]);
+    for (std::size_t c = 0; c < StoreSchema::numIntColumns; ++c)
+        stInt[c].push_back(StoreSchema::intColumn(record, c));
+    for (std::size_t c = 0; c < stDbl.size(); ++c)
+        stDbl[c].push_back(StoreSchema::doubleColumn(record, c));
 
     ++records_;
     static obs::Counter records("store.writer.records_total");
@@ -339,25 +333,22 @@ FeatureStoreWriter::writeFooter()
     store::putU32(f,
                   static_cast<std::uint32_t>(schema_.doubleColumns()));
     store::putU64(f, schema_.coeffCount);
-    auto put_name = [&f](const std::string &name) {
+    for (const std::string &name : schema_.columnNames()) {
         store::putU32(f, static_cast<std::uint32_t>(name.size()));
         f.insert(f.end(), name.begin(), name.end());
-    };
-    for (std::size_t i = 0; i < schema_.intColumns(); ++i)
-        put_name(StoreSchema::intColumnName(i));
-    for (std::size_t i = 0; i < schema_.doubleColumns(); ++i)
-        put_name(schema_.doubleColumnName(i));
+    }
     auto put_dbl_bits = [&f](double v) {
         std::uint64_t bits;
         std::memcpy(&bits, &v, sizeof(bits));
         store::putU64(f, bits);
     };
     for (const store::BlockZone &z : zones) {
-        for (std::size_t c = 0; c < store::zoneIntColumns; ++c) {
+        for (std::size_t c = 0; c < StoreSchema::numIntColumns; ++c) {
             store::putI64(f, z.intMin[c]);
             store::putI64(f, z.intMax[c]);
         }
-        for (std::size_t c = 0; c < store::zoneDoubleColumns; ++c) {
+        for (std::size_t c = 0; c < StoreSchema::numFixedDoubleColumns;
+             ++c) {
             put_dbl_bits(z.dblMin[c]);
             put_dbl_bits(z.dblMax[c]);
         }

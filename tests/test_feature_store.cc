@@ -41,6 +41,8 @@ namespace
 {
 
 using namespace tdfe;
+using test::bitsEqual;
+using test::expectRecordsBitwise;
 using test::tempPath;
 
 /** Deterministic record stream with awkward bit patterns mixed in. */
@@ -78,28 +80,6 @@ makeRecord(std::size_t i, std::size_t n_coeffs)
         break;
     }
     return rec;
-}
-
-bool
-bitsEqual(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void
-expectRecordsEqual(const FeatureRecord &a, const FeatureRecord &b)
-{
-    EXPECT_EQ(a.iteration, b.iteration);
-    EXPECT_EQ(a.analysis, b.analysis);
-    EXPECT_EQ(a.stop, b.stop);
-    EXPECT_TRUE(bitsEqual(a.wallTime, b.wallTime));
-    EXPECT_TRUE(bitsEqual(a.wavefront, b.wavefront));
-    EXPECT_TRUE(bitsEqual(a.predicted, b.predicted));
-    EXPECT_TRUE(bitsEqual(a.mse, b.mse));
-    ASSERT_EQ(a.coeffs.size(), b.coeffs.size());
-    for (std::size_t k = 0; k < a.coeffs.size(); ++k)
-        EXPECT_TRUE(bitsEqual(a.coeffs[k], b.coeffs[k]))
-            << "coeff " << k;
 }
 
 std::string
@@ -670,7 +650,7 @@ TEST(FeatureStore, RoundTripAcrossBlockBoundaries)
     FeatureRecord rec;
     std::size_t i = 0;
     while (c.next(rec))
-        expectRecordsEqual(rec, makeRecord(i++, 3));
+        expectRecordsBitwise(rec, makeRecord(i++, 3));
     EXPECT_EQ(i, 83u);
     std::remove(path.c_str());
 }
@@ -700,7 +680,7 @@ TEST(FeatureStore, EmptyAndPartialStores)
         FeatureRecord rec;
         std::size_t i = 0;
         while (c.next(rec))
-            expectRecordsEqual(rec, makeRecord(i++, 2));
+            expectRecordsBitwise(rec, makeRecord(i++, 2));
         EXPECT_EQ(i, 5u);
     }
     std::remove(path.c_str());
@@ -835,6 +815,25 @@ TEST(FeatureStore, CorruptedBlockRejected)
     EXPECT_NE(error.find("block index entry out of range"),
               std::string::npos)
         << error;
+
+    // And so is a footer with a valid CRC that names a column other
+    // than the schema does: column names are the schema's.
+    std::string renamed = bytes;
+    const std::size_t name_at = renamed.find("wavefront", footer_off);
+    ASSERT_NE(name_at, std::string::npos);
+    renamed[name_at + 6] = 'u';
+    const std::uint32_t crc = store::crc32(renamed.data() + footer_off,
+                                           crc_at - footer_off);
+    for (int i = 0; i < 4; ++i)
+        renamed[crc_at + static_cast<std::size_t>(i)] =
+            static_cast<char>(crc >> (8 * i));
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write(renamed.data(),
+                  static_cast<std::streamsize>(renamed.size()));
+    }
+    EXPECT_EQ(FeatureStoreReader::open(path, &error), nullptr);
+    EXPECT_NE(error.find("'wavefrunt'"), std::string::npos) << error;
     std::remove(path.c_str());
 }
 
@@ -875,7 +874,7 @@ TEST(FeatureStore, RangeQueriesMatchBruteForce)
         ASSERT_EQ(got.size(), want.size())
             << "[" << lo << ", " << hi << ")";
         for (std::size_t i = 0; i < got.size(); ++i)
-            expectRecordsEqual(got[i], *want[i]);
+            expectRecordsBitwise(got[i], *want[i]);
     }
     std::remove(path.c_str());
 }
@@ -926,7 +925,7 @@ expectSalvagePrefix(const std::string &path, std::size_t n,
     FeatureRecord rec;
     std::size_t i = 0;
     while (c.next(rec))
-        expectRecordsEqual(rec, makeRecord(i++, n_coeffs));
+        expectRecordsBitwise(rec, makeRecord(i++, n_coeffs));
     EXPECT_EQ(i, n);
 }
 
@@ -1130,10 +1129,9 @@ TEST(StoreFault, SalvageMatchesFooterReaderOnIntactStore)
     ASSERT_TRUE(b) << error;
     EXPECT_FALSE(a->salvaged());
     EXPECT_TRUE(b->salvaged());
-    EXPECT_EQ(a->schema(), b->schema());
     EXPECT_EQ(a->recordCount(), b->recordCount());
     EXPECT_EQ(a->blockCount(), b->blockCount());
-    EXPECT_EQ(a->columnNames(), b->columnNames());
+    EXPECT_EQ(a->schema(), b->schema());
     EXPECT_EQ(a->sortedByIteration(), b->sortedByIteration());
     // The scan stops exactly where the footer starts.
     EXPECT_EQ(b->droppedTailBytes(),
@@ -1147,7 +1145,7 @@ TEST(StoreFault, SalvageMatchesFooterReaderOnIntactStore)
     FeatureRecord ra, rb;
     while (ca.next(ra)) {
         ASSERT_TRUE(cb.next(rb));
-        expectRecordsEqual(ra, rb);
+        expectRecordsBitwise(ra, rb);
     }
     EXPECT_FALSE(cb.next(rb));
     std::remove(path.c_str());
@@ -1243,7 +1241,7 @@ TEST(StoreFault, ReadFaultsFailOpenGracefullyThenHeal)
     FeatureRecord rec;
     std::size_t i = 0;
     while (c.next(rec))
-        expectRecordsEqual(rec, makeRecord(i++, 2));
+        expectRecordsBitwise(rec, makeRecord(i++, 2));
     EXPECT_EQ(i, 100u);
     std::remove(path.c_str());
 }

@@ -236,7 +236,8 @@ TEST(RunHarness, SupervisorStitchesSegmentsBitExact)
 
     // Records replayed after the iteration-21 checkpoint appear
     // once; only wallTime may differ.
-    expectRecordsEqual(readRecords(opts.store.path), ref_records);
+    expectRecordsBitwise(readRecords(opts.store.path), ref_records,
+                         WallTime::Skip);
     // The segments are gone unless keepParts was requested.
     EXPECT_FALSE(std::ifstream(opts.store.path + ".seg0").good());
     removeGenerations(prefix);

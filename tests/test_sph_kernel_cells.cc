@@ -4,11 +4,13 @@
  * the cell-list neighbour search.
  */
 
+#include <atomic>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <set>
 
 #include "base/rng.hh"
+#include "base/thread_pool.hh"
 #include "sph/cell_list.hh"
 #include "sph/kernel.hh"
 
@@ -120,21 +122,28 @@ TEST(CellList, BlockPartitionCoversEveryParticleOnce)
     CellList cells;
     cells.build(x.data(), y.data(), z.data(), n, 0.5);
 
-    for (const int nranks : {1, 2, 3, 7}) {
-        std::vector<int> seen(n, 0);
-        for (int r = 0; r < nranks; ++r) {
-            cells.forEachBlock(
-                r, nranks,
-                [&](const std::vector<std::size_t> &members,
-                    const std::vector<std::size_t> &cand) {
-                    EXPECT_GE(cand.size(), members.size());
-                    for (std::size_t m : members)
-                        ++seen[m];
-                });
+    for (const int threads : {1, 4}) {
+        setGlobalThreadCount(threads);
+        for (const int nranks : {1, 2, 3, 7}) {
+            // Cells partition the particles, so each slot has one
+            // writer even when tasks run concurrently.
+            std::vector<int> seen(n, 0);
+            for (int r = 0; r < nranks; ++r) {
+                cells.forEachBlockParallel(
+                    r, nranks, 1,
+                    [&](const std::vector<std::size_t> &members,
+                        const std::vector<std::size_t> &cand) {
+                        EXPECT_GE(cand.size(), members.size());
+                        for (std::size_t m : members)
+                            ++seen[m];
+                    });
+            }
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(seen[i], 1)
+                    << "threads=" << threads << " nranks=" << nranks;
         }
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(seen[i], 1) << "nranks=" << nranks;
     }
+    setGlobalThreadCount(1);
 }
 
 TEST(CellList, BlockCandidatesIncludeSelfCell)
@@ -142,15 +151,19 @@ TEST(CellList, BlockCandidatesIncludeSelfCell)
     std::vector<double> x{0.0, 0.01}, y{0.0, 0.0}, z{0.0, 0.0};
     CellList cells;
     cells.build(x.data(), y.data(), z.data(), 2, 1.0);
-    bool found_pair = false;
-    cells.forEachBlock(0, 1,
-                       [&](const std::vector<std::size_t> &members,
-                           const std::vector<std::size_t> &cand) {
-                           if (members.size() == 2 &&
-                               cand.size() == 2)
-                               found_pair = true;
-                       });
-    EXPECT_TRUE(found_pair);
+    for (const int threads : {1, 4}) {
+        setGlobalThreadCount(threads);
+        std::atomic<bool> found_pair{false};
+        cells.forEachBlockParallel(
+            0, 1, 1,
+            [&](const std::vector<std::size_t> &members,
+                const std::vector<std::size_t> &cand) {
+                if (members.size() == 2 && cand.size() == 2)
+                    found_pair = true;
+            });
+        EXPECT_TRUE(found_pair) << "threads=" << threads;
+    }
+    setGlobalThreadCount(1);
 }
 
 } // namespace

@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <limits>
@@ -48,6 +47,7 @@ namespace
 {
 
 using namespace tdfe;
+using test::expectRecordsBitwise;
 using test::tempPath;
 
 /** Same deterministic stream as test_feature_store.cc. */
@@ -71,28 +71,6 @@ makeRecord(std::size_t i, std::size_t n_coeffs)
     if (i % 41 == 7)
         rec.predicted = std::numeric_limits<double>::quiet_NaN();
     return rec;
-}
-
-bool
-bitsEqual(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-void
-expectRecordsEqual(const FeatureRecord &a, const FeatureRecord &b)
-{
-    EXPECT_EQ(a.iteration, b.iteration);
-    EXPECT_EQ(a.analysis, b.analysis);
-    EXPECT_EQ(a.stop, b.stop);
-    EXPECT_TRUE(bitsEqual(a.wallTime, b.wallTime));
-    EXPECT_TRUE(bitsEqual(a.wavefront, b.wavefront));
-    EXPECT_TRUE(bitsEqual(a.predicted, b.predicted));
-    EXPECT_TRUE(bitsEqual(a.mse, b.mse));
-    ASSERT_EQ(a.coeffs.size(), b.coeffs.size());
-    for (std::size_t k = 0; k < a.coeffs.size(); ++k)
-        EXPECT_TRUE(bitsEqual(a.coeffs[k], b.coeffs[k]))
-            << "coeff " << k;
 }
 
 std::string
@@ -283,7 +261,7 @@ TEST(LiveView, RefreshVsSealInterleavingNeverShowsPartialBlocks)
         EXPECT_EQ(v.generation(), 1 + v.blockCount());
         EXPECT_FALSE(tail.done());
         while (tail.next(rec))
-            expectRecordsEqual(rec, makeRecord(delivered++, kCoeffs));
+            expectRecordsBitwise(rec, makeRecord(delivered++, kCoeffs));
         EXPECT_EQ(delivered, v.recordCount());
     }
 
@@ -293,7 +271,7 @@ TEST(LiveView, RefreshVsSealInterleavingNeverShowsPartialBlocks)
     EXPECT_EQ(live.state(), LiveState::Final);
     EXPECT_EQ(live.view().recordCount(), kRecords);
     while (tail.next(rec))
-        expectRecordsEqual(rec, makeRecord(delivered++, kCoeffs));
+        expectRecordsBitwise(rec, makeRecord(delivered++, kCoeffs));
     EXPECT_EQ(delivered, kRecords);
     EXPECT_TRUE(tail.done());
     EXPECT_EQ(tail.recordsDelivered(), kRecords);
@@ -332,7 +310,7 @@ TEST(LiveView, PinnedViewsAreSnapshotIsolated)
     FeatureRecord rec;
     std::size_t i = 0;
     while (c.next(rec))
-        expectRecordsEqual(rec, makeRecord(i++, kCoeffs));
+        expectRecordsBitwise(rec, makeRecord(i++, kCoeffs));
     EXPECT_EQ(i, 2 * kCap);
 
     // The full query engine (zone-map pushdown included) runs
@@ -390,9 +368,7 @@ TEST(LiveView, TailFilterMatchesBruteForce)
     while (tail.next(rec))
         got.push_back(rec);
     EXPECT_TRUE(tail.done());
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        expectRecordsEqual(got[i], want[i]);
+    expectRecordsBitwise(got, want);
     std::remove(path.c_str());
 }
 
@@ -442,9 +418,7 @@ TEST(LiveView, FilteredTailDecodesOnlyBlocksItsFilterAdmits)
     ASSERT_TRUE(r);
     const std::vector<FeatureRecord> want = test::bruteFilter(*r, filter);
     ASSERT_FALSE(want.empty());
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        expectRecordsEqual(got[i], want[i]);
+    expectRecordsBitwise(got, want);
     EXPECT_GT(decoded, 0u);
     EXPECT_LT(decoded, r->blockCount());
     std::remove(path.c_str());
@@ -475,7 +449,7 @@ TEST(LiveView, FooterFallbackServesFinishedStores)
         FeatureRecord rec;
         std::size_t i = 0;
         while (tail.next(rec))
-            expectRecordsEqual(rec, makeRecord(i++, 2));
+            expectRecordsBitwise(rec, makeRecord(i++, 2));
         EXPECT_EQ(i, records);
         EXPECT_TRUE(tail.done());
         std::remove(path.c_str());
@@ -851,7 +825,7 @@ TEST(LiveFault, VanishedWriterDegradesToSalvagedPrefix)
     FeatureRecord rec;
     std::size_t delivered = 0;
     while (tail.next(rec))
-        expectRecordsEqual(rec, makeRecord(delivered++, 2));
+        expectRecordsBitwise(rec, makeRecord(delivered++, 2));
     EXPECT_EQ(delivered, 32u);
 
     writeBytes(path, a.dataAtSeal[3]);
@@ -865,7 +839,7 @@ TEST(LiveFault, VanishedWriterDegradesToSalvagedPrefix)
     EXPECT_EQ(v.recordCount(), 64u);
     EXPECT_EQ(streamDigest(v.reader()), honestDigest(64, 2, 16));
     while (tail.next(rec))
-        expectRecordsEqual(rec, makeRecord(delivered++, 2));
+        expectRecordsBitwise(rec, makeRecord(delivered++, 2));
     EXPECT_EQ(delivered, 64u);
     EXPECT_TRUE(tail.done());
     std::remove(path.c_str());
@@ -918,7 +892,7 @@ TEST(LiveFault, DegradedWriterTailEndsOnSalvagePrefix)
     FeatureRecord rec;
     std::size_t delivered = 0;
     while (tail.next(rec))
-        expectRecordsEqual(rec, makeRecord(delivered++, 2));
+        expectRecordsBitwise(rec, makeRecord(delivered++, 2));
     EXPECT_EQ(delivered, 4 * kCap);
     EXPECT_TRUE(tail.done());
     EXPECT_EQ(w.finish(), 0u);

@@ -18,7 +18,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
 #include <limits>
@@ -42,13 +41,8 @@ namespace
 
 using namespace tdfe;
 using test::bruteFilter;
+using test::expectRecordsBitwise;
 using test::tempPath;
-
-bool
-bitsEqual(double a, double b)
-{
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
 
 /** Deterministic stream with low-cardinality int columns, monotone
  *  mse, and awkward double payloads mixed in. */
@@ -84,26 +78,6 @@ makeRecord(std::size_t i, std::size_t total, std::size_t n_coeffs)
         break;
     }
     return rec;
-}
-
-void
-expectRecordsBitwise(const std::vector<FeatureRecord> &a,
-                     const std::vector<FeatureRecord> &b)
-{
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        SCOPED_TRACE("record " + std::to_string(i));
-        EXPECT_EQ(a[i].iteration, b[i].iteration);
-        EXPECT_EQ(a[i].analysis, b[i].analysis);
-        EXPECT_EQ(a[i].stop, b[i].stop);
-        EXPECT_TRUE(bitsEqual(a[i].wallTime, b[i].wallTime));
-        EXPECT_TRUE(bitsEqual(a[i].wavefront, b[i].wavefront));
-        EXPECT_TRUE(bitsEqual(a[i].predicted, b[i].predicted));
-        EXPECT_TRUE(bitsEqual(a[i].mse, b[i].mse));
-        ASSERT_EQ(a[i].coeffs.size(), b[i].coeffs.size());
-        for (std::size_t k = 0; k < a[i].coeffs.size(); ++k)
-            EXPECT_TRUE(bitsEqual(a[i].coeffs[k], b[i].coeffs[k]));
-    }
 }
 
 void
@@ -235,10 +209,8 @@ writeV1File(const std::string &path,
         putU32(f, static_cast<std::uint32_t>(name.size()));
         f.insert(f.end(), name.begin(), name.end());
     };
-    for (std::size_t i = 0; i < n_int; ++i)
-        put_name(StoreSchema::intColumnName(i));
-    for (std::size_t i = 0; i < n_dbl; ++i)
-        put_name(schema.doubleColumnName(i));
+    for (const std::string &name : schema.columnNames())
+        put_name(name);
     putU32(f, crc32(f.data(), f.size()));
     putU64(f, footer_offset);
     f.insert(f.end(), trailerMagic, trailerMagic + 8);

@@ -7,6 +7,7 @@
 #define TDFE_TESTS_TEST_UTIL_HH
 
 #include <cstdio>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <string>
 #include <unistd.h>
@@ -70,21 +71,61 @@ bruteFilter(const FeatureStoreReader &r, const EventFilter &filter)
     return out;
 }
 
-/** Bitwise record equality, ignoring wallTime (measured per run). */
+/** Bitwise double equality: NaN equals itself, -0.0 differs from
+ *  +0.0. */
+inline bool
+bitsEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** Whether expectRecordsBitwise compares the wall_time column, which
+ *  two runs measure differently even when every other bit agrees. */
+enum class WallTime
+{
+    Compare,
+    Skip,
+};
+
+/** Expect @p a and @p b to agree in every column of the store
+ *  schema: integers by value, doubles bit for bit. */
 inline void
-expectRecordsEqual(const std::vector<FeatureRecord> &a,
-                   const std::vector<FeatureRecord> &b)
+expectRecordsBitwise(const FeatureRecord &a, const FeatureRecord &b,
+                     WallTime wall = WallTime::Compare)
+{
+    ASSERT_EQ(a.coeffs.size(), b.coeffs.size());
+    StoreSchema schema;
+    schema.coeffCount = a.coeffs.size();
+    const std::size_t skipped = wall == WallTime::Skip
+                                    ? schema.columnIndex("wall_time")
+                                    : schema.totalColumns();
+    for (std::size_t c = 0; c < schema.totalColumns(); ++c) {
+        if (c == skipped)
+            continue;
+        if (c < StoreSchema::numIntColumns) {
+            EXPECT_EQ(StoreSchema::intColumn(a, c),
+                      StoreSchema::intColumn(b, c))
+                << StoreSchema::columnName(c);
+            continue;
+        }
+        const std::size_t i = c - StoreSchema::numIntColumns;
+        const double x = StoreSchema::doubleColumn(a, i);
+        const double y = StoreSchema::doubleColumn(b, i);
+        EXPECT_TRUE(bitsEqual(x, y))
+            << StoreSchema::columnName(c) << ": " << x << " vs " << y;
+    }
+}
+
+/** expectRecordsBitwise over two record sequences, pairwise. */
+inline void
+expectRecordsBitwise(const std::vector<FeatureRecord> &a,
+                     const std::vector<FeatureRecord> &b,
+                     WallTime wall = WallTime::Compare)
 {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("record " + std::to_string(i));
-        EXPECT_EQ(a[i].iteration, b[i].iteration);
-        EXPECT_EQ(a[i].analysis, b[i].analysis);
-        EXPECT_EQ(a[i].stop, b[i].stop);
-        EXPECT_EQ(a[i].wavefront, b[i].wavefront);
-        EXPECT_EQ(a[i].predicted, b[i].predicted);
-        EXPECT_EQ(a[i].mse, b[i].mse);
-        EXPECT_EQ(a[i].coeffs, b[i].coeffs);
+        expectRecordsBitwise(a[i], b[i], wall);
     }
 }
 

@@ -5,7 +5,8 @@
  *
  *   tdfstool info   <store>            header/schema/block summary
  *   tdfstool verify <store>            CRC + full-decode walk
- *   tdfstool export <store> [--out f]  CSV dump (stdout default)
+ *   tdfstool export <store> [--out f]  CSV dump (stdout default): the
+ *                                      `query` listing with no filter
  *   tdfstool query  <store> [--iter a:b] [--analysis k] [--stop 0|1]
  *                   [--where col<op>v]... [--project cols]
  *                   [--agg count|min|max|mean]
@@ -27,6 +28,13 @@
  *                                      trace, per-span roll-up
  *   tdfstool help                      this text, to stdout, exit 0
  *
+ * Column names, their order, and each record's values come from the
+ * store's StoreSchema (store/feature_record.hh); every column flag
+ * (--project, --ignore) resolves names through it, so an unknown
+ * name is an error, never a silent no-op. `export`, `query` and
+ * `tail` share one CSV printer, so their listings of the same
+ * records are byte-identical.
+ *
  * Every command exits 0 on success and 1 on any mismatch or
  * malformed input, so scripts (scripts/check_build.sh runs a
  * `verify` smoke, a `query` smoke, and a truncate/recover round
@@ -46,9 +54,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
-#include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -64,6 +70,7 @@
 
 using tdfe::FeatureRecord;
 using tdfe::FeatureStoreReader;
+using tdfe::StoreSchema;
 
 namespace
 {
@@ -71,6 +78,9 @@ namespace
 void
 printUsage(std::FILE *to)
 {
+    const auto metric = [](std::size_t k) {
+        return StoreSchema::columnName(StoreSchema::numIntColumns + k);
+    };
     std::fprintf(
         to,
         "usage: tdfstool <command> <store> [options]\n"
@@ -95,10 +105,8 @@ printUsage(std::FILE *to)
         "mse<0.5 or\n"
         "                              wavefront>=12; repeatable "
         "(ANDed);\n"
-        "                              columns: wall_time, "
-        "wavefront,\n"
-        "                              predicted, mse; ops: < <= > "
-        ">= == !=\n"
+        "                              columns: %s, %s,\n"
+        "                              %s, %s; ops: < <= > >= == !=\n"
         "                              (NaN values never match)\n"
         "         --project c,c        output only these columns\n"
         "         --agg count|min|max|mean\n"
@@ -153,7 +161,9 @@ printUsage(std::FILE *to)
         "(exit 1 when\n"
         "                              malformed)\n"
         "  help                        print this text and exit "
-        "0\n");
+        "0\n",
+        metric(0).c_str(), metric(1).c_str(), metric(2).c_str(),
+        metric(3).c_str());
 }
 
 int
@@ -188,7 +198,7 @@ cmdInfo(const std::string &path)
                 r->sortedByIteration() ? "yes (indexed range access)"
                                        : "no (rank-merged?)");
     std::printf("columns:      ");
-    const auto &names = r->columnNames();
+    const auto names = r->schema().columnNames();
     for (std::size_t i = 0; i < names.size(); ++i)
         std::printf("%s%s", i ? "," : "", names[i].c_str());
     std::printf("\n");
@@ -231,91 +241,14 @@ cmdVerify(const std::string &path)
     return 0;
 }
 
-int
-cmdExport(const std::string &path, const std::string &out_path)
+/** Column @p col (file order) of @p rec as a double. */
+double
+columnValue(const FeatureRecord &rec, std::size_t col)
 {
-    const auto r = openOrComplain(path);
-    if (!r)
-        return 1;
-
-    std::ofstream file;
-    if (!out_path.empty()) {
-        file.open(out_path);
-        if (!file) {
-            std::fprintf(stderr, "tdfstool: cannot write %s\n",
-                         out_path.c_str());
-            return 1;
-        }
-    }
-    std::ostream &out = out_path.empty()
-                            ? static_cast<std::ostream &>(std::cout)
-                            : file;
-
-    const auto &names = r->columnNames();
-    for (std::size_t i = 0; i < names.size(); ++i)
-        out << (i ? "," : "") << names[i];
-    out << "\n";
-
-    char buf[64];
-    FeatureRecord rec;
-    auto c = r->cursor();
-    while (c.next(rec)) {
-        out << rec.iteration << ',' << rec.analysis << ','
-            << (rec.stop ? 1 : 0);
-        const double fixed[] = {rec.wallTime, rec.wavefront,
-                                rec.predicted, rec.mse};
-        for (const double v : fixed) {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            out << ',' << buf;
-        }
-        for (const double v : rec.coeffs) {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            out << ',' << buf;
-        }
-        out << "\n";
-    }
-    if (!out.good()) {
-        std::fprintf(stderr, "tdfstool: export write failed\n");
-        return 1;
-    }
-    return 0;
-}
-
-/**
- * Resolve a projected column of @p rec by footer name. Integer
- * columns report @p integral so the CSV prints them without a
- * decimal point. @return false for a name the store does not have.
- */
-bool
-columnValue(const FeatureRecord &rec, const std::string &name,
-            double &v, bool &integral)
-{
-    integral = true;
-    if (name == "iteration") {
-        v = static_cast<double>(rec.iteration);
-        return true;
-    }
-    if (name == "analysis") {
-        v = static_cast<double>(rec.analysis);
-        return true;
-    }
-    if (name == "stop") {
-        v = rec.stop ? 1.0 : 0.0;
-        return true;
-    }
-    integral = false;
-    if (tdfe::metricColumnValue(rec, tdfe::metricColumnIndex(name), v))
-        return true;
-    if (name.rfind("coef", 0) == 0) {
-        char *end = nullptr;
-        const long k = std::strtol(name.c_str() + 4, &end, 10);
-        if (end != name.c_str() + 4 && *end == '\0' && k >= 0 &&
-            static_cast<std::size_t>(k) < rec.coeffs.size()) {
-            v = rec.coeffs[static_cast<std::size_t>(k)];
-            return true;
-        }
-    }
-    return false;
+    return col < StoreSchema::numIntColumns
+               ? static_cast<double>(StoreSchema::intColumn(rec, col))
+               : StoreSchema::doubleColumn(
+                     rec, col - StoreSchema::numIntColumns);
 }
 
 /** Parse all of @p text as a decimal integer. */
@@ -409,64 +342,110 @@ consumeFilterArg(int argc, char **argv, int &i,
 }
 
 /**
- * Resolve a --project list against @p known (footer column names):
- * empty @p project selects every column. @return false (message
- * printed) on an unknown or empty selection.
+ * Resolve the comma-separated column list @p list that @p flag
+ * (--project, --ignore) named against @p schema into file-order
+ * indices: an empty @p list selects every column. @return false
+ * (message printed) on an unknown or empty selection.
  */
 bool
-resolveColumns(const std::vector<std::string> &known,
-               const std::string &project,
-               std::vector<std::string> &cols)
+resolveColumns(const StoreSchema &schema, const std::string &list,
+               const char *flag, std::vector<std::size_t> &cols)
 {
-    if (project.empty()) {
-        cols = known;
+    if (list.empty()) {
+        for (std::size_t c = 0; c < schema.totalColumns(); ++c)
+            cols.push_back(c);
         return true;
     }
-    std::stringstream ss(project);
+    std::stringstream ss(list);
     std::string item;
     while (std::getline(ss, item, ',')) {
         if (item.empty())
             continue;
-        if (std::find(known.begin(), known.end(), item) ==
-            known.end()) {
+        const std::size_t c = schema.columnIndex(item);
+        if (c == static_cast<std::size_t>(-1)) {
             std::fprintf(stderr,
                          "tdfstool: store has no column '%s'\n",
                          item.c_str());
             return false;
         }
-        cols.push_back(item);
+        cols.push_back(c);
     }
     if (cols.empty()) {
-        std::fprintf(stderr,
-                     "tdfstool: --project named no columns\n");
+        std::fprintf(stderr, "tdfstool: %s named no columns\n", flag);
         return false;
     }
     return true;
 }
 
-/** Print one CSV row of @p rec projected to @p cols (export-format
- *  values: integral columns without a decimal point, doubles
- *  round-tripping at %.17g) — shared by `query` and `tail` so a
- *  tailed stream is textually a prefix of an export/query of the
- *  same records. */
+/** Print the CSV header line naming @p cols. */
 void
-printProjected(const FeatureRecord &rec,
-               const std::vector<std::string> &cols)
+printHeader(std::FILE *out, const std::vector<std::size_t> &cols)
 {
-    char buf[64];
+    for (std::size_t c = 0; c < cols.size(); ++c)
+        std::fprintf(out, "%s%s", c ? "," : "",
+                     StoreSchema::columnName(cols[c]).c_str());
+    std::fputc('\n', out);
+}
+
+/** Print one CSV row of @p rec projected to @p cols (integer
+ *  columns without a decimal point, doubles round-tripping at
+ *  %.17g) — shared by `export`, `query` and `tail`, so a tailed
+ *  stream is textually a prefix of an export/query of the same
+ *  records. */
+void
+printRow(std::FILE *out, const FeatureRecord &rec,
+         const std::vector<std::size_t> &cols)
+{
     for (std::size_t c = 0; c < cols.size(); ++c) {
-        double v = 0.0;
-        bool integral = false;
-        columnValue(rec, cols[c], v, integral);
-        if (integral) {
-            std::printf("%s%lld", c ? "," : "",
-                        static_cast<long long>(v));
-        } else {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            std::printf("%s%s", c ? "," : "", buf);
-        }
+        const char *sep = c ? "," : "";
+        if (cols[c] < StoreSchema::numIntColumns)
+            std::fprintf(out, "%s%lld", sep,
+                         static_cast<long long>(
+                             StoreSchema::intColumn(rec, cols[c])));
+        else
+            std::fprintf(out, "%s%.17g", sep,
+                         columnValue(rec, cols[c]));
     }
-    std::printf("\n");
+    std::fputc('\n', out);
+}
+
+/** Print the header and every record @p cursor yields, projected
+ *  to @p cols. @return false when writing to @p out failed. */
+bool
+printRecords(std::FILE *out, tdfe::QueryCursor &cursor,
+             const std::vector<std::size_t> &cols)
+{
+    printHeader(out, cols);
+    FeatureRecord rec;
+    while (cursor.next(rec))
+        printRow(out, rec, cols);
+    return std::fflush(out) == 0 && !std::ferror(out);
+}
+
+int
+cmdExport(const std::string &path, const std::string &out_path)
+{
+    const auto r = openOrComplain(path);
+    if (!r)
+        return 1;
+    std::FILE *out = stdout;
+    if (!out_path.empty() &&
+        !(out = std::fopen(out_path.c_str(), "w"))) {
+        std::fprintf(stderr, "tdfstool: cannot write %s\n",
+                     out_path.c_str());
+        return 1;
+    }
+    std::vector<std::size_t> cols; // every column: no --project
+    resolveColumns(r->schema(), "", "--project", cols);
+    auto cursor = r->cursor();
+    bool ok = printRecords(out, cursor, cols);
+    if (out != stdout)
+        ok = std::fclose(out) == 0 && ok;
+    if (!ok) {
+        std::fprintf(stderr, "tdfstool: export write failed\n");
+        return 1;
+    }
+    return 0;
 }
 
 int
@@ -503,13 +482,12 @@ cmdQuery(int argc, char **argv)
     if (!r)
         return 1;
 
-    std::vector<std::string> cols;
-    if (!resolveColumns(r->columnNames(), project, cols))
+    std::vector<std::size_t> cols;
+    if (!resolveColumns(r->schema(), project, "--project", cols))
         return 1;
 
     tdfe::QueryCursor cursor(*r, filter);
     FeatureRecord rec;
-    char buf[64];
 
     if (agg == "count") {
         std::size_t n = 0;
@@ -520,52 +498,28 @@ cmdQuery(int argc, char **argv)
     }
 
     if (!agg.empty()) {
-        // Per-projected-column streaming aggregate; NaNs are
-        // excluded, matching the query engine's predicate
-        // semantics. A column with no non-NaN value prints "nan".
-        std::vector<double> mins(cols.size(), 0.0);
-        std::vector<double> maxs(cols.size(), 0.0);
-        std::vector<double> sums(cols.size(), 0.0);
-        std::vector<std::size_t> counts(cols.size(), 0);
-        while (cursor.next(rec)) {
-            for (std::size_t c = 0; c < cols.size(); ++c) {
-                double v = 0.0;
-                bool integral = false;
-                columnValue(rec, cols[c], v, integral);
-                if (std::isnan(v))
-                    continue;
-                if (counts[c] == 0 || v < mins[c])
-                    mins[c] = v;
-                if (counts[c] == 0 || v > maxs[c])
-                    maxs[c] = v;
-                sums[c] += v;
-                ++counts[c];
-            }
-        }
-        for (std::size_t c = 0; c < cols.size(); ++c)
-            std::printf("%s%s", c ? "," : "", cols[c].c_str());
-        std::printf("\n");
+        // Per-projected-column streaming aggregate (a column with no
+        // non-NaN value prints "nan").
+        std::vector<tdfe::ColumnStats> stats(cols.size());
+        while (cursor.next(rec))
+            for (std::size_t c = 0; c < cols.size(); ++c)
+                stats[c].add(columnValue(rec, cols[c]));
+        printHeader(stdout, cols);
         for (std::size_t c = 0; c < cols.size(); ++c) {
-            double v = std::numeric_limits<double>::quiet_NaN();
-            if (counts[c] > 0) {
-                v = agg == "min" ? mins[c]
-                    : agg == "max"
-                        ? maxs[c]
-                        : sums[c] /
-                              static_cast<double>(counts[c]);
-            }
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            std::printf("%s%s", c ? "," : "", buf);
+            const tdfe::ColumnStats &s = stats[c];
+            std::printf("%s%.17g", c ? "," : "",
+                        agg == "min"   ? s.min
+                        : agg == "max" ? s.max
+                                       : s.mean());
         }
         std::printf("\n");
         return 0;
     }
 
-    for (std::size_t c = 0; c < cols.size(); ++c)
-        std::printf("%s%s", c ? "," : "", cols[c].c_str());
-    std::printf("\n");
-    while (cursor.next(rec))
-        printProjected(rec, cols);
+    if (!printRecords(stdout, cursor, cols)) {
+        std::fprintf(stderr, "tdfstool: query write failed\n");
+        return 1;
+    }
     return 0;
 }
 
@@ -620,19 +574,17 @@ cmdTail(int argc, char **argv)
         return 1;
     }
 
-    std::vector<std::string> cols;
-    if (!resolveColumns(live.view().reader().columnNames(), project,
-                        cols))
+    std::vector<std::size_t> cols;
+    if (!resolveColumns(live.view().reader().schema(), project,
+                        "--project", cols))
         return 1;
-    for (std::size_t c = 0; c < cols.size(); ++c)
-        std::printf("%s%s", c ? "," : "", cols[c].c_str());
-    std::printf("\n");
+    printHeader(stdout, cols);
 
     FeatureRecord rec;
     long printed = 0;
     for (;;) {
         if (tail.next(rec)) {
-            printProjected(rec, cols);
+            printRow(stdout, rec, cols);
             // Line-buffered consumers (dashboards, the check_build
             // prefix gate) see each record as it seals.
             std::fflush(stdout);
@@ -669,24 +621,21 @@ cmdDiff(const std::string &path_a, const std::string &path_b,
     if (!a || !b)
         return 1;
 
-    std::set<std::string> ignored;
-    {
-        std::stringstream ss(ignore_list);
-        std::string item;
-        while (std::getline(ss, item, ','))
-            if (!item.empty())
-                ignored.insert(item);
-    }
-    const auto skip = [&ignored](const std::string &col) {
-        return ignored.count(col) > 0;
-    };
-
     if (a->schema() != b->schema()) {
         std::fprintf(stderr,
                      "schemas differ: %zu vs %zu coefficient "
                      "columns\n",
                      a->schema().coeffCount, b->schema().coeffCount);
         return 1;
+    }
+    const std::size_t n_cols = a->schema().totalColumns();
+    std::vector<bool> ignored(n_cols, false);
+    if (!ignore_list.empty()) {
+        std::vector<std::size_t> cols;
+        if (!resolveColumns(a->schema(), ignore_list, "--ignore", cols))
+            return 1;
+        for (const std::size_t c : cols)
+            ignored[c] = true;
     }
     if (a->recordCount() != b->recordCount()) {
         std::fprintf(stderr, "record counts differ: %zu vs %zu\n",
@@ -700,46 +649,28 @@ cmdDiff(const std::string &path_a, const std::string &path_b,
     auto cb = b->cursor();
     FeatureRecord ra, rb;
     std::size_t row = 0;
-    auto report = [&](const std::string &col, double va, double vb) {
-        if (++mismatches <= maxReported) {
-            std::fprintf(stderr,
-                         "record %zu: %s differs (%.17g vs "
-                         "%.17g)\n",
-                         row, col.c_str(), va, vb);
-        }
-    };
     while (ca.next(ra)) {
         if (!cb.next(rb))
             break;
-        if (!skip("iteration") && ra.iteration != rb.iteration)
-            report("iteration",
-                   static_cast<double>(ra.iteration),
-                   static_cast<double>(rb.iteration));
-        if (!skip("analysis") && ra.analysis != rb.analysis)
-            report("analysis", static_cast<double>(ra.analysis),
-                   static_cast<double>(rb.analysis));
-        if (!skip("stop") && ra.stop != rb.stop)
-            report("stop", ra.stop, rb.stop);
-        // Bitwise comparison through memcmp: NaNs compare equal to
-        // themselves and +0.0 differs from -0.0, exactly what a
-        // byte-level store diff should say.
-        auto diff_bits = [](double x, double y) {
-            return std::memcmp(&x, &y, sizeof(double)) != 0;
-        };
-        if (!skip("wall_time") && diff_bits(ra.wallTime, rb.wallTime))
-            report("wall_time", ra.wallTime, rb.wallTime);
-        if (!skip("wavefront") &&
-            diff_bits(ra.wavefront, rb.wavefront))
-            report("wavefront", ra.wavefront, rb.wavefront);
-        if (!skip("predicted") &&
-            diff_bits(ra.predicted, rb.predicted))
-            report("predicted", ra.predicted, rb.predicted);
-        if (!skip("mse") && diff_bits(ra.mse, rb.mse))
-            report("mse", ra.mse, rb.mse);
-        for (std::size_t k = 0; k < ra.coeffs.size(); ++k) {
-            const std::string col = "coef" + std::to_string(k);
-            if (!skip(col) && diff_bits(ra.coeffs[k], rb.coeffs[k]))
-                report(col, ra.coeffs[k], rb.coeffs[k]);
+        for (std::size_t c = 0; c < n_cols; ++c) {
+            if (ignored[c])
+                continue;
+            const double va = columnValue(ra, c);
+            const double vb = columnValue(rb, c);
+            // Doubles compare bitwise: NaNs equal themselves and
+            // +0.0 differs from -0.0, exactly what a byte-level
+            // store diff should say.
+            const bool differs =
+                c < StoreSchema::numIntColumns
+                    ? StoreSchema::intColumn(ra, c) !=
+                          StoreSchema::intColumn(rb, c)
+                    : std::memcmp(&va, &vb, sizeof(double)) != 0;
+            if (differs && ++mismatches <= maxReported)
+                std::fprintf(stderr,
+                             "record %zu: %s differs (%.17g vs "
+                             "%.17g)\n",
+                             row, StoreSchema::columnName(c).c_str(),
+                             va, vb);
         }
         ++row;
     }
@@ -750,8 +681,8 @@ cmdDiff(const std::string &path_a, const std::string &path_b,
     if (mismatches == 0) {
         std::printf("stores match (%zu records%s)\n",
                     a->recordCount(),
-                    ignored.empty() ? ""
-                                    : ", ignored columns excluded");
+                    ignore_list.empty() ? ""
+                                        : ", ignored columns excluded");
         return 0;
     }
     return 1;
