@@ -23,6 +23,7 @@
 #include "blastapp/runner.hh"
 #include "postproc/ground_truth.hh"
 #include "postproc/trace.hh"
+#include "store/feature_record.hh"
 
 namespace tdfe
 {
@@ -108,6 +109,27 @@ inline std::uint64_t
 fnv1a(const std::string &bytes, std::uint64_t h = fnv1aBasis)
 {
     return fnv1a(bytes.data(), bytes.size(), h);
+}
+
+/**
+ * Fold every column of @p rec into an FNV-1a digest, in StoreSchema's
+ * file order: the integer columns as int64, the double columns (the
+ * coefficients included) as their bytes. Order- and value-sensitive,
+ * so two record streams digest equal only if they are bitwise equal
+ * record by record.
+ */
+inline std::uint64_t
+fnv1aRecord(const FeatureRecord &rec, std::uint64_t h)
+{
+    StoreSchema schema;
+    schema.coeffCount = rec.coeffs.size();
+    for (std::size_t i = 0; i < schema.intColumns(); ++i) {
+        const std::int64_t v = StoreSchema::intColumn(rec, i);
+        h = fnv1a(&v, sizeof v, h);
+    }
+    for (std::size_t i = 0; i < schema.doubleColumns(); ++i)
+        h = fnv1a(&StoreSchema::doubleColumn(rec, i), sizeof(double), h);
+    return h;
 }
 
 /** Print the standard bench banner. */

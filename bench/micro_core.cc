@@ -1,11 +1,12 @@
 /**
  * @file
  * Microbenchmarks (google-benchmark) for the in-situ hot path: the
- * per-iteration collector cost, one GD training round, and one
- * model prediction. These are the numbers behind the "minimal
- * performance impact" claim. Also the solver side: one clover cycle
- * and the thread pool's fork-join dispatch latency; and the feature
- * store's byte codecs: CRC-32 throughput and Gorilla decode cost.
+ * per-iteration collector cost, one GD training round, one model
+ * prediction, and the break-point peak profile. These are the
+ * numbers behind the "minimal performance impact" claim. Also the
+ * solver side: one clover cycle and the thread pool's fork-join
+ * dispatch latency; and the feature store's byte codecs: CRC-32
+ * throughput and Gorilla decode cost.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,6 +21,8 @@
 #include "core/ar_model.hh"
 #include "core/changepoint.hh"
 #include "core/collector.hh"
+#include "core/observed_series.hh"
+#include "core/predictor.hh"
 #include "core/trainer.hh"
 #include "stats/rls.hh"
 #include "store/codec.hh"
@@ -54,28 +57,100 @@ BM_CollectorIteration(benchmark::State &state)
 }
 BENCHMARK(BM_CollectorIteration)->Arg(10)->Arg(30)->Arg(90);
 
+/**
+ * One training round at AR order range(0) and batch size range(1).
+ * The rows come from a ring of 64 rounds' worth drawn once, so each
+ * round trains on fresh data as in a run; pushing them is a few ns
+ * per row, the collector's own cost. Order 3, batch 16 is a
+ * lagrangian analysis.
+ */
 void
 BM_TrainRound(benchmark::State &state)
 {
     ArConfig cfg;
-    cfg.order = 4;
-    cfg.batchSize = static_cast<std::size_t>(state.range(0));
+    cfg.order = static_cast<std::size_t>(state.range(0));
+    cfg.batchSize = static_cast<std::size_t>(state.range(1));
     ArModel model(cfg);
     ArTrainer trainer(model);
     MiniBatch batch(cfg.batchSize, cfg.order);
-    for (auto _ : state) {
-        state.PauseTiming();
-        batch.clear();
-        double v = 0.37;
-        while (!batch.full()) {
+
+    const std::size_t ring_rows = 64 * cfg.batchSize;
+    std::vector<double> xs(ring_rows * cfg.order), ys(ring_rows);
+    double v = 0.37;
+    for (std::size_t i = 0; i < ring_rows; ++i) {
+        for (std::size_t d = 0; d < cfg.order; ++d) {
             v = v * 1.7 - static_cast<long>(v * 1.7) + 0.1;
-            batch.push({v, v * 0.9, v * 0.8, v * 0.7}, v * 2.0);
+            xs[i * cfg.order + d] = v;
         }
-        state.ResumeTiming();
-        trainer.trainRound(batch);
+        ys[i] = 2.0 * xs[i * cfg.order] + 0.1 * v;
     }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        while (!batch.full()) {
+            batch.push(xs.data() + next * cfg.order, ys[next]);
+            next = (next + 1) % ring_rows;
+        }
+        benchmark::DoNotOptimize(trainer.trainRound(batch));
+    }
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TrainRound)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_TrainRound)
+    ->Args({3, 16})
+    ->Args({4, 8})
+    ->Args({4, 32})
+    ->Args({4, 128});
+
+/**
+ * Break-point extraction's peak profile on a lagrangian-sized
+ * history: range(0) sampled locations x 18,000 rows of a travelling
+ * pulse (Lorentzian, so no value decays into denormals), plus 16
+ * locations rolled out past the lattice by a trained order-3 Space
+ * model.
+ */
+void
+BM_PeakProfile(benchmark::State &state)
+{
+    const std::size_t n_locs = static_cast<std::size_t>(state.range(0));
+    const std::size_t n_rows = 18000;
+    ObservedSeries series(1, 1, n_locs, 0);
+    std::vector<double> row(n_locs);
+    for (std::size_t t = 0; t < n_rows; ++t) {
+        const double front = 0.005 * static_cast<double>(t);
+        for (std::size_t k = 0; k < n_locs; ++k) {
+            const double dx = static_cast<double>(k) - front;
+            row[k] = 1.0 / (1.0 + dx * dx);
+        }
+        series.appendRow(row);
+    }
+
+    ArConfig cfg;
+    cfg.order = 3;
+    cfg.axis = LagAxis::Space;
+    cfg.batchSize = 16;
+    ArModel model(cfg);
+    ArTrainer trainer(model);
+    MiniBatch batch(cfg.batchSize, cfg.order);
+    std::vector<double> lags(cfg.order);
+    for (std::size_t t = 1; t < n_rows; t += 97) {
+        const SeriesView prev =
+            series.profileView(static_cast<long>(t - 1));
+        const SeriesView cur = series.profileView(static_cast<long>(t));
+        for (std::size_t k = cfg.order; k < n_locs; ++k) {
+            for (std::size_t i = 0; i < cfg.order; ++i)
+                lags[i] = prev[k - i - 1];
+            batch.push(lags, cur[k]);
+            if (batch.full())
+                trainer.trainRound(batch);
+        }
+    }
+
+    const Predictor pred(model, series);
+    const long loc_end = series.locEnd() + 16;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(pred.peakProfile(loc_end).data());
+}
+BENCHMARK(BM_PeakProfile)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void
 BM_Predict(benchmark::State &state)

@@ -67,25 +67,6 @@ synthRecord(std::size_t i, FeatureRecord &rec)
             0.3 * static_cast<double>(k + 1) + 1e-7 * x;
 }
 
-/** Fold one record into an FNV digest (order-sensitive). */
-std::uint64_t
-foldRecord(const FeatureRecord &rec, std::uint64_t h)
-{
-    const std::int64_t iter = rec.iteration;
-    const std::int64_t analysis = rec.analysis;
-    const std::uint8_t stop = rec.stop ? 1 : 0;
-    h = fnv1a(&iter, sizeof iter, h);
-    h = fnv1a(&analysis, sizeof analysis, h);
-    h = fnv1a(&stop, sizeof stop, h);
-    h = fnv1a(&rec.wallTime, sizeof(double), h);
-    h = fnv1a(&rec.wavefront, sizeof(double), h);
-    h = fnv1a(&rec.predicted, sizeof(double), h);
-    h = fnv1a(&rec.mse, sizeof(double), h);
-    for (const double v : rec.coeffs)
-        h = fnv1a(&v, sizeof(double), h);
-    return h;
-}
-
 /** One paced flush-per-seal write of @p records records.
  *  @return the writer's exposed (seal-path + finish) seconds. */
 double
@@ -131,7 +112,7 @@ tailStore(const std::string &path, std::uint64_t &digest,
         if (tail.next(rec)) {
             if (rec.iteration != static_cast<long>(n))
                 in_order = false;
-            h = foldRecord(rec, h);
+            h = fnv1aRecord(rec, h);
             ++n;
             continue;
         }
@@ -221,7 +202,7 @@ main(int argc, char **argv)
                 auto c = r->cursor();
                 FeatureRecord rec;
                 while (c.next(rec))
-                    want = foldRecord(rec, want);
+                    want = fnv1aRecord(rec, want);
                 footer_digest = want;
             }
         }

@@ -59,26 +59,6 @@ synthRecord(std::size_t i, std::size_t total, FeatureRecord &rec)
         rec.coeffs[k] = 0.3 * static_cast<double>(k + 1) + 1e-7 * x;
 }
 
-/** Order- and value-sensitive digest of a record stream. */
-std::uint64_t
-digestRecord(const FeatureRecord &rec, std::uint64_t h)
-{
-    const std::int64_t iter = rec.iteration;
-    const std::int64_t analysis = rec.analysis;
-    const std::uint8_t stop = rec.stop ? 1 : 0;
-    h = fnv1a(&iter, sizeof(iter), h);
-    h = fnv1a(&analysis, sizeof(analysis), h);
-    h = fnv1a(&stop, sizeof(stop), h);
-    h = fnv1a(&rec.wallTime, sizeof(double), h);
-    h = fnv1a(&rec.wavefront, sizeof(double), h);
-    h = fnv1a(&rec.predicted, sizeof(double), h);
-    h = fnv1a(&rec.mse, sizeof(double), h);
-    if (!rec.coeffs.empty())
-        h = fnv1a(rec.coeffs.data(),
-                  rec.coeffs.size() * sizeof(double), h);
-    return h;
-}
-
 struct QueryResult
 {
     std::size_t matched = 0;
@@ -96,7 +76,7 @@ runQuery(const FeatureStoreReader &reader, const EventFilter &filter)
     Timer t;
     while (cur.next(rec)) {
         ++res.matched;
-        res.digest = digestRecord(rec, res.digest);
+        res.digest = fnv1aRecord(rec, res.digest);
     }
     res.seconds = t.elapsed();
     res.blocksDecoded = cur.blocksDecoded();
@@ -115,7 +95,7 @@ runBrute(const FeatureStoreReader &reader, const EventFilter &filter)
         if (!filter.matches(rec))
             continue;
         ++res.matched;
-        res.digest = digestRecord(rec, res.digest);
+        res.digest = fnv1aRecord(rec, res.digest);
     }
     res.seconds = t.elapsed();
     res.blocksDecoded = reader.blockCount();

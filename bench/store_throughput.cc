@@ -131,6 +131,11 @@ main(int argc, char **argv)
     const auto block = static_cast<std::size_t>(args.getInt("block"));
     const int reps = static_cast<int>(args.getInt("reps"));
     const double ratio_gate = args.getDouble("ratio-gate");
+    // The compression part's order-3 analysis needs four probes.
+    if (args.getInt("size") < 4) {
+        std::fprintf(stderr, "store_throughput: --size must be >= 4\n");
+        return 2;
+    }
 
     banner("feature-store throughput (PR 5)",
            "exposed append cost + compression vs raw trace dump");
@@ -291,7 +296,8 @@ main(int argc, char **argv)
         return static_cast<clover::CloverField *>(domain)->fieldAt(
             loc);
     };
-    cfg.space = IterParam(1, 20, 1);
+    // Probes 1..20, or every probe on a smaller grid.
+    cfg.space = IterParam(1, std::min(20, config.size), 1);
     cfg.time = IterParam(20, 400, 1);
     cfg.feature = FeatureKind::BreakpointRadius;
     cfg.searchEnd = config.size;

@@ -14,7 +14,7 @@
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
-# checkpoint, run-harness, C API, packed-training, trace-dump,
+# checkpoint, run-harness, C API, packed-training, rollout, trace-dump,
 # thread-pool and async-region tests under the asan_smoke label — skipped with a
 # notice when the toolchain cannot produce ASan binaries, or when
 # SKIP_ASAN=1. Last, a second Release tree builds with

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 
 namespace tdfe
 {
@@ -96,9 +95,10 @@ Predictor::forecastSeries(long loc, long t_end) const
     return out;
 }
 
-std::vector<std::vector<double>>
-Predictor::spatialRollout(long loc_end, double quiescent,
-                          bool homogeneous) const
+template <typename Emit>
+void
+Predictor::rollColumns(long loc_end, double quiescent, bool homogeneous,
+                       Emit &&emit) const
 {
     const ArConfig &cfg = model.config();
     TDFE_ASSERT(cfg.axis == LagAxis::Space,
@@ -107,25 +107,30 @@ Predictor::spatialRollout(long loc_end, double quiescent,
     const long step = series.locStep();
     const long first = series.locEnd() + step;
     if (loc_end < first)
-        return {};
-
-    const std::size_t n_new = static_cast<std::size_t>(
-        (loc_end - first) / step) + 1;
+        return;
+    const std::size_t n_new =
+        static_cast<std::size_t>((loc_end - first) / step) + 1;
     const std::size_t n_iters = series.iterCount();
-    const long t0 = series.iterBegin();
+    const std::size_t n_locs = series.locCount();
+    const std::size_t order = cfg.order;
+    const std::size_t lag = static_cast<std::size_t>(cfg.lag);
 
-    std::vector<std::vector<double>> rolled(
-        n_new, std::vector<double>(n_iters, quiescent));
-
-    // Value lookup that transparently switches from observed
-    // (on-lattice) locations to already-rolled ones.
-    auto value_at = [&](long loc, long t) -> double {
-        if (loc <= series.locEnd())
-            return series.at(loc, t);
-        const std::size_t k =
-            static_cast<std::size_t>((loc - first) / step);
-        return rolled[k][static_cast<std::size_t>(t - t0)];
+    // Column k reads only columns k-1..k-order, so order+1 column
+    // slots hold every column still needed. Rows before the first
+    // lag-reachable one are never written and keep the seed.
+    const std::size_t slots = std::min(order + 1, n_new);
+    std::vector<double> ring(slots * n_iters, quiescent);
+    auto column = [&](std::size_t k) {
+        return ring.data() + (k % slots) * n_iters;
     };
+    if (n_iters <= lag) {
+        for (std::size_t k = 0; k < n_new; ++k)
+            emit(column(k));
+        return;
+    }
+    TDFE_ASSERT(order <= n_locs, "an order-", order,
+                " rollout needs as many sampled locations, have ",
+                n_locs);
 
     // Homogeneous prediction applies the raw-space slopes without
     // the intercept, so a decaying signal forwards toward its
@@ -135,69 +140,95 @@ Predictor::spatialRollout(long loc_end, double quiescent,
     // slopes are derived once here, not once per prediction.
     const bool fitted =
         model.trained() && model.standardizer().count() > 0;
-    std::vector<double> raw(cfg.order + 1, 0.0);
+    std::vector<double> raw(order + 1, 0.0);
     model.rawCoefficientsInto(raw.data());
-    auto forward = [&](const std::vector<double> &lags) {
-        if (!homogeneous)
-            return model.predict(lags);
-        if (!fitted)
-            return lags[0];
-        double acc = 0.0;
-        for (std::size_t d = 0; d < cfg.order; ++d)
-            acc += raw[d + 1] * lags[d];
-        return acc;
-    };
+    const std::vector<double> slopes(raw.begin() + 1, raw.end());
 
-    std::vector<double> lags(cfg.order, 0.0);
+    // New location k is lattice index n_locs + k, counting the rolled
+    // locations after the observed ones; its lag i is index
+    // n_locs + k - i - 1 at the iteration lag rows earlier. An
+    // observed source column is read down its stride, a rolled one
+    // is contiguous.
+    const double *observed =
+        series.profileView(series.iterBegin()).data();
+    std::vector<const double *> src(order);
+    std::vector<std::size_t> stride(order);
+    std::vector<double> lags(order, 0.0);
     for (std::size_t k = 0; k < n_new; ++k) {
-        const long loc = first + static_cast<long>(k) * step;
-        for (long t = t0 + cfg.lag; t < series.iterEnd(); ++t) {
-            for (std::size_t i = 0; i < cfg.order; ++i) {
-                const long src_l =
-                    loc - static_cast<long>(i + 1) * step;
-                lags[i] = value_at(src_l, t - cfg.lag);
-            }
-            rolled[k][static_cast<std::size_t>(t - t0)] = forward(lags);
+        for (std::size_t i = 0; i < order; ++i) {
+            const std::size_t li = n_locs + k - i - 1;
+            const bool on_lattice = li < n_locs;
+            src[i] = on_lattice ? observed + li : column(li - n_locs);
+            stride[i] = on_lattice ? n_locs : 1;
         }
+        double *out = column(k);
+        auto fill = [&](auto predict) {
+            for (std::size_t r = lag; r < n_iters; ++r)
+                out[r] = predict(r - lag);
+        };
+        if (homogeneous && fitted) {
+            fill([&](std::size_t row) {
+                double acc = 0.0;
+                for (std::size_t d = 0; d < order; ++d)
+                    acc += slopes[d] * src[d][row * stride[d]];
+                return acc;
+            });
+        } else if (homogeneous) {
+            fill([&](std::size_t row) {
+                return src[0][row * stride[0]];
+            });
+        } else {
+            fill([&](std::size_t row) {
+                for (std::size_t i = 0; i < order; ++i)
+                    lags[i] = src[i][row * stride[i]];
+                return model.predict(lags);
+            });
+        }
+        emit(out);
     }
+}
+
+std::vector<std::vector<double>>
+Predictor::spatialRollout(long loc_end, double quiescent,
+                          bool homogeneous) const
+{
+    const std::size_t n_iters = series.iterCount();
+    std::vector<std::vector<double>> rolled;
+    rollColumns(loc_end, quiescent, homogeneous,
+                [&](const double *column) {
+                    rolled.emplace_back(column, column + n_iters);
+                });
     return rolled;
 }
 
 std::vector<double>
 Predictor::peakProfile(long loc_end) const
 {
-    const long step = series.locStep();
-    const long t0 = series.iterBegin();
-    const long t1 = series.iterEnd();
-
-    // Per-location peaks over the observed window: independent
-    // strided-column walks, computed in place without materialising
-    // each series (each column is one view, no per-element asserts
-    // or index arithmetic beyond the stride add).
-    std::vector<double> peaks(series.locCount(), 0.0);
-    parallelFor(series.locCount(), std::size_t{16},
-                [&](std::size_t k) {
-                    if (t1 <= t0)
-                        return;
-                    const long loc = series.locBegin() +
-                                     static_cast<long>(k) * step;
-                    const SeriesView col = series.seriesView(loc);
-                    const double *p = col.data();
-                    const std::size_t stride = col.stride();
-                    double best = *p;
-                    for (std::size_t r = 1; r < col.size(); ++r)
-                        best = std::max(best, p[r * stride]);
-                    peaks[k] = best;
-                });
+    // Observed peaks: one pass over the history in row order, so each
+    // location folds std::max over its values oldest first, as a walk
+    // down its strided column would, while memory is read
+    // sequentially.
+    const std::size_t n_iters = series.iterCount();
+    const std::size_t n_locs = series.locCount();
+    std::vector<double> peaks(n_locs, 0.0);
+    if (n_iters > 0) {
+        const double *row =
+            series.profileView(series.iterBegin()).data();
+        std::copy(row, row + n_locs, peaks.begin());
+        for (std::size_t r = 1; r < n_iters; ++r) {
+            row += n_locs;
+            for (std::size_t k = 0; k < n_locs; ++k)
+                peaks[k] = std::max(peaks[k], row[k]);
+        }
+    }
 
     if (loc_end > series.locEnd()) {
-        const auto rolled = spatialRollout(loc_end);
-        for (const auto &column : rolled) {
-            peaks.push_back(column.empty()
-                            ? 0.0
-                            : *std::max_element(column.begin(),
-                                                column.end()));
-        }
+        rollColumns(loc_end, 0.0, true, [&](const double *column) {
+            peaks.push_back(n_iters == 0
+                                ? 0.0
+                                : *std::max_element(column,
+                                                    column + n_iters));
+        });
     }
     return peaks;
 }

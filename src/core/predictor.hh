@@ -100,6 +100,16 @@ class Predictor
     std::vector<double> peakProfile(long loc_end) const;
 
   private:
+    /**
+     * The spatialRollout() values, one location at a time: calls
+     * @p emit with each rolled location's column (iterCount()
+     * values, oldest first), in location order. The column is
+     * scratch that later locations reuse.
+     */
+    template <typename Emit>
+    void rollColumns(long loc_end, double quiescent, bool homogeneous,
+                     Emit &&emit) const;
+
     const ArModel &model;
     const ObservedSeries &series;
 };

@@ -72,21 +72,16 @@ class SgdOptimizer
     /** @} */
 
   private:
-    /**
-     * MSE and gradient of the batch at the given coefficients.
-     * One fused stride-1 pass over the packed design matrix: each
-     * row is read once (prediction dot + gradient axpy on the same
-     * hot row pointer).
-     */
-    double gradient(const std::vector<double> &coeffs,
-                    const PackedBatch &batch,
-                    std::vector<double> &grad) const;
-
     SgdConfig cfg;
     std::vector<double> velocity;
     /** Gradient scratch reused across rounds: the training hot path
      *  must not allocate per mini-batch. */
     std::vector<double> gradScratch;
+    /** The round kernel for this dimension count, chosen at
+     *  construction (see sgd.cc). */
+    double (*trainPassFn)(const SgdConfig &cfg, const PackedBatch &batch,
+                          double *coeffs, double *velocity,
+                          double *grad);
     std::size_t stepCount = 0;
 };
 

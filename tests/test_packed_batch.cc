@@ -330,12 +330,15 @@ INSTANTIATE_TEST_SUITE_P(
  * Replica of ArTrainer::trainRound that observes every row and then
  * normalizes each row and target through Standardizer::normalize /
  * normalizeTarget, i.e. with the statistics re-read per element.
+ * Gradient descent runs through legacyTrainRound, so the comparison
+ * also gates SgdOptimizer's order-pinned round kernels (and, past
+ * order 8, its runtime-order one) against the legacy loop nest.
  */
 struct ReplicaTrainer
 {
     explicit ReplicaTrainer(const ArConfig &cfg)
-        : model(cfg), sgd(cfg.order, cfg.sgd), rls(cfg.order, cfg.rls),
-          norm(cfg.batchSize, cfg.order)
+        : model(cfg), velocity(cfg.order + 1, 0.0),
+          rls(cfg.order, cfg.rls), norm(cfg.batchSize, cfg.order)
     {
     }
 
@@ -346,15 +349,21 @@ struct ReplicaTrainer
         for (const LegacySample &s : batch)
             stdzr.observe(s.x, s.y);
         norm.clear();
+        std::vector<LegacySample> normalized;
         for (const LegacySample &s : batch) {
-            std::vector<double> x = s.x;
-            stdzr.normalize(x);
-            norm.push(x, stdzr.normalizeTarget(s.y));
+            LegacySample n{s.x, stdzr.normalizeTarget(s.y)};
+            stdzr.normalize(n.x);
+            norm.push(n.x, n.y);
+            normalized.push_back(n);
         }
-        if (model.config().optimizer == OptimizerKind::Rls)
+        const SgdConfig &sgd = model.config().sgd;
+        if (model.config().optimizer == OptimizerKind::Rls) {
             lastMse = rls.trainRound(model.normCoeffs(), norm);
-        else
-            lastMse = sgd.trainRound(model.normCoeffs(), norm);
+        } else {
+            lastMse = legacyTrainRound(sgd, model.normCoeffs(), velocity,
+                                       normalized);
+            sgdSteps += sgd.epochsPerBatch;
+        }
         model.markTrained();
         ++rounds;
     }
@@ -365,7 +374,8 @@ struct ReplicaTrainer
     {
         std::ostringstream os;
         BinaryWriter w(os);
-        sgd.save(w);
+        w.writeVec(velocity); // SgdOptimizer::save
+        w.writeU64(sgdSteps);
         rls.save(w);
         w.writeU64(rounds);
         w.writeF64(lastMse);
@@ -373,7 +383,8 @@ struct ReplicaTrainer
     }
 
     ArModel model;
-    SgdOptimizer sgd;
+    std::vector<double> velocity;
+    std::size_t sgdSteps = 0;
     RlsEstimator rls;
     PackedBatch norm;
     std::size_t rounds = 0;
@@ -439,8 +450,9 @@ INSTANTIATE_TEST_SUITE_P(
     OptimizersOrdersAndBatches, TrainerVsReplica,
     ::testing::Combine(::testing::Values(OptimizerKind::MiniBatchGd,
                                          OptimizerKind::Rls),
-                       ::testing::Values<std::size_t>(1, 4, 8),
-                       ::testing::Values<std::size_t>(1, 7, 32)));
+                       ::testing::Values<std::size_t>(1, 2, 3, 4, 5, 8,
+                                                      9),
+                       ::testing::Values<std::size_t>(1, 7, 16, 32)));
 
 TEST(PackedBatch, CheckpointBytesMatchLegacyAosFormat)
 {

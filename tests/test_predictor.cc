@@ -4,6 +4,7 @@
  * temporal forecasts, and recursive spatial rollout.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 
@@ -236,6 +237,123 @@ TEST(Predictor, SpatialRolloutIsThePerPredictionFormulaBitwise)
                         want = 0.0 + raw[1] * lags[0] + raw[2] * lags[1];
                     EXPECT_EQ(rolled[k][static_cast<std::size_t>(t)], want)
                         << "loc " << loc << " t " << t;
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Reference peak profile: each sampled location's strided column
+ * folded with std::max oldest first, then one homogeneous rollout
+ * prediction at a time (gathered through ObservedSeries::at and the
+ * already-rolled columns), each rolled column's std::max_element.
+ */
+std::vector<double>
+referencePeakProfile(const ArModel &model, const ObservedSeries &series,
+                     long loc_end)
+{
+    std::vector<double> peaks;
+    const long step = series.locStep();
+    for (long loc = series.locBegin(); loc <= series.locEnd();
+         loc += step) {
+        const SeriesView col = series.seriesView(loc);
+        double best = col.empty() ? 0.0 : col[0];
+        for (std::size_t r = 1; r < col.size(); ++r)
+            best = std::max(best, col[r]);
+        peaks.push_back(best);
+    }
+    if (loc_end <= series.locEnd())
+        return peaks;
+
+    const ArConfig &cfg = model.config();
+    const long first = series.locEnd() + step;
+    const long t0 = series.iterBegin();
+    const bool fitted =
+        model.trained() && model.standardizer().count() > 0;
+    const std::vector<double> raw = model.rawCoefficients();
+    std::vector<std::vector<double>> rolled;
+    for (long loc = first; loc <= loc_end; loc += step) {
+        std::vector<double> col(series.iterCount(), 0.0);
+        for (long t = t0 + cfg.lag; t < series.iterEnd(); ++t) {
+            std::vector<double> lags;
+            for (long i = 1; i <= static_cast<long>(cfg.order); ++i) {
+                const long src = loc - i * step;
+                lags.push_back(
+                    src <= series.locEnd()
+                        ? series.at(src, t - cfg.lag)
+                        : rolled[static_cast<std::size_t>(
+                              (src - first) / step)]
+                                [static_cast<std::size_t>(t - cfg.lag -
+                                                          t0)]);
+            }
+            double acc = 0.0;
+            for (std::size_t d = 0; d < cfg.order; ++d)
+                acc += raw[d + 1] * lags[d];
+            col[static_cast<std::size_t>(t - t0)] =
+                fitted ? acc : lags[0];
+        }
+        rolled.push_back(col);
+        peaks.push_back(col.empty()
+                        ? 0.0
+                        : *std::max_element(col.begin(), col.end()));
+    }
+    return peaks;
+}
+
+TEST(Predictor, PeakProfileMatchesReference)
+{
+    ArConfig cfg;
+    cfg.order = 3;
+    cfg.lag = 2;
+    cfg.axis = LagAxis::Space;
+    cfg.batchSize = 16;
+    const ArModel trained =
+        trainedModel(cfg, [](const std::vector<double> &x) {
+            return 0.7 * x[0] - 0.2 * x[1] + 0.1 * x[2] + 0.3;
+        });
+    const ArModel untrained(cfg);
+
+    for (const long step : {1L, 3L}) {
+        for (const std::size_t rows : {0, 1, 2, 3, 57}) {
+            // Irregular field with ties, signed zeros and a moving
+            // crest, so the fold order and the lag gathering decide
+            // the peaks.
+            ObservedSeries series(2, step, 6, 5);
+            for (std::size_t t = 0; t < rows; ++t) {
+                std::vector<double> row(6);
+                for (std::size_t k = 0; k < 6; ++k) {
+                    const double x = static_cast<double>(k) -
+                                     0.1 * static_cast<double>(t);
+                    row[k] = std::sin(0.9 * x) * (1.0 + 0.05 * t);
+                }
+                row[t % 5] = (t % 2) ? 0.0 : -0.0;
+                // The last location peaks at a tie of -0.0 (first
+                // half) and +0.0 (second half): the sign kept shows
+                // which operand each std::max returned.
+                row[5] = (t % 3) ? -std::abs(row[5])
+                                 : (2 * t < rows ? -0.0 : 0.0);
+                series.appendRow(row);
+            }
+            const long end = series.locEnd();
+            for (const ArModel *model : {&trained, &untrained}) {
+                const Predictor pred(*model, series);
+                for (const long loc_end :
+                     {end - step, end, end + step - 1, end + step,
+                      end + 7 * step + 1}) {
+                    const auto got = pred.peakProfile(loc_end);
+                    const auto want =
+                        referencePeakProfile(*model, series, loc_end);
+                    ASSERT_EQ(got.size(), want.size())
+                        << "step " << step << " rows " << rows
+                        << " loc_end " << loc_end;
+                    for (std::size_t k = 0; k < got.size(); ++k) {
+                        EXPECT_EQ(got[k], want[k])
+                            << "step " << step << " rows " << rows
+                            << " loc_end " << loc_end << " k " << k;
+                        EXPECT_EQ(std::signbit(got[k]),
+                                  std::signbit(want[k]));
+                    }
                 }
             }
         }
