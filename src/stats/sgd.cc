@@ -44,11 +44,12 @@ trainPass(const SgdConfig &cfg, const PackedBatch &batch,
     const double inv_n = 1.0 / static_cast<double>(n);
 
     // GCC at -O2 leaves these short loops rolled, which keeps the
-    // arrays in memory; the unroll pragmas below let it hold every
-    // element of a pinned round in a register.
+    // arrays in memory; the unroll pragmas below, sized for the
+    // pinned order 3, let it hold every element of that round in a
+    // register.
     double local_c[Order + 1], local_v[Order + 1], local_g[Order + 1];
     if (pinned) {
-#pragma GCC unroll 9
+#pragma GCC unroll 4
         for (std::size_t d = 0; d <= dims; ++d) {
             local_c[d] = coeffs[d];
             local_v[d] = velocity[d];
@@ -60,7 +61,7 @@ trainPass(const SgdConfig &cfg, const PackedBatch &batch,
 
     double pre_update_mse = 0.0;
     for (std::size_t epoch = 0; epoch < cfg.epochsPerBatch; ++epoch) {
-#pragma GCC unroll 9
+#pragma GCC unroll 4
         for (std::size_t d = 0; d <= dims; ++d)
             g[d] = 0.0;
         const double *__restrict x = batch.xData();
@@ -68,19 +69,19 @@ trainPass(const SgdConfig &cfg, const PackedBatch &batch,
         double mse = 0.0;
         for (std::size_t i = 0; i < n; ++i, x += dims) {
             double pred = c[0];
-#pragma GCC unroll 8
+#pragma GCC unroll 3
             for (std::size_t d = 0; d < dims; ++d)
                 pred += c[d + 1] * x[d];
             const double err = pred - y[i];
             const double two_err = 2.0 * err;
             mse += sqr(err);
             g[0] += two_err * inv_n;
-#pragma GCC unroll 8
+#pragma GCC unroll 3
             for (std::size_t d = 0; d < dims; ++d)
                 g[d + 1] += two_err * x[d] * inv_n;
         }
         // L2 penalty on slopes only; the intercept is never shrunk.
-#pragma GCC unroll 8
+#pragma GCC unroll 3
         for (std::size_t d = 1; d <= dims; ++d)
             g[d] += 2.0 * cfg.l2 * c[d];
         if (epoch == 0)
@@ -88,19 +89,19 @@ trainPass(const SgdConfig &cfg, const PackedBatch &batch,
 
         if (cfg.gradClip > 0.0) {
             double norm2 = 0.0;
-#pragma GCC unroll 9
+#pragma GCC unroll 4
             for (std::size_t d = 0; d <= dims; ++d)
                 norm2 += sqr(g[d]);
             const double norm = std::sqrt(norm2);
             if (norm > cfg.gradClip) {
                 const double scale = cfg.gradClip / norm;
-#pragma GCC unroll 9
+#pragma GCC unroll 4
                 for (std::size_t d = 0; d <= dims; ++d)
                     g[d] *= scale;
             }
         }
 
-#pragma GCC unroll 9
+#pragma GCC unroll 4
         for (std::size_t d = 0; d <= dims; ++d) {
             v[d] = cfg.momentum * v[d] - cfg.learningRate * g[d];
             c[d] += v[d];
@@ -108,7 +109,7 @@ trainPass(const SgdConfig &cfg, const PackedBatch &batch,
     }
 
     if (pinned) {
-#pragma GCC unroll 9
+#pragma GCC unroll 4
         for (std::size_t d = 0; d <= dims; ++d) {
             coeffs[d] = c[d];
             velocity[d] = v[d];
@@ -120,21 +121,15 @@ trainPass(const SgdConfig &cfg, const PackedBatch &batch,
 using TrainPassFn = double (*)(const SgdConfig &, const PackedBatch &,
                                double *, double *, double *);
 
-/** @return the round pinned to @p dims, or the runtime one. */
+/**
+ * @return the round pinned to @p dims, or the runtime one. Only
+ * order 3, the order every perfbench workload trains, is pinned;
+ * every other order runs the same body at a runtime dimension count.
+ */
 TrainPassFn
 trainPassFor(std::size_t dims)
 {
-    switch (dims) {
-      case 1: return trainPass<1>;
-      case 2: return trainPass<2>;
-      case 3: return trainPass<3>;
-      case 4: return trainPass<4>;
-      case 5: return trainPass<5>;
-      case 6: return trainPass<6>;
-      case 7: return trainPass<7>;
-      case 8: return trainPass<8>;
-      default: return trainPass<0>;
-    }
+    return dims == 3 ? trainPass<3> : trainPass<0>;
 }
 
 } // namespace

@@ -331,8 +331,9 @@ INSTANTIATE_TEST_SUITE_P(
  * normalizes each row and target through Standardizer::normalize /
  * normalizeTarget, i.e. with the statistics re-read per element.
  * Gradient descent runs through legacyTrainRound, so the comparison
- * also gates SgdOptimizer's order-pinned round kernels (and, past
- * order 8, its runtime-order one) against the legacy loop nest.
+ * also gates SgdOptimizer's order-pinned round kernel (order 3) and
+ * its runtime-order one (every other order) against the legacy loop
+ * nest.
  */
 struct ReplicaTrainer
 {
