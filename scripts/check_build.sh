@@ -116,11 +116,14 @@ rm -f check_clover.tdfs check_clover.csv check_torn.tdfs \
 # Crash -> auto-resume round trip: the checkpoint example injects a
 # mid-run kill with a torn final generation, the supervisor must
 # fall back to the previous good generation and finish identical to
-# the uninterrupted run (the example exits 1 otherwise). The kept
-# generations must pass `tdfstool ckpt-info`, and a truncated copy
-# must fail it.
+# the uninterrupted run (the example exits 1 otherwise), and the
+# store it resumed in place must hold the reference store's records
+# (wall_time aside). The kept generations must pass
+# `tdfstool ckpt-info`, and a truncated copy must fail it.
 ./example_checkpoint_restart --store check_resume.tdfs \
     --ckpt check_ckpt --tear-newest --keep-ckpt
+./tdfstool diff check_resume.tdfs check_resume.tdfs.reference \
+    --ignore wall_time
 newest_ckpt=$(ls check_ckpt.*.tdck | sort | tail -n 1)
 ./tdfstool ckpt-info "$newest_ckpt" > /dev/null
 bytes=$(wc -c < "$newest_ckpt")
@@ -209,8 +212,9 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_feature_store_asan test_store_sink_asan \
       test_checkpoint_asan test_ckpt_resilience_asan \
       test_run_harness_asan test_td_api_asan \
-      test_packed_batch_asan test_parallel_for_asan \
-      test_async_region_asan test_postproc_asan
+      test_packed_batch_asan test_predictor_asan \
+      test_parallel_for_asan test_async_region_asan \
+      test_postproc_asan
   cd build-asan
   ctest --output-on-failure -L asan_smoke
 else

@@ -98,7 +98,7 @@ RunResult
 runBlastResilient(const BlastConfig &config, Communicator *comm,
                   const RunOptions &options)
 {
-    return superviseRuns(options, comm, [&](const RunOptions &attempt) {
+    return superviseRuns(options, [&](const RunOptions &attempt) {
         return runBlast(config, comm, attempt);
     });
 }

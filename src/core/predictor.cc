@@ -95,112 +95,6 @@ Predictor::forecastSeries(long loc, long t_end) const
     return out;
 }
 
-template <typename Emit>
-void
-Predictor::rollColumns(long loc_end, double quiescent, bool homogeneous,
-                       Emit &&emit) const
-{
-    const ArConfig &cfg = model.config();
-    TDFE_ASSERT(cfg.axis == LagAxis::Space,
-                "spatial rollout requires a Space-axis model");
-
-    const long step = series.locStep();
-    const long first = series.locEnd() + step;
-    if (loc_end < first)
-        return;
-    const std::size_t n_new =
-        static_cast<std::size_t>((loc_end - first) / step) + 1;
-    const std::size_t n_iters = series.iterCount();
-    const std::size_t n_locs = series.locCount();
-    const std::size_t order = cfg.order;
-    const std::size_t lag = static_cast<std::size_t>(cfg.lag);
-
-    // Column k reads only columns k-1..k-order, so order+1 column
-    // slots hold every column still needed. Rows before the first
-    // lag-reachable one are never written and keep the seed.
-    const std::size_t slots = std::min(order + 1, n_new);
-    std::vector<double> ring(slots * n_iters, quiescent);
-    auto column = [&](std::size_t k) {
-        return ring.data() + (k % slots) * n_iters;
-    };
-    if (n_iters <= lag) {
-        for (std::size_t k = 0; k < n_new; ++k)
-            emit(column(k));
-        return;
-    }
-    TDFE_ASSERT(order <= n_locs, "an order-", order,
-                " rollout needs as many sampled locations, have ",
-                n_locs);
-
-    // Homogeneous prediction applies the raw-space slopes without
-    // the intercept, so a decaying signal forwards toward its
-    // quiescent zero instead of the affine fixed point
-    // b0 / (1 - sum b_i); an untrained model forwards the nearest
-    // lag. The model is fixed for the whole rollout, so its raw
-    // slopes are derived once here, not once per prediction.
-    const bool fitted =
-        model.trained() && model.standardizer().count() > 0;
-    std::vector<double> raw(order + 1, 0.0);
-    model.rawCoefficientsInto(raw.data());
-    const std::vector<double> slopes(raw.begin() + 1, raw.end());
-
-    // New location k is lattice index n_locs + k, counting the rolled
-    // locations after the observed ones; its lag i is index
-    // n_locs + k - i - 1 at the iteration lag rows earlier. An
-    // observed source column is read down its stride, a rolled one
-    // is contiguous.
-    const double *observed =
-        series.profileView(series.iterBegin()).data();
-    std::vector<const double *> src(order);
-    std::vector<std::size_t> stride(order);
-    std::vector<double> lags(order, 0.0);
-    for (std::size_t k = 0; k < n_new; ++k) {
-        for (std::size_t i = 0; i < order; ++i) {
-            const std::size_t li = n_locs + k - i - 1;
-            const bool on_lattice = li < n_locs;
-            src[i] = on_lattice ? observed + li : column(li - n_locs);
-            stride[i] = on_lattice ? n_locs : 1;
-        }
-        double *out = column(k);
-        auto fill = [&](auto predict) {
-            for (std::size_t r = lag; r < n_iters; ++r)
-                out[r] = predict(r - lag);
-        };
-        if (homogeneous && fitted) {
-            fill([&](std::size_t row) {
-                double acc = 0.0;
-                for (std::size_t d = 0; d < order; ++d)
-                    acc += slopes[d] * src[d][row * stride[d]];
-                return acc;
-            });
-        } else if (homogeneous) {
-            fill([&](std::size_t row) {
-                return src[0][row * stride[0]];
-            });
-        } else {
-            fill([&](std::size_t row) {
-                for (std::size_t i = 0; i < order; ++i)
-                    lags[i] = src[i][row * stride[i]];
-                return model.predict(lags);
-            });
-        }
-        emit(out);
-    }
-}
-
-std::vector<std::vector<double>>
-Predictor::spatialRollout(long loc_end, double quiescent,
-                          bool homogeneous) const
-{
-    const std::size_t n_iters = series.iterCount();
-    std::vector<std::vector<double>> rolled;
-    rollColumns(loc_end, quiescent, homogeneous,
-                [&](const double *column) {
-                    rolled.emplace_back(column, column + n_iters);
-                });
-    return rolled;
-}
-
 std::vector<double>
 Predictor::peakProfile(long loc_end) const
 {
@@ -221,14 +115,86 @@ Predictor::peakProfile(long loc_end) const
                 peaks[k] = std::max(peaks[k], row[k]);
         }
     }
+    if (loc_end <= series.locEnd())
+        return peaks;
 
-    if (loc_end > series.locEnd()) {
-        rollColumns(loc_end, 0.0, true, [&](const double *column) {
-            peaks.push_back(n_iters == 0
-                                ? 0.0
-                                : *std::max_element(column,
-                                                    column + n_iters));
-        });
+    // The rolled peaks: the recursive spatial rollout, one location
+    // at a time.
+    const ArConfig &cfg = model.config();
+    TDFE_ASSERT(cfg.axis == LagAxis::Space,
+                "spatial rollout requires a Space-axis model");
+    const long step = series.locStep();
+    const long first = series.locEnd() + step;
+    if (loc_end < first)
+        return peaks;
+    const std::size_t n_new =
+        static_cast<std::size_t>((loc_end - first) / step) + 1;
+    const std::size_t order = cfg.order;
+    const std::size_t lag = static_cast<std::size_t>(cfg.lag);
+    if (n_iters <= lag) {
+        // No row is lag-reachable: every rolled column stays 0.
+        peaks.resize(n_locs + n_new, 0.0);
+        return peaks;
+    }
+    TDFE_ASSERT(order <= n_locs, "an order-", order,
+                " rollout needs as many sampled locations, have ",
+                n_locs);
+
+    // Column k reads only columns k-1..k-order, so order+1 column
+    // slots hold every column still needed. Rows before the first
+    // lag-reachable one are never written and stay 0.
+    const std::size_t slots = std::min(order + 1, n_new);
+    std::vector<double> ring(slots * n_iters, 0.0);
+    auto column = [&](std::size_t k) {
+        return ring.data() + (k % slots) * n_iters;
+    };
+
+    // The rollout applies the raw-space slopes without the
+    // intercept, so a decaying signal forwards toward its
+    // quiescent zero instead of the affine fixed point
+    // b0 / (1 - sum b_i); an untrained model forwards the nearest
+    // lag. The model is fixed for the whole rollout, so its raw
+    // slopes are derived once here, not once per prediction.
+    const bool fitted =
+        model.trained() && model.standardizer().count() > 0;
+    std::vector<double> raw(order + 1, 0.0);
+    model.rawCoefficientsInto(raw.data());
+    const std::vector<double> slopes(raw.begin() + 1, raw.end());
+
+    // New location k is lattice index n_locs + k, counting the rolled
+    // locations after the observed ones; its lag i is index
+    // n_locs + k - i - 1 at the iteration lag rows earlier. An
+    // observed source column is read down its stride, a rolled one
+    // is contiguous.
+    const double *observed =
+        series.profileView(series.iterBegin()).data();
+    std::vector<const double *> src(order);
+    std::vector<std::size_t> stride(order);
+    for (std::size_t k = 0; k < n_new; ++k) {
+        for (std::size_t i = 0; i < order; ++i) {
+            const std::size_t li = n_locs + k - i - 1;
+            const bool on_lattice = li < n_locs;
+            src[i] = on_lattice ? observed + li : column(li - n_locs);
+            stride[i] = on_lattice ? n_locs : 1;
+        }
+        double *out = column(k);
+        auto fill = [&](auto predict) {
+            for (std::size_t r = lag; r < n_iters; ++r)
+                out[r] = predict(r - lag);
+        };
+        if (fitted) {
+            fill([&](std::size_t row) {
+                double acc = 0.0;
+                for (std::size_t d = 0; d < order; ++d)
+                    acc += slopes[d] * src[d][row * stride[d]];
+                return acc;
+            });
+        } else {
+            fill([&](std::size_t row) {
+                return src[0][row * stride[0]];
+            });
+        }
+        peaks.push_back(*std::max_element(out, out + n_iters));
     }
     return peaks;
 }

@@ -2,9 +2,9 @@
  * @file
  * Inference over a trained AR model plus the collected data:
  * one-step-ahead fitted curves (accuracy evaluation), free-run
- * temporal forecasts ("replace V(l,t) by V(l,t+1)"), and recursive
- * spatial rollout ("replace V(l,t) by V(l+1,t)") used to extend the
- * blast-wave profile beyond the sampled probes.
+ * temporal forecasts ("replace V(l,t) by V(l,t+1)"), and the
+ * peak profile whose recursive spatial rollout ("replace V(l,t) by
+ * V(l+1,t)") extends the blast wave beyond the sampled probes.
  */
 
 #ifndef TDFE_CORE_PREDICTOR_HH
@@ -71,45 +71,19 @@ class Predictor
     std::vector<double> forecastSeries(long loc, long t_end) const;
 
     /**
-     * Recursive spatial rollout (Space axis only): predicted values
-     * at locations beyond the sampled lattice, for every recorded
-     * iteration. Element [k][r] is location latticeEnd+(k+1)*step at
-     * the r-th recorded iteration.
-     *
-     * @param loc_end Outermost location to predict (inclusive).
-     * @param quiescent Seed value used for iterations earlier than
-     *        the first lag-reachable row (pre-shock state).
-     * @param homogeneous Use the slope-only prediction: the
-     *        raw-space slopes without the intercept (an untrained
-     *        model forwards the nearest lag); recommended whenever
-     *        the extrapolated signal decays toward quiescence, which
-     *        is the break-point use case.
-     */
-    std::vector<std::vector<double>>
-    spatialRollout(long loc_end, double quiescent = 0.0,
-                   bool homogeneous = true) const;
-
-    /**
-     * Peak-over-time profile for the break-point search: for sampled
-     * locations the observed peak, beyond them the rollout peak.
+     * Peak-over-time profile for the break-point search: the
+     * observed peak of every sampled location, then the peak of each
+     * location past locEnd() that the spatial rollout (Space axis
+     * only; raw-space slopes without the intercept, so a decaying
+     * signal forwards toward quiescence) predicts.
      *
      * @param loc_end Outermost location (inclusive).
-     * @return one peak per lattice location from the first sampled
-     *         location to @p loc_end.
+     * @return locCount() observed peaks, then one rolled peak per
+     *         location past locEnd() up to @p loc_end.
      */
     std::vector<double> peakProfile(long loc_end) const;
 
   private:
-    /**
-     * The spatialRollout() values, one location at a time: calls
-     * @p emit with each rolled location's column (iterCount()
-     * values, oldest first), in location order. The column is
-     * scratch that later locations reuse.
-     */
-    template <typename Emit>
-    void rollColumns(long loc_end, double quiescent, bool homogeneous,
-                     Emit &&emit) const;
-
     const ArModel &model;
     const ObservedSeries &series;
 };

@@ -1,8 +1,6 @@
 #include "harness/run_harness.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -23,52 +21,76 @@ namespace
 /** Restart attempts superviseRuns may consume. */
 constexpr int maxRestarts = 8;
 
+/** This rank's store file, columns and knobs (empty path: none). */
+struct StoreTarget
+{
+    std::string path;
+    StoreSchema schema;
+    StoreOptions options;
+};
+
 /** The TDRESUME payload (layout in the header's file comment). */
 std::string
-buildResumePayload(const HarnessApp &app, const Region *region)
+buildResumePayload(const HarnessApp &app, const Region *region,
+                   FeatureStoreWriter *store)
 {
     std::ostringstream os(std::ios::binary);
     BinaryWriter w(os);
     w.writeTag("TDRESUME");
-    w.writeU64(1); // payload format version
+    w.writeU64(2); // payload format version
     w.writeBool(region != nullptr);
     app.save(w);
     if (region)
         region->saveCheckpoint(os);
+    // The region's save drained the epoch, so every record of the
+    // saved iterations has reached the store.
+    w.writeBool(store != nullptr);
+    if (store)
+        store->saveCommit(w);
     return os.str();
 }
 
+/** Restore @p payload into @p app and @p region and, when
+ *  @p target names a store, reopen it at the payload's commit into
+ *  @p store. */
 bool
 restoreResumePayload(const std::string &payload, HarnessApp &app,
-                     Region *region, std::string *error)
+                     Region *region, const StoreTarget &target,
+                     std::unique_ptr<FeatureStoreWriter> &store,
+                     std::string *error)
 {
     BinaryReader r(payload);
+    auto failed = [&](const std::string &why) {
+        *error = why;
+        return false;
+    };
     r.expectTag("TDRESUME");
     const std::uint64_t version = r.readU64();
-    if (r.ok() && version != 1) {
+    if (r.ok() && version != 2) {
         r.fail("unsupported resume payload version " +
                std::to_string(version));
     }
     const bool has_region = r.readBool();
-    if (!r.ok()) {
-        *error = r.error();
-        return false;
-    }
-    if (has_region != (region != nullptr)) {
-        *error = "checkpoint instrumentation mismatch (saved "
-                 "with/without a region)";
-        return false;
-    }
+    if (!r.ok())
+        return failed(r.error());
+    if (has_region != (region != nullptr))
+        return failed("checkpoint instrumentation mismatch (saved "
+                      "with/without a region)");
     app.load(r);
-    if (!r.ok()) {
-        *error = r.error();
-        return false;
-    }
-    if (region && !region->loadCheckpoint(r)) {
-        *error = region->checkpointError();
-        return false;
-    }
-    return true;
+    if (!r.ok())
+        return failed(r.error());
+    if (region && !region->loadCheckpoint(r))
+        return failed(region->checkpointError());
+    const bool has_store = r.readBool();
+    if (!r.ok())
+        return failed(r.error());
+    if (has_store != !target.path.empty())
+        return failed("checkpoint feature store mismatch (saved "
+                      "with/without a store)");
+    if (has_store)
+        store = FeatureStoreWriter::resume(target.path, target.schema,
+                                           target.options, r, error);
+    return !has_store || store;
 }
 
 /** Latch the set's first failure into the result (sticky). */
@@ -85,21 +107,24 @@ latchCkptDegrade(const ckpt::CheckpointSet &set, HarnessResult &result)
  *  first failure, here we only keep the result bookkeeping. */
 void
 writeCheckpoint(ckpt::CheckpointSet &set, const HarnessApp &app,
-                const Region *region, HarnessResult &result)
+                const Region *region, FeatureStoreWriter *store,
+                HarnessResult &result)
 {
     if (set.save(static_cast<std::uint64_t>(app.cycle()),
-                 buildResumePayload(app, region))) {
+                 buildResumePayload(app, region, store))) {
         ++result.checkpointsWritten;
     }
     latchCkptDegrade(set, result);
 }
 
-/** Restore the newest valid generation, if any. A CRC-valid but
- *  unusable one (e.g. written by a differently-instrumented run)
- *  starts the run fresh rather than killing it — the checkpoint
- *  stays on disk for triage. */
+/** Restore the newest valid generation, if any, and reopen the
+ *  store at its commit. A CRC-valid but unusable one (see the file
+ *  comment) starts the run fresh rather than killing it — the
+ *  checkpoint stays on disk for triage. */
 void
 resume(ckpt::CheckpointSet &set, HarnessApp &app, Region *region,
+       const StoreTarget &target,
+       std::unique_ptr<FeatureStoreWriter> &store,
        HarnessResult &result)
 {
     std::string payload, from_path;
@@ -108,9 +133,10 @@ resume(ckpt::CheckpointSet &set, HarnessApp &app, Region *region,
         return;
     // A payload can fail after the app's part loaded: keep the
     // fresh state to put back, so "from scratch" holds for both.
-    const std::string fresh = buildResumePayload(app, region);
+    const std::string fresh = buildResumePayload(app, region, nullptr);
     std::string error;
-    if (restoreResumePayload(payload, app, region, &error)) {
+    if (restoreResumePayload(payload, app, region, target, store,
+                             &error)) {
         result.resumed = true;
         result.resumedFromIteration = static_cast<long>(at_iter);
         TDFE_INFORM("run harness: resumed from '", from_path,
@@ -119,7 +145,8 @@ resume(ckpt::CheckpointSet &set, HarnessApp &app, Region *region,
     }
     TDFE_WARN("run harness: checkpoint '", from_path, "' not usable (",
               error, "); starting from scratch");
-    const bool reset = restoreResumePayload(fresh, app, region, &error);
+    const bool reset = restoreResumePayload(fresh, app, region,
+                                            StoreTarget(), store, &error);
     TDFE_ASSERT(reset, "reloading the fresh state failed: ", error);
 }
 
@@ -151,32 +178,40 @@ void
 runHarness(HarnessApp &app, Region *region, Communicator *comm,
            const HarnessOptions &options, HarnessResult &result)
 {
+    const int rank = comm ? comm->rank() : 0;
+    const int ranks = comm ? comm->size() : 1;
+    StoreTarget target;
+    if (region && !options.store.path.empty()) {
+        target.path = rankStorePath(options.store.path, rank, ranks);
+        // Columns for the widest model, as Region::setFeatureStore
+        // requires.
+        for (std::size_t i = 0; i < region->analysisCount(); ++i) {
+            target.schema.coeffCount =
+                std::max(target.schema.coeffCount,
+                         region->analysis(i).config().ar.order + 1);
+        }
+        target.options = storeOptionsFrom(options.store);
+    }
+
     // Checkpointing, per rank: the rank's local state is its own
     // restart data, exactly like its store part.
     std::unique_ptr<ckpt::CheckpointSet> ckpt_set;
+    std::unique_ptr<FeatureStoreWriter> store;
     if (!options.ckpt.path.empty()) {
         ckpt_set = std::make_unique<ckpt::CheckpointSet>(
-            rankStorePath(options.ckpt.path, comm ? comm->rank() : 0,
-                          comm ? comm->size() : 1),
+            rankStorePath(options.ckpt.path, rank, ranks),
             static_cast<int>(options.ckpt.keep),
             store::parseDurabilityPolicy(options.ckpt.durability));
         if (options.ckptWriteHook)
             ckpt_set->setWriteHook(options.ckptWriteHook);
         if (options.ckpt.resumeAuto)
-            resume(*ckpt_set, app, region, result);
+            resume(*ckpt_set, app, region, target, store, result);
     }
-
-    std::unique_ptr<FeatureStoreWriter> store;
-    if (region && !options.store.path.empty()) {
-        // Columns for the widest model, as Region::setFeatureStore
-        // requires.
-        std::size_t coeffs = 0;
-        for (std::size_t i = 0; i < region->analysisCount(); ++i) {
-            coeffs = std::max(coeffs,
-                              region->analysis(i).config().ar.order + 1);
-        }
-        store = attachRankStore(*region, options.store.path, coeffs,
-                                storeOptionsFrom(options.store), comm);
+    if (!target.path.empty()) {
+        if (!store)
+            store = std::make_unique<FeatureStoreWriter>(
+                target.path, target.schema, target.options);
+        region->setFeatureStore(store.get());
     }
 
     long attempt_iters = 0;
@@ -205,7 +240,8 @@ runHarness(HarnessApp &app, Region *region, Communicator *comm,
         heartbeat.tick(static_cast<std::uint64_t>(app.cycle()));
         if (ckpt_set && options.ckpt.every > 0 &&
             app.cycle() % options.ckpt.every == 0) {
-            writeCheckpoint(*ckpt_set, app, region, result);
+            writeCheckpoint(*ckpt_set, app, region, store.get(),
+                            result);
         }
         if (options.haltAfterIterations > 0 &&
             attempt_iters >= options.haltAfterIterations) {
@@ -219,7 +255,8 @@ runHarness(HarnessApp &app, Region *region, Communicator *comm,
             // run restarts from this exact iteration, then fall
             // through to the store seal below.
             if (ckpt_set)
-                writeCheckpoint(*ckpt_set, app, region, result);
+                writeCheckpoint(*ckpt_set, app, region, store.get(),
+                                result);
             result.interrupted = true;
             break;
         }
@@ -239,62 +276,30 @@ runHarness(HarnessApp &app, Region *region, Communicator *comm,
             region->featureStoreDegraded() || !store->ok();
         RankMergeOptions merge;
         merge.keepParts = options.store.keepParts;
-        merge.storeOptions = storeOptionsFrom(options.store);
-        result.storeBytes = finishRankStore(
-            *region, std::move(store), options.store.path, comm, merge);
+        merge.storeOptions = target.options;
+        // A halted or interrupted attempt resumes later, so it only
+        // seals its part: the attempt that finishes the run merges.
+        const bool resumes = result.halted || result.interrupted;
+        result.storeBytes =
+            finishRankStore(*region, std::move(store), options.store.path,
+                            resumes ? nullptr : comm, merge);
     }
     result.report = obs::captureRunReport();
 }
 
-Supervisor::Supervisor(const HarnessOptions &options,
-                       Communicator *comm)
-    : options(options)
-{
-    TDFE_ASSERT(!options.ckpt.path.empty(),
-                "resilient runs need a checkpoint path");
-    TDFE_ASSERT(options.store.path.empty() || !comm || comm->size() <= 1,
-                "segmented store stitching supports single-rank runs "
-                "only");
-}
-
-void
-Supervisor::prepare(HarnessOptions &attempt)
-{
-    if (options.store.path.empty())
-        return;
-    attempt.store.path =
-        options.store.path + ".seg" + std::to_string(segments.size());
-    segments.push_back(attempt.store.path);
-}
-
 bool
-Supervisor::retry(HarnessOptions &attempt, HarnessResult &result)
+retryAttempt(HarnessOptions &attempt, const HarnessResult &result)
 {
-    result.restarts = restarts;
-    if (result.halted && !ckpt::interruptRequested() &&
-        restarts < maxRestarts) {
-        ++restarts;
-        // The injected crash fires once; every retry resumes from
-        // the newest valid generation it left behind.
-        attempt.haltAfterIterations = 0;
-        attempt.ckpt.resumeAuto = true;
-        TDFE_INFORM("run supervisor: attempt crashed; restarting "
-                    "(attempt ", restarts + 1, ")");
-        return true;
-    }
-    if (!segments.empty()) {
-        // stitchSegmentStores counts records and fatals when it
-        // cannot write the store, so the file is there to measure.
-        stitchSegmentStores(segments, options.store.path,
-                            storeOptionsFrom(options.store));
-        result.storeBytes = static_cast<std::size_t>(
-            std::filesystem::file_size(options.store.path));
-        if (!options.store.keepParts) {
-            for (const std::string &seg : segments)
-                std::remove(seg.c_str());
-        }
-    }
-    return false;
+    if (!result.halted || ckpt::interruptRequested() ||
+        result.restarts >= maxRestarts)
+        return false;
+    // The injected crash fires once; every retry resumes from the
+    // newest valid generation it left behind.
+    attempt.haltAfterIterations = 0;
+    attempt.ckpt.resumeAuto = true;
+    TDFE_INFORM("run supervisor: attempt crashed; restarting "
+                "(attempt ", result.restarts + 2, ")");
+    return true;
 }
 
 } // namespace tdfe

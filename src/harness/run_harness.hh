@@ -16,24 +16,29 @@
  * save()/load() write and restore the simulation state bit-exactly.
  *
  * **Resume payload** (inside the ckpt envelope, which adds the CRCs):
- * tag "TDRESUME", u64 version 1, bool "has region", the app's save()
- * bytes, then — when instrumented — Region::saveCheckpoint's bytes.
- * One BinaryReader reads the whole payload in place. A CRC-valid
- * payload that does not fit the run (other version, a region saved
- * by a differently instrumented run, or a region with a different
- * analysis count) is skipped with a warning and the run starts from
- * scratch: the app and region are put back in the state they had
- * before the attempt, even when the app's part had already loaded.
+ * tag "TDRESUME", u64 version 2, bool "has region", the app's save()
+ * bytes, then — when instrumented — Region::saveCheckpoint's bytes,
+ * then bool "has store" and the store's commit
+ * (FeatureStoreWriter::saveCommit), written once the region's save
+ * has drained the epoch. One BinaryReader reads the whole payload in
+ * place. A CRC-valid payload that does not fit the run (other
+ * version, a region or store saved by a differently configured run,
+ * a region with a different analysis count, or a store file that no
+ * longer holds the committed blocks — power loss under durability
+ * "none") is skipped with a warning and the run starts from scratch:
+ * the app and region are put back in the state they had before the
+ * attempt, even when the app's part had already loaded.
+ *
+ * **Store resume in place.** A resumed run reopens its store file
+ * (or "<path>.rk<rank>" part), cuts it back to the commit and
+ * appends: the committed bytes are never rewritten, and the store
+ * ends as the uninterrupted run's (wall_time aside). A halted or
+ * interrupted attempt only seals its part; the attempt that finishes
+ * the run merges the parts.
  *
  * **Supervisor** (superviseRuns). Attempts run until one is not an
  * injected crash (HarnessOptions::haltAfterIterations); each retry
- * arms resumeAuto and drops the halt. With a store, attempt k writes
- * "<store>.seg<k>" and the segments are stitched into the store path
- * at the end: each segment contributes its records up to the first
- * iteration the next segment re-records (the post-checkpoint overlap
- * a resumed attempt replays), so the stitched store is
- * record-identical to an uninterrupted run. Stitching assumes one
- * rank — a multi-rank supervised run with a store is refused.
+ * arms resumeAuto and drops the halt.
  */
 
 #ifndef TDFE_HARNESS_RUN_HARNESS_HH
@@ -43,9 +48,9 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "base/cli.hh"
+#include "base/logging.hh"
 #include "ckpt/checkpoint.hh"
 #include "obs/report.hh"
 #include "store/writer.hh"
@@ -83,9 +88,10 @@ struct HarnessOptions
     /** Feature store (empty path: disabled; requires instrument).
      *  Under a multi-rank communicator every rank writes
      *  "<path>.rk<rank>" and rank 0 merges them into the path in
-     *  rank order after the run. Any of these files can be tailed
-     *  while it is written; its durability policy sets when each
-     *  sealed block becomes visible. */
+     *  rank order once the run finishes (a halted or interrupted
+     *  run keeps the parts to resume them). Any of these files can
+     *  be tailed while it is written; its durability policy sets
+     *  when each sealed block becomes visible. */
     StoreCliOptions store;
     /** Crash-safe checkpoints (empty path: disabled). Generations
      *  land at "<path>.NNNNNN.tdck" (per rank "<path>.rk<rank>")
@@ -168,9 +174,9 @@ class HarnessApp
     ~HarnessApp() = default;
 };
 
-/** Writer knobs from a --store* request: the per-rank parts, the
- *  rank-0 merge, and the crash-resume stitch all use this one
- *  builder (durability parsed here, fatal on typos). */
+/** Writer knobs from a --store* request: the per-rank parts, their
+ *  resume and the rank-0 merge all use this one builder (durability
+ *  parsed here, fatal on typos). */
 StoreOptions storeOptionsFrom(const StoreCliOptions &store);
 
 /**
@@ -192,43 +198,31 @@ std::unique_ptr<Region> makeRegion(const std::string &name,
 void runHarness(HarnessApp &app, Region *region, Communicator *comm,
                 const HarnessOptions &options, HarnessResult &result);
 
-/** Attempt bookkeeping behind superviseRuns. */
-class Supervisor
-{
-  public:
-    Supervisor(const HarnessOptions &options, Communicator *comm);
-
-    /** Point @p attempt at its store segment. */
-    void prepare(HarnessOptions &attempt);
-
-    /** @return true when @p result was an injected crash to retry
-     *  (@p attempt then resumes); otherwise stitch the segments into
-     *  the store and return false. */
-    bool retry(HarnessOptions &attempt, HarnessResult &result);
-
-  private:
-    const HarnessOptions &options;
-    std::vector<std::string> segments;
-    int restarts = 0;
-};
+/**
+ * The retry rule behind superviseRuns: @return true when @p result
+ * (its restarts field set) was an injected crash to retry; @p attempt
+ * then resumes from its newest valid checkpoint.
+ */
+bool retryAttempt(HarnessOptions &attempt, const HarnessResult &result);
 
 /**
  * Auto-resume supervisor: call @p run(attempt) until an attempt is
- * not an injected crash (requires options.ckpt.path; see the file
- * comment for the segment-stitch rule). @p Options derives from
- * HarnessOptions and @p run returns a HarnessResult-derived result;
- * @p comm is the runs' communicator (null: single rank).
+ * not an injected crash (requires options.ckpt.path). @p Options
+ * derives from HarnessOptions and @p run returns a
+ * HarnessResult-derived result. Under a communicator every rank
+ * supervises its own attempts; they crash and resume together.
  */
 template <class Options, class Run>
 auto
-superviseRuns(const Options &options, Communicator *comm, Run run)
+superviseRuns(const Options &options, Run run)
 {
-    Supervisor supervisor(options, comm);
+    TDFE_ASSERT(!options.ckpt.path.empty(),
+                "resilient runs need a checkpoint path");
     Options attempt = options;
-    for (;;) {
-        supervisor.prepare(attempt);
+    for (int restarts = 0;; ++restarts) {
         auto result = run(attempt);
-        if (!supervisor.retry(attempt, result))
+        result.restarts = restarts;
+        if (!retryAttempt(attempt, result))
             return result;
     }
 }

@@ -1,7 +1,6 @@
 #include "par/store_merge.hh"
 
 #include <cstdio>
-#include <limits>
 
 #include "base/logging.hh"
 #include "core/region.hh"
@@ -22,16 +21,11 @@ rankStorePath(const std::string &base, int rank, int world_size)
 namespace
 {
 
-/** Cutoff of a part that runs to its end. */
-const long noCutoff = std::numeric_limits<long>::max();
-
 /** The inputs of one store rewrite, in part order. */
 struct RewriteInputs
 {
     /** One reader per part; null when the part yielded nothing. */
     std::vector<std::unique_ptr<FeatureStoreReader>> readers;
-    /** Part i ends at its first record at or past cutoff[i]. */
-    std::vector<long> cutoff;
     /** Part i opened through its footer with every block intact. */
     std::vector<bool> clean;
     /** Schema of the first readable part, shared by all of them. */
@@ -43,46 +37,43 @@ struct RewriteInputs
         if (r && !schema)
             schema = &r->schema();
         readers.push_back(std::move(r));
-        cutoff.push_back(noCutoff);
         clean.push_back(was_clean);
     }
 };
 
 /**
- * The one open rule of the merge and the stitch: I/O damage is
- * salvaged (every part goes through openOrSalvage, and a part that
- * yields nothing is skipped with a warning), a schema mismatch is a
- * caller bug and fatal, and so is having no readable part at all.
- * Every part is opened before the output is created, so a fatal
- * input cannot leave a half-written file behind.
+ * The open rule of the rank merge: I/O damage is salvaged (every
+ * part goes through openOrSalvage, and a part that yields nothing is
+ * skipped with a warning), a schema mismatch is a caller bug and
+ * fatal, and so is having no readable part at all. Every part is
+ * opened before the output is created, so a fatal input cannot leave
+ * a half-written file behind.
  */
 RewriteInputs
-openParts(const std::vector<std::string> &parts, const char *what)
+openParts(const std::vector<std::string> &parts)
 {
-    TDFE_ASSERT(!parts.empty(), "nothing to ", what);
+    TDFE_ASSERT(!parts.empty(), "nothing to merge");
     RewriteInputs in;
     for (const std::string &p : parts) {
         std::string error;
         bool salvaged = false;
         auto r = FeatureStoreReader::openOrSalvage(p, &error, &salvaged);
         if (!r) {
-            TDFE_WARN(what, ": skipping part '", p, "': ", error);
+            TDFE_WARN("merge: skipping part '", p, "': ", error);
         } else if (in.schema && r->schema() != *in.schema) {
-            TDFE_FATAL("feature store schema mismatch in ", what,
-                       " of ", p, " (", r->schema().coeffCount,
-                       " vs ", in.schema->coeffCount,
-                       " coefficient columns)");
+            TDFE_FATAL("feature store schema mismatch in merge of ", p,
+                       " (", r->schema().coeffCount, " vs ",
+                       in.schema->coeffCount, " coefficient columns)");
         } else if (salvaged) {
-            TDFE_WARN(what, ": part '", p, "' damaged; salvaged ",
+            TDFE_WARN("merge: part '", p, "' damaged; salvaged ",
                       r->recordCount(), " records");
         }
         const bool clean = r && !salvaged;
         in.add(std::move(r), clean);
     }
     if (!in.schema)
-        TDFE_FATAL("cannot ", what, " feature store: no readable part ",
-                   "among ", parts.size(), " (first: ", parts.front(),
-                   ")");
+        TDFE_FATAL("cannot merge feature store: no readable part among ",
+                   parts.size(), " (first: ", parts.front(), ")");
     return in;
 }
 
@@ -94,8 +85,8 @@ openParts(const std::vector<std::string> &parts, const char *what)
  * sorted parts give an iteration-sorted output, so the footer's
  * sorted flag holds and range queries over it exit at the first
  * block past their window. A linear min-scan over the heads is
- * plenty: parts are ranks or attempts, and re-encoding each record
- * dwarfs the scan.
+ * plenty: parts are ranks, and re-encoding each record dwarfs the
+ * scan.
  */
 void
 copyParts(const RewriteInputs &in, FeatureStoreWriter &writer)
@@ -103,23 +94,15 @@ copyParts(const RewriteInputs &in, FeatureStoreWriter &writer)
     struct Head
     {
         QueryCursor cur;
-        long cutoff;
         FeatureRecord rec;
         bool live = false;
-        Head(QueryCursor c, long cut) : cur(std::move(c)), cutoff(cut)
-        {
-            advance();
-        }
-        void
-        advance()
-        {
-            live = cur.next(rec) && rec.iteration < cutoff;
-        }
+        explicit Head(QueryCursor c) : cur(std::move(c)) { advance(); }
+        void advance() { live = cur.next(rec); }
     };
     std::vector<Head> heads;
-    for (std::size_t i = 0; i < in.readers.size(); ++i)
-        if (in.readers[i])
-            heads.emplace_back(in.readers[i]->cursor(), in.cutoff[i]);
+    for (const auto &reader : in.readers)
+        if (reader)
+            heads.emplace_back(reader->cursor());
 
     for (;;) {
         Head *best = nullptr;
@@ -156,36 +139,7 @@ mergeRankStores(const std::vector<std::string> &parts,
                 const std::string &out_path,
                 const StoreOptions &options)
 {
-    return rewriteParts(openParts(parts, "merge"), out_path, options);
-}
-
-std::size_t
-stitchSegmentStores(const std::vector<std::string> &parts,
-                    const std::string &out_path,
-                    const StoreOptions &options)
-{
-    RewriteInputs in = openParts(parts, "stitch");
-
-    // Segment k's cutoff = the smallest first iteration any later
-    // segment recorded: everything from there on was re-recorded by
-    // a resumed attempt, which is the authoritative copy. One
-    // backward pass carries that minimum, so a readable-but-empty
-    // segment (crash before its first block sealed) is transparent
-    // — it neither resets the cutoff of the segments before it (the
-    // old chaining bug, which duplicated the overlap) nor blocks a
-    // later segment's cutoff from reaching them. Cut segments do not
-    // overlap, so the k-way copy emits them in concatenation order.
-    FeatureRecord rec;
-    long next_first = noCutoff;
-    for (std::size_t i = in.readers.size(); i-- > 0;) {
-        if (!in.readers[i])
-            continue;
-        in.cutoff[i] = next_first;
-        QueryCursor c = in.readers[i]->cursor();
-        if (c.next(rec) && rec.iteration < next_first)
-            next_first = rec.iteration;
-    }
-    return rewriteParts(in, out_path, options);
+    return rewriteParts(openParts(parts), out_path, options);
 }
 
 bool
@@ -252,7 +206,7 @@ finishRankStore(Region &region,
             for (int r = 0; r < comm->size(); ++r)
                 parts.push_back(
                     rankStorePath(base, r, comm->size()));
-            const RewriteInputs in = openParts(parts, "merge");
+            const RewriteInputs in = openParts(parts);
             rewriteParts(in, base, merge_options.storeOptions);
             if (!merge_options.keepParts) {
                 // Only parts that merged cleanly are disposable;

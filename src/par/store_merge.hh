@@ -1,27 +1,26 @@
 /**
  * @file
- * Rank-decomposed feature-store plumbing and the store rewrites.
+ * Rank-decomposed feature-store plumbing and the two store rewrites.
  * Every rank of a decomposed run writes its own store file (one
  * writer per rank — the store is single-producer), and after the
- * run the per-rank parts are merged into one store; a crash/resume
- * run's per-attempt segments are stitched the same way, and a
- * damaged store is salvaged into a clean one.
+ * run the per-rank parts are merged into one store; a damaged store
+ * is salvaged into a clean one. A crash/resume run needs no rewrite:
+ * each rank's part resumes in place (FeatureStoreWriter::resume).
  *
- * All three rewrites re-encode through one copy loop, an
- * iteration-sorted k-way merge (ties toward the lower part index,
- * so equal-iteration records still read like concatenated per-part
- * logs). Iteration-sorted parts give an iteration-sorted output: it
- * keeps the footer's sorted flag, and iteration-range queries stop
- * at the first block past their window like on any single store.
+ * Both rewrites re-encode through one copy loop, an iteration-sorted
+ * k-way merge (ties toward the lower part index, so equal-iteration
+ * records still read like concatenated per-part logs). Iteration-
+ * sorted parts give an iteration-sorted output: it keeps the
+ * footer's sorted flag, and iteration-range queries stop at the
+ * first block past their window like on any single store.
  *
- * The merge and the stitch share one damage rule. I/O damage is
- * salvaged: every part is opened through
- * FeatureStoreReader::openOrSalvage, so a damaged part contributes
- * its sealed-block prefix, and a part that yields nothing is
- * skipped with a warning. A schema mismatch is a caller bug and
- * fatal. The rewrite is fatal otherwise only when no part is
- * readable or the output cannot be written — one degraded rank
- * does not take the run down.
+ * The merge's damage rule: I/O damage is salvaged — every part is
+ * opened through FeatureStoreReader::openOrSalvage, so a damaged
+ * part contributes its sealed-block prefix, and a part that yields
+ * nothing is skipped with a warning. A schema mismatch is a caller
+ * bug and fatal. The merge is fatal otherwise only when no part is
+ * readable or the output cannot be written — one degraded rank does
+ * not take the run down.
  */
 
 #ifndef TDFE_PAR_STORE_MERGE_HH
@@ -93,28 +92,6 @@ struct RankMergeOptions
     StoreOptions storeOptions;
 };
 
-/**
- * Stitch per-attempt store segments of a crash/resume run (oldest
- * first) into one store at @p out_path. Each segment is one
- * attempt's output; crashed attempts leave footerless segments,
- * which the shared open step salvages. Because a
- * resumed attempt restarts from its checkpoint, the tail of segment
- * k overlaps the head of segment k+1 — segment k contributes only
- * records with iteration strictly below segment k+1's first
- * recorded iteration, which makes the stitched store record-equal
- * to an uninterrupted run's (modulo wallTime, which is measured
- * per attempt). The cut segments do not overlap, so the shared
- * k-way copy emits them in concatenation order. Same damage rule
- * as mergeRankStores: unreadable segments are skipped with a
- * warning, a schema mismatch is fatal.
- *
- * @return records in the stitched store.
- */
-std::size_t stitchSegmentStores(const std::vector<std::string> &parts,
-                                const std::string &out_path,
-                                const StoreOptions &options =
-                                    StoreOptions());
-
 /** What salvageStore recovered. */
 struct SalvageReport
 {
@@ -148,7 +125,9 @@ bool salvageStore(const std::string &src, const std::string &dst,
  * not abort the run (mergeRankStores' damage rule). Cleanly merged
  * parts are removed unless @p merge_options says to keep them;
  * salvaged or skipped parts are always left on disk so a
- * post-mortem can still read them.
+ * post-mortem can still read them. A run that will resume must not
+ * come here: it seals its part with FeatureStoreWriter::finish and
+ * keeps it for the resume.
  *
  * @return bytes of this rank's part file (0 when this rank's
  *         writer degraded — see FeatureStoreWriter::finish()).

@@ -235,10 +235,10 @@ durabilityPolicyName(DurabilityPolicy policy)
 }
 
 std::unique_ptr<StoreFile>
-openOsFile(const std::string &path, IoError *error)
+openOsFile(const std::string &path, IoError *error, bool keep)
 {
     errno = 0;
-    std::FILE *fp = std::fopen(path.c_str(), "wb");
+    std::FILE *fp = std::fopen(path.c_str(), keep ? "r+b" : "wb");
     if (!fp) {
         if (error)
             *error = fileError(errno, "cannot open " + path);

@@ -132,13 +132,15 @@ class StoreFile
 };
 
 /**
- * Create/truncate a production file at @p path. @return nullptr
- * with the reason in @p error when the file cannot be opened (the
- * caller decides whether that is fatal — the store writer degrades
- * instead of killing the simulation).
+ * Create/truncate a production file at @p path (with @p keep: open
+ * the existing file for update, positioned at its start). @return
+ * nullptr with the reason in @p error when the file cannot be opened
+ * (the caller decides whether that is fatal — the store writer
+ * degrades instead of killing the simulation).
  */
 std::unique_ptr<StoreFile> openOsFile(const std::string &path,
-                                      IoError *error = nullptr);
+                                      IoError *error = nullptr,
+                                      bool keep = false);
 
 /**
  * Read-side counterpart of StoreFile: random-access reads over an

@@ -1,5 +1,6 @@
 #include "store/reader.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -222,7 +223,8 @@ FeatureStoreReader::open(const std::string &path, std::string *error,
 std::unique_ptr<FeatureStoreReader>
 FeatureStoreReader::salvage(const std::string &path,
                             std::string *error,
-                            const store::ReadFileFactory &file_factory)
+                            const store::ReadFileFactory &file_factory,
+                            std::uint64_t end)
 {
     auto reader =
         std::unique_ptr<FeatureStoreReader>(new FeatureStoreReader());
@@ -232,7 +234,8 @@ FeatureStoreReader::salvage(const std::string &path,
     const std::uint64_t file_size = reader->fileBytes();
     std::uint64_t stop = 0;
     std::string why;
-    if (!reader->scanBlocks(store::headerBytes, file_size, stop, &why)) {
+    if (!reader->scanBlocks(store::headerBytes, std::min(end, file_size),
+                            stop, &why)) {
         fail(error, path + ": " + why);
         return nullptr;
     }

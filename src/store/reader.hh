@@ -69,19 +69,22 @@ class FeatureStoreReader
      * recovered records, and the zone map is rebuilt from the
      * decoded blocks, so a salvaged reader behaves identically to a
      * footer-backed one over the same blocks — filtered-query
-     * pushdown included. @return nullptr (diagnostic in @p error)
-     * only when not even the header survives or the read fails.
+     * pushdown included. @p end (clamped to EOF) ends the scan
+     * early, as a resumed writer needs. @return nullptr (diagnostic
+     * in @p error) only when not even the header survives or the
+     * read fails.
      */
     static std::unique_ptr<FeatureStoreReader>
     salvage(const std::string &path, std::string *error = nullptr,
-            const store::ReadFileFactory &file_factory = {});
+            const store::ReadFileFactory &file_factory = {},
+            std::uint64_t end = UINT64_MAX);
 
     /**
      * open(), falling back to salvage() when the footer path fails
      * — and also when the footer is intact but verify() finds a
      * corrupt block, so the result is always fully decodable (a
      * cursor over it cannot hit the fatal corruption path). The open
-     * step of the rank merge and the segment stitch. @p was_salvaged
+     * step of the rank merge. @p was_salvaged
      * reports which path produced the reader.
      */
     static std::unique_ptr<FeatureStoreReader>

@@ -7,10 +7,12 @@
 
 #include "base/logging.hh"
 #include "base/portable.hh"
+#include "base/serial.hh"
 #include "base/timer.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "store/codec.hh"
+#include "store/reader.hh"
 
 namespace tdfe
 {
@@ -41,6 +43,65 @@ FeatureStoreWriter::FeatureStoreWriter(
       opts_(options), file_(std::move(file))
 {
     init(store::IoError());
+}
+
+std::unique_ptr<FeatureStoreWriter>
+FeatureStoreWriter::resume(const std::string &path, StoreSchema schema,
+                           StoreOptions options, BinaryReader &commit,
+                           std::string *error)
+{
+    const std::uint64_t extent = commit.readU64();
+    const std::uint64_t blocks = commit.readU64();
+    const std::uint64_t staged = commit.readU64();
+    if (staged >= options.blockCapacity)
+        commit.fail("store commit stages a full block");
+    std::vector<FeatureRecord> records(commit.ok() ? staged : 0);
+    for (FeatureRecord &rec : records) {
+        rec.coeffs.resize(schema.coeffCount);
+        for (std::size_t c = 0; c < schema.intColumns(); ++c)
+            StoreSchema::setIntColumn(rec, c, commit.readI64());
+        for (std::size_t c = 0; c < schema.doubleColumns(); ++c)
+            StoreSchema::doubleColumn(rec, c) = commit.readF64();
+    }
+    if (!commit.ok()) {
+        *error = commit.error();
+        return nullptr;
+    }
+    const auto prefix =
+        FeatureStoreReader::salvage(path, error, {}, extent);
+    if (!prefix)
+        return nullptr;
+    if (prefix->fileBytes() - prefix->droppedTailBytes() != extent ||
+        prefix->blockCount() != blocks || prefix->schema() != schema ||
+        prefix->blockCapacity() != options.blockCapacity ||
+        prefix->formatVersion() != store::formatVersion) {
+        *error = path + " does not hold the " + std::to_string(blocks) +
+                 " blocks committed up to its extent " +
+                 std::to_string(extent);
+        return nullptr;
+    }
+    store::IoError io;
+    auto file = store::openOsFile(path, &io, true);
+    if (file)
+        io = file->truncateTo(extent);
+    if (!io.ok()) {
+        *error = io.message;
+        return nullptr;
+    }
+    auto w = std::make_unique<FeatureStoreWriter>(std::move(file), schema,
+                                                  options);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        w->index.push_back(prefix->blockInfo(b));
+        w->zones.push_back(*prefix->zone(b));
+    }
+    w->records_ = prefix->recordCount();
+    w->sortedAppends_ = prefix->sortedByIteration();
+    w->lastIter_ = blocks ? w->index.back().lastIter : 0;
+    w->sealed_ = w->index.size();
+    w->bytesWritten_ = extent;
+    for (const FeatureRecord &rec : records)
+        w->append(rec);
+    return w;
 }
 
 void
@@ -78,6 +139,9 @@ FeatureStoreWriter::init(store::IoError open_error)
         return;
     }
 
+    // A file reopened past its start (resume()) holds its header.
+    if (file_->offset() > 0)
+        return;
     std::vector<std::uint8_t> h;
     h.reserve(store::headerBytes);
     h.insert(h.end(), store::headerMagic, store::headerMagic + 8);
@@ -272,6 +336,25 @@ FeatureStoreWriter::fail(const store::IoError &error,
                  "feature store '", path_,
                  "' degraded, further records will be dropped: ",
                  error.message));
+}
+
+void
+FeatureStoreWriter::saveCommit(BinaryWriter &w)
+{
+    if (file_ && ok()) {
+        const store::IoError err = file_->flush();
+        if (!err.ok())
+            fail(err, 0);
+    }
+    w.writeU64(bytesWritten_);
+    w.writeU64(index.size());
+    w.writeU64(staged);
+    for (std::size_t r = 0; r < staged; ++r) {
+        for (const auto &c : stInt)
+            w.writeI64(c[r]);
+        for (const auto &c : stDbl)
+            w.writeF64(c[r]);
+    }
 }
 
 store::IoError

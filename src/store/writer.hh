@@ -48,6 +48,9 @@
 namespace tdfe
 {
 
+class BinaryReader;
+class BinaryWriter;
+
 /** Writer behaviour knobs. */
 struct StoreOptions
 {
@@ -90,6 +93,23 @@ class FeatureStoreWriter
                        StoreSchema schema,
                        StoreOptions options = StoreOptions());
 
+    /**
+     * Resume in place: reopen the store at @p path at the commit
+     * saveCommit() wrote, read from @p commit. Sealed blocks are a
+     * prefix of the file, so [header, extent) must hold exactly the
+     * committed blocks, CRC-valid, of @p schema at @p options' block
+     * capacity. The index, zone map, sorted flag and counts are
+     * rebuilt from them, the rest of the file is cut off, and the
+     * saved records are staged again, so appending on writes the
+     * blocks an uninterrupted writer would have. @return nullptr
+     * with the reason in @p error when the commit or the file does
+     * not fit (the file is then untouched).
+     */
+    static std::unique_ptr<FeatureStoreWriter>
+    resume(const std::string &path, StoreSchema schema,
+           StoreOptions options, BinaryReader &commit,
+           std::string *error);
+
     /** Finishes the store if finish() was not called explicitly. */
     ~FeatureStoreWriter();
 
@@ -117,6 +137,15 @@ class FeatureStoreWriter
      *         salvageable sealed prefix, no footer.
      */
     std::size_t finish();
+
+    /**
+     * Commit point of a checkpoint, between appends: flush the file
+     * to the OS (a failure degrades the writer) and write to @p w the
+     * sealed extent, the sealed block count and the staged record
+     * count (u64 each), then each staged record's columns (i64, then
+     * f64, in file order).
+     */
+    void saveCommit(BinaryWriter &w);
 
     /** @return true while no unrecoverable I/O error is latched. */
     bool

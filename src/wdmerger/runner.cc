@@ -116,7 +116,7 @@ WdRunResult
 runWdMergerResilient(const WdMergerConfig &config, Communicator *comm,
                      const WdRunOptions &options)
 {
-    return superviseRuns(options, comm, [&](const WdRunOptions &attempt) {
+    return superviseRuns(options, [&](const WdRunOptions &attempt) {
         return runWdMerger(config, comm, attempt);
     });
 }

@@ -6,8 +6,8 @@
  * with fallback to the previous good generation, sticky degrade on
  * write errors, rotation, and the supervisor's crash sweep over both
  * harnessed apps (blast, wdmerger) — a resumed run must be bitwise
- * identical to an uninterrupted one, including the stitched feature
- * store.
+ * identical to an uninterrupted one, including the feature store it
+ * resumes in place, on one rank and on two.
  */
 
 #include <cstdio>
@@ -20,6 +20,7 @@
 
 #include "blastapp/runner.hh"
 #include "ckpt/checkpoint.hh"
+#include "par/thread_comm.hh"
 #include "store/codec.hh"
 #include "store/file.hh"
 #include "store/reader.hh"
@@ -336,19 +337,22 @@ TEST(ResilientRun, CrashSweepIsBitExact)
 TEST(ResilientRun, TornNewestGenerationStillRecovers)
 {
     const BlastConfig cfg = sweepBlast();
+    const std::string ref_store = tempPath("torn_ref.tdfs");
     const RunResult ref =
-        runBlast(cfg, nullptr, sweepOptions(200, ""));
+        runBlast(cfg, nullptr, sweepOptions(200, ref_store));
 
     const std::string prefix = tempPath("torn_gen");
+    const std::string store = tempPath("torn_gen.tdfs");
     removeGenerations(prefix);
 
-    RunOptions opts = sweepOptions(200, "");
+    RunOptions opts = sweepOptions(200, store);
     opts.ckpt.path = prefix;
     opts.ckpt.every = 3;
     opts.ckpt.durability = "none";
     opts.haltAfterIterations = 7;
     // Tear the generation written at iteration 6 mid-payload: the
-    // resumed attempt must fall back to the one at iteration 3.
+    // resumed attempt must fall back to the one at iteration 3, and
+    // its store to the commit of generation 3.
     opts.ckptWriteHook = [](std::uint64_t iteration,
                             ckpt::WriteOptions &write_opts) {
         if (iteration != 6)
@@ -364,8 +368,96 @@ TEST(ResilientRun, TornNewestGenerationStillRecovers)
     };
     const RunResult res = runBlastResilient(cfg, nullptr, opts);
     EXPECT_EQ(res.restarts, 1);
+    EXPECT_EQ(res.resumedFromIteration, 3);
     expectPhysicsEqual(res, ref);
+    expectRecordsBitwise(readRecords(store), readRecords(ref_store),
+                         WallTime::Skip);
+    expectSameBlocks(store, ref_store);
     removeGenerations(prefix);
+    std::remove(store.c_str());
+    std::remove(ref_store.c_str());
+}
+
+TEST(ResilientRun, InterruptThenResumeAutoKeepsTheWholeStore)
+{
+    // No supervisor: a halted run, then a plain resumeAuto run over
+    // the same store path, as a resubmitted job would do.
+    const BlastConfig cfg = sweepBlast();
+    const std::string ref_store = tempPath("resume_auto_ref.tdfs");
+    const RunResult ref =
+        runBlast(cfg, nullptr, sweepOptions(200, ref_store));
+    const long halt = ref.iterations / 2;
+    ASSERT_GT(halt % 3, 0); // replays the iterations past the commit
+
+    const std::string prefix = tempPath("resume_auto");
+    const std::string store = tempPath("resume_auto.tdfs");
+    removeGenerations(prefix);
+    RunOptions opts = sweepOptions(200, store);
+    opts.ckpt.path = prefix;
+    opts.ckpt.every = 3;
+    opts.ckpt.durability = "none";
+    opts.haltAfterIterations = halt;
+    const RunResult halted = runBlast(cfg, nullptr, opts);
+    ASSERT_TRUE(halted.halted);
+
+    opts.haltAfterIterations = 0;
+    opts.ckpt.resumeAuto = true;
+    const RunResult res = runBlast(cfg, nullptr, opts);
+    EXPECT_TRUE(res.resumed);
+    EXPECT_EQ(res.resumedFromIteration, halt - halt % 3);
+    expectPhysicsEqual(res, ref);
+    expectRecordsBitwise(readRecords(store), readRecords(ref_store),
+                         WallTime::Skip);
+    expectSameBlocks(store, ref_store);
+    removeGenerations(prefix);
+    std::remove(store.c_str());
+    std::remove(ref_store.c_str());
+}
+
+TEST(ResilientRun, TwoRankCrashResumeWithStore)
+{
+    const BlastConfig cfg = sweepBlast();
+    const std::string ref_store = tempPath("two_rank_ref.tdfs");
+    const std::string store = tempPath("two_rank.tdfs");
+    const std::string prefix = tempPath("two_rank");
+    const auto removeRankGenerations = [&prefix] {
+        removeGenerations(prefix + ".rk0");
+        removeGenerations(prefix + ".rk1");
+    };
+    removeRankGenerations();
+
+    ThreadCommWorld ref_world(2);
+    long iterations = 0;
+    ref_world.run([&](Communicator &comm) {
+        const RunResult r =
+            runBlast(cfg, &comm, sweepOptions(200, ref_store));
+        if (comm.rank() == 0)
+            iterations = r.iterations;
+    });
+    ASSERT_GT(iterations, 20);
+
+    // Both ranks crash mid-run, leave their parts unmerged, resume
+    // them in place, and merge once the resumed loop finishes.
+    ThreadCommWorld world(2);
+    world.run([&](Communicator &comm) {
+        RunOptions opts = sweepOptions(200, store);
+        opts.ckpt.path = prefix;
+        opts.ckpt.every = 3;
+        opts.ckpt.durability = "none";
+        opts.haltAfterIterations = iterations / 2;
+        const RunResult res = runBlastResilient(cfg, &comm, opts);
+        EXPECT_EQ(res.restarts, 1);
+        EXPECT_TRUE(res.resumed);
+        EXPECT_EQ(res.iterations, iterations);
+    });
+
+    EXPECT_FALSE(std::ifstream(store + ".rk0").good());
+    EXPECT_FALSE(std::ifstream(store + ".rk1").good());
+    expectRecordsBitwise(readRecords(store), readRecords(ref_store),
+                         WallTime::Skip);
+    removeRankGenerations();
+    std::remove(store.c_str());
+    std::remove(ref_store.c_str());
 }
 
 TEST(ResilientRun, CheckpointWriteFailureNeverFatals)
@@ -406,13 +498,18 @@ TEST(ResilientRun, CheckpointWriteFailureNeverFatals)
 TEST(ResilientRun, InterruptCheckpointsThenResumesBitExact)
 {
     const BlastConfig cfg = sweepBlast();
+    const std::string ref_store = tempPath("sigint_ref.tdfs");
     const RunResult ref =
-        runBlast(cfg, nullptr, sweepOptions(200, ""));
+        runBlast(cfg, nullptr, sweepOptions(200, ref_store));
 
     const std::string prefix = tempPath("sigint");
+    const std::string store = tempPath("sigint.tdfs");
     removeGenerations(prefix);
 
-    RunOptions opts = sweepOptions(200, "");
+    // The interrupt-time checkpoint commits the store with staged
+    // records, which the interrupted run then seals as its last
+    // block; the resume cuts that block and stages them again.
+    RunOptions opts = sweepOptions(200, store);
     opts.ckpt.path = prefix;
     opts.ckpt.every = 0; // only the interrupt-time checkpoint
 
@@ -429,7 +526,12 @@ TEST(ResilientRun, InterruptCheckpointsThenResumesBitExact)
     EXPECT_TRUE(res.resumed);
     EXPECT_EQ(res.resumedFromIteration, stopped.iterations);
     expectPhysicsEqual(res, ref);
+    expectRecordsBitwise(readRecords(store), readRecords(ref_store),
+                         WallTime::Skip);
+    expectSameBlocks(store, ref_store);
     removeGenerations(prefix);
+    std::remove(store.c_str());
+    std::remove(ref_store.c_str());
 }
 
 TEST(ResilientRun, WdCrashResumeIsBitExact)

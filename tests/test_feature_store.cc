@@ -3,8 +3,9 @@
  * Feature trace store tests: bit-exact round trips across block
  * boundaries (including NaN/inf/denormal payloads), byte-identical
  * files across 1/2/4 pool threads, truncated-file and corrupted-CRC
- * rejection, iteration-range queries against a brute-force scan,
- * and the codec primitives, checked against bit-at-a-time reference
+ * rejection, a writer resumed at a checkpoint commit ending
+ * byte-identical to an uninterrupted one, iteration-range queries
+ * against a brute-force scan, and the codec primitives, checked against bit-at-a-time reference
  * encoders/decoders and a bitwise CRC-32 kept in this file.
  *
  * Fault battery (label fault_smoke via --gtest_filter=StoreFault.*):
@@ -26,9 +27,11 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "base/serial.hh"
 #include "base/thread_pool.hh"
 #include "store/codec.hh"
 #include "store/file.hh"
@@ -653,6 +656,83 @@ TEST(FeatureStore, RoundTripAcrossBlockBoundaries)
         expectRecordsBitwise(rec, makeRecord(i++, 3));
     EXPECT_EQ(i, 83u);
     std::remove(path.c_str());
+}
+
+TEST(FeatureStore, ResumeAtACommitIsByteIdentical)
+{
+    StoreOptions opts;
+    opts.blockCapacity = 8; // 83 records -> 11 blocks, partial tail
+    StoreSchema schema;
+    schema.coeffCount = 3;
+    const std::string ref_path = tempPath("resume_ref.tdfs");
+    writeStore(ref_path, 83, 3, opts);
+    const std::string ref = fileBytes(ref_path);
+
+    // Commit after 45 records (five sealed blocks, five staged), go
+    // on to 60 and seal, as a crashed attempt past its checkpoint
+    // leaves the file.
+    const std::string path = tempPath("resume.tdfs");
+    std::ostringstream commit_os(std::ios::binary);
+    {
+        FeatureStoreWriter w(path, schema, opts);
+        for (std::size_t i = 0; i < 45; ++i)
+            w.append(makeRecord(i, 3));
+        BinaryWriter cw(commit_os);
+        w.saveCommit(cw);
+        for (std::size_t i = 45; i < 60; ++i)
+            w.append(makeRecord(i, 3));
+        ASSERT_GT(w.finish(), 0u);
+    }
+    const std::string commit = commit_os.str();
+    const std::string crashed = fileBytes(path);
+
+    const auto resume = [&](const std::string &bytes,
+                            const StoreSchema &want,
+                            std::string *error) {
+        BinaryReader r(bytes);
+        return FeatureStoreWriter::resume(path, want, opts, r, error);
+    };
+    std::string error;
+
+    // Refused, with the file left as it was: a commit cut short, a
+    // schema that differs, a file shorter than the extent, a block
+    // inside the prefix that fails its CRC.
+    EXPECT_FALSE(resume(commit.substr(0, commit.size() - 3), schema,
+                        &error));
+    EXPECT_FALSE(error.empty());
+    StoreSchema wider = schema;
+    wider.coeffCount = 4;
+    EXPECT_FALSE(resume(commit, wider, &error));
+    EXPECT_EQ(fileBytes(path), crashed);
+    {
+        BinaryReader r(commit);
+        const std::uint64_t extent = r.readU64();
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << crashed.substr(0, extent - 1);
+        EXPECT_FALSE(resume(commit, schema, &error));
+        EXPECT_NE(error.find("extent"), std::string::npos) << error;
+        std::string damaged = crashed;
+        damaged[store::headerBytes + 20] ^= 0x40;
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << damaged;
+        EXPECT_FALSE(resume(commit, schema, &error));
+        EXPECT_EQ(fileBytes(path), damaged);
+        std::ofstream(path, std::ios::binary | std::ios::trunc)
+            << crashed;
+    }
+
+    // Resumed at the commit, the writer ends byte-identical to one
+    // that was never interrupted.
+    auto w = resume(commit, schema, &error);
+    ASSERT_TRUE(w) << error;
+    EXPECT_EQ(w->recordCount(), 45u);
+    EXPECT_EQ(w->blocksSealed(), 5u);
+    for (std::size_t i = 45; i < 83; ++i)
+        w->append(makeRecord(i, 3));
+    ASSERT_GT(w->finish(), 0u);
+    EXPECT_EQ(fileBytes(path), ref);
+    std::remove(path.c_str());
+    std::remove(ref_path.c_str());
 }
 
 TEST(FeatureStore, EmptyAndPartialStores)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for inference: one-step fitted curves, free-run
- * temporal forecasts, and recursive spatial rollout.
+ * temporal forecasts, and the peak profile's spatial rollout.
  */
 
 #include <algorithm>
@@ -107,7 +107,7 @@ TEST(Predictor, ForecastContinuesTheRecurrence)
                     0.1 * 8.0 * std::pow(0.8, t) + 0.02);
 }
 
-TEST(Predictor, SpatialRolloutExtendsProfile)
+TEST(Predictor, PeakProfileRollsPastTheLattice)
 {
     ArConfig cfg;
     cfg.order = 1;
@@ -128,17 +128,19 @@ TEST(Predictor, SpatialRolloutExtendsProfile)
         series.appendRow({16.0, 8.0, 4.0, 2.0});
 
     const Predictor pred(model, series);
-    const auto rolled = pred.spatialRollout(7);
-    ASSERT_EQ(rolled.size(), 3u); // locations 5, 6, 7
-    // After the lag warm-up row, values follow the halving rule.
-    EXPECT_NEAR(rolled[0][6], 1.0, 0.05);
-    EXPECT_NEAR(rolled[1][6], 0.5, 0.05);
-    EXPECT_NEAR(rolled[2][6], 0.25, 0.05);
-
     const auto peaks = pred.peakProfile(7);
-    ASSERT_EQ(peaks.size(), 7u);
-    EXPECT_DOUBLE_EQ(peaks[0], 16.0); // observed peak
-    EXPECT_NEAR(peaks[4], 1.0, 0.05); // rolled peak
+    ASSERT_EQ(peaks.size(), 7u); // observed 1..4, rolled 5, 6, 7
+    EXPECT_DOUBLE_EQ(peaks[0], 16.0);
+    EXPECT_DOUBLE_EQ(peaks[3], 2.0);
+    // Past the lattice the rolled peaks follow the halving rule.
+    EXPECT_NEAR(peaks[4], 1.0, 0.05);
+    EXPECT_NEAR(peaks[5], 0.5, 0.05);
+    EXPECT_NEAR(peaks[6], 0.25, 0.05);
+
+    // A loc_end inside the lattice still returns every sampled
+    // location's peak and rolls nothing.
+    EXPECT_EQ(pred.peakProfile(2), std::vector<double>(peaks.begin(),
+                                                       peaks.begin() + 4));
 }
 
 TEST(Predictor, OneStepAtIsTheSeriesElementBitwise)
@@ -189,57 +191,6 @@ TEST(Predictor, OneStepAtIsTheSeriesElementBitwise)
             matched += k;
         }
         EXPECT_GT(matched, 0u);
-    }
-}
-
-TEST(Predictor, SpatialRolloutIsThePerPredictionFormulaBitwise)
-{
-    // Irregular field over locations 2, 5, 8; rollout to 17 (three
-    // rolled locations, each lagging on the previous ones).
-    ObservedSeries series(2, 3, 3, 0);
-    for (int t = 0; t < 30; ++t)
-        series.appendRow({std::sin(0.3 * t) + 2.0,
-                          std::cos(0.2 * t) + 1.5,
-                          0.5 * std::sin(0.7 * t) + 1.0});
-    ArConfig cfg;
-    cfg.order = 2;
-    cfg.lag = 2;
-    cfg.axis = LagAxis::Space;
-    cfg.batchSize = 16;
-    const ArModel trained =
-        trainedModel(cfg, [](const std::vector<double> &x) {
-            return 0.6 * x[0] - 0.2 * x[1] + 0.4;
-        });
-    const ArModel untrained(cfg);
-
-    for (const ArModel *model : {&trained, &untrained}) {
-        const std::vector<double> raw = model->rawCoefficients();
-        for (const bool homogeneous : {true, false}) {
-            const auto rolled = Predictor(*model, series)
-                                    .spatialRollout(17, 0.0, homogeneous);
-            ASSERT_EQ(rolled.size(), 3u);
-            auto value_at = [&](long loc, long t) {
-                return loc <= series.locEnd()
-                    ? series.at(loc, t)
-                    : rolled[static_cast<std::size_t>((loc - 11) / 3)]
-                            [static_cast<std::size_t>(t)];
-            };
-            for (std::size_t k = 0; k < rolled.size(); ++k) {
-                const long loc = 11 + 3 * static_cast<long>(k);
-                for (long t = cfg.lag; t < 30; ++t) {
-                    const std::vector<double> lags{
-                        value_at(loc - 3, t - cfg.lag),
-                        value_at(loc - 6, t - cfg.lag)};
-                    double want = model->predict(lags);
-                    if (homogeneous && !model->trained())
-                        want = lags[0];
-                    else if (homogeneous)
-                        want = 0.0 + raw[1] * lags[0] + raw[2] * lags[1];
-                    EXPECT_EQ(rolled[k][static_cast<std::size_t>(t)], want)
-                        << "loc " << loc << " t " << t;
-                }
-            }
-        }
     }
 }
 
@@ -405,7 +356,7 @@ TEST(PredictorDeathTest, AxisMisuseIsRejected)
     for (int i = 0; i < 10; ++i)
         series.appendRow({1.0});
     const Predictor p(time_model, series);
-    EXPECT_DEATH(p.spatialRollout(5), "Space-axis");
+    EXPECT_DEATH(p.peakProfile(5), "Space-axis");
 
     ArConfig space_cfg;
     space_cfg.axis = LagAxis::Space;

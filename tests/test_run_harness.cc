@@ -2,9 +2,10 @@
  * @file
  * Run-harness tests against a toy app: the TDRESUME payload layout,
  * the loop's checkpoint cadence and injected halt, a resume refused
- * across an instrumentation change, and the supervisor's segment
- * stitch — a crashed and resumed instrumented run must leave the same
- * app state and the same store records as an uninterrupted one.
+ * across an instrumentation change, and the store's resume in place —
+ * a crashed and resumed instrumented run must leave the same app
+ * state and the same store records as an uninterrupted one, without
+ * rewriting the bytes its checkpoint committed.
  */
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "ckpt/checkpoint.hh"
 #include "core/region.hh"
 #include "harness/run_harness.hh"
+#include "store/format.hh"
 #include "tests/test_util.hh"
 
 namespace
@@ -117,7 +120,8 @@ TEST(RunHarness, CheckpointCadenceHaltAndPayloadLayout)
     EXPECT_TRUE(result.halted);
     EXPECT_EQ(result.checkpointsWritten, 2); // iterations 4 and 8
 
-    // tag, version 1, "has region" = false, then the app's bytes.
+    // tag, version 2, "has region" = false, the app's bytes, then
+    // "has store" = false.
     std::string payload, error;
     std::uint64_t iteration = 0;
     ASSERT_TRUE(ckpt::readCheckpointFile(
@@ -126,9 +130,10 @@ TEST(RunHarness, CheckpointCadenceHaltAndPayloadLayout)
     EXPECT_EQ(iteration, 8u);
     BinaryReader r(payload);
     r.expectTag("TDRESUME");
-    EXPECT_EQ(r.readU64(), 1u);
+    EXPECT_EQ(r.readU64(), 2u);
     EXPECT_FALSE(r.readBool());
     EXPECT_EQ(r.readI64(), 8);
+    EXPECT_FALSE(r.readBool());
     ASSERT_TRUE(r.ok()) << r.error();
     EXPECT_EQ(r.remaining(), 0u);
 
@@ -202,44 +207,137 @@ TEST(RunHarness, ResumeFailingInTheRegionLeavesAppAndRegionFresh)
     removeGenerations(prefix);
 }
 
-TEST(RunHarness, SupervisorStitchesSegmentsBitExact)
+/** @return the whole file at @p path. */
+std::string
+fileBytes(const std::string &path)
 {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** Expect no file in @p path's directory to start with its name and
+ *  ".seg". */
+void
+expectNoSegments(const std::string &path)
+{
+    const std::filesystem::path p(path);
+    const std::string seg = p.filename().string() + ".seg";
+    for (const auto &entry :
+         std::filesystem::directory_iterator(p.parent_path()))
+        EXPECT_NE(entry.path().filename().string().rfind(seg, 0), 0u)
+            << entry.path();
+}
+
+TEST(RunHarness, ResumedStoreKeepsItsCommittedBytes)
+{
+    // 700 records at 256 per block: two full blocks and a partial
+    // one, so a commit has sealed blocks and staged records.
+    constexpr long total = 700;
     HarnessOptions ref_opts;
     ref_opts.instrument = true;
     ref_opts.store.path = tempPath("harness_ref.tdfs");
     HarnessResult ref;
-    ASSERT_EQ(runWave(ref_opts, ref), 60);
+    ASSERT_EQ(runWave(ref_opts, ref, total), total);
     const std::vector<FeatureRecord> ref_records =
         readRecords(ref_opts.store.path);
-    ASSERT_FALSE(ref_records.empty());
+    ASSERT_EQ(ref_records.size(), static_cast<std::size_t>(total));
 
-    const std::string prefix = tempPath("harness_sup");
+    // The attempt crashes at 450; its newest checkpoint is 420.
+    const std::string prefix = tempPath("harness_inplace");
     removeGenerations(prefix);
     HarnessOptions opts = ref_opts;
     opts.store.path = prefix + ".tdfs";
     opts.ckpt.path = prefix;
-    opts.ckpt.every = 7;
+    opts.ckpt.every = 70;
     opts.ckpt.durability = "none";
-    opts.haltAfterIterations = 25;
-    long final_iter = 0;
-    const HarnessResult res =
-        superviseRuns(opts, nullptr, [&](const HarnessOptions &a) {
-            HarnessResult r;
-            final_iter = runWave(a, r);
-            return r;
-        });
-    EXPECT_EQ(final_iter, 60);
-    EXPECT_EQ(res.restarts, 1);
-    EXPECT_TRUE(res.resumed);
-    EXPECT_EQ(res.resumedFromIteration, 21);
-    EXPECT_EQ(res.storeBytes, std::filesystem::file_size(opts.store.path));
+    opts.haltAfterIterations = 450;
+    HarnessResult halted;
+    ASSERT_EQ(runWave(opts, halted, total), 450);
+    ASSERT_TRUE(halted.halted);
+    expectNoSegments(opts.store.path);
+    const std::string halted_bytes = fileBytes(opts.store.path);
 
-    // Records replayed after the iteration-21 checkpoint appear
-    // once; only wallTime may differ.
+    // The generation at 420 commits one sealed block and 164 staged
+    // records: its store section follows the region's bytes.
+    std::string payload, error;
+    std::uint64_t iteration = 0;
+    ASSERT_TRUE(ckpt::readCheckpointFile(
+        ckpt::generationPath(prefix, 420), &payload, &iteration,
+        &error))
+        << error;
+    WaveApp probe(total);
+    std::unique_ptr<Region> region =
+        makeRegion("wave", &probe, nullptr, opts);
+    region->addAnalysis(waveAnalysis());
+    BinaryReader r(payload);
+    r.expectTag("TDRESUME");
+    EXPECT_EQ(r.readU64(), 2u);
+    EXPECT_TRUE(r.readBool());
+    EXPECT_EQ(r.readI64(), 420);
+    ASSERT_TRUE(region->loadCheckpoint(r)) << region->checkpointError();
+    EXPECT_TRUE(r.readBool());
+    const std::uint64_t extent = r.readU64();
+    EXPECT_EQ(r.readU64(), 1u);   // sealed blocks
+    EXPECT_EQ(r.readU64(), 164u); // staged records
+    ASSERT_TRUE(r.ok()) << r.error();
+    ASSERT_GT(extent, store::headerBytes);
+    ASSERT_LT(extent, halted_bytes.size());
+
+    opts.haltAfterIterations = 0;
+    opts.ckpt.resumeAuto = true;
+    HarnessResult resumed;
+    ASSERT_EQ(runWave(opts, resumed, total), total);
+    EXPECT_TRUE(resumed.resumed);
+    EXPECT_EQ(resumed.resumedFromIteration, 420);
+    EXPECT_EQ(resumed.storeBytes,
+              std::filesystem::file_size(opts.store.path));
+    expectNoSegments(opts.store.path);
+
+    // Only wallTime may differ from the uninterrupted run, the block
+    // layout is the same, and the committed prefix was not rewritten.
     expectRecordsBitwise(readRecords(opts.store.path), ref_records,
                          WallTime::Skip);
-    // The segments are gone unless keepParts was requested.
-    EXPECT_FALSE(std::ifstream(opts.store.path + ".seg0").good());
+    expectSameBlocks(opts.store.path, ref_opts.store.path);
+    EXPECT_EQ(fileBytes(opts.store.path).substr(0, extent),
+              halted_bytes.substr(0, extent));
+    removeGenerations(prefix);
+    std::remove(opts.store.path.c_str());
+    std::remove(ref_opts.store.path.c_str());
+}
+
+TEST(RunHarness, StoreShorterThanItsCommitStartsFresh)
+{
+    // Power loss under durability "none" can leave the store shorter
+    // than the extent its checkpoint committed: the payload is then
+    // not usable, and the run starts from scratch with a new store.
+    constexpr long total = 700;
+    HarnessOptions ref_opts;
+    ref_opts.instrument = true;
+    ref_opts.store.path = tempPath("harness_short_ref.tdfs");
+    HarnessResult ref;
+    ASSERT_EQ(runWave(ref_opts, ref, total), total);
+
+    const std::string prefix = tempPath("harness_short");
+    removeGenerations(prefix);
+    HarnessOptions opts = ref_opts;
+    opts.store.path = prefix + ".tdfs";
+    opts.ckpt.path = prefix;
+    opts.ckpt.every = 70;
+    opts.ckpt.durability = "none";
+    opts.haltAfterIterations = 450;
+    HarnessResult halted;
+    ASSERT_EQ(runWave(opts, halted, total), 450);
+    std::filesystem::resize_file(opts.store.path, store::headerBytes + 8);
+
+    opts.haltAfterIterations = 0;
+    opts.ckpt.resumeAuto = true;
+    HarnessResult fresh;
+    ASSERT_EQ(runWave(opts, fresh, total), total);
+    EXPECT_FALSE(fresh.resumed);
+    expectRecordsBitwise(readRecords(opts.store.path),
+                         readRecords(ref_opts.store.path),
+                         WallTime::Skip);
     removeGenerations(prefix);
     std::remove(opts.store.path.c_str());
     std::remove(ref_opts.store.path.c_str());

@@ -9,8 +9,7 @@
  * concurrent threads, zone-map pushdown gates (selective queries
  * must not decode most blocks), the iteration-sorted k-way rank
  * merge keeping stores queryable, finishRankStore honoring the
- * caller's StoreOptions, the crash-segment stitch staying exact
- * through empty middle segments, and the td_store_query_* C API.
+ * caller's StoreOptions, and the td_store_query_* C API.
  */
 
 #include <algorithm>
@@ -747,7 +746,7 @@ TEST(QueryCompat, FutureVersionRejectedCleanly)
     std::remove(path.c_str());
 }
 
-// ------------------------------------------------- merge and stitch
+// ------------------------------------------------------------ merge
 
 TEST(StoreMergeQuery, MergedStoreStaysSortedAndQueryable)
 {
@@ -857,94 +856,6 @@ TEST(StoreMergeQuery, FinishRankStoreHonorsStoreOptions)
     EXPECT_EQ(r->blockCapacity(), 8u);
     EXPECT_TRUE(r->sortedByIteration());
     std::remove(base.c_str());
-}
-
-TEST(StitchQuery, EmptyMiddleSegmentDoesNotDuplicate)
-{
-    StoreSchema schema;
-    schema.coeffCount = 1;
-    const auto writeSeg = [&schema](const std::string &p, long begin,
-                                    long end) {
-        StoreOptions opts;
-        opts.blockCapacity = 16;
-        FeatureStoreWriter w(p, schema, opts);
-        FeatureRecord rec;
-        rec.coeffs.assign(1, 0.0);
-        for (long i = begin; i < end; ++i) {
-            rec.iteration = i;
-            rec.mse = static_cast<double>(i);
-            w.append(rec);
-        }
-        ASSERT_GT(w.finish(), 0u);
-    };
-
-    const std::string seg0 = tempPath("stitch_seg0.tdfs");
-    const std::string seg1 = tempPath("stitch_seg1.tdfs");
-    const std::string seg2 = tempPath("stitch_seg2.tdfs");
-    const std::string out = tempPath("stitch_out.tdfs");
-
-    // Crash/resume shape: attempt 0 reached iteration 100, attempt
-    // 1 died before sealing anything (readable but empty), attempt
-    // 2 resumed from the iteration-50 checkpoint. The old cutoff
-    // chaining let the empty middle segment reset segment 0's
-    // cutoff, duplicating iterations 50..99.
-    writeSeg(seg0, 0, 100);
-    writeSeg(seg1, 0, 0); // sealed but empty
-    writeSeg(seg2, 50, 150);
-
-    const auto checkStitched = [&] {
-        EXPECT_EQ(stitchSegmentStores({seg0, seg1, seg2}, out),
-                  150u);
-        const auto r = FeatureStoreReader::open(out);
-        ASSERT_TRUE(r);
-        EXPECT_TRUE(r->sortedByIteration());
-        auto c = r->cursor();
-        FeatureRecord rec;
-        long want = 0;
-        while (c.next(rec))
-            EXPECT_EQ(rec.iteration, want++);
-        EXPECT_EQ(want, 150);
-    };
-    checkStitched();
-
-    // Same with a torn middle segment: header only, no sealed
-    // blocks — exactly what a crash before the first seal leaves.
-    {
-        std::ifstream in(seg0, std::ios::binary);
-        std::vector<char> header(store::headerBytes);
-        in.read(header.data(),
-                static_cast<std::streamsize>(header.size()));
-        ASSERT_TRUE(in.good());
-        std::ofstream torn(seg1,
-                           std::ios::binary | std::ios::trunc);
-        torn.write(header.data(),
-                   static_cast<std::streamsize>(header.size()));
-    }
-    checkStitched();
-
-    for (const std::string &p : {seg0, seg1, seg2, out})
-        std::remove(p.c_str());
-}
-
-TEST(StitchQuery, SchemaMismatchIsFatal)
-{
-    // A segment whose schema differs from the first readable one is
-    // a caller bug under the one damage rule, as in the rank merge:
-    // fatal, not skipped.
-    StoreSchema s1, s2;
-    s1.coeffCount = 1;
-    s2.coeffCount = 2;
-    const std::string seg0 = tempPath("stitch_mismatch0.tdfs");
-    const std::string seg1 = tempPath("stitch_mismatch1.tdfs");
-    {
-        FeatureStoreWriter w0(seg0, s1);
-        FeatureStoreWriter w1(seg1, s2);
-    }
-    EXPECT_DEATH(stitchSegmentStores({seg0, seg1},
-                                     tempPath("stitch_mismatch.tdfs")),
-                 "schema mismatch");
-    std::remove(seg0.c_str());
-    std::remove(seg1.c_str());
 }
 
 // ------------------------------------------------------------ C API

@@ -129,6 +129,20 @@ expectRecordsBitwise(const std::vector<FeatureRecord> &a,
     }
 }
 
+/** Expect the stores at @p a and @p b to hold the same number of
+ *  blocks with the same record count each. */
+inline void
+expectSameBlocks(const std::string &a, const std::string &b)
+{
+    const auto ra = FeatureStoreReader::open(a);
+    const auto rb = FeatureStoreReader::open(b);
+    ASSERT_TRUE(ra && rb);
+    ASSERT_EQ(ra->blockCount(), rb->blockCount());
+    for (std::size_t i = 0; i < ra->blockCount(); ++i)
+        EXPECT_EQ(ra->blockInfo(i).records, rb->blockInfo(i).records)
+            << "block " << i;
+}
+
 } // namespace test
 
 } // namespace tdfe
