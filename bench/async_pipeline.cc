@@ -18,7 +18,6 @@
 #include "bench/bench_common.hh"
 
 #include <algorithm>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,11 +53,11 @@ struct PipelineResult
 std::uint64_t
 hashAnalyses(Region &region)
 {
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::string bytes;
+    BinaryWriter w(bytes);
     for (std::size_t a = 0; a < region.analysisCount(); ++a)
         region.analysis(a).save(w);
-    return fnv1a(os.str());
+    return fnv1a(bytes);
 }
 
 /** Three analyses on the probe line: the paper's break-point plus

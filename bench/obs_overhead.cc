@@ -35,7 +35,6 @@
 #include <cmath>
 #include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,11 +68,11 @@ struct CloverRun
 std::uint64_t
 hashAnalyses(Region &region)
 {
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::string bytes;
+    BinaryWriter w(bytes);
     for (std::size_t a = 0; a < region.analysisCount(); ++a)
         region.analysis(a).save(w);
-    return fnv1a(os.str());
+    return fnv1a(bytes);
 }
 
 /** Same three analyses as bench/async_pipeline: break-point,

@@ -28,7 +28,6 @@
 #include "bench/bench_common.hh"
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,10 +139,10 @@ runRank(const blast::BlastConfig &cfg, Communicator *comm,
     out.overheadPerIter = region.overheadSeconds() /
                           static_cast<double>(out.iterations);
     out.feature = region.analysis(0).extractFeature();
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::string bytes;
+    BinaryWriter w(bytes);
     region.analysis(0).save(w);
-    out.checkpointHash = fnv1a(os.str());
+    out.checkpointHash = fnv1a(bytes);
     return out;
 }
 

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -377,14 +376,14 @@ runGrid(int size, long steps)
 
     GridResult out;
     out.stepSecPerIter = t.elapsed() / static_cast<double>(steps);
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::string bytes;
+    BinaryWriter w(bytes);
     for (CurveFitAnalysis *an : analyses) {
         out.features.push_back(an->extractFeature());
         out.predictions.push_back(an->currentPrediction());
         an->save(w);
     }
-    out.checkpointHash = fnv1a(os.str());
+    out.checkpointHash = fnv1a(bytes);
     return out;
 }
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: configure, build, run the tier-1 test suite,
+# Tier-1 verification: configure, build (the library, its tests and
+# tools, then the stand-alone perfbench tree), run the tier-1 test suite,
 # then run the bench_smoke label on its own so a regression in either
 # pipeline (library correctness or bench wiring, including the
 # async_pipeline, rank_pipeline, simd_hotpath, store_throughput,
@@ -33,6 +34,11 @@ root=$(pwd)
 
 cmake -B build -S .
 cmake --build build -j"$(nproc)"
+# The benchmark is its own CMake project over the same src/ tree
+# (perfbench/CMakeLists.txt); building it here, build only, makes a
+# change that breaks the library calls it pins fail this script.
+cmake -B build-perfbench -S perfbench
+cmake --build build-perfbench -j"$(nproc)"
 cd build
 ctest --output-on-failure -j"$(nproc)" -L tier1 "$@"
 ctest --output-on-failure -L bench_smoke

@@ -12,46 +12,34 @@ namespace tdfe
 {
 
 void
-BinaryWriter::writeU64(std::uint64_t v)
+BinaryWriter::put(const void *data, std::size_t n)
 {
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-BinaryWriter::writeI64(std::int64_t v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
-}
-
-void
-BinaryWriter::writeF64(double v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof(v));
+    const char *p = static_cast<const char *>(data);
+    if (buf)
+        buf->append(p, n);
+    else
+        stream->write(p, static_cast<std::streamsize>(n));
 }
 
 void
 BinaryWriter::writeBool(bool v)
 {
     const std::uint8_t b = v ? 1 : 0;
-    out.write(reinterpret_cast<const char *>(&b), sizeof(b));
+    put(&b, sizeof(b));
 }
 
 void
 BinaryWriter::writeVec(const std::vector<double> &v)
 {
     writeU64(v.size());
-    if (!v.empty()) {
-        out.write(reinterpret_cast<const char *>(v.data()),
-                  static_cast<std::streamsize>(v.size() *
-                                               sizeof(double)));
-    }
+    put(v.data(), v.size() * sizeof(double));
 }
 
 void
 BinaryWriter::writeTag(const std::string &tag)
 {
     writeU64(tag.size());
-    out.write(tag.data(), static_cast<std::streamsize>(tag.size()));
+    put(tag.data(), tag.size());
 }
 
 void

@@ -1,28 +1,31 @@
 /**
  * @file
  * Minimal binary serialization for checkpoint/restart: fixed-width
- * little-endian primitives and length-prefixed vectors. The writer
- * appends to a std::ostream. The reader parses in-memory bytes (a
- * checkpoint payload, a trace file read whole) through
- * store::ByteReader, and caps every count it reads — a vector or tag
- * length — by the bytes remaining before it allocates or copies
- * anything. The library's checkpoint model mirrors gem5's:
- * configuration is reconstructed by the application (the same code
- * that built the objects the first time), and only *mutable state*
- * travels through the checkpoint, guarded by magic/version tags and
- * shape checks on load.
+ * little-endian primitives and length-prefixed vectors. Both halves
+ * work on in-memory bytes: the writer appends to a caller-owned
+ * std::string (the payload type CheckpointSet::save takes), and the
+ * reader parses such a string (a checkpoint payload, a trace file
+ * read whole) through store::ByteReader, capping every count it
+ * reads — a vector or tag length — by the bytes remaining before it
+ * allocates or copies anything. The library's checkpoint model
+ * mirrors gem5's: configuration is reconstructed by the application
+ * (the same code that built the objects the first time), and only
+ * *mutable state* travels through the checkpoint, guarded by
+ * magic/version tags and shape checks on load.
  *
- * Error model: damaged bytes (truncation, tag skew, corrupt lengths)
- * are an environment fact a resilient harness must survive, not a
- * library bug — so the reader never fatals on them. The first
- * mismatch latches a sticky error (ok() turns false, error() says
- * what and where) and every subsequent read returns zeros without
- * consuming input, so a load path can finish cheaply and the caller
- * (Region::loadCheckpoint, the auto-resume supervisor) can fall back
- * to an older checkpoint generation. *Shape* disagreements observed
- * through a healthy reader — a checkpoint for a different model
- * order or lattice — are fatal (readVecInto, the component load()
- * functions): that is caller misconfiguration, not file damage.
+ * Error model: appending to memory cannot fail, so the writer has
+ * no error state. Damaged bytes (truncation, tag skew, corrupt
+ * lengths) are an environment fact a resilient harness must
+ * survive, not a library bug — so the reader never fatals on them.
+ * The first mismatch latches a sticky error (ok() turns false,
+ * error() says what and where) and every subsequent read returns
+ * zeros without consuming input, so a load path can finish cheaply
+ * and the caller (Region::loadCheckpoint, the auto-resume
+ * supervisor) can fall back to an older checkpoint generation.
+ * *Shape* disagreements observed through a healthy reader — a
+ * checkpoint for a different model order or lattice — are fatal
+ * (readVecInto, the component load() functions): that is caller
+ * misconfiguration, not file damage.
  */
 
 #ifndef TDFE_BASE_SERIAL_HH
@@ -42,13 +45,23 @@ namespace tdfe
 class BinaryWriter
 {
   public:
-    /** @param out Destination stream (must outlive the writer). */
-    explicit BinaryWriter(std::ostream &out) : out(out) {}
+    /** Append to @p out (must outlive the writer). */
+    explicit BinaryWriter(std::string &out) : buf(&out) {}
+
+    /**
+     * Write each field straight through to @p out (must outlive the
+     * writer), so writes through this writer and direct writes to
+     * @p out interleave in call order. The stream form exists for
+     * the perfbench harness, which builds its checkpoint payload
+     * over an ostringstream; nothing in the library calls it. The
+     * caller checks its stream.
+     */
+    explicit BinaryWriter(std::ostream &out) : stream(&out) {}
 
     /** Fixed-width primitives. @{ */
-    void writeU64(std::uint64_t v);
-    void writeI64(std::int64_t v);
-    void writeF64(double v);
+    void writeU64(std::uint64_t v) { put(&v, sizeof(v)); }
+    void writeI64(std::int64_t v) { put(&v, sizeof(v)); }
+    void writeF64(double v) { put(&v, sizeof(v)); }
     void writeBool(bool v);
     /** @} */
 
@@ -58,12 +71,12 @@ class BinaryWriter
     /** Length-prefixed byte tag (magic / section names). */
     void writeTag(const std::string &tag);
 
-    /** @return true while every write has reached the stream (the
-     *  stream's failbit latches like the reader's error). */
-    bool ok() const { return out.good(); }
-
   private:
-    std::ostream &out;
+    /** Append @p n raw bytes at @p data to the sink. */
+    void put(const void *data, std::size_t n);
+
+    std::string *buf = nullptr;
+    std::ostream *stream = nullptr;
 };
 
 /**

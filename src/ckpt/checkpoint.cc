@@ -4,6 +4,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include <dirent.h>
@@ -13,6 +14,7 @@
 #include "base/logging.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
+#include "store/codec.hh"
 
 namespace tdfe
 {
@@ -43,6 +45,81 @@ splitPrefix(const std::string &prefix, std::string *dir,
     }
 }
 
+/** Envelope bytes before the payload (magic .. header CRC). */
+constexpr std::size_t headerBytes = 36;
+/** Envelope bytes after the payload (its CRC). */
+constexpr std::size_t trailerBytes = 4;
+
+/** @return @p payload in the envelope of @p iteration. */
+std::vector<std::uint8_t>
+encodeEnvelope(const std::string &payload, std::uint64_t iteration)
+{
+    std::vector<std::uint8_t> out(envelopeMagic, envelopeMagic + 8);
+    out.reserve(headerBytes + payload.size() + trailerBytes);
+    store::putU32(out, envelopeVersion);
+    store::putU32(out, 0); // reserved
+    store::putU64(out, iteration);
+    store::putU64(out, payload.size());
+    store::putU32(out, store::crc32(out.data(), 32));
+    const auto *p =
+        reinterpret_cast<const std::uint8_t *>(payload.data());
+    out.insert(out.end(), p, p + payload.size());
+    store::putU32(out, store::crc32(p, payload.size()));
+    return out;
+}
+
+/** Record @p error as @p info's verdict. @return false. */
+bool
+reject(EnvelopeInfo &info, const std::string &error)
+{
+    info.error = error;
+    return false;
+}
+
+/**
+ * Validate the envelope held in @p bytes into @p info: size, magic,
+ * header CRC, version, exact length, payload CRC, in that order.
+ * @p info gets every header field that parses, even for a rejected
+ * envelope. @return info.valid — the payload then starts at
+ * `bytes.data() + headerBytes`.
+ */
+bool
+decodeEnvelope(const std::vector<std::uint8_t> &bytes,
+               EnvelopeInfo &info)
+{
+    info.fileBytes = bytes.size();
+    if (bytes.size() < headerBytes + trailerBytes)
+        return reject(info, "file too small for an envelope (" +
+                                std::to_string(bytes.size()) +
+                                " bytes)");
+    if (std::memcmp(bytes.data(), envelopeMagic, 8) != 0)
+        return reject(info, "bad magic");
+    store::ByteReader r(bytes.data() + 8, headerBytes - 8);
+    info.version = r.u32();
+    r.skip(4); // reserved
+    info.iteration = r.u64();
+    info.payloadBytes = r.u64();
+    if (r.u32() != store::crc32(bytes.data(), 32))
+        return reject(info,
+                      "header CRC mismatch (torn or corrupt header)");
+    if (info.version != envelopeVersion)
+        return reject(info, "unsupported version " +
+                                std::to_string(info.version));
+    const std::size_t body = bytes.size() - headerBytes - trailerBytes;
+    if (info.payloadBytes != body)
+        return reject(info, "size mismatch: header promises " +
+                                std::to_string(info.payloadBytes) +
+                                " payload bytes, file has " +
+                                std::to_string(body) + " (torn write)");
+    const std::uint8_t *payload = bytes.data() + headerBytes;
+    store::ByteReader crc(payload + body, trailerBytes);
+    info.payloadCrc = crc.u32();
+    if (info.payloadCrc != store::crc32(payload, body))
+        return reject(info, "payload CRC mismatch (corrupt payload)");
+    info.valid = true;
+    return true;
+}
+
 /**
  * Read and validate the envelope at @p path into @p bytes. @p info
  * gets everything parseable, even for a rejected file.
@@ -54,18 +131,10 @@ loadEnvelope(const std::string &path, std::vector<std::uint8_t> &bytes,
     // No size cap: a checkpoint is as large as the state it holds.
     const store::IoError io = store::readWholeFile(
         {}, path, std::numeric_limits<std::uint64_t>::max(), bytes);
-    if (!io.ok()) {
+    if (io.ok())
+        decodeEnvelope(bytes, info);
+    else
         info.error = io.message;
-        return;
-    }
-    info.fileBytes = bytes.size();
-    store::FrameInfo frame;
-    info.valid = store::decodeFrame(envelopeMagic, envelopeVersion,
-                                    bytes, frame, &info.error);
-    info.version = frame.version;
-    info.iteration = frame.counter;
-    info.payloadBytes = frame.payloadBytes;
-    info.payloadCrc = frame.payloadCrc;
 }
 
 /** Best-effort fsync of the directory holding @p path so the rename
@@ -97,11 +166,10 @@ writeCheckpointFile(const std::string &path,
                     const std::string &payload,
                     std::uint64_t iteration, const WriteOptions &opts)
 {
-    std::vector<std::uint8_t> frame;
-    store::encodeFrame(envelopeMagic, envelopeVersion, iteration,
-                       payload.data(), payload.size(), frame);
-    const CkptStatus st =
-        store::publishFile(path, frame.data(), frame.size(), opts);
+    const std::vector<std::uint8_t> envelope =
+        encodeEnvelope(payload, iteration);
+    const CkptStatus st = store::publishFile(path, envelope.data(),
+                                             envelope.size(), opts);
     // CheckpointSet prunes older generations after a save, so the
     // rename itself must survive node loss under SyncPerSeal.
     if (st.ok() &&
@@ -124,7 +192,7 @@ readCheckpointFile(const std::string &path, std::string *payload,
     }
     if (payload)
         payload->assign(reinterpret_cast<const char *>(bytes.data()) +
-                            store::frameHeaderBytes,
+                            headerBytes,
                         static_cast<std::size_t>(info.payloadBytes));
     if (iteration)
         *iteration = info.iteration;

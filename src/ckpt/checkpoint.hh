@@ -3,11 +3,22 @@
  * Crash-safe checkpoint generations + rotation. Checkpoints are the
  * restart data of a long campaign, so unlike the feature store they
  * default to the paranoid end of the durability scale. Each
- * generation is one store/frame.hh frame (magic "TDCKENV1", version
- * 1, the iteration as its counter; the layout is documented there)
- * published atomically by store::publishFile, so a crash at any byte
- * leaves either the previous generation intact or a torn file that
- * fails its CRC and is skipped by openNewestValid().
+ * generation is one envelope around an opaque payload, published
+ * atomically by store::publishFile (one write to `<path>.tmp`,
+ * flush or fsync per policy, rename), so a crash at any byte leaves
+ * either the previous generation intact or a torn file that fails
+ * its CRC and is skipped by openNewestValid().
+ *
+ * Envelope layout (little-endian, see base/portable.hh):
+ *
+ *     offset  0   magic[8]        "TDCKENV1"
+ *     offset  8   u32 version     1
+ *     offset 12   u32 reserved    zero
+ *     offset 16   u64 iteration
+ *     offset 24   u64 payload bytes (n)
+ *     offset 32   u32 header CRC-32 (of bytes [0, 32))
+ *     offset 36   payload
+ *     offset 36+n u32 payload CRC-32
  *
  * Error model mirrors the store sink: nothing in here ever fatals on
  * I/O. Saves that fail latch a sticky degraded status on the
@@ -24,7 +35,7 @@
 #include <string>
 #include <vector>
 
-#include "store/frame.hh"
+#include "store/file.hh"
 
 namespace tdfe
 {
@@ -53,9 +64,11 @@ CkptStatus writeCheckpointFile(const std::string &path,
                                const WriteOptions &opts = {});
 
 /**
- * Read and fully validate an envelope. @return true with the payload
- * and iteration filled in; false with @p error describing the first
- * problem (missing, truncated, bad magic/version/CRC).
+ * Read and fully validate an envelope: size, magic, header CRC,
+ * version, exact length, payload CRC, in that order. @return true
+ * with the payload and iteration filled in; false with @p error
+ * describing the first problem (missing, truncated, bad
+ * magic/version/CRC).
  */
 bool readCheckpointFile(const std::string &path, std::string *payload,
                         std::uint64_t *iteration,

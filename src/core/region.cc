@@ -447,8 +447,8 @@ Region::setCommunicator(Communicator *c)
     comm = c;
 }
 
-bool
-Region::saveCheckpoint(std::ostream &out) const
+void
+Region::saveCheckpoint(BinaryWriter &w) const
 {
     // Settle everything in flight: the epoch drain runs the
     // deferred protocol, and completing the posted collectives
@@ -458,7 +458,6 @@ Region::saveCheckpoint(std::ostream &out) const
     auto *self = const_cast<Region *>(this);
     self->completeSync(Harvest::Query);
     self->completeBcast(Harvest::Query);
-    BinaryWriter w(out);
     w.writeTag("TDFECKPT");
     w.writeU64(2); // format version
     w.writeU64(analyses.size());
@@ -473,15 +472,13 @@ Region::saveCheckpoint(std::ostream &out) const
     w.writeF64(stepTime);
     for (const auto &a : analyses)
         a->save(w);
-    out.flush();
-    if (!w.ok()) {
-        self->ckptError_ =
-            "checkpoint write failed (stream error on '" + name +
-            "')";
-        return false;
-    }
-    self->ckptError_.clear();
-    return true;
+}
+
+void
+Region::saveCheckpoint(std::ostream &out) const
+{
+    BinaryWriter w(out);
+    saveCheckpoint(w);
 }
 
 bool

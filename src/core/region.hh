@@ -25,6 +25,7 @@ namespace tdfe
 {
 
 class BinaryReader;
+class BinaryWriter;
 class FeatureStoreWriter;
 
 /**
@@ -208,29 +209,38 @@ class Region
     const double *lastBroadcast() const;
 
     /**
-     * Write a checkpoint of the region and all its analyses to
-     * @p out. Restore by constructing an identically-configured
-     * Region (same analyses in the same order) and calling
-     * loadCheckpoint() with a reader over the written bytes; the
-     * checkpoint carries only mutable state. The load consumes the
+     * Append a checkpoint of the region and all its analyses to
+     * @p w; it mirrors loadCheckpoint(). Restore by constructing an
+     * identically-configured Region (same analyses in the same
+     * order) and calling loadCheckpoint() with a reader over the
+     * written bytes; the checkpoint carries only mutable state. The
+     * save drains the in-flight epoch first. The load consumes the
      * region's bytes from @p r and leaves the reader just past them,
      * so a container payload (the run harness's TDRESUME) can embed
      * the region after its own fields and read both with one reader.
      *
-     * Neither direction fatals on I/O or byte damage: both return
-     * false with the reason in checkpointError() (a failed load
-     * leaves the region's mutable state unspecified — reconstruct
-     * it, reload a known-good checkpoint, or fall back to another
-     * generation). A *shape* mismatch through a healthy reader — a
-     * checkpoint for a differently-configured analysis — still
-     * fatals in the analysis loaders: that is caller
-     * misconfiguration, not file damage.
+     * The save appends to memory and cannot fail. The load never
+     * fatals on byte damage: it returns false with the reason in
+     * checkpointError() (the region's mutable state is then
+     * unspecified — reconstruct it, reload a known-good checkpoint,
+     * or fall back to another generation). A *shape* mismatch
+     * through a healthy reader — a checkpoint for a
+     * differently-configured analysis — still fatals in the analysis
+     * loaders: that is caller misconfiguration, not file damage.
      * @{ */
-    bool saveCheckpoint(std::ostream &out) const;
+    void saveCheckpoint(BinaryWriter &w) const;
     bool loadCheckpoint(BinaryReader &r);
     /** @} */
 
-    /** Reason of the last failed save/loadCheckpoint ("" if none). */
+    /**
+     * The same save written straight through to @p out
+     * (BinaryWriter's stream form), for the perfbench harness, which
+     * appends it to its substrate's bytes in one ostringstream.
+     * Nothing in the library calls it; the caller checks @p out.
+     */
+    void saveCheckpoint(std::ostream &out) const;
+
+    /** Reason of the last failed loadCheckpoint ("" if none). */
     const std::string &checkpointError() const { return ckptError_; }
 
     /**

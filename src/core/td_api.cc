@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <vector>
 
 #include "base/logging.hh"
@@ -630,14 +629,11 @@ td_region_checkpoint(const td_region_t *region, const char *path)
     // The handle's status fields are bookkeeping, not region state.
     td_region_t *self = const_cast<td_region_t *>(region);
 
-    std::ostringstream os(std::ios::binary);
-    if (!region->region.saveCheckpoint(os)) {
-        self->ckptStatus = -1;
-        self->ckptErrorMsg = region->region.checkpointError();
-        return -1;
-    }
+    std::string payload;
+    tdfe::BinaryWriter w(payload);
+    region->region.saveCheckpoint(w);
     const tdfe::ckpt::CkptStatus st = tdfe::ckpt::writeCheckpointFile(
-        path, os.str(),
+        path, payload,
         static_cast<std::uint64_t>(region->region.iteration()));
     self->ckptStatus = st.code;
     self->ckptErrorMsg = st.message;

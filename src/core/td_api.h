@@ -479,8 +479,9 @@ double td_region_overhead_seconds(const td_region_t *region);
  * CRC-framed checkpoint. Restore by building an
  * identically-configured region and calling td_region_restore.
  *
- * @return 0 on success, -1 on any I/O or serialization failure
- * (never fatal; details via td_ckpt_status / td_ckpt_error).
+ * @return 0 on success, -1 when the file cannot be written (never
+ * fatal; details via td_ckpt_status / td_ckpt_error). Serializing
+ * the state happens in memory and cannot fail.
  */
 int td_region_checkpoint(const td_region_t *region,
                          const char *path);

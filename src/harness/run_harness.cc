@@ -1,7 +1,6 @@
 #include "harness/run_harness.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "base/logging.hh"
 #include "base/serial.hh"
@@ -34,20 +33,20 @@ std::string
 buildResumePayload(const HarnessApp &app, const Region *region,
                    FeatureStoreWriter *store)
 {
-    std::ostringstream os(std::ios::binary);
-    BinaryWriter w(os);
+    std::string payload;
+    BinaryWriter w(payload);
     w.writeTag("TDRESUME");
     w.writeU64(2); // payload format version
     w.writeBool(region != nullptr);
     app.save(w);
     if (region)
-        region->saveCheckpoint(os);
+        region->saveCheckpoint(w);
     // The region's save drained the epoch, so every record of the
     // saved iterations has reached the store.
     w.writeBool(store != nullptr);
     if (store)
         store->saveCommit(w);
-    return os.str();
+    return payload;
 }
 
 /** Restore @p payload into @p app and @p region and, when

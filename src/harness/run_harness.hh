@@ -20,12 +20,14 @@
  * bytes, then — when instrumented — Region::saveCheckpoint's bytes,
  * then bool "has store" and the store's commit
  * (FeatureStoreWriter::saveCommit), written once the region's save
- * has drained the epoch. One BinaryReader reads the whole payload in
- * place. A CRC-valid payload that does not fit the run (other
- * version, a region or store saved by a differently configured run,
- * a region with a different analysis count, or a store file that no
- * longer holds the committed blocks — power loss under durability
- * "none") is skipped with a warning and the run starts from scratch:
+ * has drained the epoch. One BinaryWriter appends every part to one
+ * in-memory string, the payload CheckpointSet::save takes, and one
+ * BinaryReader reads the whole payload in place. A CRC-valid
+ * payload that does not fit the run (other version, a region or
+ * store saved by a differently configured run, a region with a
+ * different analysis count, or a store file that no longer holds
+ * the committed blocks — power loss under durability "none") is
+ * skipped with a warning and the run starts from scratch:
  * the app and region are put back in the state they had before the
  * attempt, even when the app's part had already loaded.
  *

@@ -8,7 +8,7 @@
 #include "base/logging.hh"
 #include "base/portable.hh"
 #include "base/serial.hh"
-#include "store/frame.hh"
+#include "store/file.hh"
 
 namespace tdfe
 {
@@ -74,19 +74,24 @@ FullTrace::peakProfile() const
 std::size_t
 FullTrace::dump(const std::string &path) const
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        TDFE_FATAL("cannot open trace file for writing: ", path);
-
-    BinaryWriter w(out);
+    std::string bytes;
+    BinaryWriter w(bytes);
     w.writeTag(traceTag);
     w.writeU64(traceVersion);
     w.writeU64(nLocs);
     w.writeU64(iterCount());
     w.writeVec(values);
-    if (!out.good())
+
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+        TDFE_FATAL("cannot open trace file for writing: ", path);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    // The stream buffers its tail until close: only then does a
+    // failed final write (a full disk) show.
+    out.close();
+    if (out.fail())
         TDFE_FATAL("trace write failed: ", path);
-    return static_cast<std::size_t>(out.tellp());
+    return bytes.size();
 }
 
 FullTrace

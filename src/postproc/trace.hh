@@ -56,7 +56,9 @@ class FullTrace
     /**
      * Write the trace to @p path through base/serial (tagged
      * little-endian binary, shared portability guard with the
-     * feature store; see base/portable.hh).
+     * feature store; see base/portable.hh): built in memory, written
+     * once. A failed open or write is fatal, including one the
+     * stream only reports when the file is closed (a full disk).
      * @return bytes written.
      */
     std::size_t dump(const std::string &path) const;

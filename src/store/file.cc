@@ -278,6 +278,69 @@ openReadFileVia(const ReadFileFactory &factory,
     return openOsReadFile(path, error);
 }
 
+IoError
+publishFile(const std::string &path, const void *data, std::size_t n,
+            const PublishOptions &opts)
+{
+    const std::string tmp = path + ".tmp";
+    IoError err;
+    std::unique_ptr<StoreFile> file = openOsFile(tmp, &err);
+    if (!file)
+        return err;
+    if (opts.wrapFile)
+        file = opts.wrapFile(std::move(file));
+
+    // One write call, so an injected crash-at-byte-N tears the file
+    // at exactly that offset, independent of buffering.
+    err = file->write(data, n);
+    if (err.ok() && opts.durability == DurabilityPolicy::FlushPerSeal)
+        err = file->flush();
+    if (err.ok() && opts.durability == DurabilityPolicy::SyncPerSeal)
+        err = file->sync();
+    const IoError closed = file->close();
+    if (err.ok())
+        err = closed;
+    // skipRename: the durable temp file is abandoned exactly as a
+    // crash before the publish would leave it.
+    if (err.ok() && !opts.skipRename &&
+        std::rename(tmp.c_str(), path.c_str()) != 0) {
+        err.code = errno != 0 ? errno : EIO;
+        err.message = "rename to '" + path +
+                      "' failed: " + std::strerror(err.code);
+    }
+    if (!err.ok()) {
+        std::remove(tmp.c_str());
+        err.message = "'" + tmp + "': " + err.message;
+    }
+    return err;
+}
+
+IoError
+readWholeFile(const ReadFileFactory &factory, const std::string &path,
+              std::uint64_t max_bytes, std::vector<std::uint8_t> &out)
+{
+    IoError err;
+    const std::unique_ptr<ReadFile> file =
+        openReadFileVia(factory, path, &err);
+    if (!file) {
+        if (err.ok()) {
+            err.code = EIO;
+            err.message = "cannot open " + path;
+        }
+        return err;
+    }
+    if (file->size() > max_bytes) {
+        err.code = EFBIG;
+        err.message = "'" + path + "' is " +
+                      std::to_string(file->size()) +
+                      " bytes, over the " + std::to_string(max_bytes) +
+                      "-byte cap";
+        return err;
+    }
+    out.resize(static_cast<std::size_t>(file->size()));
+    return file->readAt(0, out.data(), out.size());
+}
+
 FaultyReadFile::FaultyReadFile(std::unique_ptr<ReadFile> inner,
                                ReadFaultPlan plan)
     : inner_(std::move(inner)), plan_(plan),

@@ -13,6 +13,10 @@
  * code, the file offset the failure happened at, and a
  * human-readable message, so the writer can retry transient
  * failures in place and surface exact offsets when it degrades.
+ *
+ * The whole-file helpers on top of the seam — publishFile's atomic
+ * replace (checkpoint generations) and readWholeFile (checkpoint
+ * and trace loads) — live here too.
  */
 
 #ifndef TDFE_STORE_FILE_HH
@@ -27,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 namespace tdfe
 {
@@ -190,6 +195,46 @@ using ReadFileFactory = std::function<std::unique_ptr<ReadFile>(
 std::unique_ptr<ReadFile> openReadFileVia(
     const ReadFileFactory &factory, const std::string &path,
     IoError *error = nullptr);
+
+/** Decorates a freshly opened file (FaultyFile tears its write at
+ *  an exact byte). */
+using WrapFile = std::function<std::unique_ptr<StoreFile>(
+    std::unique_ptr<StoreFile>)>;
+
+/** How publishFile() makes a file durable, plus its crash seams. */
+struct PublishOptions
+{
+    /** What runs between the write and the rename: nothing,
+     *  flush(), or sync(). */
+    DurabilityPolicy durability = DurabilityPolicy::SyncPerSeal;
+    /** Test seam: decorate the temp file before the write. */
+    WrapFile wrapFile;
+    /** Test seam: crash after the durable write, before the rename
+     *  (the temp file is left behind as a crash would leave it). */
+    bool skipRename = false;
+};
+
+/**
+ * Atomically replace @p path with @p n bytes at @p data: one write
+ * to `<path>.tmp` through the StoreFile seam (so FaultyFile faults
+ * apply), flush or fsync per policy, close, rename: a reader sees
+ * the previous file or the new one, never a blend. Never fatals; on
+ * failure the temp file is removed and @p path is left untouched.
+ * The rename itself is not made durable — a caller that deletes
+ * older files after a publish syncs the directory.
+ */
+IoError publishFile(const std::string &path, const void *data,
+                    std::size_t n, const PublishOptions &opts);
+
+/**
+ * Read all of @p path, opened through @p factory (openReadFileVia),
+ * into @p out. A file over @p max_bytes is rejected before anything
+ * is allocated. An open failure returns the opener's error (ENOENT
+ * for a missing file).
+ */
+IoError readWholeFile(const ReadFileFactory &factory,
+                      const std::string &path, std::uint64_t max_bytes,
+                      std::vector<std::uint8_t> &out);
 
 /**
  * Read-side counterpart of FaultPlan: the failures a reader sees

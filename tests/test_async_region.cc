@@ -10,7 +10,6 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
-#include <sstream>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -90,10 +89,10 @@ applyMode(Region &region, Mode mode)
 std::string
 analysisBytes(Region &region, std::size_t id)
 {
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::string bytes;
+    BinaryWriter w(bytes);
     region.analysis(id).save(w);
-    return os.str();
+    return bytes;
 }
 
 /** Everything a run produced that must be mode-invariant. */
@@ -422,13 +421,14 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
     WaveDomain dref;
     Region serial("wave-ck", &dref);
     serial.addAnalysis(waveAnalysis(true));
-    std::stringstream serial_split;
+    std::string serial_split;
+    BinaryWriter serial_w(serial_split);
     for (long k = 0; k < total; ++k) {
         serial.begin();
         dref.iter = k;
         serial.end();
         if (k == split - 1)
-            serial.saveCheckpoint(serial_split);
+            serial.saveCheckpoint(serial_w);
     }
     const std::string serial_end = analysisBytes(serial, 0);
 
@@ -436,7 +436,7 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
     // in-flight epoch and emit the same analysis payload the serial
     // run saved.
     setGlobalThreadCount(2);
-    std::stringstream async_split;
+    std::string async_split;
     {
         WaveDomain dom;
         Region async_r("wave-ck", &dom);
@@ -448,7 +448,8 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
             async_r.end();
         }
         EXPECT_TRUE(async_r.epochInFlight());
-        async_r.saveCheckpoint(async_split);
+        BinaryWriter async_w(async_split);
+        async_r.saveCheckpoint(async_w);
         EXPECT_FALSE(async_r.epochInFlight());
     }
 
@@ -457,14 +458,13 @@ TEST_F(AsyncRegionTest, CheckpointDrainsAndRoundTripsAcrossModes)
     // payloads and protocol state must not. Restore both
     // checkpoints and continue both restored regions to the end —
     // one synchronously, one async — and compare final states.
-    auto continue_from = [&](std::stringstream &ck,
+    auto continue_from = [&](const std::string &ck,
                              bool async_mode) -> std::string {
         WaveDomain dom;
         Region region("wave-ck", &dom);
         region.setAsyncAnalyses(async_mode);
         region.addAnalysis(waveAnalysis(true));
-        const std::string bytes = ck.str();
-        BinaryReader r(bytes);
+        BinaryReader r(ck);
         region.loadCheckpoint(r);
         EXPECT_EQ(split, region.iteration());
         for (long k = split; k < total; ++k) {

@@ -3,10 +3,13 @@
  * Checkpoint/restart tests: bit-exact resume equivalence for the
  * full Region (model, collector, trainer, early-stop), both
  * optimizers, multi-analysis regions, corrupt-checkpoint rejection
- * via death tests, and the binary reader/writer primitives.
+ * via death tests, the binary reader/writer primitives, and byte
+ * identity of the writer's stream and buffer sinks and of a region
+ * checkpoint against a golden hash.
  */
 
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <sstream>
 
@@ -18,10 +21,10 @@ namespace
 
 using namespace tdfe;
 
-TEST(Serial, PrimitivesRoundTrip)
+/** Write one field of every kind through @p w. */
+void
+writeEveryKind(BinaryWriter &w)
 {
-    std::stringstream ss;
-    BinaryWriter w(ss);
     w.writeU64(42);
     w.writeI64(-7);
     w.writeF64(3.25);
@@ -29,9 +32,22 @@ TEST(Serial, PrimitivesRoundTrip)
     w.writeBool(false);
     w.writeVec({1.0, -2.0, 0.5});
     w.writeTag("section");
+    w.writeVec({});
     w.writeVec({4.0, 5.0});
+}
 
-    const std::string bytes = ss.str();
+TEST(Serial, PrimitivesRoundTrip)
+{
+    std::string bytes;
+    BinaryWriter w(bytes);
+    writeEveryKind(w);
+
+    // The stream sink writes the same bytes.
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter sw(os);
+    writeEveryKind(sw);
+    EXPECT_EQ(os.str(), bytes);
+
     BinaryReader r(bytes);
     EXPECT_EQ(r.readU64(), 42u);
     EXPECT_EQ(r.readI64(), -7);
@@ -42,6 +58,7 @@ TEST(Serial, PrimitivesRoundTrip)
     ASSERT_EQ(v.size(), 3u);
     EXPECT_DOUBLE_EQ(v[1], -2.0);
     r.expectTag("section"); // must not die
+    EXPECT_TRUE(r.readVec().empty());
     std::vector<double> into(2, 0.0);
     r.readVecInto(into, "test field");
     EXPECT_DOUBLE_EQ(into[1], 5.0);
@@ -51,10 +68,9 @@ TEST(Serial, PrimitivesRoundTrip)
 
 TEST(Serial, TruncatedStreamIsRecoverable)
 {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::string bytes;
+    BinaryWriter w(bytes);
     w.writeU64(7);
-    const std::string bytes = ss.str();
     BinaryReader r(bytes);
     r.readU64();
     EXPECT_TRUE(r.ok());
@@ -66,10 +82,9 @@ TEST(Serial, TruncatedStreamIsRecoverable)
 
 TEST(Serial, WrongTagIsRecoverable)
 {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::string bytes;
+    BinaryWriter w(bytes);
     w.writeTag("alpha");
-    const std::string bytes = ss.str();
     BinaryReader r(bytes);
     r.expectTag("beta");
     EXPECT_FALSE(r.ok());
@@ -78,11 +93,10 @@ TEST(Serial, WrongTagIsRecoverable)
 
 TEST(Serial, FirstErrorSticks)
 {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::string bytes;
+    BinaryWriter w(bytes);
     w.writeTag("alpha");
     w.writeU64(9);
-    const std::string bytes = ss.str();
     BinaryReader r(bytes);
     r.expectTag("beta");
     const std::string first = r.error();
@@ -101,12 +115,11 @@ TEST(Serial, InflatedLengthsAreRejectedBeforeAllocating)
 {
     // A length field, then 29 bytes: three 8-byte words and 5 more.
     auto with_length = [](std::uint64_t n) {
-        std::stringstream ss;
-        BinaryWriter w(ss);
+        std::string bytes;
+        BinaryWriter w(bytes);
         w.writeU64(n);
         w.writeVec({1.0, 2.0}); // 8-byte count + 2 doubles
-        ss.write("tail!", 5);
-        return ss.str();
+        return bytes + "tail!";
     };
     // One item more than the 29 bytes hold (a truncated vector body
     // or tag), then lengths whose byte count overflows or nearly so.
@@ -142,10 +155,9 @@ TEST(Serial, InflatedLengthsAreRejectedBeforeAllocating)
 
 TEST(SerialDeathTest, ShapeMismatchThroughHealthyStreamIsFatal)
 {
-    std::stringstream ss;
-    BinaryWriter w(ss);
+    std::string bytes;
+    BinaryWriter w(bytes);
     w.writeVec({1.0, 2.0, 3.0});
-    const std::string bytes = ss.str();
     EXPECT_DEATH(
         {
             BinaryReader r(bytes);
@@ -190,12 +202,21 @@ toyAnalysis(OptimizerKind kind = OptimizerKind::MiniBatchGd)
     return cfg;
 }
 
-/** Restore @p region from the bytes saved into @p ckpt. */
-bool
-restore(Region &region, const std::stringstream &ckpt)
+/** @return the checkpoint bytes of @p region. */
+std::string
+save(const Region &region)
 {
-    const std::string bytes = ckpt.str();
-    BinaryReader r(bytes);
+    std::string bytes;
+    BinaryWriter w(bytes);
+    region.saveCheckpoint(w);
+    return bytes;
+}
+
+/** Restore @p region from the checkpoint bytes @p ckpt. */
+bool
+restore(Region &region, const std::string &ckpt)
+{
+    BinaryReader r(ckpt);
     return region.loadCheckpoint(r);
 }
 
@@ -223,8 +244,7 @@ TEST(Checkpoint, ResumedRunIsBitExact)
     Region a("a", &sim_a);
     a.addAnalysis(toyAnalysis());
     drive(a, sim_a, 0, 90);
-    std::stringstream ckpt;
-    a.saveCheckpoint(ckpt);
+    const std::string ckpt = save(a);
 
     ToySim sim_b;
     Region b("b", &sim_b);
@@ -258,8 +278,7 @@ TEST(Checkpoint, ResumedRlsRunIsBitExact)
     Region a("a", &sim_a);
     a.addAnalysis(toyAnalysis(OptimizerKind::Rls));
     drive(a, sim_a, 0, 75);
-    std::stringstream ckpt;
-    a.saveCheckpoint(ckpt);
+    const std::string ckpt = save(a);
 
     ToySim sim_b;
     Region b("b", &sim_b);
@@ -296,8 +315,7 @@ TEST(Checkpoint, MultiAnalysisRegionRoundTrips)
     a.addAnalysis(toyAnalysis());
     a.addAnalysis(second());
     drive(a, sim_a, 0, 60);
-    std::stringstream ckpt;
-    a.saveCheckpoint(ckpt);
+    const std::string ckpt = save(a);
 
     ToySim sim_b;
     Region b("b", &sim_b);
@@ -326,8 +344,7 @@ TEST(Checkpoint, CheckpointAtStepZeroIsAFullRun)
     ToySim sim_a;
     Region a("a", &sim_a);
     a.addAnalysis(toyAnalysis());
-    std::stringstream ckpt;
-    a.saveCheckpoint(ckpt); // nothing has run yet
+    const std::string ckpt = save(a); // nothing has run yet
 
     ToySim sim_b;
     Region b("b", &sim_b);
@@ -347,8 +364,7 @@ TEST(Checkpoint, AnalysisCountMismatchIsRecoverable)
     Region a("a", &sim_a);
     a.addAnalysis(toyAnalysis());
     drive(a, sim_a, 0, 40);
-    std::stringstream ckpt;
-    EXPECT_TRUE(a.saveCheckpoint(ckpt));
+    const std::string ckpt = save(a);
 
     // The stream-level shape of the checkpoint (analysis count) is
     // indistinguishable from stream damage, so it surfaces as a
@@ -369,13 +385,11 @@ TEST(Checkpoint, DamagedStreamIsRecoverable)
     Region a("a", &sim_a);
     a.addAnalysis(toyAnalysis());
     drive(a, sim_a, 0, 40);
-    std::stringstream ckpt;
-    EXPECT_TRUE(a.saveCheckpoint(ckpt));
+    const std::string bytes = save(a);
 
     // Every strict prefix of the serialized state — a cut inside any
     // tag, length, vector body or scalar — is a clean, recoverable
     // load failure: no fatal, no zero-filled success.
-    const std::string bytes = ckpt.str();
     ToySim sim_b;
     Region b("b", &sim_b);
     b.addAnalysis(toyAnalysis());
@@ -390,14 +404,76 @@ TEST(Checkpoint, DamagedStreamIsRecoverable)
     EXPECT_EQ(b.iteration(), a.iteration());
 }
 
+/** Two analyses, both optimizers and both lag axes, run to 90. */
+void
+driveTwoAnalyses(Region &region, ToySim &sim)
+{
+    region.addAnalysis(toyAnalysis());
+    AnalysisConfig second = toyAnalysis(OptimizerKind::Rls);
+    second.feature = FeatureKind::DelayTime;
+    second.featureLocation = 2;
+    second.ar.axis = LagAxis::Time;
+    second.ar.order = 3;
+    region.addAnalysis(std::move(second));
+    drive(region, sim, 0, 90);
+}
+
+// perfbench builds its payload with a stream writer over an
+// ostringstream, the substrate's save through the writer, then the
+// region's stream save: the interleaved bytes must equal one buffer
+// writer's, field for field.
+TEST(Checkpoint, StreamSaveSequenceMatchesBufferBytes)
+{
+    ToySim sim;
+    Region region("a", &sim);
+    driveTwoAnalyses(region, sim);
+    auto save_sim = [&sim](BinaryWriter &w) {
+        w.writeTag("TOYSIM");
+        w.writeI64(sim.step);
+        w.writeVec({sim.value(1), sim.value(2)});
+    };
+
+    std::ostringstream os(std::ios::binary);
+    BinaryWriter bw(os);
+    save_sim(bw);
+    region.saveCheckpoint(os);
+
+    std::string bytes;
+    BinaryWriter w(bytes);
+    save_sim(w);
+    region.saveCheckpoint(w);
+    EXPECT_EQ(os.str(), bytes);
+}
+
+// Byte identity of region checkpoints against a hash recorded when
+// the writer still appended to a std::ostream. The region's
+// wall-clock doubles (overhead, stepTime: bytes 82-97) are zeroed.
+TEST(Checkpoint, RegionBytesMatchGoldenHash)
+{
+#if defined(__FAST_MATH__) || defined(TDFE_FAST_MATH)
+    GTEST_SKIP() << "training is not bitwise under fast math";
+#endif
+    ToySim sim;
+    Region region("a", &sim);
+    driveTwoAnalyses(region, sim);
+    std::string bytes = save(region);
+    ASSERT_EQ(bytes.size(), 12280u);
+    std::memset(&bytes[82], 0, 16);
+    std::uint64_t h = 14695981039346656037ull; // FNV-1a
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 1099511628211ull;
+    }
+    EXPECT_EQ(h, 0x49600c1a88a09ff9ull);
+}
+
 TEST(CheckpointDeathTest, ReconfiguredModelOrderIsFatal)
 {
     ToySim sim_a;
     Region a("a", &sim_a);
     a.addAnalysis(toyAnalysis());
     drive(a, sim_a, 0, 40);
-    std::stringstream ckpt;
-    a.saveCheckpoint(ckpt);
+    const std::string ckpt = save(a);
 
     EXPECT_DEATH(
         {

@@ -332,6 +332,7 @@ TEST(ResilientRun, CrashSweepIsBitExact)
         removeGenerations(prefix);
         std::remove(store.c_str());
     }
+    std::remove(ref_store.c_str());
 }
 
 TEST(ResilientRun, TornNewestGenerationStillRecovers)

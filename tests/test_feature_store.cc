@@ -27,7 +27,6 @@
 #include <limits>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -672,18 +671,17 @@ TEST(FeatureStore, ResumeAtACommitIsByteIdentical)
     // on to 60 and seal, as a crashed attempt past its checkpoint
     // leaves the file.
     const std::string path = tempPath("resume.tdfs");
-    std::ostringstream commit_os(std::ios::binary);
+    std::string commit;
     {
         FeatureStoreWriter w(path, schema, opts);
         for (std::size_t i = 0; i < 45; ++i)
             w.append(makeRecord(i, 3));
-        BinaryWriter cw(commit_os);
+        BinaryWriter cw(commit);
         w.saveCommit(cw);
         for (std::size_t i = 45; i < 60; ++i)
             w.append(makeRecord(i, 3));
         ASSERT_GT(w.finish(), 0u);
     }
-    const std::string commit = commit_os.str();
     const std::string crashed = fileBytes(path);
 
     const auto resume = [&](const std::string &bytes,

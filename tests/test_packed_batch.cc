@@ -22,7 +22,6 @@
 
 #include <cmath>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "base/rng.hh"
@@ -270,15 +269,15 @@ TEST_P(PackedVsLegacy, SgdCoefficientsBitwiseIdentical)
 
     // Optimizer checkpoint = velocity + step count; velocity bytes
     // must match the legacy momentum state exactly.
-    std::ostringstream packed_ck;
+    std::string packed_ck;
     BinaryWriter w(packed_ck);
     packed_opt.save(w);
-    std::ostringstream legacy_ck;
+    std::string legacy_ck;
     BinaryWriter lw(legacy_ck);
     lw.writeVec(legacy_velocity);
     lw.writeU64(batches.size() * cfg.epochsPerBatch);
     if (exactGates)
-        EXPECT_EQ(packed_ck.str(), legacy_ck.str());
+        EXPECT_EQ(packed_ck, legacy_ck);
 }
 
 TEST_P(PackedVsLegacy, RlsStateBitwiseIdentical)
@@ -310,15 +309,15 @@ TEST_P(PackedVsLegacy, RlsStateBitwiseIdentical)
     }
 
     // RLS checkpoint = inverse covariance + step count.
-    std::ostringstream packed_ck;
+    std::string packed_ck;
     BinaryWriter w(packed_ck);
     packed_rls.save(w);
-    std::ostringstream legacy_ck;
+    std::string legacy_ck;
     BinaryWriter lw(legacy_ck);
     lw.writeVec(legacy_p);
     lw.writeU64(batches.size() * batch_size);
     if (exactGates)
-        EXPECT_EQ(packed_ck.str(), legacy_ck.str());
+        EXPECT_EQ(packed_ck, legacy_ck);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -373,14 +372,14 @@ struct ReplicaTrainer
     std::string
     trainerBytes() const
     {
-        std::ostringstream os;
-        BinaryWriter w(os);
+        std::string bytes;
+        BinaryWriter w(bytes);
         w.writeVec(velocity); // SgdOptimizer::save
         w.writeU64(sgdSteps);
         rls.save(w);
         w.writeU64(rounds);
         w.writeF64(lastMse);
-        return os.str();
+        return bytes;
     }
 
     ArModel model;
@@ -396,10 +395,10 @@ template <typename T>
 std::string
 saveBytes(const T &obj)
 {
-    std::ostringstream os;
-    BinaryWriter w(os);
+    std::string bytes;
+    BinaryWriter w(bytes);
     obj.save(w);
-    return os.str();
+    return bytes;
 }
 
 class TrainerVsReplica
@@ -465,11 +464,11 @@ TEST(PackedBatch, CheckpointBytesMatchLegacyAosFormat)
     for (const LegacySample &s : batch)
         pb.push(s.x, s.y);
 
-    std::ostringstream packed_ck;
+    std::string packed_ck;
     BinaryWriter w(packed_ck);
     pb.save(w);
 
-    std::ostringstream legacy_ck;
+    std::string legacy_ck;
     BinaryWriter lw(legacy_ck);
     lw.writeU64(8);
     lw.writeU64(3);
@@ -479,12 +478,11 @@ TEST(PackedBatch, CheckpointBytesMatchLegacyAosFormat)
         lw.writeF64(s.y);
     }
     lw.writeU64(batch.size());
-    ASSERT_EQ(packed_ck.str(), legacy_ck.str());
+    ASSERT_EQ(packed_ck, legacy_ck);
 
     // And the bytes round-trip into an identical packed batch.
     PackedBatch restored(8, 3);
-    const std::string packed_bytes = packed_ck.str();
-    BinaryReader r(packed_bytes);
+    BinaryReader r(packed_ck);
     restored.load(r);
     ASSERT_EQ(restored.size(), pb.size());
     for (std::size_t i = 0; i < pb.size(); ++i) {
@@ -554,10 +552,8 @@ TEST(PackedPipeline, ThreadCountInvariantAcrossOrders)
         Digest d;
         d.feature = analysis.extractFeature();
         d.prediction = analysis.currentPrediction();
-        std::ostringstream os;
-        BinaryWriter w(os);
+        BinaryWriter w(d.checkpoint);
         analysis.save(w);
-        d.checkpoint = os.str();
         setGlobalThreadCount(1);
         return d;
     };

@@ -102,6 +102,18 @@ TEST(TraceDeathTest, TruncatedOrOverlongDumpIsFatal)
     std::remove(path.c_str());
 }
 
+// The dump fits the stream's buffer, so nothing reaches the device
+// before the file is closed: only the close reports the full disk.
+TEST(TraceDeathTest, DumpToFullDeviceIsFatal)
+{
+    std::FILE *probe = std::fopen("/dev/full", "wb");
+    if (!probe)
+        GTEST_SKIP() << "/dev/full is not available";
+    std::fclose(probe);
+    const FullTrace trace = syntheticTrace();
+    EXPECT_DEATH(trace.dump("/dev/full"), "trace write failed");
+}
+
 TEST(GroundTruth, BreakpointRadiusFromPeaks)
 {
     // Peaks: 40 * 0.8^(l-1); threshold 20 -> l <= 4.1 -> radius 4.

@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <gtest/gtest.h>
-#include <sstream>
 #include <string>
 
 #include "base/serial.hh"
@@ -106,10 +105,8 @@ runWave(int seed, bool relaxed, long iters, bool honor_stop)
     }
     out.feature = region.analysis(id).extractFeature();
     out.convergedRound = region.analysis(id).convergedRound();
-    std::ostringstream os;
-    BinaryWriter w(os);
+    BinaryWriter w(out.bytes);
     region.analysis(id).save(w);
-    out.bytes = os.str();
     return out;
 }
 
@@ -209,10 +206,8 @@ runClover(bool relaxed, bool stopper, long steps)
             out.stopIter = s;
     }
     out.feature = region.analysis(id).extractFeature();
-    std::ostringstream os;
-    BinaryWriter w(os);
+    BinaryWriter w(out.bytes);
     region.analysis(id).save(w);
-    out.bytes = os.str();
     return out;
 }
 

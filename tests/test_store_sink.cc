@@ -330,9 +330,13 @@ TEST(StoreSink, SchemaTooSmallIsFatal)
     region.addAnalysis(waveAnalysis()); // needs 3 coeff columns
     StoreSchema schema;
     schema.coeffCount = 2;
-    FeatureStoreWriter store(tempPath("small.tdfs"), schema);
-    EXPECT_DEATH(region.setFeatureStore(&store),
-                 "coefficient columns");
+    const std::string path = tempPath("small.tdfs");
+    {
+        FeatureStoreWriter store(path, schema);
+        EXPECT_DEATH(region.setFeatureStore(&store),
+                     "coefficient columns");
+    }
+    std::remove(path.c_str());
 }
 
 TEST(StoreMerge, RankOrderConcatenation)
