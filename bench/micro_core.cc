@@ -113,7 +113,8 @@ BM_PeakProfile(benchmark::State &state)
 {
     const std::size_t n_locs = static_cast<std::size_t>(state.range(0));
     const std::size_t n_rows = 18000;
-    ObservedSeries series(1, 1, n_locs, 0);
+    ObservedSeries series(1, 1, n_locs, 0,
+                          static_cast<long>(n_rows) - 1);
     std::vector<double> row(n_locs);
     for (std::size_t t = 0; t < n_rows; ++t) {
         const double front = 0.005 * static_cast<double>(t);

@@ -15,10 +15,10 @@
 # skipped with a notice when the toolchain cannot produce TSan
 # binaries, or when SKIP_TSAN=1. The ASan battery then does the same
 # with -fsanitize=address,undefined (TIER1_ASAN) for the store,
-# checkpoint, run-harness, C API, packed-training, rollout, trace-dump,
-# thread-pool and async-region tests under the asan_smoke label — skipped with a
-# notice when the toolchain cannot produce ASan binaries, or when
-# SKIP_ASAN=1. Last, a second Release tree builds with
+# checkpoint, run-harness, C API, packed-training, rollout, collector,
+# trace-dump, thread-pool and async-region tests under the asan_smoke
+# label — skipped with a notice when the toolchain cannot produce ASan
+# binaries, or when SKIP_ASAN=1. Last, a second Release tree builds with
 # TDFE_NATIVE=ON (-march=native -ffast-math) and runs the tier-1
 # tests only — the vectorized build is not bitwise-comparable to the
 # default one, so the digest-gated benches are skipped there; the
@@ -219,6 +219,7 @@ if [[ "${SKIP_ASAN:-0}" != 1 ]] &&
       test_checkpoint_asan test_ckpt_resilience_asan \
       test_run_harness_asan test_td_api_asan \
       test_packed_batch_asan test_predictor_asan \
+      test_collector_asan \
       test_parallel_for_asan test_async_region_asan \
       test_postproc_asan
   cd build-asan

@@ -92,13 +92,12 @@ BinaryReader::readLength(std::size_t unit, const std::string &what)
     return ok_ ? n : 0;
 }
 
-std::vector<double>
-BinaryReader::readVec()
+void
+BinaryReader::readVec(std::vector<double> &dst)
 {
-    std::vector<double> v(readLength(sizeof(double), "vector"));
-    if (!v.empty())
-        in.bytes(v.data(), v.size() * sizeof(double));
-    return v;
+    dst.resize(readLength(sizeof(double), "vector"));
+    if (!dst.empty())
+        in.bytes(dst.data(), dst.size() * sizeof(double));
 }
 
 void

@@ -110,8 +110,13 @@ class BinaryReader
     bool readBool();
     /** @} */
 
-    /** Length-prefixed double vector (empty after a failure). */
-    std::vector<double> readVec();
+    /**
+     * Length-prefixed double vector read into @p dst, replacing its
+     * contents. @p dst keeps its capacity, so a reserved buffer takes
+     * a vector that fits without allocating; it is empty after a
+     * failure.
+     */
+    void readVec(std::vector<double> &dst);
 
     /**
      * Length-prefixed double vector read straight into @p dst, whose

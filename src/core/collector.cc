@@ -56,7 +56,7 @@ DataCollector::DataCollector(const IterParam &space,
                  (space.end -
                   computeLatticeBegin(space, config, min_location)) /
                  space.step) + 1,
-             storeBegin),
+             storeBegin, time.end),
       batch_(config.batchSize, config.order)
 {
     rowScratch.resize(series.locCount(), 0.0);

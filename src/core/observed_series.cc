@@ -4,16 +4,29 @@
 
 #include "base/logging.hh"
 
+#include <algorithm>
+
 namespace tdfe
 {
 
 ObservedSeries::ObservedSeries(long loc_begin, long loc_step,
-                               std::size_t n_locs, long iter_begin)
+                               std::size_t n_locs, long iter_begin,
+                               long iter_last)
     : locBegin_(loc_begin), locStep_(loc_step), nLocs(n_locs),
       iterBegin_(iter_begin)
 {
     TDFE_ASSERT(loc_step > 0, "location step must be positive");
     TDFE_ASSERT(n_locs > 0, "need at least one location");
+    const std::size_t max_rows =
+        reserveCeilingBytes / (n_locs * sizeof(double));
+    if (iter_last < iter_begin || max_rows == 0)
+        return;
+    // iter_last - iter_begin in unsigned arithmetic: exact for any
+    // pair of longs, where the signed difference can overflow.
+    const unsigned long span = static_cast<unsigned long>(iter_last) -
+                               static_cast<unsigned long>(iter_begin);
+    reserveValues =
+        (std::min<unsigned long>(span, max_rows - 1) + 1) * n_locs;
 }
 
 void
@@ -22,6 +35,8 @@ ObservedSeries::appendRow(const std::vector<double> &values)
     TDFE_ASSERT(values.size() == nLocs,
                 "row has ", values.size(), " values, expected ",
                 nLocs);
+    if (data.capacity() == 0)
+        data.reserve(reserveValues);
     data.insert(data.end(), values.begin(), values.end());
     ++rows;
 }
@@ -109,6 +124,12 @@ ObservedSeries::memoryBytes() const
     return data.size() * sizeof(double);
 }
 
+std::size_t
+ObservedSeries::reservedBytes() const
+{
+    return data.capacity() * sizeof(double);
+}
+
 
 void
 ObservedSeries::save(BinaryWriter &w) const
@@ -136,7 +157,8 @@ ObservedSeries::load(BinaryReader &r)
                    "(was the analysis reconfigured?)");
     }
     rows = static_cast<std::size_t>(r.readU64());
-    data = r.readVec();
+    data.reserve(reserveValues); // the rows are read into it
+    r.readVec(data);
     if (!r.ok()) {
         rows = 0;
         data.clear();

@@ -9,6 +9,7 @@
 #ifndef TDFE_CORE_OBSERVED_SERIES_HH
 #define TDFE_CORE_OBSERVED_SERIES_HH
 
+#include <cstddef>
 #include <vector>
 
 namespace tdfe
@@ -65,18 +66,34 @@ class SeriesView
  * Row-per-iteration value store over a fixed location lattice
  * {locBegin, locBegin+locStep, ...} with nLocs entries. Iterations
  * must be appended in order starting at iterBegin.
+ *
+ * The history is reserved for the window at construction: the
+ * constructor sizes the rows iterBegin..iterLast (at most
+ * reserveCeilingBytes), and the first append or load allocates them
+ * in one piece, so appending them never copies the history. Taking
+ * the allocation there rather than in the constructor keeps it out
+ * of a region's setup. Rows past the reservation grow the vector
+ * geometrically. A run that stops early leaves the reservation's
+ * tail untouched, which costs address space but no resident pages.
  */
 class ObservedSeries
 {
   public:
+    /** Largest reservation of one history, in bytes. */
+    static constexpr std::size_t reserveCeilingBytes =
+        std::size_t(32) << 20;
+
     /**
      * @param loc_begin First sampled location.
      * @param loc_step Spacing of the location lattice.
      * @param n_locs Number of sampled locations.
      * @param iter_begin First iteration that will be appended.
+     * @param iter_last Last iteration the window needs (may be
+     *        LONG_MAX for an open-ended window); rows up to it are
+     *        reserved, capped at reserveCeilingBytes.
      */
     ObservedSeries(long loc_begin, long loc_step, std::size_t n_locs,
-                   long iter_begin);
+                   long iter_begin, long iter_last);
 
     /** Append the sample row for the next iteration. */
     void appendRow(const std::vector<double> &values);
@@ -120,8 +137,17 @@ class ObservedSeries
     long iterEnd() const;
     std::size_t iterCount() const { return rows; }
 
-    /** @return bytes retained (the in-situ memory footprint). */
+    /**
+     * @return bytes of the rows held (the in-situ memory footprint
+     * of the collected data). The reservation's unused tail is not
+     * counted.
+     */
     std::size_t memoryBytes() const;
+
+    /** @return bytes allocated for the history: the rows held plus
+     *  the reservation's unused tail (0 before the first append or
+     *  load). */
+    std::size_t reservedBytes() const;
 
     /** Checkpoint the collected rows. @{ */
     void save(BinaryWriter &w) const;
@@ -136,6 +162,8 @@ class ObservedSeries
     std::size_t nLocs;
     long iterBegin_;
     std::size_t rows = 0;
+    /** Values the first append or load reserves. */
+    std::size_t reserveValues = 0;
     std::vector<double> data;
 };
 

@@ -113,7 +113,8 @@ FullTrace::load(const std::string &path)
         TDFE_FATAL("unsupported trace version ", version, ": ", path);
     const std::uint64_t n_locs = r.readU64();
     const std::uint64_t n_iters = r.readU64();
-    std::vector<double> values = r.readVec();
+    std::vector<double> values;
+    r.readVec(values);
     if (r.ok() && r.remaining() != 0)
         r.fail(std::to_string(r.remaining()) + " trailing bytes");
     if (!r.ok())

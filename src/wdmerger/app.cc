@@ -420,7 +420,7 @@ WdMergerApp::load(BinaryReader &r)
     detonationBudget = r.readF64();
     ignitionSite = static_cast<std::size_t>(r.readU64());
     for (std::vector<double> &h : history_)
-        h = r.readVec();
+        r.readVec(h);
 }
 
 } // namespace wd

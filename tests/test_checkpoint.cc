@@ -54,11 +54,13 @@ TEST(Serial, PrimitivesRoundTrip)
     EXPECT_DOUBLE_EQ(r.readF64(), 3.25);
     EXPECT_TRUE(r.readBool());
     EXPECT_FALSE(r.readBool());
-    const std::vector<double> v = r.readVec();
+    std::vector<double> v;
+    r.readVec(v);
     ASSERT_EQ(v.size(), 3u);
     EXPECT_DOUBLE_EQ(v[1], -2.0);
     r.expectTag("section"); // must not die
-    EXPECT_TRUE(r.readVec().empty());
+    r.readVec(v);
+    EXPECT_TRUE(v.empty());
     std::vector<double> into(2, 0.0);
     r.readVecInto(into, "test field");
     EXPECT_DOUBLE_EQ(into[1], 5.0);
@@ -131,7 +133,9 @@ TEST(Serial, InflatedLengthsAreRejectedBeforeAllocating)
     for (const std::uint64_t n : vec_lengths) {
         const std::string bytes = with_length(n);
         BinaryReader vec(bytes);
-        EXPECT_TRUE(vec.readVec().empty()) << n;
+        std::vector<double> got(1, 9.0);
+        vec.readVec(got);
+        EXPECT_TRUE(got.empty()) << n;
         EXPECT_FALSE(vec.ok()) << n;
         EXPECT_NE(vec.error().find(std::to_string(n)), std::string::npos)
             << vec.error();

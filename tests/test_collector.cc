@@ -6,6 +6,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <climits>
 #include <vector>
 
 #include "core/collector.hh"
@@ -135,6 +136,76 @@ TEST(Collector, KeepsCollectingAfterWindowEnds)
     EXPECT_EQ(c.observed().iterEnd(), 21);
     // ...but no new training pairs are emitted.
     EXPECT_EQ(c.samplesEmitted(), 5u);
+}
+
+TEST(Collector, OpenEndedWindowReservesAtMostTheCeiling)
+{
+    // A C API window may run to LONG_MAX: the history reservation
+    // must size itself without signed overflow (UBSan checks this in
+    // the sanitizer build) and stop at the per-history ceiling.
+    ArConfig cfg;
+    cfg.order = 2;
+    cfg.lag = 1;
+    cfg.axis = LagAxis::Time;
+    cfg.batchSize = 16;
+    const IterParam space(2, 6, 1);
+    constexpr long rows = 300;
+
+    /** Every emitted pair, lags then target, in emission order. */
+    auto recordPairs = [](DataCollector &c, std::vector<double> &out) {
+        c.setBatchSink([&out](MiniBatch &b) {
+            for (std::size_t i = 0; i < b.size(); ++i) {
+                out.insert(out.end(), b.row(i), b.row(i) + 2);
+                out.push_back(b.target(i));
+            }
+            b.clear();
+        });
+    };
+
+    DataCollector open(space, IterParam(0, LONG_MAX, 1), cfg);
+    EXPECT_FALSE(open.windowFinished(LONG_MAX - 1));
+    const ObservedSeries &got = open.observed();
+
+    // References: a history that reserves nothing (its last needed
+    // iteration precedes its first), and a collector whose window
+    // ends at the last collected iteration.
+    ObservedSeries unreserved(got.locBegin(), got.locStep(),
+                              got.locCount(), got.iterBegin(),
+                              got.iterBegin() - 1);
+    DataCollector bounded(space, IterParam(0, rows - 1, 1), cfg);
+
+    std::vector<double> open_pairs, bounded_pairs;
+    recordPairs(open, open_pairs);
+    recordPairs(bounded, bounded_pairs);
+    std::vector<double> row(got.locCount());
+    std::size_t reserved = 0;
+    for (long i = 0; i < rows; ++i) {
+        auto sample = [&](long l) { return field(l, i); };
+        open.collect(i, sample);
+        bounded.collect(i, sample);
+        for (std::size_t k = 0; k < row.size(); ++k)
+            row[k] = sample(got.locBegin() +
+                            static_cast<long>(k) * got.locStep());
+        unreserved.appendRow(row);
+        if (i == 0) {
+            // The first append takes the reservation, capped.
+            reserved = got.reservedBytes();
+            EXPECT_LE(reserved, ObservedSeries::reserveCeilingBytes);
+            EXPECT_GT(reserved, ObservedSeries::reserveCeilingBytes -
+                                    row.size() * sizeof(double));
+        }
+    }
+
+    ASSERT_EQ(got.iterCount(), static_cast<std::size_t>(rows));
+    ASSERT_EQ(unreserved.iterCount(), got.iterCount());
+    for (long l = got.locBegin(); l <= got.locEnd(); l += got.locStep())
+        EXPECT_EQ(got.seriesAt(l), unreserved.seriesAt(l)) << l;
+    EXPECT_EQ(got.memoryBytes(), unreserved.memoryBytes());
+    // Rows within the reservation never regrew it.
+    EXPECT_EQ(got.reservedBytes(), reserved);
+    EXPECT_EQ(open.samplesEmitted(), bounded.samplesEmitted());
+    EXPECT_GT(open.samplesEmitted(), 0u);
+    EXPECT_EQ(open_pairs, bounded_pairs);
 }
 
 TEST(CollectorDeathTest, NonConsecutiveIterationsPanic)

@@ -573,7 +573,7 @@ TEST(PackedPipeline, ThreadCountInvariantAcrossOrders)
 
 TEST(ObservedSeriesViews, MatchCopyingAccessors)
 {
-    ObservedSeries s(4, 2, 5, 10);
+    ObservedSeries s(4, 2, 5, 10, 21);
     for (long it = 10; it < 22; ++it) {
         std::vector<double> row(5);
         for (std::size_t i = 0; i < 5; ++i)
@@ -612,7 +612,7 @@ TEST(ObservedSeriesViews, MatchCopyingAccessors)
 
 TEST(ObservedSeriesViews, EmptySeriesViewIsEmpty)
 {
-    ObservedSeries s(0, 1, 3, 0);
+    ObservedSeries s(0, 1, 3, 0, 0);
     const SeriesView v = s.seriesView(1);
     EXPECT_TRUE(v.empty());
     EXPECT_EQ(v.size(), 0u);

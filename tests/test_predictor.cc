@@ -59,7 +59,7 @@ TEST(Predictor, OneStepSeriesMatchesExactRecurrence)
         });
 
     // Observed series follows the same recurrence.
-    ObservedSeries series(0, 1, 1, 0);
+    ObservedSeries series(0, 1, 1, 0, 29);
     std::vector<double> v{2.0, 3.0};
     series.appendRow({v[0]});
     series.appendRow({v[1]});
@@ -91,7 +91,7 @@ TEST(Predictor, ForecastContinuesTheRecurrence)
             return 0.8 * x[0];
         });
 
-    ObservedSeries series(0, 1, 1, 0);
+    ObservedSeries series(0, 1, 1, 0, 9);
     double v = 8.0;
     for (int i = 0; i < 10; ++i) {
         series.appendRow({v});
@@ -123,7 +123,7 @@ TEST(Predictor, PeakProfileRollsPastTheLattice)
 
     // Observed: locations 1..4, V(l, t) = 16 * 0.5^(l-1) constant in
     // time (so the lagged source equals the current value).
-    ObservedSeries series(1, 1, 4, 0);
+    ObservedSeries series(1, 1, 4, 0, 11);
     for (int t = 0; t < 12; ++t)
         series.appendRow({16.0, 8.0, 4.0, 2.0});
 
@@ -147,7 +147,7 @@ TEST(Predictor, OneStepAtIsTheSeriesElementBitwise)
 {
     // Five locations, 40 iterations of an irregular field, so the
     // lag gathering (not just the model) decides every value.
-    ObservedSeries series(2, 3, 5, 7);
+    ObservedSeries series(2, 3, 5, 7, 46);
     for (int t = 0; t < 40; ++t) {
         std::vector<double> row(5);
         for (int k = 0; k < 5; ++k)
@@ -270,7 +270,8 @@ TEST(Predictor, PeakProfileMatchesReference)
             // Irregular field with ties, signed zeros and a moving
             // crest, so the fold order and the lag gathering decide
             // the peaks.
-            ObservedSeries series(2, step, 6, 5);
+            ObservedSeries series(2, step, 6, 5,
+                                  4 + static_cast<long>(rows));
             for (std::size_t t = 0; t < rows; ++t) {
                 std::vector<double> row(6);
                 for (std::size_t k = 0; k < 6; ++k) {
@@ -352,7 +353,7 @@ TEST(PredictorDeathTest, AxisMisuseIsRejected)
     ArConfig time_cfg;
     time_cfg.axis = LagAxis::Time;
     const ArModel time_model(time_cfg);
-    ObservedSeries series(0, 1, 1, 0);
+    ObservedSeries series(0, 1, 1, 0, 9);
     for (int i = 0; i < 10; ++i)
         series.appendRow({1.0});
     const Predictor p(time_model, series);
